@@ -1,13 +1,17 @@
 GO ?= go
 
-.PHONY: check build vet test race racecheck bench golden chaos-smoke serve-smoke serve-live-smoke mvcc-smoke mvcc-race wal-smoke qdsweep-smoke drift-smoke benchjson
+.PHONY: check build fmt vet test race racecheck bench golden experiments-golden chaos-smoke serve-smoke serve-live-smoke mvcc-smoke mvcc-race wal-smoke qdsweep-smoke drift-smoke benchjson
 
-## check: the full gate — build, vet, race-enabled tests, and the
-## single-owner assertion build.
-check: build vet race racecheck
+## check: the full gate — build, gofmt, vet, race-enabled tests, and the
+## assertion build.
+check: build fmt vet race racecheck
 
 build:
 	$(GO) build ./...
+
+## fmt: fails, listing the files, if anything is not gofmt-clean.
+fmt:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l . is not empty:"; gofmt -l .; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -21,22 +25,35 @@ test:
 race:
 	$(GO) test -race ./...
 
-## racecheck: build with the storage single-owner assertions compiled in and
-## run the ownership tests against them.
+## racecheck: build with the debug assertions compiled in — storage
+## single-owner binding, PageView generation stamps, evicted frames poisoned
+## instead of recycled, lsm merge sources checked ascending — and run the
+## storage and lsm tests against them.
 racecheck:
 	$(GO) build -tags racecheck ./...
-	$(GO) test -tags racecheck ./internal/storage/
+	$(GO) test -tags racecheck ./internal/storage/ ./internal/lsm/
 
-## bench: the hot-path comparison quoted in PR descriptions
-## (nil-hook must stay allocation-free and within noise of untraced).
+## bench: the hot-path comparisons quoted in PR descriptions — the obs tap
+## (nil-hook must stay allocation-free and within noise of untraced), the
+## buffer pool's evicting miss (0 allocs/op), and the lsm L1→L2 spill.
 bench:
 	$(GO) test ./internal/obs -bench BenchmarkInstrumentedGet -benchtime=2s -run '^$$'
+	$(GO) test ./internal/storage -bench BenchmarkFetchMiss -benchtime=2s -run '^$$'
+	$(GO) test ./internal/lsm -bench BenchmarkCompactionSpill -benchtime=2s -run '^$$'
 
 ## golden: regenerate golden files (exporters, CLI usage) after an
 ## intended format change.
 golden:
 	$(GO) test ./internal/obs -run Golden -update
 	$(GO) test ./cmd/rumbench -run Golden -update
+
+## experiments-golden: the committed experiments_output.txt must be exactly
+## what `rumbench -exp all` prints today (stdout is deterministic; timings go
+## to stderr). Regenerate with
+## `go run ./cmd/rumbench -exp all >experiments_output.txt` after an intended
+## change — prior sections should stay byte-identical.
+experiments-golden:
+	$(GO) run ./cmd/rumbench -exp all 2>/dev/null | diff experiments_output.txt -
 
 ## chaos-smoke: a tiny end-to-end pass over the fault paths — the chaos
 ## experiment with a non-trivial plan at two pool widths, diffed to hold

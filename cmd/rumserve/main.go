@@ -103,13 +103,13 @@ type config struct {
 	medium     storage.Medium
 	mediumSpec string
 	rate       float64
-	mix     bench.ServeMix
-	mixSpec string
-	seed    int64
-	plan    faults.Plan
-	addr    string
-	window  time.Duration
-	scrape  time.Duration
+	mix        bench.ServeMix
+	mixSpec    string
+	seed       int64
+	plan       faults.Plan
+	addr       string
+	window     time.Duration
+	scrape     time.Duration
 	// mvcc turns on the serving layer's snapshot read path: pure-read
 	// batches bypass the mailbox onto the client goroutine. staleness is
 	// serve.Config.StalenessOps (writes between snapshot publishes).

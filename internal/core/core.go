@@ -12,8 +12,10 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
+	"slices"
 
 	"repro/internal/rum"
 )
@@ -35,6 +37,11 @@ const (
 type Record struct {
 	Key   Key
 	Value Value
+}
+
+// SortRecords orders recs by key ascending.
+func SortRecords(recs []Record) {
+	slices.SortFunc(recs, func(a, b Record) int { return cmp.Compare(a.Key, b.Key) })
 }
 
 // EncodeRecord writes r into b, which must be at least RecordSize long.

@@ -189,7 +189,7 @@ func (m *Morphing) migrate(idx int) {
 		recs = append(recs, Record{Key: k, Value: v})
 		return true
 	})
-	sortRecords(recs)
+	SortRecords(recs)
 	next := m.flavors[idx].New(m.meter)
 	if bl, ok := next.(BulkLoader); ok {
 		if err := bl.BulkLoad(recs); err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/rum"
 	"repro/internal/workload"
@@ -48,7 +47,7 @@ func Preload(am AccessMethod, gen *workload.Generator) error {
 		for i, op := range ops {
 			recs[i] = Record{Key: op.Key, Value: op.Value}
 		}
-		sortRecords(recs)
+		SortRecords(recs)
 		return w.BulkLoad(recs)
 	}
 	for _, op := range ops {
@@ -57,10 +56,6 @@ func Preload(am AccessMethod, gen *workload.Generator) error {
 		}
 	}
 	return nil
-}
-
-func sortRecords(recs []Record) {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
 }
 
 // Apply executes one workload operation against the (instrumented) access

@@ -167,9 +167,11 @@ func (t *Tree) Meter() *rum.Meter { return t.meter }
 func (t *Tree) Depth() int { return len(t.levels) }
 
 // Runs returns the total number of on-device runs.
-func (t *Tree) Runs() int {
+func (t *Tree) Runs() int { return countRuns(t.levels) }
+
+func countRuns(levels [][]*run) int {
 	n := 0
-	for _, lv := range t.levels {
+	for _, lv := range levels {
 		n += len(lv)
 	}
 	return n
@@ -433,27 +435,49 @@ func (t *Tree) freeRun(r *run) {
 	}
 }
 
-// mergeRecs merges sources ordered oldest to newest: the newest version of
-// each key wins. When dropTombs is true (merging into the bottom of the
-// tree) tombstones are discarded.
-func mergeRecs(sources [][]core.Record, dropTombs bool) []core.Record {
-	latest := make(map[core.Key]core.Value)
+// mergeSorted is the tree's one merge kernel: a k-way merge of sources
+// ordered oldest to newest, each strictly ascending by key (asserted under
+// -tags racecheck). On equal keys the newest source wins and the shadowed
+// versions are dropped; when dropTombs is true (merging into the bottom of
+// the tree, or answering a scan) tombstones are discarded too. Every merge
+// here has at most T+1 sources, so the smallest head is found by a linear
+// scan rather than a heap.
+func mergeSorted(sources [][]core.Record, dropTombs bool) []core.Record {
+	assertAscending(sources)
 	total := 0
 	for _, src := range sources {
 		total += len(src)
-		for _, rec := range src {
-			latest[rec.Key] = rec.Value
-		}
 	}
-	out := make([]core.Record, 0, len(latest))
-	for k, v := range latest {
-		if dropTombs && v == Tombstone {
+	out := make([]core.Record, 0, total)
+	heads := make([]int, len(sources))
+	for {
+		// One pass finds the smallest head key and, among the sources that
+		// carry it, the newest: an older head that ties is shadowed, so it is
+		// stepped over on the spot (its key stays at the newer source's head).
+		best := -1
+		var bestKey core.Key
+		for i, src := range sources {
+			if heads[i] == len(src) {
+				continue
+			}
+			switch k := src[heads[i]].Key; {
+			case best < 0 || k < bestKey:
+				best, bestKey = i, k
+			case k == bestKey:
+				heads[best]++
+				best = i
+			}
+		}
+		if best < 0 {
+			return out
+		}
+		rec := sources[best][heads[best]]
+		heads[best]++
+		if dropTombs && rec.Value == Tombstone {
 			continue
 		}
-		out = append(out, core.Record{Key: k, Value: v})
+		out = append(out, rec)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
 }
 
 // flushMemtable turns the memtable into a level-0 run and triggers
@@ -554,7 +578,7 @@ func (t *Tree) compactLevel(i int) {
 		if i+1 >= len(t.levels) {
 			t.levels = append(t.levels, nil)
 		}
-		out, err := t.buildRun(mergeRecs(sources, t.isBottom(i+1)))
+		out, err := t.buildRun(mergeSorted(sources, t.isBottom(i+1)))
 		if err != nil {
 			return
 		}
@@ -581,7 +605,7 @@ func (t *Tree) compactLevel(i int) {
 		if !ok {
 			return
 		}
-		out, err := t.buildRun(mergeRecs(sources, t.isBottom(i)))
+		out, err := t.buildRun(mergeSorted(sources, t.isBottom(i)))
 		if err != nil {
 			return
 		}
@@ -602,7 +626,7 @@ func (t *Tree) compactLevel(i int) {
 	if !ok {
 		return
 	}
-	out, err := t.buildRun(mergeRecs(sources, t.isBottom(i+1)))
+	out, err := t.buildRun(mergeSorted(sources, t.isBottom(i+1)))
 	if err != nil {
 		return
 	}
@@ -625,74 +649,90 @@ func (t *Tree) isBottom(i int) bool {
 }
 
 // RangeScan merges the memtable and every overlapping run, emitting live
-// records in ascending key order.
+// records in ascending key order. Every source is materialized before the
+// merge, in the fixed order deepest level first, then the memtable, so the
+// pages a scan fetches — and the order it fetches them in — do not depend on
+// how the merge consumes them or on when emit stops.
 func (t *Tree) RangeScan(lo, hi core.Key, emit func(core.Key, core.Value) bool) int {
-	latest := make(map[core.Key]core.Value)
-	// Oldest to newest so newer versions overwrite.
+	sources := make([][]core.Record, 0, t.Runs()+1)
+	// Oldest to newest so newer versions win the merge.
 	for i := len(t.levels) - 1; i >= 0; i-- {
 		for _, r := range t.levels[i] {
-			t.scanRunInto(r, lo, hi, latest)
+			sources = append(sources, t.scanRun(r, lo, hi))
 		}
 	}
-	memScanned := 0
+	var mem []core.Record
 	t.mem.Ascend(lo, func(k core.Key, v core.Value) bool {
 		if k > hi {
 			return false
 		}
-		memScanned++
-		latest[k] = v
+		mem = append(mem, core.Record{Key: k, Value: v})
 		return true
 	})
-	t.meter.CountRead(rum.Base, memScanned*core.RecordSize)
+	t.meter.CountRead(rum.Base, len(mem)*core.RecordSize)
+	return emitMerged(append(sources, mem), emit)
+}
 
-	keys := make([]core.Key, 0, len(latest))
-	for k, v := range latest {
-		if v == Tombstone {
-			continue
-		}
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+// emitMerged merges scan sources (oldest first) and emits the live records
+// until emit declines, returning how many it was offered.
+func emitMerged(sources [][]core.Record, emit func(core.Key, core.Value) bool) int {
 	emitted := 0
-	for _, k := range keys {
+	for _, rec := range mergeSorted(sources, true) {
 		emitted++
-		if !emit(k, latest[k]) {
+		if !emit(rec.Key, rec.Value) {
 			break
 		}
 	}
 	return emitted
 }
 
-// scanRunInto reads the pages of r overlapping [lo, hi] and merges their
-// records into latest.
-func (t *Tree) scanRunInto(r *run, lo, hi core.Key, latest map[core.Key]core.Value) {
+// overlapStart returns the index of the first page of r that can hold keys
+// in [lo, hi], or -1 if the run's key range misses the interval entirely.
+func (r *run) overlapStart(lo, hi core.Key) int {
 	if r.count == 0 || hi < r.first || lo > r.last {
-		t.meter.CountRead(rum.Aux, 16)
-		return
+		return -1
 	}
 	start := sort.Search(len(r.fences), func(i int) bool { return r.fences[i] > lo }) - 1
 	if start < 0 {
 		start = 0
 	}
-	t.meter.CountRead(rum.Aux, 16) // fence probe, flat charge
+	return start
+}
+
+// appendInRange decodes the run page in data and appends its records with
+// keys in [lo, hi] to dst.
+func appendInRange(dst []core.Record, data []byte, lo, hi core.Key) []core.Record {
+	n := int(binary.LittleEndian.Uint32(data[0:4]))
+	for j := 0; j < n; j++ {
+		rec := core.DecodeRecord(data[pageHeader+j*core.RecordSize:])
+		if rec.Key >= lo && rec.Key <= hi {
+			dst = append(dst, rec)
+		}
+	}
+	return dst
+}
+
+// scanRun reads the pages of r overlapping [lo, hi] in run order and returns
+// their in-range records, ascending.
+func (t *Tree) scanRun(r *run, lo, hi core.Key) []core.Record {
+	t.meter.CountRead(rum.Aux, 16) // min/max check or fence probe, flat charge
+	start := r.overlapStart(lo, hi)
+	if start < 0 {
+		return nil
+	}
+	var recs []core.Record
 	for pi := start; pi < len(r.pages); pi++ {
 		if pi > start && r.fences[pi] > hi {
 			break
 		}
 		f, err := t.pool.Fetch(r.pages[pi])
 		if err != nil {
-			return
+			return recs
 		}
-		data := f.Data()
-		n := int(binary.LittleEndian.Uint32(data[0:4]))
-		for j := 0; j < n; j++ {
-			rec := core.DecodeRecord(data[pageHeader+j*core.RecordSize:])
-			if rec.Key >= lo && rec.Key <= hi {
-				latest[rec.Key] = rec.Value
-			}
-		}
+		recs = appendInRange(recs, f.Data(), lo, hi)
 		t.pool.Release(f)
 	}
+	return recs
 }
 
 // BulkLoad replaces the contents with the key-sorted recs as a single

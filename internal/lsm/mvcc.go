@@ -250,66 +250,36 @@ func (s *Snapshot) searchRun(r *run, k core.Key, m *rum.Meter) (core.Value, sear
 }
 
 // RangeScan merges the frozen memtable and every overlapping run, emitting
-// live records in ascending key order and charging traffic to m.
+// live records in ascending key order and charging traffic to m. Sources are
+// materialized in the same fixed order as Tree.RangeScan.
 func (s *Snapshot) RangeScan(lo, hi core.Key, m *rum.Meter, emit func(core.Key, core.Value) bool) int {
-	latest := make(map[core.Key]core.Value)
+	sources := make([][]core.Record, 0, countRuns(s.v.levels)+1)
 	for i := len(s.v.levels) - 1; i >= 0; i-- { // oldest to newest
 		for _, r := range s.v.levels[i] {
-			s.scanRunInto(r, lo, hi, m, latest)
+			sources = append(sources, s.scanRun(r, lo, hi, m))
 		}
 	}
-	memScanned := 0
-	start := sort.Search(len(s.v.mem), func(i int) bool { return s.v.mem[i].Key >= lo })
-	for _, rec := range s.v.mem[start:] {
-		if rec.Key > hi {
-			break
-		}
-		memScanned++
-		latest[rec.Key] = rec.Value
-	}
-	m.CountRead(rum.Base, memScanned*core.RecordSize)
-
-	keys := make([]core.Key, 0, len(latest))
-	for k, v := range latest {
-		if v == Tombstone {
-			continue
-		}
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-	emitted := 0
-	for _, k := range keys {
-		emitted++
-		if !emit(k, latest[k]) {
-			break
-		}
-	}
-	return emitted
+	mem := s.v.mem
+	mem = mem[sort.Search(len(mem), func(i int) bool { return mem[i].Key >= lo }):]
+	mem = mem[:sort.Search(len(mem), func(i int) bool { return mem[i].Key > hi })]
+	m.CountRead(rum.Base, len(mem)*core.RecordSize)
+	return emitMerged(append(sources, mem), emit)
 }
 
-// scanRunInto mirrors Tree.scanRunInto over the view.
-func (s *Snapshot) scanRunInto(r *run, lo, hi core.Key, m *rum.Meter, latest map[core.Key]core.Value) {
-	if r.count == 0 || hi < r.first || lo > r.last {
-		m.CountRead(rum.Aux, 16)
-		return
-	}
-	start := sort.Search(len(r.fences), func(i int) bool { return r.fences[i] > lo }) - 1
+// scanRun mirrors Tree.scanRun over the view.
+func (s *Snapshot) scanRun(r *run, lo, hi core.Key, m *rum.Meter) []core.Record {
+	m.CountRead(rum.Aux, 16) // min/max check or fence probe, flat charge
+	start := r.overlapStart(lo, hi)
 	if start < 0 {
-		start = 0
+		return nil
 	}
-	m.CountRead(rum.Aux, 16) // fence probe, flat charge
+	var recs []core.Record
 	for pi := start; pi < len(r.pages); pi++ {
 		if pi > start && r.fences[pi] > hi {
 			break
 		}
-		data := s.v.view.Page(r.pages[pi])
 		m.CountRead(rum.Base, s.pageSize)
-		n := int(binary.LittleEndian.Uint32(data[0:4]))
-		for j := 0; j < n; j++ {
-			rec := core.DecodeRecord(data[pageHeader+j*core.RecordSize:])
-			if rec.Key >= lo && rec.Key <= hi {
-				latest[rec.Key] = rec.Value
-			}
-		}
+		recs = appendInRange(recs, s.v.view.Page(r.pages[pi]), lo, hi)
 	}
+	return recs
 }

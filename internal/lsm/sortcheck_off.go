@@ -1,0 +1,9 @@
+//go:build !racecheck
+
+package lsm
+
+import "repro/internal/core"
+
+// assertAscending is the no-op release build of mergeSorted's precondition
+// check. See sortcheck_on.go (built with -tags racecheck).
+func assertAscending([][]core.Record) {}

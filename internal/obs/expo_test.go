@@ -203,8 +203,8 @@ func TestHistoScaledExemplars(t *testing.T) {
 	h := obs.NewLatencyHistogram()
 	h.RecordDuration(3 * time.Microsecond)
 	ex := []obs.Exemplar{{
-		Bucket:  h.BucketIndex(float64(3 * time.Microsecond.Nanoseconds())),
-		Op:      "get", Key: 42, Shard: 1,
+		Bucket: h.BucketIndex(float64(3 * time.Microsecond.Nanoseconds())),
+		Op:     "get", Key: 42, Shard: 1,
 		Queue: time.Microsecond, Service: 3 * time.Microsecond,
 		Total: 4 * time.Microsecond, Pages: 2,
 	}}

@@ -117,7 +117,10 @@ func (l *SlowLog) Offer(t SlowTrace) {
 			return // raced with another writer; no longer above the floor
 		}
 	}
-	l.slots[victim].Store(&t)
+	// Copy to the heap only here: taking &t would make the parameter escape
+	// and charge every rejected offer an allocation too.
+	admitted := t
+	l.slots[victim].Store(&admitted)
 	// Recompute the admission floor and the oldest instant under the lock.
 	floor, oldest := int64(-1), int64(0)
 	full := true

@@ -40,6 +40,26 @@ func TestSlowLogKeepsSlowestK(t *testing.T) {
 	}
 }
 
+// TestSlowLogRejectDoesNotAllocate pins the documented fast path: an offer
+// at or below the floor of a full ring — with and without a TTL — must not
+// copy the trace to the heap.
+func TestSlowLogRejectDoesNotAllocate(t *testing.T) {
+	base := time.Unix(100, 0)
+	for _, ttl := range []time.Duration{0, time.Hour} {
+		l := obs.NewSlowLog(3, ttl)
+		for i := 1; i <= 3; i++ {
+			l.Offer(trace(time.Duration(i)*time.Second, base))
+		}
+		fast := trace(time.Millisecond, base)
+		if allocs := testing.AllocsPerRun(100, func() { l.Offer(fast) }); allocs != 0 {
+			t.Fatalf("ttl=%v: rejected offer allocated %v times, want 0", ttl, allocs)
+		}
+		if got := l.Snapshot(); got[len(got)-1].Total != time.Second {
+			t.Fatalf("ttl=%v: rejected offers changed the ring: %v", ttl, got)
+		}
+	}
+}
+
 // TestSlowLogTTLEviction checks that with a TTL, an aged-out trace becomes
 // evictable by an op that would otherwise be below the floor — the guard
 // against a startup burst freezing the ring.

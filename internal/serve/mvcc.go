@@ -212,7 +212,7 @@ func (s *Server) snapshotScan(lo, hi core.Key, emit func(core.Key, core.Value) b
 		ss.refs.Add(-1)
 		s.shards[i].bypassOps.Add(1)
 	}
-	sortRecords(all)
+	core.SortRecords(all)
 	n := 0
 	for _, r := range all {
 		if !emit(r.Key, r.Value) {

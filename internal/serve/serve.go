@@ -36,7 +36,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -828,7 +827,7 @@ func (s *Server) RangeScan(lo, hi core.Key, emit func(core.Key, core.Value) bool
 	}
 	// Hash routing scatters key order across shards; one sort restores it
 	// (and tolerates structures whose per-shard scan order is unsorted).
-	sortRecords(all)
+	core.SortRecords(all)
 	n := 0
 	for _, r := range all {
 		if !emit(r.Key, r.Value) {
@@ -886,11 +885,6 @@ func walLedger(am *core.Instrumented) *obs.WALPoint {
 		LiveLogPages:    st.LiveLogPages,
 		OverlayRecords:  st.OverlayRecords,
 	}
-}
-
-// sortRecords orders recs by key ascending.
-func sortRecords(recs []core.Record) {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
 }
 
 // Aggregate merges per-shard reports into the server-wide ledger: summed

@@ -88,10 +88,10 @@ func (sh *shard) applyOpsTraced(am *core.Instrumented, msg message) {
 		pages, faults, retries := rec.OpWork()
 		t := obs.SlowTrace{
 			At: end, Shard: sh.id, Op: req.Op.String(), Key: uint64(req.Key),
-			Batch:   batch,
-			Queue:   start.Sub(msg.enqueuedAt),
-			Service: end.Sub(start),
-			Total:   end.Sub(msg.enqueuedAt),
+			Batch:     batch,
+			Queue:     start.Sub(msg.enqueuedAt),
+			Service:   end.Sub(start),
+			Total:     end.Sub(msg.enqueuedAt),
 			ReadBytes: d.PhysicalRead(), WriteBytes: d.PhysicalWritten(),
 			Pages: pages, Faults: faults, Retries: retries,
 		}

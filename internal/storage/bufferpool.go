@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 
@@ -41,13 +40,19 @@ func (s PoolStats) HitRatio() float64 {
 }
 
 // Frame is a pinned page held in the buffer pool. Callers must Release every
-// frame they Fetch or create; the data slice is only valid while pinned.
+// frame they Fetch or create. The frame and its data slice are only valid
+// while pinned: once released, the next miss may evict the frame and hand
+// the struct and its buffer straight to the page being installed, so a
+// retained *Frame or Data() slice then shows another page's bytes, not a
+// stale copy of this one. Builds with -tags racecheck poison the buffer at
+// that hand-off instead of reusing it (see framecheck_on.go).
 type Frame struct {
 	id    PageID
 	data  []byte
 	dirty bool
 	pins  int
-	elem  *list.Element
+	// Intrusive LRU links (see BufferPool.lru).
+	prev, next *Frame
 }
 
 // ID returns the page this frame caches.
@@ -73,11 +78,24 @@ type BufferPool struct {
 	dev      *Device
 	capacity int
 	frames   map[PageID]*Frame
-	lru      *list.List // front = most recently used; holds *Frame
-	stats    PoolStats
-	hook     Hook
-	retries  int // extra attempts per device op after a transient fault
-	ioBatch  int // pages per batch submission (1 = per-page I/O)
+	// lru is the sentinel of a circular list threaded through the cached
+	// frames: lru.next is the most recently used frame, lru.prev the least.
+	lru     Frame
+	stats   PoolStats
+	hook    Hook
+	retries int // extra attempts per device op after a transient fault
+	ioBatch int // pages per batch submission (1 = per-page I/O)
+
+	// Scratch reused across calls so the miss path allocates nothing. None
+	// outgrows one batch of entries, except raIDs, which is bounded by a
+	// prefetch's clamp of half the pool. Write-back and readahead keep
+	// separate sets because an eviction forced by a readahead install runs
+	// flushGroup while the readahead's own ids are still in use.
+	group   []*Frame // flushVictim / FlushAll write-back group
+	wbIDs   []PageID // flushGroup submission
+	wbData  [][]byte
+	raIDs   []PageID // Readahead candidates
+	raPages [][]byte // Readahead batch images
 }
 
 // NewBufferPool creates a pool of capacity pages over dev. Capacity must be
@@ -92,13 +110,27 @@ func NewBufferPool(dev *Device, capacity int) *BufferPool {
 	if ioBatch < 1 {
 		ioBatch = 1
 	}
-	return &BufferPool{
+	p := &BufferPool{
 		dev:      dev,
 		capacity: capacity,
 		frames:   make(map[PageID]*Frame, capacity),
-		lru:      list.New(),
 		ioBatch:  ioBatch,
 	}
+	p.lru.prev, p.lru.next = &p.lru, &p.lru
+	return p
+}
+
+// pushFront links f in as the most recently used frame.
+func (p *BufferPool) pushFront(f *Frame) {
+	f.prev, f.next = &p.lru, p.lru.next
+	f.next.prev = f
+	p.lru.next = f
+}
+
+// unlink removes f from the LRU list.
+func (p *BufferPool) unlink(f *Frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
 }
 
 // Device returns the underlying device.
@@ -172,7 +204,7 @@ func (p *BufferPool) DirtyCount() int {
 func (p *BufferPool) Crash() {
 	p.owner.assert("BufferPool")
 	p.frames = make(map[PageID]*Frame, p.capacity)
-	p.lru.Init()
+	p.lru.prev, p.lru.next = &p.lru, &p.lru
 }
 
 // Stats returns a copy of the pool counters.
@@ -187,7 +219,10 @@ func (p *BufferPool) Fetch(id PageID) (*Frame, error) {
 	if f, ok := p.frames[id]; ok {
 		p.stats.Hits++
 		f.pins++
-		p.lru.MoveToFront(f.elem)
+		if p.lru.next != f {
+			p.unlink(f)
+			p.pushFront(f)
+		}
 		if p.hook != nil {
 			p.hook.StorageEvent(EvHit, id, p.dev.Class(id), 0)
 		}
@@ -206,8 +241,8 @@ func (p *BufferPool) Fetch(id PageID) (*Frame, error) {
 	if p.hook != nil {
 		p.hook.StorageEvent(EvMiss, id, p.dev.Class(id), 0)
 	}
-	f := p.install(id)
-	copy(f.data, src)
+	f, _ := p.install(id)
+	copy(f.data, src) // a full page image: a recycled buffer needs no clearing
 	return f, nil
 }
 
@@ -252,49 +287,71 @@ func (p *BufferPool) writeWithRetry(id PageID, data []byte) error {
 func (p *BufferPool) NewPage(c rum.Class) (*Frame, error) {
 	p.owner.assert("BufferPool")
 	id := p.dev.Alloc(c)
-	f := p.install(id)
+	f, recycled := p.install(id)
+	if recycled {
+		clear(f.data)
+	}
 	f.dirty = true
 	return f, nil
 }
 
-// install makes room if needed and registers a new pinned frame for id.
-func (p *BufferPool) install(id PageID) *Frame {
+// install makes room if needed and registers a pinned frame for id. When
+// that evicts a victim, the victim's frame is the one returned (recycled is
+// true and its buffer still holds the victim's bytes); only a pool below
+// capacity, or one overflowing because everything is pinned, allocates.
+func (p *BufferPool) install(id PageID) (f *Frame, recycled bool) {
 	if len(p.frames) >= p.capacity {
-		if !p.evictOne() {
+		if f = p.evictOne(); f == nil {
 			p.stats.Overflows++
 		}
 	}
-	f := &Frame{id: id, data: make([]byte, p.dev.PageSize()), pins: 1}
-	f.elem = p.lru.PushFront(f)
+	recycled = f != nil
+	if !recycled {
+		f = p.newFrame()
+	}
+	p.adopt(f, id, 1)
+	return f, recycled
+}
+
+func (p *BufferPool) newFrame() *Frame {
+	return &Frame{data: make([]byte, p.dev.PageSize())}
+}
+
+// adopt registers f, fresh or handed over by evictOne, as the clean
+// most-recently-used frame caching id.
+func (p *BufferPool) adopt(f *Frame, id PageID, pins int) {
+	f.id, f.pins, f.dirty = id, pins, false
+	p.pushFront(f)
 	p.frames[id] = f
-	return f
 }
 
 // evictOne removes the least recently used unpinned frame, flushing it if
 // dirty. Frames whose write-back fails (an injected device fault) are kept
 // cached and dirty rather than dropped — losing an acknowledged write to an
 // eviction would be silent corruption — so the search moves on to the next
-// victim. It reports whether a victim was found. Under a batch width above
-// 1 a dirty victim's write-back is amortized (see flushVictim); victim
-// choice (strict LRU order among unpinned frames) is unchanged.
-func (p *BufferPool) evictOne() bool {
-	for e := p.lru.Back(); e != nil; e = e.Prev() {
-		f := e.Value.(*Frame)
+// victim. It returns the victim's frame, detached from the pool, for the
+// caller to install its page in — frames are recycled only by this direct
+// hand-off, never parked — or nil if every frame is pinned or unflushable.
+// Under a batch width above 1 a dirty victim's write-back is amortized (see
+// flushVictim); victim choice (strict LRU order among unpinned frames) is
+// unchanged.
+func (p *BufferPool) evictOne() *Frame {
+	for f := p.lru.prev; f != &p.lru; f = f.prev {
 		if f.pins > 0 {
 			continue
 		}
 		if f.dirty && !p.flushVictim(f) {
 			continue
 		}
-		p.lru.Remove(e)
+		p.unlink(f)
 		delete(p.frames, f.id)
 		p.stats.Evictions++
 		if p.hook != nil {
 			p.hook.StorageEvent(EvEvict, f.id, p.dev.Class(f.id), 0)
 		}
-		return true
+		return handOff(f)
 	}
-	return false
+	return nil
 }
 
 // flushFrame writes a dirty frame back to the device, reporting success.
@@ -341,12 +398,11 @@ func (p *BufferPool) flushGroup(group []*Frame) {
 		p.flushFrame(group[0])
 		return
 	}
-	ids := make([]PageID, len(group))
-	data := make([][]byte, len(group))
-	for i, f := range group {
-		ids[i], data[i] = f.id, f.data
+	p.wbIDs, p.wbData = p.wbIDs[:0], p.wbData[:0]
+	for _, f := range group {
+		p.wbIDs, p.wbData = append(p.wbIDs, f.id), append(p.wbData, f.data)
 	}
-	if err := p.dev.WriteBatch(ids, data); err != nil {
+	if err := p.dev.WriteBatch(p.wbIDs, p.wbData); err != nil {
 		for _, f := range group {
 			p.flushFrame(f)
 		}
@@ -375,9 +431,8 @@ func (p *BufferPool) flushVictim(victim *Frame) bool {
 	if !p.batchIO() {
 		return p.flushFrame(victim)
 	}
-	group := []*Frame{victim}
-	for e := p.lru.Back(); e != nil && len(group) < p.ioBatch; e = e.Prev() {
-		f := e.Value.(*Frame)
+	group := append(p.group[:0], victim)
+	for f := p.lru.prev; f != &p.lru && len(group) < p.ioBatch; f = f.prev {
 		if f == victim || f.pins > 0 || !f.dirty {
 			continue
 		}
@@ -387,6 +442,7 @@ func (p *BufferPool) flushVictim(victim *Frame) bool {
 		}
 		group = append(group, f)
 	}
+	p.group = group
 	p.flushGroup(group)
 	return !victim.dirty
 }
@@ -408,7 +464,7 @@ func (p *BufferPool) FreePage(id PageID) error {
 		if f.pins > 0 {
 			return fmt.Errorf("storage: freeing pinned page %d", id)
 		}
-		p.lru.Remove(f.elem)
+		p.unlink(f)
 		delete(p.frames, id)
 	}
 	return p.dev.Free(id)
@@ -425,16 +481,15 @@ func (p *BufferPool) FreePage(id PageID) error {
 func (p *BufferPool) FlushAll() {
 	p.owner.assert("BufferPool")
 	if !p.batchIO() {
-		for e := p.lru.Back(); e != nil; e = e.Prev() {
-			if f := e.Value.(*Frame); f.dirty {
+		for f := p.lru.prev; f != &p.lru; f = f.prev {
+			if f.dirty {
 				p.flushFrame(f)
 			}
 		}
 		return
 	}
-	var group []*Frame
-	for e := p.lru.Back(); e != nil; e = e.Prev() {
-		f := e.Value.(*Frame)
+	group := p.group[:0]
+	for f := p.lru.prev; f != &p.lru; f = f.prev {
 		if !f.dirty {
 			continue
 		}
@@ -451,6 +506,7 @@ func (p *BufferPool) FlushAll() {
 	if len(group) > 0 {
 		p.flushGroup(group)
 	}
+	p.group = group
 }
 
 // Readahead batch-reads the given pages into the pool ahead of demand,
@@ -472,7 +528,7 @@ func (p *BufferPool) Readahead(ids []PageID) int {
 	if limit < 1 {
 		limit = 1
 	}
-	want := make([]PageID, 0, len(ids))
+	want := p.raIDs[:0]
 	for _, id := range ids {
 		if _, ok := p.frames[id]; ok {
 			continue
@@ -485,6 +541,7 @@ func (p *BufferPool) Readahead(ids []PageID) int {
 			break
 		}
 	}
+	p.raIDs = want
 	installed := 0
 	for len(want) > 0 {
 		chunk := want
@@ -492,21 +549,27 @@ func (p *BufferPool) Readahead(ids []PageID) int {
 			chunk = chunk[:p.ioBatch]
 		}
 		want = want[len(chunk):]
-		pages, err := p.dev.ReadBatch(chunk)
-		if err != nil {
+		if cap(p.raPages) < len(chunk) {
+			p.raPages = make([][]byte, p.ioBatch)
+		}
+		pages := p.raPages[:len(chunk)]
+		if err := p.dev.readBatchInto(chunk, pages); err != nil {
 			return installed
 		}
 		for i, id := range chunk {
 			if _, ok := p.frames[id]; ok {
 				continue // duplicate id within the request
 			}
-			if len(p.frames) >= p.capacity && !p.evictOne() {
-				return installed // everything pinned: never overflow for a prefetch
+			var f *Frame
+			if len(p.frames) >= p.capacity {
+				if f = p.evictOne(); f == nil {
+					return installed // everything pinned: never overflow for a prefetch
+				}
+			} else {
+				f = p.newFrame()
 			}
-			f := &Frame{id: id, data: make([]byte, p.dev.PageSize())}
 			copy(f.data, pages[i])
-			f.elem = p.lru.PushFront(f)
-			p.frames[id] = f
+			p.adopt(f, id, 0)
 			p.stats.Misses++
 			if p.hook != nil {
 				p.hook.StorageEvent(EvMiss, id, p.dev.Class(id), 0)
@@ -522,14 +585,13 @@ func (p *BufferPool) Readahead(ids []PageID) int {
 func (p *BufferPool) DropAll() {
 	p.owner.assert("BufferPool")
 	p.FlushAll()
-	var next *list.Element
-	for e := p.lru.Front(); e != nil; e = next {
-		next = e.Next()
-		f := e.Value.(*Frame)
+	var next *Frame
+	for f := p.lru.next; f != &p.lru; f = next {
+		next = f.next
 		if f.pins > 0 || f.dirty {
 			continue
 		}
-		p.lru.Remove(e)
+		p.unlink(f)
 		delete(p.frames, f.id)
 	}
 }

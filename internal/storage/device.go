@@ -446,21 +446,30 @@ func (d *Device) batchable(n int) bool {
 // device memory, like Read. Invalid pages fail the whole batch before any
 // traffic is counted.
 func (d *Device) ReadBatch(ids []PageID) ([][]byte, error) {
+	out := make([][]byte, len(ids))
+	if err := d.readBatchInto(ids, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// readBatchInto is ReadBatch writing the page images into out, which must be
+// as long as ids; the buffer pool's readahead passes its own scratch.
+func (d *Device) readBatchInto(ids []PageID, out [][]byte) error {
 	d.owner.assert("Device")
 	if !d.batchable(len(ids)) {
-		out := make([][]byte, len(ids))
 		for i, id := range ids {
 			pg, err := d.Read(id)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			out[i] = pg
 		}
-		return out, nil
+		return nil
 	}
 	for _, id := range ids {
 		if err := d.check(id); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	n := len(ids)
@@ -469,7 +478,6 @@ func (d *Device) ReadBatch(ids []PageID) ([][]byte, error) {
 	d.stats.CostUnits += cost
 	d.stats.Batches++
 	d.stats.BatchedPages += uint64(n)
-	out := make([][]byte, n)
 	share, extra := cost/uint64(n), int(cost%uint64(n))
 	for i, id := range ids {
 		d.meter.CountRead(d.class[id], d.pageSize)
@@ -485,7 +493,7 @@ func (d *Device) ReadBatch(ids []PageID) ([][]byte, error) {
 	if d.batchHook != nil {
 		d.batchHook.StorageBatch(false, n, d.model.Depth(n), cost)
 	}
-	return out, nil
+	return nil
 }
 
 // WriteBatch writes data[i] to ids[i] as one batch submission, with the same
@@ -556,10 +564,10 @@ func (d *Device) Clone(meter *rum.Meter) *Device {
 		meter:    meter,
 		model:    d.model,
 		stats:    d.stats,
-		pages:     make([][]byte, len(d.pages)),
-		class:     append([]rum.Class(nil), d.class...),
-		live:      append([]bool(nil), d.live...),
-		freeList:  append([]PageID(nil), d.freeList...),
+		pages:    make([][]byte, len(d.pages)),
+		class:    append([]rum.Class(nil), d.class...),
+		live:     append([]bool(nil), d.live...),
+		freeList: append([]PageID(nil), d.freeList...),
 	}
 	for i, pg := range d.pages {
 		nd.pages[i] = append([]byte(nil), pg...)

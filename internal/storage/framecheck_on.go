@@ -1,0 +1,19 @@
+//go:build racecheck
+
+package storage
+
+// poisonByte fills an evicted frame's buffer in racecheck builds.
+const poisonByte = 0xDB
+
+// handOff is the checked variant of the eviction hand-off. A release build
+// recycles the victim's frame for the page being installed, so a caller that
+// kept a *Frame or a Data() slice past Release silently reads another page's
+// bytes. Here the victim's buffer is poisoned and left with the victim, and
+// the install gets a fresh frame: the stale reader sees 0xDB in every byte —
+// page headers decode to absurd counts — and fails loudly instead.
+func handOff(victim *Frame) *Frame {
+	for i := range victim.data {
+		victim.data[i] = poisonByte
+	}
+	return &Frame{data: make([]byte, len(victim.data))}
+}
