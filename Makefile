@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race racecheck bench golden experiments-golden chaos-smoke serve-smoke serve-live-smoke mvcc-smoke mvcc-race wal-smoke qdsweep-smoke drift-smoke benchjson
+.PHONY: check build fmt vet test race racecheck bench golden experiments-golden serve-live-smoke mvcc-race benchjson
 
 ## check: the full gate — build, gofmt, vet, race-enabled tests, and the
 ## assertion build.
@@ -21,7 +21,9 @@ test:
 
 ## race: the full suite under the race detector — this is what holds the
 ## serving layer (internal/serve) and the bench runner to their concurrency
-## contracts on every push.
+## contracts on every push, and runs the determinism gate: cmd/rumbench's
+## TestParallelDeterminism (every experiment, -parallel 1 vs 8, chaos under a
+## -faults plan) and TestServeShardDeterminism (serve, mvcc × shards/batch).
 race:
 	$(GO) test -race ./...
 
@@ -54,66 +56,6 @@ golden:
 ## change — prior sections should stay byte-identical.
 experiments-golden:
 	$(GO) run ./cmd/rumbench -exp all 2>/dev/null | diff experiments_output.txt -
-
-## chaos-smoke: a tiny end-to-end pass over the fault paths — the chaos
-## experiment with a non-trivial plan at two pool widths, diffed to hold
-## the determinism contract on every push.
-chaos-smoke:
-	$(GO) run ./cmd/rumbench -exp chaos -quick -n 2048 -ops 1000 -parallel 1 \
-		-faults seed=7,p_read=0.02,p_write=0.02,p_torn=0.5,crash=120 >/tmp/chaos-seq.txt
-	$(GO) run ./cmd/rumbench -exp chaos -quick -n 2048 -ops 1000 -parallel 8 \
-		-faults seed=7,p_read=0.02,p_write=0.02,p_torn=0.5,crash=120 >/tmp/chaos-par.txt
-	diff /tmp/chaos-seq.txt /tmp/chaos-par.txt
-
-## serve-smoke: the serving-layer determinism gate, mirroring chaos-smoke —
-## the serve experiment's stdout must be byte-identical no matter how the
-## run is sharded, batched, or pooled; only the stderr timing report moves.
-serve-smoke:
-	$(GO) run ./cmd/rumbench -exp serve -quick -n 2048 -ops 1000 \
-		-shards 1 -batch 32 -parallel 1 >/tmp/serve-seq.txt
-	$(GO) run ./cmd/rumbench -exp serve -quick -n 2048 -ops 1000 \
-		-shards 8 -batch 64 -parallel 8 >/tmp/serve-par.txt
-	diff /tmp/serve-seq.txt /tmp/serve-par.txt
-
-## mvcc-smoke: the snapshot-read determinism gate — the mvcc experiment's
-## stdout (clean replay RUM point, retained bytes, outcome verification)
-## must be byte-identical no matter how the live runs are sharded, batched,
-## or pooled; throughput and speedup live on stderr only.
-mvcc-smoke:
-	$(GO) run ./cmd/rumbench -exp mvcc -quick -n 2048 -ops 1000 \
-		-shards 1 -batch 32 -parallel 1 >/tmp/mvcc-seq.txt
-	$(GO) run ./cmd/rumbench -exp mvcc -quick -n 2048 -ops 1000 \
-		-shards 8 -batch 64 -parallel 8 >/tmp/mvcc-par.txt
-	diff /tmp/mvcc-seq.txt /tmp/mvcc-par.txt
-
-## wal-smoke: the durability determinism gate — the walsweep experiment
-## (cost-unit throughput, per-op cost quantiles, log ledger, crash trials)
-## must render byte-identical stdout at any pool width.
-wal-smoke:
-	$(GO) run ./cmd/rumbench -exp walsweep -quick -n 2048 -ops 1000 \
-		-parallel 1 >/tmp/wal-seq.txt
-	$(GO) run ./cmd/rumbench -exp walsweep -quick -n 2048 -ops 1000 \
-		-parallel 8 >/tmp/wal-par.txt
-	diff /tmp/wal-seq.txt /tmp/wal-par.txt
-
-## qdsweep-smoke: the queue-depth determinism gate — the qdsweep experiment
-## (batched I/O on the multi-queue SSD: ops/kcost, batch ledger, achieved
-## depth, re-ranking summary) must render byte-identical stdout at any pool
-## width.
-qdsweep-smoke:
-	$(GO) run ./cmd/rumbench -exp qdsweep -quick -n 2048 -ops 1000 \
-		-parallel 1 >/tmp/qd-seq.txt
-	$(GO) run ./cmd/rumbench -exp qdsweep -quick -n 2048 -ops 1000 \
-		-parallel 8 >/tmp/qd-par.txt
-	diff /tmp/qd-seq.txt /tmp/qd-par.txt
-
-## drift-smoke: the workload-observability determinism gate — the drift
-## experiment (12 fingerprint windows, drift latches, advisor verdicts)
-## must render byte-identical stdout at any pool width.
-drift-smoke:
-	$(GO) run ./cmd/rumbench -exp drift -parallel 1 >/tmp/drift-seq.txt
-	$(GO) run ./cmd/rumbench -exp drift -parallel 8 >/tmp/drift-par.txt
-	diff /tmp/drift-seq.txt /tmp/drift-par.txt
 
 ## benchjson: regenerate BENCH_10.json, the machine-readable per-cell perf
 ## summary (ops per 1000 medium-weighted cost units for every walsweep and

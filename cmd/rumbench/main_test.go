@@ -69,28 +69,33 @@ func TestParallelDeterminism(t *testing.T) {
 }
 
 // TestServeShardDeterminism extends the determinism contract to the serving
-// layer: the serve experiment's stdout must be byte-identical no matter how
-// the serving run is sharded, batched, or pooled — only the stderr timing
-// report may differ.
+// layer: for each row, the experiment's stdout must be byte-identical under
+// both flag sets — however the serving run is sharded, batched, or pooled;
+// only the stderr timing report may differ. Together with
+// TestParallelDeterminism (every experiment, chaos under its -faults plan
+// included, at -parallel 1 vs 8) this is the repo's one determinism gate; it
+// runs under `make check`.
 func TestServeShardDeterminism(t *testing.T) {
-	runServe := func(shards, batch, parallel string) []byte {
-		t.Helper()
-		var stdout, stderr bytes.Buffer
-		code := run([]string{
-			"-exp", "serve", "-quick", "-n", "2048", "-ops", "1000", "-seed", "42",
-			"-shards", shards, "-batch", batch, "-parallel", parallel,
-		}, &stdout, &stderr)
-		if code != 0 {
-			t.Fatalf("run(-shards %s) exited %d; stderr:\n%s", shards, code, stderr.String())
+	for _, row := range []struct {
+		exp          string
+		argsA, argsB []string
+	}{
+		{"serve", []string{"-shards", "1", "-batch", "32", "-parallel", "1"}, []string{"-shards", "8", "-batch", "64", "-parallel", "8"}},
+		{"serve", []string{"-shards", "1", "-batch", "32", "-parallel", "1"}, []string{"-shards", "3", "-batch", "16", "-parallel", "8"}},
+		{"mvcc", []string{"-shards", "1", "-batch", "32", "-parallel", "1"}, []string{"-shards", "8", "-batch", "64", "-parallel", "8"}},
+	} {
+		runExp := func(extra []string) []byte {
+			t.Helper()
+			var stdout, stderr bytes.Buffer
+			args := append([]string{"-exp", row.exp, "-quick", "-n", "2048", "-ops", "1000", "-seed", "42"}, extra...)
+			if code := run(args, &stdout, &stderr); code != 0 {
+				t.Fatalf("run(%v) exited %d; stderr:\n%s", args, code, stderr.String())
+			}
+			return stdout.Bytes()
 		}
-		return stdout.Bytes()
-	}
-	base := runServe("1", "32", "1")
-	if got := runServe("8", "64", "1"); !bytes.Equal(base, got) {
-		t.Errorf("serve stdout differs between -shards 1 and -shards 8:\n--- shards=1\n%s--- shards=8\n%s", base, got)
-	}
-	if got := runServe("3", "16", "8"); !bytes.Equal(base, got) {
-		t.Errorf("serve stdout differs under -parallel 8:\n--- base\n%s--- parallel\n%s", base, got)
+		if a, b := runExp(row.argsA), runExp(row.argsB); !bytes.Equal(a, b) {
+			t.Errorf("%s stdout differs:\n--- %v\n%s--- %v\n%s", row.exp, row.argsA, a, row.argsB, b)
+		}
 	}
 }
 

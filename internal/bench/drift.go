@@ -23,8 +23,9 @@ import (
 // requests execute in submission order, the fingerprint windows rotate on
 // op counts, and every probabilistic summary (count-min, top-k, HLL) uses
 // fixed hashes — so stdout is byte-identical at any -parallel width, shard
-// count, or batch size, and the smoke gate diffs it. Every point outcome
-// and every scan's row count is verified against the generator's model.
+// count, or batch size, and cmd/rumbench's TestParallelDeterminism diffs it.
+// Every point outcome and every scan's row count is verified against the
+// generator's model.
 
 // driftPhases is the diurnal schedule: name, mix, and key distribution of
 // each phase. Phases run back to back against the same instance and split

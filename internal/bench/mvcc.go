@@ -301,14 +301,7 @@ func runMVCCClean(cfg Config, name string, k, versions int, streams []mvccStream
 			if req.Op == serve.OpGet {
 				got.Value, got.OK = snap.Get(req.Key, &readMeter)
 			} else {
-				switch req.Op {
-				case serve.OpInsert:
-					got.OK = am.Insert(req.Key, req.Value) == nil
-				case serve.OpUpdate:
-					got.OK = am.Update(req.Key, req.Value)
-				case serve.OpDelete:
-					got.OK = am.Delete(req.Key)
-				}
+				got = serve.Exec(am, req)
 				if writesSince++; writesSince >= k {
 					snap.Release()
 					if err := am.Publish(); err != nil {

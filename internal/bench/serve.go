@@ -224,17 +224,7 @@ func runServeClean(cfg Config, name string, streams []serveStream, allInit []cor
 	for _, st := range streams {
 		for i := range st.ops {
 			req, want := st.ops[i], st.want[i]
-			var got serve.Result
-			switch req.Op {
-			case serve.OpGet:
-				got.Value, got.OK = am.Get(req.Key)
-			case serve.OpInsert:
-				got.OK = am.Insert(req.Key, req.Value) == nil
-			case serve.OpUpdate:
-				got.OK = am.Update(req.Key, req.Value)
-			case serve.OpDelete:
-				got.OK = am.Delete(req.Key)
-			}
+			got := serve.Exec(am, req)
 			if got != want {
 				panic(fmt.Sprintf("serve: %s: clean replay diverged on %+v: got %+v, want %+v", name, req, got, want))
 			}
@@ -387,8 +377,8 @@ func countWrites(streams []serveStream) int {
 
 // Render prints the deterministic half of the experiment. Every column is
 // independent of shard count, batch size, and scheduling by construction;
-// the serve-smoke CI gate diffs this output across shard counts and pool
-// widths to hold that contract.
+// cmd/rumbench's TestServeShardDeterminism diffs this output across shard
+// counts and pool widths to hold that contract.
 func (r ServeResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Serving layer (Section-5 outlook): access methods behind sharded actors\n")

@@ -95,18 +95,7 @@ func (f *Filter) Add(key uint64) {
 // MayContain reports whether key may be present: false means definitely
 // absent. One word read is charged per probe (short-circuiting on the first
 // zero bit).
-func (f *Filter) MayContain(key uint64) bool {
-	h, step := probes(key)
-	for i := 0; i < f.k; i++ {
-		pos := h % f.m
-		f.meter.CountRead(rum.Aux, wordBytes)
-		if f.bits[pos/64]&(1<<(pos%64)) == 0 {
-			return false
-		}
-		h += step
-	}
-	return true
-}
+func (f *Filter) MayContain(key uint64) bool { return f.MayContainMetered(key, f.meter) }
 
 // MayContainMetered is MayContain charging probe traffic to m instead of
 // the filter's own meter. Once the filter is fully built it reads only

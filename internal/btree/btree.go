@@ -62,12 +62,9 @@ type Tree struct {
 	leafCap int // effective leaf capacity
 	intCap  int // effective internal capacity
 
-	// MVCC state (unused when cfg.Versions == 0; see mvcc.go).
-	epoch      uint64                    // current write epoch, starts at 1
-	allocEpoch map[storage.PageID]uint64 // epoch each live page was allocated in
-	versions   []*version                // retained published versions, oldest first
-	pinned     []*version                // out-of-window versions still referenced
-	retired    []retiredPage             // superseded pages awaiting reclamation
+	// MVCC state (nil when cfg.Versions == 0; see mvcc.go).
+	vs         *storage.VersionSet[state] // epoch, published versions, retired pages
+	allocEpoch map[storage.PageID]uint64  // epoch each live page was allocated in
 }
 
 // New creates an empty tree on pool. The pool's device meter receives all
@@ -77,10 +74,7 @@ func New(pool *storage.BufferPool, cfg Config) (*Tree, error) {
 	if err := t.applyConfig(); err != nil {
 		return nil, err
 	}
-	if t.mvccOn() {
-		t.epoch = 1
-		t.allocEpoch = make(map[storage.PageID]uint64)
-	}
+	t.initMVCC()
 	f, err := t.newPage(rum.Base)
 	if err != nil {
 		return nil, err
@@ -154,8 +148,7 @@ func (t *Tree) Size() rum.SizeInfo {
 	if base > pageBytes {
 		base = pageBytes
 	}
-	retained := uint64(len(t.retired)) * uint64(t.pool.Device().PageSize())
-	return rum.SizeInfo{BaseBytes: base, AuxBytes: pageBytes - base + retained}
+	return rum.SizeInfo{BaseBytes: base, AuxBytes: pageBytes - base + t.retainedBytes()}
 }
 
 // Flush writes all buffered dirty pages to the device.
@@ -455,22 +448,11 @@ func (t *Tree) RangeScan(lo, hi core.Key, emit func(core.Key, core.Value) bool) 
 	emitted := 0
 	for {
 		n := node{f.Data()}
-		i := n.leafSearch(lo)
-		for ; i < n.count(); i++ {
-			k := n.leafKey(i)
-			if k > hi {
-				t.pool.Release(f)
-				return emitted
-			}
-			emitted++
-			if !emit(k, n.leafValue(i)) {
-				t.pool.Release(f)
-				return emitted
-			}
-		}
+		got, cont := n.emitRange(lo, hi, emit)
+		emitted += got
 		next := n.link()
 		t.pool.Release(f)
-		if next == storage.InvalidPage {
+		if !cont || next == storage.InvalidPage {
 			return emitted
 		}
 		f, err = t.pool.Fetch(next)
@@ -693,7 +675,7 @@ func (t *Tree) SetKnob(name string, value float64) error {
 			return fmt.Errorf("btree: versions %v out of range", value)
 		}
 		t.cfg.Versions = int(value)
-		t.trimAndReclaim()
+		t.vs.SetKeep(t.cfg.Versions)
 	default:
 		return fmt.Errorf("btree: unknown knob %q", name)
 	}

@@ -1,6 +1,6 @@
-// MVCC snapshot reads for the B+-tree: path-copying on mutation,
-// epoch-stamped immutable roots, bounded version retention with a
-// reclamation epoch.
+// MVCC snapshot reads for the B+-tree: path-copying on mutation over the
+// shared version set (storage.VersionSet, which owns the epoch, the retention
+// window and the reclamation rule).
 //
 // The design is shadow paging amortized over a publish interval. Every page
 // records the write epoch it was allocated in. Mutating a page allocated in
@@ -8,48 +8,46 @@
 // a page from an earlier epoch first copies it to a fresh page (writable),
 // re-points the parent, and retires the original: published versions keep
 // reading the untouched original bytes. Publish flushes the buffer pool so
-// every reachable page is materialized on the device, stamps the current
-// root with the epoch, captures a storage.PageView for lock-free readers,
-// and advances the epoch — making all surviving pages copy-on-write.
-//
-// Reclamation is epoch-based. A retired page carries the epoch it was
-// superseded in; it can be recycled once the minimum epoch over all live
-// versions (retained in the bounded window, or released late by a reader)
-// has reached that epoch, because a version published at epoch e only
-// references pages retired strictly after e. Until then the retired pages
-// are the memory-overhead (MO) tax of snapshot isolation, reported through
-// Size() and SnapshotStats().
+// every reachable page is materialized on the device, hands the current root
+// and a storage.PageView to the version set, and thereby advances the epoch
+// — making all surviving pages copy-on-write. Retired pages are reported
+// through Size() and SnapshotStats() until the set reclaims them.
 package btree
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/rum"
 	"repro/internal/storage"
 )
 
-// version is one published immutable root. refs counts outstanding acquired
-// snapshots; it is atomic because Release may run on a reader goroutine
-// while the writer's reclamation pass inspects it.
-type version struct {
-	epoch  uint64
+// state is what one published version freezes besides its page images.
+type state struct {
 	root   storage.PageID
 	height int
 	count  int
-	view   *storage.PageView
-	refs   atomic.Int64
 }
 
-// retiredPage is a page superseded by copy-on-write (or dropped from the
-// tree) during the given epoch, awaiting reclamation.
-type retiredPage struct {
-	pid   storage.PageID
-	epoch uint64
+type version = storage.Version[state]
+
+func (t *Tree) mvccOn() bool { return t.vs != nil }
+
+// initMVCC attaches the version set when the tree is configured for
+// snapshots. The tree's own share of the mechanism is allocEpoch: the set
+// reports each page it reclaims, and the page's birth record goes with it.
+func (t *Tree) initMVCC() {
+	if t.cfg.Versions == 0 {
+		return
+	}
+	t.allocEpoch = make(map[storage.PageID]uint64)
+	t.vs = storage.NewVersionSet[state](t.cfg.Versions, func(pid storage.PageID) {
+		delete(t.allocEpoch, pid)
+		_ = t.pool.FreePage(pid) // retired pages are unpinned and live; a failed free could only leak
+	})
 }
 
-func (t *Tree) mvccOn() bool { return t.cfg.Versions > 0 }
+func (t *Tree) state() state { return state{root: t.root, height: t.height, count: t.count} }
 
 // newPage allocates a page through the pool, registering its birth epoch
 // under MVCC so writable can tell private pages from published ones.
@@ -59,7 +57,7 @@ func (t *Tree) newPage(c rum.Class) (*storage.Frame, error) {
 		return nil, err
 	}
 	if t.mvccOn() {
-		t.allocEpoch[f.ID()] = t.epoch
+		t.allocEpoch[f.ID()] = t.vs.Epoch()
 	}
 	return f, nil
 }
@@ -71,11 +69,11 @@ func (t *Tree) freePage(pid storage.PageID) error {
 	if !t.mvccOn() {
 		return t.pool.FreePage(pid)
 	}
-	if t.allocEpoch[pid] == t.epoch {
+	if t.allocEpoch[pid] == t.vs.Epoch() {
 		delete(t.allocEpoch, pid)
 		return t.pool.FreePage(pid)
 	}
-	t.retired = append(t.retired, retiredPage{pid: pid, epoch: t.epoch})
+	t.vs.Retire(pid)
 	return nil
 }
 
@@ -89,7 +87,7 @@ func (t *Tree) writable(f *storage.Frame) (*storage.Frame, error) {
 		return f, nil
 	}
 	pid := f.ID()
-	if t.allocEpoch[pid] == t.epoch {
+	if t.allocEpoch[pid] == t.vs.Epoch() {
 		return f, nil
 	}
 	class := rum.Base
@@ -104,7 +102,7 @@ func (t *Tree) writable(f *storage.Frame) (*storage.Frame, error) {
 	copy(nf.Data(), f.Data())
 	nf.MarkDirty()
 	t.pool.Release(f)
-	t.retired = append(t.retired, retiredPage{pid: pid, epoch: t.epoch})
+	t.vs.Retire(pid)
 	t.stats.CowCopies++
 	return nf, nil
 }
@@ -146,6 +144,43 @@ func (t *Tree) descendToLeafW(k core.Key) (*storage.Frame, error) {
 	}
 }
 
+// The range-read kernel, shared by the live tree and its snapshots — they
+// differ only in where a page's bytes come from (the pool, or a PageView).
+
+// emitRange offers the leaf's records with keys in [lo, hi] to emit, in key
+// order, and reports how many it offered and whether the scan should
+// continue into the next leaf.
+func (n node) emitRange(lo, hi core.Key, emit func(core.Key, core.Value) bool) (int, bool) {
+	emitted := 0
+	for i := n.leafSearch(lo); i < n.count(); i++ {
+		k := n.leafKey(i)
+		if k > hi {
+			return emitted, false
+		}
+		emitted++
+		if !emit(k, n.leafValue(i)) {
+			return emitted, false
+		}
+	}
+	return emitted, true
+}
+
+// childRange returns the half-open range of child slots of an internal node
+// whose key ranges intersect [lo, hi]. Slot 0 is the leftmost child; slot i
+// covers [key_{i-1}, key_i), so a key's slot is the count of separators at
+// or below it.
+func (n node) childRange(lo, hi core.Key) (from, to int) {
+	return n.intSearch(lo), n.intSearch(hi) + 1
+}
+
+// child returns the page in child slot i (see childRange).
+func (n node) child(i int) storage.PageID {
+	if i == 0 {
+		return n.link()
+	}
+	return n.intChild(i - 1)
+}
+
 // scanSubtree emits records in [lo, hi] under pid in key order without using
 // the leaf chain, descending through internal separators instead. It reports
 // whether the scan should continue past this subtree.
@@ -156,38 +191,16 @@ func (t *Tree) scanSubtree(pid storage.PageID, lo, hi core.Key, emit func(core.K
 	}
 	n := node{f.Data()}
 	if n.isLeaf() {
-		emitted := 0
-		for i := n.leafSearch(lo); i < n.count(); i++ {
-			k := n.leafKey(i)
-			if k > hi {
-				t.pool.Release(f)
-				return emitted, false
-			}
-			emitted++
-			if !emit(k, n.leafValue(i)) {
-				t.pool.Release(f)
-				return emitted, false
-			}
-		}
+		emitted, cont := n.emitRange(lo, hi, emit)
 		t.pool.Release(f)
-		return emitted, true
+		return emitted, cont
 	}
 	// Collect overlapping children, then release the parent before
 	// recursing to respect the pool's pin budget (same as freeAll).
-	cnt := n.count()
-	children := make([]storage.PageID, 0, cnt+1)
-	for ci := 0; ci <= cnt; ci++ {
-		if ci > 0 && n.intKey(ci-1) > hi {
-			break // child keys start past hi
-		}
-		if ci < cnt && n.intKey(ci) <= lo {
-			continue // child keys end at or before lo
-		}
-		if ci == 0 {
-			children = append(children, n.link())
-		} else {
-			children = append(children, n.intChild(ci-1))
-		}
+	from, to := n.childRange(lo, hi)
+	children := make([]storage.PageID, 0, n.count()+1)
+	for ci := from; ci < to; ci++ {
+		children = append(children, n.child(ci))
 	}
 	t.pool.Release(f)
 	total := 0
@@ -203,39 +216,27 @@ func (t *Tree) scanSubtree(pid storage.PageID, lo, hi core.Key, emit func(core.K
 
 // Publish makes the current tree state available to Acquire as a new
 // immutable version (core.SnapshotReader). It flushes the pool so every
-// reachable page is materialized on the device, stamps the root with the
-// current epoch, captures a PageView for lock-free readers, advances the
-// epoch, and runs retention trimming plus the reclamation pass.
+// reachable page is materialized on the device, then publishes the root with
+// a PageView for lock-free readers — which advances the epoch, trims the
+// retention window and reclaims what no live version pins.
 func (t *Tree) Publish() error {
 	if !t.mvccOn() {
 		return core.ErrNoSnapshots
 	}
 	t.pool.FlushAll()
-	v := &version{
-		epoch:  t.epoch,
-		root:   t.root,
-		height: t.height,
-		count:  t.count,
-		view:   t.pool.Device().View(),
-	}
-	t.versions = append(t.versions, v)
-	t.epoch++
-	t.trimAndReclaim()
+	t.vs.Publish(t.state(), t.pool.Device().View())
 	return nil
 }
 
 // CheckpointBarrier is Publish for a durability checkpoint rather than a
 // reader snapshot: it flushes the pool so every page of the current state is
-// materialized on the device, records the state as a published version, and
-// advances the epoch — but captures no PageView, because nobody will read
-// the version; it exists only to anchor reclamation. While the version sits
-// in the retention window, every page it references stays byte-stable on the
-// device (copy-on-write plus the reclamation lag of trimAndReclaim), which
-// is exactly what a write-ahead log's checkpoint record needs: the root it
-// names must still be intact when a crash forces recovery back to it, even
-// if later barriers have run since. Versions produced here must not be
-// handed to Acquire (their view is nil); the WAL wrapper never publishes
-// reader snapshots, so the two uses do not mix.
+// materialized on the device and publishes the state as a barrier version —
+// no PageView, because nobody will read it; it exists only to anchor
+// reclamation. While the version sits in the retention window, every page it
+// references stays byte-stable on the device (copy-on-write plus the
+// version set's reclamation lag), which is exactly what a write-ahead log's
+// checkpoint record needs: the root it names must still be intact when a
+// crash forces recovery back to it, even if later barriers have run since.
 //
 // The barrier fails — changing nothing — if the flush could not write every
 // dirty page back; a checkpoint over a half-flushed image would anchor a
@@ -248,114 +249,65 @@ func (t *Tree) CheckpointBarrier() error {
 	if n := t.pool.DirtyCount(); n != 0 {
 		return fmt.Errorf("btree: checkpoint barrier left %d dirty pages", n)
 	}
-	v := &version{
-		epoch:  t.epoch,
-		root:   t.root,
-		height: t.height,
-		count:  t.count,
-	}
-	t.versions = append(t.versions, v)
-	t.epoch++
-	t.trimAndReclaim()
+	t.vs.Publish(t.state(), nil)
 	return nil
 }
 
 // Acquire returns the newest published version with a reference held, or
-// nil if nothing has been published yet (core.SnapshotReader). Writer-side
-// call; the returned snapshot's methods are safe from any goroutine.
+// nil if there is nothing readable — nothing published yet, or the newest
+// version is a CheckpointBarrier / RecoverAt barrier (core.SnapshotReader).
+// Writer-side call; the returned snapshot's methods are safe from any
+// goroutine.
 func (t *Tree) Acquire() core.Snapshot {
-	if len(t.versions) == 0 {
+	v := t.vs.Acquire()
+	if v == nil {
 		return nil
 	}
-	v := t.versions[len(t.versions)-1]
-	v.refs.Add(1)
-	return &Snapshot{v: v, pageSize: t.pool.Device().PageSize()}
+	return &Snapshot{version: v, pageSize: t.pool.Device().PageSize()}
 }
 
 // SnapshotStats reports the current version state (core.SnapshotReader).
 func (t *Tree) SnapshotStats() core.SnapshotStats {
 	return core.SnapshotStats{
-		Epoch:         t.epoch,
-		Versions:      len(t.versions),
-		RetainedBytes: uint64(len(t.retired)) * uint64(t.pool.Device().PageSize()),
+		Epoch:         t.vs.Epoch(),
+		Versions:      len(t.vs.Window()),
+		RetainedBytes: t.retainedBytes(),
 	}
 }
 
-// trimAndReclaim bounds retention to cfg.Versions and frees every retired
-// page no live version can reach. A version published at epoch e references
-// only pages retired strictly after e, so the reclaimable prefix of the
-// retire queue is everything retired at or before the minimum live epoch.
-// Versions dropped from the window while still acquired stay live (pinned)
-// until their readers release them; the writer-only sweep here is the only
-// place refs is allowed to transition a version into reclamation.
-func (t *Tree) trimAndReclaim() {
-	for len(t.versions) > t.cfg.Versions {
-		old := t.versions[0]
-		t.versions = t.versions[1:]
-		if old.refs.Load() > 0 {
-			t.pinned = append(t.pinned, old)
-		}
-	}
-	live := t.pinned[:0]
-	for _, v := range t.pinned {
-		if v.refs.Load() > 0 {
-			live = append(live, v)
-		}
-	}
-	t.pinned = live
-
-	minLive := t.epoch
-	for _, v := range t.versions {
-		if v.epoch < minLive {
-			minLive = v.epoch
-		}
-	}
-	for _, v := range t.pinned {
-		if v.epoch < minLive {
-			minLive = v.epoch
-		}
-	}
-
-	i := 0
-	for i < len(t.retired) && t.retired[i].epoch <= minLive {
-		pid := t.retired[i].pid
-		delete(t.allocEpoch, pid)
-		_ = t.pool.FreePage(pid)
-		i++
-	}
-	if i > 0 {
-		t.retired = append(t.retired[:0], t.retired[i:]...)
-	}
+// retainedBytes is the space held by retired-but-unreclaimed pages.
+func (t *Tree) retainedBytes() uint64 {
+	return uint64(t.vs.Retired()) * uint64(t.pool.Device().PageSize())
 }
 
 // Snapshot is an immutable point-in-time view of the tree
-// (core.Snapshot). Get and RangeScan are safe for concurrent use from any
-// goroutine: they touch only the version's PageView and the caller's own
-// meter, with zero coordination. The physical accounting is per page
-// touched — snapshot readers run uncached (no shared buffer pool, which
-// would need locking), so a point read costs one page read per level.
+// (core.Snapshot); Epoch and Release come with the embedded version. Get and
+// RangeScan are safe for concurrent use from any goroutine: they touch only
+// the version's PageView and the caller's own meter, with zero coordination.
+// The physical accounting is per page touched — snapshot readers run
+// uncached (no shared buffer pool, which would need locking), so a point
+// read costs one page read per level.
 type Snapshot struct {
-	v        *version
+	*version
 	pageSize int
 }
 
-// Epoch returns the write epoch the snapshot was published at.
-func (s *Snapshot) Epoch() uint64 { return s.v.epoch }
-
 // Len returns the number of records in the snapshot.
-func (s *Snapshot) Len() int { return s.v.count }
+func (s *Snapshot) Len() int { return s.State.count }
 
-// Release drops the reference; must be called exactly once.
-func (s *Snapshot) Release() { s.v.refs.Add(-1) }
+// page returns the image of pid as of the snapshot, charging the read to m.
+func (s *Snapshot) page(pid storage.PageID, m *rum.Meter) node {
+	view := s.View()
+	m.CountRead(view.Class(pid), s.pageSize)
+	return node{view.Page(pid)}
+}
 
 // Get returns the value stored under k as of the snapshot, charging one
 // page read per level to m. Allocation-free: the quiet read path.
 func (s *Snapshot) Get(k core.Key, m *rum.Meter) (core.Value, bool) {
-	pid := s.v.root
+	pid := s.State.root
 	for {
-		page := s.v.view.Page(pid)
-		m.CountRead(s.v.view.Class(pid), s.pageSize)
-		n := node{page}
+		n := s.page(pid, m)
 		if n.isLeaf() {
 			i := n.leafSearch(k)
 			if i < n.count() && n.leafKey(i) == k {
@@ -370,42 +322,18 @@ func (s *Snapshot) Get(k core.Key, m *rum.Meter) (core.Value, bool) {
 // RangeScan emits snapshot records with lo <= key <= hi in key order,
 // charging one page read per node visited to m.
 func (s *Snapshot) RangeScan(lo, hi core.Key, m *rum.Meter, emit func(core.Key, core.Value) bool) int {
-	n, _ := s.scan(s.v.root, lo, hi, m, emit)
+	n, _ := s.scan(s.State.root, lo, hi, m, emit)
 	return n
 }
 
 func (s *Snapshot) scan(pid storage.PageID, lo, hi core.Key, m *rum.Meter, emit func(core.Key, core.Value) bool) (int, bool) {
-	page := s.v.view.Page(pid)
-	m.CountRead(s.v.view.Class(pid), s.pageSize)
-	n := node{page}
+	n := s.page(pid, m)
 	if n.isLeaf() {
-		emitted := 0
-		for i := n.leafSearch(lo); i < n.count(); i++ {
-			k := n.leafKey(i)
-			if k > hi {
-				return emitted, false
-			}
-			emitted++
-			if !emit(k, n.leafValue(i)) {
-				return emitted, false
-			}
-		}
-		return emitted, true
+		return n.emitRange(lo, hi, emit)
 	}
 	total := 0
-	cnt := n.count()
-	for ci := 0; ci <= cnt; ci++ {
-		if ci > 0 && n.intKey(ci-1) > hi {
-			break
-		}
-		if ci < cnt && n.intKey(ci) <= lo {
-			continue
-		}
-		child := n.link()
-		if ci > 0 {
-			child = n.intChild(ci - 1)
-		}
-		got, cont := s.scan(child, lo, hi, m, emit)
+	for ci, to := n.childRange(lo, hi); ci < to; ci++ {
+		got, cont := s.scan(n.child(ci), lo, hi, m, emit)
 		total += got
 		if !cont {
 			return total, false

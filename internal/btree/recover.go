@@ -112,7 +112,7 @@ func Recover(pool *storage.BufferPool, cfg Config) (*Tree, error) {
 // pages); pass keep == nil to free every orphan.
 //
 // When cfg.Versions > 0 the recovered image is seeded into the retention
-// window as an already-published version before the epoch advances, so the
+// window as a barrier version (epoch 1; writing resumes at epoch 2), so the
 // first post-recovery CheckpointBarrier cannot reclaim pages the durable
 // checkpoint on the device still references.
 func RecoverAt(pool *storage.BufferPool, cfg Config, root storage.PageID, keep func(storage.PageID) bool) (*Tree, error) {
@@ -133,15 +133,8 @@ func RecoverAt(pool *storage.BufferPool, cfg Config, root storage.PageID, keep f
 	t.count = w.records
 	t.stats.LeafPages = w.leaves
 	t.stats.InternalPages = w.internals
-	if t.mvccOn() {
-		t.allocEpoch = make(map[storage.PageID]uint64)
-		t.versions = append(t.versions, &version{
-			epoch:  1,
-			root:   root,
-			height: w.depth,
-			count:  w.records,
-		})
-		t.epoch = 2
+	if t.initMVCC(); t.mvccOn() {
+		t.vs.Publish(t.state(), nil)
 	}
 	for _, id := range pool.Device().LivePageIDs() {
 		if w.reached[id] || (keep != nil && keep(id)) {

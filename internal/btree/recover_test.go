@@ -170,3 +170,64 @@ func TestRecoverEmptyDevice(t *testing.T) {
 		t.Fatal("Recover invented a tree from an empty device")
 	}
 }
+
+// TestAcquireSkipsBarrierVersions: a version published by CheckpointBarrier
+// or seeded by RecoverAt has no PageView — it anchors reclamation and nobody
+// reads it. Acquire must answer nil for it (nothing readable published)
+// rather than hand out a snapshot whose first Get dereferences a nil view.
+func TestAcquireSkipsBarrierVersions(t *testing.T) {
+	dev := storage.NewDevice(256, storage.SSD, nil)
+	pool := storage.NewBufferPool(dev, 16)
+	tr, err := New(pool, Config{Versions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := uint64(0); k < 200; k++ {
+		if err := tr.Insert(k, k+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.CheckpointBarrier(); err != nil {
+		t.Fatal(err)
+	}
+	if st := tr.SnapshotStats(); st.Versions != 1 {
+		t.Fatalf("barrier retained %d versions, want 1", st.Versions)
+	}
+	if s := tr.Acquire(); s != nil {
+		t.Fatalf("Acquire after a barrier returned a snapshot at epoch %d", s.Epoch())
+	}
+
+	// A reader publish on top of the barrier is readable again.
+	if err := tr.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	s := tr.Acquire()
+	if s == nil {
+		t.Fatal("Acquire after Publish returned nil")
+	}
+	var m rum.Meter
+	if v, ok := s.Get(7, &m); !ok || v != 8 {
+		t.Fatalf("snapshot Get(7) = %d,%v, want 8", v, ok)
+	}
+	s.Release()
+
+	// Same for the version RecoverAt seeds from the checkpointed root.
+	root := tr.Root()
+	if err := tr.CheckpointBarrier(); err != nil {
+		t.Fatal(err)
+	}
+	if root != tr.Root() {
+		t.Fatal("barrier moved the root")
+	}
+	pool.Crash()
+	tr2, err := RecoverAt(storage.NewBufferPool(dev, 16), Config{Versions: 2}, root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := tr2.Acquire(); s != nil {
+		t.Fatalf("Acquire after RecoverAt returned a snapshot at epoch %d", s.Epoch())
+	}
+	if v, ok := tr2.Get(7); !ok || v != 8 {
+		t.Fatalf("recovered Get(7) = %d,%v, want 8", v, ok)
+	}
+}

@@ -71,8 +71,9 @@ type Config struct {
 	// epoch-stamped version, retaining up to Versions of them for lock-free
 	// concurrent readers; run pages freed by compaction are held back until
 	// no retained version references them. Combining Versions with Manifest
-	// is unsupported: epoch reclamation frees pages the committed manifest
-	// may still reference, voiding the recovery contract.
+	// is unsupported — epoch reclamation frees pages the committed manifest
+	// may still reference, voiding the recovery contract — and New (hence
+	// Recover) panics on the pair.
 	Versions int
 }
 
@@ -118,16 +119,18 @@ type Tree struct {
 	manifest    []storage.PageID // pages of the committed manifest chain
 	pendingFree []storage.PageID // run pages quarantined until next commit
 
-	// MVCC state (unused when cfg.Versions == 0; see mvcc.go).
-	epoch    uint64        // current write epoch, starts at 1
-	versions []*version    // retained published versions, oldest first
-	pinned   []*version    // out-of-window versions still referenced
-	retired  []retiredPage // compacted-away pages awaiting reclamation
+	// MVCC state (nil when cfg.Versions == 0; see mvcc.go): epoch, published
+	// versions, compacted-away pages awaiting reclamation.
+	vs *storage.VersionSet[state]
 }
 
-// New creates an empty tree on pool.
+// New creates an empty tree on pool. It panics on Manifest + Versions (see
+// Config.Versions), as internal/methods does for WAL + Versions.
 func New(pool *storage.BufferPool, cfg Config) *Tree {
 	cfg.defaults()
+	if cfg.Manifest && cfg.Versions > 0 {
+		panic("lsm: Config.Manifest and Config.Versions are mutually exclusive")
+	}
 	meter := pool.Device().Meter()
 	t := &Tree{
 		pool:  pool,
@@ -135,8 +138,10 @@ func New(pool *storage.BufferPool, cfg Config) *Tree {
 		mem:   newMemtable(meter),
 		meter: meter,
 	}
-	if t.mvccOn() {
-		t.epoch = 1
+	if cfg.Versions > 0 {
+		t.vs = storage.NewVersionSet[state](cfg.Versions, func(pid storage.PageID) {
+			_ = t.pool.FreePage(pid) // run pages are never pinned between calls; a failed free could only leak
+		})
 	}
 	return t
 }
@@ -285,30 +290,35 @@ const (
 	foundTombstone
 )
 
-func (t *Tree) searchRun(r *run, k core.Key) (core.Value, searchStatus) {
+// The point-read kernel over one run, shared by the live tree and its
+// snapshots — they differ only in where the page's bytes come from (the
+// pool, or a PageView) and in whose meter pays.
+
+// locate prunes the run with its min/max fences and Bloom filter, then
+// binary-searches the fence pointers for the one page that can hold k. It
+// reports false when the run cannot contain k.
+func (r *run) locate(k core.Key, m *rum.Meter) (int, bool) {
 	if r.count == 0 || k < r.first || k > r.last {
-		t.meter.CountRead(rum.Aux, 16) // min/max fence check
-		return 0, notFound
+		m.CountRead(rum.Aux, 16) // min/max fence check
+		return 0, false
 	}
-	if r.filter != nil && !r.filter.MayContain(k) {
-		return 0, notFound
+	if r.filter != nil && !r.filter.MayContainMetered(k, m) {
+		return 0, false
 	}
-	// Binary search the fences for the page that covers k.
 	probes := 0
 	pi := sort.Search(len(r.fences), func(i int) bool {
 		probes++
 		return r.fences[i] > k
 	}) - 1
-	t.meter.CountRead(rum.Aux, probes*fenceSize)
+	m.CountRead(rum.Aux, probes*fenceSize)
 	if pi < 0 {
 		pi = 0
 	}
-	f, err := t.pool.Fetch(r.pages[pi])
-	if err != nil {
-		return 0, notFound
-	}
-	defer t.pool.Release(f)
-	data := f.Data()
+	return pi, true
+}
+
+// searchPage binary-searches one run page for k.
+func searchPage(data []byte, k core.Key) (core.Value, searchStatus) {
 	n := int(binary.LittleEndian.Uint32(data[0:4]))
 	lo, hi := 0, n
 	for lo < hi {
@@ -330,6 +340,19 @@ func (t *Tree) searchRun(r *run, k core.Key) (core.Value, searchStatus) {
 		}
 	}
 	return 0, notFound
+}
+
+func (t *Tree) searchRun(r *run, k core.Key) (core.Value, searchStatus) {
+	pi, ok := r.locate(k, t.meter)
+	if !ok {
+		return 0, notFound
+	}
+	f, err := t.pool.Fetch(r.pages[pi])
+	if err != nil {
+		return 0, notFound
+	}
+	defer t.pool.Release(f)
+	return searchPage(f.Data(), k)
 }
 
 // perPage returns records per run page.
@@ -415,14 +438,14 @@ func (t *Tree) readRun(r *run) ([]core.Record, error) {
 }
 
 // freeRun releases a run's pages. Under Config.Versions the pages are
-// retired to the reclamation queue instead: a published version's run list
-// may still reference them, so they are only freed once the reclamation
-// epoch passes them (trimAndReclaim). Under Config.Manifest they are
-// quarantined until the next checkpoint commits (writeManifest).
+// retired to the version set instead: a published version's run list may
+// still reference them, so they are only freed once no live version can.
+// Under Config.Manifest they are quarantined until the next checkpoint
+// commits (writeManifest).
 func (t *Tree) freeRun(r *run) {
 	if t.mvccOn() {
 		for _, pid := range r.pages {
-			t.retired = append(t.retired, retiredPage{pid: pid, epoch: t.epoch})
+			t.vs.Retire(pid)
 		}
 		return
 	}
@@ -686,17 +709,25 @@ func emitMerged(sources [][]core.Record, emit func(core.Key, core.Value) bool) i
 	return emitted
 }
 
-// overlapStart returns the index of the first page of r that can hold keys
-// in [lo, hi], or -1 if the run's key range misses the interval entirely.
-func (r *run) overlapStart(lo, hi core.Key) int {
+// overlapPages returns the pages of r that can hold keys in [lo, hi], in run
+// order — empty when the run's key range misses the interval — charging the
+// flat min/max-or-fence probe to m. It is the shared first step of a range
+// read; the live tree and its snapshots differ only in how they then read
+// the pages.
+func (r *run) overlapPages(lo, hi core.Key, m *rum.Meter) []storage.PageID {
+	m.CountRead(rum.Aux, 16)
 	if r.count == 0 || hi < r.first || lo > r.last {
-		return -1
+		return nil
 	}
 	start := sort.Search(len(r.fences), func(i int) bool { return r.fences[i] > lo }) - 1
 	if start < 0 {
 		start = 0
 	}
-	return start
+	end := start + 1
+	for end < len(r.pages) && r.fences[end] <= hi {
+		end++
+	}
+	return r.pages[start:end]
 }
 
 // appendInRange decodes the run page in data and appends its records with
@@ -715,17 +746,9 @@ func appendInRange(dst []core.Record, data []byte, lo, hi core.Key) []core.Recor
 // scanRun reads the pages of r overlapping [lo, hi] in run order and returns
 // their in-range records, ascending.
 func (t *Tree) scanRun(r *run, lo, hi core.Key) []core.Record {
-	t.meter.CountRead(rum.Aux, 16) // min/max check or fence probe, flat charge
-	start := r.overlapStart(lo, hi)
-	if start < 0 {
-		return nil
-	}
 	var recs []core.Record
-	for pi := start; pi < len(r.pages); pi++ {
-		if pi > start && r.fences[pi] > hi {
-			break
-		}
-		f, err := t.pool.Fetch(r.pages[pi])
+	for _, pid := range r.overlapPages(lo, hi, t.meter) {
+		f, err := t.pool.Fetch(pid)
 		if err != nil {
 			return recs
 		}
@@ -788,7 +811,7 @@ func (t *Tree) Knobs() []core.Knob {
 	if t.mvccOn() {
 		knobs = append(knobs, core.Knob{
 			Name: "versions", Min: 1, Max: 64, Current: float64(t.cfg.Versions),
-			Doc: "published MVCC versions retained; more = longer snapshot lifetimes for concurrent readers at higher MO (retired run pages pinned)",
+			Doc: "published MVCC versions retained (applies from the next publish); more = longer snapshot lifetimes for concurrent readers at higher MO (retired run pages pinned)",
 		})
 	}
 	return knobs
@@ -823,7 +846,7 @@ func (t *Tree) SetKnob(name string, value float64) error {
 			return fmt.Errorf("lsm: versions must be >= 1")
 		}
 		t.cfg.Versions = int(value)
-		t.trimAndReclaim()
+		t.vs.SetKeep(t.cfg.Versions)
 	default:
 		return fmt.Errorf("lsm: unknown knob %q", name)
 	}

@@ -200,3 +200,18 @@ func TestManifestOffByDefault(t *testing.T) {
 		t.Fatalf("manifest written without opt-in: %+v", tr.Stats())
 	}
 }
+
+// TestManifestWithVersionsRejected: epoch reclamation frees compacted-away
+// pages without the manifest quarantine, so the pair would silently void the
+// recovery contract. Construction refuses it loudly.
+func TestManifestWithVersionsRejected(t *testing.T) {
+	cfg := manifestCfg
+	cfg.Versions = 2
+	pool := storage.NewBufferPool(storage.NewDevice(512, storage.SSD, nil), 32)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted Manifest + Versions")
+		}
+	}()
+	New(pool, cfg)
+}

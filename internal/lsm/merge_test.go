@@ -284,7 +284,7 @@ func TestSnapshotRangeScanMatchesMapOracle(t *testing.T) {
 			for k, v := range m.live {
 				frozen.live[k] = v
 			}
-			if countRuns(snap.v.levels) >= 2 && len(snap.v.mem) > 0 {
+			if countRuns(snap.State.levels) >= 2 && len(snap.State.mem) > 0 {
 				layered++
 			}
 			// Writes after the publish must not show through the snapshot.
@@ -294,7 +294,7 @@ func TestSnapshotRangeScanMatchesMapOracle(t *testing.T) {
 				got, n := collect(func(emit func(core.Key, core.Value) bool) int {
 					return snap.RangeScan(r[0], r[1], &meter, emit)
 				})
-				want := scanOracle(t, tr, snap.v.levels, snap.v.mem, r[0], r[1])
+				want := scanOracle(t, tr, snap.State.levels, snap.State.mem, r[0], r[1])
 				if !slices.Equal(got, want) || n != len(want) {
 					t.Fatalf("%s round %d snapshot scan [%d,%d]: emitted %d\n got %v\nwant %v", tr.Name(), round, r[0], r[1], n, got, want)
 				}

@@ -36,11 +36,6 @@ type Options struct {
 	PoolPages int
 	// Medium is the simulated storage technology (the zero value is RAM).
 	Medium storage.Medium
-	// IOBatch overrides the buffer pool's batch-submission width: how many
-	// pages one vectored write-back or readahead submits together. 0 keeps
-	// the pool default — the medium's channel parallelism, so multi-queue
-	// media batch out of the box and flat media stay on exact per-page I/O.
-	IOBatch int
 	// Hook, when non-nil, observes every page event of every device and
 	// buffer pool built through this Options (e.g. an *obs.Observer). The
 	// default nil keeps the storage hot path untraced.
@@ -50,9 +45,6 @@ type Options struct {
 	// the plan per structure (faults.Plan.Salted) when several share one
 	// Options, or they will draw identical fault streams.
 	Faults faults.Plan
-	// RetryBudget is the buffer pool's transparent retry allowance for
-	// transient device faults (0 = surface every fault to the caller).
-	RetryBudget int
 	// Versions, when positive, turns on MVCC snapshot retention for the
 	// catalog's snapshot-capable structures (btree, lsm-level, lsm-tier):
 	// each keeps up to Versions published versions readable. The default 0
@@ -92,10 +84,6 @@ func NewPool(opt Options, meter *rum.Meter) *storage.BufferPool {
 	if opt.Faults.Active() {
 		dev.SetInjector(faults.New(opt.Faults))
 	}
-	if opt.IOBatch > 0 {
-		pool.SetIOBatch(opt.IOBatch)
-	}
-	pool.SetRetryBudget(opt.RetryBudget)
 	return pool
 }
 

@@ -212,13 +212,5 @@ func (s *Server) snapshotScan(lo, hi core.Key, emit func(core.Key, core.Value) b
 		ss.refs.Add(-1)
 		s.shards[i].bypassOps.Add(1)
 	}
-	core.SortRecords(all)
-	n := 0
-	for _, r := range all {
-		if !emit(r.Key, r.Value) {
-			break
-		}
-		n++
-	}
-	return n, true
+	return emitSorted(all, emit), true
 }

@@ -92,6 +92,26 @@ type Result struct {
 	OK    bool
 }
 
+// Exec executes one request against am — the one place a Request becomes a
+// structure call; the shard loops (quiet and traced) and the bench package's
+// sequential replays all run through it. It returns a whole Result: callers
+// reuse res buffers across Do calls, so writing only OK would leak a stale
+// Value from an earlier batch into this one's outcome.
+func Exec(am *core.Instrumented, req Request) Result {
+	var out Result
+	switch req.Op {
+	case OpGet:
+		out.Value, out.OK = am.Get(req.Key)
+	case OpInsert:
+		out.OK = am.Insert(req.Key, req.Value) == nil
+	case OpUpdate:
+		out.OK = am.Update(req.Key, req.Value)
+	case OpDelete:
+		out.OK = am.Delete(req.Key)
+	}
+	return out
+}
+
 // Config sizes a Server. The zero value of every field selects a default.
 type Config struct {
 	// Shards is the number of keyspace partitions, each with its own
@@ -100,8 +120,6 @@ type Config struct {
 	// MaxBatch caps the requests carried by one mailbox message; larger
 	// per-shard sub-batches are split (default 256).
 	MaxBatch int
-	// Queue is the mailbox depth in messages per shard (default 4).
-	Queue int
 	// Build constructs shard i's structure. It runs on the shard's own
 	// goroutine — never on the caller's — which is what pins the structure,
 	// and the storage stack under it, to a single owner. Required.
@@ -142,14 +160,16 @@ func (c *Config) defaults() error {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 256
 	}
-	if c.Queue <= 0 {
-		c.Queue = 4
-	}
 	if c.StalenessOps <= 0 {
 		c.StalenessOps = 1
 	}
 	return nil
 }
+
+// mailboxDepth is each shard's mailbox capacity in messages: enough that a
+// client's next sub-batch queues while the shard executes the current one,
+// small enough that back-pressure reaches clients within a few batches.
+const mailboxDepth = 4
 
 // ErrStopped is returned by calls made after Stop.
 var ErrStopped = errors.New("serve: server is stopped")
@@ -309,7 +329,7 @@ func New(cfg Config) (*Server, error) {
 		s.slow = obs.NewSlowLog(tc.slowK(), tc.SlowTTL)
 	}
 	for i := range s.shards {
-		s.shards[i] = &shard{id: i, mailbox: make(chan message, cfg.Queue)}
+		s.shards[i] = &shard{id: i, mailbox: make(chan message, mailboxDepth)}
 	}
 	s.wg.Add(len(s.shards))
 	for _, sh := range s.shards {
@@ -381,14 +401,9 @@ func (s *Server) runShard(sh *shard) {
 		sh.slow = s.slow
 	}
 	if wc := s.cfg.Workload; wc != nil {
-		// Same contract as the phase recorder: created or fetched on the
-		// shard goroutine before Build, single-owner afterwards.
-		if wc.Recorder != nil {
-			sh.wrec = wc.Recorder(sh.id)
-		}
-		if sh.wrec == nil {
-			sh.wrec = obs.NewWorkloadRecorder(wc.WindowOps, wc.Keep)
-		}
+		// Same contract as the phase recorder: created on the shard
+		// goroutine before Build, single-owner afterwards.
+		sh.wrec = obs.NewWorkloadRecorder(wc.WindowOps, wc.Keep)
 	}
 	am := s.cfg.Build(sh.id)
 	sh.commit, _ = am.Unwrap().(Committer)
@@ -408,7 +423,15 @@ func (s *Server) runShard(sh *shard) {
 		// shorter than a window still fingerprints deterministically.
 		sh.wrec.Rotate()
 	}
-	sh.report = ShardReport{
+	sh.report = sh.ledger(am)
+}
+
+// ledger (shard goroutine only) reads the shard's full report — the answer
+// to a live Snapshot and, after the mailbox closes, the final Stop report.
+// The meter, size, and record count are touched only by their single owner,
+// so the -tags racecheck assertions hold and no lock shadows the hot path.
+func (sh *shard) ledger(am *core.Instrumented) ShardReport {
+	rep := ShardReport{
 		Shard:        sh.id,
 		Name:         am.Name(),
 		Ops:          sh.ops + sh.bypassOps.Load(),
@@ -419,11 +442,12 @@ func (s *Server) runShard(sh *shard) {
 		WAL:          walLedger(am),
 	}
 	if sh.rec != nil {
-		sh.report.Phases = sh.rec.Snapshot()
+		rep.Phases = sh.rec.Snapshot()
 	}
 	if sh.wrec != nil {
-		sh.report.Workload = sh.wrec.Snapshot()
+		rep.Workload = sh.wrec.Snapshot()
 	}
+	return rep
 }
 
 // apply executes one message. The completion fires even if an operation
@@ -436,25 +460,10 @@ func (sh *shard) apply(am *core.Instrumented, msg message) {
 			sh.applyOpsTraced(am, msg)
 		} else {
 			for _, i := range msg.idxs {
-				req := &msg.reqs[i]
-				// Assign whole Results: callers reuse res buffers across Do
-				// calls, so a partial write (OK only) would leak a stale Value
-				// from an earlier batch into this one's outcome.
-				var out Result
-				switch req.Op {
-				case OpGet:
-					out.Value, out.OK = am.Get(req.Key)
-				case OpInsert:
-					out.OK = am.Insert(req.Key, req.Value) == nil
-				case OpUpdate:
-					out.OK = am.Update(req.Key, req.Value)
-				case OpDelete:
-					out.OK = am.Delete(req.Key)
-				}
-				msg.res[i] = out
+				msg.res[i] = Exec(am, msg.reqs[i])
 			}
-			sh.ops += uint64(len(msg.idxs))
 		}
+		sh.ops += uint64(len(msg.idxs))
 		if sh.wrec != nil {
 			// A separate pass after execution keeps the batch loop above
 			// byte-for-byte identical to the unfingerprinted build.
@@ -506,28 +515,9 @@ func (sh *shard) apply(am *core.Instrumented, msg message) {
 			sh.wrec.RecordScan(len(p.out))
 		}
 	case kindSnap:
-		// Read on the shard goroutine, like every other access: the meter,
-		// size, and record count are touched only by their single owner, so
-		// the -tags racecheck assertions hold and no lock shadows the hot
-		// path. The write is published to the requester through the
-		// completion's channel-close edge.
-		rep := ShardReport{
-			Shard:        sh.id,
-			Name:         am.Name(),
-			Ops:          sh.ops + sh.bypassOps.Load(),
-			Meter:        sh.ledgerMeter(am),
-			Size:         am.Size(),
-			Len:          am.Len(),
-			SnapVersions: sh.snapVersions,
-			WAL:          walLedger(am),
-		}
-		if sh.rec != nil {
-			rep.Phases = sh.rec.Snapshot()
-		}
-		if sh.wrec != nil {
-			rep.Workload = sh.wrec.Snapshot()
-		}
-		*msg.snap = rep
+		// The write is published to the requester through the completion's
+		// channel-close edge.
+		*msg.snap = sh.ledger(am)
 	}
 }
 
@@ -825,8 +815,14 @@ func (s *Server) RangeScan(lo, hi core.Key, emit func(core.Key, core.Value) bool
 	for _, p := range parts {
 		all = append(all, p.out...)
 	}
-	// Hash routing scatters key order across shards; one sort restores it
-	// (and tolerates structures whose per-shard scan order is unsorted).
+	return emitSorted(all, emit)
+}
+
+// emitSorted is the merge step of a broadcast scan, mailbox or snapshot:
+// hash routing scatters key order across shards, so one sort restores it
+// (and tolerates structures whose per-shard scan order is unsorted); then
+// emit runs in ascending key order until it declines.
+func emitSorted(all []core.Record, emit func(core.Key, core.Value) bool) int {
 	core.SortRecords(all)
 	n := 0
 	for _, r := range all {

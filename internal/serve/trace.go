@@ -58,8 +58,8 @@ func (tc *TraceConfig) slowK() int {
 	return tc.SlowK
 }
 
-// applyOpsTraced is the traced twin of apply's kindOps branch: identical
-// operation semantics plus N+1 clock readings per message (one before the
+// applyOpsTraced is apply's kindOps loop with the clock on: the same Exec
+// per request plus N+1 clock readings per message (one before the
 // batch, one after each op — each op's end is the next op's start).
 func (sh *shard) applyOpsTraced(am *core.Instrumented, msg message) {
 	rec := sh.rec
@@ -70,18 +70,7 @@ func (sh *shard) applyOpsTraced(am *core.Instrumented, msg message) {
 		req := &msg.reqs[i]
 		rec.BeginOpWork()
 		pre := am.Meter().Snapshot()
-		var out Result
-		switch req.Op {
-		case OpGet:
-			out.Value, out.OK = am.Get(req.Key)
-		case OpInsert:
-			out.OK = am.Insert(req.Key, req.Value) == nil
-		case OpUpdate:
-			out.OK = am.Update(req.Key, req.Value)
-		case OpDelete:
-			out.OK = am.Delete(req.Key)
-		}
-		msg.res[i] = out
+		msg.res[i] = Exec(am, *req)
 		end := time.Now()
 		post := am.Meter().Snapshot()
 		d := post.Diff(pre)
@@ -99,7 +88,6 @@ func (sh *shard) applyOpsTraced(am *core.Instrumented, msg message) {
 		sh.slow.Offer(t)
 		start = end
 	}
-	sh.ops += uint64(len(msg.idxs))
 }
 
 // SlowTraces returns the flight recorder's retained traces, slowest first.

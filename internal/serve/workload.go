@@ -31,12 +31,6 @@ type WorkloadConfig struct {
 	// Keep bounds the retained fingerprint history and drift-event ring per
 	// shard (default 16).
 	Keep int
-	// Recorder, when set, supplies shard i's WorkloadRecorder, created or
-	// fetched on the shard's own goroutine immediately before Config.Build —
-	// the same contract as TraceConfig.Recorder, so a caller can keep a
-	// handle for sampling between snapshots. Nil (or a nil return) means the
-	// shard builds its own private recorder.
-	Recorder func(shard int) *obs.WorkloadRecorder
 }
 
 // recordOps mirrors an executed kindOps message into the shard's workload

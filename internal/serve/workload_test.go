@@ -137,38 +137,6 @@ func TestWorkloadDisabledReportsNil(t *testing.T) {
 	}
 }
 
-func TestWorkloadRecorderSupplier(t *testing.T) {
-	recs := make([]*obs.WorkloadRecorder, 2)
-	s, err := New(Config{
-		Shards: 2, Build: buildSkiplist,
-		Workload: &WorkloadConfig{
-			WindowOps: 32,
-			Recorder: func(shard int) *obs.WorkloadRecorder {
-				recs[shard] = obs.NewWorkloadRecorder(32, 4)
-				return recs[shard]
-			},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveMix(t, s, 128)
-	reports, err := s.Stop()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The supplied recorders are the ones the shards used: their state (read
-	// here after Stop's happens-before edge) matches the published reports.
-	for i, r := range reports {
-		if recs[i] == nil {
-			t.Fatalf("supplier never ran for shard %d", i)
-		}
-		if got, want := recs[i].Snapshot().Cum, r.Workload.Cum; got != want {
-			t.Fatalf("shard %d: supplied recorder cum %v, report %v", i, got, want)
-		}
-	}
-}
-
 // benchDoWorkload mirrors benchDo with fingerprinting toggled instead of
 // tracing.
 func benchDoWorkload(b *testing.B, wc *WorkloadConfig) {
