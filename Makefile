@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race racecheck bench golden experiments-golden serve-live-smoke mvcc-race benchjson
+.PHONY: check build fmt vet test race racecheck benchmarks bench golden experiments-golden serve-live-smoke mvcc-race benchjson
 
-## check: the full gate — build, gofmt, vet, race-enabled tests, and the
-## assertion build.
-check: build fmt vet race racecheck
+## check: the full gate — build, gofmt, vet, race-enabled tests, the
+## assertion build, and the nested benchmarks/ module.
+check: build fmt vet race racecheck benchmarks
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,14 @@ racecheck:
 	$(GO) build -tags racecheck ./...
 	$(GO) test -tags racecheck ./internal/storage/ ./internal/lsm/
 
+## benchmarks: vet and test the nested repro/benchmarks module (rumperf,
+## benchdiff). `./...` at the root never compiles it, so without this a
+## serve/bench API change could break rumperf with everything else green.
+## About five seconds, offline.
+benchmarks:
+	$(GO) -C benchmarks vet ./...
+	$(GO) -C benchmarks test ./...
+
 ## bench: the hot-path comparisons quoted in PR descriptions — the obs tap
 ## (nil-hook must stay allocation-free and within noise of untraced), the
 ## buffer pool's evicting miss (0 allocs/op), and the lsm L1→L2 spill.
@@ -43,11 +51,12 @@ bench:
 	$(GO) test ./internal/storage -bench BenchmarkFetchMiss -benchtime=2s -run '^$$'
 	$(GO) test ./internal/lsm -bench BenchmarkCompactionSpill -benchtime=2s -run '^$$'
 
-## golden: regenerate golden files (exporters, CLI usage) after an
-## intended format change.
+## golden: regenerate golden files (exporters, CLI usage, rumserve scrape
+## skeletons) after an intended format change.
 golden:
 	$(GO) test ./internal/obs -run Golden -update
 	$(GO) test ./cmd/rumbench -run Golden -update
+	$(GO) test ./cmd/rumserve -run Golden -update
 
 ## experiments-golden: the committed experiments_output.txt must be exactly
 ## what `rumbench -exp all` prints today (stdout is deterministic; timings go

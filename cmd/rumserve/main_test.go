@@ -298,8 +298,8 @@ func TestDaemonMVCC(t *testing.T) {
 		t.Fatalf("newDaemon: %v", err)
 	}
 	waitFor(t, "snapshot-served reads", func() bool {
-		_, ops := d.srv.ReaderStats()
-		return ops > 0 && d.ring.Last() != nil
+		last := d.ring.Last()
+		return last != nil && last.SnapReads > 0
 	})
 
 	_, body, _ := get(t, d, "/metrics")
@@ -408,7 +408,7 @@ func TestDaemonWorkload(t *testing.T) {
 	if row := res.Rows[0]; !row.Verified {
 		t.Fatalf("fingerprinted live run not verified: %+v", row)
 	}
-	if d.finalWorkload == nil || d.finalWorkload.Windows == 0 {
+	if final := d.ring.Last().Workload; final == nil || final.Windows == 0 {
 		t.Fatal("stop captured no final workload snapshot")
 	}
 

@@ -191,7 +191,9 @@ type MVCCRow struct {
 	Requests int
 	Reads    int
 	Verified bool // live outcomes matched predictions, reads used snapshots
-	ServeErr string
+	// Mismatches counts diverged live outcomes, baseline and snapshot run.
+	Mismatches int
+	ServeErr   string
 
 	// Wall-clock (stderr).
 	BaseThroughput float64 // single-owner baseline, requests/s
@@ -341,7 +343,8 @@ func runMVCCServing(cfg Config, mcfg MVCCConfig, name string, k int, streams []m
 	row.SnapThroughput = snapTp
 	row.ReadP99 = p99
 	row.SnapReads = snapReads
-	row.Verified = mism == 0 && baseMism == 0 && serveErr == "" && baseErr == "" && snapReads > 0
+	row.Mismatches = mism + baseMism
+	row.Verified = row.Mismatches == 0 && serveErr == "" && baseErr == "" && snapReads > 0
 	if serveErr == "" {
 		serveErr = baseErr
 	}
@@ -460,7 +463,7 @@ func (r MVCCResult) Render() string {
 	for _, row := range r.Rows {
 		verdict := "ok"
 		if !row.Verified {
-			verdict = fmt.Sprintf("FAIL(%d) %s", r.Ops, row.ServeErr)
+			verdict = fmt.Sprintf("FAIL(%d mismatches %s)", row.Mismatches, row.ServeErr)
 		}
 		rows = append(rows, []string{
 			row.Method,

@@ -101,3 +101,22 @@ func TestMVCCUnknownMixPanics(t *testing.T) {
 	}()
 	RunMVCC(Config{Seed: 1, N: 64, Ops: 32}, MVCCConfig{Mixes: []string{"nope"}})
 }
+
+// A failing row's verdict names its own mismatch count, not the experiment's
+// request total.
+func TestMVCCRenderFailingRow(t *testing.T) {
+	r := MVCCResult{N: 64, Ops: 5000, Clients: 2, Versions: 3, Rows: []MVCCRow{
+		{Method: "btree", Mix: "read50", Staleness: 1, Verified: true},
+		{Method: "lsm", Mix: "read99", Staleness: 256, Mismatches: 7, ServeErr: "serve: shard 1: boom"},
+	}}
+	out := r.Render()
+	if !strings.Contains(out, "FAIL(7 mismatches serve: shard 1: boom)") {
+		t.Errorf("failing row's verdict does not carry its mismatch count:\n%s", out)
+	}
+	if strings.Contains(out, "FAIL(5000") {
+		t.Errorf("verdict prints the request total as the failure count:\n%s", out)
+	}
+	if strings.Count(out, "FAIL") != 1 {
+		t.Errorf("the verified row rendered a failure:\n%s", out)
+	}
+}

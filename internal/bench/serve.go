@@ -2,15 +2,13 @@ package bench
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/methods"
-	"repro/internal/obs"
 	"repro/internal/rum"
 	"repro/internal/serve"
 )
@@ -70,7 +68,6 @@ type serveStream struct {
 	init     []core.Record
 	ops      []serve.Request
 	want     []serve.Result
-	hits     int // expected successful gets
 	finalLen int // records this client leaves live at the end
 }
 
@@ -97,37 +94,27 @@ const (
 func makeServeStreams(seed int64, n, ops, clients int) []serveStream {
 	streams := make([]serveStream, clients)
 	for c := range streams {
-		streams[c] = makeServeStream(seed, c, n/clients, ops/clients)
+		g := NewStreamGen(seed, c, DefaultServeMix())
+		st := serveStream{init: g.InitRecords(n / clients)}
+		st.ops = make([]serve.Request, ops/clients)
+		st.want = make([]serve.Result, ops/clients)
+		g.Fill(st.ops, st.want)
+		st.finalLen = g.Live()
+		streams[c] = st
 	}
 	return streams
 }
 
-func makeServeStream(seed int64, client, nInit, nOps int) serveStream {
-	g := NewStreamGen(seed, client, DefaultServeMix())
-	st := serveStream{init: g.InitRecords(nInit)}
-	st.ops = make([]serve.Request, 0, nOps)
-	st.want = make([]serve.Result, 0, nOps)
-	for i := 0; i < nOps; i++ {
-		req, want := g.Next()
-		st.ops = append(st.ops, req)
-		st.want = append(st.want, want)
-		if req.Op == serve.OpGet && want.OK {
-			st.hits++
-		}
+// source returns the stream as a live run's BatchSource: the pregenerated
+// requests and predictions, handed out a batch at a time until exhausted.
+func (st *serveStream) source() BatchSource {
+	off := 0
+	return func(reqs []serve.Request, want []serve.Result) int {
+		n := copy(reqs, st.ops[off:])
+		copy(want, st.want[off:off+n])
+		off += n
+		return n
 	}
-	st.finalLen = g.Live()
-	return st
-}
-
-// mergeInit concatenates and sorts every client's preload records — the
-// bulk-load input for both the clean replay and the sharded server.
-func mergeInit(streams []serveStream) []core.Record {
-	var all []core.Record
-	for _, st := range streams {
-		all = append(all, st.init...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Key < all[j].Key })
-	return all
 }
 
 // ServeRow is one method's measurements.
@@ -176,39 +163,52 @@ func RunServe(cfg Config, scfg ServeConfig) ServeResult {
 		cfg.Storage.PoolPages = 8
 	}
 	streams := makeServeStreams(cfg.Seed, cfg.N, cfg.Ops, scfg.Clients)
-	allInit := mergeInit(streams)
+	var allInit []core.Record
+	for _, st := range streams {
+		allInit = append(allInit, st.init...)
+	}
+	allInit = MergeRecords(allInit)
 
 	res := ServeResult{N: len(allInit), Clients: scfg.Clients, Shards: scfg.Shards, Batch: scfg.Batch}
 	for _, st := range streams {
 		res.Ops += len(st.ops)
 	}
+	// A method's two cells run concurrently, so each writes its own slot: the
+	// serving cell the row, the replay the row's clean point, joined after.
 	rows := make([]ServeRow, len(serveMethods))
+	clean := make([]rum.Point, len(serveMethods))
 	cells := make([]Cell, 0, 2*len(serveMethods))
 	for i, name := range serveMethods {
 		i, name := i, name
 		cells = append(cells, Cell{
 			Label: name + "/clean",
 			Run: func(ccfg Config) {
-				runServeClean(ccfg, name, streams, allInit, &rows[i])
+				clean[i] = runServeClean(ccfg, name, streams, allInit)
 			},
 		})
 		cells = append(cells, Cell{
 			Label: name + "/serve",
 			Run: func(ccfg Config) {
-				runServeServing(ccfg, scfg, name, streams, allInit, &rows[i])
+				rows[i] = runServeServing(ccfg, scfg, name, streams, allInit)
 			},
 		})
 	}
 	cfg.runCells("serve", cells)
+	for i := range rows {
+		rows[i].Clean = clean[i]
+	}
 	res.Rows = rows
 	return res
 }
 
 // runServeClean replays every client's stream, in client order, against one
-// instance of the method — the canonical sequential execution. The measured
-// RUM point is the experiment's deterministic truth: it cannot depend on
-// shards, clients, batches, or scheduling because none of those exist here.
-func runServeClean(cfg Config, name string, streams []serveStream, allInit []core.Record, row *ServeRow) {
+// instance of the method — the canonical sequential execution — and returns
+// the measured RUM point: the experiment's deterministic truth, which cannot
+// depend on shards, clients, batches, or scheduling because none of those
+// exist here. The replay panics unless every outcome and the final record
+// count match the streams' predictions, so the request, hit, and record
+// counts the live run tallies are held to the same predictions.
+func runServeClean(cfg Config, name string, streams []serveStream, allInit []core.Record) rum.Point {
 	spec, err := methods.Lookup(cfg.Storage, name)
 	if err != nil {
 		panic(fmt.Sprintf("serve: %s: %v", name, err))
@@ -220,7 +220,7 @@ func runServeClean(cfg Config, name string, streams []serveStream, allInit []cor
 	}
 	am.Flush()
 	start := am.Meter().Snapshot()
-	requests, hits, finalLen := 0, 0, 0
+	finalLen := 0
 	for _, st := range streams {
 		for i := range st.ops {
 			req, want := st.ops[i], st.want[i]
@@ -228,151 +228,42 @@ func runServeClean(cfg Config, name string, streams []serveStream, allInit []cor
 			if got != want {
 				panic(fmt.Sprintf("serve: %s: clean replay diverged on %+v: got %+v, want %+v", name, req, got, want))
 			}
-			if req.Op == serve.OpGet && got.OK {
-				hits++
-			}
 		}
-		requests += len(st.ops)
 		finalLen += st.finalLen
 	}
 	am.Flush()
-	row.Method = name
-	row.Clean = rum.PointOf(am.Meter().Diff(start), am.Size())
-	row.Requests = requests
-	row.Hits = hits
-	row.FinalLen = finalLen
 	if got := am.Len(); got != finalLen {
 		panic(fmt.Sprintf("serve: %s: clean replay left %d records, streams predict %d", name, got, finalLen))
 	}
+	return rum.PointOf(am.Meter().Diff(start), am.Size())
 }
 
 // runServeServing runs the live phase: the method sharded scfg.Shards ways
 // behind serve.Server, scfg.Clients concurrent clients submitting their
-// streams in scfg.Batch-sized Do calls. Outcomes are compared against the
-// pregenerated predictions; timing and latency are recorded per client and
-// merged (obs.Histogram.Merge) for the stderr report.
-func runServeServing(cfg Config, scfg ServeConfig, name string, streams []serveStream, allInit []core.Record, row *ServeRow) {
-	// The serving run is intentionally untraced: its physical traffic is
-	// scheduling-dependent (pool state interleaves across clients), which
-	// must never leak into the deterministic trace/timeseries/metrics
-	// artifacts. The clean replay cell carries the observability.
+// streams in scfg.Batch-sized Do calls (StartLive). Outcomes are compared
+// against the pregenerated predictions; the row's wall-clock half goes to
+// the stderr report.
+func runServeServing(cfg Config, scfg ServeConfig, name string, streams []serveStream, allInit []core.Record) ServeRow {
+	// The serving run never reaches the experiment's observer (StartLive
+	// hooks each shard's stack to a private recorder): its physical traffic
+	// is scheduling-dependent, which must never leak into the deterministic
+	// trace/timeseries/metrics artifacts. The clean replay cell carries those.
 	sopt := cfg.Storage
-	sopt.Hook = nil
 	sopt.Faults = faults.Plan{}
-	spec, err := methods.Lookup(sopt, name)
-	if err != nil {
-		panic(fmt.Sprintf("serve: %s: %v", name, err))
-	}
-	srv, err := serve.New(serve.Config{
-		Shards:   scfg.Shards,
-		MaxBatch: scfg.Batch,
-		Build:    func(int) *core.Instrumented { return spec.New() },
-		// Lifecycle tracing is wall-clock-only output (stderr), so unlike the
-		// storage hook it cannot leak scheduling into the stdout contract.
-		Trace: &serve.TraceConfig{},
-	})
-	if err != nil {
-		panic(fmt.Sprintf("serve: %s: %v", name, err))
-	}
-	if err := srv.Preload(allInit); err != nil {
-		panic(fmt.Sprintf("serve: %s: preload: %v", name, err))
-	}
-
-	type clientTally struct {
-		mismatches int
-		hist       *obs.Histogram
-	}
-	tallies := make([]clientTally, len(streams))
-	var wg sync.WaitGroup
-	begin := time.Now()
-	for c := range streams {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			st := &streams[c]
-			tally := &tallies[c]
-			tally.hist = obs.NewLatencyHistogram()
-			res := make([]serve.Result, scfg.Batch)
-			for off := 0; off < len(st.ops); off += scfg.Batch {
-				end := off + scfg.Batch
-				if end > len(st.ops) {
-					end = len(st.ops)
-				}
-				chunk := st.ops[off:end]
-				t0 := time.Now()
-				if err := srv.Do(chunk, res[:len(chunk)]); err != nil {
-					tally.mismatches += len(chunk)
-					continue
-				}
-				tally.hist.RecordDuration(time.Since(t0))
-				for i := range chunk {
-					if res[i] != st.want[off+i] {
-						tally.mismatches++
-					}
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	if err := srv.Flush(); err != nil {
-		panic(fmt.Sprintf("serve: %s: flush: %v", name, err))
-	}
-	elapsed := time.Since(begin)
-	reports, err := srv.Stop()
-	if err != nil {
-		row.ServeErr = err.Error()
-	}
-	meter, _, n := serve.Aggregate(reports)
-
-	latency := obs.NewLatencyHistogram()
-	mismatches := 0
-	for _, t := range tallies {
-		mismatches += t.mismatches
-		latency.Merge(t.hist)
-	}
-	requests := 0
-	for _, st := range streams {
-		requests += len(st.ops)
-	}
+	sources := make([]BatchSource, len(streams))
 	wantLen := 0
-	for _, st := range streams {
-		wantLen += st.finalLen
+	for c := range streams {
+		sources[c] = streams[c].source()
+		wantLen += streams[c].finalLen
 	}
-	row.Mismatches = mismatches
-	row.Verified = mismatches == 0 && row.ServeErr == "" && n == wantLen &&
-		meter.LogicalWritten == uint64(len(allInit)+countWrites(streams))*core.RecordSize
-	row.Elapsed = elapsed
-	if s := elapsed.Seconds(); s > 0 {
-		row.Throughput = float64(requests) / s
+	run, err := StartLive(LiveConfig{
+		Method: name, Storage: sopt, Shards: scfg.Shards, Batch: scfg.Batch,
+	}, allInit, sources, 0, nil)
+	if err != nil {
+		panic(fmt.Sprintf("serve: %s: %v", name, err))
 	}
-	row.P50 = latency.QuantileDuration(0.50)
-	row.P99 = latency.QuantileDuration(0.99)
-	if ph := serve.AggregatePhases(reports); ph != nil {
-		row.QueueP50 = ph.Queue.QuantileDuration(0.50)
-		row.QueueP99 = ph.Queue.QuantileDuration(0.99)
-		row.ServiceP50 = ph.Service.QuantileDuration(0.50)
-		row.ServiceP99 = ph.Service.QuantileDuration(0.99)
-	}
-	row.ShardOps = make([]uint64, len(reports))
-	for i, r := range reports {
-		row.ShardOps[i] = r.Ops
-	}
-	row.ServeMeter = meter
-}
-
-// countWrites returns the number of requests that account a logical write
-// (insert/update/delete) across all streams — the exact-conservation check
-// for the merged per-shard meters.
-func countWrites(streams []serveStream) int {
-	n := 0
-	for _, st := range streams {
-		for _, op := range st.ops {
-			if op.Op != serve.OpGet {
-				n++
-			}
-		}
-	}
-	return n
+	row, _, _ := run.Stop(wantLen) // a serving failure is the row's ServeErr
+	return row
 }
 
 // Render prints the deterministic half of the experiment. Every column is
@@ -413,23 +304,15 @@ func (r ServeResult) RenderTiming() string {
 	fmt.Fprintf(&b, "(serve timing, non-deterministic: shards=%d clients=%d batch=%d)\n",
 		r.Shards, r.Clients, r.Batch)
 	for _, row := range r.Rows {
-		min, max := ^uint64(0), uint64(0)
-		for _, ops := range row.ShardOps {
-			if ops < min {
-				min = ops
-			}
-			if ops > max {
-				max = ops
-			}
-		}
-		if len(row.ShardOps) == 0 {
-			min = 0
+		var lo, hi uint64
+		if len(row.ShardOps) > 0 {
+			lo, hi = slices.Min(row.ShardOps), slices.Max(row.ShardOps)
 		}
 		fmt.Fprintf(&b, "(  %-10s %9.0f req/s  p50=%-8v p99=%-8v elapsed=%-8v shard-ops=%d..%d  phys r/w=%s/%s)\n",
 			row.Method, row.Throughput,
 			row.P50.Round(time.Microsecond), row.P99.Round(time.Microsecond),
 			row.Elapsed.Round(time.Millisecond),
-			min, max,
+			lo, hi,
 			fmtBytes(float64(row.ServeMeter.PhysicalRead())), fmtBytes(float64(row.ServeMeter.PhysicalWritten())))
 		if row.QueueP99 != 0 || row.ServiceP99 != 0 {
 			// Per-op decomposition: batch p99 above is a Do round-trip, so

@@ -306,6 +306,15 @@ func (g *StreamGen) Next() (serve.Request, serve.Result) {
 	}
 }
 
+// Fill generates the stream's next len(reqs) requests and their expected
+// outcomes — the open-ended BatchSource the live daemon's clients pull from.
+func (g *StreamGen) Fill(reqs []serve.Request, want []serve.Result) int {
+	for i := range reqs {
+		reqs[i], want[i] = g.Next()
+	}
+	return len(reqs)
+}
+
 // SetPhase switches the stream's mix and key distribution in place, keeping
 // the rng stream, the model, and the live set: the generator keeps producing
 // verifiable ops for the same keyspace while the traffic's shape changes —

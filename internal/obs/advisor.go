@@ -83,6 +83,18 @@ func (a Advice) String() string {
 		a.Best.RO, a.Best.UO, a.Best.MO)
 }
 
+// Advise prices the point's newest completed fingerprint window against the
+// catalog, sized by the point's live record total, with current as the
+// running configuration. ok is false before the first window completes (or
+// with fingerprinting off).
+func (p *WindowPoint) Advise(current string) (adv Advice, ok bool) {
+	if p.Workload == nil || p.Workload.Last == nil {
+		return Advice{}, false
+	}
+	_, _, _, records := p.Totals()
+	return Advise(p.Workload.Last, float64(records), current), true
+}
+
 // advCandidate is one catalog configuration the advisor prices.
 type advCandidate struct {
 	name string

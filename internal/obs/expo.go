@@ -82,6 +82,21 @@ func (e *Encoder) Family(name, metricType, help string) {
 	fmt.Fprintf(e.bw, "# TYPE %s %s\n", name, metricType)
 }
 
+// Gauge, GaugeUint, and Counter emit a whole single-series family: the
+// preamble and its one unlabelled sample.
+func (e *Encoder) Gauge(name, help string, v float64) {
+	e.Family(name, "gauge", help)
+	e.Float(name, nil, v)
+}
+func (e *Encoder) GaugeUint(name, help string, v uint64) {
+	e.Family(name, "gauge", help)
+	e.Uint(name, nil, v)
+}
+func (e *Encoder) Counter(name, help string, v uint64) {
+	e.Family(name, "counter", help)
+	e.Uint(name, nil, v)
+}
+
 // writeLabels renders {a="x",b="y"} (nothing for an empty list).
 func (e *Encoder) writeLabels(ls []Label) {
 	if len(ls) == 0 {

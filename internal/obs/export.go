@@ -143,17 +143,13 @@ func (o *Observer) CollectMetrics(e *Encoder) {
 	e.Uint("rum_fault_events_total", L("event", "crash"), o.total.Crashes)
 	e.Uint("rum_fault_events_total", L("event", "retry"), o.total.Retries)
 
-	e.Family("rum_cost_units_total", "counter", "Medium-weighted cost units observed (successful traffic; reconciles with DeviceStats.CostUnits).")
-	e.Uint("rum_cost_units_total", nil, o.total.Cost)
+	e.Counter("rum_cost_units_total", "Medium-weighted cost units observed (successful traffic; reconciles with DeviceStats.CostUnits).", o.total.Cost)
 
-	e.Family("rum_fault_cost_units_total", "counter", "Medium-weighted cost of failed operations (EvFault/EvTorn/EvCrash payloads); counted apart from rum_cost_units_total.")
-	e.Uint("rum_fault_cost_units_total", nil, o.total.FaultCost)
+	e.Counter("rum_fault_cost_units_total", "Medium-weighted cost of failed operations (EvFault/EvTorn/EvCrash payloads); counted apart from rum_cost_units_total.", o.total.FaultCost)
 
-	e.Family("rum_batch_submissions_total", "counter", "Amortized batch submissions observed (multi-queue media only).")
-	e.Uint("rum_batch_submissions_total", nil, o.total.Batches)
+	e.Counter("rum_batch_submissions_total", "Amortized batch submissions observed (multi-queue media only).", o.total.Batches)
 
-	e.Family("rum_batched_pages_total", "counter", "Pages carried by amortized batch submissions.")
-	e.Uint("rum_batched_pages_total", nil, o.total.BatchedPages)
+	e.Counter("rum_batched_pages_total", "Pages carried by amortized batch submissions.", o.total.BatchedPages)
 
 	e.Family("rum_traced_bytes_total", "counter", "Bytes accumulated by traced spans, by kind, direction, and class.")
 	e.Uint("rum_traced_bytes_total", L("kind", "physical", "dir", "read", "class", "base"), o.traced.BaseRead)
@@ -167,8 +163,7 @@ func (o *Observer) CollectMetrics(e *Encoder) {
 	e.Uint("rum_untraced_pages_total", L("dir", "read"), o.untraced.Reads())
 	e.Uint("rum_untraced_pages_total", L("dir", "write"), o.untraced.Writes())
 
-	e.Family("rum_spans_dropped_total", "counter", "Spans discarded after the retention cap.")
-	e.Uint("rum_spans_dropped_total", nil, o.dropped)
+	e.Counter("rum_spans_dropped_total", "Spans discarded after the retention cap.", o.dropped)
 
 	keys := o.HistKeys()
 

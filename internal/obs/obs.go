@@ -107,6 +107,9 @@ func (c *PageCounts) Merge(o PageCounts) {
 	c.BatchedPages += o.BatchedPages
 }
 
+// add counts one storage event — the one place in the repository a
+// storage.Event becomes a counter, shared by the Observer's span and total
+// ledgers and by every serving shard's PhaseRecorder.
 func (c *PageCounts) add(ev storage.Event, class rum.Class, cost uint64) {
 	switch ev {
 	case storage.EvFault, storage.EvTorn, storage.EvCrash:
@@ -150,6 +153,47 @@ func (c *PageCounts) add(ev storage.Event, class rum.Class, cost uint64) {
 	case storage.EvRetry:
 		c.Retries++
 	}
+}
+
+// addBatch counts one amortized batch submission; its per-page events
+// arrive through add first (the BatchHook contract).
+func (c *PageCounts) addBatch(pages int) {
+	c.Batches++
+	c.BatchedPages += uint64(pages)
+}
+
+// ledger returns the newest sample's merged storage-event ledger.
+func (r *Rolling) ledger() PageCounts {
+	if ph := r.newest().Phases; ph != nil {
+		return ph.Pages
+	}
+	return PageCounts{}
+}
+
+// StorageSource is the storage-event plane: device page operations and
+// fault-path events from the newest sample's merged shard ledgers.
+func (r *Rolling) StorageSource() Source {
+	return SourceFunc(func(e *Encoder) {
+		c := r.ledger()
+		e.Family("rum_live_pages_total", "counter", "Device page operations across all shards, by direction.")
+		e.Uint("rum_live_pages_total", L("dir", "read"), c.Reads())
+		e.Uint("rum_live_pages_total", L("dir", "write"), c.Writes())
+		e.Family("rum_fault_events_total", "counter", "Fault-path events across all shards: injected faults, torn writes, crash points, retry attempts.")
+		e.Uint("rum_fault_events_total", L("event", "fault"), c.Faults)
+		e.Uint("rum_fault_events_total", L("event", "torn"), c.TornWrites)
+		e.Uint("rum_fault_events_total", L("event", "crash"), c.Crashes)
+		e.Uint("rum_fault_events_total", L("event", "retry"), c.Retries)
+	})
+}
+
+// BatchSource is the batched-I/O plane of a multi-queue medium: how much of
+// the device traffic StorageSource counts was submitted in amortized batches.
+func (r *Rolling) BatchSource() Source {
+	return SourceFunc(func(e *Encoder) {
+		c := r.ledger()
+		e.Counter("rum_live_batch_submissions_total", "Amortized batch submissions across all shards.", c.Batches)
+		e.Counter("rum_live_batched_pages_total", "Pages carried by amortized batch submissions across all shards.", c.BatchedPages)
+	})
 }
 
 // Span is the record of one traced logical operation: the rum.Meter delta it
@@ -325,14 +369,11 @@ func (o *Observer) StorageEvent(ev storage.Event, _ storage.PageID, class rum.Cl
 // (the BatchHook contract), so totals already hold its traffic and cost —
 // this records only the submission shape (count and pages carried).
 func (o *Observer) StorageBatch(_ bool, pages, _ int, _ uint64) {
-	o.total.Batches++
-	o.total.BatchedPages += uint64(pages)
+	o.total.addBatch(pages)
 	if o.depth > 0 {
-		o.pages.Batches++
-		o.pages.BatchedPages += uint64(pages)
+		o.pages.addBatch(pages)
 	} else {
-		o.untraced.Batches++
-		o.untraced.BatchedPages += uint64(pages)
+		o.untraced.addBatch(pages)
 	}
 }
 

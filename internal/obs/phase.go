@@ -42,19 +42,24 @@ const exemplarTTL = time.Minute
 // compatible with the rolling-window plane), a batch-size histogram (ops
 // per mailbox message), and one exemplar per service bucket.
 //
-// PhaseRecorder also implements storage.Hook. When the shard's builder
-// threads it into the storage stack (methods.Options.Hook, possibly behind
-// a tee), the pages/faults/retries charged between BeginOpWork and OpWork
-// are attributed to the operation in flight; unwired, those counts stay
-// zero and traces carry meter-derived byte counts only.
+// PhaseRecorder is also the shard's storage-event ledger: a
+// storage.BatchHook that, threaded into the shard's storage stack
+// (methods.Options.Hook), lands every device, pool, and fault-path event in
+// one cumulative PageCounts — the Observer's counter switch — published with
+// every Snapshot. The pages/faults/retries charged between BeginOpWork and
+// OpWork are the operation in flight's, as differences against three
+// baseline words; unwired, the ledger stays zero and traces carry
+// meter-derived byte counts only.
 type PhaseRecorder struct {
 	queue   *Histogram
 	service *Histogram
 	batch   *Histogram
 	ex      []Exemplar // one slot per service bucket; Total==0 means empty
 
-	// In-flight op device work, fed by StorageEvent.
-	pages, faults, retries uint64
+	// pages is the cumulative storage-event ledger; the base words are its
+	// touched-pages, fault, and retry counts when the in-flight op began.
+	pages                              PageCounts
+	basePages, baseFaults, baseRetries uint64
 }
 
 // batchBuckets covers 1 .. 2^15 operations per mailbox message.
@@ -70,25 +75,25 @@ func NewPhaseRecorder() *PhaseRecorder {
 	}
 }
 
-// StorageEvent implements storage.Hook: device and fault-path events are
-// charged to the operation currently in flight.
-func (r *PhaseRecorder) StorageEvent(ev storage.Event, _ storage.PageID, _ rum.Class, _ uint64) {
-	switch ev {
-	case storage.EvRead, storage.EvWrite:
-		r.pages++
-	case storage.EvFault, storage.EvTorn:
-		r.faults++
-	case storage.EvRetry:
-		r.retries++
-	}
+// StorageEvent implements storage.Hook: the event joins the shard's ledger,
+// and through it the operation currently in flight.
+func (r *PhaseRecorder) StorageEvent(ev storage.Event, _ storage.PageID, class rum.Class, cost uint64) {
+	r.pages.add(ev, class, cost)
 }
 
-// BeginOpWork zeroes the device-work counters for the next operation.
-func (r *PhaseRecorder) BeginOpWork() { r.pages, r.faults, r.retries = 0, 0, 0 }
+// StorageBatch implements storage.BatchHook: one amortized submission whose
+// per-page events already arrived through StorageEvent.
+func (r *PhaseRecorder) StorageBatch(_ bool, pages, _ int, _ uint64) { r.pages.addBatch(pages) }
 
-// OpWork returns the device work charged since BeginOpWork.
+// BeginOpWork marks the ledger's position for the next operation.
+func (r *PhaseRecorder) BeginOpWork() {
+	r.basePages, r.baseFaults, r.baseRetries = r.pages.Touched(), r.pages.Faults, r.pages.Retries
+}
+
+// OpWork returns the device work charged since BeginOpWork: device pages
+// touched, faults (torn writes included), and pool retry attempts.
 func (r *PhaseRecorder) OpWork() (pages, faults, retries uint64) {
-	return r.pages, r.faults, r.retries
+	return r.pages.Touched() - r.basePages, r.pages.Faults - r.baseFaults, r.pages.Retries - r.baseRetries
 }
 
 // RecordBatch counts one mailbox message carrying n operations.
@@ -123,6 +128,10 @@ type PhaseSnapshot struct {
 	Batch   *Histogram
 	// Exemplars holds the occupied service-bucket exemplars, bucket order.
 	Exemplars []Exemplar
+	// Pages is the recorder's cumulative storage-event ledger (zero when the
+	// recorder was not wired into a storage stack). Device reads and writes
+	// in it reconcile exactly with the shard meter's physical bytes.
+	Pages PageCounts
 }
 
 // Snapshot clones the recorder's state. Called by the owning shard
@@ -132,6 +141,7 @@ func (r *PhaseRecorder) Snapshot() *PhaseSnapshot {
 		Queue:   r.queue.Clone(),
 		Service: r.service.Clone(),
 		Batch:   r.batch.Clone(),
+		Pages:   r.pages,
 	}
 	for _, e := range r.ex {
 		if e.Total != 0 {
@@ -141,8 +151,8 @@ func (r *PhaseRecorder) Snapshot() *PhaseSnapshot {
 	return s
 }
 
-// Merge folds o into s: histograms merge bucket-wise; per bucket the worse
-// (larger-total) exemplar wins. Merging per-shard snapshots taken at one
+// Merge folds o into s: histograms merge bucket-wise, storage-event ledgers
+// add; per bucket the worse (larger-total) exemplar wins. Merging per-shard snapshots taken at one
 // sampling instant yields the server-wide phase state at that instant.
 func (s *PhaseSnapshot) Merge(o *PhaseSnapshot) {
 	if o == nil {
@@ -151,18 +161,18 @@ func (s *PhaseSnapshot) Merge(o *PhaseSnapshot) {
 	s.Queue.Merge(o.Queue)
 	s.Service.Merge(o.Service)
 	s.Batch.Merge(o.Batch)
-	byBucket := make(map[int]Exemplar, len(s.Exemplars)+len(o.Exemplars))
-	for _, e := range s.Exemplars {
-		byBucket[e.Bucket] = e
-	}
-	for _, e := range o.Exemplars {
-		if cur, ok := byBucket[e.Bucket]; !ok || e.Total > cur.Total {
-			byBucket[e.Bucket] = e
+	s.Pages.Merge(o.Pages)
+	var best [latencyBuckets + 1]Exemplar // Total == 0 marks an empty slot
+	for _, es := range [][]Exemplar{s.Exemplars, o.Exemplars} {
+		for _, e := range es {
+			if e.Total > best[e.Bucket].Total {
+				best[e.Bucket] = e
+			}
 		}
 	}
 	s.Exemplars = s.Exemplars[:0]
-	for b := 0; b <= latencyBuckets; b++ {
-		if e, ok := byBucket[b]; ok {
+	for _, e := range best {
+		if e.Total != 0 {
 			s.Exemplars = append(s.Exemplars, e)
 		}
 	}
@@ -178,5 +188,32 @@ func (s *PhaseSnapshot) Clone() *PhaseSnapshot {
 		Service:   s.Service.Clone(),
 		Batch:     s.Batch.Clone(),
 		Exemplars: append([]Exemplar(nil), s.Exemplars...),
+		Pages:     s.Pages,
 	}
+}
+
+// PhaseSource is the latency plane at the newest sample: the clients'
+// per-batch latency histogram, the per-op queue-wait and service-time
+// histograms (base-unit seconds from the same nanosecond buckets; service
+// buckets carry exemplars, the worst recent op that landed in each), the
+// batch-size histogram, and mailbox depths. The lifecycle families appear
+// with the first traced sample.
+func (r *Rolling) PhaseSource() Source {
+	return SourceFunc(func(e *Encoder) {
+		last := r.newest()
+		e.Family("rum_request_latency_ns", "histogram", "Per-batch request latency in nanoseconds (power-of-two buckets).")
+		e.Histo("rum_request_latency_ns", nil, last.Latency)
+		if ph := last.Phases; ph != nil {
+			e.Family("rum_queue_wait_seconds", "histogram", "Per-op mailbox queue wait (enqueue to execution start) in seconds.")
+			e.HistoScaled("rum_queue_wait_seconds", nil, ph.Queue, 1e-9, nil)
+			e.Family("rum_service_seconds", "histogram", "Per-op service time (execution only) in seconds; bucket exemplars carry the worst recent op.")
+			e.HistoScaled("rum_service_seconds", nil, ph.Service, 1e-9, ph.Exemplars)
+			e.Family("rum_batch_size", "histogram", "Operations carried per mailbox message.")
+			e.Histo("rum_batch_size", nil, ph.Batch)
+		}
+		e.Family("rum_mailbox_depth", "gauge", "Mailbox occupancy in messages, per shard.")
+		for i, depth := range last.MailboxDepth {
+			e.Uint("rum_mailbox_depth", shardLabel(i), uint64(depth))
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,6 +45,14 @@ type SlowTrace struct {
 	Pages      uint64 `json:"pages"`
 	Faults     uint64 `json:"faults"`
 	Retries    uint64 `json:"retries"`
+}
+
+// String renders the trace's one-line report form.
+func (t SlowTrace) String() string {
+	return fmt.Sprintf("%-6s key=%-20d shard=%d total=%-10v queue=%-10v service=%-10v pages=%d faults=%d",
+		t.Op, t.Key, t.Shard, t.Total.Round(time.Microsecond),
+		t.Queue.Round(time.Microsecond), t.Service.Round(time.Microsecond),
+		t.Pages, t.Faults)
 }
 
 // SlowLog retains the K slowest recent traces. Offer may be called

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -17,9 +18,10 @@ import (
 // compaction wave shows up as a UO spike in the window long before it moves
 // the cumulative ratio.
 
-// ShardPoint is one shard's ledger at a sampling instant — the live
-// equivalent of a serve.ShardReport, kept serve-agnostic so obs does not
-// import the serving layer.
+// ShardPoint is one shard's ledger at a sampling instant. It is the numeric
+// core of a serve.ShardReport, which embeds it — defined here so obs does not
+// import the serving layer, and so a sampler appends the report's ShardPoint
+// to a WindowPoint without copying a field.
 type ShardPoint struct {
 	Shard int          `json:"shard"`
 	Ops   uint64       `json:"ops"`
@@ -34,9 +36,9 @@ type ShardPoint struct {
 	WAL *WALPoint `json:"wal,omitempty"`
 }
 
-// WALPoint mirrors a write-ahead-logged shard's durability counters
-// (wal.Stats plus the committed watermark), kept structure-agnostic the same
-// way ShardPoint mirrors serve.ShardReport.
+// WALPoint is a write-ahead-logged shard's durability counters (wal.Stats
+// plus the committed watermark), kept structure-agnostic so obs does not
+// import the log.
 type WALPoint struct {
 	// Committed is the records durably group-committed so far — the
 	// watermark the DurableToCommit contract promises back after a crash.
@@ -60,6 +62,20 @@ type WALPoint struct {
 	OverlayRecords int `json:"overlay_records"`
 }
 
+// Add folds o into w, counter by counter: shards' logs are disjoint, so the
+// sum is the server-wide durability ledger.
+func (w *WALPoint) Add(o WALPoint) {
+	w.Committed += o.Committed
+	w.Commits += o.Commits
+	w.Syncs += o.Syncs
+	w.Checkpoints += o.Checkpoints
+	w.LogPagesWritten += o.LogPagesWritten
+	w.LogBytesWritten += o.LogBytesWritten
+	w.PagesRecycled += o.PagesRecycled
+	w.LiveLogPages += o.LiveLogPages
+	w.OverlayRecords += o.OverlayRecords
+}
+
 // WindowPoint is one instant of a live system: a timestamp, every shard's
 // cumulative ledger, and (optionally) the cumulative latency histogram at
 // that instant. Points are immutable once published to a Rolling ring —
@@ -75,6 +91,14 @@ type WindowPoint struct {
 	// Workload is the merged per-shard workload fingerprint at this instant
 	// (mix/skew/working-set/drift); nil when fingerprinting is disabled.
 	Workload *WorkloadSnapshot
+	// Readers is the number of MVCC bypass readers executing on client
+	// goroutines at this instant, SnapReads the requests served off
+	// snapshots so far; both zero when snapshot serving is off.
+	Readers   int
+	SnapReads uint64
+	// MailboxDepth is each shard's mailbox occupancy in messages at this
+	// instant, in shard order.
+	MailboxDepth []int
 }
 
 // Totals aggregates the point's shards: summed meter, summed size, total
@@ -284,11 +308,14 @@ func shardBalance(p0, p1 *WindowPoint) float64 {
 
 // Window derives WindowStats over (approximately) the last w of wall time:
 // the newest retained point versus the oldest retained point no older than
-// w before it. A non-positive w is rejected (ok false) — it would silently
-// degenerate to the newest pair, which is a different measurement than the
-// caller asked for. With fewer than two points there is no window and ok is
-// false. The ring's capacity bounds how far back a window can reach — size
-// rings as capacity ≥ w / sampling interval.
+// w before it. When no retained point lies inside the window — a sampler
+// stalled for longer than w behind a shard's long compaction — the stats
+// span the newest pair, never the whole ring. A non-positive w is rejected
+// (ok false) — it would silently degenerate to the newest pair, which is a
+// different measurement than the caller asked for. With fewer than two
+// points there is no window and ok is false. The ring's capacity bounds how
+// far back a window can reach — size rings as capacity ≥ w / sampling
+// interval.
 func (r *Rolling) Window(w time.Duration) (stats WindowStats, ok bool) {
 	if w <= 0 {
 		return WindowStats{}, false
@@ -299,15 +326,100 @@ func (r *Rolling) Window(w time.Duration) (stats WindowStats, ok bool) {
 	}
 	p1 := pts[len(pts)-1]
 	cutoff := p1.At.Add(-w)
-	p0 := pts[0]
-	for _, p := range pts[:len(pts)-1] {
+	p0 := pts[len(pts)-2]
+	for _, p := range pts[:len(pts)-2] {
 		if !p.At.Before(cutoff) {
 			p0 = p
 			break
 		}
 	}
-	if p0 == p1 || !p1.At.After(p0.At) {
-		p0 = pts[len(pts)-2]
-	}
 	return StatsBetween(p0, p1), true
+}
+
+// The live telemetry planes. Each plane of a daemon's /metrics scrape is a
+// Source over the ring that owns its families, defined beside the type it
+// renders: the core RUM gauges and the durability plane here, the workload
+// plane in workload.go, the latency histograms in phase.go, the
+// storage-event counters in obs.go. A source reads nothing but the ring, so
+// every series of one scrape describes the same sampling instant and no
+// scrape touches a shard. A daemon registers the planes whose feature is on,
+// in rendering order; an unregistered plane contributes no family.
+
+// newest returns the newest point, or an empty one before the first sample:
+// a plane then renders its families with zero values and no per-shard rows
+// instead of branching on a nil point.
+func (r *Rolling) newest() *WindowPoint {
+	if last := r.Last(); last != nil {
+		return last
+	}
+	return &WindowPoint{Latency: NewLatencyHistogram()}
+}
+
+// shardLabel is the {shard="i"} label of a per-shard series.
+func shardLabel(shard int) []Label { return L("shard", strconv.Itoa(shard)) }
+
+// RUMSource is the core plane: the cumulative RUM point and request totals
+// of the newest sample, the rolling-window rates and quantiles over the last
+// window of wall time, per-shard op counters, and the MVCC read-path gauges.
+func (r *Rolling) RUMSource(window time.Duration) Source {
+	return SourceFunc(func(e *Encoder) {
+		last := r.newest()
+		m, sz, ops, records := last.Totals()
+		e.Counter("rum_requests_total", "Requests executed by the shards, from the newest snapshot.", ops)
+		e.GaugeUint("rum_records", "Records live across all shards.", uint64(records))
+		e.Gauge("rum_ro", "Cumulative read amplification (physical read bytes per logical read byte).", m.ReadAmplification())
+		e.Gauge("rum_uo", "Cumulative write amplification (physical written bytes per logical written byte).", m.WriteAmplification())
+		e.Gauge("rum_mo", "Space amplification at the newest snapshot (stored bytes per base byte).", sz.SpaceAmplification())
+
+		st, ok := r.Window(window)
+		if !ok {
+			st.Balance = 1 // no window yet: balanced by absence of evidence
+		}
+		e.Gauge("rum_window_seconds", "Actual span of the rolling window behind the _window gauges.", st.Span.Seconds())
+		e.Gauge("rum_ro_window", "Read amplification of the traffic inside the rolling window alone.", st.RO)
+		e.Gauge("rum_uo_window", "Write amplification of the traffic inside the rolling window alone.", st.UO)
+		e.Gauge("rum_mo_window", "Space amplification at the window's newest instant.", st.MO)
+		e.Gauge("rum_window_ops_per_sec", "Request throughput over the rolling window.", st.OpsPerSec)
+		e.Gauge("rum_window_read_bytes_per_op", "Physical bytes read per request over the rolling window.", st.ReadBytesPerOp)
+		e.Gauge("rum_window_write_bytes_per_op", "Physical bytes written per request over the rolling window.", st.WriteBytesPerOp)
+		e.Gauge("rum_window_p50_ns", "Median batch latency of requests completed inside the rolling window.", float64(st.P50))
+		e.Gauge("rum_window_p99_ns", "p99 batch latency of requests completed inside the rolling window.", float64(st.P99))
+		e.Gauge("rum_window_queue_p99_seconds", "p99 mailbox queue wait of ops executed inside the rolling window.", st.QueueP99.Seconds())
+		e.Gauge("rum_window_service_p99_seconds", "p99 service time of ops executed inside the rolling window.", st.ServiceP99.Seconds())
+		e.Gauge("rum_shard_balance", "min/max per-shard ops inside the rolling window (1 = even).", st.Balance)
+
+		e.Family("rum_shard_ops_total", "counter", "Requests executed per shard, from the newest snapshot.")
+		for _, s := range last.Shards {
+			e.Uint("rum_shard_ops_total", shardLabel(s.Shard), s.Ops)
+		}
+		e.Family("rum_snapshot_versions", "gauge", "Retained MVCC snapshot versions per shard (0 when snapshot serving is off).")
+		for _, s := range last.Shards {
+			e.Uint("rum_snapshot_versions", shardLabel(s.Shard), uint64(s.SnapVersions))
+		}
+		e.GaugeUint("rum_reader_concurrency", "Snapshot bypass readers executing right now on client goroutines.", uint64(last.Readers))
+		e.Counter("rum_snapshot_reads_total", "Requests served from MVCC snapshots, bypassing the shard mailbox.", last.SnapReads)
+	})
+}
+
+// WALSource is the durability plane of a write-ahead-logged server: the
+// shards' log ledgers summed at the newest sample.
+func (r *Rolling) WALSource() Source {
+	return SourceFunc(func(e *Encoder) {
+		var w WALPoint
+		for _, s := range r.newest().Shards {
+			if s.WAL != nil {
+				w.Add(*s.WAL)
+			}
+		}
+		e.Counter("rum_wal_committed_total", "Records durably group-committed across all shards (the DurableToCommit watermark).", w.Committed)
+		e.Counter("rum_wal_commits_total", "Group commits across all shards.", w.Commits)
+		e.Counter("rum_wal_syncs_total", "Simulated log syncs across all shards (one per commit, one per checkpoint record).", w.Syncs)
+		e.Counter("rum_wal_checkpoints_total", "Completed checkpoints across all shards.", w.Checkpoints)
+		e.Family("rum_wal_log_pages_total", "counter", "Log pages across all shards, by disposition.")
+		e.Uint("rum_wal_log_pages_total", L("event", "written"), w.LogPagesWritten)
+		e.Uint("rum_wal_log_pages_total", L("event", "recycled"), w.PagesRecycled)
+		e.Counter("rum_wal_log_bytes_total", "Log bytes appended across all shards (headers and payload, not page slack).", w.LogBytesWritten)
+		e.GaugeUint("rum_wal_live_log_pages", "Log pages not yet recycled, across all shards.", uint64(w.LiveLogPages))
+		e.GaugeUint("rum_wal_overlay_records", "Logged records not yet absorbed into the structures by a checkpoint.", uint64(w.OverlayRecords))
+	})
 }

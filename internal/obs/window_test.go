@@ -136,6 +136,19 @@ func TestWindowPicksCutoff(t *testing.T) {
 	if st.Span != 10*time.Second || st.Ops != 1000 {
 		t.Fatalf("clamped Span=%v Ops=%d, want 10s / 1000", st.Span, st.Ops)
 	}
+	// A sampler stall: five points 1s apart, then nothing for 60s (a shard
+	// blocked in a long compaction holds Snapshot). No retained point lies
+	// inside a 10s window, so the stats span the nearest pair — not the
+	// whole ring back to the oldest point.
+	stalled := obs.NewRolling(16)
+	for i := 0; i < 5; i++ {
+		stalled.Push(point(t0, float64(i), 1, uint64(i)*10, 0, 0, 0, nil))
+	}
+	stalled.Push(point(t0, 64, 1, 1000, 0, 0, 0, nil))
+	st, ok = stalled.Window(10 * time.Second)
+	if !ok || st.Span != 60*time.Second || st.Ops != 960 {
+		t.Fatalf("stalled Span=%v Ops=%d ok=%v, want the nearest pair: 1m0s / 960", st.Span, st.Ops, ok)
+	}
 	// One point only: no window.
 	one := obs.NewRolling(4)
 	one.Push(point(t0, 0, 1, 0, 0, 0, 0, nil))

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/approx"
 	"repro/internal/sketch"
@@ -570,4 +572,68 @@ func mergeEvents(a, b []DriftEvent) []DriftEvent {
 		}
 	}
 	return out
+}
+
+// WorkloadReport renders the point's fingerprint and advisor lines of a
+// final report — what the traffic looked like and where the paper's cost
+// model says it would be cheaper — or "" with fingerprinting off.
+func (p *WindowPoint) WorkloadReport(current string) string {
+	w := p.Workload
+	if w == nil {
+		return ""
+	}
+	s := fmt.Sprintf("workload: %d window(s) of %d ops, %d drift event(s) latched\n",
+		w.Windows, w.WindowOps, w.DriftCount)
+	if adv, ok := p.Advise(current); ok {
+		st := w.Last.Stats()
+		s += fmt.Sprintf("workload: last window mix g/i/u/d/s %.2f/%.2f/%.2f/%.2f/%.2f, hot share %.2f, zipf %.2f, ~%.0f distinct keys\n%s\n",
+			st.Get, st.Insert, st.Update, st.Delete, st.Scan, st.HotShare, st.ZipfSlope, st.Distinct, adv)
+	}
+	return s
+}
+
+// WorkloadSource is the workload plane over the newest sample's merged
+// snapshot: cumulative op and drift-event counters, the last completed
+// window's mix, skew, and working-set gauges (from the first rotation), and
+// the advisor's verdict for it with method as the running configuration.
+func (r *Rolling) WorkloadSource(method string) Source {
+	return SourceFunc(func(e *Encoder) {
+		p := r.newest()
+		w := p.Workload
+		if w == nil {
+			w = &WorkloadSnapshot{}
+		}
+		e.Counter("rum_workload_windows_total", "Completed fingerprint windows across all shards.", w.Windows)
+		e.GaugeUint("rum_workload_window_ops", "Configured ops per fingerprint window (per shard).", w.WindowOps)
+		e.Family("rum_workload_ops_total", "counter", "Fingerprinted operations by kind, cumulative.")
+		for op := WorkloadOp(0); op < NumWorkloadOps; op++ {
+			e.Uint("rum_workload_ops_total", L("op", op.String()), w.Cum[op])
+		}
+		if last := w.Last; last != nil {
+			st := last.Stats()
+			e.Family("rum_workload_mix", "gauge", "Operation-mix fraction of the last completed fingerprint window.")
+			for op := WorkloadOp(0); op < NumWorkloadOps; op++ {
+				e.Float("rum_workload_mix", L("op", op.String()), last.MixFrac(op))
+			}
+			e.Gauge("rum_workload_hot_share", "Fraction of last-window keyed ops on the heavy-hitter set.", st.HotShare)
+			e.Gauge("rum_workload_zipf_slope", "Estimated key-skew exponent of the last window's heavy hitters.", st.ZipfSlope)
+			e.Gauge("rum_workload_distinct_keys", "Estimated working-set cardinality of the last window.", st.Distinct)
+			e.Family("rum_workload_hot_key_ops", "gauge", "Estimated op count of the last window's heavy hitters (exemplar keys).")
+			for rank, h := range last.Hot {
+				e.Uint("rum_workload_hot_key_ops",
+					L("rank", strconv.Itoa(rank), "key", strconv.FormatUint(h.Key, 10)), h.Count)
+			}
+		}
+		if w.CumScanRows != nil {
+			e.Family("rum_workload_scan_rows", "histogram", "Rows returned per range scan, cumulative.")
+			e.Histo("rum_workload_scan_rows", nil, w.CumScanRows)
+		}
+		e.Gauge("rum_workload_drift_score", "Distance between the two newest fingerprint windows (max across shards).", w.Drift)
+		e.Counter("rum_workload_drift_events_total", "Workload drift events latched across all shards.", w.DriftCount)
+		if adv, ok := p.Advise(method); ok {
+			e.Gauge("rum_workload_advice_delta", "Predicted per-op page-access saving of moving to the advisor's pick (0 = best placed).", adv.Delta)
+			e.Family("rum_workload_advice", "gauge", "Advisor verdict for the last window: current and advised configuration as labels.")
+			e.Uint("rum_workload_advice", L("current", adv.Current.Config, "advised", adv.Best.Config), 1)
+		}
+	})
 }

@@ -241,27 +241,22 @@ func (c *completion) finish() {
 	}
 }
 
-// ShardReport is one shard's final ledger, published at Stop: the structure
-// it served, how many requests it executed, and its meter, size, and record
-// count at shutdown.
+// ShardReport is one shard's ledger, answered to a live Snapshot and
+// published at Stop. Its numeric core — shard id, requests executed (Ops,
+// bypassed snapshot reads included), meter, size, record count (Len),
+// retained snapshot versions (SnapVersions), and the write-ahead-log ledger
+// (WAL, nil when the structure is not logged) — is the embedded
+// obs.ShardPoint, read on the shard goroutine and appended as-is to the live
+// telemetry ring.
 type ShardReport struct {
-	Shard int
-	Name  string
-	Ops   uint64
-	Meter rum.Meter
-	Size  rum.SizeInfo
-	Len   int
+	obs.ShardPoint
+	// Name is the structure the shard serves.
+	Name string
 	// Phases is the shard's lifecycle decomposition (queue/service/batch
-	// histograms and exemplars) — nil when tracing is disabled, and nil in
-	// the report of a shard that died mid-run: a dead shard publishes its
-	// error, never partial phase records.
+	// histograms, exemplars, and the storage-event ledger) — nil when tracing
+	// is disabled, and nil in the report of a shard that died mid-run: a dead
+	// shard publishes its error, never partial phase records.
 	Phases *obs.PhaseSnapshot
-	// SnapVersions is the structure's retained snapshot version count at
-	// report time (0 when the MVCC read path is off or unsupported).
-	SnapVersions int
-	// WAL is the structure's write-ahead-log ledger (nil when it is not
-	// logged), read on the shard goroutine like every other ledger field.
-	WAL *obs.WALPoint
 	// Workload is the shard's workload fingerprint snapshot (mix, skew,
 	// working set, drift events) — nil when fingerprinting is disabled, and
 	// nil in a dead shard's report.
@@ -432,14 +427,16 @@ func (s *Server) runShard(sh *shard) {
 // so the -tags racecheck assertions hold and no lock shadows the hot path.
 func (sh *shard) ledger(am *core.Instrumented) ShardReport {
 	rep := ShardReport{
-		Shard:        sh.id,
-		Name:         am.Name(),
-		Ops:          sh.ops + sh.bypassOps.Load(),
-		Meter:        sh.ledgerMeter(am),
-		Size:         am.Size(),
-		Len:          am.Len(),
-		SnapVersions: sh.snapVersions,
-		WAL:          walLedger(am),
+		ShardPoint: obs.ShardPoint{
+			Shard:        sh.id,
+			Ops:          sh.ops + sh.bypassOps.Load(),
+			Meter:        sh.ledgerMeter(am),
+			Size:         am.Size(),
+			Len:          am.Len(),
+			SnapVersions: sh.snapVersions,
+			WAL:          walLedger(am),
+		},
+		Name: am.Name(),
 	}
 	if sh.rec != nil {
 		rep.Phases = sh.rec.Snapshot()
@@ -862,8 +859,8 @@ func (s *Server) Stop() ([]ShardReport, error) {
 	return reports, err
 }
 
-// walLedger mirrors the structure's log counters into an obs.WALPoint when
-// it is write-ahead logged; nil for every other structure.
+// walLedger reads the structure's log counters into an obs.WALPoint when it
+// is write-ahead logged; nil for every other structure.
 func walLedger(am *core.Instrumented) *obs.WALPoint {
 	lg, ok := am.Unwrap().(*wal.Logged)
 	if !ok {
