@@ -45,9 +45,12 @@ benchmarks:
 
 ## bench: the hot-path comparisons quoted in PR descriptions — the obs tap
 ## (nil-hook must stay allocation-free and within noise of untraced), the
-## buffer pool's evicting miss (0 allocs/op), and the lsm L1→L2 spill.
+## serving taps (Do quiet vs traced vs fingerprinted: ROADMAP item 1's
+## overhead budget, same allocs/op on all three), the buffer pool's evicting
+## miss (0 allocs/op), and the lsm L1→L2 spill.
 bench:
 	$(GO) test ./internal/obs -bench BenchmarkInstrumentedGet -benchtime=2s -run '^$$'
+	$(GO) test ./internal/serve -bench '^BenchmarkDo(Traced|Fingerprinted)?$$' -benchmem -benchtime=2s -run '^$$'
 	$(GO) test ./internal/storage -bench BenchmarkFetchMiss -benchtime=2s -run '^$$'
 	$(GO) test ./internal/lsm -bench BenchmarkCompactionSpill -benchtime=2s -run '^$$'
 

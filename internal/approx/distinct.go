@@ -1,6 +1,9 @@
 package approx
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Distinct is a HyperLogLog-style distinct-key estimator (Flajolet et al.,
 // AofA 2007): m registers, each remembering the longest run of leading zeros
@@ -57,11 +60,7 @@ func (d *Distinct) Add(key uint64) {
 	h := distinctHash(key)
 	idx := h >> (64 - d.p)
 	rest := h<<d.p | 1<<(uint(d.p)-1) // low bits, sentinel caps the run length
-	rank := uint8(1)
-	for rest&(1<<63) == 0 {
-		rank++
-		rest <<= 1
-	}
+	rank := uint8(bits.LeadingZeros64(rest)) + 1
 	if rank > d.regs[idx] {
 		d.regs[idx] = rank
 	}

@@ -93,3 +93,39 @@ func TestDistinctPrecisionClamp(t *testing.T) {
 	}()
 	NewDistinct(4).Merge(NewDistinct(8))
 }
+
+// TestDistinctRankMatchesBitLoop pins Add's leading-zero count to the
+// bit-at-a-time loop it replaced: same registers at every precision, for
+// scattered keys and for the small sequential ones the serving layer sees.
+func TestDistinctRankMatchesBitLoop(t *testing.T) {
+	loopAdd := func(regs []uint8, p uint8, h uint64) {
+		idx := h >> (64 - p)
+		rest := h<<p | 1<<(uint(p)-1)
+		rank := uint8(1)
+		for rest&(1<<63) == 0 {
+			rank++
+			rest <<= 1
+		}
+		if rank > regs[idx] {
+			regs[idx] = rank
+		}
+	}
+	rng := rand.New(rand.NewSource(4))
+	for p := 4; p <= 16; p++ {
+		d := NewDistinct(p)
+		want := make([]uint8, 1<<p)
+		for i := 0; i < 20000; i++ {
+			k := rng.Uint64()
+			if i%4 == 0 {
+				k = uint64(i)
+			}
+			d.Add(k)
+			loopAdd(want, uint8(p), distinctHash(k))
+		}
+		for i := range want {
+			if d.regs[i] != want[i] {
+				t.Fatalf("p=%d register %d: %d, bit loop gives %d", p, i, d.regs[i], want[i])
+			}
+		}
+	}
+}

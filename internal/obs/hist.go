@@ -1,17 +1,22 @@
 package obs
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Histogram is a fixed-bucket (HDR-style) histogram: values are counted
-// against a static, monotonically increasing list of upper bounds, so
-// recording is a branch-free binary search and an increment, and quantiles
-// are answered with bounded relative error (one bucket width) without
-// retaining samples. The zero bucket layout used throughout this package is
-// powers of two, which matches the log-scale nature of amplification
-// factors and page counts.
+// against a static, monotonically increasing list of upper bounds, and
+// quantiles are answered with bounded relative error (one bucket width)
+// without retaining samples. The bucket layout used throughout this package
+// is powers of two, which matches the log-scale nature of amplification
+// factors, page counts and latencies; NewHistogram recognizes it from the
+// bounds, and finding a value's bucket is then one bit-length instruction.
+// Any other layout is searched by bisection.
 type Histogram struct {
 	bounds []float64 // inclusive upper bounds; an implicit +Inf bucket follows
 	counts []uint64  // len(bounds)+1
+	pow2   bool      // bounds are exactly 1, 2, 4, … 2^(len-1)
 	n      uint64
 	sum    float64
 	max    float64
@@ -31,7 +36,20 @@ func PowerOfTwoBounds(n int) []float64 {
 // NewHistogram creates a histogram over the given inclusive upper bounds,
 // which must be sorted ascending.
 func NewHistogram(bounds []float64) *Histogram {
-	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
+	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1), pow2: isPowerOfTwoLayout(bounds)}
+}
+
+// isPowerOfTwoLayout reports whether bounds is PowerOfTwoBounds(len(bounds)).
+func isPowerOfTwoLayout(bounds []float64) bool {
+	if len(bounds) == 0 || len(bounds) > 63 {
+		return false
+	}
+	for i, b := range bounds {
+		if b != float64(uint64(1)<<i) {
+			return false
+		}
+	}
+	return true
 }
 
 // Record counts one observation of v.
@@ -39,6 +57,11 @@ func (h *Histogram) Record(v float64) {
 	if math.IsNaN(v) {
 		return
 	}
+	h.record(v)
+}
+
+// record counts v, which is not NaN, and returns the bucket that counted it.
+func (h *Histogram) record(v float64) int {
 	h.n++
 	if !math.IsInf(v, 1) {
 		h.sum += v
@@ -46,16 +69,9 @@ func (h *Histogram) Record(v float64) {
 	if v > h.max {
 		h.max = v
 	}
-	lo, hi := 0, len(h.bounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if v <= h.bounds[mid] {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	h.counts[lo]++
+	b := h.BucketIndex(v)
+	h.counts[b]++
+	return b
 }
 
 // Merge folds o's observations into h. Both histograms must share the same
@@ -82,6 +98,7 @@ func (h *Histogram) Merge(o *Histogram) {
 func (h *Histogram) Clone() *Histogram {
 	c := &Histogram{
 		bounds: h.bounds, // bounds are immutable after construction
+		pow2:   h.pow2,
 		counts: make([]uint64, len(h.counts)),
 		n:      h.n,
 		sum:    h.sum,
@@ -89,6 +106,13 @@ func (h *Histogram) Clone() *Histogram {
 	}
 	copy(c.counts, h.counts)
 	return c
+}
+
+// reset empties h in place, keeping its layout — the rotation primitive of a
+// windowed histogram.
+func (h *Histogram) reset() {
+	clear(h.counts)
+	h.n, h.sum, h.max = 0, 0, 0
 }
 
 // Diff returns the observations recorded in h since the earlier snapshot
@@ -102,6 +126,7 @@ func (h *Histogram) Diff(prev *Histogram) *Histogram {
 	}
 	d := &Histogram{
 		bounds: h.bounds,
+		pow2:   h.pow2,
 		counts: make([]uint64, len(h.counts)),
 		n:      h.n - prev.n,
 		sum:    h.sum - prev.sum,
@@ -156,8 +181,20 @@ func (h *Histogram) Quantile(q float64) float64 {
 }
 
 // BucketIndex returns the index of the bucket that counts v: the first
-// bound >= v, or len(bounds) for the implicit +Inf bucket.
+// bound >= v, or len(bounds) for the implicit +Inf bucket (which is also
+// where NaN lands). On the power-of-two layout that is the bit length of
+// ceil(v)-1: 2^(k-1) < v <= 2^k has k bits below it.
 func (h *Histogram) BucketIndex(v float64) int {
+	if h.pow2 {
+		switch {
+		case v <= 1:
+			return 0
+		case v <= h.bounds[len(h.bounds)-1]:
+			return bits.Len64(uint64(math.Ceil(v)) - 1)
+		default:
+			return len(h.bounds)
+		}
+	}
 	lo, hi := 0, len(h.bounds)
 	for lo < hi {
 		mid := (lo + hi) / 2

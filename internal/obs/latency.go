@@ -22,12 +22,13 @@ func NewLatencyHistogram() *Histogram {
 	return NewHistogram(PowerOfTwoBounds(latencyBuckets))
 }
 
-// RecordDuration counts one latency observation.
-func (h *Histogram) RecordDuration(d time.Duration) {
+// RecordDuration counts one latency observation (a negative one as zero) and
+// returns the bucket that counted it.
+func (h *Histogram) RecordDuration(d time.Duration) int {
 	if d < 0 {
 		d = 0
 	}
-	h.Record(float64(d.Nanoseconds()))
+	return h.record(float64(d.Nanoseconds()))
 }
 
 // QuantileDuration returns the q-quantile as a duration, with the same

@@ -85,7 +85,13 @@ func (c PageCounts) Reads() uint64 { return c.BaseReads + c.AuxReads }
 func (c PageCounts) Writes() uint64 { return c.BaseWrites + c.AuxWrites }
 
 // Touched returns the total device pages touched (reads + writes).
-func (c PageCounts) Touched() uint64 { return c.Reads() + c.Writes() }
+func (c PageCounts) Touched() uint64 { return c.touched() }
+
+// touched is Touched read in place, for the per-op path of a ledger's owner:
+// the value-receiver accessors copy the whole ledger to read four words.
+func (c *PageCounts) touched() uint64 {
+	return c.BaseReads + c.AuxReads + c.BaseWrites + c.AuxWrites
+}
 
 // Merge adds o's counters into c.
 func (c *PageCounts) Merge(o PageCounts) {

@@ -87,33 +87,39 @@ func (r *PhaseRecorder) StorageBatch(_ bool, pages, _ int, _ uint64) { r.pages.a
 
 // BeginOpWork marks the ledger's position for the next operation.
 func (r *PhaseRecorder) BeginOpWork() {
-	r.basePages, r.baseFaults, r.baseRetries = r.pages.Touched(), r.pages.Faults, r.pages.Retries
+	r.basePages, r.baseFaults, r.baseRetries = r.pages.touched(), r.pages.Faults, r.pages.Retries
 }
 
 // OpWork returns the device work charged since BeginOpWork: device pages
 // touched, faults (torn writes included), and pool retry attempts.
 func (r *PhaseRecorder) OpWork() (pages, faults, retries uint64) {
-	return r.pages.Touched() - r.basePages, r.pages.Faults - r.baseFaults, r.pages.Retries - r.baseRetries
+	return r.pages.touched() - r.basePages, r.pages.Faults - r.baseFaults, r.pages.Retries - r.baseRetries
 }
 
 // RecordBatch counts one mailbox message carrying n operations.
 func (r *PhaseRecorder) RecordBatch(n int) { r.batch.Record(float64(n)) }
 
-// Observe records one operation's decomposition and refreshes the exemplar
-// of its service bucket. The exemplar is replaced when the new op's total
-// latency is at least the incumbent's, or when the incumbent is older than
-// a minute — "worst recent", not "worst ever".
-func (r *PhaseRecorder) Observe(t SlowTrace) {
-	r.queue.RecordDuration(t.Queue)
-	r.service.RecordDuration(t.Service)
-	b := r.service.BucketIndex(float64(t.Service.Nanoseconds()))
+// ObserveOp records one operation's decomposition in the queue and service
+// histograms and reports the op's service bucket and whether the op takes
+// over that bucket's exemplar: the slot is empty, the op's total latency is
+// at least the incumbent's, or the incumbent is older than a minute — "worst
+// recent", not "worst ever". at is the op's completion instant in Unix
+// nanoseconds. Nothing here needs the op's trace: the caller assembles one
+// only for an op that was admitted, and hands it to SetExemplar.
+func (r *PhaseRecorder) ObserveOp(queue, service, total time.Duration, at int64) (bucket int, exemplar bool) {
+	r.queue.RecordDuration(queue)
+	b := r.service.RecordDuration(service)
 	cur := &r.ex[b]
-	if cur.Total == 0 || t.Total >= cur.Total || t.At.Sub(cur.At) > exemplarTTL {
-		*cur = Exemplar{
-			Bucket: b, Op: t.Op, Key: t.Key, Shard: t.Shard,
-			Queue: t.Queue, Service: t.Service, Total: t.Total,
-			Pages: t.Pages, At: t.At,
-		}
+	return b, cur.Total == 0 || total >= cur.Total || at-cur.At.UnixNano() > int64(exemplarTTL)
+}
+
+// SetExemplar makes t the exemplar of the service bucket ObserveOp admitted
+// it to.
+func (r *PhaseRecorder) SetExemplar(bucket int, t *SlowTrace) {
+	r.ex[bucket] = Exemplar{
+		Bucket: bucket, Op: t.Op, Key: t.Key, Shard: t.Shard,
+		Queue: t.Queue, Service: t.Service, Total: t.Total,
+		Pages: t.Pages, At: t.At,
 	}
 }
 

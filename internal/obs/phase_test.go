@@ -13,6 +13,14 @@ func phaseTrace(op string, key uint64, q, s time.Duration, at time.Time) obs.Slo
 	return obs.SlowTrace{At: at, Op: op, Key: key, Queue: q, Service: s, Total: q + s}
 }
 
+// observe drives one trace through the recorder the way a shard does: the
+// integer gate first, the exemplar only on admission.
+func observe(r *obs.PhaseRecorder, t obs.SlowTrace) {
+	if b, ok := r.ObserveOp(t.Queue, t.Service, t.Total, t.At.UnixNano()); ok {
+		r.SetExemplar(b, &t)
+	}
+}
+
 // TestPhaseRecorderObserve checks that observations land in the queue and
 // service histograms and that each service bucket retains its worst-total
 // operation as the exemplar.
@@ -21,10 +29,10 @@ func TestPhaseRecorderObserve(t *testing.T) {
 	base := time.Unix(100, 0)
 	// Two ops in the same service bucket (~3µs): the one with the larger
 	// total must own the exemplar.
-	r.Observe(phaseTrace("get", 1, 50*time.Microsecond, 3*time.Microsecond, base))
-	r.Observe(phaseTrace("get", 2, 1*time.Microsecond, 3*time.Microsecond, base))
+	observe(r, phaseTrace("get", 1, 50*time.Microsecond, 3*time.Microsecond, base))
+	observe(r, phaseTrace("get", 2, 1*time.Microsecond, 3*time.Microsecond, base))
 	// One op in a different bucket.
-	r.Observe(phaseTrace("insert", 3, time.Microsecond, 80*time.Microsecond, base))
+	observe(r, phaseTrace("insert", 3, time.Microsecond, 80*time.Microsecond, base))
 
 	s := r.Snapshot()
 	if s.Queue.Count() != 3 || s.Service.Count() != 3 {
@@ -42,11 +50,11 @@ func TestPhaseRecorderObserve(t *testing.T) {
 
 	// A later op in the 3µs bucket with a smaller total loses to the
 	// incumbent while it is fresh, but wins once the incumbent is stale.
-	r.Observe(phaseTrace("get", 4, time.Microsecond, 3*time.Microsecond, base.Add(time.Second)))
+	observe(r, phaseTrace("get", 4, time.Microsecond, 3*time.Microsecond, base.Add(time.Second)))
 	if got := r.Snapshot().Exemplars[0].Key; got != 1 {
 		t.Fatalf("fresh incumbent displaced by faster op (key %d)", got)
 	}
-	r.Observe(phaseTrace("get", 5, time.Microsecond, 3*time.Microsecond, base.Add(10*time.Minute)))
+	observe(r, phaseTrace("get", 5, time.Microsecond, 3*time.Microsecond, base.Add(10*time.Minute)))
 	if got := r.Snapshot().Exemplars[0].Key; got != 5 {
 		t.Fatalf("stale incumbent survived TTL (key %d, want 5)", got)
 	}
@@ -81,9 +89,9 @@ func TestPhaseRecorderStorageHook(t *testing.T) {
 func TestPhaseSnapshotMergeAndDiff(t *testing.T) {
 	base := time.Unix(100, 0)
 	r0, r1 := obs.NewPhaseRecorder(), obs.NewPhaseRecorder()
-	r0.Observe(phaseTrace("get", 10, time.Microsecond, 3*time.Microsecond, base))
-	r1.Observe(phaseTrace("get", 11, 90*time.Microsecond, 3*time.Microsecond, base))
-	r1.Observe(phaseTrace("scan", 12, time.Microsecond, time.Millisecond, base))
+	observe(r0, phaseTrace("get", 10, time.Microsecond, 3*time.Microsecond, base))
+	observe(r1, phaseTrace("get", 11, 90*time.Microsecond, 3*time.Microsecond, base))
+	observe(r1, phaseTrace("scan", 12, time.Microsecond, time.Millisecond, base))
 
 	m := r0.Snapshot()
 	m.Merge(r1.Snapshot())
@@ -100,10 +108,10 @@ func TestPhaseSnapshotMergeAndDiff(t *testing.T) {
 
 	// Snapshot, add traffic, snapshot again: the diff sees only the delta.
 	r := obs.NewPhaseRecorder()
-	r.Observe(phaseTrace("get", 1, time.Microsecond, 2*time.Microsecond, base))
+	observe(r, phaseTrace("get", 1, time.Microsecond, 2*time.Microsecond, base))
 	p0 := r.Snapshot()
-	r.Observe(phaseTrace("get", 2, time.Microsecond, 2*time.Microsecond, base))
-	r.Observe(phaseTrace("get", 3, time.Microsecond, 2*time.Microsecond, base))
+	observe(r, phaseTrace("get", 2, time.Microsecond, 2*time.Microsecond, base))
+	observe(r, phaseTrace("get", 3, time.Microsecond, 2*time.Microsecond, base))
 	p1 := r.Snapshot()
 	if d := p1.Service.Diff(p0.Service); d.Count() != 2 {
 		t.Fatalf("window diff count %d, want 2", d.Count())
@@ -128,7 +136,7 @@ func TestWindowStatsPhases(t *testing.T) {
 	}
 	p0 := mk(base, 0)
 	for i := 0; i < 100; i++ {
-		r.Observe(phaseTrace("get", uint64(i), 4*time.Microsecond, 16*time.Microsecond, base))
+		observe(r, phaseTrace("get", uint64(i), 4*time.Microsecond, 16*time.Microsecond, base))
 	}
 	p1 := mk(base.Add(time.Second), 100)
 	st := obs.StatsBetween(p0, p1)

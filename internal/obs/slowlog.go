@@ -12,11 +12,11 @@ import (
 // retains the slowest-K recent request traces, each carrying the full
 // lifecycle decomposition (queue wait, service time, device-charged work).
 // Writers are the shard goroutines — admission is gated by one atomic load
-// on the fast path, so an op faster than everything retained costs a single
-// comparison — and readers (the /debug/slow handler, the SIGINT final
-// report) traverse the slots lock-free, exactly like obs.Rolling: every
-// retained trace is an immutable heap object published through an atomic
-// slot pointer.
+// on the fast path (Admits), so an op faster than everything retained costs
+// a single comparison and never has its trace assembled — and readers (the
+// /debug/slow handler, the SIGINT final report) traverse the slots
+// lock-free, exactly like obs.Rolling: every retained trace is an immutable
+// heap object published through an atomic slot pointer.
 
 // SlowTrace is one traced request's lifecycle record. Queue is the time
 // from enqueue (the client's Do call stamping the message) to the moment
@@ -90,15 +90,25 @@ func NewSlowLog(k int, ttl time.Duration) *SlowLog {
 // Cap returns the ring capacity K.
 func (l *SlowLog) Cap() int { return len(l.slots) }
 
-// Offer submits one trace. It is retained if a slot is empty, if it is
-// slower than the current slowest-K floor, or (with a TTL) if some retained
-// trace has aged out. The fast path — a trace that cannot be admitted — is
-// one atomic load and a comparison.
+// Admits is the admission gate, on integers alone: whether a trace with this
+// total latency, completed at this instant (Unix nanoseconds), could be
+// retained — a slot is empty, it is slower than the slowest-K floor, or (with
+// a TTL) some retained trace has aged out. It is one atomic load and a
+// comparison, so a shard asks before it assembles the trace at all; Offer
+// settles races between admitted writers under the lock.
+func (l *SlowLog) Admits(total time.Duration, at int64) bool {
+	if f := l.floor.Load(); f >= 0 && int64(total) <= f {
+		return l.ttl > 0 && at-l.oldest.Load() > int64(l.ttl)
+	}
+	return true
+}
+
+// Offer submits one trace; it is retained if Admits and no concurrent writer
+// raised the floor past it first.
 func (l *SlowLog) Offer(t SlowTrace) {
-	if f := l.floor.Load(); f >= 0 && int64(t.Total) <= f {
-		if l.ttl <= 0 || t.At.UnixNano()-l.oldest.Load() <= int64(l.ttl) {
-			return
-		}
+	at := t.At.UnixNano()
+	if !l.Admits(t.Total, at) {
+		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -112,7 +122,7 @@ func (l *SlowLog) Offer(t SlowTrace) {
 			victim = i
 			break
 		}
-		if l.ttl > 0 && t.At.Sub(p.At) > l.ttl && expired < 0 {
+		if l.ttl > 0 && at-p.At.UnixNano() > int64(l.ttl) && expired < 0 {
 			expired = i
 		}
 		if victimTotal < 0 || int64(p.Total) < victimTotal {
@@ -142,8 +152,8 @@ func (l *SlowLog) Offer(t SlowTrace) {
 		if floor < 0 || int64(p.Total) < floor {
 			floor = int64(p.Total)
 		}
-		if at := p.At.UnixNano(); oldest == 0 || at < oldest {
-			oldest = at
+		if pat := p.At.UnixNano(); oldest == 0 || pat < oldest {
+			oldest = pat
 		}
 	}
 	if !full {

@@ -128,25 +128,21 @@ func (f *Fingerprint) HotShare() float64 {
 // window reports ~0 and a zipf(θ) window reports ~θ. Fewer than two hot
 // keys report 0.
 func (f *Fingerprint) ZipfSlope() float64 {
-	var xs, ys []float64
+	var n, sx, sy, sxx, sxy float64
 	for i, h := range f.Hot {
 		if h.Count == 0 {
 			break
 		}
-		xs = append(xs, math.Log(float64(i+1)))
-		ys = append(ys, math.Log(float64(h.Count)))
+		x, y := math.Log(float64(i+1)), math.Log(float64(h.Count))
+		n++
+		sx += x
+		sy += y
+		sxx += x * x
+		sxy += x * y
 	}
-	if len(xs) < 2 {
+	if n < 2 {
 		return 0
 	}
-	var sx, sy, sxx, sxy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
-	}
-	n := float64(len(xs))
 	den := n*sxx - sx*sx
 	if den == 0 {
 		return 0
@@ -324,20 +320,22 @@ type WorkloadRecorder struct {
 	cum      [NumWorkloadOps]uint64
 	cumScans *Histogram
 
-	// Current window.
+	// Current window; curTotal is the running sum of curOps, so the rotation
+	// check is one comparison per operation.
 	curOps   [NumWorkloadOps]uint64
+	curTotal uint64
 	curScans *Histogram
 	cm       *sketch.CountMin
 	topk     *sketch.TopK
 	distinct *approx.Distinct
 
 	windows    uint64
-	recent     []Fingerprint // completed windows, oldest first, ≤ keep
+	recent     []Fingerprint // completed windows, oldest first, ≤ keep (its capacity)
 	last       FingerprintStats
 	haveLast   bool
 	drift      float64
 	driftCount uint64
-	events     []DriftEvent // latched drifts, oldest first, ≤ keep
+	events     []DriftEvent // latched drifts, oldest first, ≤ keep (its capacity)
 }
 
 // NewWorkloadRecorder returns a recorder rotating every windowOps operations
@@ -359,6 +357,8 @@ func NewWorkloadRecorder(windowOps, keep int) *WorkloadRecorder {
 		cm:        sketch.New(workloadEpsilon, workloadDelta, nil),
 		topk:      sketch.NewTopK(workloadTopK),
 		distinct:  approx.NewDefaultDistinct(),
+		recent:    make([]Fingerprint, 0, keep),
+		events:    make([]DriftEvent, 0, keep),
 	}
 }
 
@@ -372,7 +372,7 @@ func (r *WorkloadRecorder) RecordOp(op WorkloadOp, key uint64) {
 	r.cm.Add(key, 1)
 	r.topk.Add(key, 1)
 	r.distinct.Add(key)
-	r.maybeRotate()
+	r.counted()
 }
 
 // RecordScan observes one range scan that returned rows records on this
@@ -382,23 +382,28 @@ func (r *WorkloadRecorder) RecordScan(rows int) {
 	r.curOps[WScan]++
 	r.cumScans.Record(float64(rows))
 	r.curScans.Record(float64(rows))
-	r.maybeRotate()
+	r.counted()
 }
 
-func (r *WorkloadRecorder) windowTotal() uint64 {
-	var t uint64
-	for _, c := range r.curOps {
-		t += c
+// counted closes the recording of one operation: it joins the window, which
+// completes once it has WindowOps of them.
+func (r *WorkloadRecorder) counted() {
+	r.curTotal++
+	if r.curTotal >= r.windowOps {
+		r.Rotate()
 	}
-	return t
 }
 
-// maybeRotate completes the window once it has WindowOps operations.
-func (r *WorkloadRecorder) maybeRotate() {
-	if r.windowTotal() < r.windowOps {
-		return
+// pushBounded appends v to ring, a slice of at most cap(ring) elements kept
+// oldest first: at capacity the oldest is dropped by copying the rest down,
+// so the backing array is the one the recorder was built with, for good.
+func pushBounded[T any](ring []T, v T) []T {
+	if len(ring) < cap(ring) {
+		return append(ring, v)
 	}
-	r.Rotate()
+	copy(ring, ring[1:])
+	ring[len(ring)-1] = v
+	return ring
 }
 
 // Rotate freezes the in-progress window into a Fingerprint, scores drift
@@ -408,7 +413,7 @@ func (r *WorkloadRecorder) maybeRotate() {
 // a full window can force the final partial window out. Rotating an empty
 // window is a no-op.
 func (r *WorkloadRecorder) Rotate() {
-	if r.windowTotal() == 0 {
+	if r.curTotal == 0 {
 		return
 	}
 	r.windows++
@@ -421,29 +426,26 @@ func (r *WorkloadRecorder) Rotate() {
 	// Heavy-hitter identities from the top-k table, frequencies from the
 	// count-min sketch: the sketch never underestimates and is tight for
 	// heavy keys, so the skew numbers survive top-k compaction churn.
-	for _, h := range r.topk.ItemsInto(nil) {
-		fp.Hot = append(fp.Hot, sketch.KeyCount{Key: h.Key, Count: r.cm.Estimate(h.Key)})
+	if top := r.topk.ItemsInto(nil); len(top) > 0 {
+		fp.Hot = make([]sketch.KeyCount, len(top))
+		for i, h := range top {
+			fp.Hot[i] = sketch.KeyCount{Key: h.Key, Count: r.cm.Estimate(h.Key)}
+		}
 	}
 	st := fp.Stats()
 	if r.haveLast {
 		r.drift = DriftScore(r.last, st)
 		if r.drift >= r.threshold {
 			r.driftCount++
-			r.events = append(r.events, DriftEvent{
+			r.events = pushBounded(r.events, DriftEvent{
 				Window: fp.Window, Score: r.drift, From: r.last, To: st,
 			})
-			if len(r.events) > r.keep {
-				r.events = r.events[len(r.events)-r.keep:]
-			}
 		}
 	}
 	r.last, r.haveLast = st, true
-	r.recent = append(r.recent, fp)
-	if len(r.recent) > r.keep {
-		r.recent = r.recent[len(r.recent)-r.keep:]
-	}
-	r.curOps = [NumWorkloadOps]uint64{}
-	r.curScans = NewHistogram(PowerOfTwoBounds(scanRowsBuckets))
+	r.recent = pushBounded(r.recent, fp)
+	r.curOps, r.curTotal = [NumWorkloadOps]uint64{}, 0
+	r.curScans.reset()
 	r.cm.Clear()
 	r.topk.Clear()
 	r.distinct.Clear()

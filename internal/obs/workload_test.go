@@ -78,6 +78,45 @@ func TestWorkloadRecorderRotation(t *testing.T) {
 	}
 }
 
+// TestRotationAllocatesOnlyTheFingerprint pins the rotation's garbage: once
+// the fingerprint and drift-event rings are at capacity, completing a window
+// allocates the new fingerprint's own scan histogram (2), distinct registers
+// (2) and hot list (1), and nothing else — no replacement window state, no
+// regrown ring, no regression scratch — and the recording between rotations
+// (count-min, top-k compaction, estimator) allocates nothing at all.
+func TestRotationAllocatesOnlyTheFingerprint(t *testing.T) {
+	const windowOps, keep = 512, 4
+	r := NewWorkloadRecorder(windowOps, keep)
+	w := 0
+	window := func() {
+		// Alternate read-mostly skew with unique-key ingest: every rotation
+		// latches a drift event, and the ingest half churns the top-k table.
+		r.RecordScan(16)
+		for i := 1; i < windowOps; i++ {
+			if w%2 == 0 {
+				r.RecordOp(WGet, uint64(i%8))
+			} else {
+				r.RecordOp(WInsert, uint64(w*windowOps+i))
+			}
+		}
+		w++
+	}
+	for w < 3*keep {
+		window()
+	}
+	before := r.Snapshot()
+	perRotation := testing.AllocsPerRun(20, window)
+	after := r.Snapshot()
+	if n := after.Windows - before.Windows; n != 21 || after.DriftCount-before.DriftCount != n ||
+		len(after.Events) != keep || len(after.Recent) != keep {
+		t.Fatalf("rings not exercised at capacity: %d windows and %d drifts in 21 calls, %d and %d retained of %d",
+			n, after.DriftCount-before.DriftCount, len(after.Events), len(after.Recent), keep)
+	}
+	if perRotation > 5 {
+		t.Fatalf("a rotation allocates %.0f objects, want the fingerprint's own 5", perRotation)
+	}
+}
+
 func TestWorkloadSkewSignals(t *testing.T) {
 	uni := NewWorkloadRecorder(4096, 4)
 	feedMix(uni, 4096, 1, 0, 0, 0, 0, 4096, false, 2)

@@ -195,9 +195,10 @@ type message struct {
 	// kindSnap
 	snap *ShardReport
 
-	// enqueuedAt is the Do call's send instant, stamped only when tracing is
-	// enabled (zero otherwise); queue wait is measured from it.
-	enqueuedAt time.Time
+	// enqueuedAt is the Do call's send instant on the server's trace clock,
+	// stamped only when tracing is enabled (zero otherwise); queue wait is
+	// measured from it.
+	enqueuedAt time.Duration
 
 	done *completion
 }
@@ -293,6 +294,12 @@ type shard struct {
 	snapVersions int           // SnapshotStats.Versions as of the last publish
 	snapMeter    rum.Meter     // reader traffic absorbed from dead snapshots
 	retiredSnaps []*shardSnap  // superseded snapshots awaiting absorption
+
+	// clock is the server's trace clock, copied here so the traced op loop
+	// chases no pointer. It sits last so that it does not push bypassOps,
+	// which client goroutines add to, onto the cache line of writesSince,
+	// which the shard writes on every write-carrying message.
+	clock traceClock
 }
 
 // Server is the sharded serving front-end. All exported methods are safe for
@@ -310,6 +317,11 @@ type Server struct {
 
 	mu      sync.RWMutex // guards stopped against in-flight sends
 	stopped bool
+
+	// clock is the one clock every traced instant is read from (zero when
+	// tracing is disabled). Read-only after New, it sits past the contended
+	// words above, like shard.clock.
+	clock traceClock
 }
 
 // New starts cfg.Shards shard goroutines and returns the serving front-end.
@@ -322,6 +334,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{cfg: cfg, shards: make([]*shard, cfg.Shards)}
 	if tc := cfg.Trace; tc != nil {
 		s.slow = obs.NewSlowLog(tc.slowK(), tc.SlowTTL)
+		s.clock = newTraceClock()
 	}
 	for i := range s.shards {
 		s.shards[i] = &shard{id: i, mailbox: make(chan message, mailboxDepth)}
@@ -393,7 +406,7 @@ func (s *Server) runShard(sh *shard) {
 		if sh.rec == nil {
 			sh.rec = obs.NewPhaseRecorder()
 		}
-		sh.slow = s.slow
+		sh.slow, sh.clock = s.slow, s.clock
 	}
 	if wc := s.cfg.Workload; wc != nil {
 		// Same contract as the phase recorder: created on the shard
@@ -598,11 +611,11 @@ func (s *Server) Do(reqs []Request, res []Result) error {
 	}
 	comp := &completion{done: make(chan struct{})}
 	comp.pending.Store(int32(total))
-	// One enqueue stamp per Do call when traced; the zero Time (and zero
-	// clock reads) otherwise.
-	var enq time.Time
+	// One enqueue stamp per Do call when traced; zero (and zero clock reads)
+	// otherwise.
+	var enq time.Duration
 	if s.cfg.Trace != nil && total > 0 {
-		enq = time.Now()
+		enq = s.clock.now()
 	}
 	for sh := 0; sh < nsh; sh++ {
 		idxs := idxBuf[starts[sh]:starts[sh+1]]

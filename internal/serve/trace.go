@@ -25,9 +25,18 @@ import (
 //     per-bucket exemplars), published as ShardReport.Phases through the
 //     usual snapshot edges;
 //   - a server-wide obs.SlowLog flight recorder retaining the slowest-K
-//     recent traces (Offer is one atomic load on the fast path);
+//     recent traces;
 //   - the storage hook, when the builder threads the recorder into the
 //     shard's stack, which attributes pages/faults/retries to each op.
+//
+// What tracing costs per operation: one monotonic clock reading (each op's
+// end is the next op's start), two histogram increments whose bucket is a
+// bit length, five words of ledger and meter baseline read in place, and two
+// admission gates evaluated on integers — the exemplar slot of the op's
+// service bucket and the flight recorder's floor (one atomic load). The
+// obs.SlowTrace itself — meter delta, device work, op name, wall-clock
+// instant — is assembled only for an op that passes a gate, which after
+// warm-up is a record-slow op. Every op is timed; none is sampled.
 //
 // With Trace nil nothing changes: no clock is read, nothing allocates, and
 // the only cost on the hot path is one nil check per message — a property
@@ -58,34 +67,59 @@ func (tc *TraceConfig) slowK() int {
 	return tc.SlowK
 }
 
+// traceClock is a server's time base for tracing: an epoch read once, wall
+// and monotonic, after which an instant is the monotonic time elapsed since
+// it — half the cost of time.Now, which reads both clocks. Wall-clock
+// instants are derived from the epoch only for the traces that are kept.
+type traceClock struct {
+	epoch     time.Time
+	epochUnix int64 // epoch.UnixNano()
+}
+
+func newTraceClock() traceClock {
+	epoch := time.Now()
+	return traceClock{epoch: epoch, epochUnix: epoch.UnixNano()}
+}
+
+func (c *traceClock) now() time.Duration { return time.Since(c.epoch) }
+
 // applyOpsTraced is apply's kindOps loop with the clock on: the same Exec
 // per request plus N+1 clock readings per message (one before the
 // batch, one after each op — each op's end is the next op's start).
 func (sh *shard) applyOpsTraced(am *core.Instrumented, msg message) {
-	rec := sh.rec
-	rec.RecordBatch(len(msg.idxs))
+	rec, slow, clock := sh.rec, sh.slow, &sh.clock
 	batch := len(msg.idxs)
-	start := time.Now()
+	rec.RecordBatch(batch)
+	m := am.Meter()
+	enq := msg.enqueuedAt
+	start := clock.now()
 	for _, i := range msg.idxs {
 		req := &msg.reqs[i]
 		rec.BeginOpWork()
-		pre := am.Meter().Snapshot()
+		preRead, preWritten := m.BaseRead+m.AuxRead, m.BaseWritten+m.AuxWritten
 		msg.res[i] = Exec(am, *req)
-		end := time.Now()
-		post := am.Meter().Snapshot()
-		d := post.Diff(pre)
-		pages, faults, retries := rec.OpWork()
-		t := obs.SlowTrace{
-			At: end, Shard: sh.id, Op: req.Op.String(), Key: uint64(req.Key),
-			Batch:     batch,
-			Queue:     start.Sub(msg.enqueuedAt),
-			Service:   end.Sub(start),
-			Total:     end.Sub(msg.enqueuedAt),
-			ReadBytes: d.PhysicalRead(), WriteBytes: d.PhysicalWritten(),
-			Pages: pages, Faults: faults, Retries: retries,
+		end := clock.now()
+		queue, service, total := start-enq, end-start, end-enq
+		at := clock.epochUnix + int64(end)
+		bucket, exemplar := rec.ObserveOp(queue, service, total, at)
+		retain := slow.Admits(total, at)
+		if exemplar || retain {
+			pages, faults, retries := rec.OpWork()
+			t := obs.SlowTrace{
+				At: clock.epoch.Add(end), Shard: sh.id, Op: req.Op.String(), Key: uint64(req.Key),
+				Batch: batch,
+				Queue: queue, Service: service, Total: total,
+				ReadBytes:  m.BaseRead + m.AuxRead - preRead,
+				WriteBytes: m.BaseWritten + m.AuxWritten - preWritten,
+				Pages:      pages, Faults: faults, Retries: retries,
+			}
+			if exemplar {
+				rec.SetExemplar(bucket, &t)
+			}
+			if retain {
+				slow.Offer(t)
+			}
 		}
-		rec.Observe(t)
-		sh.slow.Offer(t)
 		start = end
 	}
 }

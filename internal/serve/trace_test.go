@@ -252,6 +252,53 @@ func TestTraceDeadShardDrain(t *testing.T) {
 	}
 }
 
+// TestObservedDoAllocatesLikeQuietDo pins the taps' steady state: once the
+// flight recorder is full and the exemplar slots hold their champions, a Do
+// call with Trace and Workload on allocates no more than the same call on a
+// quiet server — the trace is assembled on the stack and only for an admitted
+// op, and recording an op touches preallocated sketch state only. A window
+// rotation allocates the fingerprint it publishes (pinned per rotation by
+// obs.TestRotationAllocatesOnlyTheFingerprint), so the window here is longer
+// than the run.
+func TestObservedDoAllocatesLikeQuietDo(t *testing.T) {
+	const batch = 128
+	reqs := make([]Request, batch)
+	res := make([]Result, batch)
+	rng := rand.New(rand.NewPCG(5, 7))
+	doAllocs := func(cfg Config) float64 {
+		cfg.Shards, cfg.Build = 2, buildSkiplist
+		s := mustNew(t, cfg)
+		defer s.Stop()
+		// Far more keys than the top-k table holds. The warm-up inserts; the
+		// measured calls only read and update, which allocate nothing in the
+		// structure, so every allocation counted is the serving layer's.
+		kinds := []Op{OpInsert, OpGet, OpUpdate}
+		do := func() {
+			for i := range reqs {
+				reqs[i] = Request{Op: kinds[rng.IntN(len(kinds))], Key: core.Key(rng.Uint64N(1 << 14)), Value: 1}
+			}
+			if err := s.Do(reqs, res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 300; i++ {
+			do()
+		}
+		kinds = kinds[1:]
+		return testing.AllocsPerRun(200, do)
+	}
+	quiet := doAllocs(Config{})
+	observed := doAllocs(Config{
+		Trace:    &TraceConfig{SlowK: 4},
+		Workload: &WorkloadConfig{WindowOps: 1 << 30},
+	})
+	// AllocsPerRun floors the mean, so a stray slow op admitted to the flight
+	// recorder mid-measurement (one heap copy) does not flake the pin.
+	if observed > quiet {
+		t.Fatalf("observed Do allocates %.0f per batch, quiet Do %.0f", observed, quiet)
+	}
+}
+
 // benchDo measures the Do round-trip for one configuration.
 func benchDo(b *testing.B, trace *TraceConfig) {
 	s, err := New(Config{Shards: 4, Build: buildSkiplist, Trace: trace})

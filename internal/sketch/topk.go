@@ -1,6 +1,9 @@
 package sketch
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // TopK tracks the heaviest keys of a stream with bounded memory: exact
 // per-key counters for the keys it retains, and a deterministic compaction
@@ -21,15 +24,31 @@ import "slices"
 // their counters are exact in practice; uniform tails churn through the
 // slack region. This is the usual space-saving trade, biased toward
 // simplicity and determinism over tight error bounds.
+//
+// Layout. The table is two dense parallel arrays in no particular order —
+// at most slack+1 entries on the Add path, more only after Absorb — found
+// through a small open-addressed index, so Add is a multiply, a probe and an
+// increment. A skewed stream over a large key space overflows the table
+// every few dozen operations, so compaction does not sort: it selects the
+// cut (the retain-th largest count), keeps every entry above it, and fills
+// the remainder with the smallest keys among the entries exactly at it.
 type TopK struct {
 	k      int
 	retain int // table size kept after a compaction
 	slack  int // table size that triggers a compaction
-	counts map[uint64]uint64
 
-	// scratch is the reusable sort buffer — the read path (ItemsInto) and the
-	// compaction path share it, so neither allocates in steady state.
+	keys   []uint64 // keys[i] has been charged counts[i]
+	counts []uint64
+	// index maps a key to its position: linear probing over a power-of-two
+	// number of slots, each holding position+1 (0 = empty), never more than
+	// half full. shift turns a key's hash into a slot number.
+	index []uint32
+	shift uint
+
+	// scratch is the reusable rank buffer of the read path (ItemsInto); sel is
+	// compaction's selection buffer. Neither path allocates in steady state.
 	scratch []KeyCount
+	sel     []uint64
 }
 
 // KeyCount is one ranked heavy hitter.
@@ -46,7 +65,10 @@ func NewTopK(k int) *TopK {
 		k = 1
 	}
 	t := &TopK{k: k, retain: 4 * k, slack: 8 * k}
-	t.counts = make(map[uint64]uint64, t.slack)
+	t.keys = make([]uint64, 0, t.slack+1)
+	t.counts = make([]uint64, 0, t.slack+1)
+	t.sel = make([]uint64, 0, t.slack+1)
+	t.resizeIndex(t.slack + 1)
 	return t
 }
 
@@ -55,8 +77,8 @@ func (t *TopK) K() int { return t.k }
 
 // Add charges delta to key, compacting the table if it overflowed.
 func (t *TopK) Add(key uint64, delta uint64) {
-	t.counts[key] += delta
-	if len(t.counts) > t.slack {
+	t.charge(key, delta)
+	if len(t.keys) > t.slack {
 		t.compact()
 	}
 }
@@ -67,31 +89,142 @@ func (t *TopK) Absorb(o *TopK) {
 	if o == nil {
 		return
 	}
-	for k, c := range o.counts {
-		t.counts[k] += c
+	for i, key := range o.keys {
+		t.charge(key, o.counts[i])
 	}
 }
 
 // Clear drops every counter, keeping capacity — the rotation primitive.
 func (t *TopK) Clear() {
-	clear(t.counts)
+	t.keys, t.counts = t.keys[:0], t.counts[:0]
+	clear(t.index)
 }
 
 // Len returns the number of retained counters.
-func (t *TopK) Len() int { return len(t.counts) }
+func (t *TopK) Len() int { return len(t.keys) }
 
-// compact keeps the heaviest retain entries under (count desc, key asc).
-func (t *TopK) compact() {
-	t.scratch = t.rank(t.scratch[:0])
-	for _, it := range t.scratch[t.retain:] {
-		delete(t.counts, it.Key)
+// slot returns the index slot that holds key's position, or the empty slot
+// where it belongs.
+func (t *TopK) slot(key uint64) int {
+	mask := len(t.index) - 1
+	s := int(key * 0x9e3779b97f4a7c15 >> t.shift)
+	for {
+		p := t.index[s]
+		if p == 0 || t.keys[p-1] == key {
+			return s
+		}
+		s = (s + 1) & mask
 	}
 }
 
-// rank appends every entry to dst and sorts by (count desc, key asc).
+// charge adds delta to key's counter, appending the counter if key is new.
+func (t *TopK) charge(key, delta uint64) {
+	s := t.slot(key)
+	if p := t.index[s]; p != 0 {
+		t.counts[p-1] += delta
+		return
+	}
+	t.keys = append(t.keys, key)
+	t.counts = append(t.counts, delta)
+	t.index[s] = uint32(len(t.keys))
+	if 2*len(t.keys) > len(t.index) {
+		t.resizeIndex(2 * len(t.keys))
+	}
+}
+
+// resizeIndex gives the index the smallest power-of-two slot count that
+// leaves it at most half full with n entries, and rebuilds it.
+func (t *TopK) resizeIndex(n int) {
+	log := uint(bits.Len(uint(2*n - 1)))
+	t.index, t.shift = make([]uint32, 1<<log), 64-log
+	t.reindex()
+}
+
+// reindex rebuilds the index from the table.
+func (t *TopK) reindex() {
+	clear(t.index)
+	for i, key := range t.keys {
+		t.index[t.slot(key)] = uint32(i + 1)
+	}
+}
+
+// compact keeps the heaviest retain entries under (count desc, key asc)
+// without ranking the rest: every entry heavier than the cut count stays,
+// and the smallest keys among those exactly at it fill what is left.
+func (t *TopK) compact() {
+	t.sel = append(t.sel[:0], t.counts...)
+	cut := selectNth(t.sel, len(t.sel)-t.retain)
+	above, ties := 0, t.sel[:0] // the counts are spent; at most as many ties
+	for i, c := range t.counts {
+		if c > cut {
+			above++
+		} else if c == cut {
+			ties = append(ties, t.keys[i])
+		}
+	}
+	maxTie := selectNth(ties, t.retain-above-1)
+	w := 0
+	for i, c := range t.counts {
+		if c > cut || c == cut && t.keys[i] <= maxTie {
+			t.keys[w], t.counts[w] = t.keys[i], c
+			w++
+		}
+	}
+	t.keys, t.counts = t.keys[:w], t.counts[:w]
+	t.reindex()
+}
+
+// selectNth returns the value a sorted copy of v would hold at index n
+// (0 <= n < len(v)), reordering v: Hoare's quickselect around a
+// median-of-three pivot. The answer is a property of the multiset, so the
+// pivot choice cannot leak into it.
+func selectNth(v []uint64, n int) uint64 {
+	lo, hi := 0, len(v)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if v[mid] < v[lo] {
+			v[mid], v[lo] = v[lo], v[mid]
+		}
+		if v[hi] < v[lo] {
+			v[hi], v[lo] = v[lo], v[hi]
+		}
+		if v[hi] < v[mid] {
+			v[hi], v[mid] = v[mid], v[hi]
+		}
+		pivot := v[mid]
+		i, j := lo, hi
+		for i <= j {
+			for v[i] < pivot {
+				i++
+			}
+			for v[j] > pivot {
+				j--
+			}
+			if i <= j {
+				v[i], v[j] = v[j], v[i]
+				i++
+				j--
+			}
+		}
+		// v[lo..j] <= pivot <= v[i..hi], and anything between j and i equals it.
+		switch {
+		case n <= j:
+			hi = j
+		case n >= i:
+			lo = i
+		default:
+			return v[n]
+		}
+	}
+	return v[n]
+}
+
+// rank appends every entry to dst and sorts by (count desc, key asc). It
+// serves the read path only — a ranking per window rotation or scrape, not
+// per operation.
 func (t *TopK) rank(dst []KeyCount) []KeyCount {
-	for k, c := range t.counts {
-		dst = append(dst, KeyCount{Key: k, Count: c})
+	for i, key := range t.keys {
+		dst = append(dst, KeyCount{Key: key, Count: t.counts[i]})
 	}
 	slices.SortFunc(dst, func(a, b KeyCount) int {
 		if a.Count != b.Count {
@@ -118,20 +251,15 @@ func (t *TopK) Items() []KeyCount {
 
 // ItemsInto appends the top k entries to dst and returns it — the zero-alloc
 // read path: with a nil dst it ranks into the tracker's reusable scratch
-// buffer and returns a view of it, valid until the next Add/ItemsInto.
+// buffer and returns a view of it, valid until the next ItemsInto.
 func (t *TopK) ItemsInto(dst []KeyCount) []KeyCount {
+	t.scratch = t.rank(t.scratch[:0])
+	top := t.scratch
+	if len(top) > t.k {
+		top = top[:t.k]
+	}
 	if dst == nil {
-		t.scratch = t.rank(t.scratch[:0])
-		if len(t.scratch) > t.k {
-			return t.scratch[:t.k]
-		}
-		return t.scratch
+		return top
 	}
-	ranked := t.rank(t.scratch[:0])
-	t.scratch = ranked
-	n := len(ranked)
-	if n > t.k {
-		n = t.k
-	}
-	return append(dst, ranked[:n]...)
+	return append(dst, top...)
 }
