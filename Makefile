@@ -29,11 +29,12 @@ race:
 
 ## racecheck: build with the debug assertions compiled in — storage
 ## single-owner binding, PageView generation stamps, evicted frames poisoned
-## instead of recycled, lsm merge sources checked ascending — and run the
-## storage and lsm tests against them.
+## instead of recycled, lsm merge sources and sorted-ingest batches checked
+## ascending — and run the storage and lsm tests against them, and the wal
+## tests, whose checkpoints are what feeds the sorted ingest.
 racecheck:
 	$(GO) build -tags racecheck ./...
-	$(GO) test -tags racecheck ./internal/storage/ ./internal/lsm/
+	$(GO) test -tags racecheck ./internal/storage/ ./internal/lsm/ ./internal/wal/
 
 ## benchmarks: vet and test the nested repro/benchmarks module (rumperf,
 ## benchdiff). `./...` at the root never compiles it, so without this a
@@ -47,12 +48,14 @@ benchmarks:
 ## (nil-hook must stay allocation-free and within noise of untraced), the
 ## serving taps (Do quiet vs traced vs fingerprinted: ROADMAP item 1's
 ## overhead budget, same allocs/op on all three), the buffer pool's evicting
-## miss (0 allocs/op), and the lsm L1→L2 spill.
+## miss (0 allocs/op), the lsm L1→L2 spill, and the log's group commit
+## (0 allocs/op) and full checkpoint interval.
 bench:
 	$(GO) test ./internal/obs -bench BenchmarkInstrumentedGet -benchtime=2s -run '^$$'
 	$(GO) test ./internal/serve -bench '^BenchmarkDo(Traced|Fingerprinted)?$$' -benchmem -benchtime=2s -run '^$$'
 	$(GO) test ./internal/storage -bench BenchmarkFetchMiss -benchtime=2s -run '^$$'
 	$(GO) test ./internal/lsm -bench BenchmarkCompactionSpill -benchtime=2s -run '^$$'
+	$(GO) test ./internal/wal -bench 'BenchmarkC(ommit|heckpoint)$$' -benchtime=2s -run '^$$'
 
 ## golden: regenerate golden files (exporters, CLI usage, rumserve scrape
 ## skeletons) after an intended format change.

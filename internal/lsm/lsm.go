@@ -517,9 +517,19 @@ func (t *Tree) flushMemtable() {
 	// Draining the memtable reads it once.
 	t.meter.CountRead(rum.Base, len(recs)*core.RecordSize)
 	t.mem.Reset()
+	// A run that cannot be built (a device fault under the pool) drops the
+	// drained records; Flush then leaves dirty frames behind and commits no
+	// manifest, which is how the loss surfaces.
+	_ = t.addRun(recs)
+}
+
+// addRun writes the ascending recs as the newest level-0 run and restores the
+// level invariants: the one flush step, shared by the memtable drain and the
+// sorted ingest.
+func (t *Tree) addRun(recs []core.Record) error {
 	r, err := t.buildRun(recs)
 	if err != nil {
-		return
+		return err
 	}
 	if len(t.levels) == 0 {
 		t.levels = append(t.levels, nil)
@@ -527,6 +537,38 @@ func (t *Tree) flushMemtable() {
 	t.levels[0] = append(t.levels[0], r)
 	t.stats.Flushes++
 	t.compact()
+	return nil
+}
+
+// IngestSorted absorbs a batch the caller has already buffered and sorted —
+// strictly ascending by key (asserted under -tags racecheck), deletes as
+// records whose value is Tombstone — without a second trip through the
+// memtable. The batch is cut into MemtableRecords-sized level-0 runs, each
+// followed by the normal compaction step, and a tail shorter than a memtable
+// becomes the short run the next Flush would have drained: the run set, page
+// images, compaction sequence and Stats are exactly those of Insert/Update/
+// Delete calls in the same order followed by Flush, minus the skip-list
+// traffic. It does not write dirty pages or commit a manifest; Flush does.
+//
+// The tree writes blind, so delta is the caller's word for how the batch
+// changes the live record count (what Insert and Delete would have tallied
+// one by one). The memtable must be empty — interleaving a sorted batch with
+// buffered writes would let an older version shadow a newer one — and recs is
+// not retained.
+func (t *Tree) IngestSorted(recs []core.Record, delta int) error {
+	if n := t.mem.Len(); n != 0 {
+		return fmt.Errorf("lsm: sorted ingest over a memtable holding %d records", n)
+	}
+	assertAscending([][]core.Record{recs})
+	for len(recs) > 0 {
+		n := min(len(recs), t.cfg.MemtableRecords)
+		if err := t.addRun(recs[:n]); err != nil {
+			return err
+		}
+		recs = recs[n:]
+	}
+	t.count = max(0, t.count+delta)
+	return nil
 }
 
 // levelCapacityRuns is the run-count trigger per level: tiering compacts a

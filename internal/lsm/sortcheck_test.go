@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/storage"
 )
 
 // TestMergeSortedRejectsUnsortedSource verifies the racecheck build turns a
@@ -27,4 +28,24 @@ func TestMergeSortedRejectsUnsortedSource(t *testing.T) {
 		}()
 	}
 	mergeSorted([][]core.Record{sorted, nil, sorted}, true) // valid input stays silent
+}
+
+// TestIngestSortedRejectsUnsortedBatch: the sorted entry point holds its
+// caller to the same precondition — an unsorted batch would become a run
+// whose fences lie.
+func TestIngestSortedRejectsUnsortedBatch(t *testing.T) {
+	for name, bad := range map[string][]core.Record{
+		"descending": {{Key: 2, Value: 1}, {Key: 1, Value: 1}},
+		"duplicate":  {{Key: 3, Value: 1}, {Key: 3, Value: 2}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s batch did not panic under -tags racecheck", name)
+				}
+			}()
+			tr := New(storage.NewBufferPool(storage.NewDevice(512, storage.SSD, nil), 8), Config{})
+			_ = tr.IngestSorted(bad, len(bad))
+		}()
+	}
 }

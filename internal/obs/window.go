@@ -56,6 +56,11 @@ type WALPoint struct {
 	LogPagesWritten uint64 `json:"log_pages_written"`
 	LogBytesWritten uint64 `json:"log_bytes_written"`
 	PagesRecycled   uint64 `json:"pages_recycled"`
+	// CheckpointRecords / CheckpointNanos are the overlay entries checkpoints
+	// handed to the structure and the wall-clock time they took: the write
+	// stall, since a shard serves nothing while it checkpoints.
+	CheckpointRecords uint64 `json:"checkpoint_records"`
+	CheckpointNanos   uint64 `json:"checkpoint_nanos"`
 	// LiveLogPages and OverlayRecords are the current footprint: log pages
 	// not yet recycled and overlay entries not yet absorbed.
 	LiveLogPages   int `json:"live_log_pages"`
@@ -72,6 +77,8 @@ func (w *WALPoint) Add(o WALPoint) {
 	w.LogPagesWritten += o.LogPagesWritten
 	w.LogBytesWritten += o.LogBytesWritten
 	w.PagesRecycled += o.PagesRecycled
+	w.CheckpointRecords += o.CheckpointRecords
+	w.CheckpointNanos += o.CheckpointNanos
 	w.LiveLogPages += o.LiveLogPages
 	w.OverlayRecords += o.OverlayRecords
 }
@@ -415,6 +422,9 @@ func (r *Rolling) WALSource() Source {
 		e.Counter("rum_wal_commits_total", "Group commits across all shards.", w.Commits)
 		e.Counter("rum_wal_syncs_total", "Simulated log syncs across all shards (one per commit, one per checkpoint record).", w.Syncs)
 		e.Counter("rum_wal_checkpoints_total", "Completed checkpoints across all shards.", w.Checkpoints)
+		e.Counter("rum_wal_checkpoint_records_total", "Overlay records checkpoints handed to the structures, across all shards.", w.CheckpointRecords)
+		e.Family("rum_wal_checkpoint_seconds_total", "counter", "Wall-clock time shards spent checkpointing (the write stall), summed across shards.")
+		e.Float("rum_wal_checkpoint_seconds_total", nil, float64(w.CheckpointNanos)/1e9)
 		e.Family("rum_wal_log_pages_total", "counter", "Log pages across all shards, by disposition.")
 		e.Uint("rum_wal_log_pages_total", L("event", "written"), w.LogPagesWritten)
 		e.Uint("rum_wal_log_pages_total", L("event", "recycled"), w.PagesRecycled)

@@ -881,15 +881,17 @@ func walLedger(am *core.Instrumented) *obs.WALPoint {
 	}
 	st := lg.Stats()
 	return &obs.WALPoint{
-		Committed:       lg.Committed(),
-		Commits:         st.Commits,
-		Syncs:           st.Syncs,
-		Checkpoints:     st.Checkpoints,
-		LogPagesWritten: st.LogPagesWritten,
-		LogBytesWritten: st.LogBytesWritten,
-		PagesRecycled:   st.PagesRecycled,
-		LiveLogPages:    st.LiveLogPages,
-		OverlayRecords:  st.OverlayRecords,
+		Committed:         lg.Committed(),
+		Commits:           st.Commits,
+		Syncs:             st.Syncs,
+		Checkpoints:       st.Checkpoints,
+		LogPagesWritten:   st.LogPagesWritten,
+		LogBytesWritten:   st.LogBytesWritten,
+		PagesRecycled:     st.PagesRecycled,
+		CheckpointRecords: st.CheckpointRecords,
+		CheckpointNanos:   st.CheckpointNanos,
+		LiveLogPages:      st.LiveLogPages,
+		OverlayRecords:    st.OverlayRecords,
 	}
 }
 

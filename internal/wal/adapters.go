@@ -39,15 +39,31 @@ type btreeInner struct{ *btree.Tree }
 
 func (btreeInner) validate(core.Value) error { return nil }
 
-func (b btreeInner) apply(k core.Key, e entry) error {
-	if e.tomb {
-		b.Tree.Delete(k)
-		return nil
+// absorb applies the batch with one descent per change: base picks the
+// operation, so there is no update-then-insert double descent and a tombstone
+// over a key the tree never held costs nothing. An operation that contradicts
+// its base bit fails the checkpoint (a fetch fault, or a bug — either way the
+// overlay and the tree no longer agree).
+func (b btreeInner) absorb(batch []change) error {
+	for _, c := range batch {
+		switch {
+		case c.tomb && c.base:
+			if !b.Tree.Delete(c.key) {
+				return fmt.Errorf("wal: btree delete of key %d the checkpoint knew as live failed", c.key)
+			}
+		case c.tomb:
+			// inserted and deleted inside one checkpoint interval
+		case c.base:
+			if !b.Tree.Update(c.key, c.val) {
+				return fmt.Errorf("wal: btree update of key %d the checkpoint knew as live failed", c.key)
+			}
+		default:
+			if err := b.Tree.Insert(c.key, c.val); err != nil {
+				return fmt.Errorf("wal: btree insert of key %d: %w", c.key, err)
+			}
+		}
 	}
-	if b.Tree.Update(k, e.val) {
-		return nil
-	}
-	return b.Tree.Insert(k, e.val)
+	return nil
 }
 
 func (b btreeInner) barrier() ([]byte, error) {
@@ -59,34 +75,44 @@ func (b btreeInner) barrier() ([]byte, error) {
 	return blob[:], nil
 }
 
-type lsmInner struct{ *lsm.Tree }
+type lsmInner struct {
+	*lsm.Tree
+	recs []core.Record // absorb's reusable hand-off to the sorted ingest
+}
 
-func (lsmInner) validate(v core.Value) error {
+func (*lsmInner) validate(v core.Value) error {
 	if v == lsm.Tombstone {
 		return fmt.Errorf("wal: value %d is the reserved lsm tombstone", v)
 	}
 	return nil
 }
 
-func (i lsmInner) apply(k core.Key, e entry) error {
-	// The LSM's Delete and Insert adjust its count estimate unconditionally;
-	// probing first keeps the estimate honest when a replayed record is
-	// already absorbed in a newer manifest.
-	_, exists := i.Tree.Get(k)
-	switch {
-	case e.tomb && exists:
-		i.Tree.Delete(k)
-	case e.tomb:
-		// already gone: nothing to write
-	case exists:
-		i.Tree.Update(k, e.val)
-	default:
-		return i.Tree.Insert(k, e.val)
+// absorb hands the batch to the tree's sorted ingest: the overlay was the
+// memtable all along, so its records become level-0 runs directly. The LSM
+// writes blind and cannot keep its own count honest; base does — a live key
+// overwritten or a tombstone over nothing leaves the count alone, the latter
+// is not even written (it also covers a replayed delete that a manifest
+// newer than the anchor already absorbed).
+func (i *lsmInner) absorb(batch []change) error {
+	recs, delta := i.recs[:0], 0
+	for _, c := range batch {
+		v := c.val
+		switch {
+		case c.tomb && !c.base:
+			continue // already gone: nothing to write
+		case c.tomb:
+			v = lsm.Tombstone
+			delta--
+		case !c.base:
+			delta++
+		}
+		recs = append(recs, core.Record{Key: c.key, Value: v})
 	}
-	return nil
+	i.recs = recs
+	return i.Tree.IngestSorted(recs, delta)
 }
 
-func (i lsmInner) barrier() ([]byte, error) {
+func (i *lsmInner) barrier() ([]byte, error) {
 	before := i.Tree.Stats().ManifestWrites
 	i.Tree.Flush()
 	if i.Tree.Stats().ManifestWrites == before {
@@ -133,7 +159,7 @@ func NewLSM(pool *storage.BufferPool, cfg lsm.Config, wcfg Config) (*Logged, err
 		return nil, fmt.Errorf("wal: lsm snapshot versions are unsupported under the write-ahead log")
 	}
 	cfg.Manifest = true
-	return open(pool, lsmInner{lsm.New(pool, cfg)}, wcfg)
+	return open(pool, &lsmInner{Tree: lsm.New(pool, cfg)}, wcfg)
 }
 
 // RecoverLSM rebuilds a write-ahead-logged LSM-tree from the device image
@@ -152,6 +178,6 @@ func RecoverLSM(pool *storage.BufferPool, cfg lsm.Config, wcfg Config) (*Logged,
 		if err != nil {
 			return nil, err
 		}
-		return lsmInner{t}, nil
+		return &lsmInner{Tree: t}, nil
 	})
 }

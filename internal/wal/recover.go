@@ -47,22 +47,9 @@ func scanLog(dev *storage.Device) (*scanResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wal: recovery read of page %d: %w", id, err)
 		}
-		if len(data) < walHeader || binary.LittleEndian.Uint32(data[0:4]) != walMagic {
-			continue
+		if p, ok := scanLogPage(id, data); ok {
+			pages = append(pages, p)
 		}
-		used := int(binary.LittleEndian.Uint32(data[24:28]))
-		if used > len(data)-walHeader {
-			continue // header torn mid-write: length field is garbage
-		}
-		if binary.LittleEndian.Uint32(data[4:8]) != crc32.ChecksumIEEE(data[8:walHeader+used]) {
-			continue // torn or stale page
-		}
-		pages = append(pages, walPage{
-			id:      id,
-			seq:     binary.LittleEndian.Uint64(data[8:16]),
-			seg:     binary.LittleEndian.Uint64(data[16:24]),
-			payload: append([]byte(nil), data[walHeader:walHeader+used]...),
-		})
 	}
 	sort.Slice(pages, func(i, j int) bool { return pages[i].seq < pages[j].seq })
 
@@ -104,6 +91,29 @@ func scanLog(dev *storage.Device) (*scanResult, error) {
 		res.keepList = append(res.keepList, p.id)
 	}
 	return res, nil
+}
+
+// scanLogPage probes one device page for the log framing. It reports false
+// for anything that is not a whole log page — wrong magic, a used-length the
+// page cannot hold, a CRC mismatch — so a foreign, torn or stale page
+// contributes nothing. The payload is copied out of device memory.
+func scanLogPage(id storage.PageID, data []byte) (walPage, bool) {
+	if len(data) < walHeader || binary.LittleEndian.Uint32(data[0:4]) != walMagic {
+		return walPage{}, false
+	}
+	used := int(binary.LittleEndian.Uint32(data[24:28]))
+	if used > len(data)-walHeader {
+		return walPage{}, false // header torn mid-write: length field is garbage
+	}
+	if binary.LittleEndian.Uint32(data[4:8]) != crc32.ChecksumIEEE(data[8:walHeader+used]) {
+		return walPage{}, false // torn or stale page
+	}
+	return walPage{
+		id:      id,
+		seq:     binary.LittleEndian.Uint64(data[8:16]),
+		seg:     binary.LittleEndian.Uint64(data[16:24]),
+		payload: append([]byte(nil), data[walHeader:walHeader+used]...),
+	}, true
 }
 
 // decodeRecords parses one data page's payload.
@@ -162,19 +172,23 @@ func reopen(pool *storage.BufferPool, cfg Config, build func(keep map[storage.Pa
 		livePages: scan.keepList,
 		committed: uint64(len(scan.records)),
 	}
+	// Replay asks the rebuilt structure the same first-touch question the
+	// live path does, so a replayed entry's base bit is true to the structure
+	// it will be absorbed into — including records a manifest newer than the
+	// anchor has already absorbed.
 	for _, r := range scan.records {
+		_, found, base := l.probe(r.key)
 		switch r.kind {
 		case recUpsert:
-			_, existed := l.lookup(r.key)
-			l.overlay[r.key] = entry{val: r.val}
-			if !existed {
+			l.overlay[r.key] = entry{val: r.val, base: base}
+			if !found {
 				l.count++
 			}
 		case recDelete:
-			if _, existed := l.lookup(r.key); existed {
+			l.overlay[r.key] = entry{tomb: true, base: base}
+			if found {
 				l.count--
 			}
-			l.overlay[r.key] = entry{tomb: true}
 		}
 	}
 	return l, nil

@@ -13,15 +13,29 @@
 //   - pending: mutations appended to the log buffer but not yet committed.
 //     A group commit (Commit, or automatically every CommitBatch records)
 //     encodes them into CRC32-framed log pages and writes those pages to
-//     the device — the records are durable from that point on.
+//     the device — the records are durable from that point on. The page
+//     images are built in frames the log owns and reuses (the device copies
+//     on write, and a frame's tail is zeroed past its payload), so a
+//     steady-state commit allocates nothing.
 //   - overlay: every mutation since the last checkpoint, applied to an
 //     in-memory map that shadows the inner structure on reads. The inner
 //     structure itself is NOT touched between checkpoints, so the page
-//     image its last checkpoint left on the device stays intact.
+//     image its last checkpoint left on the device stays intact. The
+//     overlay is the structure's write buffer — under the LSM it is the
+//     memtable, and the tree's own skip list stays empty. Each entry carries
+//     a base bit: whether the structure holds a live version of the key,
+//     learned from the one probe the key cost when it first entered the
+//     overlay (or when recovery replayed it) and true until the next
+//     checkpoint because nothing touches the structure in between.
 //   - the inner structure: absorbs the overlay only at a checkpoint
-//     (Flush/Checkpoint), which makes it durable through its own barrier —
+//     (Flush/Checkpoint), as a single sorted hand-off: one batch of
+//     {key, value, tombstone, base} in ascending key order, from which the
+//     structure chooses insert, update, delete or skip per key without
+//     probing again — the B+-tree with one descent per key, the LSM by
+//     cutting the batch straight into level-0 runs (lsm.IngestSorted). The
+//     checkpoint then makes the structure durable through its own barrier —
 //     btree.CheckpointBarrier for the B+-tree, the manifest commit for the
-//     LSM — then seals a checkpoint record opening a fresh log segment and
+//     LSM — seals a checkpoint record opening a fresh log segment, and
 //     recycles every earlier log page.
 //
 // # Log format
@@ -57,10 +71,12 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"slices"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/rum"
@@ -116,15 +132,32 @@ type Stats struct {
 	// PagesRecycled counts log pages returned to the device after a
 	// checkpoint superseded their segment.
 	PagesRecycled uint64
+	// CheckpointRecords counts overlay entries handed to the inner structure
+	// by checkpoints, and CheckpointNanos the wall-clock time checkpoints
+	// took (commit, absorb, barrier, checkpoint record, recycle) — the write
+	// stall a shard's clients sit out. Two clock reads per checkpoint, none
+	// per operation; the only Stats field that is not deterministic.
+	CheckpointRecords, CheckpointNanos uint64
 	// LiveLogPages and OverlayRecords report the current footprint: log
 	// pages not yet recycled, and overlay entries not yet absorbed.
 	LiveLogPages, OverlayRecords int
 }
 
 // entry is one overlay slot: the newest uncheckpointed version of a key.
+// base remembers the answer of the one inner probe the key cost when it first
+// entered the overlay — whether the inner structure holds a live version of
+// it. The structure is untouched until the next checkpoint, so the bit stays
+// true to it and the checkpoint never has to ask again.
 type entry struct {
 	val  core.Value
 	tomb bool
+	base bool
+}
+
+// change is one overlay entry on its way into the inner structure.
+type change struct {
+	key core.Key
+	entry
 }
 
 // logRecord is one data record bound for the log.
@@ -134,6 +167,23 @@ type logRecord struct {
 	val  core.Value
 }
 
+// size is the record's encoded length.
+func (r logRecord) size() int {
+	if r.kind == recUpsert {
+		return upsertSize
+	}
+	return deleteSize
+}
+
+// put encodes the record at the start of dst.
+func (r logRecord) put(dst []byte) {
+	dst[0] = r.kind
+	binary.LittleEndian.PutUint64(dst[1:], r.key)
+	if r.kind == recUpsert {
+		binary.LittleEndian.PutUint64(dst[1+core.KeySize:], r.val)
+	}
+}
+
 // inner is the structure under the log: a full access method plus the three
 // hooks the checkpoint protocol needs.
 type inner interface {
@@ -141,8 +191,13 @@ type inner interface {
 	// validate rejects values the structure cannot represent (the LSM
 	// tombstone) before they are acknowledged into the log.
 	validate(v core.Value) error
-	// apply installs one overlay entry during a checkpoint.
-	apply(k core.Key, e entry) error
+	// absorb installs a checkpoint's overlay, handed over as one batch in
+	// strictly ascending key order. Each change's base bit says whether the
+	// structure holds a live version of the key, which decides between
+	// insert, update, delete and skip (a tombstone over a key the structure
+	// never held) without probing. The batch is the caller's scratch: absorb
+	// must not retain it.
+	absorb(batch []change) error
 	// barrier makes the structure's current state durable on the device and
 	// returns the opaque blob the checkpoint record stores to find that
 	// state again at recovery.
@@ -161,6 +216,13 @@ type Logged struct {
 	overlay map[core.Key]entry
 	pending []logRecord
 	count   int // logical record count (estimate under the LSM, like lsm.Len)
+
+	// Reusable scratch, so the steady state allocates nothing: batch is the
+	// sorted hand-off of a checkpoint (and the overlay side of a RangeScan);
+	// frames are the log page images a commit encodes into — Device.Write and
+	// WriteBatch copy, so a frame is free again as soon as the append returns.
+	batch  []change
+	frames [][]byte
 
 	seq       uint64 // last page sequence number issued
 	seg       uint64 // current segment number
@@ -232,19 +294,23 @@ func (l *Logged) Size() rum.SizeInfo {
 	return s
 }
 
-// lookup resolves k through the overlay, then the structure.
-func (l *Logged) lookup(k core.Key) (core.Value, bool) {
+// probe resolves k through the overlay, then the structure. base is the bit
+// an overlay entry for k must carry: the one the key's entry already has, or
+// — on first touch since the last checkpoint — what the structure just
+// answered.
+func (l *Logged) probe(k core.Key) (v core.Value, found, base bool) {
 	if e, ok := l.overlay[k]; ok {
-		if e.tomb {
-			return 0, false
-		}
-		return e.val, true
+		return e.val, !e.tomb, e.base
 	}
-	return l.in.Get(k)
+	v, found = l.in.Get(k)
+	return v, found, found
 }
 
 // Get returns the value for k and whether it was found.
-func (l *Logged) Get(k core.Key) (core.Value, bool) { return l.lookup(k) }
+func (l *Logged) Get(k core.Key) (core.Value, bool) {
+	v, found, _ := l.probe(k)
+	return v, found
+}
 
 // Insert adds a new record: append to the log buffer, apply to the overlay,
 // acknowledge. The record becomes durable at the next commit.
@@ -255,11 +321,12 @@ func (l *Logged) Insert(k core.Key, v core.Value) error {
 	if err := l.in.validate(v); err != nil {
 		return err
 	}
-	if _, ok := l.lookup(k); ok {
+	_, found, base := l.probe(k)
+	if found {
 		return core.ErrKeyExists
 	}
 	l.pending = append(l.pending, logRecord{kind: recUpsert, key: k, val: v})
-	l.overlay[k] = entry{val: v}
+	l.overlay[k] = entry{val: v, base: base}
 	l.count++
 	l.maintain()
 	return nil
@@ -271,11 +338,12 @@ func (l *Logged) Update(k core.Key, v core.Value) bool {
 	if l.corrupt != nil || l.in.validate(v) != nil {
 		return false
 	}
-	if _, ok := l.lookup(k); !ok {
+	_, found, base := l.probe(k)
+	if !found {
 		return false
 	}
 	l.pending = append(l.pending, logRecord{kind: recUpsert, key: k, val: v})
-	l.overlay[k] = entry{val: v}
+	l.overlay[k] = entry{val: v, base: base}
 	l.maintain()
 	return true
 }
@@ -285,49 +353,57 @@ func (l *Logged) Delete(k core.Key) bool {
 	if l.corrupt != nil {
 		return false
 	}
-	if _, ok := l.lookup(k); !ok {
+	_, found, base := l.probe(k)
+	if !found {
 		return false
 	}
 	l.pending = append(l.pending, logRecord{kind: recDelete, key: k})
-	l.overlay[k] = entry{tomb: true}
+	l.overlay[k] = entry{tomb: true, base: base}
 	l.count--
 	l.maintain()
 	return true
 }
 
+// sortedOverlay fills the batch buffer with the overlay entries whose keys
+// lie in [lo, hi], ascending. The result aliases l.batch and lives until the
+// next call.
+func (l *Logged) sortedOverlay(lo, hi core.Key) []change {
+	batch := l.batch[:0]
+	for k, e := range l.overlay {
+		if k >= lo && k <= hi {
+			batch = append(batch, change{key: k, entry: e})
+		}
+	}
+	slices.SortFunc(batch, func(a, b change) int { return cmp.Compare(a.key, b.key) })
+	l.batch = batch
+	return batch
+}
+
 // RangeScan merges the overlay into the structure's ordered scan: overlay
 // versions shadow structure versions, tombstones hide them, and overlay-only
-// keys are emitted in their key-order position.
+// keys are emitted in their key-order position. emit must not mutate l.
 func (l *Logged) RangeScan(lo, hi core.Key, emit func(core.Key, core.Value) bool) int {
-	keys := make([]core.Key, 0, len(l.overlay))
-	for k := range l.overlay {
-		if k >= lo && k <= hi {
-			keys = append(keys, k)
-		}
-	}
-	slices.Sort(keys)
+	over := l.sortedOverlay(lo, hi)
 	i, n := 0, 0
 	stopped := false
-	emitOverlay := func(k core.Key) bool {
-		if e := l.overlay[k]; !e.tomb {
-			n++
-			if !emit(k, e.val) {
-				return false
-			}
+	emitOverlay := func(c change) bool {
+		if c.tomb {
+			return true
 		}
-		return true
+		n++
+		return emit(c.key, c.val)
 	}
 	l.in.RangeScan(lo, hi, func(k core.Key, v core.Value) bool {
-		for i < len(keys) && keys[i] < k {
-			if !emitOverlay(keys[i]) {
+		for i < len(over) && over[i].key < k {
+			if !emitOverlay(over[i]) {
 				stopped = true
 				return false
 			}
 			i++
 		}
-		if i < len(keys) && keys[i] == k {
+		if i < len(over) && over[i].key == k {
 			i++
-			if !emitOverlay(k) {
+			if !emitOverlay(over[i-1]) {
 				stopped = true
 				return false
 			}
@@ -340,8 +416,8 @@ func (l *Logged) RangeScan(lo, hi core.Key, emit func(core.Key, core.Value) bool
 		}
 		return true
 	})
-	for !stopped && i < len(keys) {
-		if !emitOverlay(keys[i]) {
+	for !stopped && i < len(over) {
+		if !emitOverlay(over[i]) {
 			break
 		}
 		i++
@@ -372,32 +448,24 @@ func (l *Logged) Commit() error {
 	if len(l.pending) == 0 {
 		return nil
 	}
-	// The group's records are framed into page payloads first, then the
-	// whole run of log pages is appended as one submission (appendPages):
-	// on a multi-queue device a large commit group streams its pages at
-	// queue depth instead of one append at a time.
+	// The group's records are encoded straight into the reusable frames,
+	// then the whole run of log pages is appended as one submission
+	// (appendFrames): on a multi-queue device a large commit group streams
+	// its pages at queue depth instead of one append at a time.
 	per := l.pool.Device().PageSize() - walHeader
-	var payloads [][]byte
-	payload := make([]byte, 0, per)
+	n, used := 0, 0
+	page := l.frame(0)
 	for _, r := range l.pending {
-		need := deleteSize
-		if r.kind == recUpsert {
-			need = upsertSize
+		if used+r.size() > per {
+			closePayload(page, used)
+			n++
+			page, used = l.frame(n), 0
 		}
-		if len(payload)+need > per {
-			payloads = append(payloads, payload)
-			payload = make([]byte, 0, per)
-		}
-		payload = append(payload, r.kind)
-		payload = binary.LittleEndian.AppendUint64(payload, r.key)
-		if r.kind == recUpsert {
-			payload = binary.LittleEndian.AppendUint64(payload, r.val)
-		}
+		r.put(page[walHeader+used:])
+		used += r.size()
 	}
-	if len(payload) > 0 {
-		payloads = append(payloads, payload)
-	}
-	if err := l.appendPages(payloads); err != nil {
+	closePayload(page, used)
+	if err := l.appendFrames(n + 1); err != nil {
 		l.poison(err)
 		return err
 	}
@@ -415,23 +483,25 @@ func (l *Logged) Commit() error {
 // barrier durable, checkpoint record durable, old segments freed — a crash
 // between any two steps leaves the previous checkpoint authoritative and
 // every committed record still replayable.
+//
+// The overlay is the structure's write buffer: it reaches the structure as
+// one sorted batch (inner.absorb), each change carrying the base bit its
+// first touch learned, so absorbing costs the structure no second probe and
+// no second in-memory buffering.
 func (l *Logged) Checkpoint() error {
 	if l.corrupt != nil {
 		return l.poisonedErr()
 	}
+	start := time.Now()
 	if err := l.Commit(); err != nil {
 		return err
 	}
-	keys := make([]core.Key, 0, len(l.overlay))
-	for k := range l.overlay {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys) // deterministic structure shape regardless of map order
-	for _, k := range keys {
-		if err := l.in.apply(k, l.overlay[k]); err != nil {
-			l.poison(err)
-			return err
-		}
+	// Sorted: a deterministic structure shape regardless of map order, and
+	// the order a sorted ingest wants.
+	batch := l.sortedOverlay(0, ^core.Key(0))
+	if err := l.in.absorb(batch); err != nil {
+		l.poison(err)
+		return err
 	}
 	blob, err := l.in.barrier()
 	if err != nil {
@@ -445,27 +515,30 @@ func (l *Logged) Checkpoint() error {
 		return err
 	}
 	l.seg++
-	payload := make([]byte, 0, 3+len(blob))
-	payload = append(payload, recCheckpoint)
-	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(blob)))
-	payload = append(payload, blob...)
-	old := l.livePages
-	id, err := l.appendPage(payload)
+	page := l.frame(0)
+	rec := page[walHeader:]
+	rec[0] = recCheckpoint
+	binary.LittleEndian.PutUint16(rec[1:3], uint16(len(blob)))
+	copy(rec[3:], blob)
+	closePayload(page, 3+len(blob))
+	id, err := l.appendFrame(page)
 	if err != nil {
 		l.poison(err)
 		return err
 	}
 	l.stats.Syncs++
-	l.livePages = []storage.PageID{id}
 	// Recycle: every log page of earlier segments is superseded by the
 	// checkpoint record. Through the pool, so cached frames are evicted too.
-	for _, p := range old {
+	for _, p := range l.livePages {
 		if l.pool.FreePage(p) == nil {
 			l.stats.PagesRecycled++
 		}
 	}
+	l.livePages = append(l.livePages[:0], id)
 	clear(l.overlay)
 	l.stats.Checkpoints++
+	l.stats.CheckpointRecords += uint64(len(batch))
+	l.stats.CheckpointNanos += uint64(time.Since(start))
 	return nil
 }
 
@@ -473,21 +546,52 @@ func (l *Logged) Checkpoint() error {
 // the next mutation or Commit.
 func (l *Logged) Flush() { _ = l.Checkpoint() }
 
-// appendPages appends a run of framed log pages. On a clean multi-queue
-// device the run goes through Device.WriteBatch — sequence numbers, page
-// allocations, framing, stats, and livePages order are identical to the
-// sequential path; only the charging (amortized at depth) and the submission
-// shape change. On flat media, or with a fault injector armed, it degrades
-// to per-page appendPage calls so fault consultation order and torn-page
-// semantics are exactly the pre-batching ones.
-func (l *Logged) appendPages(payloads [][]byte) error {
-	if len(payloads) == 0 {
-		return nil
+// frame returns the i-th reusable log page image, growing the set on demand
+// (a commit group needs ceil(group bytes / page payload) of them, so the set
+// stays a handful of pages).
+func (l *Logged) frame(i int) []byte {
+	for len(l.frames) <= i {
+		l.frames = append(l.frames, make([]byte, l.pool.Device().PageSize()))
 	}
+	return l.frames[i]
+}
+
+// closePayload finishes a frame's payload: the used length goes into the
+// header and the tail is zeroed, so a reused frame carries nothing of its
+// previous life onto the device.
+func closePayload(page []byte, used int) {
+	binary.LittleEndian.PutUint32(page[24:28], uint32(used))
+	clear(page[walHeader+used:])
+}
+
+// framedBytes is the log traffic a closed frame stands for: header plus
+// payload, not page slack.
+func framedBytes(page []byte) uint64 {
+	return walHeader + uint64(binary.LittleEndian.Uint32(page[24:28]))
+}
+
+// stamp turns a closed frame into a CRC-framed log page image, consuming the
+// next sequence number.
+func (l *Logged) stamp(page []byte) {
+	l.seq++
+	binary.LittleEndian.PutUint32(page[0:4], walMagic)
+	binary.LittleEndian.PutUint64(page[8:16], l.seq)
+	binary.LittleEndian.PutUint64(page[16:24], l.seg)
+	binary.LittleEndian.PutUint32(page[4:8], crc32.ChecksumIEEE(page[8:framedBytes(page)]))
+}
+
+// appendFrames appends the first n frames as a run of log pages. On a clean
+// multi-queue device the run goes through Device.WriteBatch — sequence
+// numbers, page allocations, framing, stats, and livePages order are
+// identical to the sequential path; only the charging (amortized at depth)
+// and the submission shape change. On flat media, or with a fault injector
+// armed, it degrades to per-page appendFrame calls so fault consultation
+// order and torn-page semantics are exactly the pre-batching ones.
+func (l *Logged) appendFrames(n int) error {
 	dev := l.pool.Device()
-	if len(payloads) == 1 || dev.CostModel().Channels <= 1 || dev.Faulty() || dev.Crashed() {
-		for _, payload := range payloads {
-			id, err := l.appendPage(payload)
+	if n == 1 || dev.CostModel().Channels <= 1 || dev.Faulty() || dev.Crashed() {
+		for _, page := range l.frames[:n] {
+			id, err := l.appendFrame(page)
 			if err != nil {
 				return err
 			}
@@ -495,49 +599,34 @@ func (l *Logged) appendPages(payloads [][]byte) error {
 		}
 		return nil
 	}
-	ids := make([]storage.PageID, len(payloads))
-	pages := make([][]byte, len(payloads))
-	for i, payload := range payloads {
-		pages[i] = l.framePage(payload)
-		ids[i] = dev.Alloc(rum.Aux)
+	first := len(l.livePages)
+	for _, page := range l.frames[:n] {
+		l.stamp(page)
+		l.livePages = append(l.livePages, dev.Alloc(rum.Aux))
 	}
-	if err := dev.WriteBatch(ids, pages); err != nil {
+	if err := dev.WriteBatch(l.livePages[first:], l.frames[:n]); err != nil {
+		l.livePages = l.livePages[:first]
 		return err
 	}
-	for i, payload := range payloads {
+	for _, page := range l.frames[:n] {
 		l.stats.LogPagesWritten++
-		l.stats.LogBytesWritten += uint64(walHeader + len(payload))
-		l.livePages = append(l.livePages, ids[i])
+		l.stats.LogBytesWritten += framedBytes(page)
 	}
 	return nil
 }
 
-// framePage builds one CRC-framed log page image around payload, consuming
-// the next sequence number.
-func (l *Logged) framePage(payload []byte) []byte {
-	page := make([]byte, l.pool.Device().PageSize())
-	l.seq++
-	binary.LittleEndian.PutUint32(page[0:4], walMagic)
-	binary.LittleEndian.PutUint64(page[8:16], l.seq)
-	binary.LittleEndian.PutUint64(page[16:24], l.seg)
-	binary.LittleEndian.PutUint32(page[24:28], uint32(len(payload)))
-	copy(page[walHeader:], payload)
-	binary.LittleEndian.PutUint32(page[4:8], crc32.ChecksumIEEE(page[8:walHeader+len(payload)]))
-	return page
-}
-
-// appendPage frames payload into a fresh log page and writes it to the
-// device. The sequence number is consumed even on failure — sequence order
-// is append order, holes included.
-func (l *Logged) appendPage(payload []byte) (storage.PageID, error) {
+// appendFrame stamps a closed frame and writes it to a fresh log page. The
+// sequence number is consumed even on failure — sequence order is append
+// order, holes included.
+func (l *Logged) appendFrame(page []byte) (storage.PageID, error) {
 	dev := l.pool.Device()
-	page := l.framePage(payload)
+	l.stamp(page)
 	id := dev.Alloc(rum.Aux)
 	if err := dev.Write(id, page); err != nil {
 		return id, err
 	}
 	l.stats.LogPagesWritten++
-	l.stats.LogBytesWritten += uint64(walHeader + len(payload))
+	l.stats.LogBytesWritten += framedBytes(page)
 	return id, nil
 }
 
