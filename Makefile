@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race racecheck benchmarks bench golden experiments-golden serve-live-smoke mvcc-race benchjson
+.PHONY: check build fmt vet test race racecheck benchmarks bench golden experiments-golden benchjson
 
 ## check: the full gate — build, gofmt, vet, race-enabled tests, the
 ## assertion build, and the nested benchmarks/ module.
@@ -79,17 +79,3 @@ experiments-golden:
 benchjson:
 	$(GO) run ./cmd/rumbench -exp walsweep,qdsweep -quick -n 2048 -ops 1000 \
 		-benchjson BENCH_10.json >/dev/null
-
-## mvcc-race: the single-writer/many-reader packages under the race
-## detector alone — quicker signal than the full `race` target when
-## iterating on the snapshot path.
-mvcc-race:
-	$(GO) test -race ./internal/serve ./internal/btree ./internal/lsm
-
-## serve-live-smoke: the live telemetry plane end to end — start rumserve
-## on an ephemeral port, scrape /healthz, /metrics and /debug/rum, assert
-## the rum_* series are present, and require a clean SIGINT shutdown with
-## a final report.
-serve-live-smoke:
-	$(GO) build -o /tmp/rumserve-smoke ./cmd/rumserve
-	./scripts/serve-live-smoke.sh /tmp/rumserve-smoke

@@ -56,6 +56,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/methods"
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/storage"
@@ -94,6 +95,8 @@ type daemon struct {
 	gens []*bench.StreamGen // one per client; theirs until the run is stopped
 	ring *obs.Rolling
 	reg  *obs.Registry
+	// substrate is what the advisor prices on: every shard's pool together.
+	substrate model.Params
 
 	start               time.Time
 	stopCh, samplerDone chan struct{}
@@ -126,6 +129,8 @@ func newDaemon(cfg config) (*daemon, error) {
 		},
 		Trace: serve.TraceConfig{SlowK: slowTraceCap, SlowTTL: time.Minute},
 	}
+	d.substrate = lc.Storage.Model(0)
+	d.substrate.PoolPages *= cfg.shards
 	if cfg.mvcc {
 		lc.Storage.Versions, lc.Staleness = mvccRetention, cfg.staleness
 	}
@@ -152,7 +157,7 @@ func newDaemon(cfg config) (*daemon, error) {
 		d.reg.Register(d.ring.WALSource())
 	}
 	if cfg.workload {
-		d.reg.Register(d.ring.WorkloadSource(cfg.method))
+		d.reg.Register(d.ring.WorkloadSource(cfg.method, d.substrate))
 	}
 	d.reg.Register(d.ring.PhaseSource())
 	d.reg.Register(obs.SourceFunc(func(e *obs.Encoder) { // the drivers' verdict, read live
@@ -283,7 +288,7 @@ func (d *daemon) handleDebugWorkload(w http.ResponseWriter, _ *http.Request) {
 	}{Enabled: d.cfg.workload, WindowOps: d.cfg.workloadWindow, Dist: d.cfg.dist.String()}
 	if last := d.ring.Last(); last != nil && last.Workload != nil {
 		doc.Snapshot = last.Workload
-		if adv, ok := last.Advise(d.cfg.method); ok {
+		if adv, ok := last.Advise(d.cfg.method, d.substrate); ok {
 			st := last.Workload.Last.Stats()
 			doc.Last, doc.Advice = &st, &adv
 		}
@@ -470,7 +475,7 @@ func run(args []string, stdout, stderr io.Writer, testSignal <-chan struct{}) in
 	httpSrv.Shutdown(ctx)
 
 	fmt.Fprint(stdout, res.Render())
-	fmt.Fprint(stdout, d.ring.Last().WorkloadReport(cfg.method))
+	fmt.Fprint(stdout, d.ring.Last().WorkloadReport(cfg.method, d.substrate))
 	fmt.Fprint(stderr, res.RenderTiming())
 	// The flight recorder outlives Stop: leave the worst offenders on record.
 	if traces := d.run.Server.SlowTraces(); len(traces) > 0 {

@@ -260,6 +260,8 @@ func TestRunFlagErrors(t *testing.T) {
 		{"wal with mvcc", []string{"-wal", "-mvcc"}, 2},
 		{"bad dist", []string{"-dist", "latest"}, 2},
 		{"bad zipf theta", []string{"-dist", "zipf:0"}, 2},
+		{"NaN zipf theta", []string{"-dist", "zipf:NaN"}, 2},
+		{"NaN mix", []string{"-mix", "get=NaN"}, 2},
 		{"scan mix", []string{"-mix", "get=0.6,scan=0.4"}, 2},
 		{"bad workload window", []string{"-workload", "-workload-window", "0"}, 2},
 		{"unknown method", []string{"-method", "no-such-method", "-addr", "127.0.0.1:0"}, 1},
@@ -399,6 +401,11 @@ func TestDaemonWorkload(t *testing.T) {
 	}
 	if doc.Advice == nil || len(doc.Advice.Ranked) < 5 || doc.Advice.Best.Config == "" {
 		t.Fatalf("/debug/workload advice missing:\n%s", body)
+	}
+	for _, key := range []string{`"ranked"`, `"current"`, `"best"`, `"delta"`} {
+		if !strings.Contains(body, key) {
+			t.Errorf("/debug/workload advice lost its %s key:\n%s", key, body)
+		}
 	}
 
 	res, err := d.stop()

@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		read     = fs.Float64("wr", 1, "priority weight on read cost")
 		write    = fs.Float64("wu", 1, "priority weight on write cost")
 		space    = fs.Float64("wm", 1, "priority weight on space")
-		flash    = fs.Bool("flash", false, "endurance-limited storage: bias against write amplification")
+		flash    = fs.Bool("flash", false, "endurance-limited storage: price page writes at the SSD's write/read cost ratio")
 		memtight = fs.Bool("memtight", false, "scarce memory: bias against space amplification")
 		verify   = fs.Bool("verify", false, "profile the top 3 picks on the described workload")
 		ops      = fs.Int("ops", 8000, "operations for -verify")
@@ -92,26 +92,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		FlashLike:   *flash,
 		MemoryTight: *memtight,
 	}
-	recs := core.Recommend(req)
+	opt := methods.Options{}
+	recs := core.Recommend(req, opt.Model(*size))
 	fmt.Fprintln(stdout, "Access-method wizard (predicted ranking, lower score = better):")
 	fmt.Fprint(stdout, core.Explain(recs))
 
 	if !*verify {
 		return 0
 	}
-	fmt.Fprintln(stdout, "\nMeasured validation of the top picks:")
-	opt := methods.Options{}
-	catalogName := map[string]string{
-		"btree": "btree", "hash": "hash", "lsm": "lsm-level", "zonemap": "zonemap",
-		"sorted-column": "sorted-column", "unsorted-column": "unsorted-column", "cracking": "cracking",
-	}
-	shown := 0
+	fmt.Fprintln(stdout, "\nMeasured validation of the top picks (standard configurations):")
+	shown := map[string]bool{}
 	for _, r := range recs {
-		if shown == 3 {
+		name := r.Config.Method
+		if len(shown) == 3 {
 			break
 		}
-		name, ok := catalogName[r.Method]
-		if !ok {
+		if shown[name] {
 			continue
 		}
 		spec, err := methods.Lookup(opt, name)
@@ -126,9 +122,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		fmt.Fprintf(stdout, "  %-16s measured %s\n", name, prof.Point)
-		shown++
+		shown[name] = true
 	}
-	if shown == 0 {
+	if len(shown) == 0 {
 		fmt.Fprintln(stderr, "rumwizard: -verify profiled no methods")
 		return 1
 	}

@@ -52,7 +52,7 @@ func main() {
 	// --- Part 2: morphing engine vs. static structures across phases ---
 	fmt.Println("\nMorphing engine across three workload phases (read-heavy → write-heavy → scan-heavy):")
 	opt := methods.Options{PoolPages: 16}
-	morph, err := core.NewMorphing(methods.Flavors(opt), 0, core.MorphPolicy{})
+	morph, err := core.NewMorphing(methods.Flavors(opt), 0, opt.Model(0), core.MorphPolicy{})
 	if err != nil {
 		log.Fatal(err)
 	}

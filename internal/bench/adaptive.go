@@ -101,7 +101,8 @@ func RunAdaptive(cfg Config) AdaptiveResult {
 	}
 
 	morphing := func(cfg Config) {
-		m, err := core.NewMorphing(methods.Flavors(cfg.Storage), 0, core.MorphPolicy{})
+		cfg.smallPool()
+		m, err := core.NewMorphing(methods.Flavors(cfg.Storage), 0, cfg.Storage.Model(0), core.MorphPolicy{})
 		if err != nil {
 			panic(err)
 		}

@@ -69,6 +69,16 @@ func (c *Config) Defaults() {
 	}
 }
 
+// smallPool gives an experiment that left the pool unset one its store
+// outgrows, Figure 1's honesty rule: a resident store moves no page — the
+// pool hides the device, every method looks read-optimal, and there is
+// nothing to degrade, advise on or adapt to.
+func (c *Config) smallPool() {
+	if c.Storage.PoolPages == 0 {
+		c.Storage.PoolPages = 8
+	}
+}
+
 // makeRecords returns n records with unique scattered keys, sorted by key.
 // Generation is memoized per (seed, n) — many cells of one suite ask for the
 // same dataset, concurrently — and the canonical slice is kept immutable:

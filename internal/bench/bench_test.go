@@ -27,6 +27,17 @@ func TestProps(t *testing.T) {
 	}
 }
 
+// CellsOf returns the rows for one method across every N (scaling checks).
+func (r Table1Result) CellsOf(method string) []Table1Row {
+	var out []Table1Row
+	for _, row := range r.Rows {
+		if row.Method == method {
+			out = append(out, row)
+		}
+	}
+	return out
+}
+
 func TestTable1(t *testing.T) {
 	res := RunTable1(tiny, []int{1 << 11, 1 << 13}, 64)
 	if len(res.Rows) != 12 {

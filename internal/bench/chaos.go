@@ -102,11 +102,7 @@ type ChaosResult struct {
 // transient faults on both paths, half of the write faults torn.
 func RunChaos(cfg Config, plan faults.Plan) ChaosResult {
 	cfg.Defaults()
-	if cfg.Storage.PoolPages == 0 {
-		// Like Table 1: MEM must be small relative to N, or the pool hides
-		// the device — and a healthy-looking device has nothing to degrade.
-		cfg.Storage.PoolPages = 8
-	}
+	cfg.smallPool()
 	if !plan.Active() {
 		plan = faults.Plan{Seed: uint64(cfg.Seed), PRead: 0.01, PWrite: 0.01, PTorn: 0.5}
 	}

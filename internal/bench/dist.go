@@ -39,12 +39,12 @@ func (d KeyDist) Validate() error {
 	case "", "uniform":
 		return nil
 	case "zipf":
-		if d.Theta <= 0 || d.Theta >= 8 {
+		if !(d.Theta > 0 && d.Theta < 8) { // NaN fails every comparison, so test for inside
 			return fmt.Errorf("dist: zipf theta %g outside (0,8)", d.Theta)
 		}
 		return nil
 	case "hotspot":
-		if d.HotAccess <= 0 || d.HotAccess >= 1 || d.HotKeys <= 0 || d.HotKeys >= 1 {
+		if !(d.HotAccess > 0 && d.HotAccess < 1 && d.HotKeys > 0 && d.HotKeys < 1) {
 			return fmt.Errorf("dist: hotspot %g/%g; want fractions in (0,1)", d.HotAccess, d.HotKeys)
 		}
 		return nil

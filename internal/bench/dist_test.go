@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -33,7 +34,8 @@ func TestParseKeyDist(t *testing.T) {
 			t.Errorf("round trip of %q: got %+v err %v", d.String(), d2, err)
 		}
 	}
-	for _, in := range []string{"latest", "zipf:0", "zipf:9", "zipf:x", "hotspot:90", "hotspot:0/10", "hotspot:90/x"} {
+	for _, in := range []string{"latest", "zipf:0", "zipf:9", "zipf:x", "hotspot:90", "hotspot:0/10", "hotspot:90/x",
+		"zipf:NaN", "zipf:Inf", "hotspot:NaN/10", "hotspot:90/NaN", "hotspot:Inf/10"} {
 		if _, err := ParseKeyDist(in); err == nil {
 			t.Errorf("ParseKeyDist(%q) accepted", in)
 		}
@@ -222,5 +224,17 @@ func TestServeMixScanParsing(t *testing.T) {
 	}
 	if _, err := ParseServeMix("scan=-0.1"); err == nil {
 		t.Error("accepted a negative scan fraction")
+	}
+	// Non-finite values fail every range comparison; they must not slip through.
+	for _, in := range []string{"get=NaN", "getmiss=NaN", "scan=NaN", "scanrows=NaN", "scanrows=Inf", "get=Inf", "read99,getmiss=nan"} {
+		if _, err := ParseServeMix(in); err == nil {
+			t.Errorf("ParseServeMix(%q) accepted", in)
+		}
+	}
+	if err := (ServeMix{Get: math.NaN(), Insert: 1}).Validate(); err == nil {
+		t.Error("Validate accepted a NaN fraction")
+	}
+	if err := (KeyDist{Kind: "zipf", Theta: math.NaN()}).Validate(); err == nil {
+		t.Error("Validate accepted a NaN theta")
 	}
 }

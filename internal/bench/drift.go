@@ -27,22 +27,21 @@ import (
 // Every point outcome and every scan's row count is verified against the
 // generator's model.
 
-// driftPhases is the diurnal schedule: name, mix, and key distribution of
+// DriftPhases is the diurnal schedule: name, mix, and key distribution of
 // each phase. Phases run back to back against the same instance and split
 // the op budget evenly.
-var driftPhases = []struct {
-	name string
-	mix  ServeMix
-	dist string
+var DriftPhases = []struct {
+	Name string
+	Mix  ServeMix
+	Dist string
 }{
 	{"ingest", ServeMix{Get: 0.15, Insert: 0.70, Update: 0.10, Delete: 0.05, GetMiss: 0.05}, "uniform"},
 	{"serve", ServeMix{Get: 0.90, Insert: 0.05, Update: 0.05, GetMiss: 0.05}, "zipf:1.1"},
 	{"scan-storm", ServeMix{Get: 0.50, Insert: 0.05, Update: 0.05, Scan: 0.40, ScanRows: 512, GetMiss: 0.05}, "hotspot:90/10"},
 }
 
-// driftMethod is the serving subject the advisor critiques. A B-tree is the
-// interesting choice: well placed for the scan storm, beatable in the other
-// two phases, so the advisor has something to say.
+// driftMethod is the serving subject the advisor critiques: the catalog's
+// default, whose page-granular accesses leave every phase something to say.
 const driftMethod = "btree"
 
 // DriftWindowRow is one completed fingerprint window of the run.
@@ -91,8 +90,9 @@ func runDrift(cfg Config) DriftResult {
 		windowOps = 64
 	}
 	phaseOps := 4 * windowOps
-	totalOps := phaseOps * len(driftPhases)
+	totalOps := phaseOps * len(DriftPhases)
 
+	cfg.smallPool()
 	sopt := cfg.Storage
 	sopt.Hook = nil // single cell; keep the run untraced and deterministic
 	spec, err := methods.Lookup(sopt, driftMethod)
@@ -111,7 +111,7 @@ func runDrift(cfg Config) DriftResult {
 		panic(fmt.Sprintf("drift: %v", err))
 	}
 
-	g := NewStreamGen(cfg.Seed, 0, driftPhases[0].mix)
+	g := NewStreamGen(cfg.Seed, 0, DriftPhases[0].Mix)
 	if err := srv.Preload(g.InitRecords(nInit)); err != nil {
 		panic(fmt.Sprintf("drift: preload: %v", err))
 	}
@@ -120,10 +120,10 @@ func runDrift(cfg Config) DriftResult {
 	phaseOf := func(win uint64) string {
 		mid := (float64(win) - 0.5) * float64(windowOps)
 		i := int(mid / float64(phaseOps))
-		if i >= len(driftPhases) {
-			i = len(driftPhases) - 1
+		if i >= len(DriftPhases) {
+			i = len(DriftPhases) - 1
 		}
-		return driftPhases[i].name
+		return DriftPhases[i].Name
 	}
 
 	const batch = 64
@@ -145,12 +145,12 @@ func runDrift(cfg Config) DriftResult {
 		}
 		reqs, want = reqs[:0], want[:0]
 	}
-	for _, ph := range driftPhases {
-		dist, err := ParseKeyDist(ph.dist)
+	for _, ph := range DriftPhases {
+		dist, err := ParseKeyDist(ph.Dist)
 		if err != nil {
 			panic(fmt.Sprintf("drift: %v", err))
 		}
-		g.SetPhase(ph.mix, dist)
+		g.SetPhase(ph.Mix, dist)
 		for i := 0; i < phaseOps; i++ {
 			op := g.NextOp()
 			if op.Scan {
@@ -203,7 +203,7 @@ func runDrift(cfg Config) DriftResult {
 			Window:  fp.Window,
 			Phase:   phaseOf(fp.Window),
 			Stats:   st,
-			Advice:  obs.Advise(fp, float64(finalLen), driftMethod),
+			Advice:  obs.Advise(fp, sopt.Model(finalLen), driftMethod),
 			Latched: latched[fp.Window],
 		}
 		if i > 0 {
@@ -225,7 +225,7 @@ func (r DriftResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Workload drift & the RUM advisor: %s under a diurnal phase schedule\n", driftMethod)
 	fmt.Fprintf(&b, "%d records preloaded, %d ops in %d phases (%s), fingerprint window %d ops\n\n",
-		r.N, r.Ops, len(driftPhases), driftPhaseNames(), r.WindowOps)
+		r.N, r.Ops, len(DriftPhases), driftPhaseNames(), r.WindowOps)
 	rows := make([][]string, 0, len(r.Windows))
 	for _, w := range r.Windows {
 		drift := fmt.Sprintf("%.2f", w.Drift)
@@ -259,14 +259,30 @@ func (r DriftResult) Render() string {
 	fmt.Fprintf(&b, "\n%d drift event(s) latched (drift* rows); advisor recommended %d distinct configuration(s): %s\n",
 		r.DriftEvents, len(r.Advised), strings.Join(r.Advised, ", "))
 	fmt.Fprintf(&b, "every op outcome and scan row count verified against the generator's model: %s\n", verdict)
-	b.WriteString("\nThe advisor is report-only: each window's fingerprint (mix, hot-key share,\nzipf slope, working set, scan lengths) is priced through the paper's RO/UO/MO\nmodel for every catalog configuration; \"advised\" is the cheapest seat for\nthat window's traffic with the predicted per-op saving over staying put.\nNo phase's winner survives the next phase — the RUM trade-off in motion.\n")
+	b.WriteString("\nThe advisor is report-only: each window's fingerprint (mix, hot-key share,\nzipf slope, working set, scan lengths) is priced through the paper's RO/UO/MO\nmodel for every catalog configuration; \"advised\" is the cheapest seat for\nthat window's traffic with the predicted per-op saving over staying put.\n")
+	b.WriteString(r.verdict())
 	return b.String()
 }
 
+// verdict is the caption's last line, read off the table: which advised
+// configurations, if any, are still the cheapest seat across a phase boundary.
+func (r DriftResult) verdict() string {
+	kept := ""
+	for i := 1; i < len(r.Windows); i++ {
+		if a, b := r.Windows[i-1], r.Windows[i]; a.Phase != b.Phase && a.Advice.Best.Config == b.Advice.Best.Config {
+			kept += fmt.Sprintf("; %s's winner (%s) survives into %s", a.Phase, a.Advice.Best.Config, b.Phase)
+		}
+	}
+	if kept == "" {
+		return "No phase's winner survives the next phase — the RUM trade-off in motion.\n"
+	}
+	return kept[2:] + ".\n"
+}
+
 func driftPhaseNames() string {
-	names := make([]string, len(driftPhases))
-	for i, p := range driftPhases {
-		names[i] = p.name
+	names := make([]string, len(DriftPhases))
+	for i, p := range DriftPhases {
+		names[i] = p.Name
 	}
 	return strings.Join(names, " → ")
 }

@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func quickDriftCfg() Config {
@@ -69,5 +71,20 @@ func TestDriftDeterministicAndAdvised(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// The caption's verdict is read off the table, not asserted.
+func TestDriftVerdict(t *testing.T) {
+	win := func(phase, cfg string) DriftWindowRow {
+		return DriftWindowRow{Phase: phase, Advice: obs.Advice{Best: obs.AdvisorChoice{Config: cfg}}}
+	}
+	moving := DriftResult{Windows: []DriftWindowRow{win("a", "x"), win("a", "x"), win("b", "y"), win("c", "x")}}
+	if got := moving.verdict(); !strings.HasPrefix(got, "No phase's winner survives") {
+		t.Errorf("all winners change, verdict %q", got)
+	}
+	sticky := DriftResult{Windows: []DriftWindowRow{win("a", "x"), win("b", "x"), win("c", "y")}}
+	if got := sticky.verdict(); !strings.Contains(got, "a's winner (x) survives into b") || strings.Contains(got, "into c") {
+		t.Errorf("a→b keeps x, b→c does not; verdict %q", got)
 	}
 }

@@ -174,7 +174,7 @@ func (r ExtensionsResult) Render() string {
 	}
 	b.WriteString(table([]string{"structure", "base bytes read", "MO", "misses pruned"}, rows))
 	fmt.Fprintf(&b, "Filters cut miss reads %.0fx for %.1f%% extra space.\n\n",
-		float64(r.ZonemapMissRead)/float64(max64(r.ApproxMissRead, 1)),
+		float64(r.ZonemapMissRead)/float64(max(r.ApproxMissRead, 1)),
 		(r.ApproxMO-r.ZonemapMO)*100)
 
 	b.WriteString("Differential structures (§4): device page writes for the run's random inserts (4 KiB pages, MEM=8)\n")
@@ -195,11 +195,4 @@ func (r ExtensionsResult) Render() string {
 	fmt.Fprintf(&b, "The cache-oblivious layout touches %.0f%% fewer lines and pays %.1fx space in pointers — the paper's stated tradeoff.\n",
 		100*(1-r.VEBLines/r.BinaryLines), r.VEBMO)
 	return b.String()
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -37,18 +37,18 @@ type Fig1Result struct {
 // fig1Tolerance is the dominance margin for relative corner classification.
 const fig1Tolerance = 0.06
 
-// fig1Mix is the placement workload: point-dominated with a sliver of range
+// Fig1Mix is the placement workload: point-dominated with a sliver of range
 // queries, the regime Figure 1's structures are designed around. (Heavy
 // range scanning is a different design space — the analytics example and
 // Table 1 cover it.)
-var fig1Mix = workload.Mix{Get: 0.58, Insert: 0.20, Update: 0.17, Delete: 0.05}
+var Fig1Mix = workload.Mix{Get: 0.58, Insert: 0.20, Update: 0.17, Delete: 0.05}
 
-// fig1Orderings are the concrete orderings Figure 1 asserts, restricted to
+// Fig1Orderings are the concrete orderings Figure 1 asserts, restricted to
 // comparisons that are meaningful under one accounting granularity:
 // read-optimized structures must out-read write- and space-optimized ones,
 // differential structures must out-write in-place ones, and sparse or
 // compressed structures must out-store pointer-heavy ones.
-var fig1Orderings = []struct{ dim, a, b string }{
+var Fig1Orderings = []struct{ Dim, A, B string }{
 	// Read overhead: indexes beat scans and probing stores.
 	{"R", "btree", "unsorted-column"},
 	{"R", "hash", "unsorted-column"},
@@ -79,11 +79,7 @@ var fig1Orderings = []struct{ dim, a, b string }{
 // the accompanying table.
 func RunFig1(cfg Config) Fig1Result {
 	cfg.Defaults()
-	if cfg.Storage.PoolPages == 0 {
-		// A small pool keeps page-based structures honest: Figure 1 is about
-		// data access cost, not cache hit luck.
-		cfg.Storage.PoolPages = 8
-	}
+	cfg.smallPool()
 	res := Fig1Result{N: cfg.N, Ops: cfg.Ops, Expected: map[string]string{}}
 	var expected []rum.Corner
 	// One run cell per catalog structure. The spec is re-looked-up inside the
@@ -105,7 +101,7 @@ func RunFig1(cfg Config) Fig1Result {
 				}
 				gen := workload.New(workload.Config{
 					Seed:       ccfg.Seed,
-					Mix:        fig1Mix,
+					Mix:        Fig1Mix,
 					InitialLen: ccfg.N,
 					RangeLen:   1 << 30, // wide spans over the sparse 40-bit key domain
 				})
@@ -148,9 +144,9 @@ func RunFig1(cfg Config) Fig1Result {
 			return p.M
 		}
 	}
-	for _, o := range fig1Orderings {
-		va, vb := dimOf(byName[o.a], o.dim), dimOf(byName[o.b], o.dim)
-		c := OrderCheck{Dim: o.dim, A: o.a, B: o.b, ValA: va, ValB: vb, Holds: va < vb}
+	for _, o := range Fig1Orderings {
+		va, vb := dimOf(byName[o.A], o.Dim), dimOf(byName[o.B], o.Dim)
+		c := OrderCheck{Dim: o.Dim, A: o.A, B: o.B, ValA: va, ValB: vb, Holds: va < vb}
 		if c.Holds {
 			res.ChecksOK++
 		}

@@ -149,9 +149,7 @@ func fig3Sweep(cfg Config) []fig3Config {
 // one run cell; families are assembled from the cell results in sweep order.
 func RunFig3(cfg Config) Fig3Result {
 	cfg.Defaults()
-	if cfg.Storage.PoolPages == 0 {
-		cfg.Storage.PoolPages = 8
-	}
+	cfg.smallPool()
 	res := Fig3Result{N: cfg.N, Ops: cfg.Ops}
 
 	sweep := fig3Sweep(cfg)

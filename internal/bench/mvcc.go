@@ -219,9 +219,7 @@ func RunMVCC(cfg Config, mcfg MVCCConfig) MVCCResult {
 	if err := mcfg.defaults(); err != nil {
 		panic(err.Error())
 	}
-	if cfg.Storage.PoolPages == 0 {
-		cfg.Storage.PoolPages = 8
-	}
+	cfg.smallPool()
 	stable := makeMVCCStable(cfg.Seed, cfg.N)
 
 	res := MVCCResult{

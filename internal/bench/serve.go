@@ -157,11 +157,7 @@ type ServeResult struct {
 func RunServe(cfg Config, scfg ServeConfig) ServeResult {
 	cfg.Defaults()
 	scfg.defaults()
-	if cfg.Storage.PoolPages == 0 {
-		// Same honesty rule as Figure 1: MEM small relative to N, or the
-		// pool hides the device and every method looks read-optimal.
-		cfg.Storage.PoolPages = 8
-	}
+	cfg.smallPool()
 	streams := makeServeStreams(cfg.Seed, cfg.N, cfg.Ops, scfg.Clients)
 	var allInit []core.Record
 	for _, st := range streams {

@@ -253,14 +253,3 @@ func (r Table1Result) Render() string {
 	}
 	return b.String()
 }
-
-// CellsOf returns the rows for one method across every N (scaling checks).
-func (r Table1Result) CellsOf(method string) []Table1Row {
-	var out []Table1Row
-	for _, row := range r.Rows {
-		if row.Method == method {
-			out = append(out, row)
-		}
-	}
-	return out
-}

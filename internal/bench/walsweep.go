@@ -110,9 +110,7 @@ type WALSweepResult struct {
 // RunWALSweep measures every (structure, batch) cell.
 func RunWALSweep(cfg Config) WALSweepResult {
 	cfg.Defaults()
-	if cfg.Storage.PoolPages == 0 {
-		cfg.Storage.PoolPages = 8 // small pool, or the buffer cache hides the device
-	}
+	cfg.smallPool()
 	// The sweep runs on flash: the SSD's 5:1 write:read cost asymmetry (§2)
 	// is what makes the sync tax — one page write per commit — visible
 	// against the structure's own traffic. RAM's symmetric costs mute it.

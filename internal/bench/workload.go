@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sort"
 	"strconv"
@@ -51,13 +52,10 @@ func (m ServeMix) Validate() error {
 	for _, f := range []struct {
 		name string
 		v    float64
-	}{{"get", m.Get}, {"insert", m.Insert}, {"update", m.Update}, {"delete", m.Delete}, {"getmiss", m.GetMiss}} {
-		if f.v < 0 || f.v > 1 {
+	}{{"get", m.Get}, {"insert", m.Insert}, {"update", m.Update}, {"delete", m.Delete}, {"getmiss", m.GetMiss}, {"scan", m.Scan}} {
+		if !(f.v >= 0 && f.v <= 1) { // NaN fails every comparison, so test for inside
 			return fmt.Errorf("mix: %s=%g outside [0,1]", f.name, f.v)
 		}
-	}
-	if m.Scan < 0 || m.Scan > 1 {
-		return fmt.Errorf("mix: scan=%g outside [0,1]", m.Scan)
 	}
 	if m.ScanRows < 0 {
 		return fmt.Errorf("mix: scanrows=%d negative", m.ScanRows)
@@ -121,6 +119,9 @@ func ParseServeMix(s string) (ServeMix, error) {
 		v, err := strconv.ParseFloat(strings.TrimSpace(kv[1]), 64)
 		if err != nil {
 			return m, fmt.Errorf("mix: %q: %v", part, err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return m, fmt.Errorf("mix: %q is not a finite number", part)
 		}
 		switch strings.TrimSpace(kv[0]) {
 		case "get":

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/model"
 	"repro/internal/rum"
 	"repro/internal/workload"
 )
@@ -204,16 +205,22 @@ func TestMixWindow(t *testing.T) {
 	}
 }
 
+// wizardSubstrate is the catalog's default geometry (methods.Options{}; core
+// cannot import methods to ask for it) with a pool as large as the 2^20
+// records the wizard tests size for: the paged candidates get the memory the
+// in-memory ones take for themselves.
+var wizardSubstrate = model.Params{PageSize: 4096, RecordSize: RecordSize, LineSize: rum.LineSize, PoolPages: 1 << 20 * RecordSize / 4096}
+
 func TestWizardRankings(t *testing.T) {
 	// Point-read heavy: a point index must rank first.
 	recs := Recommend(Requirements{
 		Mix:      workload.Mix{Get: 0.9, Update: 0.1},
 		DataSize: 1 << 20,
-	})
+	}, wizardSubstrate)
 	if len(recs) < 5 {
 		t.Fatal("too few recommendations")
 	}
-	if top := recs[0].Method; top != "hash" && top != "btree" {
+	if top := recs[0].Config.Method; top != "hash" && top != "btree" {
 		t.Fatalf("read workload top pick %q", top)
 	}
 
@@ -222,9 +229,9 @@ func TestWizardRankings(t *testing.T) {
 		Mix:       workload.Mix{Insert: 0.7, Update: 0.2, Get: 0.1},
 		DataSize:  1 << 20,
 		FlashLike: true,
-	})
-	if recs[0].Method != "lsm" {
-		t.Fatalf("flash write workload top pick %q", recs[0].Method)
+	}, wizardSubstrate)
+	if top := recs[0].Config.Method; top != "lsm-level" && top != "lsm-tier" {
+		t.Fatalf("flash write workload top pick %q", top)
 	}
 
 	// Scan-heavy and memory-tight: sparse structures over fat trees.
@@ -232,10 +239,10 @@ func TestWizardRankings(t *testing.T) {
 		Mix:         workload.Mix{Range: 0.8, Get: 0.1, Insert: 0.1},
 		DataSize:    1 << 20,
 		MemoryTight: true,
-	})
+	}, wizardSubstrate)
 	rank := map[string]int{}
-	for i, r := range recs {
-		rank[r.Method] = i
+	for i := len(recs) - 1; i >= 0; i-- { // best variant of a method wins
+		rank[recs[i].Config.Method] = i
 	}
 	if rank["zonemap"] > rank["hash"] {
 		t.Fatalf("memory-tight scan: zonemap ranked %d below hash %d", rank["zonemap"], rank["hash"])
@@ -273,17 +280,21 @@ func TestMorphingSwitchesShape(t *testing.T) {
 			New: func(m *rum.Meter) AccessMethod {
 				return &shapeAM{fakeAM: newFake(), name: "reader", meter: m}
 			},
-			Score: func(mix workload.Mix) float64 { return mix.Get },
+			Config: model.Config{Method: "btree", Fill: 1},
 		},
 		{
 			Name: "writer",
 			New: func(m *rum.Meter) AccessMethod {
 				return &shapeAM{fakeAM: newFake(), name: "writer", meter: m}
 			},
-			Score: func(mix workload.Mix) float64 { return mix.Insert + mix.Update + mix.Delete },
+			Config: model.Config{Method: "lsm-tier", SizeRatio: 10, Buffer: 1024},
 		},
 	}
-	eng, err := NewMorphing(flavors, 0, MorphPolicy{Window: 64, Interval: 32, Hysteresis: 0.1})
+	// No pool: every B-tree page access reaches the device, so the model
+	// prices writes dearer there than in the log-structured shape.
+	cold := wizardSubstrate
+	cold.PoolPages = 0
+	eng, err := NewMorphing(flavors, 0, cold, MorphPolicy{Window: 64, Interval: 32, Hysteresis: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,22 +332,22 @@ func TestMorphingSwitchesShape(t *testing.T) {
 }
 
 func TestMorphingValidation(t *testing.T) {
-	if _, err := NewMorphing(nil, 0, MorphPolicy{}); err == nil {
+	if _, err := NewMorphing(nil, 0, wizardSubstrate, MorphPolicy{}); err == nil {
 		t.Fatal("empty flavors accepted")
 	}
-	fl := []Flavor{{Name: "x", New: func(m *rum.Meter) AccessMethod { return newFake() }, Score: func(workload.Mix) float64 { return 0 }}}
-	if _, err := NewMorphing(fl, 5, MorphPolicy{}); err == nil {
+	fl := []Flavor{{Name: "x", New: func(m *rum.Meter) AccessMethod { return newFake() }}}
+	if _, err := NewMorphing(fl, 5, wizardSubstrate, MorphPolicy{}); err == nil {
 		t.Fatal("bad start index accepted")
 	}
 }
 
 func TestMorphingBulkLoad(t *testing.T) {
 	fl := []Flavor{{
-		Name:  "only",
-		New:   func(m *rum.Meter) AccessMethod { return &shapeAM{fakeAM: newFake(), name: "only", meter: m} },
-		Score: func(workload.Mix) float64 { return 1 },
+		Name:   "only",
+		New:    func(m *rum.Meter) AccessMethod { return &shapeAM{fakeAM: newFake(), name: "only", meter: m} },
+		Config: model.Config{Method: "skiplist"},
 	}}
-	eng, err := NewMorphing(fl, 0, MorphPolicy{})
+	eng, err := NewMorphing(fl, 0, wizardSubstrate, MorphPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,5 +356,13 @@ func TestMorphingBulkLoad(t *testing.T) {
 	}
 	if v, ok := eng.Get(1); !ok || v != 2 {
 		t.Fatal("bulk load")
+	}
+	// The engine prices scans at the rows they return: counted per decision.
+	eng.Insert(3, 4)
+	for i := 0; i < 2; i++ {
+		eng.RangeScan(0, ^Key(0), func(Key, Value) bool { return true })
+	}
+	if eng.scans != 2 || eng.scanned != 4 {
+		t.Fatalf("observed %d scans returning %d rows, want 2 and 4", eng.scans, eng.scanned)
 	}
 }

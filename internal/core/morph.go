@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 
+	"repro/internal/model"
 	"repro/internal/rum"
 	"repro/internal/workload"
 )
@@ -62,12 +65,12 @@ func (w *MixWindow) Mix() workload.Mix {
 	}
 }
 
-// Flavor is one physical shape a morphing engine can take. Score returns the
-// fitness of the flavor for an observed mix; higher wins.
+// Flavor is one physical shape a morphing engine can take: New builds it,
+// Config is what the analytic model prices it as.
 type Flavor struct {
-	Name  string
-	New   func(meter *rum.Meter) AccessMethod
-	Score func(mix workload.Mix) float64
+	Name   string
+	New    func(meter *rum.Meter) AccessMethod
+	Config model.Config
 }
 
 // MorphPolicy controls when the engine reconsiders its shape.
@@ -77,21 +80,15 @@ type MorphPolicy struct {
 	// Interval is how many operations pass between shape decisions
 	// (default 256).
 	Interval int
-	// Hysteresis is the score margin a challenger must exceed the incumbent
-	// by before a migration is worth its cost (default 0.15).
+	// Hysteresis is the share of the incumbent's model cost a challenger
+	// must save before a migration is worth its cost (default 0.15).
 	Hysteresis float64
 }
 
 func (p *MorphPolicy) defaults() {
-	if p.Window <= 0 {
-		p.Window = 512
-	}
-	if p.Interval <= 0 {
-		p.Interval = 256
-	}
-	if p.Hysteresis <= 0 {
-		p.Hysteresis = 0.15
-	}
+	p.Window = cmp.Or(max(p.Window, 0), 512)
+	p.Interval = cmp.Or(max(p.Interval, 0), 256)
+	p.Hysteresis = cmp.Or(max(p.Hysteresis, 0), 0.15)
 }
 
 // Morphing is the Section-5 "morphing access method": a store that changes
@@ -101,6 +98,7 @@ func (p *MorphPolicy) defaults() {
 // is part of the measured RUM position. Not safe for concurrent use.
 type Morphing struct {
 	flavors    []Flavor
+	substrate  model.Params
 	cur        AccessMethod
 	curIdx     int
 	meter      *rum.Meter
@@ -108,11 +106,14 @@ type Morphing struct {
 	policy     MorphPolicy
 	sinceCheck int
 	migrations int
+	// scans and scanned count the range scans since the last shape decision
+	// and the rows they returned.
+	scans, scanned int
 }
 
-// NewMorphing creates a morphing store starting as flavors[start]. The
-// flavor list must be non-empty.
-func NewMorphing(flavors []Flavor, start int, policy MorphPolicy) (*Morphing, error) {
+// NewMorphing creates a morphing store starting as flavors[start], its
+// flavors priced on substrate. The flavor list must be non-empty.
+func NewMorphing(flavors []Flavor, start int, substrate model.Params, policy MorphPolicy) (*Morphing, error) {
 	if len(flavors) == 0 {
 		return nil, fmt.Errorf("core: morphing needs at least one flavor")
 	}
@@ -122,12 +123,13 @@ func NewMorphing(flavors []Flavor, start int, policy MorphPolicy) (*Morphing, er
 	policy.defaults()
 	meter := &rum.Meter{}
 	return &Morphing{
-		flavors: flavors,
-		cur:     flavors[start].New(meter),
-		curIdx:  start,
-		meter:   meter,
-		window:  NewMixWindow(policy.Window),
-		policy:  policy,
+		flavors:   flavors,
+		substrate: substrate,
+		cur:       flavors[start].New(meter),
+		curIdx:    start,
+		meter:     meter,
+		window:    NewMixWindow(policy.Window),
+		policy:    policy,
 	}, nil
 }
 
@@ -164,20 +166,28 @@ func (m *Morphing) observe(k workload.OpKind) {
 }
 
 func (m *Morphing) maybeMorph() {
+	rows := float64(m.scanned) / math.Max(1, float64(m.scans))
+	m.scans, m.scanned = 0, 0
 	if m.window.Total() < m.policy.Window/2 {
 		return // not enough signal yet
 	}
-	mix := m.window.Mix()
-	best, bestScore := m.curIdx, m.flavors[m.curIdx].Score(mix)
-	for i, f := range m.flavors {
-		if s := f.Score(mix); s > bestScore {
-			best, bestScore = i, s
+	on := m.substrate
+	on.N = float64(m.cur.Len())
+	t := traffic(m.window.Mix(), on.N)
+	if rows > 0 {
+		t.ScanRows = rows // what its scans return, not the wizard's convention
+	}
+	cost := func(i int) float64 { return m.flavors[i].Config.Price(t, on).Cost(t) }
+	best, incumbent := m.curIdx, cost(m.curIdx)
+	bestCost := incumbent
+	for i := range m.flavors {
+		if c := cost(i); c < bestCost {
+			best, bestCost = i, c
 		}
 	}
-	if best == m.curIdx || bestScore < m.flavors[m.curIdx].Score(mix)+m.policy.Hysteresis {
-		return
+	if bestCost < incumbent*(1-m.policy.Hysteresis) {
+		m.migrate(best)
 	}
-	m.migrate(best)
 }
 
 // migrate drains the current shape into a fresh instance of flavor idx. The
@@ -191,16 +201,8 @@ func (m *Morphing) migrate(idx int) {
 	})
 	SortRecords(recs)
 	next := m.flavors[idx].New(m.meter)
-	if bl, ok := next.(BulkLoader); ok {
-		if err := bl.BulkLoad(recs); err != nil {
-			return // keep the current shape on failure
-		}
-	} else {
-		for _, r := range recs {
-			if err := next.Insert(r.Key, r.Value); err != nil && err != ErrKeyExists {
-				return
-			}
-		}
+	if load(next, recs) != nil {
+		return // keep the current shape on failure
 	}
 	Flush(next)
 	m.cur = next
@@ -235,16 +237,22 @@ func (m *Morphing) Delete(k Key) bool {
 // RangeScan delegates and observes.
 func (m *Morphing) RangeScan(lo, hi Key, emit func(Key, Value) bool) int {
 	m.observe(workload.OpRange)
-	return m.cur.RangeScan(lo, hi, emit)
+	rows := m.cur.RangeScan(lo, hi, emit)
+	m.scans, m.scanned = m.scans+1, m.scanned+rows
+	return rows
 }
 
 // BulkLoad loads into the current shape.
-func (m *Morphing) BulkLoad(recs []Record) error {
-	if bl, ok := m.cur.(BulkLoader); ok {
+func (m *Morphing) BulkLoad(recs []Record) error { return load(m.cur, recs) }
+
+// load bulk-loads the key-ordered recs into am when it can, and inserts them
+// one by one when it cannot.
+func load(am AccessMethod, recs []Record) error {
+	if bl, ok := am.(BulkLoader); ok {
 		return bl.BulkLoad(recs)
 	}
 	for _, r := range recs {
-		if err := m.cur.Insert(r.Key, r.Value); err != nil && err != ErrKeyExists {
+		if err := am.Insert(r.Key, r.Value); err != nil && err != ErrKeyExists {
 			return err
 		}
 	}

@@ -2,9 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"sort"
+	"strings"
 
+	"repro/internal/model"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -30,9 +31,9 @@ type Requirements struct {
 	Mix        workload.Mix
 	DataSize   int // expected record count
 	Priorities Priorities
-	// FlashLike biases against write amplification (limited-endurance
-	// storage, Section 2's "storage with limited endurance … favors
-	// minimizing the update overhead").
+	// FlashLike prices page writes at the SSD's write/read cost ratio
+	// (Section 2's "storage with limited endurance … favors minimizing the
+	// update overhead").
 	FlashLike bool
 	// MemoryTight biases against space amplification ("scarce cache
 	// capacity justifies reducing the space overhead").
@@ -41,138 +42,66 @@ type Requirements struct {
 
 // Recommendation is one ranked suggestion from the wizard.
 type Recommendation struct {
-	Method    string
-	Score     float64 // lower = better (weighted predicted log-amplification)
+	Config    model.Config // the priced configuration: catalog method and suggested knobs
+	Score     float64      // lower = better: priority-weighted page reads per op
 	Rationale string
-	Knobs     map[string]float64
 }
 
-// costModel predicts per-dimension log2 amplification of a method under a
-// mix. The numbers encode the Table-1 complexity classes on a coarse log
-// scale (0 ≈ amplification 1, each +1 doubles), not exact measurements —
-// the wizard is a planner, the profiler is the ground truth.
-type costModel struct {
-	name      string
-	rationale string
-	knobs     map[string]float64
-	cost      func(mix workload.Mix, n int) (r, u, m float64)
-}
+// scanShare is the share of the records the wizard takes a range query to
+// return, having no scan to observe: the 2^30 span of the 2^40 key domain the
+// profiled workloads ask for. The morphing engine counts the rows instead.
+const scanShare = 1.0 / 1024
 
-func logN(n int) float64 {
-	if n < 2 {
-		return 1
-	}
-	return math.Log2(float64(n))
-}
-
-func models() []costModel {
-	return []costModel{
-		{
-			name:      "btree",
-			rationale: "logarithmic point and range access; pays page writes per update and index space",
-			cost: func(mix workload.Mix, n int) (float64, float64, float64) {
-				h := math.Max(1, logN(n)/8) // height at fanout ~256
-				r := mix.Get*h + mix.Range*(h*0.5)
-				u := (mix.Insert + mix.Update + mix.Delete) * (h + 4) // read-modify-write of a page
-				return r, u, 1.5
-			},
-			knobs: map[string]float64{"bulk_fill": 1.0},
-		},
-		{
-			name:      "hash",
-			rationale: "O(1) point access; ranges degenerate to full scans; directory plus bucket slack",
-			cost: func(mix workload.Mix, n int) (float64, float64, float64) {
-				r := mix.Get*1 + mix.Range*logN(n)*2 // ranges scan everything
-				u := (mix.Insert + mix.Update + mix.Delete) * 4
-				return r, u, 1.8
-			},
-			knobs: map[string]float64{"max_load": 0.8},
-		},
-		{
-			name:      "lsm",
-			rationale: "blind writes absorbed in a memtable; reads probe multiple runs unless filtered",
-			cost: func(mix workload.Mix, n int) (float64, float64, float64) {
-				r := mix.Get*3 + mix.Range*2.5
-				u := (mix.Insert + mix.Update + mix.Delete) * 1.5 // amortized merge cost
-				return r, u, 2.2
-			},
-			knobs: map[string]float64{"size_ratio": 10, "bloom_bits": 10},
-		},
-		{
-			name:      "zonemap",
-			rationale: "near-zero index space; every query scans summaries plus a partition",
-			cost: func(mix workload.Mix, n int) (float64, float64, float64) {
-				scan := math.Max(2, logN(n)-4) // summary scan grows with N
-				r := mix.Get*scan + mix.Range*(scan*0.6)
-				u := (mix.Insert + mix.Update + mix.Delete) * (scan * 0.8)
-				return r, u, 1.05
-			},
-			knobs: map[string]float64{"partition_size": 128},
-		},
-		{
-			name:      "sorted-column",
-			rationale: "binary search with zero auxiliary space; inserts shift the tail",
-			cost: func(mix workload.Mix, n int) (float64, float64, float64) {
-				r := mix.Get*math.Log2(math.Max(2, float64(n)))*0.3 + mix.Range*1
-				u := mix.Update*1 + (mix.Insert+mix.Delete)*logN(n)*3 // linear shifts
-				return r, u, 1.0
-			},
-		},
-		{
-			name:      "unsorted-column",
-			rationale: "constant-time appends with zero auxiliary space; every read scans",
-			cost: func(mix workload.Mix, n int) (float64, float64, float64) {
-				scan := logN(n) * 1.5
-				r := mix.Get*scan + mix.Range*scan
-				u := mix.Insert*0.2 + (mix.Update+mix.Delete)*scan*0.5
-				return r, u, 1.0
-			},
-		},
-		{
-			name:      "cracking",
-			rationale: "adaptive: early queries pay partitioning, repeated ranges converge to index probes",
-			cost: func(mix workload.Mix, n int) (float64, float64, float64) {
-				r := mix.Get*3 + mix.Range*2
-				u := (mix.Insert+mix.Delete)*2 + mix.Update*2 + (mix.Get+mix.Range)*1 // query-driven swaps
-				return r, u, 2.0
-			},
-		},
+// traffic is mix as the model sees it over n records.
+func traffic(mix workload.Mix, n float64) model.Traffic {
+	return model.Traffic{
+		Get: mix.Get, Scan: mix.Range, Insert: mix.Insert, Update: mix.Update, Delete: mix.Delete,
+		ScanRows: scanShare * n,
 	}
 }
 
-// Recommend ranks the known access methods for the requirements, best first.
-// The score is the priority-weighted predicted log-amplification; the
-// rationale explains the RUM position of each candidate.
-func Recommend(req Requirements) []Recommendation {
+// rationale is the one-line RUM position of each priced catalog method.
+var rationale = map[string]string{
+	"btree":           "logarithmic point and range access; pays page writes per update and index space",
+	"hash":            "O(1) point access; ranges degenerate to full scans; directory plus bucket slack",
+	"skiplist":        "in-memory towers: line-sized point access and cheap writes at two pointers a record",
+	"lsm-level":       "blind writes absorbed in a memtable and merged eagerly; reads probe one run per level",
+	"lsm-tier":        "blind writes merged lazily: cheapest updates, more runs to probe, more stale versions",
+	"zonemap":         "near-zero index space; every query scans summaries plus a partition",
+	"sorted-column":   "binary search with zero auxiliary space; inserts shift the tail",
+	"unsorted-column": "constant-time appends with zero auxiliary space; every read scans",
+	"cracking":        "adaptive: early queries pay partitioning, repeated ranges converge to index probes",
+}
+
+// Recommend ranks the model's candidate configurations for the requirements
+// on the given substrate, best first. The score is the model's mix-weighted
+// cost under the requirements' priorities (scaled so that no preference
+// scores plain page reads per op).
+func Recommend(req Requirements, on model.Params) []Recommendation {
 	pr := req.Priorities
-	if req.FlashLike {
-		pr.Write += 1
-	}
 	if req.MemoryTight {
 		pr.Space += 1
 	}
 	p := pr.normalized()
-
-	var out []Recommendation
-	for _, m := range models() {
-		r, u, sp := m.cost(req.Mix, req.DataSize)
-		score := p.Read*r + p.Write*u + p.Space*math.Log2(math.Max(1, sp))*4
-		out = append(out, Recommendation{
-			Method:    m.name,
-			Score:     score,
-			Rationale: m.rationale,
-			Knobs:     m.knobs,
-		})
+	on.N = float64(req.DataSize)
+	if req.FlashLike {
+		on.Medium = storage.SSD.Model()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Score < out[j].Score })
+	t := traffic(req.Mix, on.N)
+	score := func(r model.Row) float64 { return 3 * r.Weighted(t, p.Read, p.Write, p.Space) }
+	var out []Recommendation
+	for _, r := range model.Rank(t, on, score) {
+		out = append(out, Recommendation{Config: r.Config, Score: score(r), Rationale: rationale[r.Config.Method]})
+	}
 	return out
 }
 
-// Explain renders a ranked recommendation list as text.
+// Explain renders a ranked recommendation list as text, naming the catalog
+// methods the model does not price.
 func Explain(recs []Recommendation) string {
 	s := ""
 	for i, r := range recs {
-		s += fmt.Sprintf("%d. %-16s score=%.2f  %s\n", i+1, r.Method, r.Score, r.Rationale)
+		s += fmt.Sprintf("%2d. %-26s score=%-8.2f %s\n", i+1, r.Config, r.Score, r.Rationale)
 	}
-	return s
+	return s + fmt.Sprintf("(not priced: %s)\n", strings.Join(model.NotPriced, ", "))
 }

@@ -244,12 +244,5 @@ func (x *Index) FullScan(vlo, vhi uint64, emit func(row core.Key, v core.Value) 
 func (x *Index) String() string {
 	return fmt.Sprintf("imprints(n=%d, runs=%d, %.2f bits/record)",
 		len(x.recs), len(x.runs),
-		float64(len(x.runs)*imprintEntrySize*8)/float64(maxInt(len(x.recs), 1)))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+		float64(len(x.runs)*imprintEntrySize*8)/float64(max(len(x.recs), 1)))
 }

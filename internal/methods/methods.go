@@ -17,13 +17,13 @@ import (
 	"repro/internal/faults"
 	"repro/internal/hashindex"
 	"repro/internal/lsm"
+	"repro/internal/model"
 	"repro/internal/pbt"
 	"repro/internal/rum"
 	"repro/internal/skiplist"
 	"repro/internal/storage"
 	"repro/internal/trie"
 	"repro/internal/wal"
-	"repro/internal/workload"
 	"repro/internal/zonemap"
 )
 
@@ -69,6 +69,16 @@ func (o *Options) defaults() {
 	}
 	if o.PoolPages <= 0 {
 		o.PoolPages = 64
+	}
+}
+
+// Model returns the substrate as the analytic model (internal/model) prices
+// it, holding n records: the sizes structures built through o really get.
+func (o Options) Model(n int) model.Params {
+	o.defaults()
+	return model.Params{
+		N: float64(n), PageSize: o.PageSize, RecordSize: core.RecordSize, LineSize: rum.LineSize,
+		PoolPages: o.PoolPages, Medium: o.Medium.Model(),
 	}
 }
 
@@ -264,45 +274,25 @@ func Lookup(opt Options, name string) (Spec, error) {
 	return Spec{}, fmt.Errorf("methods: unknown access method %q", name)
 }
 
-// Flavors returns the shape set for the morphing engine (core.Morphing):
-// a read-optimized B+-tree, a write-optimized LSM, and a space-optimized
-// zone map, with mix-fitness scores steering the engine between them.
+// Flavors returns the shape set for the morphing engine (core.Morphing): a
+// read-optimized B+-tree and a write-optimized LSM, each built from the
+// configuration the analytic model prices it as. (No zone map any more: on no
+// substrate Options can build does model or profiler seat it below the LSM.)
 func Flavors(opt Options) []core.Flavor {
-	opt.defaults()
-	poolFor := func(meter *rum.Meter) *storage.BufferPool {
-		return NewPool(opt, meter)
-	}
+	bt, _ := model.Lookup("btree")
+	ls := model.Config{Method: "lsm-level", SizeRatio: 8, BloomBits: 10, Buffer: 1024}
 	return []core.Flavor{
-		{
-			Name: "btree",
-			New: func(meter *rum.Meter) core.AccessMethod {
-				t, err := btree.New(poolFor(meter), btree.Config{})
-				if err != nil {
-					panic(err)
-				}
-				return t
-			},
-			Score: func(m workload.Mix) float64 {
-				return m.Get + 1.2*m.Range - 0.5*(m.Insert+m.Update+m.Delete)
-			},
-		},
-		{
-			Name: "lsm",
-			New: func(meter *rum.Meter) core.AccessMethod {
-				return lsm.New(poolFor(meter), lsm.Config{MemtableRecords: 1024, SizeRatio: 8, BloomBitsPerKey: 10})
-			},
-			Score: func(m workload.Mix) float64 {
-				return 1.5*(m.Insert+m.Update+m.Delete) + 0.3*m.Get
-			},
-		},
-		{
-			Name: "zonemap",
-			New: func(meter *rum.Meter) core.AccessMethod {
-				return zonemap.New(256, meter)
-			},
-			Score: func(m workload.Mix) float64 {
-				return 1.5*m.Range + 0.2*m.Insert
-			},
-		},
+		{Name: "btree", Config: bt, New: func(meter *rum.Meter) core.AccessMethod {
+			t, err := btree.New(NewPool(opt, meter), btree.Config{})
+			if err != nil {
+				panic(err)
+			}
+			return t
+		}},
+		{Name: "lsm", Config: ls, New: func(meter *rum.Meter) core.AccessMethod {
+			return lsm.New(NewPool(opt, meter), lsm.Config{
+				MemtableRecords: int(ls.Buffer), SizeRatio: int(ls.SizeRatio), BloomBitsPerKey: ls.BloomBits,
+			})
+		}},
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/model"
 	"repro/internal/workload"
 )
 
@@ -155,7 +156,7 @@ func TestCatalogNamesUnique(t *testing.T) {
 func TestFlavorsRunnable(t *testing.T) {
 	opt := Options{PageSize: 512, PoolPages: 8}
 	flavors := Flavors(opt)
-	if len(flavors) < 3 {
+	if len(flavors) < 2 {
 		t.Fatalf("flavors: %d", len(flavors))
 	}
 	for _, f := range flavors {
@@ -166,26 +167,29 @@ func TestFlavorsRunnable(t *testing.T) {
 		if v, ok := am.Get(1); !ok || v != 2 {
 			t.Fatalf("%s: get", f.Name)
 		}
-		if f.Score(workload.ReadHeavy) == f.Score(workload.WriteHeavy) &&
-			f.Score(workload.ReadHeavy) == f.Score(workload.ScanHeavy) {
-			t.Fatalf("%s: score is constant across mixes", f.Name)
+		if _, ok := model.Lookup(f.Config.Method); !ok {
+			t.Fatalf("%s: flavor config %+v names no priced method", f.Name, f.Config)
 		}
 	}
 }
 
+// The flavors' model costs (lower is better, where the old Score closures
+// were higher-is-better) steer the engine on the default substrate, holding a
+// store four times its pool. The zone map's line went with the flavor.
 func TestFlavorScoresSteerCorrectly(t *testing.T) {
 	flavors := Flavors(Options{})
-	score := map[string]func(workload.Mix) float64{}
+	on := Options{}.Model(1 << 16)
+	cost := map[string]func(workload.Mix) float64{}
 	for _, f := range flavors {
-		score[f.Name] = f.Score
+		cost[f.Name] = func(m workload.Mix) float64 {
+			tr := model.Traffic{Get: m.Get, Scan: m.Range, Insert: m.Insert, Update: m.Update, Delete: m.Delete}
+			return f.Config.Price(tr, on).Cost(tr)
+		}
 	}
-	if score["lsm"](workload.WriteHeavy) <= score["btree"](workload.WriteHeavy) {
+	if cost["lsm"](workload.WriteHeavy) >= cost["btree"](workload.WriteHeavy) {
 		t.Fatal("write-heavy should favor lsm")
 	}
-	if score["btree"](workload.ReadHeavy) <= score["lsm"](workload.ReadHeavy) {
+	if cost["btree"](workload.ReadHeavy) >= cost["lsm"](workload.ReadHeavy) {
 		t.Fatal("read-heavy should favor btree")
-	}
-	if score["zonemap"](workload.ScanHeavy) <= score["lsm"](workload.ScanHeavy) {
-		t.Fatal("scan-heavy should favor zonemap")
 	}
 }

@@ -183,16 +183,3 @@ func (o *Observer) CollectMetrics(e *Encoder) {
 	writeHist("rum_op_amplification", "Physical bytes per logical byte, per traced operation.",
 		func(h *OpHist) *Histogram { return h.Amp })
 }
-
-// SummaryLine renders one compact human-readable line per (method, op) with
-// HDR quantiles of the pages-touched distribution — the trace's headline.
-func (o *Observer) SummaryLine(k OpKey) string {
-	h := o.hists[k]
-	if h == nil {
-		return ""
-	}
-	return fmt.Sprintf("%s/%s: n=%d pages p50=%g p90=%g p99=%g max=%g amp p50=%g p99=%g",
-		k.Method, k.Op, h.Pages.Count(),
-		h.Pages.Quantile(0.50), h.Pages.Quantile(0.90), h.Pages.Quantile(0.99), h.Pages.Max(),
-		h.Amp.Quantile(0.50), h.Amp.Quantile(0.99))
-}

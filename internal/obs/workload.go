@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"repro/internal/approx"
+	"repro/internal/model"
 	"repro/internal/sketch"
 )
 
@@ -579,14 +580,14 @@ func mergeEvents(a, b []DriftEvent) []DriftEvent {
 // WorkloadReport renders the point's fingerprint and advisor lines of a
 // final report — what the traffic looked like and where the paper's cost
 // model says it would be cheaper — or "" with fingerprinting off.
-func (p *WindowPoint) WorkloadReport(current string) string {
+func (p *WindowPoint) WorkloadReport(current string, on model.Params) string {
 	w := p.Workload
 	if w == nil {
 		return ""
 	}
 	s := fmt.Sprintf("workload: %d window(s) of %d ops, %d drift event(s) latched\n",
 		w.Windows, w.WindowOps, w.DriftCount)
-	if adv, ok := p.Advise(current); ok {
+	if adv, ok := p.Advise(current, on); ok {
 		st := w.Last.Stats()
 		s += fmt.Sprintf("workload: last window mix g/i/u/d/s %.2f/%.2f/%.2f/%.2f/%.2f, hot share %.2f, zipf %.2f, ~%.0f distinct keys\n%s\n",
 			st.Get, st.Insert, st.Update, st.Delete, st.Scan, st.HotShare, st.ZipfSlope, st.Distinct, adv)
@@ -597,8 +598,9 @@ func (p *WindowPoint) WorkloadReport(current string) string {
 // WorkloadSource is the workload plane over the newest sample's merged
 // snapshot: cumulative op and drift-event counters, the last completed
 // window's mix, skew, and working-set gauges (from the first rotation), and
-// the advisor's verdict for it with method as the running configuration.
-func (r *Rolling) WorkloadSource(method string) Source {
+// the advisor's verdict for it with method, built on substrate on, as the
+// running configuration.
+func (r *Rolling) WorkloadSource(method string, on model.Params) Source {
 	return SourceFunc(func(e *Encoder) {
 		p := r.newest()
 		w := p.Workload
@@ -632,7 +634,7 @@ func (r *Rolling) WorkloadSource(method string) Source {
 		}
 		e.Gauge("rum_workload_drift_score", "Distance between the two newest fingerprint windows (max across shards).", w.Drift)
 		e.Counter("rum_workload_drift_events_total", "Workload drift events latched across all shards.", w.DriftCount)
-		if adv, ok := p.Advise(method); ok {
+		if adv, ok := p.Advise(method, on); ok {
 			e.Gauge("rum_workload_advice_delta", "Predicted per-op page-access saving of moving to the advisor's pick (0 = best placed).", adv.Delta)
 			e.Family("rum_workload_advice", "gauge", "Advisor verdict for the last window: current and advised configuration as labels.")
 			e.Uint("rum_workload_advice", L("current", adv.Current.Config, "advised", adv.Best.Config), 1)

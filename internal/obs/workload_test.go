@@ -3,10 +3,14 @@ package obs
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/methods"
+	"repro/internal/model"
 )
 
 // feedMix drives ops 0..n-1 through the recorder with the given kind
@@ -258,28 +262,34 @@ func TestAdvisorPhases(t *testing.T) {
 		r.Rotate()
 		return r.Snapshot().Last
 	}
+	// The expectations are the calibration's rows (internal/model): on a pool
+	// the data outgrows, the line-granular skip list is the cheapest seat for
+	// ingest and for point serving, an LSM's packed runs for the scan storm;
+	// the page-granular B-tree is best placed for none.
 	const n = 1 << 15
-	ingest := Advise(mk(0.15, 0.70, 0.10, 0.05, 0, n, false, 0), n, "btree")
-	if !strings.HasPrefix(ingest.Best.Config, "lsm-tier") {
-		t.Fatalf("write-heavy ingest advised %q, want lsm-tier", ingest.Best.Config)
+	on := methods.Options{PoolPages: 8}.Model(n)
+	advise := func(fp *Fingerprint, current string) Advice { return Advise(fp, on, current) }
+	ingest := advise(mk(0.15, 0.70, 0.10, 0.05, 0, n, false, 0), "btree")
+	if ingest.Best.Config != "skiplist" {
+		t.Fatalf("write-heavy ingest advised %q, want skiplist", ingest.Best.Config)
 	}
-	serve := Advise(mk(0.90, 0.05, 0.05, 0, 0, n, true, 0), n, "btree")
-	if !strings.HasPrefix(serve.Best.Config, "lsm-level") {
-		t.Fatalf("point-read serving advised %q, want lsm-level", serve.Best.Config)
+	serve := advise(mk(0.90, 0.05, 0.05, 0, 0, n, true, 0), "btree")
+	if serve.Best.Config != "skiplist" {
+		t.Fatalf("point-read serving advised %q, want skiplist", serve.Best.Config)
 	}
-	storm := Advise(mk(0.50, 0.05, 0.05, 0, 0.40, n, false, 512), n, "lsm-level")
-	if !strings.HasPrefix(storm.Best.Config, "btree") {
-		t.Fatalf("scan storm advised %q, want btree", storm.Best.Config)
+	storm := advise(mk(0.50, 0.05, 0.05, 0, 0.40, n, false, 512), "btree")
+	if !strings.HasPrefix(storm.Best.Config, "lsm-") {
+		t.Fatalf("scan storm advised %q, want an lsm", storm.Best.Config)
 	}
 	// Report-only sanity: the current row is priced, the delta is the gap,
 	// and moving is recommended exactly when the best differs.
 	if !storm.Moved() || storm.Delta <= 0 {
-		t.Fatalf("scan storm on lsm-level should recommend moving: %+v", storm)
+		t.Fatalf("scan storm on btree should recommend moving: %+v", storm)
 	}
 	if math.Abs(storm.Delta-(storm.Current.Cost-storm.Best.Cost)) > 1e-12 {
 		t.Fatalf("delta %.4f ≠ current-best %.4f", storm.Delta, storm.Current.Cost-storm.Best.Cost)
 	}
-	if got := Advise(mk(0.15, 0.70, 0.10, 0.05, 0, n, false, 0), n, "lsm-tier"); got.Moved() {
+	if got := advise(mk(0.90, 0.05, 0.05, 0, 0, n, true, 0), "skiplist"); got.Moved() {
 		t.Fatalf("already best placed but advised to move: %s", got.String())
 	}
 	if !strings.Contains(ingest.String(), "advisor: on btree") {
@@ -287,17 +297,40 @@ func TestAdvisorPhases(t *testing.T) {
 	}
 }
 
+// Every catalog method is either priced — and then maps to its own row by
+// exact name — or named in model.NotPriced, for which the advisor still ranks
+// the candidates but has no current row and no delta.
 func TestAdvisorMapsEveryCatalogMethod(t *testing.T) {
 	fp := &Fingerprint{Window: 1, Ops: [NumWorkloadOps]uint64{100, 50, 25, 5, 0}}
-	for _, m := range []string{"btree", "hash", "skiplist", "lsm-level", "lsm-tier"} {
-		a := Advise(fp, 1<<14, m)
-		base := a.Current.Config
-		if i := strings.IndexByte(base, '('); i >= 0 {
-			base = base[:i]
+	opt := methods.Options{}
+	names := []string{"lsm"} // the alias the mvcc and walsweep experiments serve under
+	for _, spec := range methods.Catalog(opt) {
+		names = append(names, spec.Name)
+	}
+	for _, m := range names {
+		a := Advise(fp, opt.Model(1<<14), m)
+		if len(a.Ranked) == 0 || a.Best != a.Ranked[0] {
+			t.Fatalf("method %q: ranked %d candidates, best %+v", m, len(a.Ranked), a.Best)
 		}
-		if base != m {
-			t.Fatalf("method %q mapped to current %q", m, a.Current.Config)
+		want, ok := model.Lookup(m)
+		if ok == slices.Contains(model.NotPriced, m) {
+			t.Fatalf("method %q: priced=%v, NotPriced=%v", m, ok, model.NotPriced)
 		}
+		if !ok {
+			if a.Current != (AdvisorChoice{Config: m}) || a.Delta != 0 || !strings.Contains(a.String(), m+" (not priced)") {
+				t.Fatalf("method %q is not priced, yet current %+v delta %.2f: %s", m, a.Current, a.Delta, a)
+			}
+			continue
+		}
+		if a.Current.Config != want.String() {
+			t.Fatalf("method %q mapped to current %q, want %q", m, a.Current.Config, want)
+		}
+		if !slices.ContainsFunc(a.Ranked, func(c AdvisorChoice) bool { return c == a.Current }) {
+			t.Fatalf("method %q: current row %q is not among the ranked candidates", m, a.Current.Config)
+		}
+	}
+	if a := Advise(fp, opt.Model(1<<14), "lsm-"); a.Current.MO != 0 {
+		t.Fatalf(`prefix "lsm-" resolved to a row: %+v`, a.Current)
 	}
 }
 

@@ -55,9 +55,6 @@ func (d *Device) View() *PageView {
 // PageSize returns the device page size in bytes.
 func (v *PageView) PageSize() int { return v.pageSize }
 
-// NumPages returns the number of pages visible to the view.
-func (v *PageView) NumPages() int { return len(v.pages) }
-
 // Page returns the image of a page captured by the view. The returned slice
 // aliases device memory that the copy-on-write and deferred-reclamation
 // invariants keep immutable; callers must treat it as read-only. Safe for

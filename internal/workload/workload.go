@@ -77,47 +77,20 @@ var (
 	// the RUM triangle (Figure 1): 45% reads, 10% ranges, 20% inserts,
 	// 20% updates, 5% deletes.
 	Balanced = Mix{Get: 0.45, Range: 0.10, Insert: 0.20, Update: 0.20, Delete: 0.05}
-	// UpdateOnly exercises pure in-place modification.
-	UpdateOnly = Mix{Update: 1}
 	// LookupOnly exercises pure point reads.
 	LookupOnly = Mix{Get: 1}
-)
-
-// KeyPattern controls how fresh insert keys are drawn.
-type KeyPattern int
-
-const (
-	// ScatteredKeys draws unique keys scattered over a bounded domain
-	// (a bijective scramble of a counter), the general case.
-	ScatteredKeys KeyPattern = iota
-	// SequentialKeys inserts 0,1,2,… — the pattern that favors append-style
-	// and clustered structures.
-	SequentialKeys
-)
-
-// Access controls which existing key a read/update/delete targets.
-type Access int
-
-const (
-	// UniformAccess picks existing keys uniformly.
-	UniformAccess Access = iota
-	// ZipfAccess skews accesses to hot keys (s=1.1).
-	ZipfAccess
-	// LatestAccess skews accesses to recently inserted keys.
-	LatestAccess
 )
 
 // Config describes a generated workload.
 type Config struct {
 	Seed       int64
 	Mix        Mix
-	Keys       KeyPattern
-	Access     Access
-	RangeLen   uint64  // key-span of a range query (result size for dense keys)
-	Domain     uint64  // key domain size for ScatteredKeys (0 = 1<<40)
-	MissRatio  float64 // fraction of point reads that target absent keys
-	InitialLen int     // records preloaded before the stream starts
+	RangeLen   uint64 // key-span of a range query (result size for dense keys)
+	InitialLen int    // records preloaded before the stream starts
 }
+
+// keyDomain bounds the generated keys: unique keys scattered over 40 bits.
+const keyDomain = 1 << 40
 
 // Generator produces a deterministic operation stream and tracks the live
 // key set so updates and deletes always target existing keys and inserts
@@ -125,7 +98,6 @@ type Config struct {
 type Generator struct {
 	cfg     Config
 	rng     *rand.Rand
-	zipf    *rand.Zipf
 	live    []uint64
 	pos     map[uint64]int
 	counter uint64
@@ -135,19 +107,11 @@ type Generator struct {
 // New creates a generator for cfg. Call Preload (or replay InitialRecords)
 // to populate the store it will drive.
 func New(cfg Config) *Generator {
-	if cfg.Domain == 0 {
-		cfg.Domain = 1 << 40
-	}
 	if cfg.RangeLen == 0 {
 		cfg.RangeLen = 128
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	g := &Generator{
-		cfg:  cfg,
-		rng:  rng,
-		pos:  make(map[uint64]int),
-		zipf: rand.NewZipf(rng, 1.1, 1, 1<<20),
-	}
+	g := &Generator{cfg: cfg, rng: rng, pos: make(map[uint64]int)}
 	total := cfg.Mix.Get + cfg.Mix.Range + cfg.Mix.Insert + cfg.Mix.Update + cfg.Mix.Delete
 	if total <= 0 {
 		panic("workload: empty mix")
@@ -172,10 +136,7 @@ func splitmix64(x uint64) uint64 {
 func (g *Generator) freshKey() uint64 {
 	k := g.counter
 	g.counter++
-	if g.cfg.Keys == SequentialKeys {
-		return k
-	}
-	return splitmix64(k) % g.cfg.Domain
+	return splitmix64(k) % keyDomain
 }
 
 // Live returns the number of keys currently live.
@@ -227,25 +188,14 @@ func (g *Generator) removeLive(k uint64) {
 	delete(g.pos, k)
 }
 
-// pickLive chooses an existing key according to the configured access skew.
-// It reports false when no keys are live.
+// pickLive chooses an existing key uniformly. It reports false when no keys
+// are live.
 func (g *Generator) pickLive() (uint64, bool) {
 	n := len(g.live)
 	if n == 0 {
 		return 0, false
 	}
-	var idx int
-	switch g.cfg.Access {
-	case ZipfAccess:
-		idx = int(g.zipf.Uint64()) % n
-	case LatestAccess:
-		// Exponential-ish skew toward the most recent tail.
-		off := int(g.zipf.Uint64()) % n
-		idx = n - 1 - off
-	default:
-		idx = g.rng.Intn(n)
-	}
-	return g.live[idx], true
+	return g.live[g.rng.Intn(n)], true
 }
 
 // Next returns the next operation of the stream.
@@ -260,9 +210,6 @@ func (g *Generator) Next() Op {
 	}
 	switch kind {
 	case OpGet:
-		if g.cfg.MissRatio > 0 && g.rng.Float64() < g.cfg.MissRatio {
-			return Op{Kind: OpGet, Key: g.freshKey()}
-		}
 		if k, ok := g.pickLive(); ok {
 			return Op{Kind: OpGet, Key: k}
 		}
@@ -296,13 +243,4 @@ func (g *Generator) insertOp() Op {
 	k := g.freshKey()
 	g.addLive(k)
 	return Op{Kind: OpInsert, Key: k, Value: g.rng.Uint64()}
-}
-
-// Stream returns the next n operations.
-func (g *Generator) Stream(n int) []Op {
-	ops := make([]Op, n)
-	for i := range ops {
-		ops[i] = g.Next()
-	}
-	return ops
 }
