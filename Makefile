@@ -47,13 +47,14 @@ benchmarks:
 ## bench: the hot-path comparisons quoted in PR descriptions — the obs tap
 ## (nil-hook must stay allocation-free and within noise of untraced), the
 ## serving taps (Do quiet vs traced vs fingerprinted: ROADMAP item 1's
-## overhead budget, same allocs/op on all three), the buffer pool's evicting
-## miss (0 allocs/op), the lsm L1→L2 spill, and the log's group commit
-## (0 allocs/op) and full checkpoint interval.
+## overhead budget, same allocs/op on all three) and the closed loop rumperf
+## runs (2 clients × 2 shards × batch 64: the mailbox hop), the buffer pool's
+## resident hit and evicting miss (0 allocs/op both), the lsm L1→L2 spill, and
+## the log's group commit (0 allocs/op) and full checkpoint interval.
 bench:
 	$(GO) test ./internal/obs -bench BenchmarkInstrumentedGet -benchtime=2s -run '^$$'
-	$(GO) test ./internal/serve -bench '^BenchmarkDo(Traced|Fingerprinted)?$$' -benchmem -benchtime=2s -run '^$$'
-	$(GO) test ./internal/storage -bench BenchmarkFetchMiss -benchtime=2s -run '^$$'
+	$(GO) test ./internal/serve -bench '^BenchmarkDo(Traced|Fingerprinted|ClosedLoop)?$$' -benchmem -benchtime=2s -run '^$$'
+	$(GO) test ./internal/storage -bench 'BenchmarkFetch(Hit|Miss)' -benchtime=2s -run '^$$'
 	$(GO) test ./internal/lsm -bench BenchmarkCompactionSpill -benchtime=2s -run '^$$'
 	$(GO) test ./internal/wal -bench 'BenchmarkC(ommit|heckpoint)$$' -benchtime=2s -run '^$$'
 

@@ -477,6 +477,7 @@ func run(args []string, stdout, stderr io.Writer, testSignal <-chan struct{}) in
 	fmt.Fprint(stdout, res.Render())
 	fmt.Fprint(stdout, d.ring.Last().WorkloadReport(cfg.method, d.substrate))
 	fmt.Fprint(stderr, res.RenderTiming())
+	fmt.Fprint(stderr, d.ring.Last().MailboxReport())
 	// The flight recorder outlives Stop: leave the worst offenders on record.
 	if traces := d.run.Server.SlowTraces(); len(traces) > 0 {
 		n := min(len(traces), 5)

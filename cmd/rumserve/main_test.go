@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -226,6 +227,11 @@ func TestRunLifecycle(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "skiplist") {
 		t.Fatalf("final report missing:\n%s", stdout.String())
+	}
+	// The wait strategy reports its own overhead; a rate-limited run leaves
+	// the shards idle between batches, so there are idle periods to count.
+	if !regexp.MustCompile(`(?m)^mailbox: [1-9][0-9]* idle periods, `).MatchString(stderr.String()) {
+		t.Fatalf("final report lacks the mailbox line:\n%s", stderr.String())
 	}
 	if !strings.Contains(stderr.String(), "verified=true") && !strings.Contains(stdout.String(), "verified") {
 		t.Logf("stdout:\n%s\nstderr:\n%s", stdout.String(), stderr.String())

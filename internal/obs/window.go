@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -34,6 +35,50 @@ type ShardPoint struct {
 	// WAL is the shard's write-ahead-log ledger at this instant; nil when
 	// the shard's structure is not logged.
 	WAL *WALPoint `json:"wal,omitempty"`
+	// Mailbox is what the shard's mailbox wait strategy has done and cost.
+	Mailbox MailboxPoint `json:"mailbox"`
+}
+
+// MailboxPoint counts a shard's idle periods — the times it found its
+// mailbox empty — and how each ended. A shard polls an empty mailbox for a
+// short window before it parks (see serve's shard.next), and this is that
+// mechanism's own overhead report.
+type MailboxPoint struct {
+	// IdlePeriods = Polled + Parked, plus one if Stop closed the mailbox
+	// while the shard was polling it.
+	IdlePeriods uint64 `json:"idle_periods"`
+	// Polled counts idle periods ended by a message found while polling: a
+	// park/unpark round trip saved.
+	Polled uint64 `json:"polled"`
+	// Parked counts idle periods that ended in the blocking receive.
+	Parked uint64 `json:"parked"`
+	// Backoffs counts yields that outlasted the poll window — the processors
+	// were oversubscribed — each of which suspends polling for as many idle
+	// periods as windows it took.
+	Backoffs uint64 `json:"backoffs"`
+	// PollNanos is the wall time spent between finding the mailbox empty and
+	// either a polled message or the decision to park.
+	PollNanos uint64 `json:"poll_nanos"`
+}
+
+// Add folds o into m, counter by counter.
+func (m *MailboxPoint) Add(o MailboxPoint) {
+	m.IdlePeriods += o.IdlePeriods
+	m.Polled += o.Polled
+	m.Parked += o.Parked
+	m.Backoffs += o.Backoffs
+	m.PollNanos += o.PollNanos
+}
+
+// MailboxReport is the shutdown report's line on the mailbox wait strategy,
+// summed over the point's shards.
+func (p *WindowPoint) MailboxReport() string {
+	var m MailboxPoint
+	for _, s := range p.Shards {
+		m.Add(s.Mailbox)
+	}
+	return fmt.Sprintf("mailbox: %d idle periods, %d ended by a polled message and %d by a park; %d slow-yield back-offs; %.3fs spent polling\n",
+		m.IdlePeriods, m.Polled, m.Parked, m.Backoffs, float64(m.PollNanos)/1e9)
 }
 
 // WALPoint is a write-ahead-logged shard's durability counters (wal.Stats
@@ -402,6 +447,24 @@ func (r *Rolling) RUMSource(window time.Duration) Source {
 		e.Family("rum_snapshot_versions", "gauge", "Retained MVCC snapshot versions per shard (0 when snapshot serving is off).")
 		for _, s := range last.Shards {
 			e.Uint("rum_snapshot_versions", shardLabel(s.Shard), uint64(s.SnapVersions))
+		}
+		mailbox := func(name, help string, count func(MailboxPoint) uint64) {
+			e.Family(name, "counter", help)
+			for _, s := range last.Shards {
+				e.Uint(name, shardLabel(s.Shard), count(s.Mailbox))
+			}
+		}
+		mailbox("rum_serve_mailbox_idle_periods_total", "Times a shard found its mailbox empty.",
+			func(m MailboxPoint) uint64 { return m.IdlePeriods })
+		mailbox("rum_serve_mailbox_polled_total", "Idle periods ended by a message found while polling: a park/unpark round trip saved.",
+			func(m MailboxPoint) uint64 { return m.Polled })
+		mailbox("rum_serve_mailbox_parked_total", "Idle periods that ended in the blocking receive.",
+			func(m MailboxPoint) uint64 { return m.Parked })
+		mailbox("rum_serve_mailbox_backoffs_total", "Yields that outlasted the poll window (oversubscribed processors), each suspending polling for a stretch of idle periods.",
+			func(m MailboxPoint) uint64 { return m.Backoffs })
+		e.Family("rum_serve_mailbox_poll_seconds_total", "counter", "Wall time shards spent polling an empty mailbox before a message or a park.")
+		for _, s := range last.Shards {
+			e.Float("rum_serve_mailbox_poll_seconds_total", shardLabel(s.Shard), float64(s.Mailbox.PollNanos)/1e9)
 		}
 		e.GaugeUint("rum_reader_concurrency", "Snapshot bypass readers executing right now on client goroutines.", uint64(last.Readers))
 		e.Counter("rum_snapshot_reads_total", "Requests served from MVCC snapshots, bypassing the shard mailbox.", last.SnapReads)

@@ -36,6 +36,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -171,6 +172,12 @@ func (c *Config) defaults() error {
 // small enough that back-pressure reaches clients within a few batches.
 const mailboxDepth = 4
 
+// pollWindow bounds how long a shard with an empty mailbox keeps looking
+// before it parks in the blocking receive: about one park/unpark round trip
+// on the hosts this was measured on. A client of a closed loop is back with
+// its next batch well inside it, and finds the shard awake.
+const pollWindow = 50 * time.Microsecond
+
 // ErrStopped is returned by calls made after Stop.
 var ErrStopped = errors.New("serve: server is stopped")
 
@@ -284,6 +291,11 @@ type shard struct {
 	// commit is the structure's group-commit hook (nil for structures that
 	// are not write-ahead logged), asserted once after Build.
 	commit Committer
+	// pollSkip is the number of coming idle periods that park without polling,
+	// set when a yield outlasted pollWindow (see poll); mbox counts what the
+	// mailbox wait strategy did and what it cost.
+	pollSkip int
+	mbox     obs.MailboxPoint
 
 	// MVCC state (Config.Snapshots; see mvcc.go). cur and bypassOps are the
 	// reader-facing atomics; everything else is shard-goroutine-owned.
@@ -317,6 +329,9 @@ type Server struct {
 
 	mu      sync.RWMutex // guards stopped against in-flight sends
 	stopped bool
+
+	// scratch recycles Do's partition buffers (*doScratch) between calls.
+	scratch sync.Pool
 
 	// clock is the one clock every traced instant is read from (zero when
 	// tracing is disabled). Read-only after New, it sits past the contended
@@ -422,7 +437,7 @@ func (s *Server) runShard(sh *shard) {
 		sh.snapEvery = s.cfg.StalenessOps
 		sh.publishSnap(am)
 	}
-	for msg := range sh.mailbox {
+	for msg, ok := sh.next(); ok; msg, ok = sh.next() {
 		sh.apply(am, msg)
 	}
 	sh.shutdownSnaps()
@@ -432,6 +447,65 @@ func (s *Server) runShard(sh *shard) {
 		sh.wrec.Rotate()
 	}
 	sh.report = sh.ledger(am)
+}
+
+// next receives the shard's next message; ok is false once the mailbox is
+// closed and drained. A queued message is taken without a clock read. On an
+// empty mailbox the shard does not park at once: a parked shard costs its
+// next client a futex wake and itself a reschedule, several times the service
+// time of a sub-batch, and in a closed loop every sub-batch would pay it. It
+// polls for up to pollWindow first (see poll), and only then blocks.
+func (sh *shard) next() (message, bool) {
+	select {
+	case msg, ok := <-sh.mailbox:
+		return msg, ok
+	default:
+	}
+	sh.mbox.IdlePeriods++
+	if sh.pollSkip > 0 {
+		sh.pollSkip--
+	} else if msg, ok, polled := sh.poll(); polled {
+		return msg, ok
+	}
+	sh.mbox.Parked++
+	msg, ok := <-sh.mailbox
+	return msg, ok
+}
+
+// poll looks into the empty mailbox after each of a run of runtime.Gosched
+// calls, for at most pollWindow; polled reports whether a look found a
+// message (or the mailbox closed).
+//
+// It yields between looks and never spins: with more runnable goroutines
+// than processors, the client whose batch the shard just completed needs the
+// processor the shard is on. And it gets out of the way when yielding is not
+// cheap: one yield that outlasts the whole window means other goroutines are
+// queued for the processors, each good for a time slice, so the shard skips
+// polling for as many further idle periods as that yield cost windows. A
+// busy host thus pays one slow yield per that many periods, and the shard
+// polls again as soon as the host lets a yield come back fast.
+func (sh *shard) poll() (msg message, ok, polled bool) {
+	start := time.Now()
+	var waited time.Duration
+	for waited < pollWindow && !polled {
+		runtime.Gosched()
+		select {
+		case msg, ok = <-sh.mailbox:
+			polled = true
+		default:
+		}
+		yield := time.Since(start) - waited
+		waited += yield
+		if yield > pollWindow {
+			sh.pollSkip = int(yield / pollWindow)
+			sh.mbox.Backoffs++
+		}
+	}
+	sh.mbox.PollNanos += uint64(waited)
+	if polled && ok {
+		sh.mbox.Polled++
+	}
+	return msg, ok, polled
 }
 
 // ledger (shard goroutine only) reads the shard's full report — the answer
@@ -448,6 +522,7 @@ func (sh *shard) ledger(am *core.Instrumented) ShardReport {
 			Len:          am.Len(),
 			SnapVersions: sh.snapVersions,
 			WAL:          walLedger(am),
+			Mailbox:      sh.mbox,
 		},
 		Name: am.Name(),
 	}
@@ -544,18 +619,16 @@ func (s *Server) Do(reqs []Request, res []Result) error {
 	}
 	nsh := len(s.shards)
 	// Partition request indices by home shard: one counting pass, then a
-	// placement pass into a single backing array, so a Do call allocates a
-	// constant number of slices regardless of batch size. The counting pass
-	// also classifies each shard's sub-batch: pure-read sub-batches skip
-	// MaxBatch chunking (chunking amortizes write latency; a read sub-batch
-	// split N ways pays N mailbox messages for nothing), and under
-	// Config.Snapshots they bypass the mailbox entirely when the shard has a
-	// published snapshot.
-	counts := make([]int, nsh)
-	home := make([]uint32, len(reqs))
-	readOnly := make([]bool, nsh)
+	// placement pass into a single backing array, all in buffers recycled
+	// between calls. The counting pass also classifies each shard's
+	// sub-batch: pure-read sub-batches skip MaxBatch chunking (chunking
+	// amortizes write latency; a read sub-batch split N ways pays N mailbox
+	// messages for nothing), and under Config.Snapshots they bypass the
+	// mailbox entirely when the shard has a published snapshot.
+	sc := s.getScratch(len(reqs))
+	counts, home, readOnly := sc.counts, sc.home, sc.readOnly
 	for i := range readOnly {
-		readOnly[i] = true
+		counts[i], readOnly[i] = 0, true
 	}
 	for i := range reqs {
 		h := s.shardOf(reqs[i].Key)
@@ -565,12 +638,10 @@ func (s *Server) Do(reqs []Request, res []Result) error {
 			readOnly[h] = false
 		}
 	}
-	idxBuf := make([]uint32, len(reqs))
-	starts := make([]int, nsh+1)
+	idxBuf, starts, fill := sc.idx, sc.starts, sc.fill
 	for i := 0; i < nsh; i++ {
 		starts[i+1] = starts[i] + counts[i]
 	}
-	fill := make([]int, nsh)
 	copy(fill, starts[:nsh])
 	for i := range reqs {
 		h := home[i]
@@ -581,13 +652,14 @@ func (s *Server) Do(reqs []Request, res []Result) error {
 	s.mu.RLock()
 	if s.stopped {
 		s.mu.RUnlock()
+		s.scratch.Put(sc)
 		return ErrStopped
 	}
 	// Snapshot acquisition and message counting happen together, before any
 	// send: the completion's pending count must be final before the first
 	// shard can finish. bypass[sh] non-nil marks a sub-batch this goroutine
-	// will execute itself.
-	var bypass []*shardSnap
+	// will execute itself; the entries are nil between calls.
+	bypass, bypassed := sc.bypass, false
 	total := 0
 	for sh := 0; sh < nsh; sh++ {
 		c := counts[sh]
@@ -597,10 +669,8 @@ func (s *Server) Do(reqs []Request, res []Result) error {
 		if readOnly[sh] {
 			if s.cfg.Snapshots {
 				if ss := s.shards[sh].acquireSnap(); ss != nil {
-					if bypass == nil {
-						bypass = make([]*shardSnap, nsh)
-					}
 					bypass[sh] = ss
+					bypassed = true
 					continue
 				}
 			}
@@ -609,17 +679,21 @@ func (s *Server) Do(reqs []Request, res []Result) error {
 			total += (c + s.cfg.MaxBatch - 1) / s.cfg.MaxBatch
 		}
 	}
-	comp := &completion{done: make(chan struct{})}
-	comp.pending.Store(int32(total))
-	// One enqueue stamp per Do call when traced; zero (and zero clock reads)
-	// otherwise.
+	// A call served entirely off snapshots sends nothing and waits for
+	// nothing. Otherwise: one enqueue stamp per Do call when traced; zero (and
+	// zero clock reads) when not.
+	var comp *completion
 	var enq time.Duration
-	if s.cfg.Trace != nil && total > 0 {
-		enq = s.clock.now()
+	if total > 0 {
+		comp = &completion{done: make(chan struct{})}
+		comp.pending.Store(int32(total))
+		if s.cfg.Trace != nil {
+			enq = s.clock.now()
+		}
 	}
 	for sh := 0; sh < nsh; sh++ {
 		idxs := idxBuf[starts[sh]:starts[sh+1]]
-		if len(idxs) == 0 || (bypass != nil && bypass[sh] != nil) {
+		if len(idxs) == 0 || bypass[sh] != nil {
 			continue
 		}
 		if readOnly[sh] {
@@ -647,7 +721,7 @@ func (s *Server) Do(reqs []Request, res []Result) error {
 	// reader — overlapping with whatever the mailboxes are doing. Each
 	// sub-batch charges a private stack meter, merged once into the
 	// snapshot's AtomicMeter for the owning shard to absorb later.
-	if bypass != nil {
+	if bypassed {
 		s.readersActive.Add(1)
 		var m rum.Meter
 		for sh, ss := range bypass {
@@ -663,6 +737,7 @@ func (s *Server) Do(reqs []Request, res []Result) error {
 			ss.meter.Merge(m)
 			m.Reset()
 			ss.refs.Add(-1)
+			bypass[sh] = nil
 			s.shards[sh].bypassOps.Add(uint64(len(idxs)))
 		}
 		s.readersActive.Add(-1)
@@ -670,7 +745,40 @@ func (s *Server) Do(reqs []Request, res []Result) error {
 	if total > 0 {
 		<-comp.done
 	}
+	// The messages aliased sc.idx: it goes back only now that every shard is
+	// done with them.
+	s.scratch.Put(sc)
 	return nil
+}
+
+// doScratch is the working memory of one Do call: the per-shard tallies of
+// the partition, and the per-request home and index arrays, which grow to
+// the largest batch seen.
+type doScratch struct {
+	counts   []int // requests per shard
+	starts   []int // sub-batch offsets into idx, one past the last shard too
+	fill     []int // placement cursors
+	readOnly []bool
+	bypass   []*shardSnap
+	home     []uint32 // home shard of each request
+	idx      []uint32 // request indices grouped by shard
+}
+
+// getScratch returns a scratch sized for n requests, recycled if one is free.
+func (s *Server) getScratch(n int) *doScratch {
+	sc, _ := s.scratch.Get().(*doScratch)
+	if sc == nil {
+		nsh := len(s.shards)
+		sc = &doScratch{
+			counts: make([]int, nsh), starts: make([]int, nsh+1), fill: make([]int, nsh),
+			readOnly: make([]bool, nsh), bypass: make([]*shardSnap, nsh),
+		}
+	}
+	if cap(sc.home) < n {
+		sc.home, sc.idx = make([]uint32, n), make([]uint32, n)
+	}
+	sc.home, sc.idx = sc.home[:n], sc.idx[:n]
+	return sc
 }
 
 // broadcast sends one message per shard (sharing a completion) and waits.

@@ -68,7 +68,7 @@ func TestSnapshotMonotoneAndNonDestructive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
-	if !reflect.DeepEqual(snap2, snap3) {
+	if !reflect.DeepEqual(ledgers(snap2), ledgers(snap3)) {
 		t.Fatalf("idle snapshots differ:\n%+v\nvs\n%+v", snap2, snap3)
 	}
 	// And the Stop report equals the last snapshot exactly, aggregate and
@@ -77,7 +77,7 @@ func TestSnapshotMonotoneAndNonDestructive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Stop: %v", err)
 	}
-	if !reflect.DeepEqual(snap3, reports) {
+	if !reflect.DeepEqual(ledgers(snap3), ledgers(reports)) {
 		t.Fatalf("Stop report differs from last snapshot:\n%+v\nvs\n%+v", reports, snap3)
 	}
 	m1, sz1, n1 := Aggregate(snap3)

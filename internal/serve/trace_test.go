@@ -2,6 +2,8 @@ package serve
 
 import (
 	"math/rand/v2"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/btree"
@@ -329,3 +331,48 @@ func benchDo(b *testing.B, trace *TraceConfig) {
 // claim for the disabled path and bounds the traced path's overhead.
 func BenchmarkDo(b *testing.B)       { benchDo(b, nil) }
 func BenchmarkDoTraced(b *testing.B) { benchDo(b, &TraceConfig{SlowK: 32}) }
+
+// BenchmarkDoClosedLoop is the shape rumperf runs: two closed-loop clients
+// over two shards of a resident B-tree, 64 point reads per Do, so each shard
+// sees a sub-batch of about 32, then an empty mailbox until the clients are
+// back. ns/op is wall time per Do across both clients.
+func BenchmarkDoClosedLoop(b *testing.B) {
+	const clients, shards, batch, n = 2, 2, 64, 1 << 16
+	s, err := New(Config{Shards: shards, Build: func(int) *core.Instrumented {
+		return methods.NewBTree(methods.Options{PoolPages: 1 << 12}, btree.Config{})
+	}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Stop()
+	recs := make([]core.Record, n)
+	for i := range recs {
+		recs[i] = core.Record{Key: core.Key(i), Value: core.Value(i)}
+	}
+	if err := s.Preload(recs); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var issued atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(x uint32) {
+			defer wg.Done()
+			reqs := make([]Request, batch)
+			res := make([]Result, batch)
+			for issued.Add(1) <= int64(b.N) {
+				for i := range reqs {
+					x = x*1664525 + 1013904223
+					reqs[i] = Request{Op: OpGet, Key: core.Key(x >> 8 % n)}
+				}
+				if err := s.Do(reqs, res); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(uint32(c + 1))
+	}
+	wg.Wait()
+}

@@ -413,10 +413,10 @@ func TestPoolBatchedEvictionGroup(t *testing.T) {
 	if st.Evictions != 1 || st.WriteBacks != 4 {
 		t.Fatalf("eviction group ledger: %+v", st)
 	}
-	if _, cached := p.frames[ids[0]]; cached {
+	if p.lookup(ids[0]) != nil {
 		t.Fatal("LRU victim still cached")
 	}
-	if _, cached := p.frames[ids[1]]; !cached {
+	if p.lookup(ids[1]) == nil {
 		t.Fatal("eviction group evicted more than the victim")
 	}
 	if got := d.Stats().CostUnits; got != 20 {
@@ -490,7 +490,7 @@ func TestPoolBatchSkipsUnflushableVictim(t *testing.T) {
 	if st.Evictions != 1 || st.FlushFailures != 1 {
 		t.Fatalf("faulted eviction ledger: %+v", st)
 	}
-	if _, cached := p.frames[idA]; !cached {
+	if p.lookup(idA) == nil {
 		t.Fatal("unflushable frame was dropped")
 	}
 	if d.Stats().Batches != 0 {

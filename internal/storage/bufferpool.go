@@ -77,7 +77,13 @@ type BufferPool struct {
 	owner    owner
 	dev      *Device
 	capacity int
-	frames   map[PageID]*Frame
+	// frames is the page table: the frame caching page id sits at frames[id],
+	// nil when the page is not resident. The device hands ids out densely (its
+	// own page array is a slice and its free list recycles), so the table
+	// costs one pointer per device page; it grows by doubling in adopt and is
+	// never shrunk. resident counts its non-nil slots.
+	frames   []*Frame
+	resident int
 	// lru is the sentinel of a circular list threaded through the cached
 	// frames: lru.next is the most recently used frame, lru.prev the least.
 	lru     Frame
@@ -113,11 +119,26 @@ func NewBufferPool(dev *Device, capacity int) *BufferPool {
 	p := &BufferPool{
 		dev:      dev,
 		capacity: capacity,
-		frames:   make(map[PageID]*Frame, capacity),
 		ioBatch:  ioBatch,
 	}
 	p.lru.prev, p.lru.next = &p.lru, &p.lru
 	return p
+}
+
+// lookup returns the frame caching id, or nil.
+func (p *BufferPool) lookup(id PageID) *Frame {
+	if int(id) < len(p.frames) {
+		return p.frames[id]
+	}
+	return nil
+}
+
+// drop clears id's slot in the page table.
+func (p *BufferPool) drop(id PageID) {
+	if p.frames[id] != nil {
+		p.frames[id] = nil
+		p.resident--
+	}
 }
 
 // pushFront links f in as the most recently used frame.
@@ -188,7 +209,7 @@ func (p *BufferPool) batchIO() bool {
 // checkpoints (e.g. the LSM manifest) must verify it before advancing.
 func (p *BufferPool) DirtyCount() int {
 	n := 0
-	for _, f := range p.frames {
+	for f := p.lru.next; f != &p.lru; f = f.next {
 		if f.dirty {
 			n++
 		}
@@ -203,7 +224,8 @@ func (p *BufferPool) DirtyCount() int {
 // valid next step is recovery against the reopened device.
 func (p *BufferPool) Crash() {
 	p.owner.assert("BufferPool")
-	p.frames = make(map[PageID]*Frame, p.capacity)
+	clear(p.frames)
+	p.resident = 0
 	p.lru.prev, p.lru.next = &p.lru, &p.lru
 }
 
@@ -211,12 +233,12 @@ func (p *BufferPool) Crash() {
 func (p *BufferPool) Stats() PoolStats { return p.stats }
 
 // Len returns the number of frames currently cached.
-func (p *BufferPool) Len() int { return len(p.frames) }
+func (p *BufferPool) Len() int { return p.resident }
 
 // Fetch pins the frame for page id, reading it from the device on a miss.
 func (p *BufferPool) Fetch(id PageID) (*Frame, error) {
 	p.owner.assert("BufferPool")
-	if f, ok := p.frames[id]; ok {
+	if f := p.lookup(id); f != nil {
 		p.stats.Hits++
 		f.pins++
 		if p.lru.next != f {
@@ -300,7 +322,7 @@ func (p *BufferPool) NewPage(c rum.Class) (*Frame, error) {
 // true and its buffer still holds the victim's bytes); only a pool below
 // capacity, or one overflowing because everything is pinned, allocates.
 func (p *BufferPool) install(id PageID) (f *Frame, recycled bool) {
-	if len(p.frames) >= p.capacity {
+	if p.resident >= p.capacity {
 		if f = p.evictOne(); f == nil {
 			p.stats.Overflows++
 		}
@@ -322,7 +344,28 @@ func (p *BufferPool) newFrame() *Frame {
 func (p *BufferPool) adopt(f *Frame, id PageID, pins int) {
 	f.id, f.pins, f.dirty = id, pins, false
 	p.pushFront(f)
+	if int(id) >= len(p.frames) {
+		p.growTable(id)
+	}
+	if p.frames[id] == nil {
+		p.resident++
+	} else {
+		// The page was freed on the device behind the pool's back and its id
+		// handed out again: the stale frame stays on the LRU list until it is
+		// evicted. Racecheck builds panic here.
+		ghostFrame(id)
+	}
 	p.frames[id] = f
+}
+
+// minPageTable is the page table's first size, in slots.
+const minPageTable = 64
+
+// growTable extends the page table to cover id, at least doubling it so that
+// a growing device costs amortized constant work per page.
+func (p *BufferPool) growTable(id PageID) {
+	n := max(2*len(p.frames), minPageTable, int(id)+1)
+	p.frames = append(p.frames, make([]*Frame, n-len(p.frames))...)
 }
 
 // evictOne removes the least recently used unpinned frame, flushing it if
@@ -344,7 +387,7 @@ func (p *BufferPool) evictOne() *Frame {
 			continue
 		}
 		p.unlink(f)
-		delete(p.frames, f.id)
+		p.drop(f.id)
 		p.stats.Evictions++
 		if p.hook != nil {
 			p.hook.StorageEvent(EvEvict, f.id, p.dev.Class(f.id), 0)
@@ -460,12 +503,12 @@ func (p *BufferPool) Release(f *Frame) {
 // page on the device. The frame must not be pinned.
 func (p *BufferPool) FreePage(id PageID) error {
 	p.owner.assert("BufferPool")
-	if f, ok := p.frames[id]; ok {
+	if f := p.lookup(id); f != nil {
 		if f.pins > 0 {
 			return fmt.Errorf("storage: freeing pinned page %d", id)
 		}
 		p.unlink(f)
-		delete(p.frames, id)
+		p.drop(id)
 	}
 	return p.dev.Free(id)
 }
@@ -530,7 +573,7 @@ func (p *BufferPool) Readahead(ids []PageID) int {
 	}
 	want := p.raIDs[:0]
 	for _, id := range ids {
-		if _, ok := p.frames[id]; ok {
+		if p.lookup(id) != nil {
 			continue
 		}
 		if p.dev.check(id) != nil {
@@ -557,11 +600,11 @@ func (p *BufferPool) Readahead(ids []PageID) int {
 			return installed
 		}
 		for i, id := range chunk {
-			if _, ok := p.frames[id]; ok {
+			if p.lookup(id) != nil {
 				continue // duplicate id within the request
 			}
 			var f *Frame
-			if len(p.frames) >= p.capacity {
+			if p.resident >= p.capacity {
 				if f = p.evictOne(); f == nil {
 					return installed // everything pinned: never overflow for a prefetch
 				}
@@ -592,6 +635,6 @@ func (p *BufferPool) DropAll() {
 			continue
 		}
 		p.unlink(f)
-		delete(p.frames, f.id)
+		p.drop(f.id)
 	}
 }

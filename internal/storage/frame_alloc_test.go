@@ -88,3 +88,42 @@ func BenchmarkFetchMiss(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFetchHit measures the resident hit as a B-tree descent issues it:
+// root, one inner page, one leaf, each pinned and released, over a pool that
+// holds the whole tree — so the root is a hit on the most recently used side
+// of the list and the leaf a relink from deep inside it.
+func BenchmarkFetchHit(b *testing.B) {
+	d := NewDevice(4096, SSD, nil)
+	const inners, leavesPer = 16, 64
+	ids := make([]PageID, 1+inners+inners*leavesPer)
+	p := NewBufferPool(d, len(ids))
+	for i := range ids {
+		f, err := p.NewPage(rum.Base)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ids[i] = f.ID()
+		p.Release(f)
+	}
+	hit := func(id PageID) {
+		f, err := p.Fetch(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Release(f)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	x := uint32(1)
+	for i := 0; i < b.N; i++ {
+		x = x*1664525 + 1013904223 // LCG: a scattered leaf per descent
+		leaf := int(x>>8) % (inners * leavesPer)
+		hit(ids[0])
+		hit(ids[1+leaf/leavesPer])
+		hit(ids[1+inners+leaf])
+	}
+	if st := p.Stats(); st.Misses != 0 {
+		b.Fatalf("the descents missed %d times; the pool must hold the whole tree", st.Misses)
+	}
+}

@@ -16,21 +16,30 @@ func checkLRU(t *testing.T, p *BufferPool) {
 		if f.next.prev != f || f.prev.next != f {
 			t.Fatalf("frame %d: broken links", f.id)
 		}
-		if p.frames[f.id] != f {
+		if p.lookup(f.id) != f {
 			t.Fatalf("frame %d is on the list but not the cached frame for its page", f.id)
 		}
-		if forward++; forward > len(p.frames) {
-			t.Fatalf("forward walk passed %d frames, pool caches %d", forward, len(p.frames))
+		if forward++; forward > p.Len() {
+			t.Fatalf("forward walk passed %d frames, pool caches %d", forward, p.Len())
 		}
 	}
 	backward := 0
 	for f := p.lru.prev; f != &p.lru; f = f.prev {
-		if backward++; backward > len(p.frames) {
-			t.Fatalf("backward walk passed %d frames, pool caches %d", backward, len(p.frames))
+		if backward++; backward > p.Len() {
+			t.Fatalf("backward walk passed %d frames, pool caches %d", backward, p.Len())
 		}
 	}
 	if forward != p.Len() || backward != p.Len() {
 		t.Fatalf("list holds %d forward / %d backward frames, Len() = %d", forward, backward, p.Len())
+	}
+	slots := 0
+	for _, f := range p.frames {
+		if f != nil {
+			slots++
+		}
+	}
+	if slots != p.Len() {
+		t.Fatalf("page table holds %d frames, Len() = %d", slots, p.Len())
 	}
 }
 

@@ -2,6 +2,8 @@
 
 package storage
 
+import "fmt"
+
 // poisonByte fills an evicted frame's buffer in racecheck builds.
 const poisonByte = 0xDB
 
@@ -16,4 +18,14 @@ func handOff(victim *Frame) *Frame {
 		victim.data[i] = poisonByte
 	}
 	return &Frame{data: make([]byte, len(victim.data))}
+}
+
+// ghostFrame is the checked variant of adopt finding its page-table slot
+// occupied: a structure freed a page with Device.Free instead of
+// BufferPool.FreePage, and the device recycled the id while the old frame was
+// still cached. A release build overwrites the slot and leaves the old frame
+// on the LRU list, where its eviction later clears the slot of the page that
+// replaced it; here the first step of that fails loudly.
+func ghostFrame(id PageID) {
+	panic(fmt.Sprintf("storage: page %d installed over a frame still cached for it (freed behind the pool's back)", id))
 }

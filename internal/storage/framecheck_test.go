@@ -41,3 +41,27 @@ func TestRecycledFrameIsPoisoned(t *testing.T) {
 		t.Fatalf("installed page shows %x, want its own zero bytes", f.Data())
 	}
 }
+
+// TestAdoptOverCachedFramePanics verifies the racecheck build refuses to
+// install a page over a frame still cached for its id: the page was freed
+// with Device.Free behind the pool's back and the device's free list handed
+// the id out again.
+func TestAdoptOverCachedFramePanics(t *testing.T) {
+	d := NewDevice(64, RAM, nil)
+	p := NewBufferPool(d, 4)
+	f, err := p.NewPage(rum.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := f.ID()
+	p.Release(f)
+	if err := d.Free(id); err != nil { // not p.FreePage: the frame stays cached
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewPage reused the id of a still-cached frame without panicking")
+		}
+	}()
+	p.NewPage(rum.Base) // the free list returns id
+}

@@ -1,0 +1,482 @@
+package storage
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"testing"
+
+	"repro/internal/rum"
+)
+
+// modelPool is the reference the slice-table BufferPool is held to: the same
+// replacement, write-back and readahead policy written the obvious way — a
+// map for the page table, a slice in recency order for the LRU list, a fresh
+// buffer for every install. It drives its own Device, so the two sides'
+// device traffic is comparable event for event. Fault injection is left out:
+// fault_test.go covers those paths, and they never touch the page table.
+type modelPool struct {
+	dev      *Device
+	capacity int
+	ioBatch  int
+	frames   map[PageID]*modelFrame
+	order    []*modelFrame // most recently used first
+	stats    PoolStats
+	hook     Hook
+}
+
+type modelFrame struct {
+	id    PageID
+	data  []byte
+	dirty bool
+	pins  int
+}
+
+func newModelPool(dev *Device, capacity int) *modelPool {
+	return &modelPool{dev: dev, capacity: capacity, ioBatch: max(dev.CostModel().Channels, 1),
+		frames: map[PageID]*modelFrame{}}
+}
+
+func (m *modelPool) emit(ev Event, id PageID) {
+	if m.hook != nil {
+		m.hook.StorageEvent(ev, id, m.dev.Class(id), 0)
+	}
+}
+
+func (m *modelPool) remove(f *modelFrame) {
+	for i, g := range m.order {
+		if g == f {
+			m.order = append(m.order[:i], m.order[i+1:]...)
+			break
+		}
+	}
+	delete(m.frames, f.id)
+}
+
+func (m *modelPool) add(id PageID, pins int) *modelFrame {
+	f := &modelFrame{id: id, data: make([]byte, m.dev.PageSize()), pins: pins}
+	m.order = append([]*modelFrame{f}, m.order...)
+	m.frames[id] = f
+	return f
+}
+
+func (m *modelPool) dirtyCount() int {
+	n := 0
+	for _, f := range m.frames {
+		if f.dirty {
+			n++
+		}
+	}
+	return n
+}
+
+func (m *modelPool) fetch(id PageID) (*modelFrame, error) {
+	if f, ok := m.frames[id]; ok {
+		m.stats.Hits++
+		f.pins++
+		m.remove(f)
+		m.order = append([]*modelFrame{f}, m.order...)
+		m.frames[id] = f
+		m.emit(EvHit, id)
+		return f, nil
+	}
+	src, err := m.dev.Read(id)
+	if err != nil {
+		m.stats.FetchFailures++
+		return nil, err
+	}
+	m.stats.Misses++
+	m.emit(EvMiss, id)
+	f := m.install(id)
+	copy(f.data, src)
+	return f, nil
+}
+
+func (m *modelPool) newPage(c rum.Class) *modelFrame {
+	f := m.install(m.dev.Alloc(c))
+	f.dirty = true
+	return f
+}
+
+func (m *modelPool) install(id PageID) *modelFrame {
+	if len(m.frames) >= m.capacity && !m.evictOne() {
+		m.stats.Overflows++
+	}
+	return m.add(id, 1)
+}
+
+func (m *modelPool) evictOne() bool {
+	for i := len(m.order) - 1; i >= 0; i-- {
+		f := m.order[i]
+		if f.pins > 0 || (f.dirty && !m.flushVictim(f)) {
+			continue
+		}
+		m.remove(f)
+		m.stats.Evictions++
+		m.emit(EvEvict, f.id)
+		return true
+	}
+	return false
+}
+
+func (m *modelPool) flushFrame(f *modelFrame) bool {
+	dst, err := m.dev.WriteInPlace(f.id)
+	if errors.Is(err, ErrFreed) || errors.Is(err, ErrBadPage) {
+		f.dirty = false
+		return true
+	}
+	if err != nil {
+		m.stats.FlushFailures++
+		return false
+	}
+	copy(dst, f.data)
+	m.wroteBack(f)
+	return true
+}
+
+func (m *modelPool) wroteBack(f *modelFrame) {
+	f.dirty = false
+	m.stats.WriteBacks++
+	m.emit(EvWriteBack, f.id)
+}
+
+func (m *modelPool) flushGroup(group []*modelFrame) {
+	if len(group) == 1 {
+		m.flushFrame(group[0])
+		return
+	}
+	var ids []PageID
+	var data [][]byte
+	for _, f := range group {
+		ids, data = append(ids, f.id), append(data, f.data)
+	}
+	if err := m.dev.WriteBatch(ids, data); err != nil {
+		panic(err) // no injector, no crash: the model's batches cannot fail
+	}
+	for _, f := range group {
+		m.wroteBack(f)
+	}
+}
+
+func (m *modelPool) flushVictim(victim *modelFrame) bool {
+	if m.ioBatch <= 1 {
+		return m.flushFrame(victim)
+	}
+	group := []*modelFrame{victim}
+	for i := len(m.order) - 1; i >= 0 && len(group) < m.ioBatch; i-- {
+		f := m.order[i]
+		if f == victim || f.pins > 0 || !f.dirty {
+			continue
+		}
+		if m.dev.check(f.id) != nil {
+			f.dirty = false
+			continue
+		}
+		group = append(group, f)
+	}
+	m.flushGroup(group)
+	return !victim.dirty
+}
+
+func (m *modelPool) freePage(id PageID) error {
+	if f, ok := m.frames[id]; ok {
+		if f.pins > 0 {
+			return errors.New("pinned")
+		}
+		m.remove(f)
+	}
+	return m.dev.Free(id)
+}
+
+func (m *modelPool) flushAll() {
+	var group []*modelFrame
+	for i := len(m.order) - 1; i >= 0; i-- {
+		f := m.order[i]
+		if !f.dirty {
+			continue
+		}
+		if m.ioBatch <= 1 {
+			m.flushFrame(f)
+			continue
+		}
+		if m.dev.check(f.id) != nil {
+			f.dirty = false
+			continue
+		}
+		if group = append(group, f); len(group) == m.ioBatch {
+			m.flushGroup(group)
+			group = nil
+		}
+	}
+	if len(group) > 0 {
+		m.flushGroup(group)
+	}
+}
+
+func (m *modelPool) dropAll() {
+	m.flushAll()
+	for _, f := range append([]*modelFrame(nil), m.order...) {
+		if f.pins == 0 && !f.dirty {
+			m.remove(f)
+		}
+	}
+}
+
+func (m *modelPool) crash() {
+	m.frames, m.order = map[PageID]*modelFrame{}, nil
+}
+
+func (m *modelPool) readahead(ids []PageID) int {
+	if m.ioBatch <= 1 {
+		return 0
+	}
+	var want []PageID
+	for _, id := range ids {
+		if _, ok := m.frames[id]; ok || m.dev.check(id) != nil {
+			continue
+		}
+		if want = append(want, id); len(want) == max(m.capacity/2, 1) {
+			break
+		}
+	}
+	installed := 0
+	for len(want) > 0 {
+		chunk := want[:min(len(want), m.ioBatch)]
+		want = want[len(chunk):]
+		pages, err := m.dev.ReadBatch(chunk)
+		if err != nil {
+			panic(err)
+		}
+		for i, id := range chunk {
+			if _, ok := m.frames[id]; ok {
+				continue
+			}
+			if len(m.frames) >= m.capacity && !m.evictOne() {
+				return installed
+			}
+			copy(m.add(id, 0).data, pages[i])
+			m.stats.Misses++
+			m.emit(EvMiss, id)
+			installed++
+		}
+	}
+	return installed
+}
+
+// poolDiff is what one driven stream exercised, so the seeded test can
+// require that its streams reached the cases the page table differs on.
+type poolDiff struct {
+	reusedIDs int // NewPage calls answered with an id the device's free list recycled
+	tableLen  int // the page table's final length in slots
+}
+
+// drivePoolAgainstModel interprets script as a sequence of pool calls, makes
+// each on a BufferPool and on the model, and fails on the first divergence in
+// results, PoolStats, Len or DirtyCount; at the end the two full hook event
+// streams (pool and device events interleaved), the batch submissions and the
+// device ledgers must be equal. Every second script byte is an
+// operand, so any byte string is a valid script.
+func drivePoolAgainstModel(t *testing.T, script []byte) poolDiff {
+	t.Helper()
+	if len(script) < 2 {
+		return poolDiff{}
+	}
+	medium := SSD // per-page I/O
+	if script[0]&1 == 1 {
+		medium = MQSSD // batched write-back and readahead
+	}
+	capacity := 1 + int(script[1])%12
+	script = script[2:]
+
+	var gotEv, wantEv batchRecorder
+	dp, dm := NewDevice(64, medium, nil), NewDevice(64, medium, nil)
+	dp.SetHook(&gotEv)
+	dm.SetHook(&wantEv)
+	p, m := NewBufferPool(dp, capacity), newModelPool(dm, capacity)
+	p.SetHook(&gotEv)
+	m.hook = &wantEv
+
+	type pin struct {
+		f  *Frame
+		mf *modelFrame
+	}
+	var (
+		pins []pin
+		ids  []PageID // every id NewPage ever returned, freed ones included
+		seen = map[PageID]bool{}
+		out  poolDiff
+		fill byte
+	)
+	pick := func(b byte) PageID {
+		if len(ids) == 0 {
+			return PageID(b) // nothing allocated yet: a bad page on both sides
+		}
+		return ids[int(b)%len(ids)]
+	}
+	scribble := func(pn pin) {
+		fill++
+		for i := range pn.f.Data() {
+			pn.f.Data()[i], pn.mf.data[i] = fill, fill
+		}
+		pn.f.MarkDirty()
+		pn.mf.dirty = true
+	}
+	// hold keeps one pin in four and releases the rest at once, so that the
+	// pool is usually evictable and sometimes (small pools) fully pinned.
+	hold := func(pn pin, arg byte) {
+		if arg&6 == 0 {
+			pins = append(pins, pn)
+			return
+		}
+		p.Release(pn.f)
+		pn.mf.pins--
+	}
+	for step := 0; step+1 < len(script); step += 2 {
+		op, arg := script[step]%16, script[step+1]
+		switch {
+		case op < 5: // Fetch, writing the page on odd operands
+			id := pick(arg)
+			f, err := p.Fetch(id)
+			mf, merr := m.fetch(id)
+			if (err == nil) != (merr == nil) {
+				t.Fatalf("step %d: Fetch(%d): pool err %v, model err %v", step, id, err, merr)
+			}
+			if err != nil {
+				break
+			}
+			if !bytes.Equal(f.Data(), mf.data) {
+				t.Fatalf("step %d: Fetch(%d) shows %x, model %x", step, id, f.Data(), mf.data)
+			}
+			pn := pin{f, mf}
+			if arg&1 == 1 {
+				scribble(pn)
+			}
+			hold(pn, arg)
+		case op < 8: // NewPage
+			c := rum.Class(arg & 1)
+			f, err := p.NewPage(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mf := m.newPage(c)
+			if f.ID() != mf.id {
+				t.Fatalf("step %d: NewPage: pool got page %d, model %d", step, f.ID(), mf.id)
+			}
+			if !bytes.Equal(f.Data(), mf.data) {
+				t.Fatalf("step %d: NewPage(%d) shows %x, want zeroes", step, f.ID(), f.Data())
+			}
+			if seen[f.ID()] {
+				out.reusedIDs++
+			} else {
+				seen[f.ID()] = true
+				ids = append(ids, f.ID())
+			}
+			pn := pin{f, mf}
+			scribble(pn)
+			hold(pn, arg)
+		case op < 12: // Release
+			if len(pins) == 0 {
+				break
+			}
+			i := int(arg) % len(pins)
+			p.Release(pins[i].f)
+			pins[i].mf.pins--
+			pins = append(pins[:i], pins[i+1:]...)
+		case op == 12: // FreePage, pinned pages included (both sides refuse)
+			id := pick(arg)
+			err, merr := p.FreePage(id), m.freePage(id)
+			if (err == nil) != (merr == nil) {
+				t.Fatalf("step %d: FreePage(%d): pool err %v, model err %v", step, id, err, merr)
+			}
+		case op == 13: // Readahead of a run of known ids
+			var run []PageID
+			for i := 0; i < 1+int(arg)%9 && len(ids) > 0; i++ {
+				run = append(run, ids[(int(arg)+i)%len(ids)])
+			}
+			if got, want := p.Readahead(run), m.readahead(run); got != want {
+				t.Fatalf("step %d: Readahead(%v) installed %d, model %d", step, run, got, want)
+			}
+		case op == 14:
+			if arg&1 == 0 {
+				p.FlushAll()
+				m.flushAll()
+			} else {
+				p.DropAll()
+				m.dropAll()
+			}
+		default: // Crash, rarely: it empties the pool and orphans every pin
+			if arg%4 != 0 {
+				break
+			}
+			p.Crash()
+			m.crash()
+			pins = nil
+		}
+		if p.Stats() != m.stats || p.Len() != len(m.frames) || p.DirtyCount() != m.dirtyCount() {
+			t.Fatalf("step %d (op %d, arg %d): pool %+v Len %d dirty %d; model %+v Len %d dirty %d",
+				step, op, arg, p.Stats(), p.Len(), p.DirtyCount(), m.stats, len(m.frames), m.dirtyCount())
+		}
+		checkLRU(t, p)
+	}
+	if dp.Stats() != dm.Stats() {
+		t.Fatalf("device ledgers differ: pool side %+v, model side %+v", dp.Stats(), dm.Stats())
+	}
+	if len(gotEv.events) != len(wantEv.events) {
+		t.Fatalf("pool side emitted %d events, model side %d", len(gotEv.events), len(wantEv.events))
+	}
+	for i, e := range gotEv.events {
+		if e != wantEv.events[i] {
+			t.Fatalf("event %d: pool side %+v, model side %+v", i, e, wantEv.events[i])
+		}
+	}
+	if len(gotEv.batches) != len(wantEv.batches) {
+		t.Fatalf("pool side submitted %d batches, model side %d", len(gotEv.batches), len(wantEv.batches))
+	}
+	for i, b := range gotEv.batches {
+		if b != wantEv.batches[i] {
+			t.Fatalf("batch %d: pool side %+v, model side %+v", i, b, wantEv.batches[i])
+		}
+	}
+	out.tableLen = len(p.frames)
+	return out
+}
+
+// TestPoolAgainstModel drives seeded random streams through the slice-table
+// pool and the map-based model, on per-page and on batched media. Between
+// them the streams must have met the two cases a dense table adds to a map:
+// an id freed and handed out again by the device's free list, and a table
+// grown past its first size.
+func TestPoolAgainstModel(t *testing.T) {
+	var reused, grown int
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		script := make([]byte, 2+2*1500)
+		rng.Read(script)
+		out := drivePoolAgainstModel(t, script)
+		reused += out.reusedIDs
+		if out.tableLen > minPageTable {
+			grown++
+		}
+	}
+	if reused == 0 || grown == 0 {
+		t.Fatalf("the streams recycled %d ids and grew %d tables past %d slots; both must happen", reused, grown, minPageTable)
+	}
+}
+
+// FuzzPoolAgainstModel is the same driver under `go test -fuzz`.
+func FuzzPoolAgainstModel(f *testing.F) {
+	// Allocate, release, free, allocate again: the free list hands the id back.
+	f.Add([]byte{0, 3, 5, 0, 8, 0, 12, 0, 5, 1, 0, 0, 8, 0})
+	// Batched medium, one-frame pool: every install evicts a dirty victim.
+	f.Add([]byte{1, 0, 5, 0, 8, 0, 5, 1, 8, 0, 5, 0, 8, 0, 0, 1, 8, 0, 14, 1})
+	// Readahead, FlushAll, DropAll and Crash over a handful of pages.
+	f.Add([]byte{1, 7, 5, 0, 8, 0, 6, 1, 8, 0, 7, 0, 8, 0, 14, 1, 13, 3, 0, 2, 15, 0, 13, 1, 14, 0})
+	for seed := int64(1); seed <= 3; seed++ {
+		script := make([]byte, 400)
+		rand.New(rand.NewSource(seed)).Read(script)
+		f.Add(script)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		drivePoolAgainstModel(t, script)
+	})
+}
