@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race racecheck benchmarks bench golden experiments-golden benchjson
+.PHONY: check build fmt vet test race racecheck benchmarks bench golden experiments-golden
 
 ## check: the full gate — build, gofmt, vet, race-enabled tests, the
 ## assertion build, and the nested benchmarks/ module.
@@ -73,10 +73,3 @@ golden:
 experiments-golden:
 	$(GO) run ./cmd/rumbench -exp all 2>/dev/null | diff experiments_output.txt -
 
-## benchjson: regenerate BENCH_10.json, the machine-readable per-cell perf
-## summary (ops per 1000 medium-weighted cost units for every walsweep and
-## qdsweep cell). Deterministic — no wall-clock — so CI diffs it against
-## the committed artifact and the bench trajectory accumulates across PRs.
-benchjson:
-	$(GO) run ./cmd/rumbench -exp walsweep,qdsweep -quick -n 2048 -ops 1000 \
-		-benchjson BENCH_10.json >/dev/null

@@ -40,10 +40,6 @@
 // latch at the phase boundaries and the advised configuration changes with
 // the traffic. Its stdout is byte-deterministic at any -parallel width.
 //
-// The -benchjson flag writes a machine-readable perf summary: every device-
-// metered cell's deterministic ops-per-kilocost figure, for tracking the
-// bench trajectory across revisions.
-//
 // The -trace/-timeseries/-metrics flags attach an observability layer
 // (internal/obs) to every traced experiment (table1, fig1, fig3,
 // conjecture): per-operation JSONL spans, a CSV RUM time series, and a
@@ -57,7 +53,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -106,7 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		batch      = fs.Int("batch", 64, "serve experiment: requests per client batch")
 		mixSpec    = fs.String("mix", "", "mvcc experiment: comma-separated mix presets (empty = read50,read99)")
 		staleSpec  = fs.String("staleness", "", "mvcc experiment: comma-separated publish cadences in writes between snapshot publishes (empty = 1,256)")
-		benchjson  = fs.String("benchjson", "", "write a machine-readable per-cell perf summary (deterministic ops/kcost JSON) to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -175,11 +169,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Obs = observer
 		cfg.Storage.Hook = observer
 	}
-	var perf *bench.Perf
-	if *benchjson != "" {
-		perf = &bench.Perf{}
-		cfg.Perf = perf
-	}
 
 	// Experiments return (stdout, stderr) text: stdout is the deterministic
 	// artifact, stderr carries anything wall-clock (the serve experiment's
@@ -200,82 +189,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			return bench.RunTable1(c, ns, *m).Render()
 		}),
-		"fig1": quiet(func(c bench.Config) string { return bench.RunFig1(c).Render() }),
-		"fig2": quiet(func(c bench.Config) string { return bench.RunFig2(c).Render() }),
-		"fig3": quiet(func(c bench.Config) string {
-			if c.N == 0 {
-				c.N = 16384
-			}
-			if c.Ops == 0 {
-				c.Ops = 8000
-			}
-			return bench.RunFig3(c).Render()
-		}),
-		"conjecture": quiet(func(c bench.Config) string {
-			if c.N == 0 {
-				c.N = 16384
-			}
-			if c.Ops == 0 {
-				c.Ops = 8000
-			}
-			return bench.RunConjecture(c).Render()
-		}),
+		"fig1":       quiet(func(c bench.Config) string { return bench.RunFig1(c).Render() }),
+		"fig2":       quiet(func(c bench.Config) string { return bench.RunFig2(c).Render() }),
+		"fig3":       quiet(func(c bench.Config) string { return bench.RunFig3(sized(c, 16384, 8000)).Render() }),
+		"conjecture": quiet(func(c bench.Config) string { return bench.RunConjecture(sized(c, 16384, 8000)).Render() }),
 		"adaptive":   quiet(func(c bench.Config) string { return bench.RunAdaptive(c).Render() }),
 		"extensions": quiet(func(c bench.Config) string { return bench.RunExtensions(c).Render() }),
-		"chaos": quiet(func(c bench.Config) string {
-			if c.N == 0 {
-				c.N = 16384
-			}
-			if c.Ops == 0 {
-				c.Ops = 8000
-			}
-			return bench.RunChaos(c, plan).Render()
-		}),
-		"walsweep": quiet(func(c bench.Config) string {
-			if c.N == 0 {
-				c.N = 16384
-			}
-			if c.Ops == 0 {
-				c.Ops = 8000
-			}
-			return bench.RunWALSweep(c).Render()
-		}),
-		"qdsweep": quiet(func(c bench.Config) string {
-			if c.N == 0 {
-				c.N = 16384
-			}
-			if c.Ops == 0 {
-				c.Ops = 8000
-			}
-			return bench.RunQDSweep(c).Render()
-		}),
-		"drift": quiet(func(c bench.Config) string {
-			if c.N == 0 {
-				c.N = 16384
-			}
-			if c.Ops == 0 {
-				c.Ops = 12000
-			}
-			return bench.RunDrift(c).Render()
-		}),
+		"chaos":      quiet(func(c bench.Config) string { return bench.RunChaos(sized(c, 16384, 8000), plan).Render() }),
+		"walsweep":   quiet(func(c bench.Config) string { return bench.RunWALSweep(sized(c, 16384, 8000)).Render() }),
+		"qdsweep":    quiet(func(c bench.Config) string { return bench.RunQDSweep(sized(c, 16384, 8000)).Render() }),
+		"drift":      quiet(func(c bench.Config) string { return bench.RunDrift(sized(c, 16384, 12000)).Render() }),
 		"serve": func(c bench.Config) (string, string) {
-			if c.N == 0 {
-				c.N = 16384
-			}
-			if c.Ops == 0 {
-				c.Ops = 8000
-			}
-			r := bench.RunServe(c, bench.ServeConfig{Shards: *shards, Clients: *clients, Batch: *batch})
+			r := bench.RunServe(sized(c, 16384, 8000), bench.ServeConfig{Shards: *shards, Clients: *clients, Batch: *batch})
 			return r.Render(), r.RenderTiming()
 		},
 		"mvcc": func(c bench.Config) (string, string) {
-			if c.N == 0 {
-				c.N = 16384
-			}
-			if c.Ops == 0 {
-				c.Ops = 8000
-			}
-			r := bench.RunMVCC(c, bench.MVCCConfig{
+			r := bench.RunMVCC(sized(c, 16384, 8000), bench.MVCCConfig{
 				Shards: *shards, Clients: *clients, Batch: *batch,
 				Mixes: mvccMixes, Stalenesses: mvccStaleness,
 			})
@@ -404,31 +333,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	if perf != nil {
-		// The perf artifact is deterministic (ops per kilocost, no wall
-		// clock), so revisions of it diff cleanly across hosts and runs.
-		doc := struct {
-			Schema string            `json:"schema"`
-			Seed   int64             `json:"seed"`
-			N      int               `json:"n"`
-			Ops    int               `json:"ops"`
-			Cells  []bench.PerfEntry `json:"cells"`
-		}{Schema: "rumbench-perf/v1", Seed: *seed, N: *n, Ops: *ops, Cells: perf.Entries()}
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*benchjson, append(buf, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "rumbench: -benchjson: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "  benchjson (%d cells) → %s\n", len(doc.Cells), *benchjson)
-	}
 	if failures > 0 {
 		fmt.Fprintf(stderr, "rumbench: %d experiment(s) failed\n", failures)
 		return 1
 	}
 	return 0
+}
+
+// sized fills in the sizes an experiment runs at when -n and -ops (or -quick)
+// left them open and the package defaults are larger than it needs.
+func sized(c bench.Config, n, ops int) bench.Config {
+	if c.N == 0 {
+		c.N = n
+	}
+	if c.Ops == 0 {
+		c.Ops = ops
+	}
+	return c
 }
 
 // splitMixes parses the -mix flag: comma-separated ServeMix preset names,

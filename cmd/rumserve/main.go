@@ -26,13 +26,16 @@
 // scrape describes the same snapshot instant.
 //
 // Every live outcome is verified against its generation-time prediction,
-// exactly like the serve experiment. On SIGINT/SIGTERM the daemon drains its
-// clients, stops the server, and prints the same final report as
-// `rumbench -exp serve` — except that the R/U/M columns are the live run's
-// cumulative amplifications (a daemon has no separate clean replay).
+// exactly like the serve experiment — a -mix scan=… range scan's row count
+// too, and under -mvcc at any -staleness (bench.StableReadGen). On
+// SIGINT/SIGTERM the daemon drains its clients, stops the server, and prints
+// the same final report as `rumbench -exp serve` — except that the R/U/M
+// columns are the live run's cumulative amplifications (a daemon has no
+// separate clean replay).
 //
 //	rumserve -method lsm-level -shards 8 -rate 50000 -addr :9090
-//	rumserve -method btree -mvcc -mix read99
+//	rumserve -method btree -mvcc -staleness 64 -mix read99
+//	rumserve -mix get=0.6,insert=0.1,update=0.1,scan=0.2
 //	rumserve -method lsm-level -wal -commit-batch 32
 //	rumserve -workload -dist zipf:1.1 -faults seed=7,p_read=0.001 -window 30s
 package main
@@ -92,7 +95,7 @@ type config struct {
 type daemon struct {
 	cfg  config
 	run  *bench.LiveRun
-	gens []*bench.StreamGen // one per client; theirs until the run is stopped
+	gens []clientStream // one per client; theirs until the run is stopped
 	ring *obs.Rolling
 	reg  *obs.Registry
 	// substrate is what the advisor prices on: every shard's pool together.
@@ -101,6 +104,14 @@ type daemon struct {
 	start               time.Time
 	stopCh, samplerDone chan struct{}
 	stopped             bool
+}
+
+// clientStream is a client's generator: bench.StreamGen, or under -mvcc
+// bench.StableReadGen, whose reads are exact off a snapshot of any staleness.
+type clientStream interface {
+	InitRecords(n int) []core.Record
+	Fill(reqs []serve.Request, want []serve.Result) (int, bench.StreamOp)
+	Live() int
 }
 
 const (
@@ -140,7 +151,10 @@ func newDaemon(cfg config) (*daemon, error) {
 	var init []core.Record
 	sources := make([]bench.BatchSource, cfg.clients)
 	for c := range sources {
-		g := bench.NewStreamGenDist(cfg.seed, c, cfg.mix, cfg.dist)
+		var g clientStream = bench.NewStreamGenDist(cfg.seed, c, cfg.mix, cfg.dist)
+		if cfg.mvcc {
+			g = bench.NewStableReadGen(cfg.seed, c, cfg.clients, cfg.mix, cfg.dist, 0)
+		}
 		d.gens = append(d.gens, g)
 		init = append(init, g.InitRecords(cfg.n/cfg.clients)...)
 		sources[c] = g.Fill
@@ -403,9 +417,6 @@ func run(args []string, stdout, stderr io.Writer, testSignal <-chan struct{}) in
 	}
 	if cfg.dist, err = bench.ParseKeyDist(distSpec); err != nil {
 		return badFlag("-dist: %v", err)
-	}
-	if cfg.mix.Scan > 0 {
-		return badFlag("-mix: scans are not driven by the live daemon (use `rumbench -exp drift` for the scan-storm scenario)")
 	}
 	for _, f := range []struct {
 		name string

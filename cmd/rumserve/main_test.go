@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"regexp"
 	"strings"
@@ -268,7 +269,6 @@ func TestRunFlagErrors(t *testing.T) {
 		{"bad zipf theta", []string{"-dist", "zipf:0"}, 2},
 		{"NaN zipf theta", []string{"-dist", "zipf:NaN"}, 2},
 		{"NaN mix", []string{"-mix", "get=NaN"}, 2},
-		{"scan mix", []string{"-mix", "get=0.6,scan=0.4"}, 2},
 		{"bad workload window", []string{"-workload", "-workload-window", "0"}, 2},
 		{"unknown method", []string{"-method", "no-such-method", "-addr", "127.0.0.1:0"}, 1},
 	}
@@ -288,49 +288,99 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 }
 
+// TestDaemonScanMix is the flag rejection the daemon used to have, turned
+// around: a mix with range scans is served, every scan as a barrier behind
+// its client's batch, and every row count holds against the generator's model.
+func TestDaemonScanMix(t *testing.T) {
+	var stdout, stderr syncBuffer
+	sig := make(chan struct{})
+	done := make(chan int, 1)
+	go func() {
+		done <- run([]string{
+			"-method", "btree", "-shards", "2", "-clients", "2", "-batch", "16", "-n", "256",
+			"-mix", "get=0.6,scan=0.4", "-workload", "-workload-window", "64",
+			"-addr", "127.0.0.1:0", "-scrape", "5ms", "-window", "250ms",
+		}, &stdout, &stderr, sig)
+	}()
+	waitFor(t, "listening line", func() bool {
+		return strings.Contains(stderr.String(), "listening on")
+	})
+	time.Sleep(50 * time.Millisecond)
+	close(sig)
+	select {
+	case code := <-done:
+		if code != 0 {
+			t.Fatalf("run exited %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not exit after signal")
+	}
+	if !regexp.MustCompile(`(?m)^btree .* ok *$`).MatchString(stdout.String()) {
+		t.Fatalf("final report is not a verified btree row:\n%s", stdout.String())
+	}
+	// The shards saw the scans: the fingerprint's mix has a scan share.
+	if !regexp.MustCompile(`mix g/i/u/d/s (\d\.\d\d/){4}0\.\d*[1-9]`).MatchString(stdout.String()) {
+		t.Errorf("the workload report shows no scan share:\n%s", stdout.String())
+	}
+}
+
 // TestDaemonMVCC drives the daemon with snapshot reads on: the new metric
 // series must appear, snapshot reads must actually flow, and the final
-// report must still verify every outcome.
+// report must still verify every outcome — at read-your-writes staleness and
+// at a relaxed one, where only the stable-read composition keeps a read off
+// a stale snapshot exact.
 func TestDaemonMVCC(t *testing.T) {
-	cfg := testConfig()
-	cfg.method = "btree"
-	cfg.mvcc = true
-	cfg.staleness = 1
-	mix, err := bench.ParseServeMix("read99")
-	if err != nil {
-		t.Fatalf("ParseServeMix: %v", err)
-	}
-	cfg.mix = mix
-	d, err := newDaemon(cfg)
-	if err != nil {
-		t.Fatalf("newDaemon: %v", err)
-	}
-	waitFor(t, "snapshot-served reads", func() bool {
-		last := d.ring.Last()
-		return last != nil && last.SnapReads > 0
-	})
+	for _, tc := range []struct {
+		mix       string
+		staleness int
+	}{{"read99", 1}, {"read90", 64}} {
+		t.Run(fmt.Sprintf("%s/staleness=%d", tc.mix, tc.staleness), func(t *testing.T) {
+			cfg := testConfig()
+			cfg.method = "btree"
+			cfg.mvcc = true
+			cfg.staleness = tc.staleness
+			mix, err := bench.ParseServeMix(tc.mix)
+			if err != nil {
+				t.Fatalf("ParseServeMix: %v", err)
+			}
+			cfg.mix = mix
+			d, err := newDaemon(cfg)
+			if err != nil {
+				t.Fatalf("newDaemon: %v", err)
+			}
+			// Writes too: a relaxed cadence only goes stale once something is written.
+			waitFor(t, "snapshot-served reads beside writes", func() bool {
+				last := d.ring.Last()
+				if last == nil || last.SnapReads == 0 {
+					return false
+				}
+				_, _, _, records := last.Totals()
+				return records > d.run.Preloaded+4*tc.staleness
+			})
 
-	_, body, _ := get(t, d, "/metrics")
-	for _, series := range []string{
-		`rum_snapshot_versions{shard="0"}`, `rum_snapshot_versions{shard="1"}`,
-		"rum_reader_concurrency", "rum_snapshot_reads_total",
-	} {
-		if !strings.Contains(body, series) {
-			t.Errorf("/metrics missing %q", series)
-		}
-	}
-	for _, line := range strings.Split(body, "\n") {
-		if strings.HasPrefix(line, "rum_snapshot_reads_total ") && strings.TrimSpace(line) == "rum_snapshot_reads_total 0" {
-			t.Errorf("rum_snapshot_reads_total stayed zero under a read-heavy mix")
-		}
-	}
+			_, body, _ := get(t, d, "/metrics")
+			for _, series := range []string{
+				`rum_snapshot_versions{shard="0"}`, `rum_snapshot_versions{shard="1"}`,
+				"rum_reader_concurrency", "rum_snapshot_reads_total",
+			} {
+				if !strings.Contains(body, series) {
+					t.Errorf("/metrics missing %q", series)
+				}
+			}
+			for _, line := range strings.Split(body, "\n") {
+				if strings.HasPrefix(line, "rum_snapshot_reads_total ") && strings.TrimSpace(line) == "rum_snapshot_reads_total 0" {
+					t.Errorf("rum_snapshot_reads_total stayed zero under a read-heavy mix")
+				}
+			}
 
-	res, err := d.stop()
-	if err != nil {
-		t.Fatalf("stop: %v", err)
-	}
-	if row := res.Rows[0]; !row.Verified {
-		t.Fatalf("mvcc live run not verified: %+v", row)
+			res, err := d.stop()
+			if err != nil {
+				t.Fatalf("stop: %v", err)
+			}
+			if row := res.Rows[0]; !row.Verified {
+				t.Fatalf("mvcc live run not verified: %+v", row)
+			}
+		})
 	}
 }
 

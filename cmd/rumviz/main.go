@@ -5,10 +5,13 @@
 // Usage:
 //
 //	rumviz                                  # full catalog, balanced mix
-//	rumviz -methods btree,hash,lsm-level -get 0.9 -update 0.1
+//	rumviz -methods btree,hash,lsm-level -get 0.9 -update 0.1 -insert 0 -delete 0
 //	rumviz -absolute                        # plot absolute amplifications
 //	rumviz -trajectory                      # RUM trajectory sparklines per method
 //	rumviz -parallel 8                      # profile methods concurrently
+//
+// The five operation fractions must be non-negative and sum to 1
+// (workload.Mix.Validate); anything else is a usage error, exit 2.
 //
 // Each method profiles on its own isolated storage stack; with -parallel the
 // profiles run concurrently and are merged in catalog order, so the rendered
@@ -75,6 +78,10 @@ func main() {
 	}
 
 	mix := workload.Mix{Get: *get, Range: *rng, Insert: *insert, Update: *update, Delete: *del}
+	if err := mix.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "rumviz: %v\n", err)
+		os.Exit(2)
+	}
 	runner := bench.NewRunner(*parallel)
 	points := make([]rum.Point, len(names))
 	children := make([]*obs.Observer, len(names))

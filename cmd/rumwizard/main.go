@@ -5,30 +5,26 @@
 //
 // Usage:
 //
-//	rumwizard -get 0.7 -insert 0.2 -update 0.1 -size 1000000
-//	rumwizard -get 0.2 -insert 0.7 -flash         # endurance-limited device
-//	rumwizard -range 0.6 -get 0.3 -memtight -verify
+//	rumwizard -get 0.7 -insert 0.2 -update 0.1 -delete 0 -size 1000000
+//	rumwizard -get 0.2 -insert 0.7 -update 0.1 -delete 0 -flash   # endurance-limited device
+//	rumwizard -range 0.6 -get 0.3 -insert 0.1 -update 0 -delete 0 -memtight -verify
 //
 // The operation fractions must be non-negative and sum to 1 (within a small
-// epsilon); anything else is a usage error, since a malformed mix would
-// silently skew both the predicted ranking and the -verify workload.
+// epsilon, workload.Mix.Validate); anything else is a usage error, since a
+// malformed mix would silently skew both the predicted ranking and the
+// -verify workload.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"repro/internal/core"
 	"repro/internal/methods"
 	"repro/internal/workload"
 )
-
-// mixEpsilon is the tolerance on the fraction sum: wide enough for decimal
-// round-off (0.33+0.33+0.34), far tighter than any real misconfiguration.
-const mixEpsilon = 1e-6
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -66,22 +62,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	mix := workload.Mix{Get: *get, Range: *rng, Insert: *insert, Update: *update, Delete: *del}
-	sum := 0.0
-	for _, f := range []struct {
-		name string
-		val  float64
-	}{
-		{"get", mix.Get}, {"range", mix.Range}, {"insert", mix.Insert},
-		{"update", mix.Update}, {"delete", mix.Delete},
-	} {
-		if f.val < 0 || math.IsNaN(f.val) {
-			fmt.Fprintf(stderr, "rumwizard: -%s must be a non-negative fraction, got %v\n", f.name, f.val)
-			return 2
-		}
-		sum += f.val
-	}
-	if math.Abs(sum-1) > mixEpsilon {
-		fmt.Fprintf(stderr, "rumwizard: operation fractions must sum to 1, got %g (get+range+insert+update+delete)\n", sum)
+	if err := mix.Validate(); err != nil {
+		fmt.Fprintf(stderr, "rumwizard: %v\n", err)
 		return 2
 	}
 

@@ -50,7 +50,7 @@ func TestMixValidation(t *testing.T) {
 	}
 }
 
-// TestMixSumTolerance: decimal round-off within mixEpsilon must pass.
+// TestMixSumTolerance: decimal round-off within the validation epsilon must pass.
 func TestMixSumTolerance(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-get", "0.33", "-insert", "0.33", "-update", "0.34", "-delete", "0"},

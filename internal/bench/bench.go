@@ -44,9 +44,6 @@ type Config struct {
 	// each on its own isolated storage stack. Results are identical either
 	// way; only wall-clock changes.
 	Runner *Runner
-	// Perf, when non-nil, collects per-cell deterministic throughput
-	// samples for the -benchjson artifact (nil records nothing).
-	Perf *Perf
 }
 
 // observe points the run's observer (if any) at a freshly built structure.

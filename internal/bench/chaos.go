@@ -9,6 +9,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/hashindex"
 	"repro/internal/lsm"
+	"repro/internal/methods"
 	"repro/internal/rum"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -149,33 +150,21 @@ func runChaosCell(cfg Config, sub chaosSubject, plan faults.Plan) ChaosRow {
 // and returns the measured RUM point plus the fault and pool ledgers of the
 // degraded phase.
 func chaosProfile(cfg Config, sub chaosSubject, plan faults.Plan, retries int, label string) (rum.Point, faults.Stats, storage.PoolStats, core.OpStats) {
-	dev := storage.NewDevice(pageSize(cfg), cfg.Storage.Medium, nil)
-	pool := storage.NewBufferPool(dev, poolPages(cfg))
-	if cfg.Storage.Hook != nil {
-		dev.SetHook(cfg.Storage.Hook)
-		pool.SetHook(cfg.Storage.Hook)
-	}
+	opt := cfg.Storage
+	opt.Faults = faults.Plan{} // armed below, after the preload
+	pool := methods.NewPool(opt, nil)
 	m, err := sub.build(pool)
 	if err != nil {
 		panic(fmt.Sprintf("chaos: build %s: %v", sub.name, err))
 	}
 	am := core.Instrument(m)
 	cfg.observe(am, label)
-
-	gen := workload.New(workload.Config{
-		Seed:       cfg.Seed,
-		Mix:        workload.Balanced,
-		InitialLen: cfg.N,
-	})
-	if err := core.Preload(am, gen); err != nil {
-		panic(fmt.Sprintf("chaos: preload %s: %v", sub.name, err))
-	}
-	am.Flush()
+	gen := preload(cfg, am, workload.Balanced, "chaos: "+sub.name)
 
 	var injector *faults.Injector
 	if plan.Active() {
 		injector = faults.New(plan)
-		dev.SetInjector(injector)
+		pool.Device().SetInjector(injector)
 		pool.SetRetryBudget(retries)
 	}
 	poolBefore := pool.Stats()

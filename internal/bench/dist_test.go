@@ -2,9 +2,11 @@ package bench
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/serve"
 )
 
@@ -236,5 +238,94 @@ func TestServeMixScanParsing(t *testing.T) {
 	}
 	if err := (KeyDist{Kind: "zipf", Theta: math.NaN()}).Validate(); err == nil {
 		t.Error("Validate accepted a NaN theta")
+	}
+}
+
+// A key=value list whose op fractions already sum to 1 is a whole mix: the
+// ops it leaves out are zero, not the standard mix's. Anything short of 1
+// still inherits the defaults (and usually fails to validate).
+func TestServeMixCompleteList(t *testing.T) {
+	m, err := ParseServeMix("get=0.6,insert=0.1,update=0.1,scan=0.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Delete != 0 || m.Scan != 0.2 || m.GetMiss != serveGetMiss {
+		t.Errorf("parsed %+v, want delete=0 and the default getmiss", m)
+	}
+	if m, err := ParseServeMix("insert=0.25,update=0.10"); err != nil || m.Get != serveFracGet || m.Delete == 0 {
+		t.Errorf("a partial list lost the defaults: %+v, %v", m, err)
+	}
+	if m, err := ParseServeMix("read50,get=1"); err != nil || m.Insert != 0 {
+		t.Errorf("read50,get=1 = %+v, %v; want a pure-get mix", m, err)
+	}
+}
+
+// stableOps drains g through Fill at the given batch size and returns the read
+// and the write sub-stream, each with its expected outcomes, checking that
+// every batch is pure.
+func stableOps(t *testing.T, g *StableReadGen, batch int) (reads, writes []StreamOp) {
+	t.Helper()
+	reqs, want := make([]serve.Request, batch), make([]serve.Result, batch)
+	for {
+		n, scan := g.Fill(reqs, want)
+		if n == 0 && !scan.Scan {
+			return reads, writes
+		}
+		for i := 0; i < n; i++ {
+			op := StreamOp{Req: reqs[i], Want: want[i]}
+			if reqs[i].Op == serve.OpGet {
+				reads = append(reads, op)
+			} else {
+				writes = append(writes, op)
+			}
+			if (reqs[i].Op == serve.OpGet) != (reqs[0].Op == serve.OpGet) {
+				t.Fatalf("batch %d mixes reads and writes at %d", batch, i)
+			}
+		}
+		if scan.Scan {
+			if n > 0 && reqs[0].Op != serve.OpGet {
+				t.Fatalf("batch %d: a scan behind a write batch", batch)
+			}
+			reads = append(reads, scan)
+		}
+	}
+}
+
+// The stable-read composition's per-op stream is a function of (seed, client,
+// mix) alone: batch 1 is the per-op order itself, and batch 16 and batch 64
+// hand out the same reads in the same order and the same writes in the same
+// order, only grouped differently. Reads never touch the writer's namespace.
+func TestStableReadGenBatchIndependent(t *testing.T) {
+	mix, err := ParseServeMix("get=0.7,insert=0.1,update=0.06,delete=0.04,scan=0.1,scanrows=16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ops = 5000
+	drain := func(batch int) (reads, writes []StreamOp, live int) {
+		g := NewStableReadGen(5, 1, 4, mix, UniformDist(), ops)
+		g.InitRecords(256)
+		reads, writes = stableOps(t, g, batch)
+		return reads, writes, g.Live()
+	}
+	r1, w1, live1 := drain(1)
+	if len(r1)+len(w1) != ops || len(w1) < ops/10 || len(r1) < ops/2 {
+		t.Fatalf("batch 1 drew %d reads and %d writes of %d ops", len(r1), len(w1), ops)
+	}
+	readerNS := core.Key(1+1) << 44
+	for _, op := range r1 {
+		k := op.Req.Key
+		if op.Scan {
+			k = op.Hi
+		}
+		if k>>44 != readerNS>>44 {
+			t.Fatalf("read %+v leaves the reader's namespace", op)
+		}
+	}
+	for _, batch := range []int{16, 64} {
+		r, w, live := drain(batch)
+		if !slices.Equal(r, r1) || !slices.Equal(w, w1) || live != live1 {
+			t.Errorf("batch %d: per-op stream differs from batch 1 (%d/%d reads, %d/%d writes, live %d/%d)",
+				batch, len(r), len(r1), len(w), len(w1), live, live1)
+		}
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
-	"repro/internal/methods"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -93,27 +91,51 @@ func runDrift(cfg Config) DriftResult {
 	totalOps := phaseOps * len(DriftPhases)
 
 	cfg.smallPool()
-	sopt := cfg.Storage
-	sopt.Hook = nil // single cell; keep the run untraced and deterministic
-	spec, err := methods.Lookup(sopt, driftMethod)
-	if err != nil {
-		panic(fmt.Sprintf("drift: %v", err))
+
+	// The schedule is one BatchSource that switches the generator's phase
+	// every phaseOps operations; StartLive's client does the rest, scans as
+	// barriers included.
+	g := NewStreamGen(cfg.Seed, 0, DriftPhases[0].Mix)
+	init := g.InitRecords(nInit)
+	phase, left := -1, 0
+	schedule := func(reqs []serve.Request, want []serve.Result) (int, StreamOp) {
+		if left == 0 {
+			if phase++; phase == len(DriftPhases) {
+				return 0, StreamOp{}
+			}
+			dist, err := ParseKeyDist(DriftPhases[phase].Dist)
+			if err != nil {
+				panic(fmt.Sprintf("drift: %v", err))
+			}
+			g.SetPhase(DriftPhases[phase].Mix, dist)
+			left = phaseOps
+		}
+		n, scan := g.Fill(reqs[:min(len(reqs), left)], want)
+		left -= n
+		if scan.Scan {
+			left--
+		}
+		return n, scan
 	}
-	srv, err := serve.New(serve.Config{
-		Shards: 1,
-		Build:  func(int) *core.Instrumented { return spec.New() },
+	run, err := StartLive(LiveConfig{
+		Method: driftMethod, Storage: cfg.Storage, Shards: 1, Batch: 64,
 		Workload: &serve.WorkloadConfig{
 			WindowOps: windowOps,
 			Keep:      totalOps/windowOps + 2, // retain every window of the run
 		},
-	})
+	}, init, []BatchSource{schedule}, 0, nil)
 	if err != nil {
 		panic(fmt.Sprintf("drift: %v", err))
 	}
-
-	g := NewStreamGen(cfg.Seed, 0, DriftPhases[0].Mix)
-	if err := srv.Preload(g.InitRecords(nInit)); err != nil {
-		panic(fmt.Sprintf("drift: preload: %v", err))
+	run.Wait() // the generator is the client's until it has exited
+	finalLen := g.Live()
+	row, final, err := run.Stop(finalLen)
+	if err != nil {
+		panic(fmt.Sprintf("drift: %v", err))
+	}
+	w := final.Workload
+	if w == nil {
+		panic("drift: no workload snapshot")
 	}
 
 	// phaseOf maps a window to the phase that contributed most of its ops.
@@ -126,69 +148,11 @@ func runDrift(cfg Config) DriftResult {
 		return DriftPhases[i].Name
 	}
 
-	const batch = 64
-	reqs := make([]serve.Request, 0, batch)
-	want := make([]serve.Result, 0, batch)
-	out := make([]serve.Result, batch)
-	mismatches := 0
-	flush := func() {
-		if len(reqs) == 0 {
-			return
-		}
-		if err := srv.Do(reqs, out[:len(reqs)]); err != nil {
-			panic(fmt.Sprintf("drift: do: %v", err))
-		}
-		for i := range reqs {
-			if out[i] != want[i] {
-				mismatches++
-			}
-		}
-		reqs, want = reqs[:0], want[:0]
-	}
-	for _, ph := range DriftPhases {
-		dist, err := ParseKeyDist(ph.Dist)
-		if err != nil {
-			panic(fmt.Sprintf("drift: %v", err))
-		}
-		g.SetPhase(ph.Mix, dist)
-		for i := 0; i < phaseOps; i++ {
-			op := g.NextOp()
-			if op.Scan {
-				// A scan is a barrier: the batch ahead of it must land first
-				// so the row count matches the model.
-				flush()
-				rows := srv.RangeScan(op.Lo, op.Hi, func(core.Key, core.Value) bool { return true })
-				if rows != op.WantRows {
-					mismatches++
-				}
-				continue
-			}
-			reqs = append(reqs, op.Req)
-			want = append(want, op.Want)
-			if len(reqs) == batch {
-				flush()
-			}
-		}
-		flush()
-	}
-	reports, err := srv.Stop()
-	if err != nil {
-		panic(fmt.Sprintf("drift: stop: %v", err))
-	}
-	w := reports[0].Workload
-	if w == nil {
-		panic("drift: no workload snapshot")
-	}
-	finalLen := reports[0].Len
-	if finalLen != g.Live() {
-		mismatches++
-	}
-
 	res := DriftResult{
 		N: nInit, Ops: totalOps, WindowOps: windowOps,
 		DriftEvents: w.DriftCount,
-		Verified:    mismatches == 0,
-		Mismatches:  mismatches,
+		Verified:    row.Verified,
+		Mismatches:  row.Mismatches,
 	}
 	latched := map[uint64]bool{}
 	for _, ev := range w.Events {
@@ -203,7 +167,7 @@ func runDrift(cfg Config) DriftResult {
 			Window:  fp.Window,
 			Phase:   phaseOf(fp.Window),
 			Stats:   st,
-			Advice:  obs.Advise(fp, sopt.Model(finalLen), driftMethod),
+			Advice:  obs.Advise(fp, cfg.Storage.Model(finalLen), driftMethod),
 			Latched: latched[fp.Window],
 		}
 		if i > 0 {

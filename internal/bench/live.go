@@ -42,10 +42,12 @@ type LiveConfig struct {
 	Trace serve.TraceConfig
 }
 
-// BatchSource fills reqs with a client's next requests and want with their
-// exact expected outcomes, returning how many it filled; zero ends the
-// client. A source is called from its client's goroutine only.
-type BatchSource func(reqs []serve.Request, want []serve.Result) int
+// BatchSource fills reqs with a client's next point requests and want with
+// their exact expected outcomes, returning how many it filled and, when
+// barrier.Scan is set, a range scan to run once they have executed, with its
+// exact expected row count; returning neither ends the client. A source is
+// called from its client's goroutine only.
+type BatchSource func(reqs []serve.Request, want []serve.Result) (n int, barrier StreamOp)
 
 // liveClient is one driver's tallies. The latency histogram is mutex-guarded
 // so Sample can read it mid-run (one lock per batch, one per sample) and the
@@ -54,7 +56,7 @@ type liveClient struct {
 	mu         sync.Mutex
 	latency    *obs.Histogram
 	mismatches atomic.Uint64
-	requests   int // requests a successful Do carried
+	requests   int // requests a successful Do carried, and scans
 	writes     int // of those, requests that account a logical write
 	hits       int // gets predicted to hit, confirmed
 }
@@ -74,9 +76,9 @@ type LiveRun struct {
 
 // StartLive builds the sharded server, preloads init (merged and sorted —
 // MergeRecords), and starts one verified closed-loop client per source. Each
-// client submits its source's batches back to back — or, with a positive
-// rate, paced so the clients together submit rate requests per second —
-// until the source runs dry or stop closes (a nil stop never does).
+// client submits its source's batches and scans back to back — or, with a
+// positive rate, paced so the clients together submit rate requests per
+// second — until the source runs dry or stop closes (a nil stop never does).
 func StartLive(cfg LiveConfig, init []core.Record, sources []BatchSource, rate float64, stop <-chan struct{}) (*LiveRun, error) {
 	if _, err := methods.Lookup(cfg.Storage, cfg.Method); err != nil {
 		return nil, err
@@ -112,13 +114,20 @@ func StartLive(cfg LiveConfig, init []core.Record, sources []BatchSource, rate f
 	if err != nil {
 		return nil, err
 	}
-	if err := srv.Preload(init); err != nil {
+	err = srv.Preload(init)
+	if err == nil && cfg.Staleness > 0 {
+		// Flush publishes. A bulk load counts toward the publish cadence like
+		// any other write, so a shard whose share of init is under Staleness
+		// records would otherwise serve its first reads off the empty snapshot.
+		err = srv.Flush()
+	}
+	if err != nil {
 		srv.Stop()
 		return nil, err
 	}
-	var pace time.Duration // between one client's batch starts; 0 = unthrottled
+	var pace time.Duration // between one client's requests; 0 = unthrottled
 	if rate > 0 {
-		pace = time.Duration(float64(cfg.Batch*len(sources)) / rate * float64(time.Second))
+		pace = time.Duration(float64(len(sources)) / rate * float64(time.Second))
 	}
 	r := &LiveRun{Server: srv, Preloaded: len(init), cfg: cfg, begin: time.Now()}
 	for _, next := range sources {
@@ -134,11 +143,18 @@ func StartLive(cfg LiveConfig, init []core.Record, sources []BatchSource, rate f
 }
 
 // drive is the one verified client loop: pull a batch, submit it, compare
-// every outcome against its generation-time prediction, pace.
+// every outcome against its generation-time prediction, run the scan the
+// batch was cut at and compare its row count, pace.
 func (r *LiveRun) drive(c *liveClient, next BatchSource, pace time.Duration, stop <-chan struct{}) {
 	reqs := make([]serve.Request, r.cfg.Batch)
 	want := make([]serve.Result, r.cfg.Batch)
 	res := make([]serve.Result, r.cfg.Batch)
+	record := func(t0 time.Time) {
+		d := time.Since(t0)
+		c.mu.Lock()
+		c.latency.RecordDuration(d)
+		c.mu.Unlock()
+	}
 	due := time.Now()
 	for {
 		select {
@@ -146,32 +162,44 @@ func (r *LiveRun) drive(c *liveClient, next BatchSource, pace time.Duration, sto
 			return
 		default:
 		}
-		n := next(reqs, want)
-		if n == 0 {
+		n, scan := next(reqs, want)
+		if n == 0 && !scan.Scan {
 			return
 		}
-		t0 := time.Now()
-		if err := r.Server.Do(reqs[:n], res[:n]); err != nil {
-			c.mismatches.Add(uint64(n)) // a failed Do verifies nothing it carried
-			return
-		}
-		d := time.Since(t0)
-		c.mu.Lock()
-		c.latency.RecordDuration(d)
-		c.mu.Unlock()
-		c.requests += n
-		for i := 0; i < n; i++ {
-			if reqs[i].Op != serve.OpGet {
-				c.writes++
+		ops := n // what this pull submits, for the pacer
+		if n > 0 {
+			t0 := time.Now()
+			if err := r.Server.Do(reqs[:n], res[:n]); err != nil {
+				c.mismatches.Add(uint64(n)) // a failed Do verifies nothing it carried
+				return
 			}
-			if res[i] != want[i] {
+			record(t0)
+			c.requests += n
+			for i := 0; i < n; i++ {
+				if reqs[i].Op != serve.OpGet {
+					c.writes++
+				}
+				if res[i] != want[i] {
+					c.mismatches.Add(1)
+				} else if reqs[i].Op == serve.OpGet && want[i].OK {
+					c.hits++
+				}
+			}
+		}
+		if scan.Scan {
+			// Do has returned, so everything generated before the scan has
+			// executed: its row count is the model's.
+			t0 := time.Now()
+			rows := r.Server.RangeScan(scan.Lo, scan.Hi, func(core.Key, core.Value) bool { return true })
+			record(t0)
+			c.requests++
+			ops++
+			if rows != scan.WantRows {
 				c.mismatches.Add(1)
-			} else if reqs[i].Op == serve.OpGet && want[i].OK {
-				c.hits++
 			}
 		}
 		if pace > 0 {
-			due = due.Add(pace)
+			due = due.Add(time.Duration(ops) * pace)
 			if wait := time.Until(due); wait > 0 {
 				select {
 				case <-stop:

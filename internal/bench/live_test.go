@@ -68,3 +68,54 @@ func TestLiveRunLedgerPerShard(t *testing.T) {
 		t.Errorf("a run with failing ops verified: %+v", row)
 	}
 }
+
+// A mix with range scans goes through the one client loop: every scan is a
+// barrier behind its client's batch, and every row count holds against the
+// generator's model — across clients (namespaces keep their scans apart) and
+// shards (a scan is a broadcast).
+func TestLiveRunScanBarriers(t *testing.T) {
+	mix, err := ParseServeMix("get=0.5,insert=0.15,update=0.1,delete=0.05,scan=0.2,scanrows=32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const perClient = 1500
+	gens := []*StreamGen{NewStreamGen(11, 0, mix), NewStreamGen(11, 1, mix)}
+	var init []core.Record
+	sources := make([]BatchSource, len(gens))
+	scans, rows := make([]int, len(gens)), make([]int, len(gens))
+	for c, g := range gens {
+		init = append(init, g.InitRecords(512)...)
+		left := perClient
+		sources[c] = func(reqs []serve.Request, want []serve.Result) (int, StreamOp) {
+			n, scan := g.Fill(reqs[:min(len(reqs), left)], want)
+			left -= n
+			if scan.Scan {
+				left--
+				scans[c]++
+				rows[c] += scan.WantRows
+			}
+			return n, scan
+		}
+	}
+	run, err := StartLive(LiveConfig{Method: "btree", Storage: methods.Options{PoolPages: 8}, Shards: 2, Batch: 16},
+		MergeRecords(init), sources, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.Wait()
+	row, _, err := run.Stop(gens[0].Live() + gens[1].Live())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !row.Verified || row.Mismatches != 0 {
+		t.Errorf("scan-carrying run not verified: %+v", row)
+	}
+	if row.Requests != len(gens)*perClient {
+		t.Errorf("run carried %d requests, want %d (scans count)", row.Requests, len(gens)*perClient)
+	}
+	for c := range gens {
+		if scans[c] < perClient/10 || rows[c] == 0 {
+			t.Errorf("client %d: %d scans expecting %d rows: the check is vacuous", c, scans[c], rows[c])
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/lsm"
+	"repro/internal/methods"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -67,12 +68,10 @@ func qdSubjects() []qdSubject {
 type QDRow struct {
 	Method string
 	Batch  int
-	// OpsPerKCost is operations per 1000 medium-weighted device cost units
-	// over the measured phase — the deterministic throughput stand-in.
-	OpsPerKCost float64
-	// CostP50/P99/Max is the per-op device cost distribution: batching does
-	// not remove the write-back bursts, it compresses their price.
-	CostP50, CostP99, CostMax uint64
+	// CostProfile is the measured phase's cost-unit throughput and per-op
+	// cost distribution: batching does not remove the write-back bursts, it
+	// compresses their price.
+	CostProfile
 	// The measured phase's device ledger.
 	PageReads, PageWrites uint64
 	// The batch ledger: amortized submissions, the pages they carried, and
@@ -126,52 +125,21 @@ func RunQDSweep(cfg Config) QDSweepResult {
 func runQDCell(cfg Config, sub qdSubject, batch int) QDRow {
 	row := QDRow{Method: sub.name, Batch: batch}
 
-	dev := storage.NewDevice(pageSize(cfg), cfg.Storage.Medium, nil)
-	pool := storage.NewBufferPool(dev, poolPages(cfg))
+	pool := methods.NewPool(cfg.Storage, nil)
 	pool.SetIOBatch(batch) // batch 1 disables the vectored paths entirely
-	if cfg.Storage.Hook != nil {
-		dev.SetHook(cfg.Storage.Hook)
-		pool.SetHook(cfg.Storage.Hook)
-	}
+	dev := pool.Device()
 	am, err := sub.build(pool)
 	if err != nil {
 		panic(fmt.Sprintf("qdsweep: build %s: %v", sub.name, err))
 	}
 	in := core.Instrument(am)
 	cfg.observe(in, fmt.Sprintf("qd/%s/b=%d", sub.name, batch))
-
-	gen := workload.New(workload.Config{
-		Seed:       cfg.Seed,
-		Mix:        workload.WriteHeavy, // write-back traffic is what batching amortizes
-		InitialLen: cfg.N,
-	})
-	if err := core.Preload(in, gen); err != nil {
-		panic(fmt.Sprintf("qdsweep: preload %s: %v", sub.name, err))
-	}
-	in.Flush()
+	// Write-back traffic is what batching amortizes.
+	gen := preload(cfg, in, workload.WriteHeavy, "qdsweep: "+sub.name)
 
 	before := dev.Stats()
-	costs := make([]uint64, cfg.Ops)
-	flushEvery := cfg.Ops / 8
-	prev := before.CostUnits
-	var st core.OpStats
-	for i := 0; i < cfg.Ops; i++ {
-		core.Apply(in, gen.Next(), &st)
-		if flushEvery > 0 && (i+1)%flushEvery == 0 {
-			in.Flush() // periodic flush: its vectored burst lands in this op's cost
-		}
-		now := dev.Stats().CostUnits
-		costs[i] = now - prev
-		prev = now
-	}
+	row.CostProfile = profileCost(in, dev, gen, cfg.Ops)
 	after := dev.Stats()
-	if total := after.CostUnits - before.CostUnits; total > 0 {
-		row.OpsPerKCost = float64(cfg.Ops) * 1000 / float64(total)
-	}
-	cfg.Perf.Record("qdsweep", fmt.Sprintf("%s/b=%d", sub.name, batch), row.OpsPerKCost)
-	slices.Sort(costs)
-	quantile := func(q float64) uint64 { return costs[int(q*float64(len(costs)-1))] }
-	row.CostP50, row.CostP99, row.CostMax = quantile(0.50), quantile(0.99), costs[len(costs)-1]
 	row.PageReads = after.PageReads - before.PageReads
 	row.PageWrites = after.PageWrites - before.PageWrites
 	row.Batches = after.Batches - before.Batches

@@ -98,7 +98,7 @@ func makeServeStreams(seed int64, n, ops, clients int) []serveStream {
 		st := serveStream{init: g.InitRecords(n / clients)}
 		st.ops = make([]serve.Request, ops/clients)
 		st.want = make([]serve.Result, ops/clients)
-		g.Fill(st.ops, st.want)
+		g.Fill(st.ops, st.want) // the default mix carries no scan to stop at
 		st.finalLen = g.Live()
 		streams[c] = st
 	}
@@ -109,11 +109,11 @@ func makeServeStreams(seed int64, n, ops, clients int) []serveStream {
 // requests and predictions, handed out a batch at a time until exhausted.
 func (st *serveStream) source() BatchSource {
 	off := 0
-	return func(reqs []serve.Request, want []serve.Result) int {
+	return func(reqs []serve.Request, want []serve.Result) (int, StreamOp) {
 		n := copy(reqs, st.ops[off:])
 		copy(want, st.want[off:off+n])
 		off += n
-		return n
+		return n, StreamOp{}
 	}
 }
 

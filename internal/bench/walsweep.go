@@ -2,13 +2,13 @@ package bench
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/lsm"
+	"repro/internal/methods"
 	"repro/internal/rum"
 	"repro/internal/storage"
 	"repro/internal/wal"
@@ -88,13 +88,10 @@ type WALRow struct {
 	// Point is the measured phase's RUM point; its U column carries the
 	// log's write-amplification tax.
 	Point rum.Point
-	// OpsPerKCost is operations per 1000 medium-weighted device cost units
-	// over the measured phase — the deterministic throughput stand-in.
-	OpsPerKCost float64
-	// CostP50/P99/Max is the per-op device cost distribution: the shape of
-	// the sync tax (paid per op at batch 1, concentrated into spikes at
-	// larger batches).
-	CostP50, CostP99, CostMax uint64
+	// CostProfile is the measured phase's cost-unit throughput and per-op
+	// cost distribution: the shape of the sync tax (paid per op at batch 1,
+	// concentrated into spikes at larger batches).
+	CostProfile
 	// The log's own measured-phase ledger.
 	Syncs, Commits, Checkpoints, LogPages, LogBytes uint64
 	// Crash-trial tallies under faults.DurableToCommit.
@@ -135,53 +132,20 @@ func runWALCell(cfg Config, sub walSubject, batch int) WALRow {
 	wcfg := wal.Config{CommitBatch: batch, CheckpointEvery: walsweepCheckpointEvery}
 	row := WALRow{Method: sub.name, Batch: batch}
 
-	dev := storage.NewDevice(pageSize(cfg), cfg.Storage.Medium, nil)
-	pool := storage.NewBufferPool(dev, poolPages(cfg))
-	if cfg.Storage.Hook != nil {
-		dev.SetHook(cfg.Storage.Hook)
-		pool.SetHook(cfg.Storage.Hook)
-	}
+	pool := methods.NewPool(cfg.Storage, nil)
 	lg, err := sub.build(pool, wcfg)
 	if err != nil {
 		panic(fmt.Sprintf("walsweep: build %s: %v", sub.name, err))
 	}
 	am := core.Instrument(lg)
 	cfg.observe(am, fmt.Sprintf("wal/%s/b=%d", sub.name, batch))
-
-	gen := workload.New(workload.Config{
-		Seed:       cfg.Seed,
-		Mix:        workload.WriteHeavy, // the log taxes writes; measure where it hurts
-		InitialLen: cfg.N,
-	})
-	if err := core.Preload(am, gen); err != nil {
-		panic(fmt.Sprintf("walsweep: preload %s: %v", sub.name, err))
-	}
-	am.Flush()
+	// The log taxes writes; measure where it hurts.
+	gen := preload(cfg, am, workload.WriteHeavy, "walsweep: "+sub.name)
 
 	start := am.Meter().Snapshot()
 	before := lg.Stats()
-	costBefore := dev.Stats().CostUnits
-	costs := make([]uint64, cfg.Ops)
-	flushEvery := cfg.Ops / 8
-	prev := costBefore
-	var st core.OpStats
-	for i := 0; i < cfg.Ops; i++ {
-		core.Apply(am, gen.Next(), &st)
-		if flushEvery > 0 && (i+1)%flushEvery == 0 {
-			am.Flush() // periodic checkpoint: its burst lands in this op's cost
-		}
-		now := dev.Stats().CostUnits
-		costs[i] = now - prev
-		prev = now
-	}
+	row.CostProfile = profileCost(am, pool.Device(), gen, cfg.Ops)
 	row.Point = rum.PointOf(am.Meter().Diff(start), am.Size())
-	if total := dev.Stats().CostUnits - costBefore; total > 0 {
-		row.OpsPerKCost = float64(cfg.Ops) * 1000 / float64(total)
-	}
-	cfg.Perf.Record("walsweep", fmt.Sprintf("%s/b=%d", sub.name, batch), row.OpsPerKCost)
-	slices.Sort(costs)
-	quantile := func(q float64) uint64 { return costs[int(q*float64(len(costs)-1))] }
-	row.CostP50, row.CostP99, row.CostMax = quantile(0.50), quantile(0.99), costs[len(costs)-1]
 	after := lg.Stats()
 	row.Syncs = after.Syncs - before.Syncs
 	row.Commits = after.Commits - before.Commits

@@ -88,8 +88,9 @@ func ServeMixPresets() []string {
 }
 
 // ParseServeMix parses "get=0.5,insert=0.2,update=0.15,delete=0.15" (any
-// subset; omitted ops default to the standard mix, getmiss included) and
-// validates the result. A preset name — "read99" and friends, see
+// subset; omitted ops default to the standard mix, getmiss included — or to
+// zero when the named fractions already sum to 1, so "get=0.6,scan=0.4" is a
+// whole mix) and validates the result. A preset name — "read99" and friends, see
 // ServeMixPresets — may stand alone or lead the list, with key=value pairs
 // after it overriding preset fields: "read99,getmiss=0.2".
 func ParseServeMix(s string) (ServeMix, error) {
@@ -107,6 +108,8 @@ func ParseServeMix(s string) (ServeMix, error) {
 		m = p
 		parts = parts[1:]
 	}
+	fracs := map[string]*float64{"get": &m.Get, "insert": &m.Insert, "update": &m.Update, "delete": &m.Delete, "scan": &m.Scan}
+	named := map[*float64]bool{}
 	for _, part := range parts {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -123,23 +126,28 @@ func ParseServeMix(s string) (ServeMix, error) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return m, fmt.Errorf("mix: %q is not a finite number", part)
 		}
-		switch strings.TrimSpace(kv[0]) {
-		case "get":
-			m.Get = v
-		case "insert":
-			m.Insert = v
-		case "update":
-			m.Update = v
-		case "delete":
-			m.Delete = v
+		switch key := strings.TrimSpace(kv[0]); key {
 		case "getmiss":
 			m.GetMiss = v
-		case "scan":
-			m.Scan = v
 		case "scanrows":
 			m.ScanRows = int(v)
 		default:
-			return m, fmt.Errorf("mix: unknown op %q (want get/insert/update/delete/getmiss/scan/scanrows)", kv[0])
+			p := fracs[key]
+			if p == nil {
+				return m, fmt.Errorf("mix: unknown op %q (want get/insert/update/delete/getmiss/scan/scanrows)", kv[0])
+			}
+			*p, named[p] = v, true
+		}
+	}
+	sum := 0.0
+	for p := range named {
+		sum += *p
+	}
+	if sum >= 0.999 && sum <= 1.001 {
+		for _, p := range fracs {
+			if !named[p] {
+				*p = 0
+			}
 		}
 	}
 	return m, m.Validate()
@@ -307,13 +315,21 @@ func (g *StreamGen) Next() (serve.Request, serve.Result) {
 	}
 }
 
-// Fill generates the stream's next len(reqs) requests and their expected
-// outcomes — the open-ended BatchSource the live daemon's clients pull from.
-func (g *StreamGen) Fill(reqs []serve.Request, want []serve.Result) int {
+// Fill generates the stream's next operations into reqs and want until they
+// are full or the next operation is a range scan. It returns how many point
+// requests it filled and, when it stopped at one, the scan as the batch's
+// barrier (Scan set): a scan's row count is exact only once everything
+// generated before it has executed. This is the open-ended BatchSource the
+// live daemon's clients pull from.
+func (g *StreamGen) Fill(reqs []serve.Request, want []serve.Result) (int, StreamOp) {
 	for i := range reqs {
-		reqs[i], want[i] = g.Next()
+		op := g.NextOp()
+		if op.Scan {
+			return i, op
+		}
+		reqs[i], want[i] = op.Req, op.Want
 	}
-	return len(reqs)
+	return len(reqs), StreamOp{}
 }
 
 // SetPhase switches the stream's mix and key distribution in place, keeping
@@ -396,6 +412,98 @@ func (g *StreamGen) scanOp() StreamOp {
 // Live returns the number of records the stream currently leaves live — the
 // expected record count of this client's keyspace slice.
 func (g *StreamGen) Live() int { return len(g.model) }
+
+// stableReadSalt separates the composition's read-or-write coin from the
+// generators' own PCG streams.
+const stableReadSalt = 0x57ab1e
+
+// StableReadGen composes one client's stream for serving under relaxed
+// snapshot staleness: a reader StreamGen whose namespace is preloaded and
+// never written afterwards, and a writer StreamGen on a second namespace. A
+// read off a snapshot any number of writes stale then still has an exact
+// answer — the snapshot is stale only about keys no read asks for — which is
+// the versioned-dictionary contract (a read at epoch v equals the model
+// replayed to v) restricted to where every epoch agrees.
+//
+// A coin decides read or write per operation; the i-th read is the reader's
+// i-th operation and the j-th write the writer's j-th, so the per-op stream
+// is a function of (seed, client, mix) alone. Fill hands it out in pure
+// batches — all reads or all writes, which is what lets the serving layer
+// take the reads off the mailbox — as soon as either kind fills one: only
+// the interleaving of reads with writes depends on the batch size, and no
+// outcome depends on the interleaving.
+type StableReadGen struct {
+	reader, writer *StreamGen
+
+	coin          *rand.Rand
+	readFrac      float64
+	left          int // operations still to draw; negative = unbounded
+	reads, writes int // drawn, not yet handed out
+}
+
+// NewStableReadGen returns client's composition of clients for the given mix:
+// gets and scans (with the mix's miss share and scan size) go to the reader
+// on namespace client, inserts, updates and deletes in the mix's proportions
+// to the writer on namespace clients+client. A positive ops bounds the stream:
+// after that many operations Fill drains what is pending and returns zero.
+func NewStableReadGen(seed int64, client, clients int, mix ServeMix, dist KeyDist, ops int) *StableReadGen {
+	reads, writes := mix.Get+mix.Scan, mix.Insert+mix.Update+mix.Delete
+	// A side the mix gives no share is never drawn; its generator's mix is moot.
+	rmix := ServeMix{Get: 1, GetMiss: mix.GetMiss, ScanRows: mix.ScanRows}
+	if reads > 0 {
+		rmix.Get, rmix.Scan = mix.Get/reads, mix.Scan/reads
+	}
+	wmix := ServeMix{Insert: 1}
+	if writes > 0 {
+		wmix = ServeMix{Insert: mix.Insert / writes, Update: mix.Update / writes, Delete: mix.Delete / writes}
+	}
+	if ops <= 0 {
+		ops = -1
+	}
+	return &StableReadGen{
+		reader:   NewStreamGenDist(seed, client, rmix, dist),
+		writer:   NewStreamGenDist(seed, clients+client, wmix, dist),
+		coin:     rand.New(rand.NewPCG(uint64(seed), stableReadSalt+uint64(client))),
+		readFrac: reads / (reads + writes),
+		left:     ops,
+	}
+}
+
+// InitRecords generates the n ≥ 1 preload records of the reader's namespace,
+// the only keys the stream ever reads. Call before the first Fill.
+func (g *StableReadGen) InitRecords(n int) []core.Record { return g.reader.InitRecords(n) }
+
+// Live returns the records the stream leaves live across both namespaces.
+func (g *StableReadGen) Live() int { return g.reader.Live() + g.writer.Live() }
+
+// Fill is the composition's BatchSource: the next pure batch, cut short (like
+// StreamGen.Fill) at a reader scan. With one-element buffers it hands out the
+// per-op stream itself.
+func (g *StableReadGen) Fill(reqs []serve.Request, want []serve.Result) (int, StreamOp) {
+	batch := len(reqs)
+	for g.reads < batch && g.writes < batch && g.left != 0 {
+		if g.left > 0 {
+			g.left--
+		}
+		if g.coin.Float64() < g.readFrac {
+			g.reads++
+		} else {
+			g.writes++
+		}
+	}
+	// A full batch goes out first; once a bounded stream is drawn out, the
+	// partial ones drain, writes before reads.
+	src, pending := g.writer, &g.writes
+	if g.reads >= batch || g.writes == 0 {
+		src, pending = g.reader, &g.reads
+	}
+	n, scan := src.Fill(reqs[:min(batch, *pending)], want)
+	*pending -= n
+	if scan.Scan {
+		*pending--
+	}
+	return n, scan
+}
 
 // MergeRecords sorts a combined preload slice by key, as BulkLoad and
 // Server.Preload require. Client namespaces are disjoint, so concatenating

@@ -90,13 +90,9 @@ var standard = candidates[:9]
 // follows key bits (trie) or value cardinality (bitmap), which it is not told.
 var NotPriced = []string{"trie", "bitmap"}
 
-// Lookup returns the standard configuration of a catalog method. "lsm", the
-// name the mvcc and walsweep experiments serve the leveled tree under, is the
-// one alias.
+// Lookup returns the standard configuration of a catalog method, by its
+// exact catalog name.
 func Lookup(method string) (Config, bool) {
-	if method == "lsm" {
-		method = "lsm-level"
-	}
 	for _, c := range standard {
 		if c.Method == method {
 			return c, true

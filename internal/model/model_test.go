@@ -60,10 +60,7 @@ func TestLookupIsExact(t *testing.T) {
 			t.Errorf("Lookup(%q) = %+v, %v", c.Method, got, ok)
 		}
 	}
-	if got, ok := Lookup("lsm"); !ok || got.Method != "lsm-level" {
-		t.Errorf(`Lookup("lsm") = %+v, %v; want the leveled tree`, got, ok)
-	}
-	for _, name := range append([]string{"lsm-", "btre", "BTREE", ""}, NotPriced...) {
+	for _, name := range append([]string{"lsm", "lsm-", "btre", "BTREE", ""}, NotPriced...) {
 		if _, ok := Lookup(name); ok {
 			t.Errorf("Lookup(%q) resolved", name)
 		}

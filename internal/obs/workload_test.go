@@ -303,7 +303,7 @@ func TestAdvisorPhases(t *testing.T) {
 func TestAdvisorMapsEveryCatalogMethod(t *testing.T) {
 	fp := &Fingerprint{Window: 1, Ops: [NumWorkloadOps]uint64{100, 50, 25, 5, 0}}
 	opt := methods.Options{}
-	names := []string{"lsm"} // the alias the mvcc and walsweep experiments serve under
+	var names []string
 	for _, spec := range methods.Catalog(opt) {
 		names = append(names, spec.Name)
 	}
@@ -329,8 +329,10 @@ func TestAdvisorMapsEveryCatalogMethod(t *testing.T) {
 			t.Fatalf("method %q: current row %q is not among the ranked candidates", m, a.Current.Config)
 		}
 	}
-	if a := Advise(fp, opt.Model(1<<14), "lsm-"); a.Current.MO != 0 {
-		t.Fatalf(`prefix "lsm-" resolved to a row: %+v`, a.Current)
+	for _, m := range []string{"lsm", "lsm-"} { // no alias, no prefix match
+		if a := Advise(fp, opt.Model(1<<14), m); a.Current.MO != 0 {
+			t.Fatalf("%q resolved to a row: %+v", m, a.Current)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -61,6 +62,33 @@ type Mix struct {
 	Insert float64
 	Update float64
 	Delete float64
+}
+
+// mixEpsilon is Validate's tolerance on the fraction sum: wide enough for
+// decimal round-off (0.33+0.33+0.34), far tighter than any real
+// misconfiguration.
+const mixEpsilon = 1e-6
+
+// Validate holds a mix that came from outside (rumviz's and rumwizard's
+// -get/-range/-insert/-update/-delete flags) to what its author meant:
+// every fraction non-negative, all of them summing to 1. New would build a
+// non-monotone CDF from a negative or NaN weight and silently renormalise any
+// other sum. The error names the offending fraction as the flag spells it.
+func (m Mix) Validate() error {
+	sum := 0.0
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"get", m.Get}, {"range", m.Range}, {"insert", m.Insert}, {"update", m.Update}, {"delete", m.Delete}} {
+		if !(f.v >= 0) { // NaN fails every comparison, so test for inside
+			return fmt.Errorf("-%s must be a non-negative fraction, got %v", f.name, f.v)
+		}
+		sum += f.v
+	}
+	if !(math.Abs(sum-1) <= mixEpsilon) {
+		return fmt.Errorf("operation fractions must sum to 1, got %g (-get -range -insert -update -delete)", sum)
+	}
+	return nil
 }
 
 // Canonical presets used across the experiments.

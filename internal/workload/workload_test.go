@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -159,5 +161,42 @@ func TestSplitmixIsInjectiveOnPrefix(t *testing.T) {
 			t.Fatalf("collision at %d", i)
 		}
 		seen[v] = true
+	}
+}
+
+// Validate is what stands between a command line and New's CDF: it rejects
+// what New would silently bend (a negative or NaN weight, a sum that is not
+// 1) and names the fraction as the flag spells it.
+func TestMixValidate(t *testing.T) {
+	for _, preset := range []Mix{ReadHeavy, WriteHeavy, ScanHeavy, Balanced, LookupOnly} {
+		if err := preset.Validate(); err != nil {
+			t.Errorf("preset %+v: %v", preset, err)
+		}
+	}
+	cases := []struct {
+		name string
+		mix  Mix
+		want string // substring of the error; "" = valid
+	}{
+		{"round-off", Mix{Get: 0.33, Insert: 0.33, Update: 0.34}, ""},
+		{"all five", Mix{Get: 0.2, Range: 0.2, Insert: 0.2, Update: 0.2, Delete: 0.2}, ""},
+		{"negative get", Mix{Get: -0.5, Insert: 1.5}, "-get"},
+		{"negative range", Mix{Get: 1.1, Range: -0.1}, "-range"},
+		{"NaN insert", Mix{Get: 0.5, Insert: math.NaN()}, "-insert"},
+		{"NaN update", Mix{Get: 1, Update: math.NaN()}, "-update"},
+		{"negative delete", Mix{Get: 1, Delete: -1e-9}, "-delete"},
+		{"sum below one", Mix{Get: 0.2, Insert: 0.1}, "sum to 1, got 0.3"},
+		{"sum above one", Mix{Get: 0.9, Insert: 0.9}, "sum to 1, got 1.8"},
+		{"infinite", Mix{Get: math.Inf(1)}, "sum to 1"},
+		{"empty", Mix{}, "sum to 1, got 0"},
+	}
+	for _, tc := range cases {
+		err := tc.mix.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %+v rejected: %v", tc.name, tc.mix, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: %+v: error %v, want one naming %q", tc.name, tc.mix, err, tc.want)
+		}
 	}
 }
