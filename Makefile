@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race racecheck benchmarks bench golden experiments-golden
+.PHONY: check build fmt vet test race racecheck benchmarks bench golden experiments-golden loc
 
 ## check: the full gate — build, gofmt, vet, race-enabled tests, the
 ## assertion build, and the nested benchmarks/ module.
@@ -73,3 +73,10 @@ golden:
 experiments-golden:
 	$(GO) run ./cmd/rumbench -exp all 2>/dev/null | diff experiments_output.txt -
 
+## loc: the two line counts a simplicity PR quotes, parent and change, in its
+## CHANGES.md line — non-test Go under internal/ + cmd/, and under examples/.
+## Blank and comment lines count: the same command on both commits is what
+## makes the figures comparable.
+loc:
+	@printf 'internal+cmd %s\n' "$$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@printf 'examples     %s\n' "$$(find examples -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"

@@ -38,7 +38,7 @@ func main() {
 		n          = flag.Int("n", 16384, "records preloaded")
 		ops        = flag.Int("ops", 8000, "measured operations")
 		get        = flag.Float64("get", 0.58, "point query fraction")
-		rng        = flag.Float64("range", 0.0, "range query fraction")
+		rng        = flag.Float64("range", 0.0, "range query (scan) fraction")
 		insert     = flag.Float64("insert", 0.2, "insert fraction")
 		update     = flag.Float64("update", 0.17, "update fraction")
 		del        = flag.Float64("delete", 0.05, "delete fraction")
@@ -77,7 +77,7 @@ func main() {
 		}
 	}
 
-	mix := workload.Mix{Get: *get, Range: *rng, Insert: *insert, Update: *update, Delete: *del}
+	mix := workload.Mix{Get: *get, Scan: *rng, Insert: *insert, Update: *update, Delete: *del}
 	if err := mix.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "rumviz: %v\n", err)
 		os.Exit(2)

@@ -37,7 +37,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		get      = fs.Float64("get", 0.5, "point query fraction")
-		rng      = fs.Float64("range", 0.0, "range query fraction")
+		rng      = fs.Float64("range", 0.0, "range query (scan) fraction")
 		insert   = fs.Float64("insert", 0.25, "insert fraction")
 		update   = fs.Float64("update", 0.2, "update fraction")
 		del      = fs.Float64("delete", 0.05, "delete fraction")
@@ -61,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	mix := workload.Mix{Get: *get, Range: *rng, Insert: *insert, Update: *update, Delete: *del}
+	mix := workload.Mix{Get: *get, Scan: *rng, Insert: *insert, Update: *update, Delete: *del}
 	if err := mix.Validate(); err != nil {
 		fmt.Fprintf(stderr, "rumwizard: %v\n", err)
 		return 2

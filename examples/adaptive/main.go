@@ -52,7 +52,7 @@ func main() {
 	// --- Part 2: morphing engine vs. static structures across phases ---
 	fmt.Println("\nMorphing engine across three workload phases (read-heavy → write-heavy → scan-heavy):")
 	opt := methods.Options{PoolPages: 16}
-	morph, err := core.NewMorphing(methods.Flavors(opt), 0, opt.Model(0), core.MorphPolicy{})
+	morph, err := methods.NewMorphing(methods.Flavors(opt), 0, opt.Model(0))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func main() {
 		var total uint64
 		for _, ph := range phases {
 			pgen := workload.New(workload.Config{Seed: 11, Mix: ph.mix, RangeLen: 1 << 30})
-			seedLive(pgen, w)
+			core.SeedLive(pgen, w.Unwrap())
 			before := w.Meter().Snapshot()
 			var st core.OpStats
 			for i := 0; i < phaseOps; i++ {
@@ -93,24 +93,15 @@ func main() {
 			moved := d.PhysicalRead() + d.PhysicalWritten()
 			total += moved
 			shape := ""
-			if m, ok := e.am.(*core.Morphing); ok {
+			if m, ok := e.am.(*methods.Morphing); ok {
 				shape = " [" + m.CurrentFlavor() + "]"
 			}
 			fmt.Printf("  %s: %6.1f MiB%s", ph.name, float64(moved)/(1<<20), shape)
 		}
 		fmt.Printf("  | total %.1f MiB\n", float64(total)/(1<<20))
 	}
-	if m, ok := engines[0].am.(*core.Morphing); ok {
+	if m, ok := engines[0].am.(*methods.Morphing); ok {
 		fmt.Printf("\nThe morphing engine migrated %d times — \"access methods that can\n"+
 			"automatically and dynamically adapt to new workload requirements\" (Section 5).\n", m.Migrations())
 	}
-}
-
-func seedLive(gen *workload.Generator, w *core.Instrumented) {
-	count := 0
-	w.Unwrap().RangeScan(0, ^core.Key(0), func(k core.Key, _ core.Value) bool {
-		gen.RegisterLive(k)
-		count++
-		return count < 4096
-	})
 }

@@ -102,7 +102,7 @@ func RunAdaptive(cfg Config) AdaptiveResult {
 
 	morphing := func(cfg Config) {
 		cfg.smallPool()
-		m, err := core.NewMorphing(methods.Flavors(cfg.Storage), 0, cfg.Storage.Model(0), core.MorphPolicy{})
+		m, err := methods.NewMorphing(methods.Flavors(cfg.Storage), 0, cfg.Storage.Model(0))
 		if err != nil {
 			panic(err)
 		}
@@ -131,9 +131,7 @@ func RunAdaptive(cfg Config) AdaptiveResult {
 				InitialLen: 0,
 				RangeLen:   1 << 30,
 			})
-			// Seed the generator's live set from the store's keys so updates
-			// and deletes target real records.
-			seedLiveSet(gen, w)
+			core.SeedLive(gen, m)
 			before := w.Meter().Snapshot()
 			var st core.OpStats
 			for i := 0; i < cfg.Ops/2; i++ {
@@ -157,19 +155,6 @@ func RunAdaptive(cfg Config) AdaptiveResult {
 		{Label: "morphing", Run: morphing},
 	})
 	return res
-}
-
-// seedLiveSet replays a sample of the store's keys into the generator as
-// pre-existing inserts so the phase workload targets live records.
-func seedLiveSet(gen *workload.Generator, w *core.Instrumented) {
-	// InitialRecords was zero-length; register keys by draining a scan into
-	// generator inserts applied as no-ops (keys already exist in the store).
-	count := 0
-	w.Unwrap().RangeScan(0, ^core.Key(0), func(k core.Key, v core.Value) bool {
-		gen.RegisterLive(k)
-		count++
-		return count < 4096
-	})
 }
 
 // Render prints both adaptivity runs.

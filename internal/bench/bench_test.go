@@ -215,6 +215,14 @@ func TestAdaptive(t *testing.T) {
 	if len(res.Phases) != 3 {
 		t.Fatalf("%d phases", len(res.Phases))
 	}
+	// The paper's shape: the read-heavy phase is served from the B-tree it
+	// started as, the write-heavy one ends on the LSM.
+	if p := res.Phases[0]; p.Flavor != "btree" || p.Migrated != 0 {
+		t.Fatalf("read-heavy phase ended on %s after %d migrations, want btree and 0", p.Flavor, p.Migrated)
+	}
+	if p := res.Phases[1]; p.Flavor != "lsm" {
+		t.Fatalf("write-heavy phase ended on %s, want lsm", p.Flavor)
+	}
 	if res.Migrations == 0 {
 		t.Fatal("morphing engine never changed shape across contrasting phases")
 	}

@@ -227,6 +227,17 @@ func TestServeMixScanParsing(t *testing.T) {
 	if _, err := ParseServeMix("scan=-0.1"); err == nil {
 		t.Error("accepted a negative scan fraction")
 	}
+	// A row count is an integer that fits one: 0.5 used to truncate to 0 and
+	// serve the default 256 rows, 2.7 to 2, 1e300 to whatever the platform
+	// converts it to.
+	for _, in := range []string{"scanrows=0.5", "scanrows=2.7", "scanrows=1e300", "scanrows=-1e300", "scanrows=9223372036854775808"} {
+		if _, err := ParseServeMix("get=0.6,scan=0.4," + in); err == nil || !strings.Contains(err.Error(), "scanrows") {
+			t.Errorf("ParseServeMix(%q): error %v, want one naming scanrows", in, err)
+		}
+	}
+	if m, err := ParseServeMix("get=0.6,scan=0.4,scanrows=1e3"); err != nil || m.ScanRows != 1000 {
+		t.Errorf("scanrows=1e3 parsed to %+v, %v; want 1000 rows", m, err)
+	}
 	// Non-finite values fail every range comparison; they must not slip through.
 	for _, in := range []string{"get=NaN", "getmiss=NaN", "scan=NaN", "scanrows=NaN", "scanrows=Inf", "get=Inf", "read99,getmiss=nan"} {
 		if _, err := ParseServeMix(in); err == nil {

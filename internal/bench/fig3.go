@@ -46,7 +46,7 @@ type Fig3Result struct {
 }
 
 // fig3Mix exercises all three overheads: reads, scans, and writes.
-var fig3Mix = workload.Mix{Get: 0.45, Range: 0.05, Insert: 0.25, Update: 0.20, Delete: 0.05}
+var fig3Mix = workload.Mix{Get: 0.45, Scan: 0.05, Insert: 0.25, Update: 0.20, Delete: 0.05}
 
 // fig3Sweep enumerates the whole configuration grid: every entry is one
 // (family, label, builder) triple. Builders take the cell's Config so each

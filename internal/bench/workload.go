@@ -130,6 +130,11 @@ func ParseServeMix(s string) (ServeMix, error) {
 		case "getmiss":
 			m.GetMiss = v
 		case "scanrows":
+			// int(v) would turn 0.5 into 0 — the default 256 rows, silently —
+			// and is implementation-defined outside int's range.
+			if v != math.Trunc(v) || v >= math.MaxInt || v <= math.MinInt {
+				return m, fmt.Errorf("mix: scanrows=%s is not an integer row count", strings.TrimSpace(kv[1]))
+			}
 			m.ScanRows = int(v)
 		default:
 			p := fracs[key]

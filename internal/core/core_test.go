@@ -181,30 +181,6 @@ func TestRunProfile(t *testing.T) {
 	}
 }
 
-func TestMixWindow(t *testing.T) {
-	w := NewMixWindow(4)
-	if w.Total() != 0 {
-		t.Fatal("empty total")
-	}
-	w.Observe(workload.OpGet)
-	w.Observe(workload.OpGet)
-	w.Observe(workload.OpInsert)
-	mix := w.Mix()
-	if mix.Get < 0.6 || mix.Insert < 0.3 {
-		t.Fatalf("mix %+v", mix)
-	}
-	// Rolling: old entries leave the window.
-	for i := 0; i < 4; i++ {
-		w.Observe(workload.OpDelete)
-	}
-	if m := w.Mix(); m.Delete != 1 || m.Get != 0 {
-		t.Fatalf("rolled mix %+v", m)
-	}
-	if w.Total() != 4 {
-		t.Fatalf("total %d", w.Total())
-	}
-}
-
 // wizardSubstrate is the catalog's default geometry (methods.Options{}; core
 // cannot import methods to ask for it) with a pool as large as the 2^20
 // records the wizard tests size for: the paged candidates get the memory the
@@ -236,7 +212,7 @@ func TestWizardRankings(t *testing.T) {
 
 	// Scan-heavy and memory-tight: sparse structures over fat trees.
 	recs = Recommend(Requirements{
-		Mix:         workload.Mix{Range: 0.8, Get: 0.1, Insert: 0.1},
+		Mix:         workload.Mix{Scan: 0.8, Get: 0.1, Insert: 0.1},
 		DataSize:    1 << 20,
 		MemoryTight: true,
 	}, wizardSubstrate)
@@ -260,109 +236,5 @@ func TestWizardPrioritiesNormalize(t *testing.T) {
 	q := Priorities{Read: 2, Write: 1, Space: 1}.normalized()
 	if q.Read != 0.5 {
 		t.Fatalf("weighted %+v", q)
-	}
-}
-
-// shapeAM wraps fakeAM with a fixed name for morphing tests.
-type shapeAM struct {
-	*fakeAM
-	name  string
-	meter *rum.Meter
-}
-
-func (s *shapeAM) Name() string      { return s.name }
-func (s *shapeAM) Meter() *rum.Meter { return s.meter }
-
-func TestMorphingSwitchesShape(t *testing.T) {
-	flavors := []Flavor{
-		{
-			Name: "reader",
-			New: func(m *rum.Meter) AccessMethod {
-				return &shapeAM{fakeAM: newFake(), name: "reader", meter: m}
-			},
-			Config: model.Config{Method: "btree", Fill: 1},
-		},
-		{
-			Name: "writer",
-			New: func(m *rum.Meter) AccessMethod {
-				return &shapeAM{fakeAM: newFake(), name: "writer", meter: m}
-			},
-			Config: model.Config{Method: "lsm-tier", SizeRatio: 10, Buffer: 1024},
-		},
-	}
-	// No pool: every B-tree page access reaches the device, so the model
-	// prices writes dearer there than in the log-structured shape.
-	cold := wizardSubstrate
-	cold.PoolPages = 0
-	eng, err := NewMorphing(flavors, 0, cold, MorphPolicy{Window: 64, Interval: 32, Hysteresis: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.CurrentFlavor() != "reader" {
-		t.Fatal("start flavor")
-	}
-	// Read phase: stays reader.
-	for i := 0; i < 200; i++ {
-		eng.Get(Key(i))
-	}
-	if eng.CurrentFlavor() != "reader" {
-		t.Fatal("switched without cause")
-	}
-	// Write phase: must migrate to writer, keeping the data.
-	for i := 0; i < 100; i++ {
-		_ = eng.Insert(Key(i), Value(i))
-	}
-	for i := 0; i < 300; i++ {
-		eng.Update(Key(i%100), 7)
-	}
-	if eng.CurrentFlavor() != "writer" {
-		t.Fatalf("did not morph: %s", eng.CurrentFlavor())
-	}
-	if eng.Migrations() != 1 {
-		t.Fatalf("migrations %d", eng.Migrations())
-	}
-	if eng.Len() != 100 {
-		t.Fatalf("records lost in migration: %d", eng.Len())
-	}
-	for i := 0; i < 100; i++ {
-		if v, ok := eng.Get(Key(i)); !ok || v != 7 {
-			t.Fatalf("Get(%d) after migration = %d,%v", i, v, ok)
-		}
-	}
-}
-
-func TestMorphingValidation(t *testing.T) {
-	if _, err := NewMorphing(nil, 0, wizardSubstrate, MorphPolicy{}); err == nil {
-		t.Fatal("empty flavors accepted")
-	}
-	fl := []Flavor{{Name: "x", New: func(m *rum.Meter) AccessMethod { return newFake() }}}
-	if _, err := NewMorphing(fl, 5, wizardSubstrate, MorphPolicy{}); err == nil {
-		t.Fatal("bad start index accepted")
-	}
-}
-
-func TestMorphingBulkLoad(t *testing.T) {
-	fl := []Flavor{{
-		Name:   "only",
-		New:    func(m *rum.Meter) AccessMethod { return &shapeAM{fakeAM: newFake(), name: "only", meter: m} },
-		Config: model.Config{Method: "skiplist"},
-	}}
-	eng, err := NewMorphing(fl, 0, wizardSubstrate, MorphPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.BulkLoad([]Record{{Key: 1, Value: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := eng.Get(1); !ok || v != 2 {
-		t.Fatal("bulk load")
-	}
-	// The engine prices scans at the rows they return: counted per decision.
-	eng.Insert(3, 4)
-	for i := 0; i < 2; i++ {
-		eng.RangeScan(0, ^Key(0), func(Key, Value) bool { return true })
-	}
-	if eng.scans != 2 || eng.scanned != 4 {
-		t.Fatalf("observed %d scans returning %d rows, want 2 and 4", eng.scans, eng.scanned)
 	}
 }

@@ -58,6 +58,23 @@ func Preload(am AccessMethod, gen *workload.Generator) error {
 	return nil
 }
 
+// seedLiveKeys caps SeedLive's sample: enough live keys that a phase's reads,
+// updates and deletes spread over the store, without a scan of all of it.
+const seedLiveKeys = 4096
+
+// SeedLive registers the structure's first seedLiveKeys keys as the
+// generator's live set — Preload's counterpart for a generator attached to a
+// store that already holds data, so its reads, updates and deletes target
+// records that exist.
+func SeedLive(gen *workload.Generator, am AccessMethod) {
+	count := 0
+	am.RangeScan(0, ^Key(0), func(k Key, _ Value) bool {
+		gen.RegisterLive(k)
+		count++
+		return count < seedLiveKeys
+	})
+}
+
 // Apply executes one workload operation against the (instrumented) access
 // method and records its outcome in st.
 func Apply(w *Instrumented, op workload.Op, st *OpStats) {
@@ -67,7 +84,7 @@ func Apply(w *Instrumented, op workload.Op, st *OpStats) {
 		if _, ok := w.Get(op.Key); ok {
 			st.Hits++
 		}
-	case workload.OpRange:
+	case workload.OpScan:
 		st.Ranges++
 		st.RangeRows += w.RangeScan(op.Key, op.Hi, func(Key, Value) bool { return true })
 	case workload.OpInsert:

@@ -49,16 +49,9 @@ type Recommendation struct {
 
 // scanShare is the share of the records the wizard takes a range query to
 // return, having no scan to observe: the 2^30 span of the 2^40 key domain the
-// profiled workloads ask for. The morphing engine counts the rows instead.
+// profiled workloads ask for. The advisor and the morphing engine read the
+// rows off the fingerprint instead.
 const scanShare = 1.0 / 1024
-
-// traffic is mix as the model sees it over n records.
-func traffic(mix workload.Mix, n float64) model.Traffic {
-	return model.Traffic{
-		Get: mix.Get, Scan: mix.Range, Insert: mix.Insert, Update: mix.Update, Delete: mix.Delete,
-		ScanRows: scanShare * n,
-	}
-}
 
 // rationale is the one-line RUM position of each priced catalog method.
 var rationale = map[string]string{
@@ -87,7 +80,7 @@ func Recommend(req Requirements, on model.Params) []Recommendation {
 	if req.FlashLike {
 		on.Medium = storage.SSD.Model()
 	}
-	t := traffic(req.Mix, on.N)
+	t := model.Traffic{Mix: req.Mix, ScanRows: scanShare * on.N}
 	score := func(r model.Row) float64 { return 3 * r.Weighted(t, p.Read, p.Write, p.Space) }
 	var out []Recommendation
 	for _, r := range model.Rank(t, on, score) {

@@ -274,14 +274,14 @@ func Lookup(opt Options, name string) (Spec, error) {
 	return Spec{}, fmt.Errorf("methods: unknown access method %q", name)
 }
 
-// Flavors returns the shape set for the morphing engine (core.Morphing): a
+// Flavors returns the shape set for the morphing engine (Morphing): a
 // read-optimized B+-tree and a write-optimized LSM, each built from the
 // configuration the analytic model prices it as. (No zone map any more: on no
 // substrate Options can build does model or profiler seat it below the LSM.)
-func Flavors(opt Options) []core.Flavor {
+func Flavors(opt Options) []Flavor {
 	bt, _ := model.Lookup("btree")
 	ls := model.Config{Method: "lsm-level", SizeRatio: 8, BloomBits: 10, Buffer: 1024}
-	return []core.Flavor{
+	return []Flavor{
 		{Name: "btree", Config: bt, New: func(meter *rum.Meter) core.AccessMethod {
 			t, err := btree.New(NewPool(opt, meter), btree.Config{})
 			if err != nil {

@@ -182,7 +182,7 @@ func TestFlavorScoresSteerCorrectly(t *testing.T) {
 	cost := map[string]func(workload.Mix) float64{}
 	for _, f := range flavors {
 		cost[f.Name] = func(m workload.Mix) float64 {
-			tr := model.Traffic{Get: m.Get, Scan: m.Range, Insert: m.Insert, Update: m.Update, Delete: m.Delete}
+			tr := model.Traffic{Mix: m}
 			return f.Config.Price(tr, on).Cost(tr)
 		}
 	}

@@ -46,15 +46,15 @@ type calibStream struct {
 
 func calibStreams() []calibStream {
 	out := []calibStream{
-		{"get", model.Traffic{Get: 1}},
-		{"write", model.Traffic{Insert: 0.6, Update: 0.3, Delete: 0.1}},
-		{"scan", model.Traffic{Scan: 1}},
+		{"get", model.Traffic{Mix: workload.Mix{Get: 1}}},
+		{"write", model.Traffic{Mix: workload.Mix{Insert: 0.6, Update: 0.3, Delete: 0.1}}},
+		{"scan", model.Traffic{Mix: workload.Mix{Scan: 1}}},
 	}
 	for _, ph := range bench.DriftPhases {
 		m := ph.Mix
-		out = append(out, calibStream{ph.Name, model.Traffic{
+		out = append(out, calibStream{ph.Name, model.Traffic{Mix: workload.Mix{
 			Get: m.Get, Scan: m.Scan, Insert: m.Insert, Update: m.Update, Delete: m.Delete,
-		}})
+		}}})
 	}
 	for i := range out {
 		out[i].t.ScanRows = calibRows
@@ -69,7 +69,7 @@ func measure(t *testing.T, spec methods.Spec, tr model.Traffic) (pages, mo float
 	t.Helper()
 	gen := workload.New(workload.Config{
 		Seed: 1, InitialLen: calibN,
-		Mix: workload.Mix{Get: tr.Get, Range: tr.Scan, Insert: tr.Insert, Update: tr.Update, Delete: tr.Delete},
+		Mix: tr.Mix,
 		// Keys scatter over the 40-bit domain: this span holds ScanRows of them.
 		RangeLen: uint64(tr.ScanRows) * (1 << 40 / calibN),
 	})
@@ -184,8 +184,7 @@ func TestCalibration(t *testing.T) {
 // (a) Every Figure-1 ordering that names priced methods holds in the model,
 // priced under the figure's own mix, size and pool.
 func TestCalibrationFig1Orderings(t *testing.T) {
-	m := bench.Fig1Mix
-	tr := model.Traffic{Get: m.Get, Scan: m.Range, Insert: m.Insert, Update: m.Update, Delete: m.Delete}
+	tr := model.Traffic{Mix: bench.Fig1Mix}
 	params := methods.Options{PoolPages: 8}.Model(1 << 16)
 	dim := func(method, d string) (float64, bool) {
 		cfg, ok := model.Lookup(method)

@@ -1,7 +1,7 @@
 // Package model is the repository's one analytic RUM cost model: it prices a
 // (structure configuration, traffic shape, substrate) triple into the paper's
 // read, update and memory overheads. The wizard (core.Recommend), the advisor
-// (obs.Advise) and the morphing engine (core.Morphing) all decide from these
+// (obs.Advise) and the morphing engine (methods.Morphing) all decide from these
 // rows, and calib_test.go holds them against the simulator (DESIGN.md §13).
 //
 // Unit: page reads per operation. Paged structures (btree, hash, lsm) move
@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"repro/internal/storage"
+	"repro/internal/workload"
 )
 
 // Params is the substrate a structure is priced on. The caller hands over the
@@ -34,8 +35,8 @@ type Params struct {
 // many operations as the structure holds records: long enough for cracking and
 // buffered inserts to amortise, and what the calibration runs.
 type Traffic struct {
-	Get, Scan, Insert, Update, Delete float64 // op fractions
-	ScanRows                          float64 // rows per scan
+	workload.Mix         // op fractions
+	ScanRows     float64 // rows per scan
 	// HotShare is the fraction of keyed ops on a hot set small enough to stay
 	// pool-resident (the fingerprint's heavy hitters).
 	HotShare float64

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/storage"
+	"repro/internal/workload"
 )
 
 // Every candidate prices to finite, non-negative numbers at the edges: no
@@ -12,9 +13,9 @@ import (
 func TestPriceIsFiniteAtTheEdges(t *testing.T) {
 	traffics := []Traffic{
 		{},
-		{Get: 1, HotShare: 1},
-		{Insert: 1},
-		{Get: 0.2, Scan: 0.3, Insert: 0.2, Update: 0.2, Delete: 0.1, ScanRows: 1 << 20},
+		{Mix: workload.Mix{Get: 1}, HotShare: 1},
+		{Mix: workload.Mix{Insert: 1}},
+		{Mix: workload.Mix{Get: 0.2, Scan: 0.3, Insert: 0.2, Update: 0.2, Delete: 0.1}, ScanRows: 1 << 20},
 	}
 	for _, pool := range []int{0, 1, 1 << 20} {
 		for _, n := range []float64{0, 1, 1 << 10, 1 << 30} {
@@ -38,7 +39,7 @@ func TestPriceIsFiniteAtTheEdges(t *testing.T) {
 // A write-expensive medium raises the page writers' update cost and leaves
 // the in-memory structures alone.
 func TestMediumWeighsPageWrites(t *testing.T) {
-	tr := Traffic{Update: 1}
+	tr := Traffic{Mix: workload.Mix{Update: 1}}
 	ram := Params{N: 1 << 20, PageSize: 4096, RecordSize: 16, LineSize: 64, PoolPages: 8, Medium: storage.RAM.Model()}
 	ssd := ram
 	ssd.Medium = storage.SSD.Model()

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/model"
 )
@@ -90,12 +89,7 @@ func (p *WindowPoint) Advise(current string, on model.Params) (adv Advice, ok bo
 // live record count (the fingerprint's working set is used when larger — the
 // advisor never assumes the structure is smaller than the traffic it serves).
 func Advise(fp *Fingerprint, on model.Params, current string) (adv Advice) {
-	st := fp.Stats()
-	on.N = math.Max(on.N, st.Distinct)
-	t := model.Traffic{
-		Get: st.Get, Scan: st.Scan, Insert: st.Insert, Update: st.Update, Delete: st.Delete,
-		ScanRows: st.ScanP50, HotShare: st.HotShare,
-	}
+	t, on := fp.Stats().Priced(on)
 	choice := func(r model.Row) AdvisorChoice {
 		return AdvisorChoice{Config: r.Config.String(), RO: r.RO, UO: r.UO, ScanRO: r.ScanRO, MO: r.MO, Cost: r.Cost(t)}
 	}

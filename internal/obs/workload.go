@@ -8,6 +8,7 @@ import (
 	"repro/internal/approx"
 	"repro/internal/model"
 	"repro/internal/sketch"
+	"repro/internal/workload"
 )
 
 // Workload fingerprinting. A WorkloadRecorder taps one shard's op stream —
@@ -27,39 +28,6 @@ import (
 // byte-deterministic — the same stream always rotates at the same points —
 // and they are the natural denominator for mix fractions anyway.
 
-// WorkloadOp enumerates the op kinds a recorder distinguishes. The first
-// four mirror serve.Op by value, so the serving layer converts by cast;
-// WScan is the extra kind a broadcast range scan records.
-type WorkloadOp uint8
-
-const (
-	WGet WorkloadOp = iota
-	WInsert
-	WUpdate
-	WDelete
-	WScan
-	// NumWorkloadOps sizes per-kind count arrays.
-	NumWorkloadOps
-)
-
-// String names the op kind.
-func (o WorkloadOp) String() string {
-	switch o {
-	case WGet:
-		return "get"
-	case WInsert:
-		return "insert"
-	case WUpdate:
-		return "update"
-	case WDelete:
-		return "delete"
-	case WScan:
-		return "scan"
-	default:
-		return "op(?)"
-	}
-}
-
 // Fingerprint is one completed window's workload shape, built from mergeable
 // raw material: per-kind op counts, the window's heavy hitters with
 // count-min-estimated frequencies, the distinct-key estimator's registers,
@@ -71,8 +39,8 @@ type Fingerprint struct {
 	// Window is the 1-based window sequence number on the owning shard
 	// (after a merge: the largest input window number).
 	Window uint64 `json:"window"`
-	// Ops counts the window's operations by kind, WorkloadOp order.
-	Ops [NumWorkloadOps]uint64 `json:"ops"`
+	// Ops counts the window's operations by kind, workload.OpKind order.
+	Ops [workload.NumOps]uint64 `json:"ops"`
 	// Hot is the window's heavy hitters, heaviest first, counts estimated by
 	// the window's count-min sketch (tight for heavy keys).
 	Hot []sketch.KeyCount `json:"hot,omitempty"`
@@ -93,11 +61,11 @@ func (f *Fingerprint) Total() uint64 {
 
 // KeyedOps returns the point ops (everything but scans) — the denominator
 // for key-skew fractions.
-func (f *Fingerprint) KeyedOps() uint64 { return f.Total() - f.Ops[WScan] }
+func (f *Fingerprint) KeyedOps() uint64 { return f.Total() - f.Ops[workload.OpScan] }
 
 // MixFrac returns kind's fraction of the window's ops (0 for an empty
 // window).
-func (f *Fingerprint) MixFrac(op WorkloadOp) float64 {
+func (f *Fingerprint) MixFrac(op workload.OpKind) float64 {
 	t := f.Total()
 	if t == 0 {
 		return 0
@@ -236,11 +204,11 @@ func (f *Fingerprint) Stats() FingerprintStats {
 	s := FingerprintStats{
 		Window:    f.Window,
 		Ops:       f.Total(),
-		Get:       f.MixFrac(WGet),
-		Insert:    f.MixFrac(WInsert),
-		Update:    f.MixFrac(WUpdate),
-		Delete:    f.MixFrac(WDelete),
-		Scan:      f.MixFrac(WScan),
+		Get:       f.MixFrac(workload.OpGet),
+		Insert:    f.MixFrac(workload.OpInsert),
+		Update:    f.MixFrac(workload.OpUpdate),
+		Delete:    f.MixFrac(workload.OpDelete),
+		Scan:      f.MixFrac(workload.OpScan),
 		HotShare:  f.HotShare(),
 		ZipfSlope: f.ZipfSlope(),
 		Distinct:  f.DistinctKeys(),
@@ -249,6 +217,20 @@ func (f *Fingerprint) Stats() FingerprintStats {
 		s.ScanP50 = f.ScanRows.Quantile(0.50)
 	}
 	return s
+}
+
+// Priced reads the summary as the analytic model's inputs, and is the one such
+// reading: the advisor and the morphing engine (methods.Morphing) both price
+// through it. The traffic is the window's mix, its median scan length and its
+// hot share; the substrate is on, holding no fewer records than the window's
+// working set — a structure is never taken to be smaller than the traffic it
+// serves.
+func (s FingerprintStats) Priced(on model.Params) (model.Traffic, model.Params) {
+	on.N = math.Max(on.N, s.Distinct)
+	return model.Traffic{
+		Mix:      workload.Mix{Get: s.Get, Insert: s.Insert, Update: s.Update, Delete: s.Delete, Scan: s.Scan},
+		ScanRows: s.ScanP50, HotShare: s.HotShare,
+	}, on
 }
 
 // DriftScore is the distance between two window fingerprints:
@@ -318,12 +300,12 @@ type WorkloadRecorder struct {
 	threshold float64
 
 	// Cumulative plane (diffable across snapshots).
-	cum      [NumWorkloadOps]uint64
+	cum      [workload.NumOps]uint64
 	cumScans *Histogram
 
 	// Current window; curTotal is the running sum of curOps, so the rotation
 	// check is one comparison per operation.
-	curOps   [NumWorkloadOps]uint64
+	curOps   [workload.NumOps]uint64
 	curTotal uint64
 	curScans *Histogram
 	cm       *sketch.CountMin
@@ -331,9 +313,8 @@ type WorkloadRecorder struct {
 	distinct *approx.Distinct
 
 	windows    uint64
-	recent     []Fingerprint // completed windows, oldest first, ≤ keep (its capacity)
-	last       FingerprintStats
-	haveLast   bool
+	recent     []Fingerprint    // completed windows, oldest first, ≤ keep (its capacity)
+	last       FingerprintStats // Window 0 until the first rotation
 	drift      float64
 	driftCount uint64
 	events     []DriftEvent // latched drifts, oldest first, ≤ keep (its capacity)
@@ -366,8 +347,13 @@ func NewWorkloadRecorder(windowOps, keep int) *WorkloadRecorder {
 // WindowOps returns the rotation cadence.
 func (r *WorkloadRecorder) WindowOps() uint64 { return r.windowOps }
 
+// Last returns the newest completed window's summary; its Window is 0 before
+// the first rotation. Unlike Snapshot it copies no sketch, so an owner that
+// acts on rotations can poll it after every operation.
+func (r *WorkloadRecorder) Last() FingerprintStats { return r.last }
+
 // RecordOp observes one keyed operation.
-func (r *WorkloadRecorder) RecordOp(op WorkloadOp, key uint64) {
+func (r *WorkloadRecorder) RecordOp(op workload.OpKind, key uint64) {
 	r.cum[op]++
 	r.curOps[op]++
 	r.cm.Add(key, 1)
@@ -379,8 +365,8 @@ func (r *WorkloadRecorder) RecordOp(op WorkloadOp, key uint64) {
 // RecordScan observes one range scan that returned rows records on this
 // shard.
 func (r *WorkloadRecorder) RecordScan(rows int) {
-	r.cum[WScan]++
-	r.curOps[WScan]++
+	r.cum[workload.OpScan]++
+	r.curOps[workload.OpScan]++
 	r.cumScans.Record(float64(rows))
 	r.curScans.Record(float64(rows))
 	r.counted()
@@ -434,7 +420,7 @@ func (r *WorkloadRecorder) Rotate() {
 		}
 	}
 	st := fp.Stats()
-	if r.haveLast {
+	if r.last.Window != 0 {
 		r.drift = DriftScore(r.last, st)
 		if r.drift >= r.threshold {
 			r.driftCount++
@@ -443,9 +429,9 @@ func (r *WorkloadRecorder) Rotate() {
 			})
 		}
 	}
-	r.last, r.haveLast = st, true
+	r.last = st
 	r.recent = pushBounded(r.recent, fp)
-	r.curOps, r.curTotal = [NumWorkloadOps]uint64{}, 0
+	r.curOps, r.curTotal = [workload.NumOps]uint64{}, 0
 	r.curScans.reset()
 	r.cm.Clear()
 	r.topk.Clear()
@@ -461,8 +447,8 @@ type WorkloadSnapshot struct {
 	Windows   uint64 `json:"windows"`
 	// Cum is the cumulative per-kind op ledger (diffable across snapshots);
 	// CumScanRows the cumulative scan-length histogram.
-	Cum         [NumWorkloadOps]uint64 `json:"cum"`
-	CumScanRows *Histogram             `json:"-"`
+	Cum         [workload.NumOps]uint64 `json:"cum"`
+	CumScanRows *Histogram              `json:"-"`
 	// Last is the newest completed window's fingerprint (nil before the
 	// first rotation); Recent the retained history, oldest first.
 	Last   *Fingerprint  `json:"last,omitempty"`
@@ -610,13 +596,13 @@ func (r *Rolling) WorkloadSource(method string, on model.Params) Source {
 		e.Counter("rum_workload_windows_total", "Completed fingerprint windows across all shards.", w.Windows)
 		e.GaugeUint("rum_workload_window_ops", "Configured ops per fingerprint window (per shard).", w.WindowOps)
 		e.Family("rum_workload_ops_total", "counter", "Fingerprinted operations by kind, cumulative.")
-		for op := WorkloadOp(0); op < NumWorkloadOps; op++ {
+		for op := workload.OpKind(0); op < workload.NumOps; op++ {
 			e.Uint("rum_workload_ops_total", L("op", op.String()), w.Cum[op])
 		}
 		if last := w.Last; last != nil {
 			st := last.Stats()
 			e.Family("rum_workload_mix", "gauge", "Operation-mix fraction of the last completed fingerprint window.")
-			for op := WorkloadOp(0); op < NumWorkloadOps; op++ {
+			for op := workload.OpKind(0); op < workload.NumOps; op++ {
 				e.Float("rum_workload_mix", L("op", op.String()), last.MixFrac(op))
 			}
 			e.Gauge("rum_workload_hot_share", "Fraction of last-window keyed ops on the heavy-hitter set.", st.HotShare)

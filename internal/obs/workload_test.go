@@ -3,14 +3,11 @@ package obs
 import (
 	"math"
 	"math/rand"
-	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/methods"
-	"repro/internal/model"
+	"repro/internal/workload"
 )
 
 // feedMix drives ops 0..n-1 through the recorder with the given kind
@@ -30,13 +27,13 @@ func feedMix(r *WorkloadRecorder, n int, get, ins, upd, del, scan float64, keys 
 		}
 		switch f := rng.Float64(); {
 		case f < get:
-			r.RecordOp(WGet, k)
+			r.RecordOp(workload.OpGet, k)
 		case f < get+ins:
-			r.RecordOp(WInsert, k)
+			r.RecordOp(workload.OpInsert, k)
 		case f < get+ins+upd:
-			r.RecordOp(WUpdate, k)
+			r.RecordOp(workload.OpUpdate, k)
 		case f < get+ins+upd+del:
-			r.RecordOp(WDelete, k)
+			r.RecordOp(workload.OpDelete, k)
 		default:
 			r.RecordScan(64 + rng.Intn(64))
 		}
@@ -98,9 +95,9 @@ func TestRotationAllocatesOnlyTheFingerprint(t *testing.T) {
 		r.RecordScan(16)
 		for i := 1; i < windowOps; i++ {
 			if w%2 == 0 {
-				r.RecordOp(WGet, uint64(i%8))
+				r.RecordOp(workload.OpGet, uint64(i%8))
 			} else {
-				r.RecordOp(WInsert, uint64(w*windowOps+i))
+				r.RecordOp(workload.OpInsert, uint64(w*windowOps+i))
 			}
 		}
 		w++
@@ -188,14 +185,14 @@ func TestWorkloadSnapshotMergeDisjointShards(t *testing.T) {
 	// list must interleave both shards' heavy hitters exactly.
 	a, b := NewWorkloadRecorder(1024, 4), NewWorkloadRecorder(1024, 4)
 	for i := 0; i < 1024; i++ {
-		a.RecordOp(WGet, uint64(i%4)) // shard A hammers keys 0..3
+		a.RecordOp(workload.OpGet, uint64(i%4)) // shard A hammers keys 0..3
 	}
 	for i := 0; i < 1024; i++ {
-		b.RecordOp(WInsert, uint64(1000+i%2)) // shard B hammers 1000,1001
+		b.RecordOp(workload.OpInsert, uint64(1000+i%2)) // shard B hammers 1000,1001
 	}
 	s := a.Snapshot()
 	s.Merge(b.Snapshot())
-	if s.Cum[WGet] != 1024 || s.Cum[WInsert] != 1024 {
+	if s.Cum[workload.OpGet] != 1024 || s.Cum[workload.OpInsert] != 1024 {
 		t.Fatalf("merged cum %v", s.Cum)
 	}
 	if s.Last == nil || s.Last.Total() != 2048 {
@@ -230,109 +227,6 @@ func TestWorkloadSnapshotImmutable(t *testing.T) {
 	after := s1.Last.Stats()
 	if before != after {
 		t.Fatalf("snapshot mutated by later recording:\n before %+v\n after  %+v", before, after)
-	}
-}
-
-func TestAdvisorPhases(t *testing.T) {
-	mk := func(get, ins, upd, del, scan float64, keys int, zipf bool, rows int) *Fingerprint {
-		r := NewWorkloadRecorder(4096, 4)
-		rng := rand.New(rand.NewSource(11))
-		var z *rand.Zipf
-		if zipf {
-			z = rand.NewZipf(rng, 1.2, 1, uint64(keys-1))
-		}
-		for i := 0; i < 4096; i++ {
-			k := uint64(rng.Intn(keys))
-			if zipf {
-				k = z.Uint64()
-			}
-			switch f := rng.Float64(); {
-			case f < get:
-				r.RecordOp(WGet, k)
-			case f < get+ins:
-				r.RecordOp(WInsert, k)
-			case f < get+ins+upd:
-				r.RecordOp(WUpdate, k)
-			case f < get+ins+upd+del:
-				r.RecordOp(WDelete, k)
-			default:
-				r.RecordScan(rows)
-			}
-		}
-		r.Rotate()
-		return r.Snapshot().Last
-	}
-	// The expectations are the calibration's rows (internal/model): on a pool
-	// the data outgrows, the line-granular skip list is the cheapest seat for
-	// ingest and for point serving, an LSM's packed runs for the scan storm;
-	// the page-granular B-tree is best placed for none.
-	const n = 1 << 15
-	on := methods.Options{PoolPages: 8}.Model(n)
-	advise := func(fp *Fingerprint, current string) Advice { return Advise(fp, on, current) }
-	ingest := advise(mk(0.15, 0.70, 0.10, 0.05, 0, n, false, 0), "btree")
-	if ingest.Best.Config != "skiplist" {
-		t.Fatalf("write-heavy ingest advised %q, want skiplist", ingest.Best.Config)
-	}
-	serve := advise(mk(0.90, 0.05, 0.05, 0, 0, n, true, 0), "btree")
-	if serve.Best.Config != "skiplist" {
-		t.Fatalf("point-read serving advised %q, want skiplist", serve.Best.Config)
-	}
-	storm := advise(mk(0.50, 0.05, 0.05, 0, 0.40, n, false, 512), "btree")
-	if !strings.HasPrefix(storm.Best.Config, "lsm-") {
-		t.Fatalf("scan storm advised %q, want an lsm", storm.Best.Config)
-	}
-	// Report-only sanity: the current row is priced, the delta is the gap,
-	// and moving is recommended exactly when the best differs.
-	if !storm.Moved() || storm.Delta <= 0 {
-		t.Fatalf("scan storm on btree should recommend moving: %+v", storm)
-	}
-	if math.Abs(storm.Delta-(storm.Current.Cost-storm.Best.Cost)) > 1e-12 {
-		t.Fatalf("delta %.4f ≠ current-best %.4f", storm.Delta, storm.Current.Cost-storm.Best.Cost)
-	}
-	if got := advise(mk(0.90, 0.05, 0.05, 0, 0, n, true, 0), "skiplist"); got.Moved() {
-		t.Fatalf("already best placed but advised to move: %s", got.String())
-	}
-	if !strings.Contains(ingest.String(), "advisor: on btree") {
-		t.Fatalf("report line: %q", ingest.String())
-	}
-}
-
-// Every catalog method is either priced — and then maps to its own row by
-// exact name — or named in model.NotPriced, for which the advisor still ranks
-// the candidates but has no current row and no delta.
-func TestAdvisorMapsEveryCatalogMethod(t *testing.T) {
-	fp := &Fingerprint{Window: 1, Ops: [NumWorkloadOps]uint64{100, 50, 25, 5, 0}}
-	opt := methods.Options{}
-	var names []string
-	for _, spec := range methods.Catalog(opt) {
-		names = append(names, spec.Name)
-	}
-	for _, m := range names {
-		a := Advise(fp, opt.Model(1<<14), m)
-		if len(a.Ranked) == 0 || a.Best != a.Ranked[0] {
-			t.Fatalf("method %q: ranked %d candidates, best %+v", m, len(a.Ranked), a.Best)
-		}
-		want, ok := model.Lookup(m)
-		if ok == slices.Contains(model.NotPriced, m) {
-			t.Fatalf("method %q: priced=%v, NotPriced=%v", m, ok, model.NotPriced)
-		}
-		if !ok {
-			if a.Current != (AdvisorChoice{Config: m}) || a.Delta != 0 || !strings.Contains(a.String(), m+" (not priced)") {
-				t.Fatalf("method %q is not priced, yet current %+v delta %.2f: %s", m, a.Current, a.Delta, a)
-			}
-			continue
-		}
-		if a.Current.Config != want.String() {
-			t.Fatalf("method %q mapped to current %q, want %q", m, a.Current.Config, want)
-		}
-		if !slices.ContainsFunc(a.Ranked, func(c AdvisorChoice) bool { return c == a.Current }) {
-			t.Fatalf("method %q: current row %q is not among the ranked candidates", m, a.Current.Config)
-		}
-	}
-	for _, m := range []string{"lsm", "lsm-"} { // no alias, no prefix match
-		if a := Advise(fp, opt.Model(1<<14), m); a.Current.MO != 0 {
-			t.Fatalf("%q resolved to a row: %+v", m, a.Current)
-		}
 	}
 }
 

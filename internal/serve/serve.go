@@ -45,37 +45,19 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rum"
 	"repro/internal/wal"
+	"repro/internal/workload"
 )
 
-// Op enumerates the request kinds a shard executes.
-type Op uint8
+// Op is the repository's one op-kind enum. A Request carries the four point
+// kinds below; a range scan is not a Request but a RangeScan call.
+type Op = workload.OpKind
 
 const (
-	// OpGet is a point query.
-	OpGet Op = iota
-	// OpInsert adds a record.
-	OpInsert
-	// OpUpdate modifies an existing record.
-	OpUpdate
-	// OpDelete removes a record.
-	OpDelete
+	OpGet    = workload.OpGet
+	OpInsert = workload.OpInsert
+	OpUpdate = workload.OpUpdate
+	OpDelete = workload.OpDelete
 )
-
-// String names the op.
-func (o Op) String() string {
-	switch o {
-	case OpGet:
-		return "get"
-	case OpInsert:
-		return "insert"
-	case OpUpdate:
-		return "update"
-	case OpDelete:
-		return "delete"
-	default:
-		return fmt.Sprintf("op(%d)", uint8(o))
-	}
-}
 
 // Request is one operation submitted to the server. Value is ignored for
 // OpGet and OpDelete.

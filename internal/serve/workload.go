@@ -38,9 +38,7 @@ type WorkloadConfig struct {
 func (sh *shard) recordOps(msg message) {
 	for _, i := range msg.idxs {
 		req := &msg.reqs[i]
-		// Op and obs.WorkloadOp agree by construction on the four point
-		// kinds (WGet..WDelete mirror OpGet..OpDelete).
-		sh.wrec.RecordOp(obs.WorkloadOp(req.Op), uint64(req.Key))
+		sh.wrec.RecordOp(req.Op, uint64(req.Key))
 	}
 }
 

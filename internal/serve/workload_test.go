@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // driveMix pushes a deterministic mixed batch stream through s: inserts
@@ -56,16 +56,16 @@ func TestWorkloadTap(t *testing.T) {
 	if agg == nil {
 		t.Fatal("no workload snapshot in reports")
 	}
-	want := map[obs.WorkloadOp]uint64{
-		obs.WGet: n, obs.WInsert: n, obs.WUpdate: n / 4, obs.WDelete: n / 8,
+	want := map[Op]uint64{
+		OpGet: n, OpInsert: n, OpUpdate: n / 4, OpDelete: n / 8,
 	}
 	for op, w := range want {
 		if agg.Cum[op] != w {
 			t.Fatalf("%v: cum %d, want %d", op, agg.Cum[op], w)
 		}
 	}
-	if agg.Cum[obs.WScan] != 4 {
-		t.Fatalf("scan cum %d, want 4 (one per shard)", agg.Cum[obs.WScan])
+	if agg.Cum[workload.OpScan] != 4 {
+		t.Fatalf("scan cum %d, want 4 (one per shard)", agg.Cum[workload.OpScan])
 	}
 	if agg.CumScanRows == nil || agg.CumScanRows.Count() != 4 {
 		t.Fatal("scan-length histogram not recorded")
@@ -87,7 +87,7 @@ func TestWorkloadTap(t *testing.T) {
 	for _, c := range agg.Cum {
 		cum += c
 	}
-	if scans := agg.Cum[obs.WScan]; cum-scans != ops {
+	if scans := agg.Cum[workload.OpScan]; cum-scans != ops {
 		t.Fatalf("fingerprinted point ops %d != served ops %d", cum-scans, ops)
 	}
 }

@@ -9,44 +9,42 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 )
 
-// OpKind enumerates the operation types of the paper's workload model.
-type OpKind int
+// OpKind enumerates the operation types of the paper's workload model. It is
+// the repository's one op vocabulary: the generators emit it, the serving
+// layer executes it (serve.Op is an alias) and the fingerprinter counts by it,
+// so the numeric values are the order of every per-kind array, JSON list and
+// metric label set — get, insert, update, delete, scan — and stay one byte.
+type OpKind uint8
 
 const (
 	// OpGet is a point query.
 	OpGet OpKind = iota
-	// OpRange is a range query of a configured result size m.
-	OpRange
 	// OpInsert adds a fresh key.
 	OpInsert
 	// OpUpdate modifies an existing key's value.
 	OpUpdate
 	// OpDelete removes an existing key.
 	OpDelete
-	numOpKinds
+	// OpScan is a range query.
+	OpScan
+	// NumOps sizes per-kind arrays.
+	NumOps
 )
+
+var opNames = [NumOps]string{"get", "insert", "update", "delete", "scan"}
 
 // String names the operation.
 func (k OpKind) String() string {
-	switch k {
-	case OpGet:
-		return "get"
-	case OpRange:
-		return "range"
-	case OpInsert:
-		return "insert"
-	case OpUpdate:
-		return "update"
-	case OpDelete:
-		return "delete"
-	default:
-		return fmt.Sprintf("op(%d)", int(k))
+	if k < NumOps {
+		return opNames[k]
 	}
+	return fmt.Sprintf("op(%d)", uint8(k))
 }
 
-// Op is one generated operation. Hi is only meaningful for OpRange.
+// Op is one generated operation. Hi is only meaningful for OpScan.
 type Op struct {
 	Kind  OpKind
 	Key   uint64
@@ -54,14 +52,19 @@ type Op struct {
 	Value uint64
 }
 
-// Mix gives the relative weight of each operation kind; weights need not sum
-// to one.
+// Mix gives the relative weight of each operation kind, in OpKind order;
+// weights need not sum to one.
 type Mix struct {
 	Get    float64
-	Range  float64
 	Insert float64
 	Update float64
 	Delete float64
+	Scan   float64
+}
+
+// fracs returns the weights indexed by kind.
+func (m Mix) fracs() [NumOps]float64 {
+	return [NumOps]float64{OpGet: m.Get, OpInsert: m.Insert, OpUpdate: m.Update, OpDelete: m.Delete, OpScan: m.Scan}
 }
 
 // mixEpsilon is Validate's tolerance on the fraction sum: wide enough for
@@ -73,20 +76,17 @@ const mixEpsilon = 1e-6
 // -get/-range/-insert/-update/-delete flags) to what its author meant:
 // every fraction non-negative, all of them summing to 1. New would build a
 // non-monotone CDF from a negative or NaN weight and silently renormalise any
-// other sum. The error names the offending fraction as the flag spells it.
+// other sum. The error names the offending fraction by its kind.
 func (m Mix) Validate() error {
 	sum := 0.0
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"get", m.Get}, {"range", m.Range}, {"insert", m.Insert}, {"update", m.Update}, {"delete", m.Delete}} {
-		if !(f.v >= 0) { // NaN fails every comparison, so test for inside
-			return fmt.Errorf("-%s must be a non-negative fraction, got %v", f.name, f.v)
+	for k, v := range m.fracs() {
+		if !(v >= 0) { // NaN fails every comparison, so test for inside
+			return fmt.Errorf("the %s fraction must be non-negative, got %v", OpKind(k), v)
 		}
-		sum += f.v
+		sum += v
 	}
 	if !(math.Abs(sum-1) <= mixEpsilon) {
-		return fmt.Errorf("operation fractions must sum to 1, got %g (-get -range -insert -update -delete)", sum)
+		return fmt.Errorf("operation fractions must sum to 1, got %g (%s)", sum, strings.Join(opNames[:], " "))
 	}
 	return nil
 }
@@ -100,11 +100,11 @@ var (
 	WriteHeavy = Mix{Get: 0.10, Insert: 0.60, Update: 0.30}
 	// ScanHeavy is 70% range scans, 25% point reads, 5% inserts — the
 	// analytics pattern that motivates sparse indexes.
-	ScanHeavy = Mix{Get: 0.25, Range: 0.70, Insert: 0.05}
+	ScanHeavy = Mix{Get: 0.25, Scan: 0.70, Insert: 0.05}
 	// Balanced is the canonical mixed workload used to place structures in
 	// the RUM triangle (Figure 1): 45% reads, 10% ranges, 20% inserts,
 	// 20% updates, 5% deletes.
-	Balanced = Mix{Get: 0.45, Range: 0.10, Insert: 0.20, Update: 0.20, Delete: 0.05}
+	Balanced = Mix{Get: 0.45, Scan: 0.10, Insert: 0.20, Update: 0.20, Delete: 0.05}
 	// LookupOnly exercises pure point reads.
 	LookupOnly = Mix{Get: 1}
 )
@@ -129,8 +129,13 @@ type Generator struct {
 	live    []uint64
 	pos     map[uint64]int
 	counter uint64
-	cdf     [numOpKinds]float64
+	cdf     [NumOps]float64 // cumulative weights, in drawOrder
 }
+
+// drawOrder is the order in which Next's one uniform draw is cut into kinds.
+// It predates the serving order of the enum and stays as it was: every
+// published figure replays these streams, so the cut points may not move.
+var drawOrder = [NumOps]OpKind{OpGet, OpScan, OpInsert, OpUpdate, OpDelete}
 
 // New creates a generator for cfg. Call Preload (or replay InitialRecords)
 // to populate the store it will drive.
@@ -140,13 +145,17 @@ func New(cfg Config) *Generator {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	g := &Generator{cfg: cfg, rng: rng, pos: make(map[uint64]int)}
-	total := cfg.Mix.Get + cfg.Mix.Range + cfg.Mix.Insert + cfg.Mix.Update + cfg.Mix.Delete
+	fracs := cfg.Mix.fracs()
+	total := 0.0
+	for _, k := range drawOrder {
+		total += fracs[k]
+	}
 	if total <= 0 {
 		panic("workload: empty mix")
 	}
 	acc := 0.0
-	for i, w := range []float64{cfg.Mix.Get, cfg.Mix.Range, cfg.Mix.Insert, cfg.Mix.Update, cfg.Mix.Delete} {
-		acc += w / total
+	for i, k := range drawOrder {
+		acc += fracs[k] / total
 		g.cdf[i] = acc
 	}
 	return g
@@ -230,9 +239,9 @@ func (g *Generator) pickLive() (uint64, bool) {
 func (g *Generator) Next() Op {
 	r := g.rng.Float64()
 	kind := OpDelete
-	for i := OpGet; i < numOpKinds; i++ {
+	for i, k := range drawOrder {
 		if r <= g.cdf[i] {
-			kind = i
+			kind = k
 			break
 		}
 	}
@@ -242,13 +251,13 @@ func (g *Generator) Next() Op {
 			return Op{Kind: OpGet, Key: k}
 		}
 		return g.insertOp()
-	case OpRange:
+	case OpScan:
 		if k, ok := g.pickLive(); ok {
 			hi := k + g.cfg.RangeLen
 			if hi < k { // overflow
 				hi = ^uint64(0)
 			}
-			return Op{Kind: OpRange, Key: k, Hi: hi}
+			return Op{Kind: OpScan, Key: k, Hi: hi}
 		}
 		return g.insertOp()
 	case OpInsert:

@@ -1,10 +1,13 @@
 package workload
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -50,7 +53,7 @@ func TestMixFractions(t *testing.T) {
 	for i := 0; i < n; i++ {
 		counts[g.Next().Kind]++
 	}
-	if counts[OpUpdate] != 0 || counts[OpDelete] != 0 || counts[OpRange] != 0 {
+	if counts[OpUpdate] != 0 || counts[OpDelete] != 0 || counts[OpScan] != 0 {
 		t.Fatalf("unexpected kinds: %v", counts)
 	}
 	getFrac := float64(counts[OpGet]) / n
@@ -84,7 +87,7 @@ func TestLiveSetConsistency(t *testing.T) {
 				t.Fatalf("op %d: delete of dead key %d", i, op.Key)
 			}
 			delete(live, op.Key)
-		case OpRange:
+		case OpScan:
 			if op.Hi < op.Key {
 				t.Fatalf("op %d: inverted range", i)
 			}
@@ -142,14 +145,55 @@ func TestRegisterLive(t *testing.T) {
 	}
 }
 
+// The numeric values are load-bearing, not only the names: they are the index
+// of Fingerprint.Ops and WorkloadSnapshot.Cum (the /debug/workload JSON lists
+// are in this order), the order the rum_workload_*{op=...} series are emitted
+// in (the rumserve scrape goldens), and one byte wide so serve.Request stays
+// 24 bytes. String is the label those series carry.
 func TestOpKindString(t *testing.T) {
-	names := map[OpKind]string{
-		OpGet: "get", OpRange: "range", OpInsert: "insert", OpUpdate: "update", OpDelete: "delete",
-	}
+	names := [NumOps]string{OpGet: "get", OpInsert: "insert", OpUpdate: "update", OpDelete: "delete", OpScan: "scan"}
 	for k, want := range names {
-		if k.String() != want {
-			t.Fatalf("%v", k)
+		if got := OpKind(k).String(); got != want {
+			t.Errorf("OpKind(%d) = %q, want %q", k, got, want)
 		}
+	}
+	if OpGet != 0 || OpInsert != 1 || OpUpdate != 2 || OpDelete != 3 || OpScan != 4 || NumOps != 5 {
+		t.Errorf("kinds renumbered: get=%d insert=%d update=%d delete=%d scan=%d of %d",
+			OpGet, OpInsert, OpUpdate, OpDelete, OpScan, NumOps)
+	}
+	if unsafe.Sizeof(OpGet) != 1 {
+		t.Errorf("OpKind is %d bytes, want 1", unsafe.Sizeof(OpGet))
+	}
+	if got := OpKind(9).String(); got != "op(9)" {
+		t.Errorf("out-of-range kind prints %q", got)
+	}
+}
+
+// The enum is in serving order, but the generator still cuts its one uniform
+// draw in the order get, scan, insert, update, delete (drawOrder): every
+// published figure replays these streams. The digest was computed at the
+// commit before the reorder, over the 64 preload inserts and the first 256
+// operations; kinds enter it as letters so it does not depend on their values.
+func TestStreamPinnedAcrossEnumReorder(t *testing.T) {
+	letter := [NumOps]byte{OpGet: 'g', OpScan: 's', OpInsert: 'i', OpUpdate: 'u', OpDelete: 'd'}
+	g := New(Config{Seed: 1, Mix: Balanced, InitialLen: 64})
+	h := fnv.New64a()
+	var buf [25]byte
+	feed := func(op Op) {
+		buf[0] = letter[op.Kind]
+		binary.LittleEndian.PutUint64(buf[1:], op.Key)
+		binary.LittleEndian.PutUint64(buf[9:], op.Hi)
+		binary.LittleEndian.PutUint64(buf[17:], op.Value)
+		h.Write(buf[:])
+	}
+	for _, op := range g.InitialRecords() {
+		feed(op)
+	}
+	for i := 0; i < 256; i++ {
+		feed(g.Next())
+	}
+	if got, want := h.Sum64(), uint64(0xa622c4237feb78eb); got != want {
+		t.Fatalf("stream digest %#x, want %#x: the generator's draw order moved", got, want)
 	}
 }
 
@@ -166,7 +210,7 @@ func TestSplitmixIsInjectiveOnPrefix(t *testing.T) {
 
 // Validate is what stands between a command line and New's CDF: it rejects
 // what New would silently bend (a negative or NaN weight, a sum that is not
-// 1) and names the fraction as the flag spells it.
+// 1) and names the fraction by its kind.
 func TestMixValidate(t *testing.T) {
 	for _, preset := range []Mix{ReadHeavy, WriteHeavy, ScanHeavy, Balanced, LookupOnly} {
 		if err := preset.Validate(); err != nil {
@@ -179,12 +223,12 @@ func TestMixValidate(t *testing.T) {
 		want string // substring of the error; "" = valid
 	}{
 		{"round-off", Mix{Get: 0.33, Insert: 0.33, Update: 0.34}, ""},
-		{"all five", Mix{Get: 0.2, Range: 0.2, Insert: 0.2, Update: 0.2, Delete: 0.2}, ""},
-		{"negative get", Mix{Get: -0.5, Insert: 1.5}, "-get"},
-		{"negative range", Mix{Get: 1.1, Range: -0.1}, "-range"},
-		{"NaN insert", Mix{Get: 0.5, Insert: math.NaN()}, "-insert"},
-		{"NaN update", Mix{Get: 1, Update: math.NaN()}, "-update"},
-		{"negative delete", Mix{Get: 1, Delete: -1e-9}, "-delete"},
+		{"all five", Mix{Get: 0.2, Scan: 0.2, Insert: 0.2, Update: 0.2, Delete: 0.2}, ""},
+		{"negative get", Mix{Get: -0.5, Insert: 1.5}, "the get fraction"},
+		{"negative scan", Mix{Get: 1.1, Scan: -0.1}, "the scan fraction"},
+		{"NaN insert", Mix{Get: 0.5, Insert: math.NaN()}, "the insert fraction"},
+		{"NaN update", Mix{Get: 1, Update: math.NaN()}, "the update fraction"},
+		{"negative delete", Mix{Get: 1, Delete: -1e-9}, "the delete fraction"},
 		{"sum below one", Mix{Get: 0.2, Insert: 0.1}, "sum to 1, got 0.3"},
 		{"sum above one", Mix{Get: 0.9, Insert: 0.9}, "sum to 1, got 1.8"},
 		{"infinite", Mix{Get: math.Inf(1)}, "sum to 1"},
