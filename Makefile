@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race racecheck benchmarks bench golden experiments-golden loc
+.PHONY: check build fmt vet test race racecheck benchmarks bench fuzz golden experiments-golden loc
 
 ## check: the full gate — build, gofmt, vet, race-enabled tests, the
 ## assertion build, and the nested benchmarks/ module.
@@ -30,11 +30,12 @@ race:
 ## racecheck: build with the debug assertions compiled in — storage
 ## single-owner binding, PageView generation stamps, evicted frames poisoned
 ## instead of recycled, lsm merge sources and sorted-ingest batches checked
-## ascending — and run the storage and lsm tests against them, and the wal
-## tests, whose checkpoints are what feeds the sorted ingest.
+## ascending, a merge that drops tombstones checked to leave no run behind at
+## or below its target — and run the storage, lsm and planner tests against
+## them, and the wal tests, whose checkpoints are what feeds the sorted ingest.
 racecheck:
 	$(GO) build -tags racecheck ./...
-	$(GO) test -tags racecheck ./internal/storage/ ./internal/lsm/ ./internal/wal/
+	$(GO) test -tags racecheck ./internal/storage/ ./internal/lsm/ ./internal/lsm/plan/ ./internal/wal/
 
 ## benchmarks: vet and test the nested repro/benchmarks module (rumperf,
 ## benchdiff). `./...` at the root never compiles it, so without this a
@@ -57,6 +58,17 @@ bench:
 	$(GO) test ./internal/storage -bench 'BenchmarkFetch(Hit|Miss)' -benchtime=2s -run '^$$'
 	$(GO) test ./internal/lsm -bench BenchmarkCompactionSpill -benchtime=2s -run '^$$'
 	$(GO) test ./internal/wal -bench 'BenchmarkC(ommit|heckpoint)$$' -benchtime=2s -run '^$$'
+
+## fuzz: every native fuzz target in the module, five seconds each (about
+## forty in all) — found by name, so a new `func FuzzX` joins without an edit
+## here. Without this the corpora only ever replay their seeds under `go test`.
+fuzz:
+	@grep -rl --include='*_test.go' '^func Fuzz' internal cmd | xargs -n1 dirname | sort -u | while read pkg; do \
+		for target in $$(grep -hoE '^func Fuzz[A-Za-z0-9_]+' $$pkg/*_test.go | cut -c6-); do \
+			echo "== ./$$pkg $$target"; \
+			$(GO) test ./$$pkg -run '^$$' -fuzz "^$$target\$$" -fuzztime=5s || exit 1; \
+		done; \
+	done
 
 ## golden: regenerate golden files (exporters, CLI usage, rumserve scrape
 ## skeletons) after an intended format change.

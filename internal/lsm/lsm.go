@@ -26,11 +26,11 @@ package lsm
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/bloom"
 	"repro/internal/core"
+	"repro/internal/lsm/plan"
 	"repro/internal/rum"
 	"repro/internal/skiplist"
 	"repro/internal/storage"
@@ -461,10 +461,10 @@ func (t *Tree) freeRun(r *run) {
 // mergeSorted is the tree's one merge kernel: a k-way merge of sources
 // ordered oldest to newest, each strictly ascending by key (asserted under
 // -tags racecheck). On equal keys the newest source wins and the shadowed
-// versions are dropped; when dropTombs is true (merging into the bottom of
-// the tree, or answering a scan) tombstones are discarded too. Every merge
-// here has at most T+1 sources, so the smallest head is found by a linear
-// scan rather than a heap.
+// versions are dropped; when dropTombs is true (a step the planner cleared
+// for it, or a scan's answer) tombstones are discarded too. Every merge here
+// has at most T+1 sources, so the smallest head is found by a linear scan
+// rather than a heap.
 func mergeSorted(sources [][]core.Record, dropTombs bool) []core.Record {
 	assertAscending(sources)
 	total := 0
@@ -571,146 +571,67 @@ func (t *Tree) IngestSorted(recs []core.Record, delta int) error {
 	return nil
 }
 
-// levelCapacityRuns is the run-count trigger per level: tiering compacts a
-// level once it accumulates T runs; leveling once it has more than one.
-func (t *Tree) levelCapacityRuns() int {
-	if t.cfg.Tiering {
-		return t.cfg.SizeRatio
-	}
-	return 1
+// policy is the tree's compaction schedule under its current knobs.
+func (t *Tree) policy() plan.Policy {
+	return plan.Policy{Buffer: float64(t.cfg.MemtableRecords), SizeRatio: float64(t.cfg.SizeRatio), Tiering: t.cfg.Tiering}
 }
 
-// levelCapacityRecords is the record capacity of a leveled level i:
-// memtable · T^(i+1).
-func (t *Tree) levelCapacityRecords(i int) int {
-	c := float64(t.cfg.MemtableRecords) * math.Pow(float64(t.cfg.SizeRatio), float64(i+1))
-	if c > math.MaxInt32 {
-		return math.MaxInt32
+// Level reports level i's run count and record total; with Depth it makes
+// the tree a plan.Shape, so the planner reads the run directory in place.
+func (t *Tree) Level(i int) (runs int, records float64) {
+	for _, r := range t.levels[i] {
+		records += float64(r.count)
 	}
-	return int(c)
+	return len(t.levels[i]), records
 }
 
-// compact restores the level invariants after a flush.
+// compact restores the level invariants after a flush: one ascending pass,
+// each level asked of the planner after the steps above it have been applied.
 func (t *Tree) compact() {
+	p := t.policy()
 	for i := 0; i < len(t.levels); i++ {
-		if !t.needsCompaction(i) {
-			continue
+		if st, ok := p.Next(i, t); ok {
+			t.apply(st)
 		}
-		t.compactLevel(i)
 	}
 }
 
-func (t *Tree) needsCompaction(i int) bool {
-	lv := t.levels[i]
-	if len(lv) == 0 {
-		return false
+// apply executes one planned merge. The victims are read oldest first — on
+// an absorbing step the target level's runs before the source's — merged,
+// written as one run, and only then freed and replaced; a device fault on
+// the way leaves every run where it was.
+func (t *Tree) apply(st plan.Step) {
+	if st.Into == len(t.levels) {
+		t.levels = append(t.levels, nil)
 	}
-	if t.cfg.Tiering {
-		return len(lv) >= t.levelCapacityRuns()
+	victims := t.levels[st.From]
+	if st.Absorb {
+		victims = append(append([]*run(nil), t.levels[st.Into]...), victims...)
 	}
-	// Leveling: multiple runs always merge; a single run spills when over
-	// capacity.
-	if len(lv) > 1 {
-		return true
+	if st.DropTombstones {
+		assertNoBystander(t.levels[st.Into:], victims)
 	}
-	return lv[0].count > t.levelCapacityRecords(i)
-}
-
-// readRuns drains the given runs (oldest first) into record sources.
-func (t *Tree) readRuns(runs []*run) ([][]core.Record, bool) {
-	sources := make([][]core.Record, 0, len(runs))
-	for _, r := range runs {
+	sources := make([][]core.Record, 0, len(victims))
+	for _, r := range victims {
 		recs, err := t.readRun(r)
 		if err != nil {
-			return nil, false
+			return
 		}
 		sources = append(sources, recs)
 	}
-	return sources, true
-}
-
-// compactLevel restores level i's invariant. Under tiering, its runs merge
-// into one run appended to level i+1 (lazy: level i+1 keeps accumulating
-// runs). Under leveling, runs first consolidate within level i; once the
-// level exceeds its record capacity they merge with level i+1's run and the
-// result replaces it (eager: one run per level).
-func (t *Tree) compactLevel(i int) {
-	if t.cfg.Tiering {
-		sources, ok := t.readRuns(t.levels[i])
-		if !ok {
-			return
-		}
-		if i+1 >= len(t.levels) {
-			t.levels = append(t.levels, nil)
-		}
-		out, err := t.buildRun(mergeSorted(sources, t.isBottom(i+1)))
-		if err != nil {
-			return
-		}
-		for _, r := range t.levels[i] {
-			t.freeRun(r)
-		}
-		t.levels[i] = nil
-		t.levels[i+1] = append(t.levels[i+1], out)
-		t.stats.Compactions++
-		return
-	}
-
-	// Leveling.
-	total := 0
-	for _, r := range t.levels[i] {
-		total += r.count
-	}
-	if total <= t.levelCapacityRecords(i) {
-		// Consolidate within the level.
-		if len(t.levels[i]) <= 1 {
-			return
-		}
-		sources, ok := t.readRuns(t.levels[i])
-		if !ok {
-			return
-		}
-		out, err := t.buildRun(mergeSorted(sources, t.isBottom(i)))
-		if err != nil {
-			return
-		}
-		for _, r := range t.levels[i] {
-			t.freeRun(r)
-		}
-		t.levels[i] = []*run{out}
-		t.stats.Compactions++
-		return
-	}
-
-	// Spill into the next level.
-	if i+1 >= len(t.levels) {
-		t.levels = append(t.levels, nil)
-	}
-	victims := append(append([]*run(nil), t.levels[i+1]...), t.levels[i]...)
-	sources, ok := t.readRuns(victims)
-	if !ok {
-		return
-	}
-	out, err := t.buildRun(mergeSorted(sources, t.isBottom(i+1)))
+	out, err := t.buildRun(mergeSorted(sources, st.DropTombstones))
 	if err != nil {
 		return
 	}
 	for _, r := range victims {
 		t.freeRun(r)
 	}
-	t.levels[i] = nil
-	t.levels[i+1] = []*run{out}
-	t.stats.Compactions++
-}
-
-// isBottom reports whether no level below i holds data.
-func (t *Tree) isBottom(i int) bool {
-	for j := i + 1; j < len(t.levels); j++ {
-		if len(t.levels[j]) > 0 {
-			return false
-		}
+	t.levels[st.From] = nil
+	if st.Absorb {
+		t.levels[st.Into] = nil
 	}
-	return true
+	t.levels[st.Into] = append(t.levels[st.Into], out)
+	t.stats.Compactions++
 }
 
 // RangeScan merges the memtable and every overlapping run, emitting live
@@ -811,11 +732,7 @@ func (t *Tree) BulkLoad(recs []core.Record) error {
 	}
 	t.levels = nil
 	t.count = 0
-	// Place the run at the level whose capacity fits it.
-	lvl := 0
-	for t.levelCapacityRecords(lvl) < len(recs) {
-		lvl++
-	}
+	lvl := t.policy().LoadLevel(float64(len(recs)))
 	r, err := t.buildRun(recs)
 	if err != nil {
 		return err

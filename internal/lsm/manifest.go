@@ -283,7 +283,7 @@ func (t *Tree) decodeManifest(payload []byte, used map[storage.PageID]bool) erro
 	}
 	t.count = int(count)
 	nLevels, ok := u32()
-	if !ok {
+	if !ok || uint64(nLevels)*4 > uint64(len(payload)-off) { // every level costs its run count
 		return fail()
 	}
 	t.levels = make([][]*run, nLevels)
@@ -337,6 +337,9 @@ func (t *Tree) rebuildRun(r *run) error {
 			return fmt.Errorf("lsm: empty run with %d pages", len(r.pages))
 		}
 		return nil
+	}
+	if r.count > len(r.pages)*t.perPage() { // before the count sizes a filter
+		return fmt.Errorf("lsm: run of %d pages has impossible record count %d", len(r.pages), r.count)
 	}
 	if t.cfg.BloomBitsPerKey > 0 {
 		r.filter = bloom.NewFilter(r.count, t.cfg.BloomBitsPerKey, t.meter)

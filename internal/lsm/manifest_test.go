@@ -1,12 +1,15 @@
 package lsm
 
 import (
+	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
 )
 
-func crashStack(t *testing.T, cfg Config) (*storage.Device, *storage.BufferPool, *Tree) {
+func crashStack(t testing.TB, cfg Config) (*storage.Device, *storage.BufferPool, *Tree) {
 	t.Helper()
 	dev := storage.NewDevice(512, storage.SSD, nil)
 	pool := storage.NewBufferPool(dev, 32)
@@ -214,4 +217,78 @@ func TestManifestWithVersionsRejected(t *testing.T) {
 		}
 	}()
 	New(pool, cfg)
+}
+
+// checkpointedPayload builds a tiered, filtered tree of several levels on its
+// own device, checkpoints it, and returns the device and the manifest payload.
+func checkpointedPayload(t testing.TB, cfg Config) (*storage.Device, []byte) {
+	t.Helper()
+	dev, _, tr := crashStack(t, cfg)
+	for k := uint64(0); k < 1400; k++ {
+		if err := tr.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.Flush()
+	if tr.Depth() < 2 || tr.Runs() < 3 {
+		t.Fatalf("fixture too small: depth %d, %d runs", tr.Depth(), tr.Runs())
+	}
+	return dev, tr.encodeManifest()
+}
+
+var decodeCfg = Config{MemtableRecords: 64, SizeRatio: 4, Tiering: true, BloomBitsPerKey: 8, Manifest: true}
+
+// TestManifestDamagedCountsFail: counts that pass the page checksum but
+// cannot be true are errors, not allocations — a level count beyond what the
+// payload could spell, a record count beyond what the run's pages could hold.
+func TestManifestDamagedCountsFail(t *testing.T) {
+	dev, payload := checkpointedPayload(t, decodeCfg)
+	pool := storage.NewBufferPool(dev, 8)
+
+	levels := bytes.Clone(payload)
+	binary.LittleEndian.PutUint32(levels[8:], ^uint32(0))
+	if err := New(pool, decodeCfg).decodeManifest(levels, map[storage.PageID]bool{}); err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("level count 2^32-1: got %v, want a truncation error", err)
+	}
+
+	// The first run's record count sits after the level count, level 0's run
+	// count and the run's two keys.
+	records := bytes.Clone(payload)
+	binary.LittleEndian.PutUint32(records[8+4+4+16:], ^uint32(0)>>1)
+	tr := New(pool, decodeCfg)
+	if err := tr.decodeManifest(records, map[storage.PageID]bool{}); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.levels[0]) == 0 {
+		t.Fatal("fixture has no level-0 run")
+	}
+	if err := tr.rebuildRun(tr.levels[0][0]); err == nil || !strings.Contains(err.Error(), "impossible record count") {
+		t.Fatalf("record count 2^31-1: got %v, want an impossible-count error", err)
+	}
+}
+
+// FuzzDecodeManifest feeds decodeManifest arbitrary payloads — the chain's
+// checksums vouch for the bytes, not for what they say. A payload it accepts
+// re-encodes to itself, and rebuilding its runs against a real device (the
+// seed's image, so some page ids resolve) fails cleanly or succeeds.
+func FuzzDecodeManifest(f *testing.F) {
+	dev, payload := checkpointedPayload(f, decodeCfg)
+	f.Add(payload)
+	f.Add(payload[:len(payload)-3])
+	f.Add(New(storage.NewBufferPool(dev.Clone(nil), 8), decodeCfg).encodeManifest())
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		// A clone per input: each runs on its own goroutine, and a device has one owner.
+		tr := New(storage.NewBufferPool(dev.Clone(nil), 8), decodeCfg)
+		if err := tr.decodeManifest(payload, map[storage.PageID]bool{}); err != nil {
+			return
+		}
+		if again := tr.encodeManifest(); !bytes.Equal(again, payload) {
+			t.Fatalf("accepted payload re-encodes differently:\n in  %x\n out %x", payload, again)
+		}
+		for _, lv := range tr.levels {
+			for _, r := range lv {
+				_ = tr.rebuildRun(r) // errors are the expected outcome; panics are the finding
+			}
+		}
+	})
 }

@@ -222,12 +222,7 @@ func memRecords(tr *Tree) []core.Record {
 var (
 	scanRanges = [][2]core.Key{{0, ^core.Key(0)}, {0, 0}, {100, 100}, {37, 412}, {590, 5000}, {700, 800}, {300, 200}}
 	// Scans are checked against the map-and-sort oracle over the tree's own
-	// runs under both policies, and under leveling also against the logical
-	// model. Not under tiering: compactLevel drops tombstones whenever no
-	// deeper level holds data, even when older runs already sitting in the
-	// target level still carry the deleted key, so a tiered tree can
-	// resurrect it — a defect of the compaction policy that predates the
-	// merge kernel and that the paper-facing numbers currently include.
+	// runs and against the logical model, under both policies.
 	scanConfigs = []Config{
 		{MemtableRecords: 32, SizeRatio: 3},
 		{MemtableRecords: 32, SizeRatio: 4, Tiering: true, BloomBitsPerKey: 8},
@@ -251,7 +246,7 @@ func TestRangeScanMatchesMapOracle(t *testing.T) {
 				if !slices.Equal(got, want) || n != len(want) {
 					t.Fatalf("%s round %d scan [%d,%d]: emitted %d\n got %v\nwant %v", tr.Name(), round, r[0], r[1], n, got, want)
 				}
-				if model := m.want(r[0], r[1]); !cfg.Tiering && !slices.Equal(got, model) {
+				if model := m.want(r[0], r[1]); !slices.Equal(got, model) {
 					t.Fatalf("%s round %d scan [%d,%d] differs from the model\n got %v\nwant %v", tr.Name(), round, r[0], r[1], got, model)
 				}
 			}
@@ -298,7 +293,7 @@ func TestSnapshotRangeScanMatchesMapOracle(t *testing.T) {
 				if !slices.Equal(got, want) || n != len(want) {
 					t.Fatalf("%s round %d snapshot scan [%d,%d]: emitted %d\n got %v\nwant %v", tr.Name(), round, r[0], r[1], n, got, want)
 				}
-				if model := frozen.want(r[0], r[1]); !cfg.Tiering && !slices.Equal(got, model) {
+				if model := frozen.want(r[0], r[1]); !slices.Equal(got, model) {
 					t.Fatalf("%s round %d snapshot scan [%d,%d] differs from the model\n got %v\nwant %v", tr.Name(), round, r[0], r[1], got, model)
 				}
 			}
@@ -378,7 +373,11 @@ func BenchmarkCompactionSpill(b *testing.B) {
 		}
 		tr.levels = [][]*run{nil, {upper}, {lower}}
 		b.StartTimer()
-		tr.compactLevel(1)
+		st, ok := tr.policy().Next(1, tr)
+		if !ok {
+			b.Fatal("planner has no step for an over-capacity L1")
+		}
+		tr.apply(st)
 		if len(tr.levels[1]) != 0 || tr.levels[2][0].count != len(l1)+len(l2) {
 			b.Fatalf("spill left %d L1 runs and %d L2 records", len(tr.levels[1]), tr.levels[2][0].count)
 		}

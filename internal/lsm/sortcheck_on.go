@@ -4,6 +4,7 @@ package lsm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -18,6 +19,21 @@ func assertAscending(sources [][]core.Record) {
 			if src[j-1].Key >= src[j].Key {
 				panic(fmt.Sprintf("lsm: merge source %d not strictly ascending at %d: key %d then %d",
 					i, j, src[j-1].Key, src[j].Key))
+			}
+		}
+	}
+}
+
+// assertNoBystander panics if a run outside victims sits in levels — the
+// target level of a merge and everything below it. Only such a merge may
+// drop tombstones: a bystander could still hold a version one of them
+// shadows. The planner computes this from counts; the executor checks it
+// against the run directory itself.
+func assertNoBystander(levels [][]*run, victims []*run) {
+	for i, lv := range levels {
+		for _, r := range lv {
+			if !slices.Contains(victims, r) {
+				panic(fmt.Sprintf("lsm: merge drops tombstones past a %d-record run %d levels below its target", r.count, i))
 			}
 		}
 	}

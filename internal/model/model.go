@@ -16,6 +16,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/lsm/plan"
 	"repro/internal/storage"
 	"repro/internal/workload"
 )
@@ -232,30 +233,20 @@ func (c Config) Price(t Traffic, p Params) Row {
 	return r
 }
 
-// lsm walks the horizon's flush and merge schedule on record counts alone, by
-// the policy of internal/lsm: a load is one run at the first level that fits
-// it; a flush adds a Buffer-sized run to level 0; tiering merges a level's T
-// runs into one run of the next; leveling keeps a level in one run and spills
-// it into the next past Buffer·T^(i+1) records. Reads and scans are priced on
-// the runs standing in each flush interval and averaged, writes pay their
+// lsm prices the horizon's flush and merge schedule on record counts alone.
+// The schedule is internal/lsm/plan's, the one lsm.Tree executes: a load is
+// one run where the planner places it, every flush adds a Buffer-sized run
+// and folds the planner's steps over the counts. Reads and scans are priced
+// on the runs standing in each flush interval and averaged, writes pay their
 // flush and every merge that moved them, MO is what stands at the close. The
 // memtable's share is the caller's to add.
 func (c Config) lsm(r Row, n, end, written, epp, ww, rec, rows, frames float64, miss func(pages, frames float64) float64) Row {
-	tier := c.Method == "lsm-tier"
+	pol := plan.Policy{Buffer: c.Buffer, SizeRatio: c.SizeRatio, Tiering: c.Method == "lsm-tier"}
 	if most := 1024 * c.Buffer; written > most { // by 1024 flushes every level in reach has turned over
 		written, end = most, n+(end-n)*most/written
 	}
-	room := func(i int) float64 { return c.Buffer * math.Pow(c.SizeRatio, float64(i+1)) }
-	sum := func(xs []float64) (s float64) {
-		for _, x := range xs {
-			s += x
-		}
-		return s
-	}
-	levels := [][]float64{{n}}
-	for room(len(levels)-1) < n {
-		levels = append([][]float64{nil}, levels...)
-	}
+	levels := make(plan.Counts, pol.LoadLevel(n)+1)
+	levels[len(levels)-1] = []float64{n}
 	// A run that cannot hold the key costs its page, or with a filter k word
 	// probes and the page only on a false positive.
 	probe, falsePos := 0.0, 1.0
@@ -276,7 +267,10 @@ func (c Config) lsm(r Row, n, end, written, epp, ww, rec, rows, frames float64, 
 		}
 		// Every read probes every run, so a small run's pages are the hotter
 		// ones and the pool keeps them first; the key sits in the largest.
-		total, left := sum(runs), frames
+		total, left := 0.0, frames
+		for _, s := range runs {
+			total += s
+		}
 		for i, s := range runs {
 			m := miss(s/epp, left) * share
 			left = math.Max(0, left-s/epp)
@@ -292,26 +286,10 @@ func (c Config) lsm(r Row, n, end, written, epp, ww, rec, rows, frames float64, 
 		// Flush (the last one what is left) and restore the level invariants;
 		// a merged run holds no more than the records live by then.
 		live := n + (end-n)*(f+1)/flushes
-		levels[0] = append(levels[0], math.Min(c.Buffer, written-f*c.Buffer))
-		for i := 0; i < len(levels); i++ {
-			s := sum(levels[i])
-			switch {
-			case tier && float64(len(levels[i])) >= c.SizeRatio, !tier && s > room(i):
-				if i+1 == len(levels) {
-					levels = append(levels, nil)
-				}
-				if !tier {
-					s += sum(levels[i+1])
-					levels[i+1] = nil
-				}
-				levels[i], levels[i+1] = nil, append(levels[i+1], math.Min(s, live))
-			case !tier && len(levels[i]) > 1:
-				levels[i] = []float64{math.Min(s, live)}
-			default:
-				continue
-			}
-			moved += s
-		}
+		levels = pol.Flush(levels, math.Min(c.Buffer, written-f*c.Buffer), func(in float64) float64 {
+			moved += in
+			return math.Min(in, live)
+		})
 	}
 	r.UO, r.MO = (ww+moved/math.Max(written, 1)*(1+ww))/epp, 0
 	for _, s := range runs { // what stands at the close; pages round up run by run

@@ -52,7 +52,7 @@ func TestBaseBitMatchesInner(t *testing.T) {
 						t.Fatalf("%s: recovery replayed nothing", when)
 					}
 				}
-				ops := newOpStream(seed, s.lenient)
+				ops := newOpStream(seed)
 				for round := 0; round < 15; round++ {
 					for n := 150 + ops.rng.Intn(700); n > 0; n-- {
 						ops.step(t, l)

@@ -17,7 +17,6 @@ import (
 // structure is one logged structure under test.
 type structure struct {
 	name    string
-	lenient bool // outcomes drift from the model; see opStream
 	open    func(pool *storage.BufferPool, cfg Config) (*Logged, error)
 	recover func(pool *storage.BufferPool, cfg Config) (*Logged, error)
 }
@@ -38,8 +37,6 @@ func lsmStructure(name string, cfg lsm.Config) structure {
 // memtable is small next to the checkpoint intervals the tests use, so one
 // checkpoint spans several level-0 runs, a short tail, and compactions.
 func structures() []structure {
-	tier := lsmStructure("lsm-tier", lsm.Config{MemtableRecords: 192, SizeRatio: 4, Tiering: true})
-	tier.lenient = true
 	return []structure{
 		{
 			name: "btree",
@@ -51,7 +48,7 @@ func structures() []structure {
 			},
 		},
 		lsmStructure("lsm-level", lsm.Config{MemtableRecords: 192, SizeRatio: 4}),
-		tier,
+		lsmStructure("lsm-tier", lsm.Config{MemtableRecords: 192, SizeRatio: 4, Tiering: true}),
 	}
 }
 
@@ -60,23 +57,16 @@ func structures() []structure {
 // key and re-inserts of one — the last two are what puts tombstones over
 // keys the inner structure never held, and live values over keys it holds
 // only as deleted, inside a single checkpoint interval.
-//
-// A lenient stream follows the structure's answers instead of failing on
-// them. The tiered LSM needs it: its compaction can resurrect a deleted key
-// (ROADMAP item 1, out of scope here), so its outcomes drift from any model
-// while staying deterministic — which is all the pin and the base-bit
-// property ask of it.
 type opStream struct {
 	rng       *rand.Rand
-	lenient   bool
-	noDeletes bool // deletes become updates: a stream the tiering defect cannot touch
+	noDeletes bool // deletes become updates: a stream that leaves no tombstones
 	model     map[core.Key]core.Value
 	live      []core.Key // keys of model, in insertion order with swap-removal
 	dead      []core.Key // recently deleted keys (bounded)
 }
 
-func newOpStream(seed int64, lenient bool) *opStream {
-	return &opStream{rng: rand.New(rand.NewSource(seed)), lenient: lenient, model: make(map[core.Key]core.Value)}
+func newOpStream(seed int64) *opStream {
+	return &opStream{rng: rand.New(rand.NewSource(seed)), model: make(map[core.Key]core.Value)}
 }
 
 func (s *opStream) freshKey() core.Key {
@@ -89,20 +79,11 @@ func (s *opStream) freshKey() core.Key {
 	}
 }
 
-// disagree reports an outcome the model did not predict.
-func (s *opStream) disagree(t *testing.T, format string, args ...any) {
-	t.Helper()
-	if !s.lenient {
-		t.Fatalf(format, args...)
-	}
-}
-
 func (s *opStream) insert(t *testing.T, l *Logged, k core.Key) {
 	t.Helper()
 	v := core.Value(s.rng.Uint64() >> 1)
 	if err := l.Insert(k, v); err != nil {
-		s.disagree(t, "insert of absent key %d: %v", k, err)
-		return
+		t.Fatalf("insert of absent key %d: %v", k, err)
 	}
 	s.model[k] = v
 	s.live = append(s.live, k)
@@ -144,7 +125,7 @@ func (s *opStream) step(t *testing.T, l *Logged) {
 	case p < 90 && len(s.dead) > 0:
 		k := s.dead[s.rng.Intn(len(s.dead))]
 		if _, ok := s.model[k]; !ok && l.Delete(k) {
-			s.disagree(t, "delete of dead key %d succeeded", k)
+			t.Fatalf("delete of dead key %d succeeded", k)
 		}
 	case len(s.dead) > 0:
 		k := s.dead[s.rng.Intn(len(s.dead))]
@@ -156,13 +137,9 @@ func (s *opStream) step(t *testing.T, l *Logged) {
 	}
 }
 
-// check holds l to the model: Len, every live key, and one full scan. A
-// lenient stream has no model worth checking.
+// check holds l to the model: Len, every live key, and one full scan.
 func (s *opStream) check(t *testing.T, l *Logged) {
 	t.Helper()
-	if s.lenient {
-		return
-	}
 	if l.Len() != len(s.model) {
 		t.Fatalf("Len = %d, model has %d", l.Len(), len(s.model))
 	}
