@@ -28,14 +28,23 @@ race:
 	$(GO) test -race ./...
 
 ## racecheck: build with the debug assertions compiled in — storage
-## single-owner binding, PageView generation stamps, evicted frames poisoned
-## instead of recycled, lsm merge sources and sorted-ingest batches checked
-## ascending, a merge that drops tombstones checked to leave no run behind at
-## or below its target — and run the storage, lsm and planner tests against
-## them, and the wal tests, whose checkpoints are what feeds the sorted ingest.
+## single-owner binding, PageView generation stamps, a private copy behind
+## every clean frame compared with the device's image at release, MarkDirty
+## and eviction (a write that did not go through MarkDirty first panics),
+## evicted frames poisoned instead of recycled, lsm merge sources and
+## sorted-ingest batches checked ascending, a merge that drops tombstones
+## checked to leave no run behind at or below its target — and run against
+## them the storage, lsm and planner tests, the wal tests, whose checkpoints
+## are what feeds the sorted ingest, and the packages that write fetched
+## frames or drive the ones that do: btree, hashindex, methods, serve. -short
+## trims only internal/serve (nothing else reads it): the snapshot stress
+## test runs 4 write generations instead of 30 and the mailbox back-off test,
+## a scheduler bound, is left to `race` — 77 s of asserted page accesses down
+## to 6.
 racecheck:
 	$(GO) build -tags racecheck ./...
-	$(GO) test -tags racecheck ./internal/storage/ ./internal/lsm/ ./internal/lsm/plan/ ./internal/wal/
+	$(GO) test -short -tags racecheck ./internal/storage/ ./internal/lsm/ ./internal/lsm/plan/ ./internal/wal/ \
+		./internal/btree/ ./internal/hashindex/ ./internal/methods/ ./internal/serve/
 
 ## benchmarks: vet and test the nested repro/benchmarks module (rumperf,
 ## benchdiff). `./...` at the root never compiles it, so without this a

@@ -79,9 +79,9 @@ func New(pool *storage.BufferPool, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
+	f.MarkDirty()
 	node{f.Data()}.setKind(kindLeaf)
 	node{f.Data()}.setLink(storage.InvalidPage)
-	f.MarkDirty()
 	t.root = f.ID()
 	pool.Release(f)
 	t.height = 1
@@ -206,12 +206,12 @@ func (t *Tree) Insert(k core.Key, v core.Value) error {
 		if err != nil {
 			return err
 		}
+		f.MarkDirty()
 		n := node{f.Data()}
 		n.setKind(kindInternal)
 		n.setLink(t.root)
 		n.setIntEntry(0, res.sep, res.right)
 		n.setCount(1)
-		f.MarkDirty()
 		t.root = f.ID()
 		t.pool.Release(f)
 		t.height++
@@ -241,11 +241,11 @@ func (t *Tree) insert(pid storage.PageID, k core.Key, v core.Value) (storage.Pag
 		if f, err = t.writable(f); err != nil {
 			return pid, splitResult{}, err
 		}
+		f.MarkDirty()
 		n = node{f.Data()}
 		npid := f.ID()
 		if n.count() < t.leafCap {
 			n.leafInsertAt(i, k, v)
-			f.MarkDirty()
 			t.pool.Release(f)
 			return npid, splitResult{}, nil
 		}
@@ -274,10 +274,10 @@ func (t *Tree) insert(pid storage.PageID, k core.Key, v core.Value) (storage.Pag
 		return pid, splitResult{}, err
 	}
 	npid := f.ID()
+	f.MarkDirty() // the child moved or split: either way this node changes
 	n = node{f.Data()}
 	if nchild != child {
 		t.replaceChild(n, k, nchild)
-		f.MarkDirty()
 	}
 	if !res.split {
 		t.pool.Release(f)
@@ -286,7 +286,6 @@ func (t *Tree) insert(pid storage.PageID, k core.Key, v core.Value) (storage.Pag
 	i := n.intSearch(res.sep)
 	if n.count() < t.intCap {
 		n.intInsertAt(i, res.sep, res.right)
-		f.MarkDirty()
 		t.pool.Release(f)
 		return npid, splitResult{}, nil
 	}
@@ -305,8 +304,9 @@ func (t *Tree) replaceChild(n node, k core.Key, nchild storage.PageID) {
 	n.setIntEntry(i-1, n.intKey(i-1), nchild)
 }
 
-// splitLeaf splits the full leaf in f, inserting (k, v) at logical position i
-// of the pre-split entry sequence, and returns the separator for the parent.
+// splitLeaf splits the full leaf in f, which the caller has marked dirty,
+// inserting (k, v) at logical position i of the pre-split entry sequence, and
+// returns the separator for the parent.
 func (t *Tree) splitLeaf(f *storage.Frame, i int, k core.Key, v core.Value) (splitResult, error) {
 	left := node{f.Data()}
 	c := left.count()
@@ -316,6 +316,7 @@ func (t *Tree) splitLeaf(f *storage.Frame, i int, k core.Key, v core.Value) (spl
 	if err != nil {
 		return splitResult{}, err
 	}
+	rf.MarkDirty()
 	right := node{rf.Data()}
 	right.setKind(kindLeaf)
 	right.setLink(left.link())
@@ -333,8 +334,6 @@ func (t *Tree) splitLeaf(f *storage.Frame, i int, k core.Key, v core.Value) (spl
 		right.leafInsertAt(right.leafSearch(k), k, v)
 	}
 
-	f.MarkDirty()
-	rf.MarkDirty()
 	sep := right.leafKey(0)
 	t.pool.Release(rf)
 	t.stats.LeafSplits++
@@ -342,8 +341,9 @@ func (t *Tree) splitLeaf(f *storage.Frame, i int, k core.Key, v core.Value) (spl
 	return splitResult{sep: sep, right: rf.ID(), split: true}, nil
 }
 
-// splitInternal splits the full internal node in f while inserting
-// (sep, child) at entry position i, promoting the middle separator.
+// splitInternal splits the full internal node in f, which the caller has
+// marked dirty, while inserting (sep, child) at entry position i, promoting
+// the middle separator.
 func (t *Tree) splitInternal(f *storage.Frame, i int, sep core.Key, child storage.PageID) (splitResult, error) {
 	left := node{f.Data()}
 	c := left.count()
@@ -371,6 +371,7 @@ func (t *Tree) splitInternal(f *storage.Frame, i int, sep core.Key, child storag
 	if err != nil {
 		return splitResult{}, err
 	}
+	rf.MarkDirty()
 	right := node{rf.Data()}
 	right.setKind(kindInternal)
 	right.setLink(promoted.c)
@@ -384,8 +385,6 @@ func (t *Tree) splitInternal(f *storage.Frame, i int, sep core.Key, child storag
 	}
 	left.setCount(mid)
 
-	f.MarkDirty()
-	rf.MarkDirty()
 	t.pool.Release(rf)
 	t.stats.InternalSplits++
 	t.stats.InternalPages++
@@ -406,8 +405,8 @@ func (t *Tree) Update(k core.Key, v core.Value) bool {
 	if i >= n.count() || n.leafKey(i) != k {
 		return false
 	}
-	n.setLeafEntry(i, k, v)
 	f.MarkDirty()
+	node{f.Data()}.setLeafEntry(i, k, v)
 	return true
 }
 
@@ -425,8 +424,8 @@ func (t *Tree) Delete(k core.Key) bool {
 	if i >= n.count() || n.leafKey(i) != k {
 		return false
 	}
-	n.leafRemoveAt(i)
 	f.MarkDirty()
+	node{f.Data()}.leafRemoveAt(i)
 	t.count--
 	return true
 }
@@ -503,6 +502,7 @@ func (t *Tree) BulkLoad(recs []core.Record) error {
 		if err != nil {
 			return err
 		}
+		f.MarkDirty()
 		n := node{f.Data()}
 		n.setKind(kindLeaf)
 		n.setLink(storage.InvalidPage)
@@ -510,10 +510,9 @@ func (t *Tree) BulkLoad(recs []core.Record) error {
 			n.setLeafEntry(j, r.Key, r.Value)
 		}
 		n.setCount(end - start)
-		f.MarkDirty()
 		if prevLeaf != nil {
-			node{prevLeaf.Data()}.setLink(f.ID())
 			prevLeaf.MarkDirty()
+			node{prevLeaf.Data()}.setLink(f.ID())
 			t.pool.Release(prevLeaf)
 		}
 		prevLeaf = f
@@ -550,8 +549,9 @@ func (t *Tree) BulkLoad(recs []core.Record) error {
 				n := node{f.Data()}
 				physInt := (t.pool.Device().PageSize() - headerSize) / intEntrySize
 				if n.count() < physInt {
-					n.intInsertAt(n.count(), level[start].first, level[start].pid)
 					f.MarkDirty()
+					n = node{f.Data()}
+					n.intInsertAt(n.count(), level[start].first, level[start].pid)
 					t.pool.Release(f)
 					continue
 				}
@@ -563,6 +563,7 @@ func (t *Tree) BulkLoad(recs []core.Record) error {
 			if err != nil {
 				return err
 			}
+			f.MarkDirty()
 			n := node{f.Data()}
 			n.setKind(kindInternal)
 			n.setLink(level[start].pid)
@@ -570,7 +571,6 @@ func (t *Tree) BulkLoad(recs []core.Record) error {
 				n.setIntEntry(j, e.first, e.pid)
 			}
 			n.setCount(end - start - 1)
-			f.MarkDirty()
 			t.pool.Release(f)
 			next = append(next, levelEntry{first: level[start].first, pid: f.ID()})
 			t.stats.InternalPages++

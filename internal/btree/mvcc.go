@@ -99,8 +99,8 @@ func (t *Tree) writable(f *storage.Frame) (*storage.Frame, error) {
 		t.pool.Release(f)
 		return nil, err
 	}
-	copy(nf.Data(), f.Data())
 	nf.MarkDirty()
+	copy(nf.Data(), f.Data())
 	t.pool.Release(f)
 	t.vs.Retire(pid)
 	t.stats.CowCopies++
@@ -136,8 +136,8 @@ func (t *Tree) descendToLeafW(k core.Key) (*storage.Frame, error) {
 			return nil, err
 		}
 		if cf.ID() != child {
-			t.replaceChild(n, k, cf.ID())
 			f.MarkDirty()
+			t.replaceChild(node{f.Data()}, k, cf.ID())
 		}
 		t.pool.Release(f)
 		f = cf

@@ -109,8 +109,8 @@ func (x *Index) initDir(n int) error {
 		if err != nil {
 			return err
 		}
-		bucket{f.Data()}.setOverflow(storage.InvalidPage)
 		f.MarkDirty()
+		bucket{f.Data()}.setOverflow(storage.InvalidPage)
 		x.dir[i] = f.ID()
 		x.pool.Release(f)
 	}
@@ -224,9 +224,10 @@ func (x *Index) insertNoGrow(k core.Key, v core.Value, checkDup bool) error {
 		}
 		b := bucket{f.Data()}
 		if b.count() < x.perPage {
+			f.MarkDirty()
+			b = bucket{f.Data()}
 			b.set(b.count(), k, v)
 			b.setCount(b.count() + 1)
-			f.MarkDirty()
 			x.pool.Release(f)
 			x.count++
 			return nil
@@ -238,13 +239,13 @@ func (x *Index) insertNoGrow(k core.Key, v core.Value, checkDup bool) error {
 				x.pool.Release(f)
 				return err
 			}
+			of.MarkDirty()
 			ob := bucket{of.Data()}
 			ob.setOverflow(storage.InvalidPage)
 			ob.set(0, k, v)
 			ob.setCount(1)
-			of.MarkDirty()
-			b.setOverflow(of.ID())
 			f.MarkDirty()
+			bucket{f.Data()}.setOverflow(of.ID())
 			x.pool.Release(of)
 			x.pool.Release(f)
 			x.pages++
@@ -301,8 +302,8 @@ func (x *Index) Update(k core.Key, v core.Value) bool {
 		}
 		b := bucket{f.Data()}
 		if i := b.find(k); i >= 0 {
-			b.set(i, k, v)
 			f.MarkDirty()
+			bucket{f.Data()}.set(i, k, v)
 			x.pool.Release(f)
 			return true
 		}
@@ -322,10 +323,11 @@ func (x *Index) Delete(k core.Key) bool {
 		}
 		b := bucket{f.Data()}
 		if i := b.find(k); i >= 0 {
+			f.MarkDirty()
+			b = bucket{f.Data()}
 			last := b.count() - 1
 			b.set(i, b.key(last), b.value(last))
 			b.setCount(last)
-			f.MarkDirty()
 			x.pool.Release(f)
 			x.count--
 			return true

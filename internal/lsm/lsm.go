@@ -381,12 +381,12 @@ func (t *Tree) buildRun(recs []core.Record) (*run, error) {
 		if err != nil {
 			return nil, err
 		}
+		f.MarkDirty()
 		data := f.Data()
 		binary.LittleEndian.PutUint32(data[0:4], uint32(end-start))
 		for j, rec := range recs[start:end] {
 			core.EncodeRecord(data[pageHeader+j*core.RecordSize:], rec)
 		}
-		f.MarkDirty()
 		r.pages = append(r.pages, f.ID())
 		r.fences = append(r.fences, recs[start].Key)
 		t.pool.Release(f)

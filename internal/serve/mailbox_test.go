@@ -33,6 +33,9 @@ func checkMailboxLedger(t *testing.T, rep ShardReport) {
 // slices. One such yield must buy a long stretch of plain parking — a shard
 // that kept polling would pay it on every one of the writer's batches.
 func TestMailboxBacksOffWhenOversubscribed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a bound on the scheduler, not on storage: the racecheck gate leaves it to the -race run")
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	// The bound is on what the Go scheduler and the host did to a few
 	// hundred yields; a neighbour's burst can fake a run of middling-slow

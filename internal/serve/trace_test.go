@@ -161,9 +161,12 @@ func TestTraceRecorderWiring(t *testing.T) {
 		},
 	})
 	// Preload through the untraced bulk path, then read far more pages than
-	// the 4-page pools hold: every retained trace is a get whose misses were
+	// the 4-page pools hold, in strides of several leaves so that nearly
+	// every get misses: the retained traces are gets whose misses were
 	// charged through the hook, so the attribution is visible regardless of
-	// which ops the flight recorder ranks slowest.
+	// which ops the flight recorder ranks slowest. (At a stride of 17 half
+	// the gets hit, a miss no longer costs a page copy, and a racecheck
+	// build's sixteen slowest were all hits one run in ten.)
 	recs2 := make([]core.Record, 4096)
 	for i := range recs2 {
 		recs2[i] = core.Record{Key: core.Key(i), Value: core.Value(i)}
@@ -178,7 +181,7 @@ func TestTraceRecorderWiring(t *testing.T) {
 	res := make([]Result, 256)
 	for round := 0; round < 4; round++ {
 		for i := range reqs {
-			reqs[i] = Request{Op: OpGet, Key: core.Key((i*17 + round) % 4096)}
+			reqs[i] = Request{Op: OpGet, Key: core.Key((i*1031 + round) % 4096)}
 		}
 		if err := s.Do(reqs, res); err != nil {
 			t.Fatalf("Do: %v", err)

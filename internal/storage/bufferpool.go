@@ -28,6 +28,13 @@ type PoolStats struct {
 	// nor a miss, so HitRatio stays a statement about served requests and
 	// Misses reconciles exactly with successful device reads.
 	FetchFailures uint64
+	// Unshares counts clean frames given a private copy of their page by
+	// their first MarkDirty: the one page copy a write costs.
+	Unshares uint64
+	// Handovers counts write-backs that moved no bytes: the frame's buffer
+	// became the device's image (Device.Replace). WriteBacks - Handovers is
+	// the write-backs that copied (fault-armed device, pinned frame).
+	Handovers uint64
 }
 
 // HitRatio returns hits / (hits+misses), or 0 for an untouched pool.
@@ -42,28 +49,54 @@ func (s PoolStats) HitRatio() float64 {
 // Frame is a pinned page held in the buffer pool. Callers must Release every
 // frame they Fetch or create. The frame and its data slice are only valid
 // while pinned: once released, the next miss may evict the frame and hand
-// the struct and its buffer straight to the page being installed, so a
-// retained *Frame or Data() slice then shows another page's bytes, not a
-// stale copy of this one. Builds with -tags racecheck poison the buffer at
-// that hand-off instead of reusing it (see framecheck_on.go).
+// the struct straight to the page being installed, so a retained *Frame then
+// shows another page's bytes, not a stale copy of this one.
+//
+// A page has one image while it is clean. A frame that Fetch or Readahead
+// installed borrows the device's: Data() is the slice Device.Read returned,
+// shared with the device and read-only. The first MarkDirty gives the frame a
+// private copy, and only from then on may Data() — read again, after
+// MarkDirty — be written. A write-back hands that buffer to the device as
+// the page's new image and the frame borrows it back, clean again. Frames
+// from NewPage are born owning their buffer. Builds with -tags racecheck
+// give every frame a private copy, panic when a clean frame's bytes differ
+// from the device's, and poison an evicted frame's bytes instead of recycling
+// the struct (see framecheck_on.go).
 type Frame struct {
-	id    PageID
-	data  []byte
-	dirty bool
-	pins  int
-	// Intrusive LRU links (see BufferPool.lru).
+	data []byte
+	pool *BufferPool
+	// Intrusive LRU links (see BufferPool.lru); next also chains pool.idle.
 	prev, next *Frame
+	id         PageID
+	pins       int32
+	// owned: data is a private buffer, counted in pool.owned; otherwise it is
+	// the device's image of the page. A dirty frame is always owned. A clean
+	// one is after a copying write-back only.
+	owned bool
+	dirty bool
+	// 64 bytes: a frame is one cache line, as it was before it learned who
+	// owns its bytes (the resident hit relinks three of them).
 }
 
 // ID returns the page this frame caches.
 func (f *Frame) ID() PageID { return f.id }
 
-// Data returns the frame's page buffer. Mutating it requires MarkDirty.
+// Data returns the frame's page image. It is read-only until the frame has
+// been marked dirty, and MarkDirty may replace it: a writer calls MarkDirty
+// first and writes the slice Data returns afterwards.
 func (f *Frame) Data() []byte { return f.data }
 
-// MarkDirty records that the frame's contents diverge from the device and
-// must be written back on eviction or flush.
-func (f *Frame) MarkDirty() { f.dirty = true }
+// MarkDirty makes the frame writable and records that its contents will
+// diverge from the device and must be written back on eviction or flush. On
+// a frame still borrowing the device's image it first copies that image into
+// a private buffer, so slices taken from Data before the call must be
+// dropped.
+func (f *Frame) MarkDirty() {
+	if !f.owned {
+		f.pool.unshare(f)
+	}
+	f.dirty = true
+}
 
 // BufferPool caches device pages with LRU replacement. It models the MEM
 // parameter of Table 1: a structure whose working set fits in the pool pays
@@ -92,11 +125,24 @@ type BufferPool struct {
 	retries int // extra attempts per device op after a transient fault
 	ioBatch int // pages per batch submission (1 = per-page I/O)
 
+	// spare holds page buffers no frame owns — previous device images that
+	// hand-overs returned, buffers of freed and evicted frames — for MarkDirty
+	// and NewPage to take instead of allocating. owned counts the buffers
+	// frames own; a buffer joins spare only while owned+len(spare) is below
+	// capacity, and DropAll and Crash let the list go. taken counts takeBuf
+	// calls. idle chains the structs of freed frames for the next install.
+	spare [][]byte
+	owned int
+	taken uint64
+	idle  *Frame
+
 	// Scratch reused across calls so the miss path allocates nothing. None
 	// outgrows one batch of entries, except raIDs, which is bounded by a
 	// prefetch's clamp of half the pool. Write-back and readahead keep
 	// separate sets because an eviction forced by a readahead install runs
-	// flushGroup while the readahead's own ids are still in use.
+	// flushGroup while the readahead's own ids are still in use. The slices
+	// of frames and page images are cleared when their submission ends: a
+	// kept entry would pin a frame, or a buffer that has changed owner.
 	group   []*Frame // flushVictim / FlushAll write-back group
 	wbIDs   []PageID // flushGroup submission
 	wbData  [][]byte
@@ -227,6 +273,7 @@ func (p *BufferPool) Crash() {
 	clear(p.frames)
 	p.resident = 0
 	p.lru.prev, p.lru.next = &p.lru, &p.lru
+	p.spare, p.idle, p.owned = nil, nil, 0
 }
 
 // Stats returns a copy of the pool counters.
@@ -263,8 +310,8 @@ func (p *BufferPool) Fetch(id PageID) (*Frame, error) {
 	if p.hook != nil {
 		p.hook.StorageEvent(EvMiss, id, p.dev.Class(id), 0)
 	}
-	f, _ := p.install(id)
-	copy(f.data, src) // a full page image: a recycled buffer needs no clearing
+	f := p.install(id)
+	f.data = lend(src)
 	return f, nil
 }
 
@@ -286,9 +333,9 @@ func (p *BufferPool) readWithRetry(id PageID) ([]byte, error) {
 	return src, err
 }
 
-// writeWithRetry writes a page image, re-attempting transient injected
-// faults up to the retry budget. Used for write-backs when an injector is
-// armed (the copying path keeps the frame intact across a torn write).
+// writeWithRetry writes a copy of a page image, re-attempting transient
+// injected faults up to the retry budget: the write-back of flushFrame's
+// copying path.
 func (p *BufferPool) writeWithRetry(id PageID, data []byte) error {
 	err := p.dev.Write(id, data)
 	for attempt := 0; err != nil && errors.Is(err, ErrTransient) && attempt < p.retries; attempt++ {
@@ -305,43 +352,114 @@ func (p *BufferPool) writeWithRetry(id PageID, data []byte) error {
 }
 
 // NewPage allocates a fresh zeroed page of class c on the device and returns
-// it pinned and dirty, without any device read (a blind write).
+// it pinned, dirty and owning its buffer, without any device read (a blind
+// write).
 func (p *BufferPool) NewPage(c rum.Class) (*Frame, error) {
 	p.owner.assert("BufferPool")
 	id := p.dev.Alloc(c)
-	f, recycled := p.install(id)
-	if recycled {
-		clear(f.data)
+	f := p.install(id)
+	buf, fresh := p.takeBuf()
+	if !fresh {
+		clear(buf)
 	}
+	p.own(f, buf)
 	f.dirty = true
 	return f, nil
 }
 
-// install makes room if needed and registers a pinned frame for id. When
-// that evicts a victim, the victim's frame is the one returned (recycled is
-// true and its buffer still holds the victim's bytes); only a pool below
-// capacity, or one overflowing because everything is pinned, allocates.
-func (p *BufferPool) install(id PageID) (f *Frame, recycled bool) {
+// install makes room if needed and registers a pinned, clean frame for id.
+// The frame has no page image yet: the caller lends it the device's or gives
+// it a buffer to own. When making room evicts a victim, the victim's struct
+// is the one returned; only a pool below capacity with no idle struct, or
+// one overflowing because everything is pinned, allocates.
+func (p *BufferPool) install(id PageID) *Frame {
+	var f *Frame
 	if p.resident >= p.capacity {
 		if f = p.evictOne(); f == nil {
 			p.stats.Overflows++
 		}
 	}
-	recycled = f != nil
-	if !recycled {
+	if f == nil {
 		f = p.newFrame()
 	}
 	p.adopt(f, id, 1)
-	return f, recycled
+	return f
 }
 
 func (p *BufferPool) newFrame() *Frame {
-	return &Frame{data: make([]byte, p.dev.PageSize())}
+	if f := p.idle; f != nil {
+		p.idle, f.next = f.next, nil
+		return f
+	}
+	return &Frame{pool: p}
 }
 
-// adopt registers f, fresh or handed over by evictOne, as the clean
+// takeBuf returns a page buffer for a frame to own, or to hand to the device:
+// a spare one, holding whatever its last page left there, or a fresh zeroed
+// one.
+func (p *BufferPool) takeBuf() (buf []byte, fresh bool) {
+	p.taken++
+	if n := len(p.spare); n > 0 {
+		buf, p.spare[n-1] = p.spare[n-1], nil
+		p.spare = p.spare[:n-1]
+		return buf, false
+	}
+	return make([]byte, p.dev.PageSize()), true
+}
+
+// giveBuf parks a buffer nobody owns any more for the next takeBuf, unless
+// the pool already holds a capacity's worth of private buffers: then it is
+// left to the collector.
+func (p *BufferPool) giveBuf(buf []byte) {
+	if p.owned+len(p.spare) < p.capacity {
+		p.spare = append(p.spare, buf)
+	}
+}
+
+func (p *BufferPool) own(f *Frame, buf []byte) {
+	f.data, f.owned = buf, true
+	p.owned++
+}
+
+// disown takes f's private buffer away, leaving the frame without an image.
+func (p *BufferPool) disown(f *Frame) (buf []byte) {
+	buf, f.data, f.owned = f.data, nil, false
+	p.owned--
+	return buf
+}
+
+// unshare is the clean → dirty transition of a frame borrowing the device's
+// image: the frame gets a private copy to write.
+func (p *BufferPool) unshare(f *Frame) {
+	p.owner.assert("BufferPool")
+	p.checkClean(f)
+	buf, _ := p.takeBuf()
+	copy(buf, f.data)
+	p.own(f, buf)
+	p.stats.Unshares++
+}
+
+// handedOver is the dirty → clean transition after Device.Replace took f's
+// buffer as the page's image and returned prev: the frame borrows its former
+// buffer back and prev is spare.
+func (p *BufferPool) handedOver(f *Frame, prev []byte) {
+	f.data = lend(p.disown(f))
+	p.giveBuf(prev)
+	p.stats.Handovers++
+}
+
+// strip takes a frame that has left the page table out of circulation: its
+// buffer, if it owns one, becomes spare.
+func (p *BufferPool) strip(f *Frame) {
+	if f.owned {
+		p.giveBuf(p.disown(f))
+	}
+	f.data = nil
+}
+
+// adopt registers f, fresh, idle or handed over by evictOne, as the clean
 // most-recently-used frame caching id.
-func (p *BufferPool) adopt(f *Frame, id PageID, pins int) {
+func (p *BufferPool) adopt(f *Frame, id PageID, pins int32) {
 	f.id, f.pins, f.dirty = id, pins, false
 	p.pushFront(f)
 	if int(id) >= len(p.frames) {
@@ -372,9 +490,9 @@ func (p *BufferPool) growTable(id PageID) {
 // dirty. Frames whose write-back fails (an injected device fault) are kept
 // cached and dirty rather than dropped — losing an acknowledged write to an
 // eviction would be silent corruption — so the search moves on to the next
-// victim. It returns the victim's frame, detached from the pool, for the
-// caller to install its page in — frames are recycled only by this direct
-// hand-off, never parked — or nil if every frame is pinned or unflushable.
+// victim. It returns the victim's struct, detached from the pool and without
+// a page image, for the caller to install its page in, or nil if every frame
+// is pinned or unflushable.
 // Under a batch width above 1 a dirty victim's write-back is amortized (see
 // flushVictim); victim choice (strict LRU order among unpinned frames) is
 // unchanged.
@@ -386,13 +504,14 @@ func (p *BufferPool) evictOne() *Frame {
 		if f.dirty && !p.flushVictim(f) {
 			continue
 		}
+		p.checkClean(f)
 		p.unlink(f)
 		p.drop(f.id)
 		p.stats.Evictions++
 		if p.hook != nil {
 			p.hook.StorageEvent(EvEvict, f.id, p.dev.Class(f.id), 0)
 		}
-		return handOff(f)
+		return p.handOff(f)
 	}
 	return nil
 }
@@ -404,15 +523,15 @@ func (p *BufferPool) evictOne() *Frame {
 // a crashed device — leaves the frame dirty and counts a FlushFailure.
 func (p *BufferPool) flushFrame(f *Frame) bool {
 	var err error
-	if p.dev.Faulty() {
-		// Copying path: a torn write must tear the device image, not the
-		// frame we may still need to retry from.
+	if p.dev.Faulty() || f.pins > 0 {
+		// Copying path: the frame keeps its buffer. After a failed or torn
+		// write it is what the retry writes from, and a pinned frame's holder
+		// may still be writing through the slice Data gave it.
 		err = p.writeWithRetry(f.id, f.data)
 	} else {
-		var dst []byte
-		dst, err = p.dev.WriteInPlace(f.id)
-		if err == nil {
-			copy(dst, f.data)
+		var prev []byte
+		if prev, err = p.dev.Replace(f.id, f.data); err == nil {
+			p.handedOver(f, prev)
 		}
 	}
 	if errors.Is(err, ErrFreed) || errors.Is(err, ErrBadPage) {
@@ -423,41 +542,56 @@ func (p *BufferPool) flushFrame(f *Frame) bool {
 		p.stats.FlushFailures++
 		return false
 	}
+	p.wroteBack(f)
+	return true
+}
+
+func (p *BufferPool) wroteBack(f *Frame) {
 	f.dirty = false
 	p.stats.WriteBacks++
 	if p.hook != nil {
 		p.hook.StorageEvent(EvWriteBack, f.id, p.dev.Class(f.id), 0)
 	}
-	return true
 }
 
-// flushGroup writes a group of dirty frames back as one batch submission.
-// Callers have already excluded freed pages; a group of one degrades to the
-// ordinary per-frame flush. Should the batch fail anyway (a crash latched
-// mid-run), the group falls back to per-frame flushes so the failure ledger
-// (FlushFailures, dirty retention) is exactly the unbatched one.
+// flushGroup writes a group of dirty frames back as one batch submission,
+// handing their buffers over; a pinned frame keeps its buffer and the device
+// gets a copy. Callers have already excluded freed pages and a faulty device;
+// a group of one degrades to the ordinary per-frame flush. Should the batch
+// fail anyway (a crash latched mid-run), the frames it did not reach fall
+// back to per-frame flushes so the failure ledger (FlushFailures, dirty
+// retention) is the unbatched one. The group, the callers' scratch, is
+// cleared on the way out.
 func (p *BufferPool) flushGroup(group []*Frame) {
+	defer clear(group)
 	if len(group) == 1 {
 		p.flushFrame(group[0])
 		return
 	}
-	p.wbIDs, p.wbData = p.wbIDs[:0], p.wbData[:0]
+	ids, images := p.wbIDs[:0], p.wbData[:0]
 	for _, f := range group {
-		p.wbIDs, p.wbData = append(p.wbIDs, f.id), append(p.wbData, f.data)
+		image := f.data
+		if f.pins > 0 {
+			image, _ = p.takeBuf()
+			copy(image, f.data)
+		}
+		ids, images = append(ids, f.id), append(images, image)
 	}
-	if err := p.dev.WriteBatch(p.wbIDs, p.wbData); err != nil {
-		for _, f := range group {
+	n, _ := p.dev.ReplaceBatch(ids, images) // images[:n] are now the previous images
+	for i, f := range group {
+		if f.pins > 0 {
+			p.giveBuf(images[i]) // the previous image, or the copy the batch did not reach
+		} else if i < n {
+			p.handedOver(f, images[i])
+		}
+		if i < n {
+			p.wroteBack(f)
+		} else {
 			p.flushFrame(f)
 		}
-		return
 	}
-	for _, f := range group {
-		f.dirty = false
-		p.stats.WriteBacks++
-		if p.hook != nil {
-			p.hook.StorageEvent(EvWriteBack, f.id, p.dev.Class(f.id), 0)
-		}
-	}
+	clear(images)
+	p.wbIDs, p.wbData = ids, images
 }
 
 // flushVictim writes back a dirty eviction victim, reporting whether the
@@ -496,11 +630,13 @@ func (p *BufferPool) Release(f *Frame) {
 	if f.pins <= 0 {
 		panic(fmt.Sprintf("storage: release of unpinned frame %d", f.id))
 	}
+	p.checkClean(f)
 	f.pins--
 }
 
 // FreePage drops any cached frame for id without write-back and frees the
-// page on the device. The frame must not be pinned.
+// page on the device. The frame must not be pinned. Its buffer, if it owned
+// one, and its struct wait for the next page that needs them.
 func (p *BufferPool) FreePage(id PageID) error {
 	p.owner.assert("BufferPool")
 	if f := p.lookup(id); f != nil {
@@ -509,6 +645,9 @@ func (p *BufferPool) FreePage(id PageID) error {
 		}
 		p.unlink(f)
 		p.drop(id)
+		p.strip(f)
+		f.dirty = false
+		f.next, p.idle = p.idle, f
 	}
 	return p.dev.Free(id)
 }
@@ -519,7 +658,7 @@ func (p *BufferPool) FreePage(id PageID) error {
 // order, not map order, so an armed fault injector sees the same write
 // sequence on every run — part of the determinism contract with the
 // parallel bench runner. Under a batch width above 1 the dirty frames are
-// gathered (still in LRU order) into IOBatch-sized Device.WriteBatch
+// gathered (still in LRU order) into IOBatch-sized Device.ReplaceBatch
 // submissions, so a full-pool flush drains at queue depth.
 func (p *BufferPool) FlushAll() {
 	p.owner.assert("BufferPool")
@@ -585,6 +724,7 @@ func (p *BufferPool) Readahead(ids []PageID) int {
 		}
 	}
 	p.raIDs = want
+	defer func() { clear(p.raPages) }() // device images: not the pool's to keep
 	installed := 0
 	for len(want) > 0 {
 		chunk := want
@@ -611,7 +751,7 @@ func (p *BufferPool) Readahead(ids []PageID) int {
 			} else {
 				f = p.newFrame()
 			}
-			copy(f.data, pages[i])
+			f.data = lend(pages[i])
 			p.adopt(f, id, 0)
 			p.stats.Misses++
 			if p.hook != nil {
@@ -624,7 +764,8 @@ func (p *BufferPool) Readahead(ids []PageID) int {
 }
 
 // DropAll flushes and then discards every unpinned frame, emptying the
-// cache. Frames that are pinned, or that could not be flushed, stay cached.
+// cache, and lets the spare buffers and idle structs go with them. Frames
+// that are pinned, or that could not be flushed, stay cached.
 func (p *BufferPool) DropAll() {
 	p.owner.assert("BufferPool")
 	p.FlushAll()
@@ -636,5 +777,7 @@ func (p *BufferPool) DropAll() {
 		}
 		p.unlink(f)
 		p.drop(f.id)
+		p.strip(f)
 	}
+	p.spare, p.idle = nil, nil
 }

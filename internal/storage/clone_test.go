@@ -19,11 +19,10 @@ func TestDeviceClone(t *testing.T) {
 	if err := d.Free(freed); err != nil {
 		t.Fatal(err)
 	}
-	buf, err := d.WriteInPlace(base)
-	if err != nil {
+	page := func(s string) []byte { return append([]byte(s), make([]byte, 128-len(s))...) }
+	if _, err := d.Replace(base, page("original")); err != nil {
 		t.Fatal(err)
 	}
-	copy(buf, []byte("original"))
 
 	var cmeter rum.Meter
 	c := d.Clone(&cmeter)
@@ -56,11 +55,10 @@ func TestDeviceClone(t *testing.T) {
 	}
 
 	// Mutating the clone leaves the template untouched.
-	cb, err := c.WriteInPlace(base)
-	if err != nil {
-		t.Fatal(err)
+	prev, err := c.Replace(base, page("mutated!"))
+	if err != nil || !bytes.HasPrefix(prev, []byte("original")) {
+		t.Fatalf("Replace on the clone returned %q, %v; want the clone's previous image", prev[:8], err)
 	}
-	copy(cb, []byte("mutated!"))
 	orig, err := d.Read(base)
 	if err != nil {
 		t.Fatal(err)

@@ -166,15 +166,16 @@ func NewDevice(pageSize int, medium Medium, meter *rum.Meter) *Device {
 }
 
 // SetInjector arms (or, with nil, disarms) a fault injector. The injector is
-// consulted on every subsequent Read, Write, and WriteInPlace.
+// consulted on every subsequent Read, Write, and Replace.
 func (d *Device) SetInjector(inj FaultInjector) { d.injector = inj }
 
 // Injector returns the currently armed fault injector, or nil.
 func (d *Device) Injector() FaultInjector { return d.injector }
 
 // Faulty reports whether a fault injector is armed. The buffer pool uses it
-// to pick the copying Write path for flushes (so a torn write cannot corrupt
-// the frame it flushes from) instead of the zero-copy WriteInPlace fast path.
+// to pick the copying Write path for flushes (a failed write must leave the
+// frame owning the buffer it will retry from) instead of handing the buffer
+// over with Replace.
 func (d *Device) Faulty() bool { return d.injector != nil }
 
 // Crashed reports whether the device is latched in the crashed state.
@@ -248,6 +249,8 @@ func (d *Device) ResetStats() {
 	d.stats.PageReads = 0
 	d.stats.PageWrites = 0
 	d.stats.CostUnits = 0
+	d.stats.Batches = 0
+	d.stats.BatchedPages = 0
 }
 
 // LivePages returns the number of currently allocated pages.
@@ -336,8 +339,9 @@ func (d *Device) check(id PageID) error {
 }
 
 // Read returns the contents of a page, counting one page read. The returned
-// slice aliases device memory; callers must copy it if they intend to keep it
-// across a Write to the same page.
+// slice aliases device memory and is read-only: callers must copy it if they
+// intend to keep it across a Write to the same page (which changes it in
+// place) or a Replace (after which it is no longer the page's image).
 func (d *Device) Read(id PageID) ([]byte, error) {
 	d.owner.assert("Device")
 	if d.crashed {
@@ -361,8 +365,32 @@ func (d *Device) Read(id PageID) ([]byte, error) {
 }
 
 // Write replaces the contents of a page, counting one page write. data must
-// be exactly one page long.
+// be exactly one page long; the device copies it, so the caller keeps data.
 func (d *Device) Write(id PageID, data []byte) error {
+	if err := d.write(id, data); err != nil {
+		return err
+	}
+	copy(d.pages[id], data)
+	return nil
+}
+
+// Replace is Write without the copy: image itself becomes the page's image
+// and the previous image is returned, the caller's to reuse. From then on
+// image belongs to the device — the caller may keep reading it (it is what
+// Read returns) but must not write it. The buffer pool writes back the dirty
+// frames it owns this way. On failure nothing changes hands (a torn write
+// tears the previous image, as Write's does).
+func (d *Device) Replace(id PageID, image []byte) (prev []byte, err error) {
+	if err := d.write(id, image); err != nil {
+		return nil, err
+	}
+	prev, d.pages[id] = d.pages[id], image
+	return prev, nil
+}
+
+// write is everything of a page write but the image changing: the checks, the
+// injector (a torn write persists its prefix here) and the charge.
+func (d *Device) write(id PageID, data []byte) error {
 	d.owner.assert("Device")
 	if d.crashed {
 		return fmt.Errorf("%w: write of page %d", ErrCrash, id)
@@ -395,36 +423,7 @@ func (d *Device) Write(id PageID, data []byte) error {
 	if d.hook != nil {
 		d.hook.StorageEvent(EvWrite, id, d.class[id], d.model.WriteCost)
 	}
-	copy(d.pages[id], data)
 	return nil
-}
-
-// WriteInPlace counts a page write and returns the page buffer for the caller
-// to mutate directly, avoiding a copy. It is the fast path used by the buffer
-// pool when flushing dirty frames it already owns and no injector is armed.
-// Injected write faults degrade to clean failures here (nothing is persisted):
-// a torn write needs the new image to copy a prefix from, and in-place callers
-// have not handed one over yet.
-func (d *Device) WriteInPlace(id PageID) ([]byte, error) {
-	d.owner.assert("Device")
-	if d.crashed {
-		return nil, fmt.Errorf("%w: write of page %d", ErrCrash, id)
-	}
-	if err := d.check(id); err != nil {
-		return nil, err
-	}
-	if d.injector != nil {
-		if _, err := d.injector.WriteFault(id, d.pageSize); err != nil {
-			return nil, d.fail(err, "write", id, 0, d.model.WriteCost)
-		}
-	}
-	d.stats.PageWrites++
-	d.stats.CostUnits += d.model.WriteCost
-	d.meter.CountWrite(d.class[id], d.pageSize)
-	if d.hook != nil {
-		d.hook.StorageEvent(EvWrite, id, d.class[id], d.model.WriteCost)
-	}
-	return d.pages[id], nil
 }
 
 // batchable reports whether a batch of n pages takes the amortized
@@ -499,28 +498,54 @@ func (d *Device) readBatchInto(ids []PageID, out [][]byte) error {
 // WriteBatch writes data[i] to ids[i] as one batch submission, with the same
 // charging rule as ReadBatch: amortized at the achieved depth on multi-queue
 // media, exactly equivalent to per-page Write calls on flat media or with an
-// injector armed. Every data slice must be exactly one page. Invalid pages
+// injector armed. Every data slice must be exactly one page; the device
+// copies them, so one buffer may be written to many pages. Invalid pages
 // or lengths fail the whole batch before any traffic is counted or any page
 // image changes.
 func (d *Device) WriteBatch(ids []PageID, data [][]byte) error {
+	_, err := d.writeBatch(ids, data, false)
+	return err
+}
+
+// ReplaceBatch is WriteBatch without the copies, as Replace is to Write: each
+// images[i] becomes the image of ids[i], and images[i] is overwritten with
+// the page's previous image. It returns how many pages changed hands — all
+// of them, unless the per-page path (flat medium, injector armed) failed
+// part-way, in which case it is the leading n.
+func (d *Device) ReplaceBatch(ids []PageID, images [][]byte) (n int, err error) {
+	return d.writeBatch(ids, images, true)
+}
+
+// writeBatch is the one batch write: it validates and charges the submission
+// and then, per page, either copies data[i] in or swaps it with the page's
+// image. It returns the number of pages written.
+func (d *Device) writeBatch(ids []PageID, data [][]byte, swap bool) (int, error) {
 	d.owner.assert("Device")
 	if len(ids) != len(data) {
-		return fmt.Errorf("storage: batch write of %d pages with %d images", len(ids), len(data))
+		return 0, fmt.Errorf("storage: batch write of %d pages with %d images", len(ids), len(data))
+	}
+	store := func(i int) {
+		if swap {
+			data[i], d.pages[ids[i]] = d.pages[ids[i]], data[i]
+		} else {
+			copy(d.pages[ids[i]], data[i])
+		}
 	}
 	if !d.batchable(len(ids)) {
 		for i, id := range ids {
-			if err := d.Write(id, data[i]); err != nil {
-				return err
+			if err := d.write(id, data[i]); err != nil {
+				return i, err
 			}
+			store(i)
 		}
-		return nil
+		return len(ids), nil
 	}
 	for i, id := range ids {
 		if err := d.check(id); err != nil {
-			return err
+			return 0, err
 		}
 		if len(data[i]) != d.pageSize {
-			return fmt.Errorf("storage: write of %d bytes to page of %d", len(data[i]), d.pageSize)
+			return 0, fmt.Errorf("storage: write of %d bytes to page of %d", len(data[i]), d.pageSize)
 		}
 	}
 	n := len(ids)
@@ -539,12 +564,12 @@ func (d *Device) WriteBatch(ids []PageID, data [][]byte) error {
 			}
 			d.hook.StorageEvent(EvWrite, id, d.class[id], c)
 		}
-		copy(d.pages[id], data[i])
+		store(i)
 	}
 	if d.batchHook != nil {
 		d.batchHook.StorageBatch(true, n, d.model.Depth(n), cost)
 	}
-	return nil
+	return n, nil
 }
 
 // Clone returns a deep copy of the device — page images, classes, free list,

@@ -56,6 +56,14 @@ func TestMissPathDoesNotAllocate(t *testing.T) {
 		if dirty && st.WriteBacks-before.WriteBacks < 513 {
 			t.Fatalf("the dirty victims were not written back: %+v → %+v", before, st)
 		}
+		// Every write was one private copy and every write-back moved no
+		// bytes; the copies' buffers were the ones the write-backs freed.
+		if dirty && (st.Unshares-before.Unshares != 513 || st.Handovers != st.WriteBacks || p.taken != st.Unshares) {
+			t.Fatalf("miss → dirty → evict: %+v → %+v, %d buffers taken", before, st, p.taken)
+		}
+		if !dirty && (st.Unshares != 0 || p.taken != 0 || p.owned+len(p.spare) != 0) {
+			t.Fatalf("a clean cycle holds private buffers: %+v, %d taken", st, p.taken)
+		}
 	}
 
 	p, _ := missPool(t, true)
@@ -68,6 +76,84 @@ func TestMissPathDoesNotAllocate(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(64, window); allocs != 0 {
 		t.Errorf("a Readahead window allocated %v times, want 0", allocs)
+	}
+}
+
+// TestPublishCycleDoesNotAllocate pins the copy-on-write cycle of an MVCC
+// structure at zero allocations: new pages take the buffers and structs the
+// previous round's flush and frees left behind.
+func TestPublishCycleDoesNotAllocate(t *testing.T) {
+	for _, medium := range []Medium{RAM, MQSSD} {
+		d := NewDevice(4096, medium, nil)
+		p := NewBufferPool(d, 64)
+		var born, retired [8]PageID
+		cycle := func() {
+			for i := range born {
+				f, err := p.NewPage(rum.Base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.MarkDirty()
+				f.Data()[0] = 1
+				born[i] = f.ID()
+				p.Release(f)
+			}
+			p.FlushAll() // Publish
+			for _, id := range retired {
+				if err := p.FreePage(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			retired = born
+		}
+		for i := range retired {
+			retired[i] = d.Alloc(rum.Base)
+		}
+		cycle()
+		cycle()
+		newPages := uint64(16)
+		if allocs := testing.AllocsPerRun(64, cycle); allocs != 0 {
+			t.Errorf("%v: a publish cycle allocated %v times, want 0", medium, allocs)
+		}
+		newPages += 65 * 8
+		if st := p.Stats(); st.Handovers != newPages || st.WriteBacks != newPages || st.Unshares != 0 || p.taken != newPages {
+			t.Fatalf("%v: %d new pages: %+v, %d buffers taken", medium, newPages, st, p.taken)
+		}
+	}
+}
+
+// TestCleanFrameBorrowsDeviceImage walks one page through the three
+// transitions by the identity of its bytes: a fetched frame shows the
+// device's slice, MarkDirty moves it to a private copy, and the write-back
+// makes that copy the device's image with the frame borrowing it back.
+func TestCleanFrameBorrowsDeviceImage(t *testing.T) {
+	d := NewDevice(64, RAM, nil)
+	p := NewBufferPool(d, 2)
+	id := d.Alloc(rum.Base)
+	f, err := p.Fetch(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	was := d.pages[id]
+	if &f.Data()[0] != &was[0] || f.owned {
+		t.Fatal("a fetched frame does not borrow the device's image")
+	}
+	f.MarkDirty()
+	mine := f.Data()
+	if &mine[0] == &was[0] || !f.owned {
+		t.Fatal("MarkDirty left the frame writing the device's image")
+	}
+	mine[0] = 7
+	if was[0] != 0 {
+		t.Fatal("a frame write reached the device before the write-back")
+	}
+	p.Release(f)
+	p.FlushAll()
+	if &d.pages[id][0] != &mine[0] || &f.Data()[0] != &mine[0] || f.owned {
+		t.Fatal("the write-back did not hand the frame's buffer over")
+	}
+	if len(p.spare) != 1 || &p.spare[0][0] != &was[0] {
+		t.Fatal("the previous image did not become spare")
 	}
 }
 

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 
 	"repro/internal/rum"
 )
@@ -43,12 +44,12 @@ func checkLRU(t *testing.T, p *BufferPool) {
 	}
 }
 
-// fill writes b over the frame's page and marks it dirty.
+// fill marks the frame dirty and writes b over its page.
 func fill(f *Frame, b byte) {
+	f.MarkDirty()
 	for i := range f.Data() {
 		f.Data()[i] = b
 	}
-	f.MarkDirty()
 }
 
 func TestNewPageOnRecycledFrameIsZeroed(t *testing.T) {
@@ -206,4 +207,12 @@ func TestLRUConsistentAcrossDropAllFreePageCrash(t *testing.T) {
 	}
 	p.Release(f)
 	checkLRU(t, p)
+}
+
+// TestFrameIsOneCacheLine: the resident hit relinks three frames on the LRU
+// list, so a frame that straddles cache lines shows on point-cached.
+func TestFrameIsOneCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(Frame{}); size > 64 {
+		t.Fatalf("Frame is %d bytes, want at most 64", size)
+	}
 }

@@ -2,11 +2,22 @@
 
 package storage
 
-// handOff is the release build of the eviction hand-off: the victim's frame,
-// struct and page buffer, goes to the page being installed as is. See
-// framecheck_on.go (built with -tags racecheck) for the checked variant.
-func handOff(victim *Frame) *Frame { return victim }
+// lend is the release build of a frame borrowing the device's image of its
+// page: Data() is that slice itself, no copy. See framecheck_on.go (built
+// with -tags racecheck) for the checked variants of everything in this file.
+func lend(image []byte) []byte { return image }
+
+// checkClean is the release build of the clean-frame comparison: a no-op.
+func (p *BufferPool) checkClean(*Frame) {}
+
+// handOff is the release build of the eviction hand-off: the victim's struct
+// goes to the page being installed, and its buffer, had a copying write-back
+// left it one, to the spare list.
+func (p *BufferPool) handOff(victim *Frame) *Frame {
+	p.strip(victim)
+	return victim
+}
 
 // ghostFrame is the release build of the occupied-slot check in adopt: a
-// no-op. See framecheck_on.go.
+// no-op.
 func ghostFrame(PageID) {}

@@ -2,22 +2,51 @@
 
 package storage
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // poisonByte fills an evicted frame's buffer in racecheck builds.
 const poisonByte = 0xDB
 
+// lend is the checked variant of a frame borrowing the device's image: the
+// frame shows a private copy, so that a write through Data() that did not go
+// through MarkDirty first lands there instead of on the device, where
+// checkClean finds it.
+func lend(image []byte) []byte { return bytes.Clone(image) }
+
+// checkClean panics when a clean frame's bytes are not the device's: somebody
+// wrote Data() without marking the frame dirty first (or kept a slice from
+// before MarkDirty and wrote that). A release build would have changed the
+// device's image with no write charged and none to lose in a crash. It runs
+// when a frame is released, marked dirty or evicted. Pages freed behind the
+// pool's back have no image left to compare with.
+func (p *BufferPool) checkClean(f *Frame) {
+	if f.dirty || p.dev.check(f.id) != nil {
+		return
+	}
+	if !bytes.Equal(f.data, p.dev.pages[f.id]) {
+		panic(fmt.Sprintf("storage: clean frame of page %d differs from the device's image (written without MarkDirty first)", f.id))
+	}
+}
+
 // handOff is the checked variant of the eviction hand-off. A release build
-// recycles the victim's frame for the page being installed, so a caller that
-// kept a *Frame or a Data() slice past Release silently reads another page's
-// bytes. Here the victim's buffer is poisoned and left with the victim, and
-// the install gets a fresh frame: the stale reader sees 0xDB in every byte —
-// page headers decode to absurd counts — and fails loudly instead.
-func handOff(victim *Frame) *Frame {
+// recycles the victim's struct for the page being installed, so a caller
+// that kept a *Frame past Release silently reads another page's bytes. Here
+// the victim's bytes — always a private copy in this build — are poisoned
+// and left with the victim, and the install gets a fresh struct: the stale
+// reader sees 0xDB in every byte — page headers decode to absurd counts —
+// and fails loudly instead.
+func (p *BufferPool) handOff(victim *Frame) *Frame {
 	for i := range victim.data {
 		victim.data[i] = poisonByte
 	}
-	return &Frame{data: make([]byte, len(victim.data))}
+	if victim.owned {
+		victim.owned = false
+		p.owned--
+	}
+	return &Frame{pool: p}
 }
 
 // ghostFrame is the checked variant of adopt finding its page-table slot

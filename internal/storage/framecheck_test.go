@@ -65,3 +65,51 @@ func TestAdoptOverCachedFramePanics(t *testing.T) {
 	}()
 	p.NewPage(rum.Base) // the free list returns id
 }
+
+// TestWriteBeforeMarkDirtyPanics verifies the racecheck build fails a caller
+// that writes a fetched frame's Data() while the frame is clean: a release
+// build would have changed the device's image with no write charged. Without
+// MarkDirty the write is found when the frame is released; with MarkDirty
+// after the write instead of before it, at MarkDirty.
+func TestWriteBeforeMarkDirtyPanics(t *testing.T) {
+	for name, misuse := range map[string]func(p *BufferPool, f *Frame){
+		"never marked": func(p *BufferPool, f *Frame) {
+			f.Data()[0] = 1
+			p.Release(f)
+		},
+		"marked after": func(p *BufferPool, f *Frame) {
+			f.Data()[0] = 1
+			f.MarkDirty()
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			d := NewDevice(64, RAM, nil)
+			p := NewBufferPool(d, 2)
+			f, err := p.Fetch(d.Alloc(rum.Base))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("a write to a clean frame went unnoticed")
+				}
+				if img := d.pages[f.ID()]; !bytes.Equal(img, make([]byte, 64)) {
+					t.Fatalf("the write reached the device: %x", img)
+				}
+			}()
+			misuse(p, f)
+		})
+	}
+
+	// The discipline itself passes: mark, then write what Data returns.
+	d := NewDevice(64, RAM, nil)
+	p := NewBufferPool(d, 2)
+	f, _ := p.Fetch(d.Alloc(rum.Base))
+	f.MarkDirty()
+	f.Data()[0] = 1
+	p.Release(f)
+	p.FlushAll()
+	if d.pages[f.ID()][0] != 1 {
+		t.Fatal("a marked write was lost")
+	}
+}

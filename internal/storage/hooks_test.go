@@ -47,14 +47,14 @@ func TestDeviceHookEvents(t *testing.T) {
 	if err := d.Write(aux, make([]byte, 64)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.WriteInPlace(base); err != nil {
+	if _, err := d.Replace(base, make([]byte, 64)); err != nil {
 		t.Fatal(err)
 	}
 
 	want := []recordedEvent{
 		{EvRead, base, rum.Base, 4},   // SSD read cost
 		{EvWrite, aux, rum.Aux, 20},   // SSD write cost
-		{EvWrite, base, rum.Base, 20}, // in-place write costs the same
+		{EvWrite, base, rum.Base, 20}, // a handed-over image costs the same
 	}
 	if len(rec.events) != len(want) {
 		t.Fatalf("events: got %v want %v", rec.events, want)
@@ -109,8 +109,8 @@ func TestPoolHookEvents(t *testing.T) {
 	f, _ = p.Fetch(a) // hit
 	p.Release(f)
 	f, _ = p.Fetch(a) // hit again
-	copy(f.Data(), bytes.Repeat([]byte{1}, 64))
 	f.MarkDirty()
+	copy(f.Data(), bytes.Repeat([]byte{1}, 64))
 	p.Release(f)
 	f, _ = p.Fetch(b) // miss; evicts dirty a → writeback + eviction
 	p.Release(f)
@@ -170,8 +170,8 @@ func TestPoolStatsEvictionWriteBackCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%2 == 0 {
-			f.Data()[0] = byte(i + 1)
 			f.MarkDirty()
+			f.Data()[0] = byte(i + 1)
 		}
 		p.Release(f)
 	}

@@ -12,8 +12,12 @@ import (
 // modelPool is the reference the slice-table BufferPool is held to: the same
 // replacement, write-back and readahead policy written the obvious way — a
 // map for the page table, a slice in recency order for the LRU list, a fresh
-// buffer for every install. It drives its own Device, so the two sides'
-// device traffic is comparable event for event. Fault injection is left out:
+// buffer for every install, a copying Write for every write-back. It drives
+// its own Device, so the two sides' device traffic is comparable event for
+// event, and since nothing on the model side ever shares a buffer, that
+// device's pages are the images the pool side's device must hold: they change
+// at a write-back and at no other time. Who owns a page image is tracked as a
+// flag, for the Unshares and Handovers counts. Fault injection is left out:
 // fault_test.go covers those paths, and they never touch the page table.
 type modelPool struct {
 	dev      *Device
@@ -23,6 +27,7 @@ type modelPool struct {
 	order    []*modelFrame // most recently used first
 	stats    PoolStats
 	hook     Hook
+	taken    uint64 // buffers the pool side should have taken: see takeBuf
 }
 
 type modelFrame struct {
@@ -30,6 +35,19 @@ type modelFrame struct {
 	data  []byte
 	dirty bool
 	pins  int
+	// private: the frame has a buffer of its own to write. False from a miss
+	// until the first markDirty, and again after a write-back that found the
+	// frame unpinned (a hand-over); a pinned frame's write-back copies.
+	private bool
+}
+
+func (m *modelPool) markDirty(f *modelFrame) {
+	if !f.private {
+		f.private = true
+		m.stats.Unshares++
+		m.taken++
+	}
+	f.dirty = true
 }
 
 func newModelPool(dev *Device, capacity int) *modelPool {
@@ -94,7 +112,8 @@ func (m *modelPool) fetch(id PageID) (*modelFrame, error) {
 
 func (m *modelPool) newPage(c rum.Class) *modelFrame {
 	f := m.install(m.dev.Alloc(c))
-	f.dirty = true
+	f.dirty, f.private = true, true
+	m.taken++
 	return f
 }
 
@@ -120,7 +139,7 @@ func (m *modelPool) evictOne() bool {
 }
 
 func (m *modelPool) flushFrame(f *modelFrame) bool {
-	dst, err := m.dev.WriteInPlace(f.id)
+	err := m.dev.Write(f.id, f.data)
 	if errors.Is(err, ErrFreed) || errors.Is(err, ErrBadPage) {
 		f.dirty = false
 		return true
@@ -129,7 +148,6 @@ func (m *modelPool) flushFrame(f *modelFrame) bool {
 		m.stats.FlushFailures++
 		return false
 	}
-	copy(dst, f.data)
 	m.wroteBack(f)
 	return true
 }
@@ -137,6 +155,10 @@ func (m *modelPool) flushFrame(f *modelFrame) bool {
 func (m *modelPool) wroteBack(f *modelFrame) {
 	f.dirty = false
 	m.stats.WriteBacks++
+	if f.pins == 0 {
+		f.private = false
+		m.stats.Handovers++
+	}
 	m.emit(EvWriteBack, f.id)
 }
 
@@ -149,6 +171,9 @@ func (m *modelPool) flushGroup(group []*modelFrame) {
 	var data [][]byte
 	for _, f := range group {
 		ids, data = append(ids, f.id), append(data, f.data)
+		if f.pins > 0 {
+			m.taken++ // a batch hands buffers over: a pinned frame's is a copy
+		}
 	}
 	if err := m.dev.WriteBatch(ids, data); err != nil {
 		panic(err) // no injector, no crash: the model's batches cannot fail
@@ -272,10 +297,11 @@ type poolDiff struct {
 
 // drivePoolAgainstModel interprets script as a sequence of pool calls, makes
 // each on a BufferPool and on the model, and fails on the first divergence in
-// results, PoolStats, Len or DirtyCount; at the end the two full hook event
-// streams (pool and device events interleaved), the batch submissions and the
-// device ledgers must be equal. Every second script byte is an
-// operand, so any byte string is a valid script.
+// results, PoolStats, Len, DirtyCount, any resident frame's contents or
+// ownership, or any device page image (checkImages); at the end the two full
+// hook event streams (pool and device events interleaved), the batch
+// submissions and the device ledgers must be equal. Every second script byte
+// is an operand, so any byte string is a valid script.
 func drivePoolAgainstModel(t *testing.T, script []byte) poolDiff {
 	t.Helper()
 	if len(script) < 2 {
@@ -299,6 +325,7 @@ func drivePoolAgainstModel(t *testing.T, script []byte) poolDiff {
 	type pin struct {
 		f  *Frame
 		mf *modelFrame
+		w  []byte // the Data() this holder last wrote through, nil if it has not
 	}
 	var (
 		pins []pin
@@ -306,6 +333,8 @@ func drivePoolAgainstModel(t *testing.T, script []byte) poolDiff {
 		seen = map[PageID]bool{}
 		out  poolDiff
 		fill byte
+
+		newPages uint64
 	)
 	pick := func(b byte) PageID {
 		if len(ids) == 0 {
@@ -313,13 +342,20 @@ func drivePoolAgainstModel(t *testing.T, script []byte) poolDiff {
 		}
 		return ids[int(b)%len(ids)]
 	}
-	scribble := func(pn pin) {
+	// scribble writes the page the way a holder must: MarkDirty, then the
+	// slice Data returns. A holder that wrote before keeps writing through the
+	// slice it has — while it stays pinned no write-back may take that buffer
+	// away, FlushAll included.
+	scribble := func(pn *pin) {
 		fill++
-		for i := range pn.f.Data() {
-			pn.f.Data()[i], pn.mf.data[i] = fill, fill
-		}
 		pn.f.MarkDirty()
-		pn.mf.dirty = true
+		m.markDirty(pn.mf)
+		if pn.w == nil {
+			pn.w = pn.f.Data()
+		}
+		for i := range pn.w {
+			pn.w[i], pn.mf.data[i] = fill, fill
+		}
 	}
 	// hold keeps one pin in four and releases the rest at once, so that the
 	// pool is usually evictable and sometimes (small pools) fully pinned.
@@ -347,9 +383,9 @@ func drivePoolAgainstModel(t *testing.T, script []byte) poolDiff {
 			if !bytes.Equal(f.Data(), mf.data) {
 				t.Fatalf("step %d: Fetch(%d) shows %x, model %x", step, id, f.Data(), mf.data)
 			}
-			pn := pin{f, mf}
+			pn := pin{f: f, mf: mf}
 			if arg&1 == 1 {
-				scribble(pn)
+				scribble(&pn)
 			}
 			hold(pn, arg)
 		case op < 8: // NewPage
@@ -371,14 +407,18 @@ func drivePoolAgainstModel(t *testing.T, script []byte) poolDiff {
 				seen[f.ID()] = true
 				ids = append(ids, f.ID())
 			}
-			pn := pin{f, mf}
-			scribble(pn)
+			newPages++
+			pn := pin{f: f, mf: mf}
+			scribble(&pn)
 			hold(pn, arg)
-		case op < 12: // Release
+		case op < 12: // Release, one time in four after writing the page (again)
 			if len(pins) == 0 {
 				break
 			}
 			i := int(arg) % len(pins)
+			if arg&192 == 0 {
+				scribble(&pins[i])
+			}
 			p.Release(pins[i].f)
 			pins[i].mf.pins--
 			pins = append(pins[:i], pins[i+1:]...)
@@ -417,6 +457,11 @@ func drivePoolAgainstModel(t *testing.T, script []byte) poolDiff {
 				step, op, arg, p.Stats(), p.Len(), p.DirtyCount(), m.stats, len(m.frames), m.dirtyCount())
 		}
 		checkLRU(t, p)
+		checkImages(t, step, p, m)
+		if st := p.Stats(); p.taken != m.taken || m.taken < st.Unshares+newPages {
+			t.Fatalf("step %d: pool took %d buffers, model %d, for %d unshares and %d new pages",
+				step, p.taken, m.taken, st.Unshares, newPages)
+		}
 	}
 	if dp.Stats() != dm.Stats() {
 		t.Fatalf("device ledgers differ: pool side %+v, model side %+v", dp.Stats(), dm.Stats())
@@ -439,6 +484,46 @@ func drivePoolAgainstModel(t *testing.T, script []byte) poolDiff {
 	}
 	out.tableLen = len(p.frames)
 	return out
+}
+
+// checkImages holds the pool side to the one-image rule after a step. Every
+// live device page holds exactly what the model's device holds — the last
+// image written back, so no frame write has reached the device early and a
+// Crash leaves nothing else behind. Every resident frame shows the model
+// frame's bytes and owns a buffer exactly when the model says so, a clean one
+// shows the device's image, and the private buffers the pool holds, owned and
+// spare, stay within its capacity unless pinned frames overflowed it.
+func checkImages(t *testing.T, step int, p *BufferPool, m *modelPool) {
+	t.Helper()
+	dp, dm := p.dev, m.dev
+	for id := range dm.pages {
+		if dm.live[id] && !bytes.Equal(dp.pages[id], dm.pages[id]) {
+			t.Fatalf("step %d: device page %d holds %x, last written back %x", step, id, dp.pages[id], dm.pages[id])
+		}
+	}
+	owned := 0
+	for id, f := range p.frames {
+		if f == nil {
+			continue
+		}
+		mf := m.frames[PageID(id)]
+		if mf == nil || f.dirty != mf.dirty || f.owned != mf.private || int(f.pins) != mf.pins {
+			t.Fatalf("step %d: frame %d is %+v, model %+v", step, id, f, mf)
+		}
+		if !bytes.Equal(f.Data(), mf.data) {
+			t.Fatalf("step %d: frame %d shows %x, model %x", step, id, f.Data(), mf.data)
+		}
+		if !f.dirty && dp.check(f.id) == nil && !bytes.Equal(f.Data(), dp.pages[id]) {
+			t.Fatalf("step %d: clean frame %d shows %x, device holds %x", step, id, f.Data(), dp.pages[id])
+		}
+		if f.owned {
+			owned++
+		}
+	}
+	if owned != p.owned || p.owned+len(p.spare) > max(p.capacity, p.owned) {
+		t.Fatalf("step %d: %d frames own a buffer, pool counts %d owned + %d spare, capacity %d",
+			step, owned, p.owned, len(p.spare), p.capacity)
+	}
 }
 
 // TestPoolAgainstModel drives seeded random streams through the slice-table

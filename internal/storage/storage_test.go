@@ -219,8 +219,8 @@ func TestBufferPoolWriteBack(t *testing.T) {
 	a := d.Alloc(rum.Base)
 
 	f, _ := p.Fetch(a)
-	copy(f.Data(), bytes.Repeat([]byte{7}, 64))
 	f.MarkDirty()
+	copy(f.Data(), bytes.Repeat([]byte{7}, 64))
 	p.Release(f)
 
 	// Evict a by fetching another page.

@@ -16,7 +16,12 @@ import "repro/internal/rum"
 //     readers never need the pool and no dirty frame shadows a page image.
 //  2. Copy-on-write: pages reachable from a published snapshot are never
 //     written in place again; mutations allocate fresh pages. A page image a
-//     reader can reach is therefore byte-immutable for the view's lifetime.
+//     reader can reach is therefore byte-immutable for the view's lifetime —
+//     and so is its slot in the page table: a buffer-pool write-back stores
+//     a new slice header there (Device.Replace hands the frame's buffer
+//     over and recycles the previous image), but only dirty frames are
+//     written back and a reachable page is never dirtied, so the writer
+//     stores no header, and recycles no image, that a reader can load.
 //  3. Deferred reclamation: pages superseded by copy-on-write are not freed
 //     (and hence never reused by Alloc, which clears the buffer in place)
 //     until no live view can reach them.
@@ -57,7 +62,8 @@ func (v *PageView) PageSize() int { return v.pageSize }
 
 // Page returns the image of a page captured by the view. The returned slice
 // aliases device memory that the copy-on-write and deferred-reclamation
-// invariants keep immutable; callers must treat it as read-only. Safe for
+// invariants keep immutable; callers must treat it as read-only — it is the
+// same slice a clean buffer-pool frame of the page shows through Data(). Safe for
 // concurrent use by any goroutine. Counts no traffic — the caller meters.
 func (v *PageView) Page(id PageID) []byte {
 	v.stamp.check(id)
