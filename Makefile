@@ -58,12 +58,19 @@ benchmarks:
 ## (nil-hook must stay allocation-free and within noise of untraced), the
 ## serving taps (Do quiet vs traced vs fingerprinted: ROADMAP item 1's
 ## overhead budget, same allocs/op on all three) and the closed loop rumperf
-## runs (2 clients × 2 shards × batch 64: the mailbox hop), the buffer pool's
-## resident hit and evicting miss (0 allocs/op both), the lsm L1→L2 spill, and
-## the log's group commit (0 allocs/op) and full checkpoint interval.
+## runs (2 clients × 2 shards × batch 64: the mailbox hop) beside the same
+## batches served off snapshots (DoBypass: no hop, one GetBatch per shard,
+## 0 allocs/op), the btree snapshot's point read alone and in groups (ns per
+## key both, 0 allocs/op), the buffer pool's resident hit and evicting miss
+## (0 allocs/op both), the lsm L1→L2 spill, and the log's group commit
+## (0 allocs/op) and full checkpoint interval. BenchmarkSnapshotGet was
+## re-baselined when it joined this list (PR 24): it reads scattered keys
+## (≈ 285 ns per key) where it used to walk them in order (≈ 76 ns, one hot
+## leaf, every branch predicted); figures recorded before are not comparable.
 bench:
 	$(GO) test ./internal/obs -bench BenchmarkInstrumentedGet -benchtime=2s -run '^$$'
-	$(GO) test ./internal/serve -bench '^BenchmarkDo(Traced|Fingerprinted|ClosedLoop)?$$' -benchmem -benchtime=2s -run '^$$'
+	$(GO) test ./internal/serve -bench '^BenchmarkDo(Traced|Fingerprinted|ClosedLoop|Bypass)?$$' -benchmem -benchtime=2s -run '^$$'
+	$(GO) test ./internal/btree -bench '^BenchmarkSnapshotGet(Batch)?$$' -benchtime=2s -run '^$$'
 	$(GO) test ./internal/storage -bench 'BenchmarkFetch(Hit|Miss)' -benchtime=2s -run '^$$'
 	$(GO) test ./internal/lsm -bench BenchmarkCompactionSpill -benchtime=2s -run '^$$'
 	$(GO) test ./internal/wal -bench 'BenchmarkC(ommit|heckpoint)$$' -benchtime=2s -run '^$$'

@@ -1,0 +1,334 @@
+package btree
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/rum"
+	"repro/internal/storage"
+)
+
+// TestSearchGroupMatchesSingleKey holds the group kernel to the single-key
+// kernels over every node count a 512-byte page allows: for leaves against
+// leafSearch, for internal nodes against intSearch and, through child,
+// against route. Each group mixes nodes of different counts, so its searches
+// finish on different steps, and probes every stored key, both neighbours of
+// it and the two ends of the key space.
+func TestSearchGroupMatchesSingleKey(t *testing.T) {
+	const pageSize = 512
+	for _, leaf := range []bool{true, false} {
+		capacity := (pageSize - headerSize) / intEntrySize
+		if leaf {
+			capacity = (pageSize - headerSize) / leafEntrySize
+		}
+		// nodes[c] holds c entries with keys 10, 20, …; an internal node's
+		// children are numbered so that every slot routes somewhere distinct.
+		nodes := make([]node, capacity+1)
+		for c := range nodes {
+			n := node{make([]byte, pageSize)}
+			n.setKind(kindInternal)
+			n.setLink(1000)
+			if leaf {
+				n.setKind(kindLeaf)
+			}
+			for j := 0; j < c; j++ {
+				if leaf {
+					n.setLeafEntry(j, uint64(j+1)*10, uint64(j))
+				} else {
+					n.setIntEntry(j, uint64(j+1)*10, 1001+storage.PageID(j))
+				}
+			}
+			n.setCount(c)
+			nodes[c] = n
+		}
+		type pair struct {
+			n node
+			k core.Key
+		}
+		var pairs []pair
+		for c, n := range nodes {
+			probes := []core.Key{0, 1, math.MaxUint64 - 1, math.MaxUint64}
+			for j := 0; j < c; j++ {
+				k := uint64(j+1) * 10
+				probes = append(probes, k-1, k, k+1)
+			}
+			for _, k := range probes {
+				pairs = append(pairs, pair{n, k})
+			}
+		}
+		rand.New(rand.NewSource(5)).Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+		for _, width := range []int{1, 2, 15, groupWidth} {
+			for at := 0; at < len(pairs); at += width {
+				group := pairs[at:min(at+width, len(pairs))]
+				var (
+					gn   [groupWidth]node
+					pos  [groupWidth]int
+					keys []core.Key
+				)
+				for i, p := range group {
+					gn[i], keys = p.n, append(keys, p.k)
+				}
+				searchGroup(&gn, keys, &pos, leaf)
+				for i, p := range group {
+					want := p.n.intSearch(p.k)
+					if leaf {
+						want = p.n.leafSearch(p.k)
+					} else if got, route := p.n.child(pos[i]), p.n.route(p.k); got != route {
+						t.Fatalf("internal node of %d: key %d routes to %d through the group, %d alone", p.n.count(), p.k, got, route)
+					}
+					if pos[i] != want {
+						t.Fatalf("leaf=%v node of %d, key %d, width %d: group position %d, single-key %d",
+							leaf, p.n.count(), p.k, width, pos[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkGetBatch reads keys through GetBatch and through a loop of Gets and
+// requires the same values, the same oks, a zero value on every miss even
+// when the result buffers arrive dirty, and equal meters.
+func checkGetBatch(t *testing.T, snap core.Snapshot, keys []core.Key) {
+	t.Helper()
+	vals, oks := make([]core.Value, len(keys)), make([]bool, len(keys))
+	for i := range vals {
+		vals[i], oks[i] = 0xdead, i%2 == 0 // a reused buffer's leftovers
+	}
+	var batch, loop rum.Meter
+	snap.GetBatch(keys, vals, oks, &batch)
+	for i, k := range keys {
+		v, ok := snap.Get(k, &loop)
+		if vals[i] != v || oks[i] != ok {
+			t.Fatalf("key %d (slot %d of %d): GetBatch %d,%v; Get %d,%v", k, i, len(keys), vals[i], oks[i], v, ok)
+		}
+		if !ok && vals[i] != 0 {
+			t.Fatalf("key %d missed but its value slot holds %d", k, vals[i])
+		}
+	}
+	if batch != loop {
+		t.Fatalf("%d keys: GetBatch charged %+v, the Gets %+v", len(keys), batch, loop)
+	}
+}
+
+// groupSizes straddle groupWidth: a lone key, one short of a group, exactly
+// one, one over, and several groups.
+var groupSizes = []int{1, 15, 16, 17, 64}
+
+// TestSnapshotGetBatchMatchesGet is the contract of core.Snapshot.GetBatch on
+// the btree — "len(keys) Gets", to the byte of the meter — over every tree
+// shape the descent distinguishes.
+func TestSnapshotGetBatchMatchesGet(t *testing.T) {
+	// Keys are multiples of 3 from 30 up, so there are absent keys between
+	// any two, below the smallest and above the largest.
+	shapes := []struct {
+		name   string
+		n      int
+		height int
+		churn  bool
+	}{
+		{"empty", 0, 1, false},
+		{"single leaf", 20, 1, false},
+		{"height 2", 400, 2, false},
+		{"height 3", 3000, 3, false},
+		{"height 3 after copy-on-write churn", 3000, 3, true},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			tr := newTestTree(t, 512, 64, Config{Versions: 3})
+			for i := 0; i < sh.n; i++ {
+				if err := tr.Insert(uint64(30+3*i), uint64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tr.Publish(); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(sh.n)))
+			if sh.churn {
+				// Updates copy paths, deletes empty leaves out, inserts split
+				// them; every round is published, so the snapshot read below
+				// crosses pages born in several epochs.
+				for round := 0; round < 6; round++ {
+					for i := 0; i < 200; i++ {
+						k := uint64(30 + 3*rng.Intn(sh.n))
+						switch rng.Intn(3) {
+						case 0:
+							tr.Update(k, k+uint64(round))
+						case 1:
+							tr.Delete(k)
+						default:
+							_ = tr.Insert(k+1, k) // ErrKeyExists on a repeat is fine
+						}
+					}
+					if err := tr.Publish(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if tr.Height() != sh.height {
+				t.Fatalf("tree height %d, the case wants %d", tr.Height(), sh.height)
+			}
+			// The bare snapshot charges physical bytes; the one the serving
+			// layer holds adds the logical payload and the op count.
+			snap, wrapped := tr.Acquire(), core.Instrument(tr).Acquire()
+			defer snap.Release()
+			defer wrapped.Release()
+			// The live tree moves on; the snapshot must not notice.
+			for i := 0; i < sh.n; i += 7 {
+				tr.Update(uint64(30+3*i), 1<<40)
+			}
+
+			top := uint64(30 + 3*sh.n)
+			for _, size := range groupSizes {
+				for trial := 0; trial < 8; trial++ {
+					keys := make([]core.Key, size)
+					for i := range keys {
+						switch rng.Intn(8) {
+						case 0:
+							keys[i] = uint64(rng.Intn(30)) // below the minimum
+						case 1:
+							keys[i] = top + uint64(rng.Intn(100)) // above the maximum
+						case 2:
+							keys[i] = math.MaxUint64
+						case 3:
+							if i > 0 {
+								keys[i] = keys[rng.Intn(i)] // a duplicate inside the group
+								break
+							}
+							fallthrough
+						default:
+							keys[i] = 30 + uint64(rng.Intn(3*sh.n+1)) // stored or in a gap
+						}
+					}
+					checkGetBatch(t, snap, keys)
+					checkGetBatch(t, wrapped, keys)
+				}
+			}
+			checkGetBatch(t, snap, nil)
+			checkGetBatch(t, wrapped, nil)
+		})
+	}
+}
+
+// TestSnapshotGetBatchAllocs pins the group read path at zero allocations:
+// its per-group state lives on GetBatch's stack.
+func TestSnapshotGetBatchAllocs(t *testing.T) {
+	tr := newMVCCTree(t, 2)
+	for k := uint64(0); k < 5000; k++ {
+		tr.Insert(k, k)
+	}
+	if err := tr.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	snap := tr.Acquire()
+	defer snap.Release()
+	var (
+		m    rum.Meter
+		keys [40]core.Key
+		vals [40]core.Value
+		oks  [40]bool
+	)
+	for i := range keys {
+		keys[i] = uint64(i) * 131 // the last one is past the end
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		snap.GetBatch(keys[:], vals[:], oks[:], &m)
+		if !oks[0] || oks[39] {
+			t.Fatal("wrong outcome")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("snapshot GetBatch allocates %v per call, want 0", allocs)
+	}
+}
+
+// FuzzSnapshotGetBatch builds a tree from an op stream beside a map oracle,
+// publishing where the stream says so, keeps mutating the live tree past the
+// last publish, and then reads key groups picked by a second byte stream:
+// GetBatch must agree with the oracle as of the publish and with Get, meter
+// included.
+func FuzzSnapshotGetBatch(f *testing.F) {
+	f.Add([]byte{}, []byte{1, 0, 0})
+	f.Add([]byte{0, 0, 5, 0, 0, 9, 3, 0, 0, 2, 0, 5}, []byte{3, 0, 5, 0, 9, 0, 7})
+	long := make([]byte, 0, 3*1500)
+	for i := 0; i < 1500; i++ { // three levels on 512-byte pages, published twice
+		op := byte(0)
+		if i%600 == 599 {
+			op = 3
+		}
+		long = append(long, op, byte(i>>8), byte(i))
+	}
+	f.Add(long, []byte{63, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34})
+	f.Fuzz(func(t *testing.T, ops, picks []byte) {
+		tr := newTestTree(t, 512, 32, Config{Versions: 2})
+		live := map[core.Key]core.Value{}
+		var (
+			snap   core.Snapshot
+			frozen map[core.Key]core.Value
+		)
+		publish := func() {
+			if snap != nil {
+				snap.Release()
+			}
+			if err := tr.Publish(); err != nil {
+				t.Fatal(err)
+			}
+			snap = tr.Acquire()
+			frozen = make(map[core.Key]core.Value, len(live))
+			for k, v := range live {
+				frozen[k] = v
+			}
+		}
+		for step := 0; len(ops) >= 3; step, ops = step+1, ops[3:] {
+			k := core.Key(binary.BigEndian.Uint16(ops[1:3]))%4096*2 + 2
+			switch ops[0] % 4 {
+			case 0:
+				if tr.Insert(k, core.Value(step)) == nil {
+					live[k] = core.Value(step)
+				}
+			case 1:
+				if tr.Update(k, core.Value(step)) {
+					live[k] = core.Value(step)
+				}
+			case 2:
+				if tr.Delete(k) {
+					delete(live, k)
+				}
+			default:
+				publish()
+			}
+		}
+		if snap == nil {
+			publish() // a stream that never published: the snapshot is the final state
+		}
+		defer snap.Release()
+
+		for len(picks) > 0 {
+			size := 1 + int(picks[0])%64
+			picks = picks[1:]
+			keys := make([]core.Key, 0, size)
+			for ; len(keys) < size && len(picks) > 0; picks = picks[1:] {
+				// Even keys are the ones ops can store; odd ones, 0 and those
+				// past 8192 never are.
+				k := core.Key(picks[0]) * 37 % 8400
+				if picks[0] == 255 {
+					k = math.MaxUint64
+				}
+				keys = append(keys, k)
+			}
+			checkGetBatch(t, snap, keys)
+			vals, oks := make([]core.Value, len(keys)), make([]bool, len(keys))
+			var m rum.Meter
+			snap.GetBatch(keys, vals, oks, &m)
+			for i, k := range keys {
+				if want, ok := frozen[k]; oks[i] != ok || vals[i] != want {
+					t.Fatalf("key %d: GetBatch %d,%v; the oracle at the publish %d,%v", k, vals[i], oks[i], want, ok)
+				}
+			}
+		}
+	})
+}

@@ -281,12 +281,14 @@ func (t *Tree) retainedBytes() uint64 {
 }
 
 // Snapshot is an immutable point-in-time view of the tree
-// (core.Snapshot); Epoch and Release come with the embedded version. Get and
-// RangeScan are safe for concurrent use from any goroutine: they touch only
-// the version's PageView and the caller's own meter, with zero coordination.
-// The physical accounting is per page touched — snapshot readers run
-// uncached (no shared buffer pool, which would need locking), so a point
-// read costs one page read per level.
+// (core.Snapshot); Epoch and Release come with the embedded version. Get,
+// GetBatch and RangeScan are safe for concurrent use from any goroutine: they
+// touch only the version's PageView and the caller's own meter, with zero
+// coordination. The physical accounting is per page touched — snapshot
+// readers run uncached (no shared buffer pool, which would need locking), so
+// a point read costs one page read per level, alone or in a batch: GetBatch
+// is defined as len(keys) Gets and differs from the loop only in how many of
+// those page reads it has in flight at once.
 type Snapshot struct {
 	*version
 	pageSize int
@@ -316,6 +318,49 @@ func (s *Snapshot) Get(k core.Key, m *rum.Meter) (core.Value, bool) {
 			return 0, false
 		}
 		pid = n.route(k)
+	}
+}
+
+// GetBatch is len(keys) Gets (core.Snapshot): vals[i], oks[i] and the totals
+// charged to m are exactly what Get(keys[i], m) in a loop would leave. The
+// keys descend groupWidth at a time, level by level — a B+-tree is balanced,
+// so a group's keys all reach their leaves on the same step — and within a
+// level searchGroup advances the group's searches together. Reordering the
+// page reads is free here and only here: a snapshot's pages are immutable, no
+// pool or hook sees the reads, and the meter is a sum. Allocation-free.
+func (s *Snapshot) GetBatch(keys []core.Key, vals []core.Value, oks []bool, m *rum.Meter) {
+	var (
+		pids  [groupWidth]storage.PageID
+		nodes [groupWidth]node
+		pos   [groupWidth]int
+	)
+	for len(keys) > 0 {
+		g := min(len(keys), groupWidth)
+		group := keys[:g]
+		for i := range group {
+			pids[i] = s.State.root
+		}
+		for {
+			for i := range group {
+				nodes[i] = s.page(pids[i], m)
+			}
+			leaf := nodes[0].isLeaf()
+			searchGroup(&nodes, group, &pos, leaf)
+			if leaf {
+				break
+			}
+			for i := range group {
+				pids[i] = nodes[i].child(pos[i])
+			}
+		}
+		for i, k := range group {
+			n, p := nodes[i], pos[i]
+			vals[i], oks[i] = 0, false
+			if p < n.count() && n.leafKey(p) == k {
+				vals[i], oks[i] = n.leafValue(p), true
+			}
+		}
+		keys, vals, oks = keys[g:], vals[g:], oks[g:]
 	}
 }
 

@@ -205,6 +205,13 @@ func (s instrumentedSnapshot) Get(k Key, m *rum.Meter) (Value, bool) {
 	return s.inner.Get(k, m)
 }
 
+// GetBatch charges what len(keys) Gets charge — a record's bytes and one read
+// operation each — once.
+func (s instrumentedSnapshot) GetBatch(keys []Key, vals []Value, oks []bool, m *rum.Meter) {
+	m.CountLogicalReads(len(keys), RecordSize)
+	s.inner.GetBatch(keys, vals, oks, m)
+}
+
 func (s instrumentedSnapshot) RangeScan(lo, hi Key, m *rum.Meter, emit func(Key, Value) bool) int {
 	n := s.inner.RangeScan(lo, hi, m, emit)
 	m.CountLogicalRead(n * RecordSize)

@@ -4,9 +4,12 @@ import "repro/internal/rum"
 
 // Snapshot is an immutable point-in-time view of an access method, the unit
 // of the single-writer/many-reader contract: the writer goroutine keeps
-// mutating the live structure while any number of reader goroutines run Get
-// and RangeScan against an acquired Snapshot concurrently, with zero
-// coordination between them.
+// mutating the live structure while any number of reader goroutines run Get,
+// GetBatch and RangeScan against an acquired Snapshot concurrently, with zero
+// coordination between them. Because what a snapshot reaches cannot change,
+// a reader's independent point reads may be reordered and overlapped freely:
+// GetBatch is defined by equivalence to a loop of Gets — same results, same
+// meter totals — and an implementation is free in everything else.
 //
 // Read methods take the caller's private rum.Meter instead of charging the
 // structure's own ledger: a snapshot is shared between readers, so metering
@@ -16,11 +19,11 @@ import "repro/internal/rum"
 // is released — one atomic merge per reader session, not one per byte —
 // keeping the RUM accounting exact.
 //
-// Get and RangeScan are safe for concurrent use from any goroutine (each
-// call with its own meter). Release is safe from any goroutine but must be
-// called exactly once per Acquire, after which the snapshot must not be
-// touched; it is what lets the writer's reclamation epoch advance past the
-// pages this snapshot pins.
+// Get, GetBatch and RangeScan are safe for concurrent use from any goroutine
+// (each call with its own meter). Release is safe from any goroutine but
+// must be called exactly once per Acquire, after which the snapshot must not
+// be touched; it is what lets the writer's reclamation epoch advance past
+// the pages this snapshot pins.
 type Snapshot interface {
 	// Epoch returns the write epoch the snapshot was published at. Epochs
 	// are strictly increasing across publishes, so two snapshots of the same
@@ -33,6 +36,14 @@ type Snapshot interface {
 	// Get returns the value for k as of the snapshot, charging physical and
 	// logical read traffic to m.
 	Get(k Key, m *rum.Meter) (Value, bool)
+
+	// GetBatch is len(keys) Gets: it leaves in vals[i], oks[i] what
+	// Get(keys[i], m) returns (vals[i] is 0 where oks[i] is false, so a
+	// caller may reuse the buffers) and charges m exactly the totals those
+	// Gets would, in whatever order suits the structure — independent point
+	// reads on an immutable image may overlap. vals and oks are at least as
+	// long as keys. It allocates nothing.
+	GetBatch(keys []Key, vals []Value, oks []bool, m *rum.Meter)
 
 	// RangeScan calls emit for every snapshot record with lo <= key <= hi in
 	// ascending key order, stopping early if emit returns false. It returns

@@ -116,6 +116,15 @@ func (s *Snapshot) Get(k core.Key, m *rum.Meter) (core.Value, bool) {
 	return 0, false
 }
 
+// GetBatch is the plain loop over Get (core.Snapshot): no benchmark workload
+// serves LSM snapshots, so a group probe of the runs has nothing to be
+// measured against yet.
+func (s *Snapshot) GetBatch(keys []core.Key, vals []core.Value, oks []bool, m *rum.Meter) {
+	for i, k := range keys {
+		vals[i], oks[i] = s.Get(k, m)
+	}
+}
+
 // memGet binary-searches the frozen memtable, charging one record read per
 // probe (the frozen copy has no skiplist towers to traverse).
 func (s *Snapshot) memGet(k core.Key, m *rum.Meter) (core.Value, bool) {

@@ -143,6 +143,55 @@ func TestLSMMVCCSnapshotSeesMemtable(t *testing.T) {
 	}
 }
 
+// TestLSMSnapshotGetBatchMatchesGet holds GetBatch to its definition,
+// "len(keys) Gets": values, oks, a zero value on a miss even in a reused
+// buffer, and the meter to the byte — on the bare snapshot (memtable probes
+// and run pages) and through core.Instrumented (logical bytes and op count
+// on top). The snapshot freezes several runs, a memtable and tombstones in
+// both.
+func TestLSMSnapshotGetBatchMatchesGet(t *testing.T) {
+	tr := newMVCCTree(t, 2)
+	for k := uint64(0); k < 600; k++ {
+		tr.Insert(10+2*k, k)
+	}
+	for k := uint64(0); k < 600; k += 5 {
+		tr.Delete(10 + 2*k) // tombstones, most of them flushed into runs
+	}
+	tr.Update(12, 999)
+	tr.Delete(14) // these two stay in the memtable
+	if err := tr.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, snap := range []core.Snapshot{tr.Acquire(), core.Instrument(tr).Acquire()} {
+		for _, size := range []int{0, 1, 15, 16, 17, 64} {
+			keys := make([]core.Key, size)
+			for i := range keys {
+				keys[i] = uint64(rng.Intn(1300)) // stored, deleted, in a gap, out of range
+				if i > 0 && rng.Intn(8) == 0 {
+					keys[i] = keys[rng.Intn(i)]
+				}
+			}
+			vals, oks := make([]core.Value, size), make([]bool, size)
+			for i := range vals {
+				vals[i], oks[i] = 0xdead, true
+			}
+			var batch, loop rum.Meter
+			snap.GetBatch(keys, vals, oks, &batch)
+			for i, k := range keys {
+				v, ok := snap.Get(k, &loop)
+				if vals[i] != v || oks[i] != ok || (!ok && vals[i] != 0) {
+					t.Fatalf("key %d: GetBatch %d,%v; Get %d,%v", k, vals[i], oks[i], v, ok)
+				}
+			}
+			if batch != loop {
+				t.Fatalf("%d keys: GetBatch charged %+v, the Gets %+v", size, batch, loop)
+			}
+		}
+		snap.Release()
+	}
+}
+
 func TestLSMMVCCEpochsMonotone(t *testing.T) {
 	tr := newMVCCTree(t, 2)
 	var last uint64

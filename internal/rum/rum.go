@@ -98,9 +98,14 @@ func (m *Meter) CountWrite(c Class, n int) {
 
 // CountLogicalRead records n bytes of logically retrieved data (the payload
 // the query returned) and one read operation.
-func (m *Meter) CountLogicalRead(n int) {
-	m.LogicalRead += uint64(n)
-	m.ReadOps++
+func (m *Meter) CountLogicalRead(n int) { m.CountLogicalReads(1, n) }
+
+// CountLogicalReads records ops read operations that each retrieved n logical
+// bytes: what ops calls of CountLogicalRead(n) record, for a batched read that
+// charges its whole group at once.
+func (m *Meter) CountLogicalReads(ops, n int) {
+	m.LogicalRead += uint64(ops * n)
+	m.ReadOps += uint64(ops)
 }
 
 // CountLogicalWrite records n bytes of a logical update and one write

@@ -32,6 +32,19 @@ func TestMeterCounts(t *testing.T) {
 	}
 }
 
+func TestCountLogicalReadsIsRepeatedCountLogicalRead(t *testing.T) {
+	var batch, loop Meter
+	for _, ops := range []int{0, 1, 16, 33} {
+		batch.CountLogicalReads(ops, 16)
+		for i := 0; i < ops; i++ {
+			loop.CountLogicalRead(16)
+		}
+		if batch != loop {
+			t.Fatalf("after %d ops: batch %+v, loop %+v", ops, batch, loop)
+		}
+	}
+}
+
 func TestAmplificationEdgeCases(t *testing.T) {
 	var m Meter
 	if got := m.ReadAmplification(); got != 0 {

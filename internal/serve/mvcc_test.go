@@ -177,6 +177,94 @@ func TestSnapshotMeterExact(t *testing.T) {
 	}
 }
 
+// newBypassServer returns two shards of a resident B-tree, preloaded with n
+// keys and published, so that every pure-read Do is served off snapshots on
+// the caller's goroutine.
+func newBypassServer(tb testing.TB, n int) *Server {
+	tb.Helper()
+	s, err := New(Config{Shards: 2, Snapshots: true, Build: func(int) *core.Instrumented {
+		return methods.NewBTree(methods.Options{PoolPages: 1 << 12}, btree.Config{Versions: 3})
+	}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { s.Stop() })
+	recs := make([]core.Record, n)
+	for i := range recs {
+		recs[i] = core.Record{Key: core.Key(i), Value: core.Value(i)}
+	}
+	if err := s.Preload(recs); err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.Flush(); err != nil { // the barrier publishes
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// TestBypassDoAllocatesNothing pins what the bypass has claimed since it was
+// pooled: a Do served entirely off snapshots allocates no completion, no
+// channel and no scratch — the keys, values and oks it hands GetBatch come
+// from the recycled doScratch, not from Do's stack, where passing them
+// through the core.Snapshot interface would make them escape. Each call is
+// measured on its own and the pin is on the majority: under the race detector
+// sync.Pool drops a quarter of what is Put, and the Do that follows a drop
+// pays for a fresh scratch; a Do that allocates by itself does so every time.
+func TestBypassDoAllocatesNothing(t *testing.T) {
+	const batch, n, calls = 64, 1 << 14, 200
+	s := newBypassServer(t, n)
+	reqs, res := make([]Request, batch), make([]Result, batch)
+	x := uint32(1)
+	do := func() {
+		for i := range reqs {
+			x = x*1664525 + 1013904223
+			reqs[i] = Request{Op: OpGet, Key: core.Key(x >> 8 % (n + n/8))} // one in nine misses
+		}
+		if err := s.Do(reqs, res); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res {
+			if want := reqs[i].Key < n; r.OK != want || (want && r.Value != reqs[i].Key) || (!want && r.Value != 0) {
+				t.Fatalf("Get(%d) = %+v", reqs[i].Key, r)
+			}
+		}
+	}
+	allocating, most := 0, 0.0
+	for i := 0; i < calls; i++ {
+		if a := testing.AllocsPerRun(1, do); a > 0 { // one warm-up call, one measured
+			allocating++
+			most = max(most, a)
+		}
+	}
+	if _, ops := s.ReaderStats(); ops != 2*calls*batch {
+		t.Fatalf("%d requests served off snapshots, want all %d", ops, 2*calls*batch)
+	}
+	if allocating*2 > calls {
+		t.Fatalf("%d of %d bypassed Do calls allocate (up to %v per call), want none", allocating, calls, most)
+	}
+}
+
+// BenchmarkDoBypass is the read side of rumperf's snapshot-read: one client,
+// two shards, 64 point reads per Do, all served off snapshots on the client
+// goroutine through GetBatch. ns/op is per Do.
+func BenchmarkDoBypass(b *testing.B) {
+	const batch, n = 64, 1 << 17
+	s := newBypassServer(b, n)
+	reqs, res := make([]Request, batch), make([]Result, batch)
+	x := uint32(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range reqs {
+			x = x*1664525 + 1013904223
+			reqs[j] = Request{Op: OpGet, Key: core.Key(x >> 8 % n)}
+		}
+		if err := s.Do(reqs, res); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestSnapshotConcurrentReadersStress is the serve-level single-writer/
 // many-reader stress: per the issue, one writer client and eight reader
 // clients per shard, readers asserting no torn reads (values always match

@@ -700,23 +700,27 @@ func (s *Server) Do(reqs []Request, res []Result) error {
 	s.mu.RUnlock()
 
 	// Execute bypassed sub-batches on this goroutine — the client is the
-	// reader — overlapping with whatever the mailboxes are doing. Each
-	// sub-batch charges a private stack meter, merged once into the
-	// snapshot's AtomicMeter for the owning shard to absorb later.
+	// reader — overlapping with whatever the mailboxes are doing. A sub-batch
+	// is one GetBatch call, so the snapshot may keep its independent lookups
+	// in flight together; it charges the scratch's private meter, merged once
+	// into the snapshot's AtomicMeter for the owning shard to absorb later.
 	if bypassed {
 		s.readersActive.Add(1)
-		var m rum.Meter
+		m := &sc.meter
 		for sh, ss := range bypass {
 			if ss == nil {
 				continue
 			}
 			idxs := idxBuf[starts[sh]:starts[sh+1]]
-			for _, i := range idxs {
-				var out Result
-				out.Value, out.OK = ss.snap.Get(reqs[i].Key, &m)
-				res[i] = out
+			keys, vals, oks := sc.keys[:len(idxs)], sc.vals[:len(idxs)], sc.oks[:len(idxs)]
+			for j, i := range idxs {
+				keys[j] = reqs[i].Key
 			}
-			ss.meter.Merge(m)
+			ss.snap.GetBatch(keys, vals, oks, m)
+			for j, i := range idxs {
+				res[i] = Result{Value: vals[j], OK: oks[j]}
+			}
+			ss.meter.Merge(*m)
 			m.Reset()
 			ss.refs.Add(-1)
 			bypass[sh] = nil
@@ -744,6 +748,13 @@ type doScratch struct {
 	bypass   []*shardSnap
 	home     []uint32 // home shard of each request
 	idx      []uint32 // request indices grouped by shard
+	// One bypassed sub-batch at a time, gathered for Snapshot.GetBatch, and the
+	// meter it charges, zero between calls. Pooled rather than on Do's stack:
+	// what is passed through the interface escapes.
+	keys  []core.Key
+	vals  []core.Value
+	oks   []bool
+	meter rum.Meter
 }
 
 // getScratch returns a scratch sized for n requests, recycled if one is free.
@@ -758,6 +769,9 @@ func (s *Server) getScratch(n int) *doScratch {
 	}
 	if cap(sc.home) < n {
 		sc.home, sc.idx = make([]uint32, n), make([]uint32, n)
+		if s.cfg.Snapshots {
+			sc.keys, sc.vals, sc.oks = make([]core.Key, n), make([]core.Value, n), make([]bool, n)
+		}
 	}
 	sc.home, sc.idx = sc.home[:n], sc.idx[:n]
 	return sc
@@ -782,8 +796,11 @@ func (s *Server) broadcast(prepare func(shard int) message) error {
 	return nil
 }
 
-// Get executes a single point query. Single-op calls pay a full mailbox
-// round-trip; batch with Do where throughput matters.
+// Get executes a single point query. Without Config.Snapshots a single-op
+// call pays a full mailbox round-trip; with them it is served off the shard's
+// snapshot on the caller's goroutine, as a GetBatch of one whose gather,
+// group kernel and scatter a single key does not amortise. Either way, batch
+// with Do where throughput matters.
 func (s *Server) Get(k core.Key) (core.Value, bool) {
 	req := [1]Request{{Op: OpGet, Key: k}}
 	var res [1]Result

@@ -95,7 +95,7 @@ func (f *Frame) MarkDirty() {
 	if !f.owned {
 		f.pool.unshare(f)
 	}
-	f.dirty = true
+	f.pool.setDirty(f)
 }
 
 // BufferPool caches device pages with LRU replacement. It models the MEM
@@ -119,7 +119,10 @@ type BufferPool struct {
 	resident int
 	// lru is the sentinel of a circular list threaded through the cached
 	// frames: lru.next is the most recently used frame, lru.prev the least.
-	lru     Frame
+	lru Frame
+	// dirty counts the frames on the list whose dirty bit is set; setDirty and
+	// setClean, the only writers of that bit, keep it.
+	dirty   int
 	stats   PoolStats
 	hook    Hook
 	retries int // extra attempts per device op after a transient fault
@@ -251,16 +254,23 @@ func (p *BufferPool) batchIO() bool {
 }
 
 // DirtyCount returns the number of cached frames whose contents diverge from
-// the device. After FlushAll it is zero unless write-backs failed; durability
-// checkpoints (e.g. the LSM manifest) must verify it before advancing.
-func (p *BufferPool) DirtyCount() int {
-	n := 0
-	for f := p.lru.next; f != &p.lru; f = f.next {
-		if f.dirty {
-			n++
-		}
+// the device, in O(1): the pool keeps the count. After FlushAll it is zero
+// unless write-backs failed; durability checkpoints (e.g. the LSM manifest)
+// must verify it before advancing.
+func (p *BufferPool) DirtyCount() int { return p.dirty }
+
+func (p *BufferPool) setDirty(f *Frame) {
+	if !f.dirty {
+		f.dirty = true
+		p.dirty++
 	}
-	return n
+}
+
+func (p *BufferPool) setClean(f *Frame) {
+	if f.dirty {
+		f.dirty = false
+		p.dirty--
+	}
 }
 
 // Crash simulates losing the pool's volatile state: every frame — pinned or
@@ -273,7 +283,7 @@ func (p *BufferPool) Crash() {
 	clear(p.frames)
 	p.resident = 0
 	p.lru.prev, p.lru.next = &p.lru, &p.lru
-	p.spare, p.idle, p.owned = nil, nil, 0
+	p.spare, p.idle, p.owned, p.dirty = nil, nil, 0, 0
 }
 
 // Stats returns a copy of the pool counters.
@@ -363,7 +373,7 @@ func (p *BufferPool) NewPage(c rum.Class) (*Frame, error) {
 		clear(buf)
 	}
 	p.own(f, buf)
-	f.dirty = true
+	p.setDirty(f)
 	return f, nil
 }
 
@@ -457,10 +467,10 @@ func (p *BufferPool) strip(f *Frame) {
 	f.data = nil
 }
 
-// adopt registers f, fresh, idle or handed over by evictOne, as the clean
-// most-recently-used frame caching id.
+// adopt registers f, fresh, idle or handed over by evictOne — clean in every
+// case — as the most-recently-used frame caching id.
 func (p *BufferPool) adopt(f *Frame, id PageID, pins int32) {
-	f.id, f.pins, f.dirty = id, pins, false
+	f.id, f.pins = id, pins
 	p.pushFront(f)
 	if int(id) >= len(p.frames) {
 		p.growTable(id)
@@ -535,7 +545,7 @@ func (p *BufferPool) flushFrame(f *Frame) bool {
 		}
 	}
 	if errors.Is(err, ErrFreed) || errors.Is(err, ErrBadPage) {
-		f.dirty = false
+		p.setClean(f)
 		return true
 	}
 	if err != nil {
@@ -547,7 +557,7 @@ func (p *BufferPool) flushFrame(f *Frame) bool {
 }
 
 func (p *BufferPool) wroteBack(f *Frame) {
-	f.dirty = false
+	p.setClean(f)
 	p.stats.WriteBacks++
 	if p.hook != nil {
 		p.hook.StorageEvent(EvWriteBack, f.id, p.dev.Class(f.id), 0)
@@ -614,7 +624,7 @@ func (p *BufferPool) flushVictim(victim *Frame) bool {
 			continue
 		}
 		if p.dev.check(f.id) != nil {
-			f.dirty = false
+			p.setClean(f)
 			continue
 		}
 		group = append(group, f)
@@ -646,7 +656,7 @@ func (p *BufferPool) FreePage(id PageID) error {
 		p.unlink(f)
 		p.drop(id)
 		p.strip(f)
-		f.dirty = false
+		p.setClean(f)
 		f.next, p.idle = p.idle, f
 	}
 	return p.dev.Free(id)
@@ -659,11 +669,14 @@ func (p *BufferPool) FreePage(id PageID) error {
 // sequence on every run — part of the determinism contract with the
 // parallel bench runner. Under a batch width above 1 the dirty frames are
 // gathered (still in LRU order) into IOBatch-sized Device.ReplaceBatch
-// submissions, so a full-pool flush drains at queue depth.
+// submissions, so a full-pool flush drains at queue depth. The cost is
+// O(dirty span), not O(resident): dirtying a frame touches it, so the dirty
+// frames sit near the recent end, and the walk starts at the oldest of them.
 func (p *BufferPool) FlushAll() {
 	p.owner.assert("BufferPool")
+	oldest := p.oldestDirty()
 	if !p.batchIO() {
-		for f := p.lru.prev; f != &p.lru; f = f.prev {
+		for f := oldest; f != &p.lru; f = f.prev {
 			if f.dirty {
 				p.flushFrame(f)
 			}
@@ -671,12 +684,12 @@ func (p *BufferPool) FlushAll() {
 		return
 	}
 	group := p.group[:0]
-	for f := p.lru.prev; f != &p.lru; f = f.prev {
+	for f := oldest; f != &p.lru; f = f.prev {
 		if !f.dirty {
 			continue
 		}
 		if p.dev.check(f.id) != nil {
-			f.dirty = false // freed while cached: nothing left to persist
+			p.setClean(f) // freed while cached: nothing left to persist
 			continue
 		}
 		group = append(group, f)
@@ -689,6 +702,21 @@ func (p *BufferPool) FlushAll() {
 		p.flushGroup(group)
 	}
 	p.group = group
+}
+
+// oldestDirty returns the least recently used dirty frame, the sentinel if
+// there is none: it walks in from the recent end until it has passed every
+// dirty frame the count says there is, so the frames beyond — the clean bulk
+// of a pool between two publishes — are never visited.
+func (p *BufferPool) oldestDirty() *Frame {
+	oldest := &p.lru
+	for f, left := p.lru.next, p.dirty; left > 0 && f != &p.lru; f = f.next {
+		if f.dirty {
+			oldest = f
+			left--
+		}
+	}
+	return oldest
 }
 
 // Readahead batch-reads the given pages into the pool ahead of demand,

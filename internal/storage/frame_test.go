@@ -9,13 +9,17 @@ import (
 )
 
 // checkLRU walks the intrusive list in both directions and requires it to
-// hold exactly the cached frames, each linked consistently.
+// hold exactly the cached frames, each linked consistently, as many of them
+// dirty as the pool's count says.
 func checkLRU(t *testing.T, p *BufferPool) {
 	t.Helper()
-	forward := 0
+	forward, dirty := 0, 0
 	for f := p.lru.next; f != &p.lru; f = f.next {
 		if f.next.prev != f || f.prev.next != f {
 			t.Fatalf("frame %d: broken links", f.id)
+		}
+		if f.dirty {
+			dirty++
 		}
 		if p.lookup(f.id) != f {
 			t.Fatalf("frame %d is on the list but not the cached frame for its page", f.id)
@@ -29,6 +33,9 @@ func checkLRU(t *testing.T, p *BufferPool) {
 		if backward++; backward > p.Len() {
 			t.Fatalf("backward walk passed %d frames, pool caches %d", backward, p.Len())
 		}
+	}
+	if dirty != p.DirtyCount() {
+		t.Fatalf("list holds %d dirty frames, DirtyCount() = %d", dirty, p.DirtyCount())
 	}
 	if forward != p.Len() || backward != p.Len() {
 		t.Fatalf("list holds %d forward / %d backward frames, Len() = %d", forward, backward, p.Len())
