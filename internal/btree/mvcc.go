@@ -281,10 +281,10 @@ func (t *Tree) retainedBytes() uint64 {
 }
 
 // Snapshot is an immutable point-in-time view of the tree
-// (core.Snapshot); Epoch and Release come with the embedded version. Get,
-// GetBatch and RangeScan are safe for concurrent use from any goroutine: they
-// touch only the version's PageView and the caller's own meter, with zero
-// coordination. The physical accounting is per page touched — snapshot
+// (core.Snapshot); Epoch, Retain and Release come with the embedded version.
+// Get, GetBatch and RangeScan are safe for concurrent use from any goroutine:
+// they touch only the version's PageView and the caller's own meter, with
+// zero coordination. The physical accounting is per page touched — snapshot
 // readers run uncached (no shared buffer pool, which would need locking), so
 // a point read costs one page read per level, alone or in a batch: GetBatch
 // is defined as len(keys) Gets and differs from the loop only in how many of

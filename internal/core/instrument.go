@@ -198,6 +198,7 @@ type instrumentedSnapshot struct{ inner Snapshot }
 
 func (s instrumentedSnapshot) Epoch() uint64 { return s.inner.Epoch() }
 func (s instrumentedSnapshot) Len() int      { return s.inner.Len() }
+func (s instrumentedSnapshot) Retain() bool  { return s.inner.Retain() }
 func (s instrumentedSnapshot) Release()      { s.inner.Release() }
 
 func (s instrumentedSnapshot) Get(k Key, m *rum.Meter) (Value, bool) {

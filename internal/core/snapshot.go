@@ -15,15 +15,15 @@ import "repro/internal/rum"
 // structure's own ledger: a snapshot is shared between readers, so metering
 // into shared state would either race or serialize the very reads MVCC
 // exists to parallelize. Each reader accumulates into its own plain Meter
-// and the serving layer merges those into the shard ledger when the snapshot
-// is released — one atomic merge per reader session, not one per byte —
-// keeping the RUM accounting exact.
+// and the serving layer merges it into the shard ledger once the read is
+// done — one atomic merge per reader session, not one per byte — keeping the
+// RUM accounting exact.
 //
 // Get, GetBatch and RangeScan are safe for concurrent use from any goroutine
-// (each call with its own meter). Release is safe from any goroutine but
-// must be called exactly once per Acquire, after which the snapshot must not
-// be touched; it is what lets the writer's reclamation epoch advance past
-// the pages this snapshot pins.
+// (each call with its own meter). Retain and Release are safe from any
+// goroutine; Release must be called exactly once per Acquire or successful
+// Retain, after which that reference must not be used. It is what lets the
+// writer's reclamation epoch advance past the pages this snapshot pins.
 type Snapshot interface {
 	// Epoch returns the write epoch the snapshot was published at. Epochs
 	// are strictly increasing across publishes, so two snapshots of the same
@@ -49,6 +49,14 @@ type Snapshot interface {
 	// ascending key order, stopping early if emit returns false. It returns
 	// the number of records emitted and charges traffic to m.
 	RangeScan(lo, hi Key, m *rum.Meter, emit func(Key, Value) bool) int
+
+	// Retain takes another reference on a snapshot someone else holds — a
+	// serving layer that installed it for readers to pick up — and reports
+	// whether it got one. It fails once every reference is gone, because the
+	// writer may then be recycling the pages; a failed Retain leaves nothing
+	// to release. Safe from any goroutine; each successful Retain is paired
+	// with one Release.
+	Retain() bool
 
 	// Release drops the caller's reference. The underlying version stays
 	// readable for other holders; once every reference is gone the writer's

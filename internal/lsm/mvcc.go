@@ -81,10 +81,10 @@ func (t *Tree) SnapshotStats() core.SnapshotStats {
 }
 
 // Snapshot is an immutable point-in-time view of the LSM tree
-// (core.Snapshot); Epoch and Release come with the embedded version. Get and
-// RangeScan are safe for concurrent use from any goroutine: they touch only
-// the frozen memtable slice, immutable runs, the version's PageView, and the
-// caller's own meter.
+// (core.Snapshot); Epoch, Retain and Release come with the embedded version.
+// Get and RangeScan are safe for concurrent use from any goroutine: they
+// touch only the frozen memtable slice, immutable runs, the version's
+// PageView, and the caller's own meter.
 type Snapshot struct {
 	*version
 	pageSize int

@@ -18,13 +18,18 @@
 //
 // Exact RUM accounting is preserved by meter handoff. Each reader charges a
 // stack-local plain rum.Meter (no shared state on the hot path), then merges
-// it once per sub-batch into the snapshot's AtomicMeter. The shard goroutine
-// is the only absorber: when a snapshot is superseded and its reference
-// count drains to zero, the shard folds the AtomicMeter into its own ledger
-// (snapMeter) and releases the structure-level snapshot. Reports therefore
-// see every byte exactly once: live structure meter + absorbed reader
-// traffic + still-live snapshots' atomic meters, all read on the shard
-// goroutine.
+// it once per sub-batch into the shard's readMeter, an AtomicMeter. The
+// shard's ledger is its structure's own meter plus readMeter, read on the
+// shard goroutine: every byte is counted exactly once, whichever snapshot
+// served it.
+//
+// Liveness has one mechanism, the published version's reference count in
+// storage.VersionSet. The shard holds the reference Acquire gave it on the
+// snapshot it installed, until the next publish, Stop or its death swaps the
+// snapshot out. A reader takes its own reference with core.Snapshot.Retain,
+// which fails once the count has reached zero — the writer may be reclaiming
+// the pages then — and the reader reloads the pointer, which by then holds
+// the successor.
 //
 // Freshness is governed by Config.StalenessOps. The default (1) republishes
 // after every write-carrying message, before that message's completion
@@ -36,49 +41,31 @@
 package serve
 
 import (
-	"sync/atomic"
-
 	"repro/internal/core"
 	"repro/internal/rum"
 )
 
-// shardSnap is one published snapshot in the reader-visible chain. refs
-// counts the writer's installation reference (held until the snapshot is
-// superseded) plus one per in-flight reader; the snapshot is absorbable once
-// it is out of the pointer and refs reaches zero.
-type shardSnap struct {
-	snap  core.Snapshot
-	epoch uint64
-	meter rum.AtomicMeter
-	refs  atomic.Int64
-}
-
-// acquireSnap takes a reference on the shard's current snapshot, or returns
-// nil when the shard has none (MVCC off, unsupported structure, or nothing
-// published yet). Lock-free: the CAS-from-nonzero loop refuses to resurrect
-// a snapshot whose count already drained — zero means the writer may be
-// absorbing it right now — and reloads the pointer instead, which by then
-// holds the successor.
-func (sh *shard) acquireSnap() *shardSnap {
+// acquireSnap returns the shard's installed snapshot with a reference held,
+// or nil when the shard has none (MVCC off, unsupported structure, nothing
+// published yet, or the shard stopped). Lock-free: Retain fails only on a
+// snapshot the shard has already swapped out and released, so the reload
+// finds its successor.
+func (sh *shard) acquireSnap() core.Snapshot {
 	for {
-		ss := sh.cur.Load()
-		if ss == nil {
+		p := sh.cur.Load()
+		if p == nil {
 			return nil
 		}
-		r := ss.refs.Load()
-		if r == 0 {
-			continue
-		}
-		if ss.refs.CompareAndSwap(r, r+1) {
-			return ss
+		if (*p).Retain() {
+			return *p
 		}
 	}
 }
 
 // publishSnap (shard goroutine only) publishes the structure's current
-// state and installs it for readers, retiring the previous snapshot. A
-// structure without snapshot support turns the MVCC path off for this shard
-// on the first attempt; reads then flow through the mailbox as before.
+// state and installs it for readers. A structure without snapshot support
+// turns the MVCC path off for this shard on the first attempt; reads then
+// flow through the mailbox as before.
 func (sh *shard) publishSnap(am *core.Instrumented) {
 	if err := am.Publish(); err != nil {
 		sh.snapEvery = 0
@@ -90,62 +77,25 @@ func (sh *shard) publishSnap(am *core.Instrumented) {
 		return
 	}
 	sh.snapVersions = am.SnapshotStats().Versions
-	ns := &shardSnap{snap: cs, epoch: cs.Epoch()}
-	ns.refs.Store(1) // the installation reference
-	if old := sh.cur.Swap(ns); old != nil {
-		old.refs.Add(-1)
-		sh.retiredSnaps = append(sh.retiredSnaps, old)
-	}
+	sh.install(&cs)
 	sh.writesSince = 0
-	sh.sweepSnaps(false)
 }
 
-// sweepSnaps (shard goroutine only) absorbs retired snapshots whose readers
-// have all left: their reader-charged AtomicMeters fold into the shard
-// ledger and the structure-level snapshot is released, unpinning its pages
-// for epoch reclamation. final (Stop path, after every client call has
-// returned by contract) absorbs unconditionally.
-func (sh *shard) sweepSnaps(final bool) {
-	keep := sh.retiredSnaps[:0]
-	for _, rs := range sh.retiredSnaps {
-		if !final && rs.refs.Load() != 0 {
-			keep = append(keep, rs)
-			continue
-		}
-		sh.snapMeter.Add(rs.meter.Snapshot())
-		rs.snap.Release()
+// install makes p (nil: none) the snapshot readers pick up, and drops the
+// shard's reference on the one it replaces; readers that retained that one
+// keep it readable until they release it.
+func (sh *shard) install(p *core.Snapshot) {
+	if old := sh.cur.Swap(p); old != nil {
+		(*old).Release()
 	}
-	for i := len(keep); i < len(sh.retiredSnaps); i++ {
-		sh.retiredSnaps[i] = nil
-	}
-	sh.retiredSnaps = keep
-}
-
-// shutdownSnaps (shard goroutine only) uninstalls the current snapshot and
-// absorbs the whole chain; called after the mailbox closes, when no reader
-// can still be in flight.
-func (sh *shard) shutdownSnaps() {
-	if cur := sh.cur.Swap(nil); cur != nil {
-		cur.refs.Add(-1)
-		sh.retiredSnaps = append(sh.retiredSnaps, cur)
-	}
-	sh.sweepSnaps(true)
 }
 
 // ledgerMeter (shard goroutine only) is the shard's full RUM ledger: the
-// structure's own meter, reader traffic absorbed from dead snapshots, and
-// the still-live snapshots' atomic meters. Monotone across calls — absorbing
-// moves a snapshot's total from one term to another without changing the
-// sum, and AtomicMeters only grow.
+// structure's own meter plus the traffic snapshot readers merged. Monotone
+// across calls — both terms only grow.
 func (sh *shard) ledgerMeter(am *core.Instrumented) rum.Meter {
 	m := am.Meter().Snapshot()
-	m.Add(sh.snapMeter)
-	for _, rs := range sh.retiredSnaps {
-		m.Add(rs.meter.Snapshot())
-	}
-	if cur := sh.cur.Load(); cur != nil {
-		m.Add(cur.meter.Snapshot())
-	}
+	m.Add(sh.readMeter.Snapshot())
 	return m
 }
 
@@ -184,17 +134,16 @@ func (s *Server) snapshotScan(lo, hi core.Key, emit func(core.Key, core.Value) b
 		s.mu.RUnlock()
 		return 0, false
 	}
-	sss := make([]*shardSnap, len(s.shards))
+	snaps := make([]core.Snapshot, len(s.shards))
 	for i, sh := range s.shards {
-		ss := sh.acquireSnap()
-		if ss == nil {
-			for j := 0; j < i; j++ {
-				sss[j].refs.Add(-1)
+		snaps[i] = sh.acquireSnap()
+		if snaps[i] == nil {
+			for _, cs := range snaps[:i] {
+				cs.Release()
 			}
 			s.mu.RUnlock()
 			return 0, false
 		}
-		sss[i] = ss
 	}
 	s.mu.RUnlock()
 
@@ -202,14 +151,14 @@ func (s *Server) snapshotScan(lo, hi core.Key, emit func(core.Key, core.Value) b
 	defer s.readersActive.Add(-1)
 	var all []core.Record
 	var m rum.Meter
-	for i, ss := range sss {
-		ss.snap.RangeScan(lo, hi, &m, func(k core.Key, v core.Value) bool {
+	for i, cs := range snaps {
+		cs.RangeScan(lo, hi, &m, func(k core.Key, v core.Value) bool {
 			all = append(all, core.Record{Key: k, Value: v})
 			return true
 		})
-		ss.meter.Merge(m)
+		cs.Release()
+		s.shards[i].readMeter.Merge(m)
 		m.Reset()
-		ss.refs.Add(-1)
 		s.shards[i].bypassOps.Add(1)
 	}
 	return emitSorted(all, emit), true

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lsm"
 	"repro/internal/methods"
+	"repro/internal/rum"
 )
 
 func buildMVCCBTree(int) *core.Instrumented {
@@ -27,11 +29,11 @@ func buildMVCCLSM(int) *core.Instrumented {
 // mailbox.
 func TestSnapshotsUnsupportedFallsBack(t *testing.T) {
 	s := mustNew(t, Config{Shards: 2, Snapshots: true, Build: buildSkiplist})
-	if err := s.Insert(1, 10); err != nil {
+	if _, err := do1(s, OpInsert, 1, 10); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
-	if v, ok := s.Get(1); !ok || v != 10 {
-		t.Fatalf("Get(1) = %d,%v; want 10,true", v, ok)
+	if r, _ := do1(s, OpGet, 1, 0); !r.OK || r.Value != 10 {
+		t.Fatalf("Get(1) = %d,%v; want 10,true", r.Value, r.OK)
 	}
 	if active, ops := s.ReaderStats(); active != 0 || ops != 0 {
 		t.Fatalf("ReaderStats = %d,%d on an unsupported structure; want 0,0", active, ops)
@@ -51,11 +53,11 @@ func TestSnapshotReadYourWrites(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := mustNew(t, Config{Shards: 4, Snapshots: true, Build: build})
 			for k := uint64(0); k < 500; k++ {
-				if err := s.Insert(k, k*2); err != nil {
+				if _, err := do1(s, OpInsert, k, k*2); err != nil {
 					t.Fatalf("Insert(%d): %v", k, err)
 				}
-				if v, ok := s.Get(k); !ok || v != k*2 {
-					t.Fatalf("Get(%d) after Insert = %d,%v; want %d,true", k, v, ok, k*2)
+				if r, _ := do1(s, OpGet, k, 0); !r.OK || r.Value != k*2 {
+					t.Fatalf("Get(%d) after Insert = %d,%v; want %d,true", k, r.Value, r.OK, k*2)
 				}
 			}
 			_, ops := s.ReaderStats()
@@ -143,7 +145,7 @@ func TestSnapshotMeterExact(t *testing.T) {
 	const n = 600
 	s := mustNew(t, Config{Shards: 4, Snapshots: true, Build: buildMVCCBTree})
 	for k := uint64(0); k < n; k++ {
-		if err := s.Insert(k, k); err != nil {
+		if _, err := do1(s, OpInsert, k, k); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
@@ -284,7 +286,7 @@ func TestSnapshotConcurrentReadersStress(t *testing.T) {
 			// Keys hold v = k ^ (gen<<32); readers accept any generation but
 			// never a torn mix.
 			for k := uint64(0); k < n; k++ {
-				if err := s.Insert(k, k); err != nil {
+				if _, err := do1(s, OpInsert, k, k); err != nil {
 					t.Fatalf("Insert: %v", err)
 				}
 			}
@@ -351,6 +353,105 @@ func TestSnapshotConcurrentReadersStress(t *testing.T) {
 	}
 }
 
+// TestSnapshotRetainIsTheOnlyGuard: with one version retained, a superseded
+// version leaves the window inside the very Publish that replaces it, and
+// once the shard releases it the next Publish reclaims its pages. A reader
+// that loaded the installed snapshot just before the swap is kept off those
+// pages by nothing but Retain refusing to revive a zero count. Concurrent
+// pure-read Do and RangeScan readers run against a writer republishing after
+// every write, and one reader per shard splits acquireSnap in two, waiting
+// out two publishes between the load and the Retain so that it loses that
+// race every time. Under -tags racecheck a read of a reclaimed page panics.
+func TestSnapshotRetainIsTheOnlyGuard(t *testing.T) {
+	// The writer runs until the stale readers have been refused often enough,
+	// which a Retain that revives a zero count never is: hence the cap.
+	const shards, n, minWrites, maxWrites, wantRefused = 2, 512, 1000, 50000, 64
+	s := mustNew(t, Config{Shards: shards, Snapshots: true, Build: func(int) *core.Instrumented {
+		return methods.NewBTree(methods.Options{PageSize: 512, PoolPages: 64}, btree.Config{Versions: 1})
+	}})
+	reqs := make([]Request, n)
+	for k := range reqs {
+		reqs[k] = Request{Op: OpInsert, Key: core.Key(k), Value: core.Value(k)}
+	}
+	if err := s.Do(reqs, make([]Result, n)); err != nil {
+		t.Fatalf("Do(insert): %v", err)
+	}
+	var stop atomic.Bool
+	var bad, refused atomic.Int64
+	check := func(k core.Key, v core.Value) bool {
+		if v&0xffffffff != core.Value(k) { // v = k | gen<<32
+			bad.Add(1)
+		}
+		return true
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(seed, 29))
+			reqs, res := make([]Request, 16), make([]Result, 16)
+			for !stop.Load() {
+				for i := range reqs {
+					reqs[i] = Request{Op: OpGet, Key: core.Key(rng.Uint64N(n))}
+				}
+				if s.Do(reqs, res) != nil {
+					return
+				}
+				for i, r := range res {
+					if !r.OK {
+						bad.Add(1)
+					}
+					check(reqs[i].Key, r.Value)
+				}
+				lo := core.Key(rng.Uint64N(n))
+				s.RangeScan(lo, lo+32, check)
+			}
+		}(uint64(r + 1))
+	}
+	for _, sh := range s.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var m rum.Meter
+			for !stop.Load() {
+				p := sh.cur.Load()
+				if p == nil {
+					return
+				}
+				for q := p; q != nil && (*q).Epoch() < (*p).Epoch()+2 && !stop.Load(); q = sh.cur.Load() {
+					runtime.Gosched()
+				}
+				if !(*p).Retain() {
+					refused.Add(1)
+					continue
+				}
+				(*p).RangeScan(0, n, &m, check)
+				(*p).Release()
+			}
+		}()
+	}
+	rng := rand.New(rand.NewPCG(5, 31))
+	for gen := 1; gen <= minWrites || (gen <= maxWrites && refused.Load() < wantRefused); gen++ {
+		k := core.Key(rng.Uint64N(n))
+		if _, err := do1(s, OpUpdate, k, core.Value(k)|core.Value(gen)<<32); err != nil {
+			t.Fatalf("Update: %v", err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if bad.Load() != 0 {
+		t.Fatalf("%d reads returned a missing key or a torn value", bad.Load())
+	}
+	if got := refused.Load(); got < wantRefused {
+		t.Fatalf("Retain refused %d snapshots the shard had swapped out and released in %d writes, want %d",
+			got, maxWrites, wantRefused)
+	}
+	if _, err := s.Stop(); err != nil {
+		t.Fatalf("Stop: %v", err)
+	}
+}
+
 // TestSnapshotEpochsMonotonePerShard acquires snapshots repeatedly while
 // writing and checks each shard's published epoch never goes backwards.
 func TestSnapshotEpochsMonotonePerShard(t *testing.T) {
@@ -358,19 +459,19 @@ func TestSnapshotEpochsMonotonePerShard(t *testing.T) {
 	s := mustNew(t, Config{Shards: shards, Snapshots: true, Build: buildMVCCBTree})
 	last := make([]uint64, shards)
 	for k := uint64(0); k < 400; k++ {
-		if err := s.Insert(k, k); err != nil {
+		if _, err := do1(s, OpInsert, k, k); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 		for i, sh := range s.shards {
-			ss := sh.acquireSnap()
-			if ss == nil {
+			cs := sh.acquireSnap()
+			if cs == nil {
 				continue
 			}
-			if ss.epoch < last[i] {
-				t.Fatalf("shard %d epoch went backwards: %d -> %d", i, last[i], ss.epoch)
+			if cs.Epoch() < last[i] {
+				t.Fatalf("shard %d epoch went backwards: %d -> %d", i, last[i], cs.Epoch())
 			}
-			last[i] = ss.epoch
-			ss.refs.Add(-1)
+			last[i] = cs.Epoch()
+			cs.Release()
 		}
 	}
 	if _, err := s.Stop(); err != nil {
@@ -389,7 +490,7 @@ func TestSnapshotEpochsMonotonePerShard(t *testing.T) {
 func TestSnapshotStaleness(t *testing.T) {
 	s := mustNew(t, Config{Shards: 2, Snapshots: true, StalenessOps: 64, Build: buildMVCCBTree})
 	for k := uint64(0); k < 300; k++ {
-		if err := s.Insert(k, k+7); err != nil {
+		if _, err := do1(s, OpInsert, k, k+7); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
@@ -397,8 +498,8 @@ func TestSnapshotStaleness(t *testing.T) {
 		t.Fatalf("Flush: %v", err)
 	}
 	for k := uint64(0); k < 300; k++ {
-		if v, ok := s.Get(k); !ok || v != k+7 {
-			t.Fatalf("Get(%d) after Flush = %d,%v; want %d,true", k, v, ok, k+7)
+		if r, _ := do1(s, OpGet, k, 0); !r.OK || r.Value != k+7 {
+			t.Fatalf("Get(%d) after Flush = %d,%v; want %d,true", k, r.Value, r.OK, k+7)
 		}
 	}
 	if _, err := s.Stop(); err != nil {
@@ -410,11 +511,14 @@ func ExampleServer_snapshots() {
 	s, _ := New(Config{Shards: 2, Snapshots: true, Build: func(int) *core.Instrumented {
 		return methods.NewBTree(methods.Options{}, btree.Config{Versions: 2})
 	}})
-	for k := uint64(0); k < 100; k++ {
-		_ = s.Insert(k, k*k)
+	reqs := make([]Request, 100)
+	for k := range reqs {
+		reqs[k] = Request{Op: OpInsert, Key: core.Key(k), Value: core.Value(k * k)}
 	}
-	v, ok := s.Get(36) // pure read: served from a snapshot, no mailbox hop
-	fmt.Println(v, ok)
+	_ = s.Do(reqs, make([]Result, len(reqs)))
+	res := make([]Result, 1)
+	_ = s.Do([]Request{{Op: OpGet, Key: 36}}, res) // pure read: served from a snapshot, no mailbox hop
+	fmt.Println(res[0].Value, res[0].OK)
 	_, ops := s.ReaderStats()
 	fmt.Println(ops > 0)
 	_, _ = s.Stop()

@@ -21,9 +21,9 @@
 //     the hot path (no atomics per byte); meters are snapshotted by the
 //     shard goroutine when it exits and published through the happens-before
 //     edge of Server.Stop, where they merge into one aggregate. Snapshot
-//     readers charge private meters that the shard absorbs at snapshot
-//     retirement. The merged logical side is exact: every request is
-//     accounted on exactly one shard.
+//     readers charge private meters and merge each into their shard's one
+//     reader meter when the read is done. The merged logical side is exact:
+//     every request is accounted on exactly one shard.
 //
 // Ordering: requests from one client (one Do call at a time) are executed in
 // submission order on every shard they touch, because a Do call enqueues at
@@ -279,15 +279,15 @@ type shard struct {
 	pollSkip int
 	mbox     obs.MailboxPoint
 
-	// MVCC state (Config.Snapshots; see mvcc.go). cur and bypassOps are the
-	// reader-facing atomics; everything else is shard-goroutine-owned.
-	cur          atomic.Pointer[shardSnap]
-	bypassOps    atomic.Uint64 // reads served off snapshots, mailbox bypassed
-	snapEvery    int           // publish cadence in writes; 0 = MVCC off
-	writesSince  int           // writes applied since the last publish
-	snapVersions int           // SnapshotStats.Versions as of the last publish
-	snapMeter    rum.Meter     // reader traffic absorbed from dead snapshots
-	retiredSnaps []*shardSnap  // superseded snapshots awaiting absorption
+	// MVCC state (Config.Snapshots; see mvcc.go). cur, bypassOps and
+	// readMeter are the reader-facing atomics; everything else is
+	// shard-goroutine-owned.
+	cur          atomic.Pointer[core.Snapshot] // installed; the shard holds one reference
+	bypassOps    atomic.Uint64                 // reads served off snapshots, mailbox bypassed
+	readMeter    rum.AtomicMeter               // traffic those reads charged
+	snapEvery    int                           // publish cadence in writes; 0 = MVCC off
+	writesSince  int                           // writes applied since the last publish
+	snapVersions int                           // SnapshotStats.Versions as of the last publish
 
 	// clock is the server's trace clock, copied here so the traced op loop
 	// chases no pointer. It sits last so that it does not push bypassOps,
@@ -376,12 +376,8 @@ func (s *Server) runShard(sh *shard) {
 			sh.report.Ops = sh.ops + sh.bypassOps.Load()
 			// Uninstall the snapshot so readers stop serving from a dead
 			// shard and fall back to the mailbox (completing with zero
-			// Results, like every other request here). In-flight readers may
-			// still hold references, so the chain is not absorbed — the
-			// shard is dead and its ledger is the error report.
-			if cur := sh.cur.Swap(nil); cur != nil {
-				cur.refs.Add(-1)
-			}
+			// Results, like every other request here).
+			sh.install(nil)
 			for msg := range sh.mailbox {
 				// A dead shard still answers snapshots — with its error
 				// report — so a live telemetry plane sees the death instead
@@ -422,7 +418,7 @@ func (s *Server) runShard(sh *shard) {
 	for msg, ok := sh.next(); ok; msg, ok = sh.next() {
 		sh.apply(am, msg)
 	}
-	sh.shutdownSnaps()
+	sh.install(nil)
 	if sh.wrec != nil {
 		// Force the final partial window out so the last phase of a run
 		// shorter than a window still fingerprints deterministically.
@@ -650,8 +646,8 @@ func (s *Server) Do(reqs []Request, res []Result) error {
 		}
 		if readOnly[sh] {
 			if s.cfg.Snapshots {
-				if ss := s.shards[sh].acquireSnap(); ss != nil {
-					bypass[sh] = ss
+				if cs := s.shards[sh].acquireSnap(); cs != nil {
+					bypass[sh] = cs
 					bypassed = true
 					continue
 				}
@@ -703,12 +699,12 @@ func (s *Server) Do(reqs []Request, res []Result) error {
 	// reader — overlapping with whatever the mailboxes are doing. A sub-batch
 	// is one GetBatch call, so the snapshot may keep its independent lookups
 	// in flight together; it charges the scratch's private meter, merged once
-	// into the snapshot's AtomicMeter for the owning shard to absorb later.
+	// into the owning shard's reader meter.
 	if bypassed {
 		s.readersActive.Add(1)
 		m := &sc.meter
-		for sh, ss := range bypass {
-			if ss == nil {
+		for sh, cs := range bypass {
+			if cs == nil {
 				continue
 			}
 			idxs := idxBuf[starts[sh]:starts[sh+1]]
@@ -716,14 +712,14 @@ func (s *Server) Do(reqs []Request, res []Result) error {
 			for j, i := range idxs {
 				keys[j] = reqs[i].Key
 			}
-			ss.snap.GetBatch(keys, vals, oks, m)
+			cs.GetBatch(keys, vals, oks, m)
+			cs.Release()
+			bypass[sh] = nil
 			for j, i := range idxs {
 				res[i] = Result{Value: vals[j], OK: oks[j]}
 			}
-			ss.meter.Merge(*m)
+			s.shards[sh].readMeter.Merge(*m)
 			m.Reset()
-			ss.refs.Add(-1)
-			bypass[sh] = nil
 			s.shards[sh].bypassOps.Add(uint64(len(idxs)))
 		}
 		s.readersActive.Add(-1)
@@ -745,7 +741,7 @@ type doScratch struct {
 	starts   []int // sub-batch offsets into idx, one past the last shard too
 	fill     []int // placement cursors
 	readOnly []bool
-	bypass   []*shardSnap
+	bypass   []core.Snapshot
 	home     []uint32 // home shard of each request
 	idx      []uint32 // request indices grouped by shard
 	// One bypassed sub-batch at a time, gathered for Snapshot.GetBatch, and the
@@ -764,7 +760,7 @@ func (s *Server) getScratch(n int) *doScratch {
 		nsh := len(s.shards)
 		sc = &doScratch{
 			counts: make([]int, nsh), starts: make([]int, nsh+1), fill: make([]int, nsh),
-			readOnly: make([]bool, nsh), bypass: make([]*shardSnap, nsh),
+			readOnly: make([]bool, nsh), bypass: make([]core.Snapshot, nsh),
 		}
 	}
 	if cap(sc.home) < n {
@@ -794,54 +790,6 @@ func (s *Server) broadcast(prepare func(shard int) message) error {
 	s.mu.RUnlock()
 	<-comp.done
 	return nil
-}
-
-// Get executes a single point query. Without Config.Snapshots a single-op
-// call pays a full mailbox round-trip; with them it is served off the shard's
-// snapshot on the caller's goroutine, as a GetBatch of one whose gather,
-// group kernel and scatter a single key does not amortise. Either way, batch
-// with Do where throughput matters.
-func (s *Server) Get(k core.Key) (core.Value, bool) {
-	req := [1]Request{{Op: OpGet, Key: k}}
-	var res [1]Result
-	if s.Do(req[:], res[:]) != nil {
-		return 0, false
-	}
-	return res[0].Value, res[0].OK
-}
-
-// Insert executes a single insert; it reports ErrStopped after Stop and nil
-// otherwise (a duplicate key surfaces as Result.OK=false through Do).
-func (s *Server) Insert(k core.Key, v core.Value) error {
-	req := [1]Request{{Op: OpInsert, Key: k, Value: v}}
-	var res [1]Result
-	if err := s.Do(req[:], res[:]); err != nil {
-		return err
-	}
-	if !res[0].OK {
-		return core.ErrKeyExists
-	}
-	return nil
-}
-
-// Update executes a single update, reporting whether the key existed.
-func (s *Server) Update(k core.Key, v core.Value) bool {
-	req := [1]Request{{Op: OpUpdate, Key: k, Value: v}}
-	var res [1]Result
-	if s.Do(req[:], res[:]) != nil {
-		return false
-	}
-	return res[0].OK
-}
-
-// Delete executes a single delete, reporting whether the key existed.
-func (s *Server) Delete(k core.Key) bool {
-	req := [1]Request{{Op: OpDelete, Key: k}}
-	var res [1]Result
-	if s.Do(req[:], res[:]) != nil {
-		return false
-	}
-	return res[0].OK
 }
 
 // Preload bulk-loads recs, which must be sorted by key and duplicate-free,

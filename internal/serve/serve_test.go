@@ -25,6 +25,21 @@ func mustNew(t *testing.T, cfg Config) *Server {
 	return s
 }
 
+// do1 executes one request through Do and returns its outcome. Do's error
+// (ErrStopped after Stop) passes through, and an insert whose key was already
+// present reports core.ErrKeyExists.
+func do1(s *Server, op Op, k core.Key, v core.Value) (Result, error) {
+	req := [1]Request{{Op: op, Key: k, Value: v}}
+	var res [1]Result
+	if err := s.Do(req[:], res[:]); err != nil {
+		return Result{}, err
+	}
+	if op == OpInsert && !res[0].OK {
+		return res[0], core.ErrKeyExists
+	}
+	return res[0], nil
+}
+
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New without Build succeeded")
@@ -47,16 +62,16 @@ func TestSingleOpsAgainstModel(t *testing.T) {
 				v := core.Value(rng.Uint64())
 				switch rng.UintN(4) {
 				case 0:
-					got, ok := s.Get(k)
+					got, _ := do1(s, OpGet, k, 0)
 					want, wantOK := model[k]
-					if ok != wantOK || (ok && got != want) {
-						t.Fatalf("Get(%d) = (%d,%v), want (%d,%v)", k, got, ok, want, wantOK)
+					if got.OK != wantOK || (got.OK && got.Value != want) {
+						t.Fatalf("Get(%d) = (%d,%v), want (%d,%v)", k, got.Value, got.OK, want, wantOK)
 					}
 				case 1:
-					err := s.Insert(k, v)
+					_, err := do1(s, OpInsert, k, v)
 					if _, exists := model[k]; exists {
-						if err == nil {
-							t.Fatalf("Insert(%d) of existing key succeeded", k)
+						if err != core.ErrKeyExists {
+							t.Fatalf("Insert(%d) of existing key = %v, want core.ErrKeyExists", k, err)
 						}
 					} else {
 						if err != nil {
@@ -65,19 +80,19 @@ func TestSingleOpsAgainstModel(t *testing.T) {
 						model[k] = v
 					}
 				case 2:
-					ok := s.Update(k, v)
+					r, _ := do1(s, OpUpdate, k, v)
 					_, exists := model[k]
-					if ok != exists {
-						t.Fatalf("Update(%d) = %v, want %v", k, ok, exists)
+					if r.OK != exists {
+						t.Fatalf("Update(%d) = %v, want %v", k, r.OK, exists)
 					}
 					if exists {
 						model[k] = v
 					}
 				case 3:
-					ok := s.Delete(k)
+					r, _ := do1(s, OpDelete, k, 0)
 					_, exists := model[k]
-					if ok != exists {
-						t.Fatalf("Delete(%d) = %v, want %v", k, ok, exists)
+					if r.OK != exists {
+						t.Fatalf("Delete(%d) = %v, want %v", k, r.OK, exists)
 					}
 					delete(model, k)
 				}
@@ -424,7 +439,7 @@ func TestStoppedServer(t *testing.T) {
 	if err := s.Preload(nil); err != ErrStopped {
 		t.Fatalf("Preload after Stop = %v, want ErrStopped", err)
 	}
-	if err := s.Insert(1, 1); err != ErrStopped {
+	if _, err := do1(s, OpInsert, 1, 1); err != ErrStopped {
 		t.Fatalf("Insert after Stop = %v, want ErrStopped", err)
 	}
 	if _, err := s.Stop(); err != ErrStopped {
@@ -506,7 +521,7 @@ func TestShardOfDeterministicAndBalanced(t *testing.T) {
 func TestDoOverwritesReusedResults(t *testing.T) {
 	s := mustNew(t, Config{Shards: 1, Build: buildSkiplist})
 	defer s.Stop()
-	if err := s.Insert(7, 70); err != nil {
+	if _, err := do1(s, OpInsert, 7, 70); err != nil {
 		t.Fatal(err)
 	}
 	res := []Result{{Value: 0xdead, OK: true}, {Value: 0xbeef, OK: true}}

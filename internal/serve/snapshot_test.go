@@ -200,6 +200,97 @@ func TestSnapshotUnderLoad(t *testing.T) {
 	}
 }
 
+// TestSnapshotMonotoneUnderMVCC takes Server.Snapshot mid-traffic on an MVCC
+// server, where bypass readers merge their meters into the shard's reader
+// meter concurrently with the shard reading its ledger: every snapshot is
+// monotone per shard against the next one and the last against Stop's
+// report, which holds every operation exactly once.
+func TestSnapshotMonotoneUnderMVCC(t *testing.T) {
+	const shards, n, readers, rounds, batch = 2, 400, 3, 200, 32
+	s := mustNew(t, Config{Shards: shards, Snapshots: true, Build: buildMVCCBTree})
+	reqs := make([]Request, n)
+	for k := range reqs {
+		reqs[k] = Request{Op: OpInsert, Key: core.Key(k), Value: core.Value(k)}
+	}
+	if err := s.Do(reqs, make([]Result, n)); err != nil {
+		t.Fatalf("Do(insert): %v", err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, readers+1)
+	for c := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			op := OpGet // readers bypass the mailbox; the last client writes
+			if c == readers {
+				op = OpUpdate
+			}
+			reqs, res := make([]Request, batch), make([]Result, batch)
+			for r := 0; r < rounds && errs[c] == nil; r++ {
+				for i := range reqs {
+					reqs[i] = Request{Op: op, Key: core.Key((c*rounds + r*batch + i) % n), Value: 1}
+				}
+				errs[c] = s.Do(reqs, res)
+			}
+		}()
+	}
+	var prev []ShardReport
+	monotone := func(cur []ShardReport, what string) {
+		t.Helper()
+		for i := range cur {
+			if cur[i].Ops < prev[i].Ops || !meterMonotone(prev[i].Meter, cur[i].Meter) {
+				t.Fatalf("shard %d regressed at %s:\n%+v\nthen\n%+v", i, what, prev[i], cur[i])
+			}
+		}
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	taken := 0
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		cur, err := s.Snapshot()
+		if err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		if prev != nil {
+			monotone(cur, "the next snapshot")
+		}
+		prev = cur
+		taken++
+	}
+	if taken < 3 {
+		t.Fatalf("%d snapshots taken, want some mid-traffic", taken)
+	}
+	for c, err := range errs {
+		if err != nil {
+			t.Fatalf("client %d: %v", c, err)
+		}
+	}
+	reports, err := s.Stop()
+	if err != nil {
+		t.Fatalf("Stop: %v", err)
+	}
+	monotone(reports, "Stop")
+	m, _, _ := Aggregate(reports)
+	var ops uint64
+	for _, r := range reports {
+		ops += r.Ops
+	}
+	if want := uint64(n + (readers+1)*rounds*batch); ops != want {
+		t.Fatalf("Stop reports %d ops, want %d", ops, want)
+	}
+	if want := uint64(readers*rounds*batch) * core.RecordSize; m.LogicalRead < want {
+		t.Fatalf("Stop ledger LogicalRead = %d, want at least the readers' %d", m.LogicalRead, want)
+	}
+	if _, bypassed := s.ReaderStats(); bypassed == 0 {
+		t.Fatal("no read was served off a snapshot")
+	}
+}
+
 // TestDoReusedBufferAcrossCalls locks in the PR 4 stale-Value fix across
 // calls: a Result buffer recycled between Do calls must never leak an
 // earlier call's Value into a later outcome.

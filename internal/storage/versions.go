@@ -25,9 +25,10 @@ import "sync/atomic"
 // anchors reclamation for as long as it sits in the window — but is never
 // handed to a reader.
 //
-// Everything except Version.Release is writer-side: it runs on the goroutine
-// that owns the structure. A nil *VersionSet is a structure built without
-// MVCC: it has no versions, epoch 0, and nothing retired.
+// Everything except Version.Retain and Version.Release is writer-side: it
+// runs on the goroutine that owns the structure. A nil *VersionSet is a
+// structure built without MVCC: it has no versions, epoch 0, and nothing
+// retired.
 type VersionSet[T any] struct {
 	keep    int
 	epoch   uint64
@@ -38,7 +39,7 @@ type VersionSet[T any] struct {
 }
 
 // Version is one published immutable state. Its reference count is atomic
-// because Release may run on a reader goroutine while the writer's
+// because Retain and Release may run on a reader goroutine while the writer's
 // reclamation pass inspects it.
 type Version[T any] struct {
 	State T
@@ -165,7 +166,24 @@ func (v *Version[T]) Epoch() uint64 { return v.epoch }
 // View returns the page images the version reads from.
 func (v *Version[T]) View() *PageView { return v.view }
 
-// Release drops a reference taken by Acquire; it must be called exactly once
-// per Acquire, from any goroutine. The pages the version pins become
-// reclaimable at the writer's next Publish.
+// Retain takes one more reference on a version the caller reached without
+// holding one (a pointer another goroutine installed), from any goroutine.
+// It fails once the last reference is gone: from then on the writer's next
+// Publish may reclaim the version's pages, so a zero count is never revived.
+// A successful Retain is paired with one Release, like an Acquire.
+func (v *Version[T]) Retain() bool {
+	for {
+		r := v.refs.Load()
+		if r == 0 {
+			return false
+		}
+		if v.refs.CompareAndSwap(r, r+1) {
+			return true
+		}
+	}
+}
+
+// Release drops a reference taken by Acquire or Retain; it must be called
+// exactly once per reference, from any goroutine. The pages the version pins
+// become reclaimable at the writer's next Publish.
 func (v *Version[T]) Release() { v.refs.Add(-1) }

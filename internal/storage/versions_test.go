@@ -113,6 +113,35 @@ func TestVersionSetPinnedVersionHoldsPages(t *testing.T) {
 	h.expect("after release", 10, 20)
 }
 
+// TestVersionRetainNeverRevives: Retain takes a reference while any is held
+// and fails once the last one is released — it does not bring the version
+// back, so the writer's next Publish reclaims what only that version pinned.
+// Retain is the only thing a reader racing the writer's reclamation has.
+func TestVersionRetainNeverRevives(t *testing.T) {
+	h := newVersionHarness(t, 1)
+	h.vs.Publish(0, h.view) // @1
+	first := h.vs.Acquire()
+	h.vs.Retire(10)         // epoch 2: only @1 references it
+	h.vs.Publish(0, h.view) // @2; @1 out of the window, pinned by first
+	if !first.Retain() {
+		t.Fatal("Retain failed while Acquire's reference was held")
+	}
+	first.Release()
+	if !first.Retain() {
+		t.Fatal("Retain failed while a retained reference was held")
+	}
+	first.Release()
+	first.Release()
+	for i := 0; i < 2; i++ {
+		if first.Retain() {
+			t.Fatal("Retain revived a version whose last reference was released")
+		}
+	}
+	h.expect("reclamation is writer-side")
+	h.vs.Publish(0, h.view) // @3
+	h.expect("after the last release", 10)
+}
+
 // TestVersionSetBarrierVersions: a version published without a view anchors
 // reclamation exactly like a readable one, but Acquire never returns it.
 func TestVersionSetBarrierVersions(t *testing.T) {

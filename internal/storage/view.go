@@ -36,7 +36,7 @@ import "repro/internal/rum"
 //
 // A PageView counts no traffic: readers charge their own rum.Meter at the
 // call site so that per-reader accounting can be merged exactly into the
-// owning ledger when the snapshot is released.
+// owning ledger once the read is done.
 type PageView struct {
 	pages    [][]byte
 	class    []rum.Class
