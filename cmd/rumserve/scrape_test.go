@@ -163,13 +163,13 @@ func TestLiveLedgerReconciles(t *testing.T) {
 			if err != nil {
 				t.Fatalf("newDaemon: %v", err)
 			}
-			waitFor(t, "device writes, and a fault or a batch to reconcile", func() bool {
+			waitFor(t, "device reads and writes, and a fault or a batch to reconcile", func() bool {
 				last := d.ring.Last()
 				if last == nil || last.Phases == nil {
 					return false
 				}
 				c := last.Phases.Pages
-				return c.Writes() > 0 && (c.Faults > 0 || c.Batches > 0)
+				return c.Reads() > 0 && c.Writes() > 0 && (c.Faults > 0 || c.Batches > 0)
 			})
 			d.stop() // injected faults fail ops by design; the verdict is not under test
 			final := d.ring.Last()

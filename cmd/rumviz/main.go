@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -33,22 +34,35 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main, factored for tests: 0 on success, 1 if a method failed to
+// profile, 2 on usage errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rumviz", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list       = flag.String("methods", "", "comma-separated catalog names (default: all)")
-		n          = flag.Int("n", 16384, "records preloaded")
-		ops        = flag.Int("ops", 8000, "measured operations")
-		get        = flag.Float64("get", 0.58, "point query fraction")
-		rng        = flag.Float64("range", 0.0, "range query (scan) fraction")
-		insert     = flag.Float64("insert", 0.2, "insert fraction")
-		update     = flag.Float64("update", 0.17, "update fraction")
-		del        = flag.Float64("delete", 0.05, "delete fraction")
-		width      = flag.Int("width", 61, "triangle width in characters")
-		absolute   = flag.Bool("absolute", false, "plot absolute amplification instead of cohort-relative position")
-		trajectory = flag.Bool("trajectory", false, "render RUM trajectory sparklines (windowed RO/UO and MO over the run)")
-		sample     = flag.Int("sample", 0, "operations between trajectory samples (0 = ops/60)")
-		parallel   = flag.Int("parallel", 0, "profile worker pool size (0 = GOMAXPROCS, 1 = sequential)")
+		list       = fs.String("methods", "", "comma-separated catalog names (default: all)")
+		n          = fs.Int("n", 16384, "records preloaded")
+		ops        = fs.Int("ops", 8000, "measured operations")
+		get        = fs.Float64("get", 0.58, "point query fraction")
+		rng        = fs.Float64("range", 0.0, "range query (scan) fraction")
+		insert     = fs.Float64("insert", 0.2, "insert fraction")
+		update     = fs.Float64("update", 0.17, "update fraction")
+		del        = fs.Float64("delete", 0.05, "delete fraction")
+		width      = fs.Int("width", 61, "triangle width in characters")
+		absolute   = fs.Bool("absolute", false, "plot absolute amplification instead of cohort-relative position")
+		trajectory = fs.Bool("trajectory", false, "render RUM trajectory sparklines (windowed RO/UO and MO over the run)")
+		sample     = fs.Int("sample", 0, "operations between trajectory samples (0 = ops/60)")
+		parallel   = fs.Int("parallel", 0, "profile worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	var tracer *obs.Observer
 	if *trajectory {
@@ -66,8 +80,8 @@ func main() {
 		for _, name := range strings.Split(*list, ",") {
 			name = strings.TrimSpace(name)
 			if _, err := methods.Lookup(methods.Options{}, name); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				fmt.Fprintln(stderr, err)
+				return 2
 			}
 			names = append(names, name)
 		}
@@ -79,8 +93,8 @@ func main() {
 
 	mix := workload.Mix{Get: *get, Scan: *rng, Insert: *insert, Update: *update, Delete: *del}
 	if err := mix.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "rumviz: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "rumviz: %v\n", err)
+		return 2
 	}
 	runner := bench.NewRunner(*parallel)
 	points := make([]rum.Point, len(names))
@@ -114,10 +128,9 @@ func main() {
 
 	failed := false
 	var pts []bench.NamedPoint
-	var raw []rum.Point
 	for i, name := range names {
 		if e := errs[i]; e != nil {
-			fmt.Fprintf(os.Stderr, "rumviz: %s: %v\n", name, e.Value)
+			fmt.Fprintf(stderr, "rumviz: %s: %v\n", name, e.Value)
 			failed = true
 			continue
 		}
@@ -125,23 +138,22 @@ func main() {
 			tracer.Absorb(children[i])
 		}
 		pts = append(pts, bench.NamedPoint{Label: name, Point: points[i]})
-		raw = append(raw, points[i])
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
 	if !*absolute {
-		ws := rum.RelativeWeights(raw)
+		ws := rum.RelativeWeights(points) // every point profiled: a failure returned above
 		for i := range pts {
-			w := ws[i]
-			pts[i].W = &w
+			pts[i].W = &ws[i]
 		}
 	}
-	fmt.Printf("RUM triangle: N=%d, ops=%d, mix get=%.2f range=%.2f insert=%.2f update=%.2f delete=%.2f\n\n",
+	fmt.Fprintf(stdout, "RUM triangle: N=%d, ops=%d, mix get=%.2f range=%.2f insert=%.2f update=%.2f delete=%.2f\n\n",
 		*n, *ops, *get, *rng, *insert, *update, *del)
-	fmt.Println(bench.RenderTriangle(pts, *width))
+	fmt.Fprintln(stdout, bench.RenderTriangle(pts, *width))
 	if tracer != nil {
-		fmt.Println("RUM trajectory (one sparkline column per sampling window):")
-		fmt.Print(obs.RenderTrajectory(tracer.Samples(), 60))
+		fmt.Fprintln(stdout, "RUM trajectory (one sparkline column per sampling window):")
+		fmt.Fprint(stdout, obs.RenderTrajectory(tracer.Samples(), 60))
 	}
+	return 0
 }

@@ -104,10 +104,19 @@ func (d KeyDist) String() string {
 	case "zipf":
 		return fmt.Sprintf("zipf:%g", d.Theta)
 	case "hotspot":
-		return fmt.Sprintf("hotspot:%g/%g", d.HotAccess*100, d.HotKeys*100)
+		return "hotspot:" + percent(d.HotAccess) + "/" + percent(d.HotKeys)
 	default:
 		return "uniform"
 	}
+}
+
+// percent renders a hotspot fraction so that ParseKeyDist reads it back
+// exactly: as a percentage only when that is above 1 and exact.
+func percent(x float64) string {
+	if x*100 > 1 && x*100/100 == x {
+		x *= 100
+	}
+	return strconv.FormatFloat(x, 'g', -1, 64)
 }
 
 // rank picks an index in [0,n) from the distribution given one uniform

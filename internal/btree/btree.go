@@ -62,9 +62,9 @@ type Tree struct {
 	leafCap int // effective leaf capacity
 	intCap  int // effective internal capacity
 
-	// MVCC state (nil when cfg.Versions == 0; see mvcc.go).
-	vs         *storage.VersionSet[state] // epoch, published versions, retired pages
-	allocEpoch map[storage.PageID]uint64  // epoch each live page was allocated in
+	// MVCC state: epoch, published versions, page births and retired pages
+	// (nil when cfg.Versions == 0; see mvcc.go).
+	vs *storage.VersionSet[state]
 }
 
 // New creates an empty tree on pool. The pool's device meter receives all
@@ -610,22 +610,18 @@ func (t *Tree) freeAll(pid storage.PageID) error {
 	if err != nil {
 		return err
 	}
-	n := node{f.Data()}
-	if !n.isLeaf() {
-		children := make([]storage.PageID, 0, n.count()+1)
-		children = append(children, n.link())
-		for i := 0; i < n.count(); i++ {
-			children = append(children, n.intChild(i))
+	var children []storage.PageID
+	if n := (node{f.Data()}); !n.isLeaf() {
+		for i := 0; i <= n.count(); i++ {
+			children = append(children, n.child(i))
 		}
-		t.pool.Release(f)
-		for _, c := range children {
-			if err := t.freeAll(c); err != nil {
-				return err
-			}
-		}
-		return t.freePage(pid)
 	}
 	t.pool.Release(f)
+	for _, c := range children {
+		if err := t.freeAll(c); err != nil {
+			return err
+		}
+	}
 	return t.freePage(pid)
 }
 

@@ -2,8 +2,8 @@
 // shared version set (storage.VersionSet, which owns the epoch, the retention
 // window and the reclamation rule).
 //
-// The design is shadow paging amortized over a publish interval. Every page
-// records the write epoch it was allocated in. Mutating a page allocated in
+// The design is shadow paging amortized over a publish interval. The version
+// set records the write epoch every page was born in. Mutating a page born in
 // the current epoch is done in place — nobody else can see it yet. Mutating
 // a page from an earlier epoch first copies it to a fresh page (writable),
 // re-points the parent, and retires the original: published versions keep
@@ -34,60 +34,48 @@ type version = storage.Version[state]
 func (t *Tree) mvccOn() bool { return t.vs != nil }
 
 // initMVCC attaches the version set when the tree is configured for
-// snapshots. The tree's own share of the mechanism is allocEpoch: the set
-// reports each page it reclaims, and the page's birth record goes with it.
+// snapshots; the set frees every page it reclaims.
 func (t *Tree) initMVCC() {
 	if t.cfg.Versions == 0 {
 		return
 	}
-	t.allocEpoch = make(map[storage.PageID]uint64)
 	t.vs = storage.NewVersionSet[state](t.cfg.Versions, func(pid storage.PageID) {
-		delete(t.allocEpoch, pid)
 		_ = t.pool.FreePage(pid) // retired pages are unpinned and live; a failed free could only leak
 	})
 }
 
 func (t *Tree) state() state { return state{root: t.root, height: t.height, count: t.count} }
 
-// newPage allocates a page through the pool, registering its birth epoch
-// under MVCC so writable can tell private pages from published ones.
+// newPage allocates a page through the pool and records its birth, so that
+// writable can tell private pages from published ones.
 func (t *Tree) newPage(c rum.Class) (*storage.Frame, error) {
 	f, err := t.pool.NewPage(c)
 	if err != nil {
 		return nil, err
 	}
-	if t.mvccOn() {
-		t.allocEpoch[f.ID()] = t.vs.Epoch()
-	}
+	t.vs.Born(f.ID())
 	return f, nil
 }
 
-// freePage releases a page that is leaving the tree. Under MVCC a page born
-// in the current epoch was never published and is freed eagerly; anything
+// freePage releases a page that is leaving the tree. A private page (every
+// page outside MVCC) was never published and is freed at once; anything
 // older may be reachable from a published version and is retired instead.
 func (t *Tree) freePage(pid storage.PageID) error {
-	if !t.mvccOn() {
-		return t.pool.FreePage(pid)
-	}
-	if t.allocEpoch[pid] == t.vs.Epoch() {
-		delete(t.allocEpoch, pid)
+	if t.vs.Private(pid) {
 		return t.pool.FreePage(pid)
 	}
 	t.vs.Retire(pid)
 	return nil
 }
 
-// writable returns a frame whose page may be mutated in place. Outside MVCC
-// (and for pages born in the current epoch) that is the frame itself. For a
-// page shared with published versions it allocates a copy, retires the
-// original, and returns the copy — the caller must re-point the parent at
-// the new id. On error the input frame has been released.
+// writable returns a frame whose page may be mutated in place. For a private
+// page (every page outside MVCC) that is the frame itself. For a page shared
+// with published versions it allocates a copy, retires the original, and
+// returns the copy — the caller must re-point the parent at the new id. On
+// error the input frame has been released.
 func (t *Tree) writable(f *storage.Frame) (*storage.Frame, error) {
-	if !t.mvccOn() {
-		return f, nil
-	}
 	pid := f.ID()
-	if t.allocEpoch[pid] == t.vs.Epoch() {
+	if t.vs.Private(pid) {
 		return f, nil
 	}
 	class := rum.Base

@@ -378,3 +378,35 @@ func BenchmarkSnapshotGetBatch(b *testing.B) {
 		}
 	}
 }
+
+// TestMVCCPrivatePagesFreeAtOnce: under MVCC a page allocated and freed
+// within one epoch was never published, so it goes straight back to the
+// device — it is neither retired nor copied on write.
+func TestMVCCPrivatePagesFreeAtOnce(t *testing.T) {
+	tr := newMVCCTree(t, 2)
+	if err := tr.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]core.Record, 2000)
+	for i := range recs {
+		recs[i] = core.Record{Key: core.Key(i), Value: core.Value(i)}
+	}
+	if err := tr.BulkLoad(recs); err != nil { // retires the published root, allocates private pages
+		t.Fatal(err)
+	}
+	retired, cow := tr.vs.Retired(), tr.Stats().CowCopies
+	pages := int(tr.Stats().LeafPages + tr.Stats().InternalPages)
+	live := tr.Pool().Device().LivePages()
+	if err := tr.Drop(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.vs.Retired(); got != retired {
+		t.Fatalf("dropping private pages retired %d more", got-retired)
+	}
+	if got := tr.Stats().CowCopies; got != cow {
+		t.Fatalf("dropping private pages copied %d on write", got-cow)
+	}
+	if got := tr.Pool().Device().LivePages(); got != live-pages {
+		t.Fatalf("live pages %d -> %d, want the %d private pages freed", live, got, pages)
+	}
+}

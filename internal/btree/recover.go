@@ -39,13 +39,12 @@ type pageInfo struct {
 // an interrupted split, zeroed allocations) are freed. On any structural
 // inconsistency — no root candidate, several plausible roots, a cycle, a
 // broken leaf chain, out-of-order keys — it returns an error and frees
-// nothing.
+// nothing. Under cfg.Versions the image is adopted as RecoverAt adopts it.
 func Recover(pool *storage.BufferPool, cfg Config) (*Tree, error) {
 	t := &Tree{pool: pool, cfg: cfg}
 	if err := t.applyConfig(); err != nil {
 		return nil, err
 	}
-	dev := pool.Device()
 
 	// Pass 1: classify every live page.
 	info, err := classifyPages(pool)
@@ -63,7 +62,7 @@ func Recover(pool *storage.BufferPool, cfg Config) (*Tree, error) {
 		}
 	}
 	var candidates []storage.PageID
-	for _, id := range dev.LivePageIDs() { // LivePageIDs is sorted: stable order
+	for _, id := range pool.Device().LivePageIDs() { // LivePageIDs is sorted: stable order
 		if pi := info[id]; pi.kind != 0 && childRefs[id] == 0 {
 			candidates = append(candidates, id)
 		}
@@ -73,7 +72,7 @@ func Recover(pool *storage.BufferPool, cfg Config) (*Tree, error) {
 	var adopted storage.PageID
 	var adoptedWalk *walkResult
 	for _, cand := range candidates {
-		w, err := validateTree(cand, info)
+		w, err := validateTree(cand, info, cfg.Versions == 0)
 		if err != nil {
 			continue
 		}
@@ -85,21 +84,7 @@ func Recover(pool *storage.BufferPool, cfg Config) (*Tree, error) {
 	if adoptedWalk == nil {
 		return nil, fmt.Errorf("btree: recovery found no coherent tree among %d live pages (%d root candidates)", len(info), len(candidates))
 	}
-
-	// Adopt, then garbage-collect every live page outside the tree.
-	t.root = adopted
-	t.height = adoptedWalk.depth
-	t.count = adoptedWalk.records
-	t.stats.LeafPages = adoptedWalk.leaves
-	t.stats.InternalPages = adoptedWalk.internals
-	for _, id := range dev.LivePageIDs() {
-		if !adoptedWalk.reached[id] {
-			if err := pool.FreePage(id); err != nil {
-				return nil, fmt.Errorf("btree: recovery GC of orphan page %d: %w", id, err)
-			}
-		}
-	}
-	return t, nil
+	return t.adopt(adopted, adoptedWalk, nil)
 }
 
 // RecoverAt rebuilds a tree handle from the device image under pool, pinned
@@ -110,11 +95,6 @@ func Recover(pool *storage.BufferPool, cfg Config) (*Tree, error) {
 // not ambiguity, just garbage. Live pages outside the validated tree are
 // freed unless keep reports them as owned by someone else (the log's own
 // pages); pass keep == nil to free every orphan.
-//
-// When cfg.Versions > 0 the recovered image is seeded into the retention
-// window as a barrier version (epoch 1; writing resumes at epoch 2), so the
-// first post-recovery CheckpointBarrier cannot reclaim pages the durable
-// checkpoint on the device still references.
 func RecoverAt(pool *storage.BufferPool, cfg Config, root storage.PageID, keep func(storage.PageID) bool) (*Tree, error) {
 	t := &Tree{pool: pool, cfg: cfg}
 	if err := t.applyConfig(); err != nil {
@@ -124,10 +104,19 @@ func RecoverAt(pool *storage.BufferPool, cfg Config, root storage.PageID, keep f
 	if err != nil {
 		return nil, err
 	}
-	w, err := validateTreeOpts(root, info, cfg.Versions == 0)
+	w, err := validateTree(root, info, cfg.Versions == 0)
 	if err != nil {
 		return nil, fmt.Errorf("btree: recovery at checkpoint root %d: %w", root, err)
 	}
+	return t.adopt(root, w, keep)
+}
+
+// adopt, where both recoveries end, makes the validated tree at root the
+// handle's state and frees every live page outside it that keep (nil: none)
+// does not claim. Under cfg.Versions the image is seeded as a barrier version
+// (epoch 1; writing resumes at 2), so the first post-recovery
+// CheckpointBarrier cannot reclaim pages the checkpoint on the device names.
+func (t *Tree) adopt(root storage.PageID, w *walkResult, keep func(storage.PageID) bool) (*Tree, error) {
 	t.root = root
 	t.height = w.depth
 	t.count = w.records
@@ -136,13 +125,8 @@ func RecoverAt(pool *storage.BufferPool, cfg Config, root storage.PageID, keep f
 	if t.initMVCC(); t.mvccOn() {
 		t.vs.Publish(t.state(), nil)
 	}
-	for _, id := range pool.Device().LivePageIDs() {
-		if w.reached[id] || (keep != nil && keep(id)) {
-			continue
-		}
-		if err := pool.FreePage(id); err != nil {
-			return nil, fmt.Errorf("btree: recovery GC of orphan page %d: %w", id, err)
-		}
+	if err := t.pool.FreeExcept(func(id storage.PageID) bool { return w.reached[id] || keep != nil && keep(id) }); err != nil {
+		return nil, fmt.Errorf("btree: recovery GC: %w", err)
 	}
 	return t, nil
 }
@@ -223,18 +207,13 @@ type walkResult struct {
 
 // validateTree walks the subtree rooted at root, checking every structural
 // invariant of the on-page format, and errors on the first inconsistency.
-func validateTree(root storage.PageID, info map[storage.PageID]*pageInfo) (*walkResult, error) {
-	return validateTreeOpts(root, info, true)
-}
-
-// validateTreeOpts is validateTree with the leaf-chain check optional: under
-// MVCC copy-on-write the chain is stale by design — copying a leaf re-points
-// its parent but not its left sibling (that would cascade a copy of the
-// whole chain), and every MVCC read path descends through separators
-// instead. RecoverAt on a versioned image therefore skips the chain;
-// everything else (kinds, counts, key order, separator bounds, uniform
-// depth, acyclicity) still holds.
-func validateTreeOpts(root storage.PageID, info map[storage.PageID]*pageInfo, checkChain bool) (*walkResult, error) {
+// The leaf-chain check is optional: under MVCC copy-on-write the chain is
+// stale by design — copying a leaf re-points its parent but not its left
+// sibling (that would cascade a copy of the whole chain), and every MVCC read
+// path descends through separators instead. Recovering a versioned image
+// therefore skips the chain; everything else (kinds, counts, key order,
+// separator bounds, uniform depth, acyclicity) still holds.
+func validateTree(root storage.PageID, info map[storage.PageID]*pageInfo, checkChain bool) (*walkResult, error) {
 	w := &walkResult{reached: make(map[storage.PageID]bool)}
 	depth, err := w.walk(root, info, nil, nil)
 	if err != nil {

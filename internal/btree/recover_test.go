@@ -231,3 +231,61 @@ func TestAcquireSkipsBarrierVersions(t *testing.T) {
 		t.Fatalf("recovered Get(7) = %d,%v, want 8", v, ok)
 	}
 }
+
+// TestRecoverHonoursVersions: Recover under Config.Versions adopts the image
+// the way RecoverAt does — the version set seeded with a barrier — so the
+// recovered tree publishes readable snapshots, with and without
+// copy-on-write history on the device. The history is published past the
+// retention window, so the pages it retired are reclaimed (a retired root
+// still on the device would be a rival root) while the copied leaves' stale
+// chain links remain for validation to tolerate.
+func TestRecoverHonoursVersions(t *testing.T) {
+	for _, history := range []bool{false, true} {
+		dev := storage.NewDevice(256, storage.SSD, nil)
+		pool := storage.NewBufferPool(dev, 16)
+		tr, err := New(pool, Config{Versions: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := uint64(0); k < 300; k++ {
+			if err := tr.Insert(k, k+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if history {
+			if err := tr.Publish(); err != nil {
+				t.Fatal(err)
+			}
+			for k := uint64(0); k < 300; k += 7 {
+				tr.Update(k, k+1)
+			}
+			for i := 0; i < 2; i++ {
+				if err := tr.Publish(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tr.vs.Retired() != 0 || tr.Stats().CowCopies == 0 {
+				t.Fatalf("history: %d pages still retired, %d copies on write", tr.vs.Retired(), tr.Stats().CowCopies)
+			}
+		}
+		tr.Flush()
+		pool.Crash()
+
+		tr2, err := Recover(storage.NewBufferPool(dev, 16), Config{Versions: 2})
+		if err != nil {
+			t.Fatalf("history=%v: Recover: %v", history, err)
+		}
+		if err := tr2.Publish(); err != nil {
+			t.Fatalf("history=%v: Publish after Recover: %v", history, err)
+		}
+		s := tr2.Acquire()
+		if s == nil {
+			t.Fatalf("history=%v: Acquire after Publish returned nil", history)
+		}
+		var m rum.Meter
+		if v, ok := s.Get(42, &m); !ok || v != 43 || s.Len() != 300 {
+			t.Fatalf("history=%v: snapshot Get(42) = %d,%v Len %d; want 43,true 300", history, v, ok, s.Len())
+		}
+		s.Release()
+	}
+}

@@ -173,7 +173,7 @@ func parseProb(v string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if f < 0 || f > 1 {
+	if !(f >= 0 && f <= 1) { // NaN fails every comparison, so test for inside
 		return 0, fmt.Errorf("probability %g outside [0,1]", f)
 	}
 	return f, nil

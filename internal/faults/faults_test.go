@@ -244,3 +244,22 @@ func TestCheckResultString(t *testing.T) {
 		t.Fatalf("got %q want %q", got, want)
 	}
 }
+
+// FuzzParsePlan: any string ParsePlan accepts reaches the same plan through
+// String and back, and no input panics.
+func FuzzParsePlan(f *testing.F) {
+	for _, s := range []string{"", "seed=7", "seed=7,p_read=0.02,p_write=0.02,p_torn=0.5,crash=150",
+		"read_fail_at=9;3;3,write_fail_at=1", "p_read=NaN", "p_write=1e-400", "crash=0"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePlan(s)
+		if err != nil {
+			return
+		}
+		p2, err := ParsePlan(p.String())
+		if err != nil || !reflect.DeepEqual(p2, p) {
+			t.Fatalf("ParsePlan(%q) = %+v; its String %q parses to %+v, %v", s, p, p.String(), p2, err)
+		}
+	})
+}

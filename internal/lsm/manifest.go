@@ -223,13 +223,8 @@ func RecoverKeep(pool *storage.BufferPool, cfg Config, keep func(storage.PageID)
 		}
 	}
 	// Orphan GC: anything alive that neither the manifest nor keep owns.
-	for _, id := range live {
-		if used[id] || (keep != nil && keep(id)) {
-			continue
-		}
-		if err := pool.FreePage(id); err != nil {
-			return nil, fmt.Errorf("lsm: recovery GC of orphan page %d: %w", id, err)
-		}
+	if err := pool.FreeExcept(func(id storage.PageID) bool { return used[id] || keep != nil && keep(id) }); err != nil {
+		return nil, fmt.Errorf("lsm: recovery GC: %w", err)
 	}
 	return t, nil
 }

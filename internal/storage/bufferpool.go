@@ -311,7 +311,11 @@ func (p *BufferPool) Fetch(id PageID) (*Frame, error) {
 	// succeeded: a failed read installs nothing and counts a FetchFailure,
 	// not a miss, so HitRatio and the miss ledger stay reconciled with the
 	// device's successful reads.
-	src, err := p.readWithRetry(id)
+	var src []byte
+	err := p.withRetry(id, func() (err error) {
+		src, err = p.dev.Read(id)
+		return err
+	})
 	if err != nil {
 		p.stats.FetchFailures++
 		return nil, err
@@ -325,35 +329,17 @@ func (p *BufferPool) Fetch(id PageID) (*Frame, error) {
 	return f, nil
 }
 
-// readWithRetry reads a page, re-attempting up to the retry budget when the
-// failure is a transient injected fault. Permanent faults, crashes, and
-// structural errors (ErrFreed, ErrBadPage) fail immediately.
-func (p *BufferPool) readWithRetry(id PageID) ([]byte, error) {
-	src, err := p.dev.Read(id)
+// withRetry runs one device transfer of page id, re-attempting it up to the
+// retry budget while it fails with a transient injected fault; permanent
+// faults, crashes and structural errors (ErrFreed, ErrBadPage) fail at once.
+func (p *BufferPool) withRetry(id PageID, transfer func() error) error {
+	err := transfer()
 	for attempt := 0; err != nil && errors.Is(err, ErrTransient) && attempt < p.retries; attempt++ {
 		p.stats.Retries++
 		if p.hook != nil {
 			p.hook.StorageEvent(EvRetry, id, p.dev.Class(id), 0)
 		}
-		src, err = p.dev.Read(id)
-	}
-	if err != nil && errors.Is(err, ErrTransient) && p.retries > 0 {
-		p.stats.RetryFailures++
-	}
-	return src, err
-}
-
-// writeWithRetry writes a copy of a page image, re-attempting transient
-// injected faults up to the retry budget: the write-back of flushFrame's
-// copying path.
-func (p *BufferPool) writeWithRetry(id PageID, data []byte) error {
-	err := p.dev.Write(id, data)
-	for attempt := 0; err != nil && errors.Is(err, ErrTransient) && attempt < p.retries; attempt++ {
-		p.stats.Retries++
-		if p.hook != nil {
-			p.hook.StorageEvent(EvRetry, id, p.dev.Class(id), 0)
-		}
-		err = p.dev.Write(id, data)
+		err = transfer()
 	}
 	if err != nil && errors.Is(err, ErrTransient) && p.retries > 0 {
 		p.stats.RetryFailures++
@@ -537,7 +523,7 @@ func (p *BufferPool) flushFrame(f *Frame) bool {
 		// Copying path: the frame keeps its buffer. After a failed or torn
 		// write it is what the retry writes from, and a pinned frame's holder
 		// may still be writing through the slice Data gave it.
-		err = p.writeWithRetry(f.id, f.data)
+		err = p.withRetry(f.id, func() error { return p.dev.Write(f.id, f.data) })
 	} else {
 		var prev []byte
 		if prev, err = p.dev.Replace(f.id, f.data); err == nil {
@@ -660,6 +646,21 @@ func (p *BufferPool) FreePage(id PageID) error {
 		f.next, p.idle = p.idle, f
 	}
 	return p.dev.Free(id)
+}
+
+// FreeExcept frees every live page of the device that keep does not claim,
+// in ascending id order: the orphan sweep that ends a recovery, once the
+// recovered structure (and whoever else shares the device) has said which
+// pages it owns. It stops at the first page that cannot be freed.
+func (p *BufferPool) FreeExcept(keep func(PageID) bool) error {
+	for _, id := range p.dev.LivePageIDs() {
+		if !keep(id) {
+			if err := p.FreePage(id); err != nil {
+				return fmt.Errorf("storage: freeing orphan page %d: %w", id, err)
+			}
+		}
+	}
+	return nil
 }
 
 // FlushAll writes back every dirty frame, leaving them cached and clean.

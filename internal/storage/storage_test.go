@@ -333,3 +333,20 @@ func TestDeviceRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzParseMedium: any string ParseMedium accepts is the medium's String,
+// and no input panics.
+func FuzzParseMedium(f *testing.F) {
+	for _, s := range []string{"ram", "ssd", "hdd", "smr", "mqssd", "SSD", "medium(9)", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		m, err := ParseMedium(s)
+		if err != nil {
+			return
+		}
+		if m2, err := ParseMedium(m.String()); err != nil || m2 != m || m.String() != s {
+			t.Fatalf("ParseMedium(%q) = %v; its String %q parses to %v, %v", s, m, m.String(), m2, err)
+		}
+	})
+}

@@ -4,11 +4,11 @@ import "sync/atomic"
 
 // VersionSet is the MVCC mechanism every snapshot-capable structure shares:
 // the write epoch, the bounded window of published versions, the versions
-// dropped from the window while readers still hold them, the epoch-ordered
-// queue of retired pages, and the one rule that says when a retired page may
-// be recycled. T is the structure's frozen state — whatever a reader needs
-// besides the PageView (root/height/count for the btree, frozen memtable
-// plus run directory for the LSM).
+// dropped from the window while readers still hold them, each page's birth
+// epoch, the epoch-ordered queue of retired pages, and the one rule that
+// says when a retired page may be recycled. T is the structure's frozen
+// state — whatever a reader needs besides the PageView (root/height/count
+// for the btree, frozen memtable plus run directory for the LSM).
 //
 // The rule. A page retired during epoch r was superseded (copied on write,
 // compacted away) by the writer working towards the version that publishes
@@ -27,8 +27,8 @@ import "sync/atomic"
 //
 // Everything except Version.Retain and Version.Release is writer-side: it
 // runs on the goroutine that owns the structure. A nil *VersionSet is a
-// structure built without MVCC: it has no versions, epoch 0, and nothing
-// retired.
+// structure built without MVCC: it has no versions, epoch 0, nothing
+// retired, and every page private.
 type VersionSet[T any] struct {
 	keep    int
 	epoch   uint64
@@ -36,6 +36,7 @@ type VersionSet[T any] struct {
 	window  []*Version[T] // retained published versions, oldest first
 	pinned  []*Version[T] // dropped from the window, still referenced
 	retired []retiredPage // retire order == epoch order
+	births  []uint64      // write epoch each page was born in, indexed by PageID
 }
 
 // Version is one published immutable state. Its reference count is atomic
@@ -90,6 +91,21 @@ func (s *VersionSet[T]) Retired() int {
 // SetKeep changes the retention bound. A smaller window is trimmed, and its
 // pages reclaimed, by the next Publish.
 func (s *VersionSet[T]) SetKeep(keep int) { s.keep = keep }
+
+// Born records that pid was allocated during the current epoch.
+func (s *VersionSet[T]) Born(pid PageID) {
+	if s != nil {
+		s.births = append(s.births, make([]uint64, max(0, int(pid)+1-len(s.births)))...)
+		s.births[pid] = s.epoch
+	}
+}
+
+// Private reports whether pid was born during the current epoch: no published
+// version can reference it, so the writer may mutate it in place and free it
+// at once. Pages the set never saw born (a recovered image's) are shared.
+func (s *VersionSet[T]) Private(pid PageID) bool {
+	return s == nil || int(pid) < len(s.births) && s.births[pid] == s.epoch
+}
 
 // Retire queues a page that left the live structure during the current
 // epoch; published versions may still reference it.

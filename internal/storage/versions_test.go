@@ -194,3 +194,50 @@ func TestVersionSetSetKeep(t *testing.T) {
 		t.Fatalf("window epochs %v, want [4 5]", got)
 	}
 }
+
+// TestVersionSetBirths: a page born during the current epoch is private until
+// the next Publish; a page the set never saw born is shared wherever its id
+// falls; a page freed while private and handed out again is private again
+// once Born; and a nil set holds every page private.
+func TestVersionSetBirths(t *testing.T) {
+	var none *VersionSet[int]
+	none.Born(7)
+	if !none.Private(7) || !none.Private(1<<20) {
+		t.Fatal("nil set: every page must be private")
+	}
+
+	h := newVersionHarness(t, 2)
+	vs := h.vs
+	vs.Born(3)
+	if !vs.Private(3) {
+		t.Fatal("page born this epoch is not private")
+	}
+	for _, pid := range []PageID{0, 2, 4, 1 << 20} { // never born: inside and beyond the births slice
+		if vs.Private(pid) {
+			t.Fatalf("page %d was never born but reads private", pid)
+		}
+	}
+	vs.Publish(1, h.view)
+	if vs.Private(3) {
+		t.Fatal("page born before the publish is still private")
+	}
+
+	// Page 5 is born, freed while private (the set is not told), and its id
+	// handed out again — in the same epoch, then after a publish.
+	vs.Born(5)
+	vs.Born(5)
+	if !vs.Private(5) {
+		t.Fatal("page reborn in its own epoch is not private")
+	}
+	vs.Publish(2, h.view)
+	if vs.Private(5) {
+		t.Fatal("page born before the publish is still private")
+	}
+	vs.Born(5)
+	if !vs.Private(5) || vs.Private(3) {
+		t.Fatal("rebirth after a publish: want page 5 private, page 3 shared")
+	}
+	if vs.Retired() != 0 {
+		t.Fatalf("births retired %d pages", vs.Retired())
+	}
+}
