@@ -36,15 +36,17 @@ race:
 ## checked to leave no run behind at or below its target — and run against
 ## them the storage, lsm and planner tests, the wal tests, whose checkpoints
 ## are what feeds the sorted ingest, and the packages that write fetched
-## frames or drive the ones that do: btree, hashindex, methods, serve. -short
-## trims only internal/serve (nothing else reads it): the snapshot stress
-## test runs 4 write generations instead of 30 and the mailbox back-off test,
-## a scheduler bound, is left to `race` — 77 s of asserted page accesses down
-## to 6.
+## frames or drive the ones that do: btree, hashindex, methods, serve — and
+## pbt, whose properties drive btree partitions through bulk load, merge and
+## Drop, and faults, where torn writes and crash points meet the
+## frame-ownership assertions. -short trims only internal/serve (nothing else
+## reads it): the snapshot stress test runs 4 write generations instead of 30
+## and the mailbox back-off test, a scheduler bound, is left to `race` — 77 s
+## of asserted page accesses down to 6.
 racecheck:
 	$(GO) build -tags racecheck ./...
 	$(GO) test -short -tags racecheck ./internal/storage/ ./internal/lsm/ ./internal/lsm/plan/ ./internal/wal/ \
-		./internal/btree/ ./internal/hashindex/ ./internal/methods/ ./internal/serve/
+		./internal/btree/ ./internal/hashindex/ ./internal/methods/ ./internal/serve/ ./internal/pbt/ ./internal/faults/
 
 ## benchmarks: vet and test the nested repro/benchmarks module (rumperf,
 ## benchdiff). `./...` at the root never compiles it, so without this a
@@ -67,6 +69,9 @@ benchmarks:
 ## re-baselined when it joined this list (PR 24): it reads scattered keys
 ## (≈ 285 ns per key) where it used to walk them in order (≈ 76 ns, one hot
 ## leaf, every branch predicted); figures recorded before are not comparable.
+## Last, the client side: the stream generator's Next on rumperf's three mixes
+## (ns per op, 0 allocs/op; rumserve runs it inside its timed client loop)
+## and one client's 262 144-record preload (most of rumperf's setup_s).
 bench:
 	$(GO) test ./internal/obs -bench BenchmarkInstrumentedGet -benchtime=2s -run '^$$'
 	$(GO) test ./internal/serve -bench '^BenchmarkDo(Traced|Fingerprinted|ClosedLoop|Bypass)?$$' -benchmem -benchtime=2s -run '^$$'
@@ -74,6 +79,7 @@ bench:
 	$(GO) test ./internal/storage -bench 'BenchmarkFetch(Hit|Miss)' -benchtime=2s -run '^$$'
 	$(GO) test ./internal/lsm -bench BenchmarkCompactionSpill -benchtime=2s -run '^$$'
 	$(GO) test ./internal/wal -bench 'BenchmarkC(ommit|heckpoint)$$' -benchtime=2s -run '^$$'
+	$(GO) test ./internal/bench -bench '^Benchmark(StreamNext|InitRecords)$$' -benchmem -benchtime=2s -run '^$$'
 
 ## fuzz: every native fuzz target in the module, five seconds each (about
 ## forty in all) — found by name, so a new `func FuzzX` joins without an edit

@@ -421,7 +421,7 @@ func run(args []string, stdout, stderr io.Writer, testSignal <-chan struct{}) in
 	for _, f := range []struct {
 		name string
 		v    int
-	}{{"shards", cfg.shards}, {"clients", cfg.clients}, {"batch", cfg.batch}, {"staleness", cfg.staleness},
+	}{{"shards", cfg.shards}, {"clients", cfg.clients}, {"batch", cfg.batch}, {"pool", cfg.pool}, {"staleness", cfg.staleness},
 		{"commit-batch", cfg.commitBatch}, {"workload-window", cfg.workloadWindow}} {
 		if f.v < 1 {
 			return badFlag("-%s must be ≥ 1 (got %d)", f.name, f.v)

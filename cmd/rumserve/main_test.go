@@ -257,6 +257,8 @@ func TestRunFlagErrors(t *testing.T) {
 		{"negative shards", []string{"-shards", "-3"}, 2},
 		{"bad clients", []string{"-clients", "0"}, 2},
 		{"bad batch", []string{"-batch", "-1"}, 2},
+		{"zero pool", []string{"-pool", "0"}, 2},
+		{"negative pool", []string{"-pool", "-4"}, 2},
 		{"n below clients", []string{"-n", "1", "-clients", "4"}, 2},
 		{"negative rate", []string{"-rate", "-100"}, 2},
 		{"zero window", []string{"-window", "0s"}, 2},

@@ -119,10 +119,15 @@ func percent(x float64) string {
 	return strconv.FormatFloat(x, 'g', -1, 64)
 }
 
+// zipfPow is the term of the zipf inverse CDF that depends on the live count
+// n alone, (n+1)^(1-θ): StreamGen computes it once per n, not once per draw.
+func (d KeyDist) zipfPow(n int) float64 { return math.Pow(float64(n+1), 1-d.Theta) }
+
 // rank picks an index in [0,n) from the distribution given one uniform
-// draw u in [0,1) and, for hotspot, a second draw u2. Uniform never calls
-// this — StreamGen keeps its exact single-IntN path.
-func (d KeyDist) rank(u, u2 float64, n int) int {
+// draw u in [0,1) and, for hotspot, a second draw u2; pow is d.zipfPow(n),
+// read by zipf only. Uniform never calls this — StreamGen keeps its exact
+// single-IntN path.
+func (d KeyDist) rank(u, u2 float64, n int, pow float64) int {
 	switch d.Kind {
 	case "zipf":
 		// Inverse CDF of a truncated continuous pareto over [1, n+1): rank 0
@@ -131,8 +136,7 @@ func (d KeyDist) rank(u, u2 float64, n int) int {
 		if math.Abs(d.Theta-1) < 1e-9 {
 			x = math.Pow(float64(n+1), u)
 		} else {
-			e := 1 - d.Theta
-			x = math.Pow(1+u*(math.Pow(float64(n+1), e)-1), 1/e)
+			x = math.Pow(1+u*(pow-1), 1/(1-d.Theta))
 		}
 		i := int(x) - 1
 		if i < 0 {

@@ -53,11 +53,11 @@ func TestKeyDistRank(t *testing.T) {
 	hot, _ := ParseKeyDist("hotspot:90/10")
 	for _, d := range []KeyDist{UniformDist(), zipf, hot} {
 		for _, u := range []float64{0, 0.5, 0.999999, 1 - 1e-16} {
-			if i := d.rank(u, u, n); i < 0 || i >= n {
+			if i := d.rank(u, u, n, d.zipfPow(n)); i < 0 || i >= n {
 				t.Errorf("%s.rank(%g) = %d out of range", d, u, i)
 			}
 		}
-		if d.rank(0.25, 0.25, n) != d.rank(0.25, 0.25, n) {
+		if d.rank(0.25, 0.25, n, d.zipfPow(n)) != d.rank(0.25, 0.25, n, d.zipfPow(n)) {
 			t.Errorf("%s.rank not deterministic", d)
 		}
 	}
@@ -67,10 +67,10 @@ func TestKeyDistRank(t *testing.T) {
 	for i := 0; i < grid; i++ {
 		u := (float64(i) + 0.5) / grid
 		u2 := float64((i*7919)%grid) / grid
-		if zipf.rank(u, 0, n) < n/100 {
+		if zipf.rank(u, 0, n, zipf.zipfPow(n)) < n/100 {
 			zipfLow++
 		}
-		if hot.rank(u, u2, n) < n/10 {
+		if hot.rank(u, u2, n, 0) < n/10 {
 			hotFront++
 		}
 	}
@@ -174,7 +174,7 @@ func TestStreamGenScanOps(t *testing.T) {
 		if op.Scan {
 			scans++
 			rows := 0
-			for k := range g.modelKeys() {
+			for k := range g.modelKeys(t) {
 				if k >= uint64(op.Lo) && k <= uint64(op.Hi) {
 					rows++
 				}
@@ -201,11 +201,22 @@ func TestStreamGenScanOps(t *testing.T) {
 	}
 }
 
-// modelKeys exposes the model's key set for test replay.
-func (g *StreamGen) modelKeys() map[uint64]bool {
-	m := make(map[uint64]bool, len(g.model))
-	for k := range g.model {
+// modelKeys exposes the model's key set — the keys the key table holds as
+// live — for test replay, checking on the way that each indexes itself in
+// live.
+func (g *StreamGen) modelKeys(t *testing.T) map[uint64]bool {
+	m := make(map[uint64]bool, len(g.live))
+	for k, i := range g.keys {
+		if i < 0 {
+			continue
+		}
+		if g.live[i] != k {
+			t.Fatalf("key table: %#x indexes live[%d] = %#x", k, i, g.live[i])
+		}
 		m[uint64(k)] = true
+	}
+	if len(m) != len(g.live) {
+		t.Fatalf("key table holds %d live keys, live has %d", len(m), len(g.live))
 	}
 	return m
 }

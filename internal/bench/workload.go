@@ -1,10 +1,11 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -83,7 +84,7 @@ func ServeMixPresets() []string {
 	for n := range serveMixPresets {
 		names = append(names, n)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }
 
@@ -191,10 +192,19 @@ type StreamGen struct {
 	scanRows         int
 	dist             KeyDist
 
-	used  map[core.Key]bool
-	model map[core.Key]core.Value
-	live  []core.Key
-	pos   map[core.Key]int
+	// keys holds every key the stream has drawn: its index into live and
+	// vals while it is live, -1 once it is not (deleted, or a get-miss key
+	// that was never inserted). live and vals are the model, in maintenance
+	// order: inserts append, deletes swap-remove.
+	keys map[core.Key]int32
+	live []core.Key
+	vals []core.Value
+
+	// zipfPow caches dist.zipfPow(zipfN), the zipf inverse CDF's one power
+	// that depends on the live count; zipfN 0 means not computed (a zipf pick
+	// never sees an empty live set).
+	zipfN   int
+	zipfPow float64
 }
 
 // NewStreamGen returns client's generator for the given seed and mix, with
@@ -210,56 +220,58 @@ func NewStreamGen(seed int64, client int, mix ServeMix) *StreamGen {
 // get/update/delete pickers favor, nothing else.
 func NewStreamGenDist(seed int64, client int, mix ServeMix, dist KeyDist) *StreamGen {
 	g := &StreamGen{
-		rng:   rand.New(rand.NewPCG(uint64(seed), serveStreamSalt+uint64(client))),
-		ns:    core.Key(client+1) << 44,
-		used:  make(map[core.Key]bool),
-		model: make(map[core.Key]core.Value),
-		pos:   make(map[core.Key]int),
+		rng:  rand.New(rand.NewPCG(uint64(seed), serveStreamSalt+uint64(client))),
+		ns:   core.Key(client+1) << 44,
+		keys: make(map[core.Key]int32),
 	}
 	g.SetPhase(mix, dist)
 	return g
 }
 
-// fresh draws an unused key from the client's namespace.
+// fresh draws a key the stream has never drawn from the client's namespace.
+// The caller records it in keys, as live or as -1.
 func (g *StreamGen) fresh() core.Key {
 	for {
 		k := g.ns | core.Key(g.rng.Uint64()&(1<<40-1))
-		if !g.used[k] {
-			g.used[k] = true
+		if _, drawn := g.keys[k]; !drawn {
 			return k
 		}
 	}
 }
 
-func (g *StreamGen) addLive(k core.Key) {
-	g.pos[k] = len(g.live)
+func (g *StreamGen) addLive(k core.Key, v core.Value) {
+	g.keys[k] = int32(len(g.live))
 	g.live = append(g.live, k)
+	g.vals = append(g.vals, v)
 }
 
-func (g *StreamGen) removeLive(k core.Key) {
-	i := g.pos[k]
-	last := len(g.live) - 1
-	g.live[i] = g.live[last]
-	g.pos[g.live[i]] = i
-	g.live = g.live[:last]
-	delete(g.pos, k)
+// removeLive swap-removes the live key at index i.
+func (g *StreamGen) removeLive(i int) {
+	k, last := g.live[i], len(g.live)-1
+	g.live[i], g.vals[i] = g.live[last], g.vals[last]
+	g.keys[g.live[i]] = int32(i)
+	g.keys[k] = -1
+	g.live, g.vals = g.live[:last], g.vals[:last]
 }
 
-// pick returns a random live key under the stream's distribution. The
-// uniform path is exactly one IntN draw — byte-identical to the
-// pre-distribution generator; zipf draws one Float64, hotspot two.
-func (g *StreamGen) pick() (core.Key, bool) {
+// pick returns the index of a random live key under the stream's
+// distribution. The uniform path is exactly one IntN draw — byte-identical
+// to the pre-distribution generator; zipf draws one Float64, hotspot two.
+func (g *StreamGen) pick() (int, bool) {
 	n := len(g.live)
 	if n == 0 {
 		return 0, false
 	}
 	switch g.dist.Kind {
 	case "zipf":
-		return g.live[g.dist.rank(g.rng.Float64(), 0, n)], true
+		if n != g.zipfN {
+			g.zipfN, g.zipfPow = n, g.dist.zipfPow(n)
+		}
+		return g.dist.rank(g.rng.Float64(), 0, n, g.zipfPow), true
 	case "hotspot":
-		return g.live[g.dist.rank(g.rng.Float64(), g.rng.Float64(), n)], true
+		return g.dist.rank(g.rng.Float64(), g.rng.Float64(), n, 0), true
 	default:
-		return g.live[g.rng.IntN(n)], true
+		return g.rng.IntN(n), true
 	}
 }
 
@@ -267,24 +279,25 @@ func (g *StreamGen) pick() (core.Key, bool) {
 func (g *StreamGen) insert() (serve.Request, serve.Result) {
 	k := g.fresh()
 	v := core.Value(g.rng.Uint64())
-	g.model[k] = v
-	g.addLive(k)
+	g.addLive(k, v)
 	return serve.Request{Op: serve.OpInsert, Key: k, Value: v}, serve.Result{OK: true}
 }
 
 // InitRecords generates n preload records (fresh keys, live in the model),
 // returned sorted by key as BulkLoad requires. Call before the first Next.
 func (g *StreamGen) InitRecords(n int) []core.Record {
+	if len(g.keys) == 0 {
+		g.keys = make(map[core.Key]int32, n)
+	}
+	g.live, g.vals = slices.Grow(g.live, n), slices.Grow(g.vals, n)
 	recs := make([]core.Record, 0, n)
 	for i := 0; i < n; i++ {
 		k := g.fresh()
 		v := core.Value(g.rng.Uint64())
 		recs = append(recs, core.Record{Key: k, Value: v})
-		g.model[k] = v
-		g.addLive(k)
+		g.addLive(k, v)
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
-	return recs
+	return MergeRecords(recs)
 }
 
 // Next generates the stream's next request and its exact expected outcome.
@@ -295,25 +308,27 @@ func (g *StreamGen) Next() (serve.Request, serve.Result) {
 	switch {
 	case r < g.tGet:
 		if g.rng.Float64() < g.miss {
-			return serve.Request{Op: serve.OpGet, Key: g.fresh()}, serve.Result{}
+			k := g.fresh()
+			g.keys[k] = -1
+			return serve.Request{Op: serve.OpGet, Key: k}, serve.Result{}
 		}
-		if k, ok := g.pick(); ok {
-			return serve.Request{Op: serve.OpGet, Key: k}, serve.Result{Value: g.model[k], OK: true}
+		if i, ok := g.pick(); ok {
+			return serve.Request{Op: serve.OpGet, Key: g.live[i]}, serve.Result{Value: g.vals[i], OK: true}
 		}
 		return g.insert()
 	case r < g.tIns:
 		return g.insert()
 	case r < g.tUpd:
-		if k, ok := g.pick(); ok {
+		if i, ok := g.pick(); ok {
 			v := core.Value(g.rng.Uint64())
-			g.model[k] = v
-			return serve.Request{Op: serve.OpUpdate, Key: k, Value: v}, serve.Result{OK: true}
+			g.vals[i] = v
+			return serve.Request{Op: serve.OpUpdate, Key: g.live[i], Value: v}, serve.Result{OK: true}
 		}
 		return g.insert()
 	default:
-		if k, ok := g.pick(); ok {
-			delete(g.model, k)
-			g.removeLive(k)
+		if i, ok := g.pick(); ok {
+			k := g.live[i]
+			g.removeLive(i)
 			return serve.Request{Op: serve.OpDelete, Key: k}, serve.Result{OK: true}
 		}
 		return g.insert()
@@ -358,7 +373,7 @@ func (g *StreamGen) SetPhase(mix ServeMix, dist KeyDist) {
 	g.miss = mix.GetMiss
 	g.tScan = mix.Scan
 	g.scanRows = mix.scanRows()
-	g.dist = dist
+	g.dist, g.zipfN = dist, 0
 }
 
 // StreamOp is one generated operation in the scan-capable stream form:
@@ -416,7 +431,7 @@ func (g *StreamGen) scanOp() StreamOp {
 
 // Live returns the number of records the stream currently leaves live — the
 // expected record count of this client's keyspace slice.
-func (g *StreamGen) Live() int { return len(g.model) }
+func (g *StreamGen) Live() int { return len(g.live) }
 
 // stableReadSalt separates the composition's read-or-write coin from the
 // generators' own PCG streams.
@@ -514,6 +529,6 @@ func (g *StableReadGen) Fill(reqs []serve.Request, want []serve.Result) (int, St
 // Server.Preload require. Client namespaces are disjoint, so concatenating
 // per-client InitRecords and sorting is a true merge.
 func MergeRecords(recs []core.Record) []core.Record {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
+	slices.SortFunc(recs, func(a, b core.Record) int { return cmp.Compare(a.Key, b.Key) })
 	return recs
 }
