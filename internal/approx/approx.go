@@ -328,41 +328,3 @@ func (t *Tree) BulkLoad(recs []core.Record) error {
 	t.meter.CountWrite(rum.Aux, len(t.zones)*zoneMetaSize)
 	return nil
 }
-
-// Knobs exposes the tunable parameters (core.Tunable).
-func (t *Tree) Knobs() []core.Knob {
-	return []core.Knob{
-		{
-			Name: "partition_size", Min: 8, Max: 1 << 16, Current: float64(t.cfg.Partition),
-			Doc: "records per zone; smaller = more filters and summaries (higher MO), shorter scans (lower RO)",
-		},
-		{
-			Name: "fingerprint_bits", Min: 10, Max: 32, Current: float64(t.cfg.FingerprintBits),
-			Doc: "quotient-filter fingerprint width; more bits = fewer false-positive zone scans (lower RO) at more filter memory (higher MO)",
-		},
-	}
-}
-
-// SetKnob adjusts a tuning parameter (core.Tunable), rebuilding the tree.
-func (t *Tree) SetKnob(name string, value float64) error {
-	switch name {
-	case "partition_size":
-		if value < 8 {
-			return fmt.Errorf("approx: partition_size must be >= 8")
-		}
-		t.cfg.Partition = int(value)
-	case "fingerprint_bits":
-		if value < 10 || value > 32 {
-			return fmt.Errorf("approx: fingerprint_bits out of range")
-		}
-		t.cfg.FingerprintBits = uint(value)
-	default:
-		return fmt.Errorf("approx: unknown knob %q", name)
-	}
-	recs := make([]core.Record, 0, t.count)
-	for _, z := range t.zones {
-		recs = append(recs, z.recs...)
-	}
-	sort.Slice(recs, func(a, b int) bool { return recs[a].Key < recs[b].Key })
-	return t.BulkLoad(recs)
-}

@@ -204,35 +204,6 @@ func TestRangeScanOrdered(t *testing.T) {
 	})
 }
 
-func TestKnobsRebuild(t *testing.T) {
-	tr := New(Config{Partition: 32}, nil)
-	for k := uint64(0); k < 500; k++ {
-		if err := tr.Insert(k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tr.SetKnob("partition_size", 128); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 500 {
-		t.Fatal("records lost in rebuild")
-	}
-	for k := uint64(0); k < 500; k += 23 {
-		if v, ok := tr.Get(k); !ok || v != k {
-			t.Fatalf("Get(%d) after rebuild", k)
-		}
-	}
-	if err := tr.SetKnob("fingerprint_bits", 24); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.SetKnob("fingerprint_bits", 5); err == nil {
-		t.Fatal("invalid bits accepted")
-	}
-	if err := tr.SetKnob("x", 1); err == nil {
-		t.Fatal("unknown knob accepted")
-	}
-}
-
 func TestSizeAccountsFilters(t *testing.T) {
 	tr := New(Config{Partition: 64}, nil)
 	zm := zonemap.New(64, nil)

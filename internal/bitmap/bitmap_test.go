@@ -294,19 +294,3 @@ func TestIndexBulkLoadAndScan(t *testing.T) {
 		t.Fatalf("scan emitted %d", n)
 	}
 }
-
-func TestIndexKnobs(t *testing.T) {
-	x := newIdx(8, 16)
-	if err := x.SetKnob("merge_threshold", 128); err != nil {
-		t.Fatal(err)
-	}
-	if x.threshold != 128 {
-		t.Fatal("knob not applied")
-	}
-	if err := x.SetKnob("merge_threshold", 0); err == nil {
-		t.Fatal("invalid threshold accepted")
-	}
-	if err := x.SetKnob("x", 1); err == nil {
-		t.Fatal("unknown knob accepted")
-	}
-}

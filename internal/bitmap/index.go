@@ -318,25 +318,3 @@ func (x *Index) PendingUpdates() int {
 	}
 	return n
 }
-
-// Knobs exposes the tunable parameters (core.Tunable).
-func (x *Index) Knobs() []core.Knob {
-	return []core.Knob{
-		{
-			Name: "merge_threshold", Min: 1, Max: 1 << 16, Current: float64(x.threshold),
-			Doc: "delta size before merging into the compressed vector; higher = cheaper updates (lower UO) but bigger deltas (higher MO, RO)",
-		},
-	}
-}
-
-// SetKnob adjusts a tuning parameter (core.Tunable).
-func (x *Index) SetKnob(name string, value float64) error {
-	if name != "merge_threshold" {
-		return fmt.Errorf("bitmap: unknown knob %q", name)
-	}
-	if value < 1 {
-		return fmt.Errorf("bitmap: merge_threshold must be >= 1")
-	}
-	x.threshold = int(value)
-	return nil
-}

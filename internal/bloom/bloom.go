@@ -3,12 +3,13 @@
 // bits per key buy constant-time membership with a tunable false-positive
 // rate, at zero false negatives.
 //
-// Three variants are provided:
+// Two variants are provided:
 //
-//   - Filter: the classic bitmap with k double-hashed probes.
-//   - Counting: 4-bit counters, supporting deletes at 4x the space.
-//   - The LSM tree (internal/lsm) attaches a Filter per run — the paper's
-//     "iterative logs enhanced by probabilistic data structures".
+//   - Filter: the classic bitmap with k double-hashed probes. The LSM tree
+//     (internal/lsm) attaches one per run — the paper's "iterative logs
+//     enhanced by probabilistic data structures".
+//   - Quotient (quotient.go): a quotient filter, supporting deletes and
+//     resizing.
 package bloom
 
 import (
@@ -138,99 +139,3 @@ func (f *Filter) FalsePositiveRate() float64 {
 	}
 	return math.Pow(1-math.Exp(-float64(f.k)*float64(f.n)/float64(f.m)), float64(f.k))
 }
-
-// Counting is a counting Bloom filter with 4-bit counters, supporting
-// Remove. Counters saturate at 15 and saturated counters are never
-// decremented, preserving the no-false-negative guarantee.
-type Counting struct {
-	counters []uint8 // two 4-bit counters per byte
-	m        uint64
-	k        int
-	n        int
-	meter    *rum.Meter
-}
-
-// NewCounting sizes a counting filter like NewFilter; it occupies 4x the
-// bits of the equivalent Filter.
-func NewCounting(expectedN int, bitsPerKey float64, meter *rum.Meter) *Counting {
-	f := NewFilter(expectedN, bitsPerKey, meter)
-	return &Counting{
-		counters: make([]uint8, (f.m+1)/2),
-		m:        f.m,
-		k:        f.k,
-		meter:    f.meter,
-	}
-}
-
-func (c *Counting) get(pos uint64) uint8 {
-	b := c.counters[pos/2]
-	if pos%2 == 0 {
-		return b & 0x0f
-	}
-	return b >> 4
-}
-
-func (c *Counting) set(pos uint64, v uint8) {
-	b := c.counters[pos/2]
-	if pos%2 == 0 {
-		b = (b & 0xf0) | (v & 0x0f)
-	} else {
-		b = (b & 0x0f) | (v << 4)
-	}
-	c.counters[pos/2] = b
-}
-
-// Add inserts key, incrementing k counters.
-func (c *Counting) Add(key uint64) {
-	h, step := probes(key)
-	for i := 0; i < c.k; i++ {
-		pos := h % c.m
-		if v := c.get(pos); v < 15 {
-			c.set(pos, v+1)
-		}
-		h += step
-	}
-	c.meter.CountWrite(rum.Aux, c.k)
-	c.n++
-}
-
-// Remove deletes one occurrence of key. Removing a key that was never added
-// can introduce false negatives, as with any counting filter; callers must
-// only remove keys they added.
-func (c *Counting) Remove(key uint64) {
-	h, step := probes(key)
-	for i := 0; i < c.k; i++ {
-		pos := h % c.m
-		if v := c.get(pos); v > 0 && v < 15 {
-			c.set(pos, v-1)
-		}
-		h += step
-	}
-	c.meter.CountWrite(rum.Aux, c.k)
-	if c.n > 0 {
-		c.n--
-	}
-}
-
-// MayContain reports whether key may be present.
-func (c *Counting) MayContain(key uint64) bool {
-	h, step := probes(key)
-	for i := 0; i < c.k; i++ {
-		pos := h % c.m
-		c.meter.CountRead(rum.Aux, 1)
-		if c.get(pos) == 0 {
-			return false
-		}
-		h += step
-	}
-	return true
-}
-
-// Count returns the number of live keys.
-func (c *Counting) Count() int { return c.n }
-
-// SizeBytes returns the filter's storage footprint.
-func (c *Counting) SizeBytes() uint64 { return uint64(len(c.counters)) }
-
-// Meter returns the RUM accounting.
-func (c *Counting) Meter() *rum.Meter { return c.meter }

@@ -108,91 +108,6 @@ func TestMeterCharges(t *testing.T) {
 	}
 }
 
-func TestCountingAddRemove(t *testing.T) {
-	c := NewCounting(1000, 10, nil)
-	for k := uint64(0); k < 500; k++ {
-		c.Add(k)
-	}
-	for k := uint64(0); k < 500; k++ {
-		if !c.MayContain(k) {
-			t.Fatalf("false negative %d", k)
-		}
-	}
-	// Remove half; removed keys usually disappear, kept keys never do.
-	for k := uint64(0); k < 500; k += 2 {
-		c.Remove(k)
-	}
-	for k := uint64(1); k < 500; k += 2 {
-		if !c.MayContain(k) {
-			t.Fatalf("remove caused false negative on %d", k)
-		}
-	}
-	gone := 0
-	for k := uint64(0); k < 500; k += 2 {
-		if !c.MayContain(k) {
-			gone++
-		}
-	}
-	if gone < 200 {
-		t.Fatalf("only %d/250 removed keys disappeared", gone)
-	}
-	if c.Count() != 250 {
-		t.Fatalf("count %d", c.Count())
-	}
-}
-
-func TestCountingNoFalseNegativesProperty(t *testing.T) {
-	f := func(add []uint64, removeIdx []uint8) bool {
-		c := NewCounting(len(add)+1, 8, nil)
-		for _, k := range add {
-			c.Add(k)
-		}
-		removed := map[uint64]bool{}
-		for _, i := range removeIdx {
-			if len(add) == 0 {
-				break
-			}
-			k := add[int(i)%len(add)]
-			if !removed[k] {
-				c.Remove(k)
-				removed[k] = true
-			}
-		}
-		for _, k := range add {
-			if !removed[k] && !c.MayContain(k) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCountingSaturation(t *testing.T) {
-	c := NewCounting(4, 4, nil)
-	// Hammer one key far past the 4-bit counter limit.
-	for i := 0; i < 100; i++ {
-		c.Add(42)
-	}
-	for i := 0; i < 100; i++ {
-		c.Remove(42)
-	}
-	// Saturated counters never decrement: still (conservatively) present.
-	if !c.MayContain(42) {
-		t.Fatal("saturated counter was decremented to zero")
-	}
-}
-
-func TestCountingSize(t *testing.T) {
-	c := NewCounting(1000, 10, nil)
-	f := NewFilter(1000, 10, nil)
-	if c.SizeBytes() < 3*f.SizeBytes() {
-		t.Fatalf("counting filter should cost ~4x: %d vs %d", c.SizeBytes(), f.SizeBytes())
-	}
-}
-
 func TestProbeDistribution(t *testing.T) {
 	// Double hashing with an odd step must not degenerate: adding many keys
 	// should set a spread of bits, not a handful.

@@ -4,17 +4,15 @@
 // the price of index space (internal nodes, page slack) and per-update page
 // writes.
 //
-// The tree is tunable (Section 5's "B+-trees that have dynamically tuned
-// parameters"): effective node capacity and bulk-load fill factor can be
-// reduced below the physical page capacity, trading space amplification
-// against tree height and split frequency.
+// The tree is tuned when it is built (Config): leaf capacity and bulk-load
+// fill factor can be set below the physical page capacity, trading space
+// amplification against tree height and split frequency.
 package btree
 
 import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/extsort"
 	"repro/internal/rum"
 	"repro/internal/storage"
 )
@@ -23,8 +21,6 @@ import (
 type Config struct {
 	// MaxLeaf caps entries per leaf; 0 means the full page capacity.
 	MaxLeaf int
-	// MaxInternal caps entries per internal node; 0 means page capacity.
-	MaxInternal int
 	// BulkFill is the leaf fill fraction used by BulkLoad (0 means 1.0:
 	// pack pages full; lower values leave split slack, trading space for
 	// fewer early splits).
@@ -60,7 +56,7 @@ type Tree struct {
 	stats  Stats
 
 	leafCap int // effective leaf capacity
-	intCap  int // effective internal capacity
+	intCap  int // internal capacity: the page's
 
 	// MVCC state: epoch, published versions, page births and retired pages
 	// (nil when cfg.Versions == 0; see mvcc.go).
@@ -92,15 +88,11 @@ func New(pool *storage.BufferPool, cfg Config) (*Tree, error) {
 func (t *Tree) applyConfig() error {
 	page := t.pool.Device().PageSize()
 	physLeaf := (page - headerSize) / leafEntrySize
-	physInt := (page - headerSize) / intEntrySize
 	t.leafCap = physLeaf
 	if t.cfg.MaxLeaf > 0 && t.cfg.MaxLeaf < physLeaf {
 		t.leafCap = t.cfg.MaxLeaf
 	}
-	t.intCap = physInt
-	if t.cfg.MaxInternal > 0 && t.cfg.MaxInternal < physInt {
-		t.intCap = t.cfg.MaxInternal
-	}
+	t.intCap = (page - headerSize) / intEntrySize
 	if t.leafCap < 4 || t.intCap < 4 {
 		return fmt.Errorf("btree: page size %d too small for capacities (leaf %d, internal %d)", page, t.leafCap, t.intCap)
 	}
@@ -583,13 +575,6 @@ func (t *Tree) BulkLoad(recs []core.Record) error {
 	return nil
 }
 
-// BulkLoadUnsorted external-sorts recs (charging the simulated sort I/O of
-// Table 1's bulk-creation row) and then bulk-loads them.
-func (t *Tree) BulkLoadUnsorted(recs []core.Record) (extsort.Stats, error) {
-	st := extsort.Sort(recs, t.pool.Capacity(), t.pool.Device().PageSize(), t.Meter())
-	return st, t.BulkLoad(recs)
-}
-
 // Drop releases every page of the tree back to its pool, leaving the tree
 // unusable. Composite structures (e.g. the partitioned B-tree) call it when
 // retiring a partition.
@@ -623,57 +608,4 @@ func (t *Tree) freeAll(pid storage.PageID) error {
 		}
 	}
 	return t.freePage(pid)
-}
-
-// Knobs exposes the tunable parameters (core.Tunable).
-func (t *Tree) Knobs() []core.Knob {
-	page := t.pool.Device().PageSize()
-	physLeaf := float64((page - headerSize) / leafEntrySize)
-	knobs := []core.Knob{
-		{
-			Name: "max_leaf", Min: 4, Max: physLeaf, Current: float64(t.leafCap),
-			Doc: "entries per leaf; smaller = taller tree (higher RO), less shifting per split (lower UO variance), more page slack (higher MO)",
-		},
-		{
-			Name: "bulk_fill", Min: 0.3, Max: 1, Current: t.bulkFill(),
-			Doc: "bulk-load fill factor; lower = more slack (higher MO) but fewer early splits (lower UO)",
-		},
-	}
-	if t.mvccOn() {
-		knobs = append(knobs, core.Knob{
-			Name: "versions", Min: 1, Max: 64, Current: float64(t.cfg.Versions),
-			Doc: "published MVCC versions retained; more = longer snapshot lifetimes for concurrent readers at higher MO (retired pages pinned)",
-		})
-	}
-	return knobs
-}
-
-func (t *Tree) bulkFill() float64 {
-	if t.cfg.BulkFill == 0 {
-		return 1.0
-	}
-	return t.cfg.BulkFill
-}
-
-// SetKnob adjusts a tuning parameter for subsequent operations
-// (core.Tunable). Existing pages are not reorganized.
-func (t *Tree) SetKnob(name string, value float64) error {
-	switch name {
-	case "max_leaf":
-		t.cfg.MaxLeaf = int(value)
-	case "bulk_fill":
-		t.cfg.BulkFill = value
-	case "versions":
-		if !t.mvccOn() {
-			return fmt.Errorf("btree: versions knob requires a tree built with Config.Versions > 0")
-		}
-		if int(value) < 1 {
-			return fmt.Errorf("btree: versions %v out of range", value)
-		}
-		t.cfg.Versions = int(value)
-		t.vs.SetKeep(t.cfg.Versions)
-	default:
-		return fmt.Errorf("btree: unknown knob %q", name)
-	}
-	return t.applyConfig()
 }

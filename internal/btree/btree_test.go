@@ -252,14 +252,23 @@ func TestBulkLoadThenInsert(t *testing.T) {
 }
 
 func TestHeightGrowsLogarithmically(t *testing.T) {
-	tr := newTestTree(t, 256, 64, Config{})
-	for k := uint64(0); k < 10000; k++ {
-		if err := tr.Insert(k, k); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		page, keys, min int
+		cfg             Config
+	}{
+		{page: 256, keys: 10000, min: 2},
+		// Fanout 8 over 500 keys needs at least ceil(log_8(500/8)) + 1 levels.
+		{page: 512, keys: 500, min: 3, cfg: Config{MaxLeaf: 8}},
+	} {
+		tr := newTestTree(t, tc.page, 64, tc.cfg)
+		for k := uint64(0); k < uint64(tc.keys); k++ {
+			if err := tr.Insert(k, k); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if tr.Height() < 2 || tr.Height() > 10 {
-		t.Fatalf("implausible height %d for 10k keys on 256B pages", tr.Height())
+		if tr.Height() < tc.min || tr.Height() > 10 {
+			t.Fatalf("implausible height %d for %d keys on %dB pages, %+v", tr.Height(), tc.keys, tc.page, tc.cfg)
+		}
 	}
 }
 
@@ -311,29 +320,6 @@ func TestMeterCountsDeviceTraffic(t *testing.T) {
 	}
 }
 
-func TestTunableKnobs(t *testing.T) {
-	tr := newTestTree(t, 512, 16, Config{})
-	knobs := tr.Knobs()
-	if len(knobs) == 0 {
-		t.Fatal("no knobs")
-	}
-	if err := tr.SetKnob("max_leaf", 8); err != nil {
-		t.Fatal(err)
-	}
-	for k := uint64(0); k < 500; k++ {
-		if err := tr.Insert(k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Fanout 8 over 500 keys needs at least ceil(log_8(500/8)) + 1 levels.
-	if tr.Height() < 3 {
-		t.Fatalf("height %d too small for fanout 8", tr.Height())
-	}
-	if err := tr.SetKnob("nope", 1); err == nil {
-		t.Fatal("unknown knob accepted")
-	}
-}
-
 func TestDeleteThenReinsert(t *testing.T) {
 	tr := newTestTree(t, 512, 16, Config{})
 	for k := uint64(0); k < 1000; k++ {
@@ -363,40 +349,6 @@ func TestDeleteThenReinsert(t *testing.T) {
 		if v != want {
 			t.Fatalf("Get(%d)=%d want %d", k, v, want)
 		}
-	}
-}
-
-func TestBulkLoadUnsorted(t *testing.T) {
-	tr := newTestTree(t, 512, 8, Config{})
-	rng := rand.New(rand.NewSource(3))
-	recs := make([]core.Record, 3000)
-	seen := make(map[uint64]bool)
-	for i := range recs {
-		k := uint64(rng.Int63n(1 << 40))
-		for seen[k] {
-			k = uint64(rng.Int63n(1 << 40))
-		}
-		seen[k] = true
-		recs[i] = core.Record{Key: k, Value: k}
-	}
-	st, err := tr.BulkLoadUnsorted(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Passes < 1 || st.PageReads == 0 {
-		t.Fatalf("external sort stats implausible: %+v", st)
-	}
-	prev := uint64(0)
-	first := true
-	tr.RangeScan(0, ^uint64(0), func(k core.Key, v core.Value) bool {
-		if !first && k <= prev {
-			t.Fatalf("scan not sorted: %d after %d", k, prev)
-		}
-		first, prev = false, k
-		return true
-	})
-	if tr.Len() != 3000 {
-		t.Fatalf("Len=%d", tr.Len())
 	}
 }
 

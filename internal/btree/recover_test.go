@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -288,4 +289,112 @@ func TestRecoverHonoursVersions(t *testing.T) {
 		}
 		s.Release()
 	}
+}
+
+// FuzzRecover damages one live page of a flushed image — overwrites bytes of
+// it, or frees it — and recovers. Recover may refuse the image but must not
+// panic; a refusal frees nothing; an adopted tree scans strictly ascending,
+// its Len is the scan's count, and every scanned key Gets its scanned value.
+// The seed images are trees of height 1, 2 and 3 and a copy-on-write image
+// with two retained versions.
+func FuzzRecover(f *testing.F) {
+	type image struct {
+		dev *storage.Device
+		cfg Config
+	}
+	var images []image
+	for _, c := range []struct {
+		keys, height int
+		cfg          Config
+	}{
+		{keys: 10, height: 1},
+		{keys: 100, height: 2},
+		{keys: 500, height: 3},
+		{keys: 300, cfg: Config{Versions: 2}},
+	} {
+		dev := storage.NewDevice(256, storage.SSD, nil)
+		tr, err := New(storage.NewBufferPool(dev, 16), c.cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for k := uint64(0); k < uint64(c.keys); k++ {
+			if err := tr.Insert(k, k*7); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if c.cfg.Versions > 0 {
+			// Copy-on-write history published past the retention window,
+			// as TestRecoverHonoursVersions leaves it.
+			for round := 0; round < 3; round++ {
+				if err := tr.Publish(); err != nil {
+					f.Fatal(err)
+				}
+				for k := uint64(round); k < uint64(c.keys); k += 7 {
+					tr.Update(k, k*7)
+				}
+			}
+			for i := 0; i < 2; i++ {
+				if err := tr.Publish(); err != nil {
+					f.Fatal(err)
+				}
+			}
+		} else if tr.Height() != c.height {
+			f.Fatalf("%d keys make height %d, want %d", c.keys, tr.Height(), c.height)
+		}
+		tr.Flush()
+		images = append(images, image{dev, c.cfg})
+	}
+	for i := range images {
+		f.Add(uint8(i), uint16(0), uint16(0), []byte{}, false)             // intact
+		f.Add(uint8(i), uint16(0), uint16(0), []byte{kindInternal}, false) // kind flipped
+		f.Add(uint8(i), uint16(1), uint16(2), []byte{0xff, 0xff}, false)   // count out of range
+		f.Add(uint8(i), uint16(2), uint16(4), []byte{3}, false)            // link redirected
+		f.Add(uint8(i), uint16(3), uint16(20), []byte{0, 0, 0, 0, 0, 0, 0, 0x80}, false)
+		f.Add(uint8(i), uint16(1), uint16(0), []byte{}, true) // page freed
+	}
+	f.Fuzz(func(t *testing.T, which uint8, victim, off uint16, patch []byte, free bool) {
+		img := images[int(which)%len(images)]
+		dev := img.dev.Clone(nil)
+		live := dev.LivePageIDs()
+		id := live[int(victim)%len(live)]
+		if free {
+			if err := dev.Free(id); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			data, err := dev.Read(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			page := slices.Clone(data)
+			copy(page[int(off)%len(page):], patch)
+			if err := dev.Write(id, page); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := dev.LivePageIDs()
+		tr, err := Recover(storage.NewBufferPool(dev, 8), img.cfg)
+		if err != nil {
+			if after := dev.LivePageIDs(); !slices.Equal(before, after) {
+				t.Fatalf("Recover failed (%v) but the live pages went from %v to %v", err, before, after)
+			}
+			return
+		}
+		var recs []core.Record
+		n := tr.RangeScan(0, ^core.Key(0), func(k core.Key, v core.Value) bool {
+			if len(recs) > 0 && k <= recs[len(recs)-1].Key {
+				t.Fatalf("scan emitted %d after %d", k, recs[len(recs)-1].Key)
+			}
+			recs = append(recs, core.Record{Key: k, Value: v})
+			return true
+		})
+		if n != len(recs) || tr.Len() != n {
+			t.Fatalf("scan returned %d, emitted %d, Len %d", n, len(recs), tr.Len())
+		}
+		for _, r := range recs {
+			if v, ok := tr.Get(r.Key); !ok || v != r.Value {
+				t.Fatalf("Get(%d) = %d,%v; the scan emitted %d", r.Key, v, ok, r.Value)
+			}
+		}
+	})
 }

@@ -1,9 +1,10 @@
 // Package core defines the access-method abstraction the rest of the
 // repository is built around, together with the paper's primary
-// contribution: RUM profiling of access methods (profiler.go), a tunable
-// engine that moves through RUM space (tunable.go), a morphing engine that
-// adapts the physical structure to the observed workload (morph.go), and an
-// access-method wizard (wizard.go) — the Section 5 roadmap items.
+// contribution: RUM profiling of access methods (profiler.go) and an
+// access-method wizard (wizard.go) that ranks model-priced configurations
+// for a workload — the Section 5 roadmap items. A structure is tuned once,
+// when it is built from its Config; the morphing engine that moves a running
+// index between configurations lives in internal/methods (morph.go).
 //
 // Records are fixed-size (Key, Value) pairs of uint64, matching the paper's
 // running example of an array of fixed-size integers organized in blocks;
@@ -66,9 +67,6 @@ var (
 	// ErrOutOfRange is returned by structures with a bounded key domain
 	// (e.g. the Prop-1 direct-address array) for keys they cannot store.
 	ErrOutOfRange = errors.New("core: key out of supported range")
-	// ErrNotTunable is returned when a knob is set on a structure that does
-	// not implement Tunable.
-	ErrNotTunable = errors.New("core: access method is not tunable")
 	// ErrNoSnapshots is returned by Publish when the underlying structure
 	// does not implement SnapshotReader.
 	ErrNoSnapshots = errors.New("core: access method does not support snapshots")
@@ -129,24 +127,6 @@ type BulkLoader interface {
 // write amplification includes deferred traffic.
 type Flusher interface {
 	Flush()
-}
-
-// Tunable is implemented by structures whose RUM position can be moved at
-// runtime by adjusting named knobs — the Section 5 "tunable RUM balance".
-type Tunable interface {
-	// Knobs lists the available tuning parameters.
-	Knobs() []Knob
-	// SetKnob adjusts one parameter; implementations may reorganize data.
-	SetKnob(name string, value float64) error
-}
-
-// Knob describes one tuning parameter of a Tunable access method.
-type Knob struct {
-	Name    string  // identifier, e.g. "size_ratio"
-	Min     float64 // smallest accepted value
-	Max     float64 // largest accepted value
-	Current float64 // value now in effect
-	Doc     string  // human description of the RUM effect
 }
 
 // Flush forces am's buffered writes down to its device if it buffers at all.

@@ -143,16 +143,6 @@ func TestInstrumentBulkLoadFallsBackToInserts(t *testing.T) {
 	}
 }
 
-func TestInstrumentKnobsOnNonTunable(t *testing.T) {
-	w := Instrument(newFake())
-	if w.Knobs() != nil {
-		t.Fatal("knobs on non-tunable")
-	}
-	if err := w.SetKnob("x", 1); err != ErrNotTunable {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestRunProfile(t *testing.T) {
 	gen := workload.New(workload.Config{Seed: 1, Mix: workload.Balanced, InitialLen: 500})
 	prof, err := RunProfile(newFake(), gen, 2000)

@@ -218,19 +218,3 @@ func (s instrumentedSnapshot) RangeScan(lo, hi Key, m *rum.Meter, emit func(Key,
 	m.CountLogicalRead(n * RecordSize)
 	return n
 }
-
-// Knobs forwards to the wrapped structure when it is Tunable.
-func (w *Instrumented) Knobs() []Knob {
-	if t, ok := w.inner.(Tunable); ok {
-		return t.Knobs()
-	}
-	return nil
-}
-
-// SetKnob forwards to the wrapped structure when it is Tunable.
-func (w *Instrumented) SetKnob(name string, value float64) error {
-	if t, ok := w.inner.(Tunable); ok {
-		return t.SetKnob(name, value)
-	}
-	return ErrNotTunable
-}

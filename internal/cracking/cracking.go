@@ -14,7 +14,6 @@
 package cracking
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/core"
@@ -322,25 +321,5 @@ func (s *Store) BulkLoad(recs []core.Record) error {
 	s.bounds = []boundary{{key: 0, start: 0}}
 	s.count = len(recs)
 	s.meter.CountWrite(rum.Base, len(recs)*core.RecordSize)
-	return nil
-}
-
-// Knobs exposes the tunable parameters (core.Tunable).
-func (s *Store) Knobs() []core.Knob {
-	return []core.Knob{{
-		Name: "merge_threshold", Min: 16, Max: 1 << 20, Current: float64(s.threshold),
-		Doc: "pending inserts before reorganization; higher = cheaper inserts (lower UO) but longer pending scans (higher RO)",
-	}}
-}
-
-// SetKnob adjusts a tuning parameter (core.Tunable).
-func (s *Store) SetKnob(name string, value float64) error {
-	if name != "merge_threshold" {
-		return fmt.Errorf("cracking: unknown knob %q", name)
-	}
-	if value < 1 {
-		return fmt.Errorf("cracking: merge_threshold must be >= 1")
-	}
-	s.threshold = int(value)
 	return nil
 }

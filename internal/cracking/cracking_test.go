@@ -268,19 +268,3 @@ func TestFullRangeBoundary(t *testing.T) {
 		t.Fatalf("full scan emitted %d", n)
 	}
 }
-
-func TestKnobs(t *testing.T) {
-	s := New(100, nil)
-	if err := s.SetKnob("merge_threshold", 500); err != nil {
-		t.Fatal(err)
-	}
-	if s.threshold != 500 {
-		t.Fatal("knob not applied")
-	}
-	if err := s.SetKnob("merge_threshold", 0); err == nil {
-		t.Fatal("invalid threshold accepted")
-	}
-	if err := s.SetKnob("y", 5); err == nil {
-		t.Fatal("unknown knob accepted")
-	}
-}

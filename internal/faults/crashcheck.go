@@ -3,6 +3,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"sort"
 
@@ -17,6 +18,13 @@ import (
 const (
 	opStream    = 0xc4a5
 	crashStream = 0xc4a6
+)
+
+// The storage stack every check runs on: small pages and a small pool keep
+// plenty of state volatile at the crash.
+const (
+	checkPageSize  = 512
+	checkPoolPages = 8
 )
 
 // Durability is the contract an access method declares for crash recovery.
@@ -134,20 +142,15 @@ type CheckConfig struct {
 	// Seed drives both the workload and the injected crash point.
 	Seed uint64
 	// Ops is the number of insert attempts to drive before giving up on
-	// crashing (the op loop stops early at the crash).
+	// crashing (the op loop stops early at the crash); every Ops/4 attempts
+	// (at least 1) the checker checkpoints: core.Flush, then a dirty-count
+	// verification. 0 means 400.
 	Ops int
-	// PageSize and PoolPages shape the storage stack (defaults 512 and 8:
-	// a small pool keeps plenty of state volatile at the crash).
-	PageSize  int
-	PoolPages int
 	// CrashAtWrite pins the crash to a 1-based device write index; 0 first
 	// calibrates the workload's total write count with a fault-free dry run,
 	// then draws a crash point inside that range from Seed — so an
 	// unpinned check always crashes somewhere the workload actually writes.
 	CrashAtWrite uint64
-	// FlushEvery checkpoints (core.Flush + dirty-count verification) every
-	// this many acknowledged ops; 0 defaults to Ops/4.
-	FlushEvery int
 }
 
 // CheckResult reports what one crash-consistency check observed.
@@ -188,34 +191,94 @@ func (r CheckResult) String() string {
 	return s
 }
 
-// workloadWrites replays the checker's workload fault-free and returns the
-// device writes it performs — the calibration run that lets an unpinned
-// CheckCrash draw a crash point the workload is guaranteed to reach. It must
-// consume the op RNG exactly as CheckCrash's main loop does.
-func workloadWrites(cfg CheckConfig, sub Subject) uint64 {
-	rng := rand.New(rand.NewPCG(cfg.Seed, opStream))
-	dev := storage.NewDevice(cfg.PageSize, storage.SSD, nil)
-	pool := storage.NewBufferPool(dev, cfg.PoolPages)
-	m, err := sub.Open(pool)
-	if err != nil {
-		return 0
+// trial is one pass of the checker's workload over a fresh storage stack.
+type trial struct {
+	dev  *storage.Device
+	pool *storage.BufferPool
+	m    core.AccessMethod // nil if Open crashed
+
+	model        map[core.Key]core.Value // every acknowledged insert
+	checkpointed map[core.Key]core.Value // model at the last fully-successful flush
+	// ackedSeq holds the acked inserts in acknowledgement order and durable
+	// the highest Committed() observed: the committed watermark.
+	ackedSeq []core.Record
+	durable  uint64
+	// pending is the record in flight when the crash fired: the crash
+	// models instant process death, so its insert was never acknowledged —
+	// but its pages may be half-applied, so recovery serving it (with
+	// exactly this value) is atomicity, not garbage.
+	pending *core.Record
+	crashed bool
+}
+
+// drive opens sub on a fresh stack whose device crashes at write crashAt (0:
+// never) and makes ops insert attempts of seeded random keys not yet
+// acknowledged, checkpointing every ops/4, until the crash. The calibration
+// dry run and the crash run are both this loop, so they draw the same ops. A
+// non-empty violation is a contract breach seen on the way.
+func drive(sub Subject, seed uint64, ops int, crashAt uint64) (t *trial, violation string) {
+	t = &trial{dev: storage.NewDevice(checkPageSize, storage.SSD, nil), model: make(map[core.Key]core.Value)}
+	if crashAt > 0 {
+		t.dev.SetInjector(New(Plan{Seed: seed, CrashAtWrite: crashAt}))
 	}
-	seen := make(map[core.Key]struct{})
-	for op := 0; op < cfg.Ops; op++ {
+	t.pool = storage.NewBufferPool(t.dev, checkPoolPages)
+	m, err := sub.Open(t.pool)
+	t.crashed = err != nil && (errors.Is(err, storage.ErrCrash) || t.dev.Crashed())
+	if err != nil && !t.crashed {
+		return t, fmt.Sprintf("open failed without a crash: %v", err)
+	}
+	t.m = m
+	// Sampling the watermark after every acked op and every flush can only
+	// lag the true one, which under-constrains the check — never the reverse.
+	committer, _ := m.(Committer)
+	sample := func() {
+		if committer == nil || t.dev.Crashed() {
+			return
+		}
+		t.durable = max(t.durable, committer.Committed())
+	}
+	rng := rand.New(rand.NewPCG(seed, opStream))
+	flushEvery := max(1, ops/4)
+	for op := 0; !t.crashed && op < ops; op++ {
 		k := rng.Uint64N(1 << 40)
-		if _, dup := seen[k]; dup {
+		if _, dup := t.model[k]; dup {
 			continue
 		}
-		v := rng.Uint64() >> 1
-		if err := m.Insert(k, v); err == nil {
-			seen[k] = struct{}{}
+		v := rng.Uint64() >> 1 // keep clear of the LSM tombstone
+		err := m.Insert(k, v)
+		if t.dev.Crashed() {
+			// Process death at the crash point: nothing after it counts,
+			// even an insert that "returned" into volatile memory.
+			t.pending = &core.Record{Key: k, Value: v}
+			t.crashed = true
+			break
 		}
-		if (op+1)%cfg.FlushEvery == 0 {
+		switch {
+		case err == nil:
+			t.model[k] = v
+			t.ackedSeq = append(t.ackedSeq, core.Record{Key: k, Value: v})
+			sample()
+		case errors.Is(err, core.ErrKeyExists):
+			// fine: not acknowledged, nothing promised
+		case errors.Is(err, storage.ErrInjected):
+			// crash-only plan: unreachable, but tolerated as un-acked
+		default:
+			return t, fmt.Sprintf("insert failed unexpectedly: %v", err)
+		}
+		if (op+1)%flushEvery == 0 {
 			core.Flush(m)
+			if t.dev.Crashed() {
+				t.crashed = true
+			} else {
+				sample()
+				if t.pool.DirtyCount() == 0 {
+					t.checkpointed = maps.Clone(t.model)
+				}
+			}
 		}
 	}
-	core.Flush(m)
-	return dev.Stats().PageWrites
+	t.durable = min(t.durable, uint64(len(t.ackedSeq)))
+	return t, ""
 }
 
 // CheckCrash drives the property: a random acknowledged op prefix, a crash
@@ -227,121 +290,36 @@ func workloadWrites(cfg CheckConfig, sub Subject) uint64 {
 // operation before the crash point behaves normally — the property isolates
 // crash atomicity from fault tolerance, which the unit tests cover.
 func CheckCrash(cfg CheckConfig, sub Subject) CheckResult {
-	if cfg.PageSize == 0 {
-		cfg.PageSize = 512
-	}
-	if cfg.PoolPages == 0 {
-		cfg.PoolPages = 8
-	}
 	if cfg.Ops == 0 {
 		cfg.Ops = 400
 	}
-	if cfg.FlushEvery == 0 {
-		cfg.FlushEvery = cfg.Ops / 4
-		if cfg.FlushEvery == 0 {
-			cfg.FlushEvery = 1
-		}
-	}
-	rng := rand.New(rand.NewPCG(cfg.Seed, opStream))
 	crashAt := cfg.CrashAtWrite
 	if crashAt == 0 {
-		w := workloadWrites(cfg, sub)
-		if w < 2 {
-			w = 2
+		// Calibrate on a fault-free dry run, so the drawn crash point is
+		// one the workload reaches.
+		w := uint64(2)
+		if dry, _ := drive(sub, cfg.Seed, cfg.Ops, 0); dry.m != nil {
+			core.Flush(dry.m)
+			w = max(w, dry.dev.Stats().PageWrites)
 		}
 		crashRng := rand.New(rand.NewPCG(cfg.Seed, crashStream))
 		crashAt = 1 + crashRng.Uint64N(w) // in [1, w]: guaranteed to fire
 	}
 
-	dev := storage.NewDevice(cfg.PageSize, storage.SSD, nil)
-	dev.SetInjector(New(Plan{Seed: cfg.Seed, CrashAtWrite: crashAt}))
-	pool := storage.NewBufferPool(dev, cfg.PoolPages)
-
-	model := make(map[core.Key]core.Value) // every acknowledged insert
-	var checkpointed map[core.Key]core.Value
-
-	m, err := sub.Open(pool)
-	crashed := err != nil && (errors.Is(err, storage.ErrCrash) || dev.Crashed())
-	if err != nil && !crashed {
-		return CheckResult{Verdict: Violated, Detail: fmt.Sprintf("open failed without a crash: %v", err)}
+	t, violation := drive(sub, cfg.Seed, cfg.Ops, crashAt)
+	if violation != "" {
+		return CheckResult{Verdict: Violated, Detail: violation}
 	}
-	// The committed watermark: acked inserts in acknowledgement order, and
-	// the highest Committed() observed. Sampling after every acked op and
-	// every flush can only lag the true watermark, which under-constrains
-	// the check — never the reverse.
-	var ackedSeq []core.Record
-	var durable uint64
-	var committer Committer
-	if m != nil {
-		committer, _ = m.(Committer)
-	}
-	sample := func() {
-		if committer == nil || dev.Crashed() {
-			return
-		}
-		if w := committer.Committed(); w > durable {
-			durable = w
-		}
-	}
-	// pending is the record in flight when the crash fired: the crash
-	// models instant process death, so its insert was never acknowledged —
-	// but its pages may be half-applied, so recovery serving it (with
-	// exactly this value) is atomicity, not garbage.
-	var pending *core.Record
-	for op := 0; !crashed && op < cfg.Ops; op++ {
-		k := rng.Uint64N(1 << 40)
-		if _, dup := model[k]; dup {
-			continue
-		}
-		v := rng.Uint64() >> 1 // keep clear of the LSM tombstone
-		err := m.Insert(k, v)
-		if dev.Crashed() {
-			// Process death at the crash point: nothing after it counts,
-			// even an insert that "returned" into volatile memory.
-			pending = &core.Record{Key: k, Value: v}
-			crashed = true
-			break
-		}
-		switch {
-		case err == nil:
-			model[k] = v
-			ackedSeq = append(ackedSeq, core.Record{Key: k, Value: v})
-			sample()
-		case errors.Is(err, core.ErrKeyExists):
-			// fine: not acknowledged, nothing promised
-		case errors.Is(err, storage.ErrInjected):
-			// crash-only plan: unreachable, but tolerated as un-acked
-		default:
-			return CheckResult{Verdict: Violated, Detail: fmt.Sprintf("insert failed unexpectedly: %v", err)}
-		}
-		if (op+1)%cfg.FlushEvery == 0 {
-			core.Flush(m)
-			if dev.Crashed() {
-				crashed = true
-			} else {
-				sample()
-				if pool.DirtyCount() == 0 {
-					checkpointed = make(map[core.Key]core.Value, len(model))
-					for k, v := range model {
-						checkpointed[k] = v
-					}
-				}
-			}
-		}
-	}
-	if int(durable) > len(ackedSeq) {
-		durable = uint64(len(ackedSeq))
-	}
-	res := CheckResult{Acked: len(model), Checkpointed: len(checkpointed), Committed: int(durable)}
-	if !crashed {
+	res := CheckResult{Acked: len(t.model), Checkpointed: len(t.checkpointed), Committed: int(t.durable)}
+	if !t.crashed {
 		// One last chance for the crash point to fire: the closing flush.
-		core.Flush(m)
-		if !dev.Crashed() {
+		core.Flush(t.m)
+		if !t.dev.Crashed() {
 			res.Verdict = NoCrash
 			return res
 		}
 	}
-	_, writes := dev.Injector().(*Injector).Ops()
+	_, writes := t.dev.Injector().(*Injector).Ops()
 	res.CrashWrite = crashAt
 	if writes < crashAt {
 		// Crashed() latched without the injector firing cannot happen with
@@ -350,25 +328,25 @@ func CheckCrash(cfg CheckConfig, sub Subject) CheckResult {
 	}
 
 	// The crash: volatile state gone, device image frozen as-is.
-	pool.Crash()
-	dev.SetInjector(nil)
-	dev.Reopen()
+	t.pool.Crash()
+	t.dev.SetInjector(nil)
+	t.dev.Reopen()
 
 	if sub.Reopen == nil {
 		res.Verdict = NoRecovery
 		return res
 	}
-	pool2 := storage.NewBufferPool(dev, cfg.PoolPages)
+	pool2 := storage.NewBufferPool(t.dev, checkPoolPages)
 	m2, err := sub.Reopen(pool2)
 	if err != nil {
 		switch {
-		case sub.Durability == DurableToFlush && len(checkpointed) > 0:
+		case sub.Durability == DurableToFlush && len(t.checkpointed) > 0:
 			res.Verdict = Violated
-			res.Detail = fmt.Sprintf("reopen failed with %d checkpointed records promised durable: %v", len(checkpointed), err)
+			res.Detail = fmt.Sprintf("reopen failed with %d checkpointed records promised durable: %v", len(t.checkpointed), err)
 			return res
-		case sub.Durability == DurableToCommit && durable > 0:
+		case sub.Durability == DurableToCommit && t.durable > 0:
 			res.Verdict = Violated
-			res.Detail = fmt.Sprintf("reopen failed with %d committed records promised durable: %v", durable, err)
+			res.Detail = fmt.Sprintf("reopen failed with %d committed records promised durable: %v", t.durable, err)
 			return res
 		}
 		res.Verdict = FailedLoudly
@@ -381,10 +359,10 @@ func CheckCrash(cfg CheckConfig, sub Subject) CheckResult {
 	recovered := make(map[core.Key]core.Value)
 	m2.RangeScan(0, ^core.Key(0), func(k core.Key, v core.Value) bool {
 		recovered[k] = v
-		want, acked := model[k]
+		want, acked := t.model[k]
 		switch {
 		case acked && want == v:
-		case pending != nil && k == pending.Key && v == pending.Value:
+		case t.pending != nil && k == t.pending.Key && v == t.pending.Value:
 			// The in-flight record, fully applied: atomicity allows it.
 		case !acked:
 			violations = append(violations, fmt.Sprintf("garbage key %d (never acknowledged)", k))
@@ -394,13 +372,13 @@ func CheckCrash(cfg CheckConfig, sub Subject) CheckResult {
 		return true
 	})
 	for k, v := range recovered {
-		if want, acked := model[k]; acked && want == v {
+		if want, acked := t.model[k]; acked && want == v {
 			res.Survived++
 		}
 	}
 	// Durability: checkpointed records must be back, point-readable.
 	if sub.Durability == DurableToFlush {
-		for k, want := range checkpointed {
+		for k, want := range t.checkpointed {
 			if got, ok := m2.Get(k); !ok || got != want {
 				violations = append(violations, fmt.Sprintf("checkpointed key %d lost (got %d,%v, want %d)", k, got, ok, want))
 			}
@@ -408,7 +386,7 @@ func CheckCrash(cfg CheckConfig, sub Subject) CheckResult {
 	}
 	// Durability: the committed prefix of the acked sequence must be back.
 	if sub.Durability == DurableToCommit {
-		for _, rec := range ackedSeq[:durable] {
+		for _, rec := range t.ackedSeq[:t.durable] {
 			if got, ok := m2.Get(rec.Key); !ok || got != rec.Value {
 				violations = append(violations, fmt.Sprintf("committed key %d lost (got %d,%v, want %d)", rec.Key, got, ok, rec.Value))
 			}

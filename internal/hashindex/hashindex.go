@@ -403,27 +403,3 @@ func (x *Index) BulkLoad(recs []core.Record) error {
 	}
 	return nil
 }
-
-// Knobs exposes the tunable parameters (core.Tunable).
-func (x *Index) Knobs() []core.Knob {
-	return []core.Knob{
-		{
-			Name: "max_load", Min: 0.2, Max: 2.0, Current: x.cfg.MaxLoad,
-			Doc: "load factor before directory doubling; lower = fewer overflow probes (lower RO) at more bucket slack (higher MO)",
-		},
-	}
-}
-
-// SetKnob adjusts a tuning parameter (core.Tunable).
-func (x *Index) SetKnob(name string, value float64) error {
-	switch name {
-	case "max_load":
-		if value <= 0 {
-			return fmt.Errorf("hashindex: max_load must be positive")
-		}
-		x.cfg.MaxLoad = value
-	default:
-		return fmt.Errorf("hashindex: unknown knob %q", name)
-	}
-	return nil
-}

@@ -230,22 +230,6 @@ func TestPointQueryCostIsConstant(t *testing.T) {
 	}
 }
 
-func TestKnobs(t *testing.T) {
-	x := newIndex(t, 256, 16, Config{})
-	if len(x.Knobs()) != 1 {
-		t.Fatal("knobs")
-	}
-	if err := x.SetKnob("max_load", 1.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := x.SetKnob("max_load", -1); err == nil {
-		t.Fatal("negative load accepted")
-	}
-	if err := x.SetKnob("bogus", 1); err == nil {
-		t.Fatal("unknown knob accepted")
-	}
-}
-
 func TestSizeAccountsDirectoryAndSlack(t *testing.T) {
 	x := newIndex(t, 256, 16, Config{})
 	for k := uint64(0); k < 100; k++ {

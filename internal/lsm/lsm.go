@@ -571,7 +571,7 @@ func (t *Tree) IngestSorted(recs []core.Record, delta int) error {
 	return nil
 }
 
-// policy is the tree's compaction schedule under its current knobs.
+// policy is the tree's compaction schedule under its Config.
 func (t *Tree) policy() plan.Policy {
 	return plan.Policy{Buffer: float64(t.cfg.MemtableRecords), SizeRatio: float64(t.cfg.SizeRatio), Tiering: t.cfg.Tiering}
 }
@@ -740,74 +740,5 @@ func (t *Tree) BulkLoad(recs []core.Record) error {
 	t.levels = make([][]*run, lvl+1)
 	t.levels[lvl] = []*run{r}
 	t.count = len(recs)
-	return nil
-}
-
-// Knobs exposes the tunable parameters (core.Tunable).
-func (t *Tree) Knobs() []core.Knob {
-	tier := 0.0
-	if t.cfg.Tiering {
-		tier = 1
-	}
-	knobs := []core.Knob{
-		{
-			Name: "size_ratio", Min: 2, Max: 32, Current: float64(t.cfg.SizeRatio),
-			Doc: "level size ratio T; larger = fewer levels (lower RO) but bigger merges (higher UO under leveling)",
-		},
-		{
-			Name: "bloom_bits", Min: 0, Max: 20, Current: t.cfg.BloomBitsPerKey,
-			Doc: "bloom bits per key per run; more bits = fewer wasted run probes (lower RO) at more memory (higher MO)",
-		},
-		{
-			Name: "memtable_records", Min: 64, Max: 1 << 20, Current: float64(t.cfg.MemtableRecords),
-			Doc: "memtable flush threshold; larger = fewer flushes (lower UO) at more buffered memory (higher MO)",
-		},
-		{
-			Name: "tiering", Min: 0, Max: 1, Current: tier,
-			Doc: "1 = tiering (write-optimized: lazy merges, more runs), 0 = leveling (read-optimized: eager merges, one run per level)",
-		},
-	}
-	if t.mvccOn() {
-		knobs = append(knobs, core.Knob{
-			Name: "versions", Min: 1, Max: 64, Current: float64(t.cfg.Versions),
-			Doc: "published MVCC versions retained (applies from the next publish); more = longer snapshot lifetimes for concurrent readers at higher MO (retired run pages pinned)",
-		})
-	}
-	return knobs
-}
-
-// SetKnob adjusts a tuning parameter (core.Tunable); it takes effect on
-// subsequent flushes and compactions.
-func (t *Tree) SetKnob(name string, value float64) error {
-	switch name {
-	case "size_ratio":
-		if value < 2 {
-			return fmt.Errorf("lsm: size_ratio must be >= 2")
-		}
-		t.cfg.SizeRatio = int(value)
-	case "bloom_bits":
-		if value < 0 {
-			return fmt.Errorf("lsm: bloom_bits must be >= 0")
-		}
-		t.cfg.BloomBitsPerKey = value
-	case "memtable_records":
-		if value < 1 {
-			return fmt.Errorf("lsm: memtable_records must be >= 1")
-		}
-		t.cfg.MemtableRecords = int(value)
-	case "tiering":
-		t.cfg.Tiering = value >= 0.5
-	case "versions":
-		if !t.mvccOn() {
-			return fmt.Errorf("lsm: versions knob requires a tree built with Config.Versions > 0")
-		}
-		if int(value) < 1 {
-			return fmt.Errorf("lsm: versions must be >= 1")
-		}
-		t.cfg.Versions = int(value)
-		t.vs.SetKeep(t.cfg.Versions)
-	default:
-		return fmt.Errorf("lsm: unknown knob %q", name)
-	}
 	return nil
 }

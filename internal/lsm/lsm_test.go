@@ -298,25 +298,6 @@ func TestRandomizedAgainstMap(t *testing.T) {
 	}
 }
 
-func TestKnobs(t *testing.T) {
-	tr := newTestTree(t, Config{})
-	if len(tr.Knobs()) != 4 {
-		t.Fatalf("expected 4 knobs, got %d", len(tr.Knobs()))
-	}
-	if err := tr.SetKnob("size_ratio", 6); err != nil {
-		t.Fatal(err)
-	}
-	if tr.cfg.SizeRatio != 6 {
-		t.Fatalf("size_ratio not applied")
-	}
-	if err := tr.SetKnob("size_ratio", 1); err == nil {
-		t.Fatal("invalid size_ratio accepted")
-	}
-	if err := tr.SetKnob("bogus", 1); err == nil {
-		t.Fatal("unknown knob accepted")
-	}
-}
-
 // TestFaultToleranceOnReads: run-page read failures surface as misses and
 // clear once the device recovers.
 func TestFaultToleranceOnReads(t *testing.T) {
@@ -370,46 +351,6 @@ func TestFencePruningOnRanges(t *testing.T) {
 	full := uint64(len(recs) * core.RecordSize)
 	if read > full/20 {
 		t.Fatalf("narrow range read %d of %d run bytes: fences not pruning", read, full)
-	}
-}
-
-// TestTieringKnobTakesEffectMidStream: switching leveling→tiering at
-// runtime changes compaction behaviour for subsequent flushes.
-func TestTieringKnobTakesEffectMidStream(t *testing.T) {
-	tr := newTestTree(t, Config{MemtableRecords: 32, SizeRatio: 4})
-	for k := uint64(0); k < 2000; k++ {
-		if err := tr.Insert(k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Leveling: one run per level.
-	for i, lv := range tr.levels {
-		if len(lv) > 1 {
-			t.Fatalf("leveling invariant broken at level %d", i)
-		}
-	}
-	if err := tr.SetKnob("tiering", 1); err != nil {
-		t.Fatal(err)
-	}
-	for k := uint64(10000); k < 14000; k++ {
-		if err := tr.Insert(k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	multi := false
-	for _, lv := range tr.levels {
-		if len(lv) > 1 {
-			multi = true
-		}
-	}
-	if !multi {
-		t.Fatal("tiering knob had no effect: no level accumulated runs")
-	}
-	// Data from both regimes stays readable.
-	for _, k := range []uint64{5, 1999, 10000, 13999} {
-		if v, ok := tr.Get(k); !ok || v != k {
-			t.Fatalf("Get(%d) = %d,%v", k, v, ok)
-		}
 	}
 }
 

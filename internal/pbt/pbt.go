@@ -28,8 +28,6 @@ type Config struct {
 	PartitionRecords int
 	// MergeFanIn merges once this many sealed partitions exist (default 4).
 	MergeFanIn int
-	// BTree configures the per-partition trees.
-	BTree btree.Config
 }
 
 func (c *Config) defaults() {
@@ -61,7 +59,7 @@ type Tree struct {
 // New creates an empty partitioned B-tree on pool.
 func New(pool *storage.BufferPool, cfg Config) (*Tree, error) {
 	cfg.defaults()
-	active, err := btree.New(pool, cfg.BTree)
+	active, err := btree.New(pool, btree.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +168,7 @@ func (t *Tree) Insert(k core.Key, v core.Value) error {
 // enough sealed partitions accumulated.
 func (t *Tree) seal() {
 	t.sealed = append(t.sealed, t.active)
-	fresh, err := btree.New(t.pool, t.cfg.BTree)
+	fresh, err := btree.New(t.pool, btree.Config{})
 	if err != nil {
 		return
 	}
@@ -197,7 +195,7 @@ func (t *Tree) merge() {
 		})
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
-	merged, err := btree.New(t.pool, t.cfg.BTree)
+	merged, err := btree.New(t.pool, btree.Config{})
 	if err != nil {
 		return
 	}
@@ -262,12 +260,12 @@ func (t *Tree) BulkLoad(recs []core.Record) error {
 		_ = p.Drop()
 	}
 	t.sealed = nil
-	fresh, err := btree.New(t.pool, t.cfg.BTree)
+	fresh, err := btree.New(t.pool, btree.Config{})
 	if err != nil {
 		return err
 	}
 	t.active = fresh
-	main, err := btree.New(t.pool, t.cfg.BTree)
+	main, err := btree.New(t.pool, btree.Config{})
 	if err != nil {
 		return err
 	}
@@ -275,38 +273,5 @@ func (t *Tree) BulkLoad(recs []core.Record) error {
 		return err
 	}
 	t.main = main
-	return nil
-}
-
-// Knobs exposes the tunable parameters (core.Tunable).
-func (t *Tree) Knobs() []core.Knob {
-	return []core.Knob{
-		{
-			Name: "partition_records", Min: 64, Max: 1 << 20, Current: float64(t.cfg.PartitionRecords),
-			Doc: "active partition size; larger = fewer seals and merges (lower UO) but more unmerged partitions to probe (higher RO)",
-		},
-		{
-			Name: "merge_fanin", Min: 2, Max: 64, Current: float64(t.cfg.MergeFanIn),
-			Doc: "sealed partitions before a merge; larger = lazier merging (lower UO, higher RO/MO)",
-		},
-	}
-}
-
-// SetKnob adjusts a tuning parameter (core.Tunable).
-func (t *Tree) SetKnob(name string, value float64) error {
-	switch name {
-	case "partition_records":
-		if value < 1 {
-			return fmt.Errorf("pbt: partition_records must be >= 1")
-		}
-		t.cfg.PartitionRecords = int(value)
-	case "merge_fanin":
-		if value < 2 {
-			return fmt.Errorf("pbt: merge_fanin must be >= 2")
-		}
-		t.cfg.MergeFanIn = int(value)
-	default:
-		return fmt.Errorf("pbt: unknown knob %q", name)
-	}
 	return nil
 }

@@ -231,25 +231,6 @@ func TestBulkLoad(t *testing.T) {
 	}
 }
 
-func TestKnobs(t *testing.T) {
-	tr := newTree(t, Config{})
-	if len(tr.Knobs()) != 2 {
-		t.Fatal("knobs")
-	}
-	if err := tr.SetKnob("partition_records", 256); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.SetKnob("merge_fanin", 8); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.SetKnob("merge_fanin", 1); err == nil {
-		t.Fatal("invalid fanin accepted")
-	}
-	if err := tr.SetKnob("zz", 2); err == nil {
-		t.Fatal("unknown knob accepted")
-	}
-}
-
 func TestAccessorsAndEarlyStop(t *testing.T) {
 	tr := newTree(t, Config{PartitionRecords: 32, MergeFanIn: 100})
 	if tr.Name() == "" || tr.Pool() == nil || tr.Meter() == nil {

@@ -256,24 +256,3 @@ func (l *List) BulkLoad(recs []core.Record) error {
 	}
 	return nil
 }
-
-// Knobs exposes the tunable promotion probability (core.Tunable).
-func (l *List) Knobs() []core.Knob {
-	return []core.Knob{{
-		Name: "p", Min: 0.1, Max: 0.9, Current: l.p,
-		Doc: "tower promotion probability; raising it toward ~0.5 stores more pointers (higher MO) and shortens searches (lower RO); past ~0.5 searches lengthen again",
-	}}
-}
-
-// SetKnob adjusts a tuning parameter (core.Tunable); it affects nodes
-// created afterwards.
-func (l *List) SetKnob(name string, value float64) error {
-	if name != "p" {
-		return fmt.Errorf("skiplist: unknown knob %q", name)
-	}
-	if value <= 0 || value >= 1 {
-		return fmt.Errorf("skiplist: p must be in (0,1)")
-	}
-	l.p = value
-	return nil
-}

@@ -223,19 +223,3 @@ func TestHigherPLowersSearchCost(t *testing.T) {
 		t.Fatalf("higher p should read less: %d vs %d", highReads, lowReads)
 	}
 }
-
-func TestKnobs(t *testing.T) {
-	l := New(1, 0.5, nil)
-	if err := l.SetKnob("p", 0.7); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.SetKnob("p", 1.5); err == nil {
-		t.Fatal("invalid p accepted")
-	}
-	if err := l.SetKnob("zzz", 0.5); err == nil {
-		t.Fatal("unknown knob accepted")
-	}
-	if l.Knobs()[0].Current != 0.7 {
-		t.Fatal("knob not applied")
-	}
-}

@@ -88,10 +88,6 @@ func (s *VersionSet[T]) Retired() int {
 	return len(s.retired)
 }
 
-// SetKeep changes the retention bound. A smaller window is trimmed, and its
-// pages reclaimed, by the next Publish.
-func (s *VersionSet[T]) SetKeep(keep int) { s.keep = keep }
-
 // Born records that pid was allocated during the current epoch.
 func (s *VersionSet[T]) Born(pid PageID) {
 	if s != nil {

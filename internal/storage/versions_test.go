@@ -169,32 +169,6 @@ func TestVersionSetBarrierVersions(t *testing.T) {
 	}
 }
 
-// TestVersionSetSetKeep: shrinking the retention bound takes effect — trim
-// and reclaim — at the next publish; growing it retains more from then on.
-func TestVersionSetSetKeep(t *testing.T) {
-	h := newVersionHarness(t, 3)
-	for i := 0; i < 3; i++ {
-		h.vs.Publish(0, h.view)
-		h.vs.Retire(PageID(10 * (i + 1))) // retired during epochs 2, 3, 4
-	}
-	h.expect("window {1,2,3} pins everything")
-	h.vs.SetKeep(1)
-	h.expect("SetKeep itself reclaims nothing")
-	if len(h.vs.Window()) != 3 {
-		t.Fatalf("SetKeep trimmed the window early: %d versions", len(h.vs.Window()))
-	}
-	h.vs.Publish(0, h.view) // @4; window {4}
-	h.expect("first publish under keep=1", 10, 20, 30)
-	if got := h.windowEpochs(); !reflect.DeepEqual(got, []uint64{4}) {
-		t.Fatalf("window epochs %v, want [4]", got)
-	}
-	h.vs.SetKeep(2)
-	h.vs.Publish(0, h.view)
-	if got := h.windowEpochs(); !reflect.DeepEqual(got, []uint64{4, 5}) {
-		t.Fatalf("window epochs %v, want [4 5]", got)
-	}
-}
-
 // TestVersionSetBirths: a page born during the current epoch is private until
 // the next Publish; a page the set never saw born is shared wherever its id
 // falls; a page freed while private and handed out again is private again

@@ -5,7 +5,7 @@
 // node is a full 2^stride pointer array — making the trie a sharp example of
 // buying read performance with memory.
 //
-// The stride is tunable (core.Tunable): wider strides shorten the path
+// The stride is chosen at construction: wider strides shorten the path
 // (lower RO) and inflate node fan-out arrays (higher MO).
 package trie
 
@@ -254,31 +254,4 @@ func (t *Trie) BulkLoad(recs []core.Record) error {
 		}
 	}
 	return nil
-}
-
-// Knobs exposes the stride (core.Tunable).
-func (t *Trie) Knobs() []core.Knob {
-	return []core.Knob{{
-		Name: "stride", Min: 2, Max: 16, Current: float64(t.stride),
-		Doc: "bits per level; wider = shorter fixed path (lower RO) and larger node arrays (higher MO)",
-	}}
-}
-
-// SetKnob changes the stride (core.Tunable), rebuilding the trie.
-func (t *Trie) SetKnob(name string, value float64) error {
-	if name != "stride" {
-		return fmt.Errorf("trie: unknown knob %q", name)
-	}
-	stride := uint(value)
-	if 64%stride != 0 || stride > 16 || stride < 2 {
-		return fmt.Errorf("trie: invalid stride %d", stride)
-	}
-	recs := make([]core.Record, 0, t.count)
-	t.RangeScan(0, ^uint64(0), func(k core.Key, v core.Value) bool {
-		recs = append(recs, core.Record{Key: k, Value: v})
-		return true
-	})
-	t.stride = stride
-	t.levels = 64 / stride
-	return t.BulkLoad(recs)
 }

@@ -211,32 +211,6 @@ func TestFixedReadCost(t *testing.T) {
 	}
 }
 
-func TestStrideKnobRebuilds(t *testing.T) {
-	tr := newTrie(t, 8)
-	for k := uint64(0); k < 500; k++ {
-		if err := tr.Insert(k, k*2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tr.SetKnob("stride", 4); err != nil {
-		t.Fatal(err)
-	}
-	if tr.stride != 4 || tr.Len() != 500 {
-		t.Fatalf("stride %d len %d", tr.stride, tr.Len())
-	}
-	for k := uint64(0); k < 500; k += 13 {
-		if v, ok := tr.Get(k); !ok || v != k*2 {
-			t.Fatalf("Get(%d) after rebuild", k)
-		}
-	}
-	if err := tr.SetKnob("stride", 7); err == nil {
-		t.Fatal("invalid stride accepted")
-	}
-	if err := tr.SetKnob("x", 4); err == nil {
-		t.Fatal("unknown knob accepted")
-	}
-}
-
 func TestWiderStrideLowersReadCost(t *testing.T) {
 	cost := func(stride uint) uint64 {
 		tr, _ := New(stride, nil)

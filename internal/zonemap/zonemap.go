@@ -267,31 +267,3 @@ func (m *Map) BulkLoad(recs []core.Record) error {
 	m.meter.CountWrite(rum.Aux, len(m.zones)*zoneMetaSize)
 	return nil
 }
-
-// Knobs exposes the partition size (core.Tunable).
-func (m *Map) Knobs() []core.Knob {
-	return []core.Knob{{
-		Name: "partition_size", Min: 2, Max: 1 << 16, Current: float64(m.partition),
-		Doc: "records per partition P; smaller = more summaries (higher MO, lower RO per query), larger = tiny index but bigger scans",
-	}}
-}
-
-// SetKnob adjusts the partition size (core.Tunable) and repartitions the
-// data, charging the rewrite.
-func (m *Map) SetKnob(name string, value float64) error {
-	if name != "partition_size" {
-		return fmt.Errorf("zonemap: unknown knob %q", name)
-	}
-	p := int(value)
-	if p < 2 {
-		return fmt.Errorf("zonemap: partition_size must be >= 2")
-	}
-	recs := make([]core.Record, 0, m.count)
-	for _, z := range m.zones {
-		recs = append(recs, z.recs...)
-	}
-	m.meter.CountRead(rum.Base, len(recs)*core.RecordSize)
-	sort.Slice(recs, func(a, b int) bool { return recs[a].Key < recs[b].Key })
-	m.partition = p
-	return m.BulkLoad(recs)
-}

