@@ -63,9 +63,11 @@ benchmarks:
 ## runs (2 clients × 2 shards × batch 64: the mailbox hop) beside the same
 ## batches served off snapshots (DoBypass: no hop, one GetBatch per shard,
 ## 0 allocs/op), the btree snapshot's point read alone and in groups (ns per
-## key both, 0 allocs/op), the buffer pool's resident hit and evicting miss
-## (0 allocs/op both), the lsm L1→L2 spill, and the log's group commit
-## (0 allocs/op) and full checkpoint interval. BenchmarkSnapshotGet was
+## key both, 0 allocs/op), the live tree's Get loop beside its GetBatch at
+## b = 1, 2, 4, 8, 16 and 32 keys a call (BenchmarkTreeGetBatch: a resident
+## 131 072-key tree, ns per key, 0 allocs/op), the buffer pool's resident hit
+## and evicting miss (0 allocs/op both), the lsm L1→L2 spill, and the log's
+## group commit (0 allocs/op) and full checkpoint interval. BenchmarkSnapshotGet was
 ## re-baselined when it joined this list (PR 24): it reads scattered keys
 ## (≈ 285 ns per key) where it used to walk them in order (≈ 76 ns, one hot
 ## leaf, every branch predicted); figures recorded before are not comparable.
@@ -75,7 +77,7 @@ benchmarks:
 bench:
 	$(GO) test ./internal/obs -bench BenchmarkInstrumentedGet -benchtime=2s -run '^$$'
 	$(GO) test ./internal/serve -bench '^BenchmarkDo(Traced|Fingerprinted|ClosedLoop|Bypass)?$$' -benchmem -benchtime=2s -run '^$$'
-	$(GO) test ./internal/btree -bench '^BenchmarkSnapshotGet(Batch)?$$' -benchtime=2s -run '^$$'
+	$(GO) test ./internal/btree -bench '^Benchmark(SnapshotGet(Batch)?|TreeGetBatch)$$' -benchmem -benchtime=2s -run '^$$'
 	$(GO) test ./internal/storage -bench 'BenchmarkFetch(Hit|Miss)' -benchtime=2s -run '^$$'
 	$(GO) test ./internal/lsm -bench BenchmarkCompactionSpill -benchtime=2s -run '^$$'
 	$(GO) test ./internal/wal -bench 'BenchmarkC(ommit|heckpoint)$$' -benchtime=2s -run '^$$'

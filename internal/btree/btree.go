@@ -61,6 +61,16 @@ type Tree struct {
 	// MVCC state: epoch, published versions, page births and retired pages
 	// (nil when cfg.Versions == 0; see mvcc.go).
 	vs *storage.VersionSet[state]
+
+	batch batchScratch // GetBatch's, so that a call allocates nothing
+}
+
+// batchScratch is one GetBatch group's plan: path[l][i] is key i's page on
+// level l (the root's is 0), read by the plan for l < planned[i].
+type batchScratch struct {
+	group
+	path    [][groupWidth]storage.PageID
+	planned [groupWidth]int
 }
 
 // New creates an empty tree on pool. The pool's device meter receives all
@@ -146,9 +156,8 @@ func (t *Tree) Size() rum.SizeInfo {
 // Flush writes all buffered dirty pages to the device.
 func (t *Tree) Flush() { t.pool.FlushAll() }
 
-// descendToLeaf walks from the root to the leaf covering k.
-func (t *Tree) descendToLeaf(k core.Key) (*storage.Frame, error) {
-	pid := t.root
+// descendToLeaf walks from page pid to the leaf covering k.
+func (t *Tree) descendToLeaf(pid storage.PageID, k core.Key) (*storage.Frame, error) {
 	for {
 		f, err := t.pool.Fetch(pid)
 		if err != nil {
@@ -164,8 +173,11 @@ func (t *Tree) descendToLeaf(k core.Key) (*storage.Frame, error) {
 }
 
 // Get returns the value stored under k.
-func (t *Tree) Get(k core.Key) (core.Value, bool) {
-	f, err := t.descendToLeaf(k)
+func (t *Tree) Get(k core.Key) (core.Value, bool) { return t.get(t.root, k) }
+
+// get is Get from page pid down.
+func (t *Tree) get(pid storage.PageID, k core.Key) (core.Value, bool) {
+	f, err := t.descendToLeaf(pid, k)
 	if err != nil {
 		return 0, false
 	}
@@ -176,6 +188,74 @@ func (t *Tree) Get(k core.Key) (core.Value, bool) {
 		return n.leafValue(i), true
 	}
 	return 0, false
+}
+
+// GetBatch is len(keys) Gets (core.BatchGetter): the same values and exactly
+// the pool calls those Gets make, in the same order, so pool stats, hook
+// events, LRU order, victims, write-back groups and the meter are the loop's.
+// Keys go groupWidth at a time. A group first descends in lock-step over
+// BufferPool.Peek, which touches nothing (group.step), taking each value
+// from its leaf; a key whose next page is not resident stops there. Then,
+// key by key, it replays Get's Fetch and Release of every page it read and
+// runs Get itself from where a key stopped. No frame stays pinned across
+// keys (DESIGN §9). Allocation-free once the scratch covers the height.
+func (t *Tree) GetBatch(keys []core.Key, vals []core.Value, oks []bool) {
+	if len(t.batch.path) <= t.height {
+		t.batch.path = make([][groupWidth]storage.PageID, t.height+1)
+	}
+	for len(keys) > 0 {
+		n := min(len(keys), groupWidth)
+		if n < minGroup {
+			for i, k := range keys {
+				vals[i], oks[i] = t.Get(k)
+			}
+			return
+		}
+		t.getGroup(keys[:n], vals[:n], oks[:n])
+		keys, vals, oks = keys[n:], vals[n:], oks[n:]
+	}
+}
+
+// minGroup is the smallest group whose overlap pays for the second pass; a
+// shorter one is Get's loop, which makes the same calls (DESIGN §9: the
+// per-key cost by group size, and the share of each workload's runs).
+const minGroup = 3
+
+func (t *Tree) getGroup(keys []core.Key, vals []core.Value, oks []bool) {
+	b := &t.batch
+	for i := range keys {
+		b.path[0][i], b.planned[i] = t.root, 0
+	}
+	for l := 0; l < t.height; l++ {
+		for i := range keys {
+			b.nodes[i] = emptyNode
+			if b.planned[i] == l {
+				if img := t.pool.Peek(b.path[l][i]); img != nil {
+					b.nodes[i], b.planned[i] = node{img}, l+1
+				}
+			}
+		}
+		b.step(keys, l == t.height-1, &b.path[l+1])
+	}
+	// A peeked image is good only until the first Fetch: every value first.
+	for i, k := range keys {
+		vals[i], oks[i] = b.found(i, k)
+	}
+	for i, k := range keys {
+		l := 0
+		for ; l < b.planned[i]; l++ {
+			f, err := t.pool.Fetch(b.path[l][i])
+			if err != nil {
+				break
+			}
+			t.pool.Release(f)
+		}
+		if l < b.planned[i] {
+			vals[i], oks[i] = 0, false // a failed Fetch fails Get too
+		} else if l < t.height {
+			vals[i], oks[i] = t.get(b.path[l][i], k)
+		}
+	}
 }
 
 // splitResult carries a completed child split up the recursion.
@@ -432,7 +512,7 @@ func (t *Tree) RangeScan(lo, hi core.Key, emit func(core.Key, core.Value) bool) 
 		n, _ := t.scanSubtree(t.root, lo, hi, emit)
 		return n
 	}
-	f, err := t.descendToLeaf(lo)
+	f, err := t.descendToLeaf(t.root, lo)
 	if err != nil {
 		return 0
 	}

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -331,4 +332,305 @@ func FuzzSnapshotGetBatch(f *testing.F) {
 			}
 		}
 	})
+}
+
+// storageEvent is one pool or device event, as much of it as a twin compares.
+type storageEvent struct {
+	ev storage.Event
+	id storage.PageID
+}
+
+type eventLog []storageEvent
+
+func (l *eventLog) StorageEvent(ev storage.Event, id storage.PageID, _ rum.Class, _ uint64) {
+	*l = append(*l, storageEvent{ev, id})
+}
+
+// twin is a tree on its own device and pool, behind core.Instrument, with
+// every pool and device event logged.
+type twin struct {
+	tr  *Tree
+	w   *core.Instrumented
+	log eventLog
+}
+
+func newTwin(t testing.TB, medium storage.Medium, pageSize, poolPages int, cfg Config) *twin {
+	t.Helper()
+	tw := &twin{}
+	dev := storage.NewDevice(pageSize, medium, nil)
+	pool := storage.NewBufferPool(dev, poolPages)
+	dev.SetHook(&tw.log)
+	pool.SetHook(&tw.log)
+	tr, err := New(pool, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw.tr, tw.w = tr, core.Instrument(tr)
+	return tw
+}
+
+// twinPair drives two identically built twins: batched reads the group path
+// (GetBatch through the wrapper), loop the same reads as Gets. checked is how
+// much of the two event logs has already been compared.
+type twinPair struct {
+	batched, loop *twin
+	checked       int
+}
+
+// mutate applies one write to both twins and requires the same outcome.
+func (p *twinPair) mutate(t testing.TB, op byte, k core.Key, v core.Value) {
+	t.Helper()
+	var a, b bool
+	switch op % 3 {
+	case 0:
+		a, b = p.batched.w.Insert(k, v) == nil, p.loop.w.Insert(k, v) == nil
+	case 1:
+		a, b = p.batched.w.Update(k, v), p.loop.w.Update(k, v)
+	default:
+		a, b = p.batched.w.Delete(k), p.loop.w.Delete(k)
+	}
+	if a != b {
+		t.Fatalf("op %d on key %d: %v on one twin, %v on the other", op%3, k, a, b)
+	}
+}
+
+// read serves keys as one GetBatch on one twin and as a loop of Gets on the
+// other, requires the same values and oks (0 on a miss, whatever the buffers
+// held), and then the same pool stats, meters and event sequences. It returns
+// the values and oks.
+func (p *twinPair) read(t testing.TB, keys []core.Key) ([]core.Value, []bool) {
+	t.Helper()
+	vals, oks := make([]core.Value, len(keys)), make([]bool, len(keys))
+	for i := range vals {
+		vals[i], oks[i] = 0xdead, i%2 == 0 // a reused buffer's leftovers
+	}
+	p.batched.w.GetBatch(keys, vals, oks)
+	for i, k := range keys {
+		v, ok := p.loop.w.Get(k)
+		if vals[i] != v || oks[i] != ok {
+			t.Fatalf("key %d (slot %d of %d): GetBatch %d,%v; Get %d,%v", k, i, len(keys), vals[i], oks[i], v, ok)
+		}
+	}
+	a, b := p.batched.tr, p.loop.tr
+	if a.Pool().Stats() != b.Pool().Stats() {
+		t.Fatalf("%d keys: GetBatch left pool stats %+v, the Gets %+v", len(keys), a.Pool().Stats(), b.Pool().Stats())
+	}
+	if *a.Meter() != *b.Meter() {
+		t.Fatalf("%d keys: GetBatch left the meter at %+v, the Gets at %+v", len(keys), *a.Meter(), *b.Meter())
+	}
+	la, lb := p.batched.log, p.loop.log
+	if len(la) != len(lb) {
+		t.Fatalf("%d keys: %d storage events under GetBatch, %d under the Gets", len(keys), len(la), len(lb))
+	}
+	for i := p.checked; i < len(la); i++ {
+		if la[i] != lb[i] {
+			t.Fatalf("%d keys: storage event %d is %v on page %d under GetBatch, %v on page %d under the Gets",
+				len(keys), i, la[i].ev, la[i].id, lb[i].ev, lb[i].id)
+		}
+	}
+	p.checked = len(la)
+	return vals, oks
+}
+
+// TestTreeGetBatchMatchesGets holds the live group path to its definition,
+// event for event: on twin trees, one GetBatch and the loop of Gets must
+// return the same values and leave the same pool stats, device meter and
+// sequence of pool and device events (kind and page, in order). The pools run
+// from 4 frames, fewer than one group's leaves, to a resident pool; inserts,
+// updates, deletes and (with Versions) publishes run between the batches, so
+// the reads meet dirty frames. 512-byte pages give height 3 on the SSD
+// (per-page I/O), 4096-byte ones height 2 on the MQSSD, whose write-back
+// gathers dirty unpinned frames from the whole LRU list — a frame held pinned
+// across keys would change those groups even where it changes no victim.
+func TestTreeGetBatchMatchesGets(t *testing.T) {
+	for _, pageSize := range []int{512, 4096} {
+		medium, n := storage.SSD, 8000
+		if pageSize == 4096 {
+			medium, n = storage.MQSSD, 6000
+		}
+		for _, poolPages := range []int{4, 8, 24, 64, 256, 1 << 12} {
+			for _, versions := range []int{0, 2} {
+				cfg := Config{Versions: versions}
+				name := fmt.Sprintf("page=%d/pool=%d/versions=%d", pageSize, poolPages, versions)
+				t.Run(name, func(t *testing.T) {
+					p := &twinPair{
+						batched: newTwin(t, medium, pageSize, poolPages, cfg),
+						loop:    newTwin(t, medium, pageSize, poolPages, cfg),
+					}
+					rng := rand.New(rand.NewSource(int64(pageSize + poolPages + versions)))
+					// Keys are multiples of 3 in random order: half-full
+					// leaves, and absent keys between any two.
+					for _, i := range rng.Perm(n) {
+						p.mutate(t, 0, core.Key(3*i+3), core.Value(i))
+					}
+					if want := map[int]int{512: 3, 4096: 2}[pageSize]; p.batched.tr.Height() != want {
+						t.Fatalf("height %d, the case wants %d", p.batched.tr.Height(), want)
+					}
+					top := core.Key(3*n + 3)
+					for round := 0; round < 60; round++ {
+						for j := 0; j < 20; j++ {
+							p.mutate(t, byte(rng.Intn(3)), core.Key(1+rng.Intn(int(top))), core.Value(round))
+						}
+						if versions > 0 && round%5 == 4 {
+							if p.batched.tr.Publish() != nil || p.loop.tr.Publish() != nil {
+								t.Fatal("publish failed")
+							}
+						}
+						keys := make([]core.Key, 1+(round%40))
+						for i := range keys {
+							switch rng.Intn(8) {
+							case 0:
+								keys[i] = math.MaxUint64
+							case 1:
+								if i > 0 {
+									keys[i] = keys[rng.Intn(i)] // a duplicate inside the batch
+									break
+								}
+								fallthrough
+							default:
+								keys[i] = core.Key(rng.Intn(int(top) + 10))
+							}
+						}
+						p.read(t, keys)
+					}
+					p.read(t, nil)
+					st, pages := p.batched.tr.Stats(), p.batched.tr.Pool().Device().LivePages()
+					if poolPages < pages && p.batched.tr.Pool().Stats().Evictions == 0 {
+						t.Fatalf("a %d-frame pool under %d pages (%d leaves) never evicted", poolPages, pages, st.LeafPages)
+					}
+				})
+			}
+		}
+	}
+}
+
+// FuzzTreeGetBatch runs an op stream on twin trees beside a map oracle; op
+// kind 3 reads a batch whose keys a second byte stream picks, one twin
+// through GetBatch and the other through Gets, which must agree with each
+// other event for event (twinPair.read) and with the oracle. The first pick
+// byte sizes the pool, 4 to 67 frames, and turns on Versions.
+func FuzzTreeGetBatch(f *testing.F) {
+	f.Add([]byte{}, []byte{0, 1, 0, 0})
+	f.Add([]byte{0, 0, 5, 0, 0, 9, 3, 0, 0, 2, 0, 5, 3, 0, 0}, []byte{20, 3, 0, 5, 0, 9, 0, 7})
+	long := make([]byte, 0, 3*1600)
+	for i := 0; i < 1600; i++ { // three levels on 512-byte pages, read from now and then
+		op := byte(0)
+		if i%400 == 399 {
+			op = 3
+		}
+		long = append(long, op, byte(i>>8), byte(i))
+	}
+	f.Add(long, []byte{20, 34, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34})
+	f.Add(long, []byte{64 + 60, 63, 200, 13, 1, 255, 77, 140, 33, 2, 9, 99})
+	f.Fuzz(func(t *testing.T, ops, picks []byte) {
+		if len(picks) == 0 {
+			return
+		}
+		cfg := Config{}
+		if picks[0]&64 != 0 {
+			cfg.Versions = 2
+		}
+		poolPages := 4 + int(picks[0])%64
+		picks = picks[1:]
+		p := &twinPair{
+			batched: newTwin(t, storage.SSD, 512, poolPages, cfg),
+			loop:    newTwin(t, storage.SSD, 512, poolPages, cfg),
+		}
+		live := map[core.Key]core.Value{}
+		readBatch := func() {
+			if len(picks) == 0 {
+				return
+			}
+			size := 1 + int(picks[0])%64
+			picks = picks[1:]
+			keys := make([]core.Key, 0, size)
+			for ; len(keys) < size && len(picks) > 0; picks = picks[1:] {
+				// Even keys are the ones ops can store; odd ones, 0 and
+				// those past 8192 never are.
+				k := core.Key(picks[0]) * 37 % 8400
+				if picks[0] == 255 {
+					k = math.MaxUint64
+				}
+				keys = append(keys, k)
+			}
+			vals, oks := p.read(t, keys)
+			for i, k := range keys {
+				if want, ok := live[k]; oks[i] != ok || vals[i] != want {
+					t.Fatalf("key %d: GetBatch %d,%v; the oracle %d,%v", k, vals[i], oks[i], want, ok)
+				}
+			}
+		}
+		for step := 0; len(ops) >= 3; step, ops = step+1, ops[3:] {
+			k := core.Key(binary.BigEndian.Uint16(ops[1:3]))%4096*2 + 2
+			switch op := ops[0] % 4; op {
+			case 3:
+				readBatch()
+			default:
+				p.mutate(t, op, k, core.Value(step))
+				switch op {
+				case 0:
+					if _, ok := live[k]; !ok {
+						live[k] = core.Value(step)
+					}
+				case 1:
+					if _, ok := live[k]; ok {
+						live[k] = core.Value(step)
+					}
+				default:
+					delete(live, k)
+				}
+			}
+			if cfg.Versions > 0 && step%97 == 96 {
+				if p.batched.tr.Publish() != nil || p.loop.tr.Publish() != nil {
+					t.Fatal("publish failed")
+				}
+			}
+		}
+		for len(picks) > 0 {
+			readBatch()
+		}
+	})
+}
+
+// BenchmarkTreeGetBatch reads a resident 131 072-key live tree (4 KiB pages,
+// height 3), the keys scattered as benchKey scatters them: the loop of Gets,
+// then GetBatch at b keys a call. Reported per key; 0 allocs/op throughout.
+func BenchmarkTreeGetBatch(b *testing.B) {
+	const n = 131072
+	dev := storage.NewDevice(4096, storage.RAM, nil)
+	tr, err := New(storage.NewBufferPool(dev, 4096), Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs := make([]core.Record, n)
+	for i := range recs {
+		recs[i] = core.Record{Key: core.Key(i), Value: core.Value(i)}
+	}
+	if err := tr.BulkLoad(recs); err != nil {
+		b.Fatal(err)
+	}
+	key := func(i int) core.Key { return core.Key(i) * 0x9E3779B97F4A7C15 >> 32 % n }
+	b.Run("loop", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := tr.Get(key(i)); !ok {
+				b.Fatal("lost key")
+			}
+		}
+	})
+	for _, batch := range []int{1, 2, 3, 4, 8, 16, 32} {
+		b.Run(fmt.Sprintf("b=%d", batch), func(b *testing.B) {
+			keys, vals, oks := make([]core.Key, batch), make([]core.Value, batch), make([]bool, batch)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i += batch {
+				for j := range keys {
+					keys[j] = key(i + j)
+				}
+				tr.GetBatch(keys, vals, oks)
+				if !oks[batch-1] {
+					b.Fatal("lost key")
+				}
+			}
+		})
+	}
 }

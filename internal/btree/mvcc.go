@@ -318,37 +318,29 @@ func (s *Snapshot) Get(k core.Key, m *rum.Meter) (core.Value, bool) {
 // pool or hook sees the reads, and the meter is a sum. Allocation-free.
 func (s *Snapshot) GetBatch(keys []core.Key, vals []core.Value, oks []bool, m *rum.Meter) {
 	var (
-		pids  [groupWidth]storage.PageID
-		nodes [groupWidth]node
-		pos   [groupWidth]int
+		g    group
+		pids [groupWidth]storage.PageID
 	)
 	for len(keys) > 0 {
-		g := min(len(keys), groupWidth)
-		group := keys[:g]
-		for i := range group {
+		w := min(len(keys), groupWidth)
+		ks := keys[:w]
+		for i := range ks {
 			pids[i] = s.State.root
 		}
 		for {
-			for i := range group {
-				nodes[i] = s.page(pids[i], m)
+			for i := range ks {
+				g.nodes[i] = s.page(pids[i], m)
 			}
-			leaf := nodes[0].isLeaf()
-			searchGroup(&nodes, group, &pos, leaf)
+			leaf := g.nodes[0].isLeaf()
+			g.step(ks, leaf, &pids)
 			if leaf {
 				break
 			}
-			for i := range group {
-				pids[i] = nodes[i].child(pos[i])
-			}
 		}
-		for i, k := range group {
-			n, p := nodes[i], pos[i]
-			vals[i], oks[i] = 0, false
-			if p < n.count() && n.leafKey(p) == k {
-				vals[i], oks[i] = n.leafValue(p), true
-			}
+		for i, k := range ks {
+			vals[i], oks[i] = g.found(i, k)
 		}
-		keys, vals, oks = keys[g:], vals[g:], oks[g:]
+		keys, vals, oks = keys[w:], vals[w:], oks[w:]
 	}
 }
 

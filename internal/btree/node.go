@@ -161,19 +161,24 @@ func searchGroup(nodes *[groupWidth]node, keys []core.Key, pos *[groupWidth]int,
 	// leafSearch's rule, probe <= k intSearch's. Taken as the borrow of a
 	// subtraction so that the step is arithmetic, not a branch that is wrong
 	// half the time and drains the other pairs' loads with it.
-	stride, incl := intEntrySize, uint64(1)
+	stride, incl := uint(intEntrySize), uint64(1)
 	if leaf {
 		stride, incl = leafEntrySize, 0
 	}
-	// The answer of pair i lies in [pos[i], pos[i]+length[i]].
-	var length [groupWidth]int
+	// The answer of pair i lies in [lo[i], lo[i]+length[i]]. Local copies
+	// bounded by w keep the step loop free of spills and lane-index checks.
+	w := min(len(keys), groupWidth)
+	var (
+		ks         [groupWidth]core.Key
+		lo, length [groupWidth]uint
+	)
 	steps := 0
-	for i := range keys {
-		pos[i], length[i] = 0, nodes[i].count()
-		steps = max(steps, bits.Len(uint(length[i])))
+	for i := 0; i < w; i++ {
+		ks[i], length[i] = keys[i], uint(nodes[i].count())
+		steps = max(steps, bits.Len(length[i]))
 	}
 	for ; steps > 0; steps-- {
-		for i, k := range keys {
+		for i := 0; i < w; i++ {
 			n := length[i]
 			if n == 0 {
 				continue // a node with fewer entries than the widest finishes early
@@ -181,12 +186,47 @@ func searchGroup(nodes *[groupWidth]node, keys []core.Key, pos *[groupWidth]int,
 			// Probe the last entry of the lower half (the only entry when
 			// n == 1): past it, the answer is in the upper half.
 			half := (n + 1) / 2
-			probe := binary.LittleEndian.Uint64(nodes[i].data[headerSize+(pos[i]+half-1)*stride:])
-			_, past := bits.Sub64(probe, k, incl)
-			pos[i] += half & -int(past)
+			// The full slice expression spares the load any capacity arithmetic.
+			off := headerSize + (lo[i]+half-1)*stride
+			probe := binary.LittleEndian.Uint64(nodes[i].data[off : off+8 : off+8])
+			_, past := bits.Sub64(probe, ks[i], incl)
+			lo[i] += half & -uint(past)
 			length[i] = n - half
 		}
 	}
+	for i := 0; i < w; i++ {
+		pos[i] = int(lo[i])
+	}
+}
+
+// group is the lock-step descent kernel of Snapshot.GetBatch and
+// Tree.GetBatch: the caller loads one level's pages into nodes.
+type group struct {
+	nodes [groupWidth]node
+	pos   [groupWidth]int
+}
+
+// emptyNode has no entries: a key given it sits the level out and misses.
+var emptyNode = node{make([]byte, headerSize)}
+
+// step searches the loaded level and, on an internal one, writes to next[i]
+// the child keys[i] routes to.
+func (g *group) step(keys []core.Key, leaf bool, next *[groupWidth]storage.PageID) {
+	searchGroup(&g.nodes, keys, &g.pos, leaf)
+	if !leaf {
+		for i := range keys {
+			next[i] = g.nodes[i].child(g.pos[i])
+		}
+	}
+}
+
+// found is key k's outcome after a leaf step, where k is the i-th key.
+func (g *group) found(i int, k core.Key) (core.Value, bool) {
+	n, p := g.nodes[i], g.pos[i]
+	if p < n.count() && n.leafKey(p) == k {
+		return n.leafValue(p), true
+	}
+	return 0, false
 }
 
 // intInsertAt shifts entries right and writes (k, child) at position i.

@@ -122,6 +122,14 @@ type BulkLoader interface {
 	BulkLoad(recs []Record) error
 }
 
+// BatchGetter is implemented by structures that serve a run of point reads
+// at once. GetBatch is len(keys) Gets: vals[i], oks[i] are what Get(keys[i])
+// returns (vals[i] is 0 on a miss), and the meter, cache and device see what
+// those Gets do to them, in the same order.
+type BatchGetter interface {
+	GetBatch(keys []Key, vals []Value, oks []bool)
+}
+
 // Flusher is implemented by structures that buffer writes (e.g. through a
 // buffer pool or memtable) and can force them to the simulated device so that
 // write amplification includes deferred traffic.

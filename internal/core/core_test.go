@@ -96,6 +96,88 @@ func TestInstrumentLogicalAccounting(t *testing.T) {
 	}
 }
 
+// batchFake is fakeAM with a GetBatch that is its loop of Gets, counting the
+// calls that reach it.
+type batchFake struct {
+	*fakeAM
+	calls int
+}
+
+func (f *batchFake) GetBatch(keys []Key, vals []Value, oks []bool) {
+	f.calls++
+	for i, k := range keys {
+		vals[i], oks[i] = f.Get(k)
+	}
+}
+
+// spanLog records an observer's span boundaries.
+type spanLog []string
+
+func (l *spanLog) BeginOp(op string) { *l = append(*l, "begin "+op) }
+func (l *spanLog) EndOp(op string)   { *l = append(*l, "end "+op) }
+
+// TestInstrumentGetBatchIsGets: Instrumented.GetBatch leaves the values and
+// the meter a loop of Gets leaves — forwarded in one call to a BatchGetter,
+// run as that loop for a structure without one, and run as that loop, one
+// span per key, while an observer is attached.
+func TestInstrumentGetBatchIsGets(t *testing.T) {
+	fill := func(f *fakeAM) *fakeAM {
+		for k := Key(0); k < 20; k += 2 {
+			f.m[k] = k * 10
+		}
+		return f
+	}
+	keys := []Key{4, 5, 0, 18, 19, 4}
+	loop := func() rum.Meter {
+		w := Instrument(fill(newFake()))
+		for _, k := range keys {
+			w.Get(k)
+		}
+		return *w.Meter()
+	}()
+	check := func(name string, w *Instrumented) {
+		t.Helper()
+		vals, oks := make([]Value, len(keys)), make([]bool, len(keys))
+		for i := range vals {
+			vals[i], oks[i] = 7, true // a reused buffer's leftovers
+		}
+		w.GetBatch(keys, vals, oks)
+		for i, k := range keys {
+			want, wantOK := fill(newFake()).m[k]
+			if vals[i] != want || oks[i] != wantOK {
+				t.Fatalf("%s: key %d: GetBatch %d,%v; want %d,%v", name, k, vals[i], oks[i], want, wantOK)
+			}
+		}
+		if got := *w.Meter(); got != loop {
+			t.Fatalf("%s: GetBatch charged %+v, the Gets %+v", name, got, loop)
+		}
+	}
+
+	bf := &batchFake{fakeAM: fill(newFake())}
+	check("batch getter", Instrument(bf))
+	if bf.calls != 1 {
+		t.Fatalf("a BatchGetter got %d GetBatch calls for one batch, want 1", bf.calls)
+	}
+	check("plain structure", Instrument(fill(newFake())))
+
+	bf = &batchFake{fakeAM: fill(newFake())}
+	w := Instrument(bf)
+	var spans spanLog
+	w.SetObserver(&spans)
+	check("observed", w)
+	if bf.calls != 0 {
+		t.Fatalf("an observed wrapper forwarded %d GetBatch calls, want 0: the observer wants one span per key", bf.calls)
+	}
+	if len(spans) != 2*len(keys) {
+		t.Fatalf("observer saw %d span boundaries for %d keys: %v", len(spans), len(keys), spans)
+	}
+	for i := 0; i < len(spans); i += 2 {
+		if spans[i] != "begin "+OpNameGet || spans[i+1] != "end "+OpNameGet {
+			t.Fatalf("spans %d, %d are %q, %q; want one get span per key", i, i+1, spans[i], spans[i+1])
+		}
+	}
+}
+
 func TestInstrumentRangeAccounting(t *testing.T) {
 	w := Instrument(newFake())
 	for k := Key(0); k < 10; k++ {

@@ -73,6 +73,20 @@ func (w *Instrumented) Get(k Key) (Value, bool) {
 	return w.inner.Get(k)
 }
 
+// GetBatch is len(keys) Gets, meter included. A BatchGetter gets the keys in
+// one call, unless an observer is attached: that wants one span per read.
+func (w *Instrumented) GetBatch(keys []Key, vals []Value, oks []bool) {
+	bg, ok := w.inner.(BatchGetter)
+	if !ok || w.obs != nil {
+		for i, k := range keys {
+			vals[i], oks[i] = w.Get(k)
+		}
+		return
+	}
+	w.inner.Meter().CountLogicalReads(len(keys), RecordSize)
+	bg.GetBatch(keys, vals, oks)
+}
+
 // Insert accounts one logical record write.
 func (w *Instrumented) Insert(k Key, v Value) error {
 	if w.obs != nil {

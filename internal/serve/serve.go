@@ -278,6 +278,9 @@ type shard struct {
 	// mailbox wait strategy did and what it cost.
 	pollSkip int
 	mbox     obs.MailboxPoint
+	runKeys  []core.Key // a run of gets for GetBatch (applyOps)
+	runVals  []core.Value
+	runOks   []bool
 
 	// MVCC state (Config.Snapshots; see mvcc.go). cur, bypassOps and
 	// readMeter are the reader-facing atomics; everything else is
@@ -522,9 +525,7 @@ func (sh *shard) apply(am *core.Instrumented, msg message) {
 		if sh.rec != nil {
 			sh.applyOpsTraced(am, msg)
 		} else {
-			for _, i := range msg.idxs {
-				msg.res[i] = Exec(am, msg.reqs[i])
-			}
+			sh.applyOps(am, msg)
 		}
 		sh.ops += uint64(len(msg.idxs))
 		if sh.wrec != nil {
@@ -581,6 +582,34 @@ func (sh *shard) apply(am *core.Instrumented, msg message) {
 		// The write is published to the requester through the completion's
 		// channel-close edge.
 		*msg.snap = sh.ledger(am)
+	}
+}
+
+// applyOps is apply's quiet kindOps loop: each run of consecutive gets, a
+// run of one included, is one GetBatch; every other op goes through Exec.
+func (sh *shard) applyOps(am *core.Instrumented, msg message) {
+	for idxs := msg.idxs; len(idxs) > 0; {
+		if msg.reqs[idxs[0]].Op != OpGet {
+			msg.res[idxs[0]] = Exec(am, msg.reqs[idxs[0]])
+			idxs = idxs[1:]
+			continue
+		}
+		n := 1
+		for n < len(idxs) && msg.reqs[idxs[n]].Op == OpGet {
+			n++
+		}
+		if n > len(sh.runKeys) {
+			sh.runKeys, sh.runVals, sh.runOks = make([]core.Key, n), make([]core.Value, n), make([]bool, n)
+		}
+		keys, vals, oks := sh.runKeys[:n], sh.runVals[:n], sh.runOks[:n]
+		for j, i := range idxs[:n] {
+			keys[j] = msg.reqs[i].Key
+		}
+		am.GetBatch(keys, vals, oks)
+		for j, i := range idxs[:n] {
+			msg.res[i] = Result{Value: vals[j], OK: oks[j]}
+		}
+		idxs = idxs[n:]
 	}
 }
 

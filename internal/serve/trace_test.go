@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -11,7 +12,92 @@ import (
 	"repro/internal/core"
 	"repro/internal/methods"
 	"repro/internal/obs"
+	"repro/internal/storage"
 )
+
+// TestQuietAndTracedShardsAgree: the quiet loop sends each run of gets to
+// GetBatch, the traced loop executes op by op, and the two must still be one
+// program. A read90 stream and a delete-heavy one go through a quiet and a
+// traced 2-shard server of btrees on pools far smaller than the trees;
+// every result, every shard's meter, size and record count, and every
+// shard's PoolStats must be equal.
+func TestQuietAndTracedShardsAgree(t *testing.T) {
+	type mix struct {
+		name                string
+		get, insert, update int // percentages; the rest deletes
+	}
+	for _, m := range []mix{{"read90", 90, 5, 3}, {"delete-heavy", 30, 30, 0}} {
+		t.Run(m.name, func(t *testing.T) {
+			run := func(trace *TraceConfig) ([]Result, []ShardReport, []storage.PoolStats) {
+				pools := make([]*storage.BufferPool, 2)
+				s := mustNew(t, Config{Shards: 2, Trace: trace, Build: func(i int) *core.Instrumented {
+					pools[i] = methods.NewPool(methods.Options{PageSize: 512, PoolPages: 12}, nil)
+					tr, err := btree.New(pools[i], btree.Config{})
+					if err != nil {
+						panic(err)
+					}
+					return core.Instrument(tr)
+				}})
+				rng := rand.New(rand.NewPCG(35, uint64(m.get)))
+				recs := make([]core.Record, 3000)
+				for i := range recs {
+					recs[i] = core.Record{Key: core.Key(2 * i), Value: core.Value(i)}
+				}
+				if err := s.Preload(recs); err != nil {
+					t.Fatal(err)
+				}
+				var out []Result
+				reqs, res := make([]Request, 64), make([]Result, 64)
+				for batch := 0; batch < 200; batch++ {
+					for i := range reqs {
+						op, p := OpDelete, rng.IntN(100)
+						switch {
+						case p < m.get:
+							op = OpGet
+						case p < m.get+m.insert:
+							op = OpInsert
+						case p < m.get+m.insert+m.update:
+							op = OpUpdate
+						}
+						reqs[i] = Request{Op: op, Key: core.Key(rng.IntN(6500)), Value: core.Value(batch)}
+					}
+					if err := s.Do(reqs, res); err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, res...)
+				}
+				reports, err := s.Stop()
+				if err != nil {
+					t.Fatal(err)
+				}
+				stats := []storage.PoolStats{pools[0].Stats(), pools[1].Stats()}
+				reports = ledgers(reports)
+				for i := range reports {
+					reports[i].Phases = nil
+				}
+				return out, reports, stats
+			}
+			quietRes, quietRep, quietPool := run(nil)
+			tracedRes, tracedRep, tracedPool := run(&TraceConfig{})
+			if !slices.Equal(quietRes, tracedRes) {
+				for i := range quietRes {
+					if quietRes[i] != tracedRes[i] {
+						t.Fatalf("request %d: quiet %+v, traced %+v", i, quietRes[i], tracedRes[i])
+					}
+				}
+			}
+			if !reflect.DeepEqual(quietRep, tracedRep) {
+				t.Fatalf("shard ledgers differ:\nquiet  %+v\ntraced %+v", quietRep, tracedRep)
+			}
+			if !slices.Equal(quietPool, tracedPool) {
+				t.Fatalf("pool stats differ:\nquiet  %+v\ntraced %+v", quietPool, tracedPool)
+			}
+			if quietPool[0].Evictions == 0 || quietPool[1].Evictions == 0 {
+				t.Fatalf("pools never evicted (%+v): the stream does not reach the out-of-cache path", quietPool)
+			}
+		})
+	}
+}
 
 // tracedWorkload drives a mixed batch workload through s and returns the
 // number of operations submitted.

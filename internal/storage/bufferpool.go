@@ -329,6 +329,18 @@ func (p *BufferPool) Fetch(id PageID) (*Frame, error) {
 	return f, nil
 }
 
+// Peek returns the image of page id if the pool caches it, nil otherwise: no
+// pin, no LRU move, no stat, no hook event. The bytes are read-only and valid
+// only until the next pool call other than Peek, which may evict the frame,
+// hand its buffer over or dirty it.
+func (p *BufferPool) Peek(id PageID) []byte {
+	p.owner.assert("BufferPool")
+	if f := p.lookup(id); f != nil {
+		return f.data
+	}
+	return nil
+}
+
 // withRetry runs one device transfer of page id, re-attempting it up to the
 // retry budget while it fails with a transient injected fault; permanent
 // faults, crashes and structural errors (ErrFreed, ErrBadPage) fail at once.

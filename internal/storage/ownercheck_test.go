@@ -38,3 +38,25 @@ func TestOwnercheckSameGoroutine(t *testing.T) {
 	p.FlushAll()
 	p.DropAll()
 }
+
+// TestOwnercheckPeek: Peek moves nothing, but it reads a frame table the
+// owner mutates, so it is owner-bound like every other pool method.
+func TestOwnercheckPeek(t *testing.T) {
+	p := NewBufferPool(NewDevice(64, RAM, nil), 2)
+	f, err := p.NewPage(rum.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Release(f)
+	if p.Peek(f.ID()) == nil {
+		t.Fatal("Peek of a resident page returned nil")
+	}
+	violated := make(chan bool, 1)
+	go func() {
+		defer func() { violated <- recover() != nil }()
+		p.Peek(f.ID())
+	}()
+	if !<-violated {
+		t.Fatal("cross-goroutine BufferPool.Peek did not panic under -tags racecheck")
+	}
+}

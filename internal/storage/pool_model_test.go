@@ -297,11 +297,12 @@ type poolDiff struct {
 
 // drivePoolAgainstModel interprets script as a sequence of pool calls, makes
 // each on a BufferPool and on the model, and fails on the first divergence in
-// results, PoolStats, Len, DirtyCount, any resident frame's contents or
-// ownership, or any device page image (checkImages); at the end the two full
-// hook event streams (pool and device events interleaved), the batch
-// submissions and the device ledgers must be equal. Every second script byte
-// is an operand, so any byte string is a valid script.
+// results, PoolStats, Len, DirtyCount, LRU order (checkOrder), any resident
+// frame's contents or ownership, or any device page image (checkImages); at
+// the end the two full hook event streams (pool and device events
+// interleaved), the batch submissions and the device ledgers must be equal.
+// Every second script byte is an operand, so any byte string is a valid
+// script.
 func drivePoolAgainstModel(t *testing.T, script []byte) poolDiff {
 	t.Helper()
 	if len(script) < 2 {
@@ -370,7 +371,7 @@ func drivePoolAgainstModel(t *testing.T, script []byte) poolDiff {
 	for step := 0; step+1 < len(script); step += 2 {
 		op, arg := script[step]%16, script[step+1]
 		switch {
-		case op < 5: // Fetch, writing the page on odd operands
+		case op < 4: // Fetch, writing the page on odd operands
 			id := pick(arg)
 			f, err := p.Fetch(id)
 			mf, merr := m.fetch(id)
@@ -388,6 +389,15 @@ func drivePoolAgainstModel(t *testing.T, script []byte) poolDiff {
 				scribble(&pn)
 			}
 			hold(pn, arg)
+		case op == 4: // Peek: the resident image or nil, and nothing else moves
+			id := pick(arg)
+			var want []byte
+			if mf := m.frames[id]; mf != nil {
+				want = mf.data
+			}
+			if got := p.Peek(id); (got == nil) != (want == nil) || !bytes.Equal(got, want) {
+				t.Fatalf("step %d: Peek(%d) shows %x, model %x", step, id, got, want)
+			}
 		case op < 8: // NewPage
 			c := rum.Class(arg & 1)
 			f, err := p.NewPage(c)
@@ -457,6 +467,7 @@ func drivePoolAgainstModel(t *testing.T, script []byte) poolDiff {
 				step, op, arg, p.Stats(), p.Len(), p.DirtyCount(), m.stats, len(m.frames), m.dirtyCount())
 		}
 		checkLRU(t, p)
+		checkOrder(t, step, p, m)
 		checkImages(t, step, p, m)
 		if st := p.Stats(); p.taken != m.taken || m.taken < st.Unshares+newPages {
 			t.Fatalf("step %d: pool took %d buffers, model %d, for %d unshares and %d new pages",
@@ -484,6 +495,21 @@ func drivePoolAgainstModel(t *testing.T, script []byte) poolDiff {
 	}
 	out.tableLen = len(p.frames)
 	return out
+}
+
+// checkOrder holds the pool's LRU list to the model's recency order, frame
+// for frame, so that both sides pick the same victim at the next eviction.
+func checkOrder(t *testing.T, step int, p *BufferPool, m *modelPool) {
+	t.Helper()
+	i := 0
+	for f := p.lru.next; f != &p.lru; f, i = f.next, i+1 {
+		if i >= len(m.order) || f.id != m.order[i].id {
+			t.Fatalf("step %d: the pool's frame %d at recency %d is not the model's (%d frames)", step, f.id, i, len(m.order))
+		}
+	}
+	if i != len(m.order) {
+		t.Fatalf("step %d: the pool lists %d frames, the model %d", step, i, len(m.order))
+	}
 }
 
 // checkImages holds the pool side to the one-image rule after a step. Every
