@@ -60,7 +60,8 @@ benchmarks:
 ## (nil-hook must stay allocation-free and within noise of untraced), the
 ## serving taps (Do quiet vs traced vs fingerprinted: ROADMAP item 1's
 ## overhead budget, same allocs/op on all three) and the closed loop rumperf
-## runs (2 clients × 2 shards × batch 64: the mailbox hop) beside the same
+## runs (2 clients × 2 shards × batch 64: the mailbox hop), quiet and traced
+## (ClosedLoopTraced: the traced loop's runs of gets on a B-tree), beside the same
 ## batches served off snapshots (DoBypass: no hop, one GetBatch per shard,
 ## 0 allocs/op), the btree snapshot's point read alone and in groups (ns per
 ## key both, 0 allocs/op), the live tree's Get loop beside its GetBatch at
@@ -76,7 +77,7 @@ benchmarks:
 ## and one client's 262 144-record preload (most of rumperf's setup_s).
 bench:
 	$(GO) test ./internal/obs -bench BenchmarkInstrumentedGet -benchtime=2s -run '^$$'
-	$(GO) test ./internal/serve -bench '^BenchmarkDo(Traced|Fingerprinted|ClosedLoop|Bypass)?$$' -benchmem -benchtime=2s -run '^$$'
+	$(GO) test ./internal/serve -bench '^BenchmarkDo(Traced|Fingerprinted|ClosedLoop(Traced)?|Bypass)?$$' -benchmem -benchtime=2s -run '^$$'
 	$(GO) test ./internal/btree -bench '^Benchmark(SnapshotGet(Batch)?|TreeGetBatch)$$' -benchmem -benchtime=2s -run '^$$'
 	$(GO) test ./internal/storage -bench 'BenchmarkFetch(Hit|Miss)' -benchtime=2s -run '^$$'
 	$(GO) test ./internal/lsm -bench BenchmarkCompactionSpill -benchtime=2s -run '^$$'

@@ -79,7 +79,7 @@ func (r *eagerPhases) observe(t SlowTrace) {
 		*cur = Exemplar{
 			Bucket: b, Op: t.Op, Key: t.Key, Shard: t.Shard,
 			Queue: t.Queue, Service: t.Service, Total: t.Total,
-			Pages: t.Pages, At: t.At,
+			Pages: t.Pages, Run: t.Run, At: t.At,
 		}
 	}
 }

@@ -29,6 +29,7 @@ type Exemplar struct {
 	Service time.Duration `json:"service_ns"`
 	Total   time.Duration `json:"total_ns"`
 	Pages   uint64        `json:"pages"`
+	Run     int           `json:"run"` // SlowTrace.Run: ops sharing the span and pages
 	At      time.Time     `json:"at"`
 }
 
@@ -119,7 +120,7 @@ func (r *PhaseRecorder) SetExemplar(bucket int, t *SlowTrace) {
 	r.ex[bucket] = Exemplar{
 		Bucket: bucket, Op: t.Op, Key: t.Key, Shard: t.Shard,
 		Queue: t.Queue, Service: t.Service, Total: t.Total,
-		Pages: t.Pages, At: t.At,
+		Pages: t.Pages, Run: t.Run, At: t.At,
 	}
 }
 

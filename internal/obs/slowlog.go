@@ -31,13 +31,14 @@ type SlowTrace struct {
 	Op    string    `json:"op"`    // get / insert / update / delete
 	Key   uint64    `json:"key"`
 	Batch int       `json:"batch"` // ops carried by the same mailbox message
+	Run   int       `json:"run"`   // ops that shared its clock span and device work; 1 alone
 
 	Queue   time.Duration `json:"queue_ns"`
 	Service time.Duration `json:"service_ns"`
 	Total   time.Duration `json:"total_ns"`
 
-	// Device-charged work attributed to the op: physical bytes from the
-	// shard's meter delta (always present), and page/fault/retry counts
+	// Device-charged work attributed to the op's run: physical bytes from
+	// the shard's meter delta (always present), and page/fault/retry counts
 	// from the storage hook when the recorder is wired into the shard's
 	// storage stack (zero otherwise).
 	ReadBytes  uint64 `json:"read_bytes"`
@@ -47,12 +48,16 @@ type SlowTrace struct {
 	Retries    uint64 `json:"retries"`
 }
 
-// String renders the trace's one-line report form.
+// String renders the trace's one-line report form, run= for a shared run.
 func (t SlowTrace) String() string {
-	return fmt.Sprintf("%-6s key=%-20d shard=%d total=%-10v queue=%-10v service=%-10v pages=%d faults=%d",
-		t.Op, t.Key, t.Shard, t.Total.Round(time.Microsecond),
+	s := fmt.Sprintf("%-6s key=%-20d shard=%d batch=%d total=%-10v queue=%-10v service=%-10v pages=%d faults=%d retries=%d",
+		t.Op, t.Key, t.Shard, t.Batch, t.Total.Round(time.Microsecond),
 		t.Queue.Round(time.Microsecond), t.Service.Round(time.Microsecond),
-		t.Pages, t.Faults)
+		t.Pages, t.Faults, t.Retries)
+	if t.Run > 1 {
+		s += fmt.Sprintf(" run=%d", t.Run)
+	}
+	return s
 }
 
 // SlowLog retains the K slowest recent traces. Offer may be called

@@ -130,3 +130,27 @@ func TestSlowLogConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestSlowTraceString pins the one-line report form rumserve prints at
+// shutdown: every decomposition and work field, and run= only for an op
+// that shared its run.
+func TestSlowTraceString(t *testing.T) {
+	for _, tc := range []struct {
+		tr   obs.SlowTrace
+		want string
+	}{
+		{obs.SlowTrace{Op: "insert", Key: 7, Shard: 1, Batch: 1, Run: 1,
+			Queue: 2 * time.Microsecond, Service: 3 * time.Microsecond, Total: 5 * time.Microsecond},
+			"insert key=7                    shard=1 batch=1 total=5µs        queue=2µs        service=3µs        pages=0 faults=0 retries=0"},
+		{obs.SlowTrace{Op: "get", Key: 42, Shard: 3, Batch: 32, Run: 12,
+			Queue: 1500 * time.Microsecond, Service: 250 * time.Microsecond, Total: 1750 * time.Microsecond,
+			Pages: 9, Faults: 1, Retries: 2},
+			"get    key=42                   shard=3 batch=32 total=1.75ms     queue=1.5ms      service=250µs      pages=9 faults=1 retries=2 run=12"},
+		{obs.SlowTrace{Op: "get", Key: 1, Batch: 4, Service: 1499 * time.Nanosecond, Total: 1499 * time.Nanosecond},
+			"get    key=1                    shard=0 batch=4 total=1µs        queue=0s         service=1µs        pages=0 faults=0 retries=0"},
+	} {
+		if got := tc.tr.String(); got != tc.want {
+			t.Errorf("String() =\n%q\nwant\n%q", got, tc.want)
+		}
+	}
+}

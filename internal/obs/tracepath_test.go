@@ -83,7 +83,7 @@ func syntheticTraces(rng *rand.Rand, n int, slowTTL time.Duration) []SlowTrace {
 		out[i] = SlowTrace{
 			At: at, Shard: i % 3, Op: "get", Key: uint64(i), Batch: 64,
 			Queue: queue, Service: service, Total: queue + service,
-			Pages: uint64(rng.Intn(4)),
+			Pages: uint64(rng.Intn(4)), Run: 1 + i%16,
 		}
 	}
 	return out

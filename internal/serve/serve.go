@@ -278,7 +278,7 @@ type shard struct {
 	// mailbox wait strategy did and what it cost.
 	pollSkip int
 	mbox     obs.MailboxPoint
-	runKeys  []core.Key // a run of gets for GetBatch (applyOps)
+	runKeys  []core.Key // a run of gets for GetBatch; grows to the longest run
 	runVals  []core.Value
 	runOks   []bool
 
@@ -522,38 +522,25 @@ func (sh *shard) apply(am *core.Instrumented, msg message) {
 	defer msg.done.finish()
 	switch msg.kind {
 	case kindOps:
-		if sh.rec != nil {
-			sh.applyOpsTraced(am, msg)
-		} else {
-			sh.applyOps(am, msg)
-		}
+		writes := sh.applyOps(am, &msg)
 		sh.ops += uint64(len(msg.idxs))
 		if sh.wrec != nil {
 			// A separate pass after execution keeps the batch loop above
 			// byte-for-byte identical to the unfingerprinted build.
 			sh.recordOps(msg)
 		}
-		if sh.commit != nil || sh.snapEvery > 0 {
-			writes := 0
-			for _, i := range msg.idxs {
-				if msg.reqs[i].Op != OpGet {
-					writes++
-				}
-			}
-			// Group commit before the deferred completion fires: when the
-			// completion releases the client, every write it acknowledged OK
-			// is already in the log. A failed commit poisons the log — the
-			// batch's records were acked but not promised durable, and every
-			// later write on this shard fails loudly — so the error is not
-			// re-raised here.
-			if writes > 0 && sh.commit != nil {
-				_ = sh.commit.Commit()
-			}
-			// Republish before the deferred completion fires: strict mode's
-			// read-your-writes rides on this ordering.
-			if sh.snapEvery > 0 {
-				sh.noteWrites(am, writes)
-			}
+		// Group commit before the deferred completion fires: when the
+		// completion releases the client, every write it acknowledged OK is
+		// already in the log. A failed commit poisons the log — the batch's
+		// records were acked but not promised durable, and every later write
+		// on this shard fails loudly — so the error is not re-raised here.
+		if writes > 0 && sh.commit != nil {
+			_ = sh.commit.Commit()
+		}
+		// Republish before the deferred completion fires: strict mode's
+		// read-your-writes rides on this ordering.
+		if sh.snapEvery > 0 {
+			sh.noteWrites(am, writes)
 		}
 	case kindBulk:
 		if err := am.BulkLoad(msg.recs); err != nil {
@@ -585,31 +572,52 @@ func (sh *shard) apply(am *core.Instrumented, msg message) {
 	}
 }
 
-// applyOps is apply's quiet kindOps loop: each run of consecutive gets, a
-// run of one included, is one GetBatch; every other op goes through Exec.
-func (sh *shard) applyOps(am *core.Instrumented, msg message) {
+// applyOps is apply's kindOps loop: each run of consecutive gets is one
+// GetBatch (getRun), any other op a run of its own through Exec, and a traced
+// shard observes each run (observeRun). It returns the message's write count.
+func (sh *shard) applyOps(am *core.Instrumented, msg *message) (writes int) {
+	var start time.Duration
+	if sh.rec != nil {
+		sh.rec.RecordBatch(len(msg.idxs))
+		start = sh.clock.now()
+	}
 	for idxs := msg.idxs; len(idxs) > 0; {
-		if msg.reqs[idxs[0]].Op != OpGet {
-			msg.res[idxs[0]] = Exec(am, msg.reqs[idxs[0]])
-			idxs = idxs[1:]
-			continue
-		}
-		n := 1
-		for n < len(idxs) && msg.reqs[idxs[n]].Op == OpGet {
+		get, n := msg.reqs[idxs[0]].Op == OpGet, 1
+		for get && n < len(idxs) && msg.reqs[idxs[n]].Op == OpGet {
 			n++
 		}
-		if n > len(sh.runKeys) {
-			sh.runKeys, sh.runVals, sh.runOks = make([]core.Key, n), make([]core.Value, n), make([]bool, n)
+		var read, written uint64 // the run's meter baseline, when traced
+		if sh.rec != nil {
+			m := am.Meter()
+			sh.rec.BeginOpWork()
+			read, written = m.BaseRead+m.AuxRead, m.BaseWritten+m.AuxWritten
 		}
-		keys, vals, oks := sh.runKeys[:n], sh.runVals[:n], sh.runOks[:n]
-		for j, i := range idxs[:n] {
-			keys[j] = msg.reqs[i].Key
+		if get {
+			sh.getRun(am, msg, idxs[:n])
+		} else {
+			msg.res[idxs[0]] = Exec(am, msg.reqs[idxs[0]])
+			writes++
 		}
-		am.GetBatch(keys, vals, oks)
-		for j, i := range idxs[:n] {
-			msg.res[i] = Result{Value: vals[j], OK: oks[j]}
+		if sh.rec != nil {
+			start = sh.observeRun(am, msg, idxs[:n], start, read, written)
 		}
 		idxs = idxs[n:]
+	}
+	return writes
+}
+
+// getRun sends a run of gets to GetBatch through the shard's run buffers.
+func (sh *shard) getRun(am *core.Instrumented, msg *message, run []uint32) {
+	if n := len(run); n > len(sh.runKeys) {
+		sh.runKeys, sh.runVals, sh.runOks = make([]core.Key, n), make([]core.Value, n), make([]bool, n)
+	}
+	keys, vals, oks := sh.runKeys[:len(run)], sh.runVals[:len(run)], sh.runOks[:len(run)]
+	for j, i := range run {
+		keys[j] = msg.reqs[i].Key
+	}
+	am.GetBatch(keys, vals, oks)
+	for j, i := range run {
+		msg.res[i] = Result{Value: vals[j], OK: oks[j]}
 	}
 }
 

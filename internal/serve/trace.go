@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math/bits"
 	"time"
 
 	"repro/internal/core"
@@ -11,8 +12,9 @@ import (
 // every Do call stamps its mailbox messages at enqueue and each shard
 // decomposes every operation it executes into queue wait (enqueue to
 // execution start: mailbox wait plus in-batch wait behind earlier ops of the
-// same message) and service time (the op's own execution). All three numbers
-// derive from the same monotonic clock readings, so
+// same message) and service time (the op's execution, or its share of the
+// run of gets it executed in). All three numbers derive from the same
+// monotonic clock readings, so
 //
 //	Total = Queue + Service
 //
@@ -27,20 +29,21 @@ import (
 //   - a server-wide obs.SlowLog flight recorder retaining the slowest-K
 //     recent traces;
 //   - the storage hook, when the builder threads the recorder into the
-//     shard's stack, which attributes pages/faults/retries to each op.
+//     shard's stack, which attributes pages/faults/retries to each run of ops.
 //
-// What tracing costs per operation: one monotonic clock reading (each op's
-// end is the next op's start), two histogram increments whose bucket is a
-// bit length, five words of ledger and meter baseline read in place, and two
-// admission gates evaluated on integers — the exemplar slot of the op's
-// service bucket and the flight recorder's floor (one atomic load). The
-// obs.SlowTrace itself — meter delta, device work, op name, wall-clock
-// instant — is assembled only for an op that passes a gate, which after
-// warm-up is a record-slow op. Every op is timed; none is sampled.
+// What tracing costs: one monotonic clock reading per run — a run of gets
+// sent to GetBatch in one call, or any other op alone — plus one per message;
+// five words of ledger and meter baseline read in place per run; and per op,
+// an integer split of the run's span (spanAt), two histogram increments whose
+// bucket is a bit length, and two admission gates on integers — the exemplar
+// slot of the op's service bucket and the flight recorder's floor (one atomic
+// load). The obs.SlowTrace itself — meter delta, device work, op name,
+// wall-clock instant — is assembled only for an op that passes a gate, which
+// after warm-up is a record-slow op. Every op is observed; none is sampled.
 //
 // With Trace nil nothing changes: no clock is read, nothing allocates, and
-// the only cost on the hot path is one nil check per message — a property
-// pinned by BenchmarkDo in trace_test.go.
+// the only cost on the hot path is a nil check per message and two per run —
+// a property pinned by BenchmarkDo in trace_test.go.
 
 // TraceConfig enables request lifecycle tracing. The zero value of every
 // field selects a default.
@@ -83,34 +86,30 @@ func newTraceClock() traceClock {
 
 func (c *traceClock) now() time.Duration { return time.Since(c.epoch) }
 
-// applyOpsTraced is apply's kindOps loop with the clock on: the same Exec
-// per request plus N+1 clock readings per message (one before the
-// batch, one after each op — each op's end is the next op's start).
-func (sh *shard) applyOpsTraced(am *core.Instrumented, msg message) {
+// observeRun ends a run begun at start with one clock reading and observes
+// its n ops: op j ends, and op j+1 starts, at start + spanAt(span, j+1, n),
+// so Total == Queue + Service per op and the ops' Service sums to span. A
+// trace carries the run's device work and Run == n.
+func (sh *shard) observeRun(am *core.Instrumented, msg *message, run []uint32, start time.Duration, read, written uint64) time.Duration {
 	rec, slow, clock := sh.rec, sh.slow, &sh.clock
-	batch := len(msg.idxs)
-	rec.RecordBatch(batch)
-	m := am.Meter()
-	enq := msg.enqueuedAt
-	start := clock.now()
-	for _, i := range msg.idxs {
-		req := &msg.reqs[i]
-		rec.BeginOpWork()
-		preRead, preWritten := m.BaseRead+m.AuxRead, m.BaseWritten+m.AuxWritten
-		msg.res[i] = Exec(am, *req)
-		end := clock.now()
-		queue, service, total := start-enq, end-start, end-enq
-		at := clock.epochUnix + int64(end)
+	end := clock.now()
+	span, n := end-start, len(run)
+	enq, s := msg.enqueuedAt, start
+	for j, i := range run {
+		e := start + spanAt(span, j+1, n)
+		queue, service, total := s-enq, e-s, e-enq
+		at := clock.epochUnix + int64(e)
 		bucket, exemplar := rec.ObserveOp(queue, service, total, at)
 		retain := slow.Admits(total, at)
 		if exemplar || retain {
+			req, m := &msg.reqs[i], am.Meter()
 			pages, faults, retries := rec.OpWork()
 			t := obs.SlowTrace{
-				At: clock.epoch.Add(end), Shard: sh.id, Op: req.Op.String(), Key: uint64(req.Key),
-				Batch: batch,
+				At: clock.epoch.Add(e), Shard: sh.id, Op: req.Op.String(), Key: uint64(req.Key),
+				Batch: len(msg.idxs), Run: n,
 				Queue: queue, Service: service, Total: total,
-				ReadBytes:  m.BaseRead + m.AuxRead - preRead,
-				WriteBytes: m.BaseWritten + m.AuxWritten - preWritten,
+				ReadBytes:  m.BaseRead + m.AuxRead - read,
+				WriteBytes: m.BaseWritten + m.AuxWritten - written,
 				Pages:      pages, Faults: faults, Retries: retries,
 			}
 			if exemplar {
@@ -120,8 +119,17 @@ func (sh *shard) applyOpsTraced(am *core.Instrumented, msg message) {
 				slow.Offer(t)
 			}
 		}
-		start = end
+		s = e
 	}
+	return end
+}
+
+// spanAt is ⌊span·j/n⌋, exact for any span ≥ 0 and 0 ≤ j ≤ n: the parts it
+// cuts span into are non-negative, differ by at most 1 ns, and sum to span.
+func spanAt(span time.Duration, j, n int) time.Duration {
+	hi, lo := bits.Mul64(uint64(span), uint64(j))
+	q, _ := bits.Div64(hi, lo, uint64(n))
+	return time.Duration(q)
 }
 
 // SlowTraces returns the flight recorder's retained traces, slowest first.

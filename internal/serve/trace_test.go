@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/btree"
 	"repro/internal/core"
@@ -15,93 +17,146 @@ import (
 	"repro/internal/storage"
 )
 
-// TestQuietAndTracedShardsAgree: the quiet loop sends each run of gets to
-// GetBatch, the traced loop executes op by op, and the two must still be one
-// program. A read90 stream and a delete-heavy one go through a quiet and a
-// traced 2-shard server of btrees on pools far smaller than the trees;
-// every result, every shard's meter, size and record count, and every
-// shard's PoolStats must be equal.
+// TestQuietAndTracedShardsAgree is the quiet ≡ traced relation: both run the
+// one op loop, and a traced shard only reads the clock and observes around
+// each run, so the same stream must leave both with the same results, shard
+// ledgers (meter, size, record count), PoolStats and device stats. Streams
+// are generated per seed over four mixes. The shards' btrees sit on a pool
+// that holds them whole, on a 12-frame pool that evicts, and on a 12-frame
+// mqssd pool whose write-backs batch; the traced server runs both with the
+// phase recorder wired into the storage stack as its hook and without.
 func TestQuietAndTracedShardsAgree(t *testing.T) {
 	type mix struct {
 		name                string
 		get, insert, update int // percentages; the rest deletes
 	}
-	for _, m := range []mix{{"read90", 90, 5, 3}, {"delete-heavy", 30, 30, 0}} {
+	type outcome struct {
+		res     []Result
+		reports []ShardReport
+		pools   []storage.PoolStats
+		devs    []storage.DeviceStats
+	}
+	seeds, batches := uint64(3), 150
+	if testing.Short() {
+		seeds, batches = 1, 50 // the racecheck build's pool checks are slow
+	}
+	// run drives one stream through a quiet server (trace nil) or a traced
+	// one; hook threads each traced shard's recorder into its pool.
+	run := func(t *testing.T, m mix, opt methods.Options, seed uint64, trace *TraceConfig, hook bool) outcome {
+		var o outcome
+		pools := make([]*storage.BufferPool, 2)
+		recs := make([]*obs.PhaseRecorder, 2)
+		if hook {
+			trace.Recorder = func(i int) *obs.PhaseRecorder {
+				recs[i] = obs.NewPhaseRecorder()
+				return recs[i]
+			}
+		}
+		s := mustNew(t, Config{Shards: 2, Trace: trace, Build: func(i int) *core.Instrumented {
+			opt := opt
+			if recs[i] != nil {
+				opt.Hook = recs[i]
+			}
+			pools[i] = methods.NewPool(opt, nil)
+			tr, err := btree.New(pools[i], btree.Config{})
+			if err != nil {
+				panic(err)
+			}
+			return core.Instrument(tr)
+		}})
+		rng := rand.New(rand.NewPCG(seed, uint64(m.get)))
+		preload := make([]core.Record, 3000)
+		for i := range preload {
+			preload[i] = core.Record{Key: core.Key(2 * i), Value: core.Value(i)}
+		}
+		if err := s.Preload(preload); err != nil {
+			t.Fatal(err)
+		}
+		reqs, res := make([]Request, 64), make([]Result, 64)
+		for batch := 0; batch < batches; batch++ {
+			for i := range reqs {
+				op, p := OpDelete, rng.IntN(100)
+				switch {
+				case p < m.get:
+					op = OpGet
+				case p < m.get+m.insert:
+					op = OpInsert
+				case p < m.get+m.insert+m.update:
+					op = OpUpdate
+				}
+				reqs[i] = Request{Op: op, Key: core.Key(rng.IntN(6500)), Value: core.Value(batch)}
+			}
+			if err := s.Do(reqs, res); err != nil {
+				t.Fatal(err)
+			}
+			o.res = append(o.res, res...)
+		}
+		reports, err := s.Stop()
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.reports = ledgers(reports)
+		for i, p := range pools {
+			dev := p.Device().Stats()
+			if hook && reports[i].Phases.Pages.Touched() != dev.PageReads+dev.PageWrites {
+				t.Fatalf("shard %d: hooked ledger touched %d pages, the device %+v", i, reports[i].Phases.Pages.Touched(), dev)
+			}
+			o.reports[i].Phases = nil
+			o.pools, o.devs = append(o.pools, p.Stats()), append(o.devs, dev)
+		}
+		return o
+	}
+	mixes := []mix{{"read90", 90, 5, 3}, {"read50", 50, 25, 15}, {"get-only", 100, 0, 0}, {"delete-heavy", 30, 30, 0}}
+	media := []struct {
+		name  string
+		opt   methods.Options
+		evict bool
+	}{
+		{"resident", methods.Options{PageSize: 512, PoolPages: 1 << 12}, false},
+		{"evicting", methods.Options{PageSize: 512, PoolPages: 12}, true},
+		{"mqssd", methods.Options{PageSize: 512, PoolPages: 12, Medium: storage.MQSSD}, true},
+	}
+	for _, m := range mixes {
 		t.Run(m.name, func(t *testing.T) {
-			run := func(trace *TraceConfig) ([]Result, []ShardReport, []storage.PoolStats) {
-				pools := make([]*storage.BufferPool, 2)
-				s := mustNew(t, Config{Shards: 2, Trace: trace, Build: func(i int) *core.Instrumented {
-					pools[i] = methods.NewPool(methods.Options{PageSize: 512, PoolPages: 12}, nil)
-					tr, err := btree.New(pools[i], btree.Config{})
-					if err != nil {
-						panic(err)
-					}
-					return core.Instrument(tr)
-				}})
-				rng := rand.New(rand.NewPCG(35, uint64(m.get)))
-				recs := make([]core.Record, 3000)
-				for i := range recs {
-					recs[i] = core.Record{Key: core.Key(2 * i), Value: core.Value(i)}
-				}
-				if err := s.Preload(recs); err != nil {
-					t.Fatal(err)
-				}
-				var out []Result
-				reqs, res := make([]Request, 64), make([]Result, 64)
-				for batch := 0; batch < 200; batch++ {
-					for i := range reqs {
-						op, p := OpDelete, rng.IntN(100)
-						switch {
-						case p < m.get:
-							op = OpGet
-						case p < m.get+m.insert:
-							op = OpInsert
-						case p < m.get+m.insert+m.update:
-							op = OpUpdate
+			for _, md := range media {
+				t.Run(md.name, func(t *testing.T) {
+					for seed := uint64(1); seed <= seeds; seed++ {
+						quiet := run(t, m, md.opt, seed, nil, false)
+						for _, evicted := range quiet.pools {
+							if (evicted.Evictions > 0) != md.evict {
+								t.Fatalf("seed %d: %d evictions on the %s pool", seed, evicted.Evictions, md.name)
+							}
 						}
-						reqs[i] = Request{Op: op, Key: core.Key(rng.IntN(6500)), Value: core.Value(batch)}
+						for _, hook := range []bool{false, true} {
+							traced := run(t, m, md.opt, seed, &TraceConfig{}, hook)
+							if !slices.Equal(quiet.res, traced.res) {
+								for i := range quiet.res {
+									if quiet.res[i] != traced.res[i] {
+										t.Fatalf("seed %d hook %v: request %d: quiet %+v, traced %+v", seed, hook, i, quiet.res[i], traced.res[i])
+									}
+								}
+							}
+							if !reflect.DeepEqual(quiet.reports, traced.reports) {
+								t.Fatalf("seed %d hook %v: shard ledgers differ:\nquiet  %+v\ntraced %+v", seed, hook, quiet.reports, traced.reports)
+							}
+							if !slices.Equal(quiet.pools, traced.pools) {
+								t.Fatalf("seed %d hook %v: pool stats differ:\nquiet  %+v\ntraced %+v", seed, hook, quiet.pools, traced.pools)
+							}
+							if !slices.Equal(quiet.devs, traced.devs) {
+								t.Fatalf("seed %d hook %v: device stats differ:\nquiet  %+v\ntraced %+v", seed, hook, quiet.devs, traced.devs)
+							}
+						}
 					}
-					if err := s.Do(reqs, res); err != nil {
-						t.Fatal(err)
-					}
-					out = append(out, res...)
-				}
-				reports, err := s.Stop()
-				if err != nil {
-					t.Fatal(err)
-				}
-				stats := []storage.PoolStats{pools[0].Stats(), pools[1].Stats()}
-				reports = ledgers(reports)
-				for i := range reports {
-					reports[i].Phases = nil
-				}
-				return out, reports, stats
-			}
-			quietRes, quietRep, quietPool := run(nil)
-			tracedRes, tracedRep, tracedPool := run(&TraceConfig{})
-			if !slices.Equal(quietRes, tracedRes) {
-				for i := range quietRes {
-					if quietRes[i] != tracedRes[i] {
-						t.Fatalf("request %d: quiet %+v, traced %+v", i, quietRes[i], tracedRes[i])
-					}
-				}
-			}
-			if !reflect.DeepEqual(quietRep, tracedRep) {
-				t.Fatalf("shard ledgers differ:\nquiet  %+v\ntraced %+v", quietRep, tracedRep)
-			}
-			if !slices.Equal(quietPool, tracedPool) {
-				t.Fatalf("pool stats differ:\nquiet  %+v\ntraced %+v", quietPool, tracedPool)
-			}
-			if quietPool[0].Evictions == 0 || quietPool[1].Evictions == 0 {
-				t.Fatalf("pools never evicted (%+v): the stream does not reach the out-of-cache path", quietPool)
+				})
 			}
 		})
 	}
 }
 
 // tracedWorkload drives a mixed batch workload through s and returns the
-// number of operations submitted.
-func tracedWorkload(t *testing.T, s *Server, ops int) int {
+// number of operations submitted. A read-heavy stream turns nine in ten of
+// its ops into gets, so that runs of gets form in each message.
+func tracedWorkload(t *testing.T, s *Server, ops int, readHeavy bool) int {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(11, 23))
 	const batch = 64
@@ -111,7 +166,11 @@ func tracedWorkload(t *testing.T, s *Server, ops int) int {
 	for submitted < ops {
 		for i := range reqs {
 			k := core.Key(rng.Uint64N(2048))
-			switch rng.UintN(4) {
+			kind := rng.UintN(4)
+			if readHeavy && rng.UintN(10) != 0 {
+				kind = 0
+			}
+			switch kind {
 			case 0:
 				reqs[i] = Request{Op: OpGet, Key: k}
 			case 1:
@@ -134,58 +193,104 @@ func tracedWorkload(t *testing.T, s *Server, ops int) int {
 // for every retained trace, Total == Queue + Service exactly — all three
 // durations derive from the same monotonic readings, so the equality is ==,
 // not within-tolerance. It also checks the phase histograms account for
-// every executed operation.
+// every executed operation. The read-heavy stream keeps every trace, and
+// its messages carry runs of three gets and more, whose ops split their
+// run's span between them.
 func TestTraceDecomposition(t *testing.T) {
-	s := mustNew(t, Config{
-		Shards: 4,
-		Build:  buildSkiplist,
-		Trace:  &TraceConfig{SlowK: 32},
-	})
-	ops := tracedWorkload(t, s, 4000)
+	for _, tc := range []struct {
+		name      string
+		readHeavy bool
+		slowK     int
+	}{{"mixed", false, 32}, {"read-heavy", true, 4096}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := mustNew(t, Config{
+				Shards: 4,
+				Build:  buildSkiplist,
+				Trace:  &TraceConfig{SlowK: tc.slowK},
+			})
+			ops := tracedWorkload(t, s, 4000, tc.readHeavy)
 
-	traces := s.SlowTraces()
-	if len(traces) != 32 {
-		t.Fatalf("flight recorder holds %d traces, want 32", len(traces))
-	}
-	for _, tr := range traces {
-		if tr.Total != tr.Queue+tr.Service {
-			t.Fatalf("decomposition broken: total %v != queue %v + service %v",
-				tr.Total, tr.Queue, tr.Service)
-		}
-		if tr.Queue < 0 || tr.Service < 0 {
-			t.Fatalf("negative phase: %+v", tr)
-		}
-		if tr.Op == "" || tr.Batch <= 0 || tr.Shard < 0 || tr.Shard >= 4 {
-			t.Fatalf("malformed trace: %+v", tr)
-		}
-	}
-	for i := 1; i < len(traces); i++ {
-		if traces[i].Total > traces[i-1].Total {
-			t.Fatal("SlowTraces not sorted slowest-first")
-		}
-	}
+			traces := s.SlowTraces()
+			if len(traces) != min(tc.slowK, ops) {
+				t.Fatalf("flight recorder holds %d traces, want %d", len(traces), min(tc.slowK, ops))
+			}
+			longest := 0
+			for _, tr := range traces {
+				if tr.Total != tr.Queue+tr.Service {
+					t.Fatalf("decomposition broken: total %v != queue %v + service %v",
+						tr.Total, tr.Queue, tr.Service)
+				}
+				if tr.Queue < 0 || tr.Service < 0 {
+					t.Fatalf("negative phase: %+v", tr)
+				}
+				if tr.Op == "" || tr.Batch <= 0 || tr.Shard < 0 || tr.Shard >= 4 || tr.Run < 1 || tr.Run > tr.Batch {
+					t.Fatalf("malformed trace: %+v", tr)
+				}
+				if tr.Run > 1 && tr.Op != "get" {
+					t.Fatalf("a %s shared a run: %+v", tr.Op, tr)
+				}
+				longest = max(longest, tr.Run)
+			}
+			if tc.readHeavy && longest < 3 {
+				t.Fatalf("longest run %d: the read-heavy stream formed no run of three gets", longest)
+			}
+			for i := 1; i < len(traces); i++ {
+				if traces[i].Total > traces[i-1].Total {
+					t.Fatal("SlowTraces not sorted slowest-first")
+				}
+			}
 
-	reports, err := s.Stop()
-	if err != nil {
-		t.Fatalf("Stop: %v", err)
+			reports, err := s.Stop()
+			if err != nil {
+				t.Fatalf("Stop: %v", err)
+			}
+			agg := AggregatePhases(reports)
+			if agg == nil {
+				t.Fatal("traced run produced no phase snapshots")
+			}
+			if got := agg.Queue.Count(); got != uint64(ops) {
+				t.Fatalf("queue histogram counts %d ops, want %d", got, ops)
+			}
+			if got := agg.Service.Count(); got != uint64(ops) {
+				t.Fatalf("service histogram counts %d ops, want %d", got, ops)
+			}
+			// Every mailbox message recorded its batch size, and the sizes sum
+			// back to the op count.
+			if got := uint64(agg.Batch.Sum()); got != uint64(ops) {
+				t.Fatalf("batch histogram sums %d ops, want %d", got, ops)
+			}
+			if len(agg.Exemplars) == 0 {
+				t.Fatal("no exemplars retained")
+			}
+		})
 	}
-	agg := AggregatePhases(reports)
-	if agg == nil {
-		t.Fatal("traced run produced no phase snapshots")
-	}
-	if got := agg.Queue.Count(); got != uint64(ops) {
-		t.Fatalf("queue histogram counts %d ops, want %d", got, ops)
-	}
-	if got := agg.Service.Count(); got != uint64(ops) {
-		t.Fatalf("service histogram counts %d ops, want %d", got, ops)
-	}
-	// Every mailbox message recorded its batch size, and the sizes sum back
-	// to the op count.
-	if got := uint64(agg.Batch.Sum()); got != uint64(ops) {
-		t.Fatalf("batch histogram sums %d ops, want %d", got, ops)
-	}
-	if len(agg.Exemplars) == 0 {
-		t.Fatal("no exemplars retained")
+}
+
+// TestSpanAtSplitsExactly: the parts spanAt cuts a run's span into are
+// non-negative, differ by at most 1 ns, and sum to the span with ==, for
+// every run length the loop can form up to 64 and spans of zero, shorter
+// than the run, and as long as a Duration holds.
+func TestSpanAtSplitsExactly(t *testing.T) {
+	spans := []time.Duration{0, 1, 2, 7, 63, 64, 65, 1000, 123456789, time.Hour, 1 << 62, math.MaxInt64}
+	for _, span := range spans {
+		for n := 1; n <= 64; n++ {
+			if got := spanAt(span, 0, n); got != 0 {
+				t.Fatalf("span %d n %d: first boundary %d", span, n, got)
+			}
+			var sum time.Duration
+			lo, hi := time.Duration(math.MaxInt64), time.Duration(0)
+			for j := 0; j < n; j++ {
+				part := spanAt(span, j+1, n) - spanAt(span, j, n)
+				if part < 0 {
+					t.Fatalf("span %d n %d: part %d is %d", span, n, j, part)
+				}
+				sum += part
+				lo, hi = min(lo, part), max(hi, part)
+			}
+			if sum != span || hi-lo > 1 {
+				t.Fatalf("span %d n %d: parts sum to %d, range %d..%d", span, n, sum, lo, hi)
+			}
+		}
 	}
 }
 
@@ -194,7 +299,7 @@ func TestTraceDecomposition(t *testing.T) {
 // and MailboxDepths still works as a plain gauge.
 func TestTraceDisabledReportsNothing(t *testing.T) {
 	s := mustNew(t, Config{Shards: 2, Build: buildSkiplist})
-	tracedWorkload(t, s, 500)
+	tracedWorkload(t, s, 500, false)
 	if got := s.SlowTraces(); got != nil {
 		t.Fatalf("untraced server returned traces: %v", got)
 	}
@@ -226,14 +331,18 @@ func TestTraceDisabledReportsNothing(t *testing.T) {
 
 // TestTraceRecorderWiring checks the Recorder hook contract: it runs on the
 // shard goroutine before Build, so a builder can thread the recorder into
-// its storage stack as a hook and traces then carry per-op page counts.
+// its storage stack as a hook and traces then carry page counts. It keeps
+// every op's trace and checks their run attribution: on each shard, in
+// completion order, the traces fall into runs of Run ops that carry the same
+// Pages and ReadBytes — the device work of the one GetBatch they shared —
+// and the runs' pages sum to what the shard's ledger counted meanwhile.
 func TestTraceRecorderWiring(t *testing.T) {
 	recs := make([]*obs.PhaseRecorder, 2)
 	s := mustNew(t, Config{
 		Shards:   2,
 		MaxBatch: 8,
 		Trace: &TraceConfig{
-			SlowK: 16,
+			SlowK: 1 << 12,
 			Recorder: func(shard int) *obs.PhaseRecorder {
 				recs[shard] = obs.NewPhaseRecorder()
 				return recs[shard]
@@ -249,11 +358,9 @@ func TestTraceRecorderWiring(t *testing.T) {
 	})
 	// Preload through the untraced bulk path, then read far more pages than
 	// the 4-page pools hold, in strides of several leaves so that nearly
-	// every get misses: the retained traces are gets whose misses were
-	// charged through the hook, so the attribution is visible regardless of
-	// which ops the flight recorder ranks slowest. (At a stride of 17 half
-	// the gets hit, a miss no longer costs a page copy, and a racecheck
-	// build's sixteen slowest were all hits one run in ten.)
+	// every get misses and its run is charged pages through the hook. Every
+	// sixteenth op updates, so messages are cut at MaxBatch and the runs of
+	// gets between updates have many lengths.
 	recs2 := make([]core.Record, 4096)
 	for i := range recs2 {
 		recs2[i] = core.Record{Key: core.Key(i), Value: core.Value(i)}
@@ -264,32 +371,72 @@ func TestTraceRecorderWiring(t *testing.T) {
 	if err := s.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
+	before, err := s.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
 	reqs := make([]Request, 256)
 	res := make([]Result, 256)
 	for round := 0; round < 4; round++ {
 		for i := range reqs {
-			reqs[i] = Request{Op: OpGet, Key: core.Key((i*1031 + round) % 4096)}
+			op := OpGet
+			if i%16 == 15 {
+				op = OpUpdate
+			}
+			reqs[i] = Request{Op: op, Key: core.Key((i*1031 + round) % 4096), Value: 1}
 		}
 		if err := s.Do(reqs, res); err != nil {
 			t.Fatalf("Do: %v", err)
 		}
 	}
-	pages, bytes := uint64(0), uint64(0)
-	for _, tr := range s.SlowTraces() {
-		if tr.Op != "get" {
-			t.Fatalf("unexpected trace op %q", tr.Op)
-		}
-		pages += tr.Pages
-		bytes += tr.ReadBytes + tr.WriteBytes
+	traces := s.SlowTraces()
+	if len(traces) != 4*len(reqs) {
+		t.Fatalf("flight recorder holds %d traces, want all %d", len(traces), 4*len(reqs))
 	}
-	if pages == 0 {
-		t.Fatal("hook-wired traces charged no pages")
-	}
-	if bytes == 0 {
-		t.Fatal("traces carried no meter-derived bytes")
-	}
-	if _, err := s.Stop(); err != nil {
+	reports, err := s.Stop()
+	if err != nil {
 		t.Fatalf("Stop: %v", err)
+	}
+	shared := false
+	for sh := range reports {
+		var mine []obs.SlowTrace
+		for _, tr := range traces {
+			if tr.Shard == sh {
+				mine = append(mine, tr)
+			}
+		}
+		slices.SortStableFunc(mine, func(a, b obs.SlowTrace) int { return a.At.Compare(b.At) })
+		var pages, bytes uint64
+		for len(mine) > 0 {
+			n := mine[0].Run
+			if n < 1 || n > len(mine) {
+				t.Fatalf("shard %d: a run of %d with %d traces left", sh, n, len(mine))
+			}
+			for _, tr := range mine[:n] {
+				if tr.Run != n || tr.Pages != mine[0].Pages || tr.ReadBytes != mine[0].ReadBytes {
+					t.Fatalf("shard %d: one run's traces disagree:\n%+v\n%+v", sh, mine[0], tr)
+				}
+				if n > 1 && tr.Op != "get" {
+					t.Fatalf("shard %d: a %s in a run of %d", sh, tr.Op, n)
+				}
+			}
+			shared = shared || n > 1
+			pages += mine[0].Pages
+			bytes += mine[0].ReadBytes + mine[0].WriteBytes
+			mine = mine[n:]
+		}
+		if pages == 0 {
+			t.Fatalf("shard %d: hook-wired traces charged no pages", sh)
+		}
+		if bytes == 0 {
+			t.Fatalf("shard %d: traces carried no meter-derived bytes", sh)
+		}
+		if ledger := reports[sh].Phases.Pages.Touched() - before[sh].Phases.Pages.Touched(); ledger != pages {
+			t.Fatalf("shard %d: the ledger touched %d pages, the runs' traces %d", sh, ledger, pages)
+		}
+	}
+	if !shared {
+		t.Fatal("no trace shared a run")
 	}
 }
 
@@ -309,7 +456,7 @@ func TestTraceDeadShardDrain(t *testing.T) {
 		Trace: &TraceConfig{SlowK: 16},
 	})
 	// Every batch completes even though shard 1 is dead.
-	tracedWorkload(t, s, 2000)
+	tracedWorkload(t, s, 2000, false)
 
 	snaps, err := s.Snapshot()
 	if err == nil {
@@ -433,9 +580,15 @@ func BenchmarkDoTraced(b *testing.B) { benchDo(b, &TraceConfig{SlowK: 32}) }
 // over two shards of a resident B-tree, 64 point reads per Do, so each shard
 // sees a sub-batch of about 32, then an empty mailbox until the clients are
 // back. ns/op is wall time per Do across both clients.
-func BenchmarkDoClosedLoop(b *testing.B) {
+// BenchmarkDoClosedLoopTraced is the same loop with Trace on: unlike
+// BenchmarkDoTraced's skiplist, the B-tree serves each run of gets in one
+// GetBatch, so it shows what the traced loop keeps of the grouping.
+func BenchmarkDoClosedLoop(b *testing.B)       { benchClosedLoop(b, nil) }
+func BenchmarkDoClosedLoopTraced(b *testing.B) { benchClosedLoop(b, &TraceConfig{SlowK: 32}) }
+
+func benchClosedLoop(b *testing.B, trace *TraceConfig) {
 	const clients, shards, batch, n = 2, 2, 64, 1 << 16
-	s, err := New(Config{Shards: shards, Build: func(int) *core.Instrumented {
+	s, err := New(Config{Shards: shards, Trace: trace, Build: func(int) *core.Instrumented {
 		return methods.NewBTree(methods.Options{PoolPages: 1 << 12}, btree.Config{})
 	}})
 	if err != nil {
