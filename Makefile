@@ -39,10 +39,11 @@ race:
 ## frames or drive the ones that do: btree, hashindex, methods, serve — and
 ## pbt, whose properties drive btree partitions through bulk load, merge and
 ## Drop, and faults, where torn writes and crash points meet the
-## frame-ownership assertions. -short trims only internal/serve (nothing else
-## reads it): the snapshot stress test runs 4 write generations instead of 30
-## and the mailbox back-off test, a scheduler bound, is left to `race` — 77 s
-## of asserted page accesses down to 6.
+## frame-ownership assertions. -short trims two packages (nothing else reads
+## it): in internal/serve the snapshot stress test runs 4 write generations
+## instead of 30 and the mailbox back-off test, a scheduler bound, is left to
+## `race` — 77 s of asserted page accesses down to 6; in internal/faults the
+## crash-contract table runs 8 seeds per row instead of 100 (about 35 s).
 racecheck:
 	$(GO) build -tags racecheck ./...
 	$(GO) test -short -tags racecheck ./internal/storage/ ./internal/lsm/ ./internal/lsm/plan/ ./internal/wal/ \

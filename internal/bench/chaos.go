@@ -41,40 +41,31 @@ import (
 // faults during the degraded phase.
 const chaosRetryBudget = 3
 
-// chaosSubject is one method under chaos: how to build it, how (if at all)
-// to recover it, and the durability contract the crash trial holds it to.
-type chaosSubject struct {
-	name       string
-	build      func(pool *storage.BufferPool) (core.AccessMethod, error)
-	reopen     func(pool *storage.BufferPool) (core.AccessMethod, error)
-	durability faults.Durability
-}
-
 // chaosSubjects is the cast: the Table-1 methods that live on the simulated
 // device (the in-memory structures have no device to degrade). The LSM runs
 // with its manifest enabled so the crash trial can hold it to
 // DurableToFlush; the manifest's checkpoint writes are charged like any
 // other traffic, visible in the degraded UO column.
-func chaosSubjects() []chaosSubject {
+func chaosSubjects() []faults.Subject {
 	lsmCfg := lsm.Config{MemtableRecords: 1024, SizeRatio: 10, Manifest: true}
-	return []chaosSubject{
+	return []faults.Subject{
 		{
-			name:       "btree",
-			build:      func(p *storage.BufferPool) (core.AccessMethod, error) { return btree.New(p, btree.Config{}) },
-			reopen:     func(p *storage.BufferPool) (core.AccessMethod, error) { return btree.Recover(p, btree.Config{}) },
-			durability: faults.Lossy,
+			Name:       "btree",
+			Open:       func(p *storage.BufferPool) (core.AccessMethod, error) { return btree.New(p, btree.Config{}) },
+			Reopen:     func(p *storage.BufferPool) (core.AccessMethod, error) { return btree.Recover(p, btree.Config{}) },
+			Durability: faults.Lossy,
 		},
 		{
-			name:       "hash",
-			build:      func(p *storage.BufferPool) (core.AccessMethod, error) { return hashindex.New(p, hashindex.Config{}) },
-			reopen:     nil, // no persisted directory: declared fully lossy
-			durability: faults.Lossy,
+			Name:       "hash",
+			Open:       func(p *storage.BufferPool) (core.AccessMethod, error) { return hashindex.New(p, hashindex.Config{}) },
+			Reopen:     nil, // no persisted directory: declared fully lossy
+			Durability: faults.Lossy,
 		},
 		{
-			name:       "lsm-level",
-			build:      func(p *storage.BufferPool) (core.AccessMethod, error) { return lsm.New(p, lsmCfg), nil },
-			reopen:     func(p *storage.BufferPool) (core.AccessMethod, error) { return lsm.Recover(p, lsmCfg) },
-			durability: faults.DurableToFlush,
+			Name:       "lsm-level",
+			Open:       func(p *storage.BufferPool) (core.AccessMethod, error) { return lsm.New(p, lsmCfg), nil },
+			Reopen:     func(p *storage.BufferPool) (core.AccessMethod, error) { return lsm.Recover(p, lsmCfg) },
+			Durability: faults.DurableToFlush,
 		},
 	}
 }
@@ -114,7 +105,7 @@ func RunChaos(cfg Config, plan faults.Plan) ChaosResult {
 	for i, sub := range subjects {
 		i, sub := i, sub
 		cells[i] = Cell{
-			Label: sub.name,
+			Label: sub.Name,
 			Run:   func(ccfg Config) { rows[i] = runChaosCell(ccfg, sub, plan) },
 		}
 	}
@@ -123,25 +114,21 @@ func RunChaos(cfg Config, plan faults.Plan) ChaosResult {
 	return res
 }
 
-func runChaosCell(cfg Config, sub chaosSubject, plan faults.Plan) ChaosRow {
-	row := ChaosRow{Method: sub.name, Durability: sub.durability}
-	salted := plan.Salted(sub.name)
+func runChaosCell(cfg Config, sub faults.Subject, plan faults.Plan) ChaosRow {
+	row := ChaosRow{Method: sub.Name, Durability: sub.Durability}
+	salted := plan.Salted(sub.Name)
 
-	row.Clean, _, _, _ = chaosProfile(cfg, sub, faults.Plan{}, 0, sub.name+"/clean")
+	row.Clean, _, _, _ = chaosProfile(cfg, sub, faults.Plan{}, 0, sub.Name+"/clean")
 	// The plan's crash point belongs to the crash trial below; the degraded
 	// phase strips it so the profile measures degradation under faults, not
 	// a latched device refusing every op after a mid-run crash.
 	degraded := salted
 	degraded.CrashAtWrite = 0
 	var st core.OpStats
-	row.Degraded, row.Faults, row.Pool, st = chaosProfile(cfg, sub, degraded, chaosRetryBudget, sub.name+"/degraded")
+	row.Degraded, row.Faults, row.Pool, st = chaosProfile(cfg, sub, degraded, chaosRetryBudget, sub.Name+"/degraded")
 	row.FailedOps = st.InsertFailures
 
-	row.Crash = faults.CheckCrash(faults.CheckConfig{Seed: salted.Seed, CrashAtWrite: plan.CrashAtWrite}, faults.Subject{
-		Open:       sub.build,
-		Reopen:     sub.reopen,
-		Durability: sub.durability,
-	})
+	row.Crash = faults.CheckCrash(faults.CheckConfig{Seed: salted.Seed, CrashAtWrite: plan.CrashAtWrite}, sub)
 	return row
 }
 
@@ -149,17 +136,17 @@ func runChaosCell(cfg Config, sub chaosSubject, plan faults.Plan) ChaosRow {
 // workload operations with the plan armed (inactive plan = clean baseline)
 // and returns the measured RUM point plus the fault and pool ledgers of the
 // degraded phase.
-func chaosProfile(cfg Config, sub chaosSubject, plan faults.Plan, retries int, label string) (rum.Point, faults.Stats, storage.PoolStats, core.OpStats) {
+func chaosProfile(cfg Config, sub faults.Subject, plan faults.Plan, retries int, label string) (rum.Point, faults.Stats, storage.PoolStats, core.OpStats) {
 	opt := cfg.Storage
 	opt.Faults = faults.Plan{} // armed below, after the preload
 	pool := methods.NewPool(opt, nil)
-	m, err := sub.build(pool)
+	m, err := sub.Open(pool)
 	if err != nil {
-		panic(fmt.Sprintf("chaos: build %s: %v", sub.name, err))
+		panic(fmt.Sprintf("chaos: build %s: %v", sub.Name, err))
 	}
 	am := core.Instrument(m)
 	cfg.observe(am, label)
-	gen := preload(cfg, am, workload.Balanced, "chaos: "+sub.name)
+	gen := preload(cfg, am, workload.Balanced, "chaos: "+sub.Name)
 
 	var injector *faults.Injector
 	if plan.Active() {

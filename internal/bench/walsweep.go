@@ -49,34 +49,24 @@ const (
 	walsweepTrials = 6
 )
 
-// walSubject is one loggable structure: how to build and recover it under a
-// given log config.
-type walSubject struct {
-	name   string
-	build  func(pool *storage.BufferPool, wcfg wal.Config) (*wal.Logged, error)
-	reopen func(pool *storage.BufferPool, wcfg wal.Config) (*wal.Logged, error)
-}
-
-func walSubjects() []walSubject {
+// walSubjects are the loggable structures under one log config, held to
+// DurableToCommit by the crash trials.
+func walSubjects(wcfg wal.Config) []faults.Subject {
 	lsmCfg := lsm.Config{MemtableRecords: 1024, SizeRatio: 10}
-	return []walSubject{
+	return []faults.Subject{
 		{
-			name: "btree",
-			build: func(p *storage.BufferPool, w wal.Config) (*wal.Logged, error) {
-				return wal.NewBTree(p, btree.Config{}, w)
+			Name: "btree",
+			Open: func(p *storage.BufferPool) (core.AccessMethod, error) { return wal.NewBTree(p, btree.Config{}, wcfg) },
+			Reopen: func(p *storage.BufferPool) (core.AccessMethod, error) {
+				return wal.RecoverBTree(p, btree.Config{}, wcfg)
 			},
-			reopen: func(p *storage.BufferPool, w wal.Config) (*wal.Logged, error) {
-				return wal.RecoverBTree(p, btree.Config{}, w)
-			},
+			Durability: faults.DurableToCommit,
 		},
 		{
-			name: "lsm",
-			build: func(p *storage.BufferPool, w wal.Config) (*wal.Logged, error) {
-				return wal.NewLSM(p, lsmCfg, w)
-			},
-			reopen: func(p *storage.BufferPool, w wal.Config) (*wal.Logged, error) {
-				return wal.RecoverLSM(p, lsmCfg, w)
-			},
+			Name:       "lsm",
+			Open:       func(p *storage.BufferPool) (core.AccessMethod, error) { return wal.NewLSM(p, lsmCfg, wcfg) },
+			Reopen:     func(p *storage.BufferPool) (core.AccessMethod, error) { return wal.RecoverLSM(p, lsmCfg, wcfg) },
+			Durability: faults.DurableToCommit,
 		},
 	}
 }
@@ -112,35 +102,34 @@ func RunWALSweep(cfg Config) WALSweepResult {
 	// is what makes the sync tax — one page write per commit — visible
 	// against the structure's own traffic. RAM's symmetric costs mute it.
 	cfg.Storage.Medium = storage.SSD
-	subjects := walSubjects()
-	rows := make([]WALRow, len(subjects)*len(walsweepBatches))
-	cells := make([]Cell, 0, len(rows))
-	for si, sub := range subjects {
-		for bi, batch := range walsweepBatches {
+	rows := make([]WALRow, 2*len(walsweepBatches))
+	cells := make([]Cell, len(rows))
+	for bi, batch := range walsweepBatches {
+		for si, sub := range walSubjects(wal.Config{CommitBatch: batch, CheckpointEvery: walsweepCheckpointEvery}) {
 			idx, sub, batch := si*len(walsweepBatches)+bi, sub, batch
-			cells = append(cells, Cell{
-				Label: fmt.Sprintf("%s/b=%d", sub.name, batch),
+			cells[idx] = Cell{
+				Label: fmt.Sprintf("%s/b=%d", sub.Name, batch),
 				Run:   func(ccfg Config) { rows[idx] = runWALCell(ccfg, sub, batch) },
-			})
+			}
 		}
 	}
 	cfg.runCells("walsweep", cells)
 	return WALSweepResult{Ops: cfg.Ops, Rows: rows}
 }
 
-func runWALCell(cfg Config, sub walSubject, batch int) WALRow {
-	wcfg := wal.Config{CommitBatch: batch, CheckpointEvery: walsweepCheckpointEvery}
-	row := WALRow{Method: sub.name, Batch: batch}
+func runWALCell(cfg Config, sub faults.Subject, batch int) WALRow {
+	row := WALRow{Method: sub.Name, Batch: batch}
 
 	pool := methods.NewPool(cfg.Storage, nil)
-	lg, err := sub.build(pool, wcfg)
+	m, err := sub.Open(pool)
 	if err != nil {
-		panic(fmt.Sprintf("walsweep: build %s: %v", sub.name, err))
+		panic(fmt.Sprintf("walsweep: build %s: %v", sub.Name, err))
 	}
+	lg := m.(*wal.Logged)
 	am := core.Instrument(lg)
-	cfg.observe(am, fmt.Sprintf("wal/%s/b=%d", sub.name, batch))
+	cfg.observe(am, fmt.Sprintf("wal/%s/b=%d", sub.Name, batch))
 	// The log taxes writes; measure where it hurts.
-	gen := preload(cfg, am, workload.WriteHeavy, "walsweep: "+sub.name)
+	gen := preload(cfg, am, workload.WriteHeavy, "walsweep: "+sub.Name)
 
 	start := am.Meter().Snapshot()
 	before := lg.Stats()
@@ -156,15 +145,7 @@ func runWALCell(cfg Config, sub walSubject, batch int) WALRow {
 	// Faulted phase: seeded crash trials against the DurableToCommit
 	// contract, on the checker's own small substrate.
 	for t := 0; t < walsweepTrials; t++ {
-		res := faults.CheckCrash(faults.CheckConfig{Seed: uint64(cfg.Seed) + uint64(t)}, faults.Subject{
-			Open: func(p *storage.BufferPool) (core.AccessMethod, error) {
-				return sub.build(p, wcfg)
-			},
-			Reopen: func(p *storage.BufferPool) (core.AccessMethod, error) {
-				return sub.reopen(p, wcfg)
-			},
-			Durability: faults.DurableToCommit,
-		})
+		res := faults.CheckCrash(faults.CheckConfig{Seed: uint64(cfg.Seed) + uint64(t)}, sub)
 		row.Trials++
 		switch res.Verdict {
 		case faults.Recovered:

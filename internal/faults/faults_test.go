@@ -237,11 +237,25 @@ func TestDurabilityVerdictStrings(t *testing.T) {
 	}
 }
 
+// TestCheckResultString: survival is printed only when a structure was
+// reopened and judged; no-recovery and failed-loudly lines have none to show.
 func TestCheckResultString(t *testing.T) {
-	r := CheckResult{Verdict: Recovered, CrashWrite: 87, Acked: 120, Checkpointed: 64, Survived: 64}
-	want := "recovered (crash@w87, acked 120, checkpointed 64, survived 64/120)"
-	if got := r.String(); got != want {
-		t.Fatalf("got %q want %q", got, want)
+	for _, tc := range []struct {
+		r    CheckResult
+		want string
+	}{
+		{CheckResult{Verdict: Recovered, CrashWrite: 87, Acked: 120, Keys: 64, Checkpointed: 100, Survived: 61},
+			"recovered (crash@w87, acked 120, checkpointed 100, survived 61/64)"},
+		{CheckResult{Verdict: Violated, CrashWrite: 87, Acked: 120, Keys: 64, Committed: 119, Checkpointed: 100, Survived: 60, Detail: "1 violations"},
+			"VIOLATED (crash@w87, acked 120, committed 119, checkpointed 100, survived 60/64): 1 violations"},
+		{CheckResult{Verdict: NoRecovery, CrashWrite: 102, Acked: 316, Keys: 170, Checkpointed: 300},
+			"no-recovery (crash@w102, acked 316, checkpointed 300)"},
+		{CheckResult{Verdict: FailedLoudly, CrashWrite: 42, Acked: 253, Keys: 140, Checkpointed: 200, Detail: "btree: no root"},
+			"failed-loudly (crash@w42, acked 253, checkpointed 200): btree: no root"},
+	} {
+		if got := tc.r.String(); got != tc.want {
+			t.Fatalf("got %q want %q", got, tc.want)
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 // them is future work (see ROADMAP.md).
 func TestCrashContractDeclaredLossy(t *testing.T) {
 	sub := faults.Subject{
+		Name: "pbt",
 		Open: func(pool *storage.BufferPool) (core.AccessMethod, error) {
 			return New(pool, Config{PartitionRecords: 64})
 		},
