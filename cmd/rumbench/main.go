@@ -205,8 +205,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		},
 		"mvcc": func(c bench.Config) (string, string) {
 			r := bench.RunMVCC(sized(c, 16384, 8000), bench.MVCCConfig{
-				Shards: *shards, Clients: *clients, Batch: *batch,
-				Mixes: mvccMixes, Stalenesses: mvccStaleness,
+				ServeConfig: bench.ServeConfig{Shards: *shards, Clients: *clients, Batch: *batch},
+				Mixes:       mvccMixes, Stalenesses: mvccStaleness,
 			})
 			return r.Render(), r.RenderTiming()
 		},

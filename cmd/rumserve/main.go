@@ -56,7 +56,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/methods"
 	"repro/internal/model"
@@ -95,7 +94,6 @@ type config struct {
 type daemon struct {
 	cfg  config
 	run  *bench.LiveRun
-	gens []clientStream // one per client; theirs until the run is stopped
 	ring *obs.Rolling
 	reg  *obs.Registry
 	// substrate is what the advisor prices on: every shard's pool together.
@@ -104,14 +102,6 @@ type daemon struct {
 	start               time.Time
 	stopCh, samplerDone chan struct{}
 	stopped             bool
-}
-
-// clientStream is a client's generator: bench.StreamGen, or under -mvcc
-// bench.StableReadGen, whose reads are exact off a snapshot of any staleness.
-type clientStream interface {
-	InitRecords(n int) []core.Record
-	Fill(reqs []serve.Request, want []serve.Result) (int, bench.StreamOp)
-	Live() int
 }
 
 const (
@@ -148,19 +138,18 @@ func newDaemon(cfg config) (*daemon, error) {
 	if cfg.workload {
 		lc.Workload = &serve.WorkloadConfig{WindowOps: cfg.workloadWindow}
 	}
-	var init []core.Record
-	sources := make([]bench.BatchSource, cfg.clients)
-	for c := range sources {
-		var g clientStream = bench.NewStreamGenDist(cfg.seed, c, cfg.mix, cfg.dist)
+	// Under -mvcc a client is the stable-read composition, whose reads are
+	// exact off a snapshot of any staleness.
+	streams := make([]bench.Stream, cfg.clients)
+	for c := range streams {
 		if cfg.mvcc {
-			g = bench.NewStableReadGen(cfg.seed, c, cfg.clients, cfg.mix, cfg.dist, 0)
+			streams[c] = bench.NewStableReadGen(cfg.seed, c, cfg.clients, cfg.mix, cfg.dist, 0)
+		} else {
+			streams[c] = bench.NewStreamGenDist(cfg.seed, c, cfg.mix, cfg.dist)
 		}
-		d.gens = append(d.gens, g)
-		init = append(init, g.InitRecords(cfg.n/cfg.clients)...)
-		sources[c] = g.Fill
 	}
 	var err error
-	if d.run, err = bench.StartLive(lc, bench.MergeRecords(init), sources, cfg.rate, d.stopCh); err != nil {
+	if d.run, err = bench.StartLive(lc, streams, cfg.n/cfg.clients, cfg.rate, d.stopCh); err != nil {
 		return nil, err
 	}
 
@@ -346,12 +335,7 @@ func (d *daemon) stop() (bench.ServeResult, error) {
 	d.stopped = true
 	close(d.stopCh)
 	<-d.samplerDone
-	d.run.Wait() // the generators are the clients' until they have exited
-	wantLen := 0
-	for _, g := range d.gens {
-		wantLen += g.Live()
-	}
-	row, final, err := d.run.Stop(wantLen)
+	row, final, err := d.run.Stop()
 	d.ring.Push(final)
 	return bench.ServeResult{
 		N: d.run.Preloaded, Ops: row.Requests,
@@ -368,7 +352,7 @@ func run(args []string, stdout, stderr io.Writer, testSignal <-chan struct{}) in
 	fs.SetOutput(stderr)
 	var cfg config
 	var mediumSpec, mixSpec, faultSpec, distSpec string
-	fs.StringVar(&cfg.method, "method", "btree", "access method to serve (any catalog name: btree, hash, lsm-level, skiplist, ...)")
+	fs.StringVar(&cfg.method, "method", "btree", "access method to serve (any catalog name but bitmap: btree, hash, lsm-level, skiplist, ...)")
 	fs.IntVar(&cfg.shards, "shards", 4, "keyspace shard count")
 	fs.IntVar(&cfg.clients, "clients", 4, "concurrent driver clients")
 	fs.IntVar(&cfg.batch, "batch", 64, "requests per client batch")
@@ -436,6 +420,8 @@ func run(args []string, stdout, stderr io.Writer, testSignal <-chan struct{}) in
 		return badFlag("-window must be a positive duration (got %v)", cfg.window)
 	case cfg.scrape <= 0:
 		return badFlag("-scrape must be a positive duration (got %v)", cfg.scrape)
+	case cfg.method == "bitmap":
+		return badFlag("-method bitmap cannot be served verified: it stores values modulo its cardinality of 16, so reads cannot return what the clients wrote")
 	case cfg.wal && cfg.mvcc:
 		return badFlag("-wal and -mvcc are mutually exclusive: the log owns the checkpoint machinery the snapshot read path would share")
 	}

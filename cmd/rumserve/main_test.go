@@ -272,6 +272,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"NaN zipf theta", []string{"-dist", "zipf:NaN"}, 2},
 		{"NaN mix", []string{"-mix", "get=NaN"}, 2},
 		{"bad workload window", []string{"-workload", "-workload-window", "0"}, 2},
+		{"bitmap cannot verify", []string{"-method", "bitmap"}, 2},
 		{"unknown method", []string{"-method", "no-such-method", "-addr", "127.0.0.1:0"}, 1},
 	}
 	for _, tc := range cases {
@@ -287,6 +288,11 @@ func TestRunFlagErrors(t *testing.T) {
 				t.Fatalf("rejection printed no usage:\n%s", errb.String())
 			}
 		})
+	}
+	// bitmap is in the catalog, so its rejection must say why it cannot verify.
+	var errb bytes.Buffer
+	if run([]string{"-method", "bitmap"}, &bytes.Buffer{}, &errb, nil); !strings.Contains(errb.String(), "modulo its cardinality") {
+		t.Errorf("-method bitmap rejected without its reason:\n%s", errb.String())
 	}
 }
 

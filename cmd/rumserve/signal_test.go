@@ -29,7 +29,8 @@ func TestDaemonChild(t *testing.T) {
 // channel, no signal) cannot see: the signal.Notify wiring. A real rumserve
 // process — this test binary re-executed — serves with the workload plane on
 // until a fingerprint window completes, takes a real SIGINT, and must exit 0
-// with the final report, its workload lines and the advisor's verdict.
+// with the final report — captioned as the live run's own amplification,
+// not a replay's — its workload lines and the advisor's verdict.
 func TestSignalShutdown(t *testing.T) {
 	cmd := exec.Command(os.Args[0], "-test.run=^TestDaemonChild$", "--",
 		"-method", "btree", "-shards", "2", "-clients", "2", "-batch", "16", "-n", "2048",
@@ -80,9 +81,12 @@ func TestSignalShutdown(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon ignored SIGINT")
 	}
-	for _, want := range []string{"btree", "\nworkload:", "\nadvisor:"} {
+	for _, want := range []string{"btree", "\nworkload:", "\nadvisor:", "RO/UO/MO are the live run's cumulative amplification"} {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("final report lacks %q:\n%s", want, stdout.String())
 		}
+	}
+	if strings.Contains(stdout.String(), "replay of the") {
+		t.Errorf("final report claims a replay the daemon never ran:\n%s", stdout.String())
 	}
 }

@@ -92,44 +92,19 @@ func runDrift(cfg Config) DriftResult {
 
 	cfg.smallPool()
 
-	// The schedule is one BatchSource that switches the generator's phase
-	// every phaseOps operations; StartLive's client does the rest, scans as
-	// barriers included.
-	g := NewStreamGen(cfg.Seed, 0, DriftPhases[0].Mix)
-	init := g.InitRecords(nInit)
-	phase, left := -1, 0
-	schedule := func(reqs []serve.Request, want []serve.Result) (int, StreamOp) {
-		if left == 0 {
-			if phase++; phase == len(DriftPhases) {
-				return 0, StreamOp{}
-			}
-			dist, err := ParseKeyDist(DriftPhases[phase].Dist)
-			if err != nil {
-				panic(fmt.Sprintf("drift: %v", err))
-			}
-			g.SetPhase(DriftPhases[phase].Mix, dist)
-			left = phaseOps
-		}
-		n, scan := g.Fill(reqs[:min(len(reqs), left)], want)
-		left -= n
-		if scan.Scan {
-			left--
-		}
-		return n, scan
-	}
+	// The schedule is one phased stream; StartLive's client does the rest,
+	// scans as barriers included.
 	run, err := StartLive(LiveConfig{
 		Method: driftMethod, Storage: cfg.Storage, Shards: 1, Batch: 64,
 		Workload: &serve.WorkloadConfig{
 			WindowOps: windowOps,
 			Keep:      totalOps/windowOps + 2, // retain every window of the run
 		},
-	}, init, []BatchSource{schedule}, 0, nil)
+	}, []Stream{&phased{bounded{NewStreamGen(cfg.Seed, 0, DriftPhases[0].Mix), 0}, -1, phaseOps}}, nInit, 0, nil)
 	if err != nil {
 		panic(fmt.Sprintf("drift: %v", err))
 	}
-	run.Wait() // the generator is the client's until it has exited
-	finalLen := g.Live()
-	row, final, err := run.Stop(finalLen)
+	live, final, err := run.Stop()
 	if err != nil {
 		panic(fmt.Sprintf("drift: %v", err))
 	}
@@ -151,8 +126,8 @@ func runDrift(cfg Config) DriftResult {
 	res := DriftResult{
 		N: nInit, Ops: totalOps, WindowOps: windowOps,
 		DriftEvents: w.DriftCount,
-		Verified:    row.Verified,
-		Mismatches:  row.Mismatches,
+		Verified:    live.Verified,
+		Mismatches:  live.Mismatches,
 	}
 	latched := map[uint64]bool{}
 	for _, ev := range w.Events {
@@ -167,7 +142,7 @@ func runDrift(cfg Config) DriftResult {
 			Window:  fp.Window,
 			Phase:   phaseOf(fp.Window),
 			Stats:   st,
-			Advice:  obs.Advise(fp, cfg.Storage.Model(finalLen), driftMethod),
+			Advice:  obs.Advise(fp, cfg.Storage.Model(live.FinalLen), driftMethod),
 			Latched: latched[fp.Window],
 		}
 		if i > 0 {
@@ -181,6 +156,29 @@ func runDrift(cfg Config) DriftResult {
 		res.Windows = append(res.Windows, row)
 	}
 	return res
+}
+
+// phased is the diurnal schedule as one client's stream: it switches its
+// generator to the next of DriftPhases every phaseOps operations and runs dry
+// after the last.
+type phased struct {
+	bounded
+	phase, phaseOps int
+}
+
+func (p *phased) Fill(reqs []serve.Request, want []serve.Result) (int, StreamOp) {
+	if p.left == 0 {
+		if p.phase++; p.phase >= len(DriftPhases) {
+			return 0, StreamOp{}
+		}
+		dist, err := ParseKeyDist(DriftPhases[p.phase].Dist)
+		if err != nil {
+			panic(fmt.Sprintf("drift: %v", err))
+		}
+		p.SetPhase(DriftPhases[p.phase].Mix, dist)
+		p.left = p.phaseOps
+	}
+	return p.bounded.Fill(reqs, want)
 }
 
 // Render prints the experiment: one row per fingerprint window, the drift

@@ -14,10 +14,11 @@ import (
 )
 
 // This file is the one live serving run of the repository: a method sharded
-// behind serve.Server, preloaded, and driven by verified closed-loop clients.
-// The serve experiment's serving cell runs it over pregenerated streams until
-// they run dry; cmd/rumserve runs it over StreamGen.Fill, samples it into a
-// telemetry ring while it serves, and stops it on a signal.
+// behind serve.Server, preloaded from its clients' streams, and driven by one
+// verified closed-loop client per stream. The serve, mvcc and drift
+// experiments run it until their bounded streams run dry; cmd/rumserve runs
+// it over open-ended ones, samples it into a telemetry ring while it serves,
+// and stops it on a signal.
 
 // LiveConfig sizes a live serving run.
 type LiveConfig struct {
@@ -42,12 +43,30 @@ type LiveConfig struct {
 	Trace serve.TraceConfig
 }
 
-// BatchSource fills reqs with a client's next point requests and want with
-// their exact expected outcomes, returning how many it filled and, when
+// Stream is one client's generator — StreamGen, StableReadGen, or a wrapper
+// that bounds or re-phases one — and the run's only source of the client's
+// preload and of its expected final record count. InitRecords draws the
+// preload. Fill fills reqs with the client's next point requests and want
+// with their exact expected outcomes, returning how many it filled and, when
 // barrier.Scan is set, a range scan to run once they have executed, with its
-// exact expected row count; returning neither ends the client. A source is
-// called from its client's goroutine only.
-type BatchSource func(reqs []serve.Request, want []serve.Result) (n int, barrier StreamOp)
+// exact expected row count; returning neither ends the client. Live is the
+// number of records the client leaves live. A live run calls Fill from the
+// client's goroutine only, and Live once the client has exited.
+type Stream interface {
+	InitRecords(n int) []core.Record
+	Fill(reqs []serve.Request, want []serve.Result) (n int, barrier StreamOp)
+	Live() int
+}
+
+// initRecords draws perClient records from every stream and merges them, sorted
+// by key as BulkLoad and Server.Preload require.
+func initRecords(streams []Stream, perClient int) []core.Record {
+	var init []core.Record
+	for _, s := range streams {
+		init = append(init, s.InitRecords(perClient)...)
+	}
+	return MergeRecords(init)
+}
 
 // liveClient is one driver's tallies. The latency histogram is mutex-guarded
 // so Sample can read it mid-run (one lock per batch, one per sample) and the
@@ -69,17 +88,18 @@ type LiveRun struct {
 	Preloaded int
 
 	cfg     LiveConfig
+	streams []Stream // the clients' until Wait returns
 	clients []*liveClient
 	wg      sync.WaitGroup
 	begin   time.Time
 }
 
-// StartLive builds the sharded server, preloads init (merged and sorted —
-// MergeRecords), and starts one verified closed-loop client per source. Each
-// client submits its source's batches and scans back to back — or, with a
+// StartLive builds the sharded server, preloads perClient records drawn from
+// each stream, and starts one verified closed-loop client per stream. Each
+// client submits its stream's batches and scans back to back — or, with a
 // positive rate, paced so the clients together submit rate requests per
-// second — until the source runs dry or stop closes (a nil stop never does).
-func StartLive(cfg LiveConfig, init []core.Record, sources []BatchSource, rate float64, stop <-chan struct{}) (*LiveRun, error) {
+// second — until the stream runs dry or stop closes (a nil stop never does).
+func StartLive(cfg LiveConfig, streams []Stream, perClient int, rate float64, stop <-chan struct{}) (*LiveRun, error) {
 	if _, err := methods.Lookup(cfg.Storage, cfg.Method); err != nil {
 		return nil, err
 	}
@@ -114,6 +134,7 @@ func StartLive(cfg LiveConfig, init []core.Record, sources []BatchSource, rate f
 	if err != nil {
 		return nil, err
 	}
+	init := initRecords(streams, perClient)
 	err = srv.Preload(init)
 	if err == nil && cfg.Staleness > 0 {
 		// Flush publishes. A bulk load counts toward the publish cadence like
@@ -127,16 +148,16 @@ func StartLive(cfg LiveConfig, init []core.Record, sources []BatchSource, rate f
 	}
 	var pace time.Duration // between one client's requests; 0 = unthrottled
 	if rate > 0 {
-		pace = time.Duration(float64(len(sources)) / rate * float64(time.Second))
+		pace = time.Duration(float64(len(streams)) / rate * float64(time.Second))
 	}
-	r := &LiveRun{Server: srv, Preloaded: len(init), cfg: cfg, begin: time.Now()}
-	for _, next := range sources {
+	r := &LiveRun{Server: srv, Preloaded: len(init), cfg: cfg, streams: streams, begin: time.Now()}
+	for _, s := range streams {
 		c := &liveClient{latency: obs.NewLatencyHistogram()}
 		r.clients = append(r.clients, c)
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
-			r.drive(c, next, pace, stop)
+			r.drive(c, s, pace, stop)
 		}()
 	}
 	return r, nil
@@ -145,7 +166,7 @@ func StartLive(cfg LiveConfig, init []core.Record, sources []BatchSource, rate f
 // drive is the one verified client loop: pull a batch, submit it, compare
 // every outcome against its generation-time prediction, run the scan the
 // batch was cut at and compare its row count, pace.
-func (r *LiveRun) drive(c *liveClient, next BatchSource, pace time.Duration, stop <-chan struct{}) {
+func (r *LiveRun) drive(c *liveClient, s Stream, pace time.Duration, stop <-chan struct{}) {
 	reqs := make([]serve.Request, r.cfg.Batch)
 	want := make([]serve.Result, r.cfg.Batch)
 	res := make([]serve.Result, r.cfg.Batch)
@@ -162,7 +183,7 @@ func (r *LiveRun) drive(c *liveClient, next BatchSource, pace time.Duration, sto
 			return
 		default:
 		}
-		n, scan := next(reqs, want)
+		n, scan := s.Fill(reqs, want)
 		if n == 0 && !scan.Scan {
 			return
 		}
@@ -213,8 +234,8 @@ func (r *LiveRun) drive(c *liveClient, next BatchSource, pace time.Duration, sto
 	}
 }
 
-// Wait blocks until every client has exited (source dry or stop closed);
-// after it the sources' state is the caller's to read again.
+// Wait blocks until every client has exited (stream dry or stop closed);
+// after it the streams' state is the caller's to read again.
 func (r *LiveRun) Wait() { r.wg.Wait() }
 
 // Mismatches returns the outcomes that have diverged from their prediction
@@ -267,13 +288,17 @@ func (r *LiveRun) point(reports []serve.ShardReport) *obs.WindowPoint {
 // Stop waits for the clients (callers with a stop channel close it first),
 // flushes and stops the server, and reduces the run to its ServeRow and the
 // final point the row was read from. The row is Verified when every outcome
-// matched its prediction, the server ran clean, the shards hold exactly
-// wantLen records (what the sources' models predict), and the merged shard
+// matched its prediction, the server ran clean, the shards hold exactly the
+// records the streams' models leave live (FinalLen), and the merged shard
 // meters conserve the logical write count exactly. Its Clean point is the
 // live run's cumulative amplification; a caller with a clean replay
 // overwrites it.
-func (r *LiveRun) Stop(wantLen int) (ServeRow, *obs.WindowPoint, error) {
+func (r *LiveRun) Stop() (ServeRow, *obs.WindowPoint, error) {
 	r.Wait()
+	wantLen := 0
+	for _, s := range r.streams {
+		wantLen += s.Live()
+	}
 	flushErr := r.Server.Flush()
 	elapsed := time.Since(r.begin)
 	reports, err := r.Server.Stop()

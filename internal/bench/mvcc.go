@@ -5,10 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/methods"
 	"repro/internal/rum"
-	"repro/internal/serve"
 )
 
 // The mvcc experiment measures what snapshot isolation buys and costs under
@@ -35,11 +32,8 @@ var mvccMethods = []string{"btree", "lsm-level"}
 
 // MVCCConfig sizes the mvcc experiment.
 type MVCCConfig struct {
-	// Shards and Clients mirror ServeConfig (defaults 4 and 8).
-	Shards  int
-	Clients int
-	// Batch is the requests per Do call (default 64).
-	Batch int
+	// ServeConfig sizes the live runs: shards, clients, batch.
+	ServeConfig
 	// Versions is the retention window of every structure (default 3).
 	Versions int
 	// Stalenesses are the publish cadences to sweep, in writes between
@@ -50,15 +44,7 @@ type MVCCConfig struct {
 }
 
 func (c *MVCCConfig) defaults() error {
-	if c.Shards <= 0 {
-		c.Shards = 4
-	}
-	if c.Clients <= 0 {
-		c.Clients = 8
-	}
-	if c.Batch <= 0 {
-		c.Batch = 64
-	}
+	c.ServeConfig.defaults()
 	if c.Versions <= 0 {
 		c.Versions = 3
 	}
@@ -115,16 +101,14 @@ type mvccCell struct {
 }
 
 // streams builds the cell's client generators, each bounded to its share of
-// the op budget, and their merged preload. Every run of the cell — the
-// replay, the baseline, the snapshot run — builds its own from the same seed.
-func (c mvccCell) streams(cfg Config) ([]*StableReadGen, []core.Record) {
-	gens := make([]*StableReadGen, c.mcfg.Clients)
-	var init []core.Record
-	for i := range gens {
-		gens[i] = NewStableReadGen(cfg.Seed, i, len(gens), serveMixPresets[c.mix], UniformDist(), cfg.Ops/len(gens))
-		init = append(init, gens[i].InitRecords(cfg.N/len(gens))...)
+// the op budget. Every run of the cell — the replay, the baseline, the
+// snapshot run — builds its own from the same seed.
+func (c mvccCell) streams(cfg Config) []Stream {
+	streams := make([]Stream, c.mcfg.Clients)
+	for i := range streams {
+		streams[i] = NewStableReadGen(cfg.Seed, i, len(streams), serveMixPresets[c.mix], UniformDist(), cfg.Ops/len(streams))
 	}
-	return gens, MergeRecords(init)
+	return streams
 }
 
 // RunMVCC profiles the MVCC read path across snapshot lifetime × read/write
@@ -158,7 +142,10 @@ func RunMVCC(cfg Config, mcfg MVCCConfig) MVCCResult {
 		cell := mvccCell{method: row.Method, mix: row.Mix, k: row.Staleness, mcfg: mcfg}
 		label := fmt.Sprintf("%s/%s/k=%d", row.Method, row.Mix, row.Staleness)
 		cells = append(cells,
-			Cell{Label: label + "/clean", Run: func(ccfg Config) { cell.replay(ccfg, row) }},
+			Cell{Label: label + "/clean", Run: func(ccfg Config) {
+				row.Clean, row.Reads, row.Retained = replay(ccfg, cell.method, fmt.Sprintf("mvcc:%s/k=%d/clean", cell.method, cell.k),
+					cell.streams(ccfg), ccfg.N/mcfg.Clients, cell.k)
+			}},
 			Cell{Label: label + "/serve", Run: func(ccfg Config) { cell.serve(ccfg, row) }})
 	}
 	cfg.runCells("mvcc", cells)
@@ -166,87 +153,18 @@ func RunMVCC(cfg Config, mcfg MVCCConfig) MVCCResult {
 	return res
 }
 
-// replay is the deterministic cell: one structure, clients applied
-// sequentially in per-op order (Fill at batch 1), reads through an acquired
-// snapshot, republished every k writes — the same cadence the serving layer
-// uses, counted in writes instead of messages so it cannot depend on batching
-// or scheduling.
-func (c mvccCell) replay(cfg Config, row *MVCCRow) {
-	publish := func(am *core.Instrumented) core.Snapshot {
-		if err := am.Publish(); err != nil {
-			panic(fmt.Sprintf("mvcc: %s: publish: %v", c.method, err))
-		}
-		return am.Acquire()
-	}
-	gens, init := c.streams(cfg)
-	spec, err := methods.Lookup(cfg.Storage, c.method)
-	if err != nil {
-		panic(fmt.Sprintf("mvcc: %v", err))
-	}
-	am := spec.New()
-	cfg.observe(am, fmt.Sprintf("mvcc:%s/k=%d/clean", c.method, c.k))
-	if err := am.BulkLoad(init); err != nil {
-		panic(fmt.Sprintf("mvcc: %s: preload: %v", c.method, err))
-	}
-	am.Flush()
-	snap := publish(am)
-	start := am.Meter().Snapshot()
-	var readMeter rum.Meter
-	writesSince, wantLive := 0, 0
-	req, want := make([]serve.Request, 1), make([]serve.Result, 1)
-	for _, g := range gens {
-		for n, _ := g.Fill(req, want); n > 0; n, _ = g.Fill(req, want) { // the presets carry no scans
-			var got serve.Result
-			if req[0].Op == serve.OpGet {
-				row.Reads++
-				got.Value, got.OK = snap.Get(req[0].Key, &readMeter)
-			} else {
-				got = serve.Exec(am, req[0])
-				if writesSince++; writesSince >= c.k {
-					snap.Release()
-					snap = publish(am)
-					writesSince = 0
-				}
-			}
-			if got != want[0] {
-				panic(fmt.Sprintf("mvcc: %s: clean replay diverged on %+v: got %+v, want %+v", c.method, req[0], got, want[0]))
-			}
-		}
-		wantLive += g.Live()
-	}
-	snap.Release()
-	am.Flush()
-	total := am.Meter().Diff(start)
-	total.Add(readMeter)
-	row.Clean = rum.PointOf(total, am.Size())
-	row.Retained = am.SnapshotStats().RetainedBytes
-	if got := am.Len(); got != wantLive {
-		panic(fmt.Sprintf("mvcc: %s: replay left %d records, streams predict %d", c.method, got, wantLive))
-	}
-}
-
 // serve times the live phase twice over identical streams (StartLive):
 // single-owner baseline (Staleness 0, reads in the mailbox), then the MVCC
 // read path republishing every k writes.
 func (c mvccCell) serve(cfg Config, row *MVCCRow) {
 	live := func(staleness int) (ServeRow, uint64) {
-		gens, init := c.streams(cfg)
-		sources := make([]BatchSource, len(gens))
-		for i, g := range gens {
-			sources[i] = g.Fill
-		}
 		run, err := StartLive(LiveConfig{
 			Method: c.method, Storage: cfg.Storage, Shards: c.mcfg.Shards, Batch: c.mcfg.Batch, Staleness: staleness,
-		}, init, sources, 0, nil)
+		}, c.streams(cfg), cfg.N/c.mcfg.Clients, 0, nil)
 		if err != nil {
 			panic(fmt.Sprintf("mvcc: %s: %v", c.method, err))
 		}
-		run.Wait() // the generators are the clients' until they have exited
-		wantLen := 0
-		for _, g := range gens {
-			wantLen += g.Live()
-		}
-		srow, final, _ := run.Stop(wantLen) // a serving failure is the row's ServeErr
+		srow, final, _ := run.Stop() // a serving failure is the row's ServeErr
 		return srow, final.SnapReads
 	}
 	base, _ := live(0)

@@ -34,7 +34,7 @@ func TestParseServeMixPresets(t *testing.T) {
 }
 
 func quickMVCCCfg() MVCCConfig {
-	return MVCCConfig{Clients: 4, Stalenesses: []int{1, 64}, Mixes: []string{"read90"}}
+	return MVCCConfig{ServeConfig: ServeConfig{Clients: 4}, Stalenesses: []int{1, 64}, Mixes: []string{"read90"}}
 }
 
 // The stdout contract, mirroring the serve experiment: every Render column
@@ -82,7 +82,7 @@ func TestMVCCRenderDeterministic(t *testing.T) {
 // are stable-read by construction, so outcomes verify at any staleness.
 func TestMVCCStalenessSweepStaysVerified(t *testing.T) {
 	cfg := Config{Seed: 7, N: 1024, Ops: 600}
-	r := RunMVCC(cfg, MVCCConfig{Clients: 2, Shards: 2, Batch: 8,
+	r := RunMVCC(cfg, MVCCConfig{ServeConfig: ServeConfig{Clients: 2, Shards: 2, Batch: 8},
 		Stalenesses: []int{1, 7, 1000}, Mixes: []string{"read50", "read100"}})
 	for _, row := range r.Rows {
 		if !row.Verified {

@@ -60,17 +60,6 @@ func (c *ServeConfig) defaults() {
 	}
 }
 
-// serveStream is one client's pregenerated, conflict-free request stream:
-// the records it preloads, the requests it will submit, and — because the
-// keyspace is private and order is preserved — the exact expected outcome of
-// every request.
-type serveStream struct {
-	init     []core.Record
-	ops      []serve.Request
-	want     []serve.Result
-	finalLen int // records this client leaves live at the end
-}
-
 // serveStreamSalt separates the serve experiment's PCG streams from every
 // other consumer of the seed (the convention internal/faults established).
 const serveStreamSalt = 0x5e7e
@@ -85,36 +74,17 @@ const (
 	serveGetMiss    = 0.10 // fraction of gets that target an absent key
 )
 
-// makeServeStreams generates one conflict-free stream per client: client c
-// draws from its own PCG stream and owns the keys tagged c+1 in the high
-// bits, so no two clients ever touch the same key and every outcome is
-// decided by the client's own program order. The per-op generation lives in
-// the exported StreamGen (workload.go), which cmd/rumserve drives
-// open-endedly; this wrapper pregenerates a fixed-length slice of it.
-func makeServeStreams(seed int64, n, ops, clients int) []serveStream {
-	streams := make([]serveStream, clients)
+// serveStreams builds the experiment's client streams from the seed, each
+// ending after ops requests: client c draws from its own PCG stream and owns
+// the keys tagged c+1 in the high bits (StreamGen), so no two clients ever
+// touch the same key and every outcome is decided by the client's own
+// program order. Every cell builds its own.
+func serveStreams(seed int64, clients, ops int) []Stream {
+	streams := make([]Stream, clients)
 	for c := range streams {
-		g := NewStreamGen(seed, c, DefaultServeMix())
-		st := serveStream{init: g.InitRecords(n / clients)}
-		st.ops = make([]serve.Request, ops/clients)
-		st.want = make([]serve.Result, ops/clients)
-		g.Fill(st.ops, st.want) // the default mix carries no scan to stop at
-		st.finalLen = g.Live()
-		streams[c] = st
+		streams[c] = &bounded{NewStreamGen(seed, c, DefaultServeMix()), ops}
 	}
 	return streams
-}
-
-// source returns the stream as a live run's BatchSource: the pregenerated
-// requests and predictions, handed out a batch at a time until exhausted.
-func (st *serveStream) source() BatchSource {
-	off := 0
-	return func(reqs []serve.Request, want []serve.Result) (int, StreamOp) {
-		n := copy(reqs, st.ops[off:])
-		copy(want, st.want[off:off+n])
-		off += n
-		return n, StreamOp{}
-	}
 }
 
 // ServeRow is one method's measurements.
@@ -148,26 +118,23 @@ type ServeResult struct {
 	N, Ops, Clients int
 	Shards, Batch   int
 	Rows            []ServeRow
+	// Replayed is set when the rows' Clean points come from a clean replay;
+	// otherwise they are the live run's cumulative amplification.
+	Replayed bool
 }
 
-// RunServe profiles every serving subject twice over identical pregenerated
-// client streams: a deterministic single-instance replay for the clean RUM
-// point, and a live run behind the sharded serving layer for throughput and
+// RunServe profiles every serving subject twice over identical client
+// streams: a deterministic single-instance replay for the clean RUM point,
+// and a live run behind the sharded serving layer for throughput and
 // latency, with every live outcome verified against its prediction.
 func RunServe(cfg Config, scfg ServeConfig) ServeResult {
 	cfg.Defaults()
 	scfg.defaults()
 	cfg.smallPool()
-	streams := makeServeStreams(cfg.Seed, cfg.N, cfg.Ops, scfg.Clients)
-	var allInit []core.Record
-	for _, st := range streams {
-		allInit = append(allInit, st.init...)
-	}
-	allInit = MergeRecords(allInit)
-
-	res := ServeResult{N: len(allInit), Clients: scfg.Clients, Shards: scfg.Shards, Batch: scfg.Batch}
-	for _, st := range streams {
-		res.Ops += len(st.ops)
+	perClient, ops := cfg.N/scfg.Clients, cfg.Ops/scfg.Clients
+	res := ServeResult{
+		N: perClient * scfg.Clients, Ops: ops * scfg.Clients,
+		Clients: scfg.Clients, Shards: scfg.Shards, Batch: scfg.Batch, Replayed: true,
 	}
 	// A method's two cells run concurrently, so each writes its own slot: the
 	// serving cell the row, the replay the row's clean point, joined after.
@@ -179,13 +146,13 @@ func RunServe(cfg Config, scfg ServeConfig) ServeResult {
 		cells = append(cells, Cell{
 			Label: name + "/clean",
 			Run: func(ccfg Config) {
-				clean[i] = runServeClean(ccfg, name, streams, allInit)
+				clean[i], _, _ = replay(ccfg, name, name+"/clean", serveStreams(ccfg.Seed, scfg.Clients, ops), perClient, 0)
 			},
 		})
 		cells = append(cells, Cell{
 			Label: name + "/serve",
 			Run: func(ccfg Config) {
-				rows[i] = runServeServing(ccfg, scfg, name, streams, allInit)
+				rows[i] = runServeServing(ccfg, scfg, name, perClient, ops)
 			},
 		})
 	}
@@ -197,68 +164,97 @@ func RunServe(cfg Config, scfg ServeConfig) ServeResult {
 	return res
 }
 
-// runServeClean replays every client's stream, in client order, against one
-// instance of the method — the canonical sequential execution — and returns
-// the measured RUM point: the experiment's deterministic truth, which cannot
+// replay applies every client's stream, in client order and per-op order
+// (Fill at batch 1), to one instance of method, preloaded with perClient
+// records per stream — the canonical sequential execution — and returns the
+// measured RUM point: the experiment's deterministic truth, which cannot
 // depend on shards, clients, batches, or scheduling because none of those
-// exist here. The replay panics unless every outcome and the final record
-// count match the streams' predictions, so the request, hit, and record
-// counts the live run tallies are held to the same predictions.
-func runServeClean(cfg Config, name string, streams []serveStream, allInit []core.Record) rum.Point {
-	spec, err := methods.Lookup(cfg.Storage, name)
+// exist here. With publishEvery 0 every request goes through serve.Exec;
+// with a positive publishEvery the structure publishes a snapshot every
+// publishEvery writes — the serving layer's cadence, counted in writes so it
+// cannot depend on batching — and gets read the newest one, their meters
+// added to the point. It also returns the gets replayed and the version
+// retention left at the end. The replay panics unless every outcome and the
+// final record count match the streams' predictions, so the counts a live
+// run tallies are held to the same predictions. The streams carry no scans.
+func replay(cfg Config, method, label string, streams []Stream, perClient, publishEvery int) (clean rum.Point, reads int, retained uint64) {
+	spec, err := methods.Lookup(cfg.Storage, method)
 	if err != nil {
-		panic(fmt.Sprintf("serve: %s: %v", name, err))
+		panic(fmt.Sprintf("%s: %v", label, err))
 	}
 	am := spec.New()
-	cfg.observe(am, name+"/clean")
-	if err := am.BulkLoad(allInit); err != nil {
-		panic(fmt.Sprintf("serve: %s: preload: %v", name, err))
+	cfg.observe(am, label)
+	if err := am.BulkLoad(initRecords(streams, perClient)); err != nil {
+		panic(fmt.Sprintf("%s: preload: %v", label, err))
 	}
 	am.Flush()
+	var snap core.Snapshot
+	publish := func() {
+		if snap != nil {
+			snap.Release()
+		}
+		if err := am.Publish(); err != nil {
+			panic(fmt.Sprintf("%s: publish: %v", label, err))
+		}
+		snap = am.Acquire()
+	}
+	if publishEvery > 0 {
+		publish()
+	}
 	start := am.Meter().Snapshot()
-	finalLen := 0
-	for _, st := range streams {
-		for i := range st.ops {
-			req, want := st.ops[i], st.want[i]
-			got := serve.Exec(am, req)
-			if got != want {
-				panic(fmt.Sprintf("serve: %s: clean replay diverged on %+v: got %+v, want %+v", name, req, got, want))
+	var readMeter rum.Meter
+	writes, wantLen := 0, 0
+	req, want := make([]serve.Request, 1), make([]serve.Result, 1)
+	for _, s := range streams {
+		for n, _ := s.Fill(req, want); n > 0; n, _ = s.Fill(req, want) {
+			var got serve.Result
+			if req[0].Op == serve.OpGet && snap != nil {
+				got.Value, got.OK = snap.Get(req[0].Key, &readMeter)
+			} else {
+				got = serve.Exec(am, req[0])
+			}
+			if req[0].Op == serve.OpGet {
+				reads++
+			} else if writes++; snap != nil && writes%publishEvery == 0 {
+				publish()
+			}
+			if got != want[0] {
+				panic(fmt.Sprintf("%s: replay diverged on %+v: got %+v, want %+v", label, req[0], got, want[0]))
 			}
 		}
-		finalLen += st.finalLen
+		wantLen += s.Live()
+	}
+	if snap != nil {
+		snap.Release()
 	}
 	am.Flush()
-	if got := am.Len(); got != finalLen {
-		panic(fmt.Sprintf("serve: %s: clean replay left %d records, streams predict %d", name, got, finalLen))
+	if got := am.Len(); got != wantLen {
+		panic(fmt.Sprintf("%s: replay left %d records, streams predict %d", label, got, wantLen))
 	}
-	return rum.PointOf(am.Meter().Diff(start), am.Size())
+	total := am.Meter().Diff(start)
+	total.Add(readMeter)
+	return rum.PointOf(total, am.Size()), reads, am.SnapshotStats().RetainedBytes
 }
 
 // runServeServing runs the live phase: the method sharded scfg.Shards ways
 // behind serve.Server, scfg.Clients concurrent clients submitting their
 // streams in scfg.Batch-sized Do calls (StartLive). Outcomes are compared
-// against the pregenerated predictions; the row's wall-clock half goes to
-// the stderr report.
-func runServeServing(cfg Config, scfg ServeConfig, name string, streams []serveStream, allInit []core.Record) ServeRow {
+// against the streams' predictions; the row's wall-clock half goes to the
+// stderr report.
+func runServeServing(cfg Config, scfg ServeConfig, name string, perClient, ops int) ServeRow {
 	// The serving run never reaches the experiment's observer (StartLive
 	// hooks each shard's stack to a private recorder): its physical traffic
 	// is scheduling-dependent, which must never leak into the deterministic
 	// trace/timeseries/metrics artifacts. The clean replay cell carries those.
 	sopt := cfg.Storage
 	sopt.Faults = faults.Plan{}
-	sources := make([]BatchSource, len(streams))
-	wantLen := 0
-	for c := range streams {
-		sources[c] = streams[c].source()
-		wantLen += streams[c].finalLen
-	}
 	run, err := StartLive(LiveConfig{
 		Method: name, Storage: sopt, Shards: scfg.Shards, Batch: scfg.Batch,
-	}, allInit, sources, 0, nil)
+	}, serveStreams(cfg.Seed, scfg.Clients, ops), perClient, 0, nil)
 	if err != nil {
 		panic(fmt.Sprintf("serve: %s: %v", name, err))
 	}
-	row, _, _ := run.Stop(wantLen) // a serving failure is the row's ServeErr
+	row, _, _ := run.Stop() // a serving failure is the row's ServeErr
 	return row
 }
 
@@ -289,7 +285,12 @@ func (r ServeResult) Render() string {
 		})
 	}
 	b.WriteString(table([]string{"method", "RO", "UO", "MO", "requests", "hits", "final", "served"}, rows))
-	b.WriteString("\nRO/UO/MO are measured by a deterministic single-instance replay of the\nidentical request streams: amplification is a per-operation property of the\naccess method, so sharding scales throughput without moving the RUM point.\n\"served ok\" means every live outcome matched its precomputed prediction and\nthe merged per-shard meters conserved the logical byte count exactly.\nThroughput and latency are wall-clock facts; they print to stderr.\n")
+	if r.Replayed {
+		b.WriteString("\nRO/UO/MO are measured by a deterministic single-instance replay of the\nidentical request streams: amplification is a per-operation property of the\naccess method, so sharding scales throughput without moving the RUM point.\n")
+	} else {
+		b.WriteString("\nRO/UO/MO are the live run's cumulative amplification, read off the merged\nper-shard meters; no replay ran.\n")
+	}
+	b.WriteString("\"served ok\" means every live outcome matched its precomputed prediction and\nthe merged per-shard meters conserved the logical byte count exactly.\nThroughput and latency are wall-clock facts; they print to stderr.\n")
 	return b.String()
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/serve"
 )
 
 func quickServeCfg() Config {
@@ -41,15 +42,19 @@ func TestServeRenderDeterministicAcrossShards(t *testing.T) {
 // Client streams must be conflict-free (disjoint key namespaces) and
 // reproducible from the seed alone.
 func TestServeStreamsConflictFreeAndReproducible(t *testing.T) {
-	s1 := makeServeStreams(7, 1024, 2000, 4)
-	s2 := makeServeStreams(7, 1024, 2000, 4)
+	s1, s2 := serveStreams(7, 4, 500), serveStreams(7, 4, 500)
 	owner := make(map[core.Key]int)
-	for c, st := range s1 {
-		if len(st.ops) != len(s2[c].ops) || len(st.init) != len(s2[c].init) {
+	for c := range s1 {
+		init, ops, want := drain(s1[c], 256)
+		init2, ops2, want2 := drain(s2[c], 256)
+		if len(ops) != len(ops2) || len(init) != len(init2) {
 			t.Fatalf("client %d: streams not reproducible", c)
 		}
-		for i := range st.ops {
-			if st.ops[i] != s2[c].ops[i] || st.want[i] != s2[c].want[i] {
+		if len(ops) != 500 {
+			t.Fatalf("client %d: stream ran dry after %d requests, want 500", c, len(ops))
+		}
+		for i := range ops {
+			if ops[i] != ops2[i] || want[i] != want2[i] {
 				t.Fatalf("client %d op %d: streams not reproducible", c, i)
 			}
 		}
@@ -59,13 +64,24 @@ func TestServeStreamsConflictFreeAndReproducible(t *testing.T) {
 			}
 			owner[k] = c
 		}
-		for _, r := range st.init {
+		for _, r := range init {
 			touch(r.Key)
 		}
-		for _, op := range st.ops {
+		for _, op := range ops {
 			touch(op.Key)
 		}
 	}
+}
+
+// drain draws a scan-free stream's preload and every request it hands out,
+// with their predictions.
+func drain(s Stream, perClient int) (init []core.Record, ops []serve.Request, want []serve.Result) {
+	init = s.InitRecords(perClient)
+	reqs, w := make([]serve.Request, 16), make([]serve.Result, 16)
+	for n, _ := s.Fill(reqs, w); n > 0; n, _ = s.Fill(reqs, w) {
+		ops, want = append(ops, reqs[:n]...), append(want, w[:n]...)
+	}
+	return init, ops, want
 }
 
 // The timing half must stay out of stdout; sanity-check it renders and is

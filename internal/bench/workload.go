@@ -15,12 +15,11 @@ import (
 
 // This file is the serve experiment's workload generator, exported: the
 // same deterministic, conflict-free client streams that drive the batch
-// experiment (RunServe) also drive the live daemon (cmd/rumserve), which
-// needs an open-ended generator rather than a pregenerated slice. Each
-// client owns a namespaced key range and draws from its own PCG stream, so
-// every request's outcome is computable at generation time — the live
-// serving layer is verified against predictions on every batch, exactly
-// like the experiment.
+// experiment (RunServe), bounded, also drive the live daemon (cmd/rumserve)
+// open-ended. Each client owns a namespaced key range and draws from its own
+// PCG stream, so every request's outcome is computable at generation time —
+// the live serving layer is verified against predictions on every batch,
+// exactly like the experiment.
 
 // ServeMix is the operation mix of a generated client stream. Get, Insert,
 // Update, Delete, and Scan are fractions of all requests (summing to ~1);
@@ -339,8 +338,7 @@ func (g *StreamGen) Next() (serve.Request, serve.Result) {
 // are full or the next operation is a range scan. It returns how many point
 // requests it filled and, when it stopped at one, the scan as the batch's
 // barrier (Scan set): a scan's row count is exact only once everything
-// generated before it has executed. This is the open-ended BatchSource the
-// live daemon's clients pull from.
+// generated before it has executed. It never runs dry: bounded ends it.
 func (g *StreamGen) Fill(reqs []serve.Request, want []serve.Result) (int, StreamOp) {
 	for i := range reqs {
 		op := g.NextOp()
@@ -350,6 +348,22 @@ func (g *StreamGen) Fill(reqs []serve.Request, want []serve.Result) (int, Stream
 		reqs[i], want[i] = op.Req, op.Want
 	}
 	return len(reqs), StreamOp{}
+}
+
+// bounded is a StreamGen that runs dry after left operations, scans
+// included: the serve and drift experiments' client stream.
+type bounded struct {
+	*StreamGen
+	left int
+}
+
+func (b *bounded) Fill(reqs []serve.Request, want []serve.Result) (int, StreamOp) {
+	n, scan := b.StreamGen.Fill(reqs[:min(len(reqs), b.left)], want)
+	b.left -= n
+	if scan.Scan {
+		b.left--
+	}
+	return n, scan
 }
 
 // SetPhase switches the stream's mix and key distribution in place, keeping
@@ -496,7 +510,7 @@ func (g *StableReadGen) InitRecords(n int) []core.Record { return g.reader.InitR
 // Live returns the records the stream leaves live across both namespaces.
 func (g *StableReadGen) Live() int { return g.reader.Live() + g.writer.Live() }
 
-// Fill is the composition's BatchSource: the next pure batch, cut short (like
+// Fill hands out the composition's next pure batch, cut short (like
 // StreamGen.Fill) at a reader scan. With one-element buffers it hands out the
 // per-op stream itself.
 func (g *StableReadGen) Fill(reqs []serve.Request, want []serve.Result) (int, StreamOp) {
