@@ -39,15 +39,21 @@ race:
 ## frames or drive the ones that do: btree, hashindex, methods, serve — and
 ## pbt, whose properties drive btree partitions through bulk load, merge and
 ## Drop, and faults, where torn writes and crash points meet the
-## frame-ownership assertions. -short trims two packages (nothing else reads
-## it): in internal/serve the snapshot stress test runs 4 write generations
-## instead of 30 and the mailbox back-off test, a scheduler bound, is left to
-## `race` — 77 s of asserted page accesses down to 6; in internal/faults the
-## crash-contract table runs 8 seeds per row instead of 100 (about 35 s).
+## frame-ownership assertions. Last, internal/bench's generated serving
+## cases: catalog rows drawn across media, pools, WAL and MVCC, served
+## through the shards under the same assertions. -short trims four packages
+## (nothing else reads it): in internal/serve the snapshot stress test runs 4
+## write generations instead of 30 and the mailbox back-off test, a scheduler
+## bound, is left to `race` — 77 s of asserted page accesses down to 6; in
+## internal/faults the crash-contract table runs 8 seeds per row instead of
+## 100 (about 35 s), and in internal/methods the catalog's own crash
+## contracts 4 instead of 20 (about 15 s, 66 s untrimmed); in internal/bench
+## 16 serving cases are drawn instead of 64 (about 3 s).
 racecheck:
 	$(GO) build -tags racecheck ./...
 	$(GO) test -short -tags racecheck ./internal/storage/ ./internal/lsm/ ./internal/lsm/plan/ ./internal/wal/ \
 		./internal/btree/ ./internal/hashindex/ ./internal/methods/ ./internal/serve/ ./internal/pbt/ ./internal/faults/
+	$(GO) test -short -tags racecheck ./internal/bench -run '^TestGeneratedServeCases$$'
 
 ## benchmarks: vet and test the nested repro/benchmarks module (rumperf,
 ## benchdiff). `./...` at the root never compiles it, so without this a

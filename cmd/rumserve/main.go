@@ -52,6 +52,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 	"syscall"
 	"time"
 
@@ -344,6 +345,18 @@ func (d *daemon) stop() (bench.ServeResult, error) {
 	}, err
 }
 
+// loggedMethods names the catalog rows with a write-ahead-logged variant: the
+// ones that keep faults.DurableToCommit under methods.Options{WAL: true}.
+func loggedMethods() []string {
+	var names []string
+	for _, s := range methods.Catalog(methods.Options{WAL: true}) {
+		if s.Durability == faults.DurableToCommit {
+			names = append(names, s.Name)
+		}
+	}
+	return names
+}
+
 // run is the whole program behind main: parse flags, start the daemon, serve
 // HTTP until a signal (or testSignal closes), then shut down and print the
 // final report. Returns the process exit code.
@@ -368,7 +381,7 @@ func run(args []string, stdout, stderr io.Writer, testSignal <-chan struct{}) in
 	fs.DurationVar(&cfg.scrape, "scrape", time.Second, "interval between shard snapshots")
 	fs.BoolVar(&cfg.mvcc, "mvcc", false, "serve pure-read batches from MVCC snapshots, bypassing the shard mailbox (btree and lsm methods)")
 	fs.IntVar(&cfg.staleness, "staleness", 1, "with -mvcc: writes between snapshot publishes (1 = read-your-writes)")
-	fs.BoolVar(&cfg.wal, "wal", false, "write-ahead log every mutation (btree and lsm methods); upgrades durability to commit, /metrics gains rum_wal_*")
+	fs.BoolVar(&cfg.wal, "wal", false, "write-ahead log every mutation ("+strings.Join(loggedMethods(), ", ")+"); upgrades durability to commit, /metrics gains rum_wal_*")
 	fs.IntVar(&cfg.commitBatch, "commit-batch", 64, "with -wal: records per group commit; shards also commit at the end of every mailbox batch")
 	fs.BoolVar(&cfg.workload, "workload", false, "fingerprint the op stream per shard; /metrics gains rum_workload_*, /debug/workload reports the advisor")
 	fs.IntVar(&cfg.workloadWindow, "workload-window", 4096, "with -workload: ops per fingerprint window")
@@ -424,6 +437,12 @@ func run(args []string, stdout, stderr io.Writer, testSignal <-chan struct{}) in
 		return badFlag("-method bitmap cannot be served verified: it stores values modulo its cardinality of 16, so reads cannot return what the clients wrote")
 	case cfg.wal && cfg.mvcc:
 		return badFlag("-wal and -mvcc are mutually exclusive: the log owns the checkpoint machinery the snapshot read path would share")
+	}
+	// -wal promises durable-to-commit; a row with no logged variant would
+	// serve its own weaker contract under that banner.
+	if spec, err := methods.Lookup(methods.Options{WAL: true}, cfg.method); cfg.wal && err == nil && spec.Durability != faults.DurableToCommit {
+		return badFlag("-wal: %s has no write-ahead-logged variant, so it would serve %s; logged methods: %s",
+			cfg.method, spec.Durability, strings.Join(loggedMethods(), ", "))
 	}
 
 	ln, err := net.Listen("tcp", cfg.addr)

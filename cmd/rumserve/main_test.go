@@ -273,6 +273,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"NaN mix", []string{"-mix", "get=NaN"}, 2},
 		{"bad workload window", []string{"-workload", "-workload-window", "0"}, 2},
 		{"bitmap cannot verify", []string{"-method", "bitmap"}, 2},
+		{"wal on a method with no log", []string{"-wal", "-method", "hash"}, 2},
 		{"unknown method", []string{"-method", "no-such-method", "-addr", "127.0.0.1:0"}, 1},
 	}
 	for _, tc := range cases {
@@ -293,6 +294,11 @@ func TestRunFlagErrors(t *testing.T) {
 	var errb bytes.Buffer
 	if run([]string{"-method", "bitmap"}, &bytes.Buffer{}, &errb, nil); !strings.Contains(errb.String(), "modulo its cardinality") {
 		t.Errorf("-method bitmap rejected without its reason:\n%s", errb.String())
+	}
+	// hash has no logged variant, so -wal would serve it lossy.
+	errb.Reset()
+	if run([]string{"-wal", "-method", "hash"}, &bytes.Buffer{}, &errb, nil); !strings.Contains(errb.String(), "no write-ahead-logged variant") {
+		t.Errorf("-wal -method hash rejected without its reason:\n%s", errb.String())
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/core"
-	"repro/internal/hashindex"
 	"repro/internal/lsm"
 	"repro/internal/methods"
 	"repro/internal/storage"
@@ -25,13 +24,17 @@ const (
 
 func main() {
 	opt := methods.Options{PageSize: 4096, PoolPages: 16, Medium: storage.SSD}
+	hash, err := methods.Lookup(opt, "hash")
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	candidates := []struct {
 		name string
 		am   *core.Instrumented
 	}{
 		{"btree", methods.NewBTree(opt, btree.Config{})},
-		{"hash", methods.NewHash(opt, hashindex.Config{})},
+		{"hash", hash.New()},
 		{"lsm leveling", methods.NewLSM(opt, lsm.Config{MemtableRecords: 2048, SizeRatio: 10, BloomBitsPerKey: 10})},
 		{"lsm tiering", methods.NewLSM(opt, lsm.Config{MemtableRecords: 2048, SizeRatio: 10, Tiering: true, BloomBitsPerKey: 10})},
 	}

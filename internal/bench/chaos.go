@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/btree"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/hashindex"
 	"repro/internal/lsm"
 	"repro/internal/methods"
 	"repro/internal/rum"
@@ -42,32 +40,26 @@ import (
 const chaosRetryBudget = 3
 
 // chaosSubjects is the cast: the Table-1 methods that live on the simulated
-// device (the in-memory structures have no device to degrade). The LSM runs
-// with its manifest enabled so the crash trial can hold it to
-// DurableToFlush; the manifest's checkpoint writes are charged like any
-// other traffic, visible in the degraded UO column.
-func chaosSubjects() []faults.Subject {
-	lsmCfg := lsm.Config{MemtableRecords: 1024, SizeRatio: 10, Manifest: true}
-	return []faults.Subject{
-		{
-			Name:       "btree",
-			Open:       func(p *storage.BufferPool) (core.AccessMethod, error) { return btree.New(p, btree.Config{}) },
-			Reopen:     func(p *storage.BufferPool) (core.AccessMethod, error) { return btree.Recover(p, btree.Config{}) },
-			Durability: faults.Lossy,
-		},
-		{
-			Name:       "hash",
-			Open:       func(p *storage.BufferPool) (core.AccessMethod, error) { return hashindex.New(p, hashindex.Config{}) },
-			Reopen:     nil, // no persisted directory: declared fully lossy
-			Durability: faults.Lossy,
-		},
-		{
-			Name:       "lsm-level",
-			Open:       func(p *storage.BufferPool) (core.AccessMethod, error) { return lsm.New(p, lsmCfg), nil },
-			Reopen:     func(p *storage.BufferPool) (core.AccessMethod, error) { return lsm.Recover(p, lsmCfg) },
-			Durability: faults.DurableToFlush,
-		},
+// device (the in-memory structures have no device to degrade). The B+-tree
+// and the hash index are the catalog's rows under opt, each held to the
+// contract it declares there. The LSM runs with its manifest enabled so the
+// crash trial can hold it to DurableToFlush — a configuration no catalog
+// user builds; the manifest's checkpoint writes are charged like any other
+// traffic, visible in the degraded UO column.
+func chaosSubjects(opt methods.Options) []faults.Subject {
+	var subs []faults.Subject
+	for _, s := range methods.Catalog(opt) {
+		if s.Name == "btree" || s.Name == "hash" {
+			subs = append(subs, s.Subject)
+		}
 	}
+	lsmCfg := lsm.Config{MemtableRecords: 1024, SizeRatio: 10, Manifest: true}
+	return append(subs, faults.Subject{
+		Name:       "lsm-level",
+		Open:       func(p *storage.BufferPool) (core.AccessMethod, error) { return lsm.New(p, lsmCfg), nil },
+		Reopen:     func(p *storage.BufferPool) (core.AccessMethod, error) { return lsm.Recover(p, lsmCfg) },
+		Durability: faults.DurableToFlush,
+	})
 }
 
 // ChaosRow is one method's measurements under the chaos plan.
@@ -99,7 +91,7 @@ func RunChaos(cfg Config, plan faults.Plan) ChaosResult {
 		plan = faults.Plan{Seed: uint64(cfg.Seed), PRead: 0.01, PWrite: 0.01, PTorn: 0.5}
 	}
 	res := ChaosResult{Plan: plan, RetryBudget: chaosRetryBudget}
-	subjects := chaosSubjects()
+	subjects := chaosSubjects(cfg.Storage)
 	rows := make([]ChaosRow, len(subjects))
 	cells := make([]Cell, len(subjects))
 	for i, sub := range subjects {

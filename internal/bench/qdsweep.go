@@ -5,9 +5,7 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/btree"
 	"repro/internal/core"
-	"repro/internal/lsm"
 	"repro/internal/methods"
 	"repro/internal/storage"
 	"repro/internal/workload"
@@ -35,34 +33,9 @@ import (
 // MQSSD's channels in one wave; 32 needs four.
 var qdsweepBatches = []int{1, 4, 8, 32}
 
-// qdSubject is one structure under test: how to build it over a pool.
-type qdSubject struct {
-	name  string
-	build func(pool *storage.BufferPool) (core.AccessMethod, error)
-}
-
-func qdSubjects() []qdSubject {
-	return []qdSubject{
-		{
-			name: "btree",
-			build: func(p *storage.BufferPool) (core.AccessMethod, error) {
-				return btree.New(p, btree.Config{})
-			},
-		},
-		{
-			name: "lsm-level",
-			build: func(p *storage.BufferPool) (core.AccessMethod, error) {
-				return lsm.New(p, lsm.Config{MemtableRecords: 1024, SizeRatio: 10}), nil
-			},
-		},
-		{
-			name: "lsm-tier",
-			build: func(p *storage.BufferPool) (core.AccessMethod, error) {
-				return lsm.New(p, lsm.Config{MemtableRecords: 1024, SizeRatio: 10, Tiering: true}), nil
-			},
-		},
-	}
-}
+// qdsweepMethods are the catalog rows the sweep measures, in catalog order:
+// the page structures whose write traffic the pool can batch.
+var qdsweepMethods = []string{"btree", "lsm-level", "lsm-tier"}
 
 // QDRow is one (structure, I/O batch) cell.
 type QDRow struct {
@@ -106,14 +79,19 @@ func RunQDSweep(cfg Config) QDSweepResult {
 	// the flat SSD (read 4, write 20), so any throughput difference against
 	// the other experiments is attributable to batching alone.
 	cfg.Storage.Medium = storage.MQSSD
-	subjects := qdSubjects()
+	var subjects []methods.Spec
+	for _, s := range methods.Catalog(cfg.Storage) {
+		if slices.Contains(qdsweepMethods, s.Name) {
+			subjects = append(subjects, s)
+		}
+	}
 	rows := make([]QDRow, len(subjects)*len(qdsweepBatches))
 	cells := make([]Cell, 0, len(rows))
 	for si, sub := range subjects {
 		for bi, batch := range qdsweepBatches {
 			idx, sub, batch := si*len(qdsweepBatches)+bi, sub, batch
 			cells = append(cells, Cell{
-				Label: fmt.Sprintf("%s/b=%d", sub.name, batch),
+				Label: fmt.Sprintf("%s/b=%d", sub.Name, batch),
 				Run:   func(ccfg Config) { rows[idx] = runQDCell(ccfg, sub, batch) },
 			})
 		}
@@ -122,20 +100,20 @@ func RunQDSweep(cfg Config) QDSweepResult {
 	return QDSweepResult{Ops: cfg.Ops, Rows: rows}
 }
 
-func runQDCell(cfg Config, sub qdSubject, batch int) QDRow {
-	row := QDRow{Method: sub.name, Batch: batch}
+func runQDCell(cfg Config, sub methods.Spec, batch int) QDRow {
+	row := QDRow{Method: sub.Name, Batch: batch}
 
 	pool := methods.NewPool(cfg.Storage, nil)
 	pool.SetIOBatch(batch) // batch 1 disables the vectored paths entirely
 	dev := pool.Device()
-	am, err := sub.build(pool)
+	am, err := sub.Open(pool)
 	if err != nil {
-		panic(fmt.Sprintf("qdsweep: build %s: %v", sub.name, err))
+		panic(fmt.Sprintf("qdsweep: build %s: %v", sub.Name, err))
 	}
 	in := core.Instrument(am)
-	cfg.observe(in, fmt.Sprintf("qd/%s/b=%d", sub.name, batch))
+	cfg.observe(in, fmt.Sprintf("qd/%s/b=%d", sub.Name, batch))
 	// Write-back traffic is what batching amortizes.
-	gen := preload(cfg, in, workload.WriteHeavy, "qdsweep: "+sub.name)
+	gen := preload(cfg, in, workload.WriteHeavy, "qdsweep: "+sub.Name)
 
 	before := dev.Stats()
 	row.CostProfile = profileCost(in, dev, gen, cfg.Ops)

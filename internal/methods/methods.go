@@ -106,15 +106,6 @@ func NewBTree(opt Options, cfg btree.Config) *core.Instrumented {
 	return core.Instrument(t)
 }
 
-// NewHash builds an instrumented hash index.
-func NewHash(opt Options, cfg hashindex.Config) *core.Instrumented {
-	x, err := hashindex.New(NewPool(opt, nil), cfg)
-	if err != nil {
-		panic(fmt.Sprintf("methods: hash: %v", err))
-	}
-	return core.Instrument(x)
-}
-
 // NewLSM builds an instrumented LSM tree.
 func NewLSM(opt Options, cfg lsm.Config) *core.Instrumented {
 	return core.Instrument(lsm.New(NewPool(opt, nil), cfg))
@@ -125,32 +116,6 @@ func NewLSM(opt Options, cfg lsm.Config) *core.Instrumented {
 // long runs neither hoard memory nor grow an unbounded replay tail.
 func (o Options) walConfig() wal.Config {
 	return wal.Config{CommitBatch: o.CommitBatch, CheckpointEvery: 4096}
-}
-
-// NewWALBTree builds an instrumented write-ahead-logged B+-tree
-// (faults.DurableToCommit).
-func NewWALBTree(opt Options, cfg btree.Config) *core.Instrumented {
-	t, err := wal.NewBTree(NewPool(opt, nil), cfg, opt.walConfig())
-	if err != nil {
-		panic(fmt.Sprintf("methods: wal btree: %v", err))
-	}
-	return core.Instrument(t)
-}
-
-// NewWALLSM builds an instrumented write-ahead-logged LSM tree
-// (faults.DurableToCommit). The log forces the manifest on — its checkpoint
-// barrier is the manifest commit.
-func NewWALLSM(opt Options, cfg lsm.Config) *core.Instrumented {
-	t, err := wal.NewLSM(NewPool(opt, nil), cfg, opt.walConfig())
-	if err != nil {
-		panic(fmt.Sprintf("methods: wal lsm: %v", err))
-	}
-	return core.Instrument(t)
-}
-
-// NewSkiplist builds an instrumented skip list.
-func NewSkiplist() *core.Instrumented {
-	return core.Instrument(skiplist.New(1, 0.5, nil))
 }
 
 // NewTrie builds an instrumented radix trie.
@@ -165,21 +130,6 @@ func NewTrie(stride uint) *core.Instrumented {
 // NewZoneMap builds an instrumented zone-mapped store.
 func NewZoneMap(partition int) *core.Instrumented {
 	return core.Instrument(zonemap.New(partition, nil))
-}
-
-// NewSortedColumn builds an instrumented sorted column.
-func NewSortedColumn() *core.Instrumented {
-	return core.Instrument(column.NewSorted(nil))
-}
-
-// NewUnsortedColumn builds an instrumented unsorted column.
-func NewUnsortedColumn() *core.Instrumented {
-	return core.Instrument(column.NewUnsorted(nil))
-}
-
-// NewCracking builds an instrumented cracked store.
-func NewCracking(mergeThreshold int) *core.Instrumented {
-	return core.Instrument(cracking.New(mergeThreshold, nil))
 }
 
 // NewPBT builds an instrumented partitioned B-tree.
@@ -201,66 +151,86 @@ func NewBitmap(cfg bitmap.Config) *core.Instrumented {
 	return core.Instrument(bitmap.New(cfg, nil))
 }
 
-// Spec names a catalog entry and builds a fresh instance of it.
+// Spec is one catalog row: how the method opens over a buffer pool, how it
+// recovers from a crashed device image (Reopen, nil where it has none), the
+// durability contract it keeps (the faults.Subject the crash checker takes
+// as is), and the Figure-1 region it is expected in.
 type Spec struct {
-	Name   string
+	faults.Subject
 	Corner rum.Corner // the Figure-1 region the structure is expected in
-	New    func() *core.Instrumented
+	opt    Options
 }
 
+// New builds a fresh instrumented instance on a fresh pool of the catalog's
+// Options. The in-memory methods ignore the pool.
+func (s Spec) New() *core.Instrumented { return core.Instrument(s.open(nil)) }
+
+// open builds a fresh instance on a fresh pool reporting to meter.
+func (s Spec) open(meter *rum.Meter) core.AccessMethod {
+	am, err := s.Open(NewPool(s.opt, meter))
+	if err != nil {
+		panic(fmt.Sprintf("methods: %s: %v", s.Name, err))
+	}
+	return am
+}
+
+// opener builds an access method over a pool: a row's Open or Reopen.
+type opener = func(*storage.BufferPool) (core.AccessMethod, error)
+
 // Catalog returns every access method in its standard configuration — the
-// cast of Figure 1.
+// cast of Figure 1. Under opt.WAL the B+-tree and the LSMs open behind a
+// write-ahead log and recover through it (faults.DurableToCommit); every
+// other row is the same with or without it.
 func Catalog(opt Options) []Spec {
 	opt.defaults()
 	if opt.WAL && opt.Versions > 0 {
 		panic("methods: Options.WAL and Options.Versions are mutually exclusive")
 	}
+	row := func(name string, corner rum.Corner, open opener) Spec {
+		return Spec{Subject: faults.Subject{Name: name, Open: open, Durability: faults.Lossy}, Corner: corner, opt: opt}
+	}
+	inMemory := func(name string, corner rum.Corner, build func() (core.AccessMethod, error)) Spec {
+		return row(name, corner, func(*storage.BufferPool) (core.AccessMethod, error) { return build() })
+	}
+	// logged swaps a loggable row onto the write-ahead log when opt.WAL.
+	wcfg := opt.walConfig()
+	logged := func(s Spec, open, reopen opener) Spec {
+		if opt.WAL {
+			s.Open, s.Reopen, s.Durability = open, reopen, faults.DurableToCommit
+		}
+		return s
+	}
+	bt := btree.Config{Versions: opt.Versions}
+	btreeRow := row("btree", rum.ReadOptimized, func(p *storage.BufferPool) (core.AccessMethod, error) { return btree.New(p, bt) })
+	btreeRow.Reopen = func(p *storage.BufferPool) (core.AccessMethod, error) { return btree.Recover(p, bt) }
+	// The catalog LSMs carry no Bloom filters: Figure 1 plots the plain
+	// LSM-tree; per-run filters are the Section-5 enhancement whose RUM
+	// effect Figure 3 sweeps explicitly.
+	lsmRow := func(name string, tiering bool) Spec {
+		cfg := lsm.Config{MemtableRecords: 1024, SizeRatio: 10, Tiering: tiering, Versions: opt.Versions}
+		return logged(row(name, rum.WriteOptimized, func(p *storage.BufferPool) (core.AccessMethod, error) { return lsm.New(p, cfg), nil }),
+			func(p *storage.BufferPool) (core.AccessMethod, error) { return wal.NewLSM(p, cfg, wcfg) },
+			func(p *storage.BufferPool) (core.AccessMethod, error) { return wal.RecoverLSM(p, cfg, wcfg) })
+	}
 	return []Spec{
-		{Name: "btree", Corner: rum.ReadOptimized, New: func() *core.Instrumented {
-			if opt.WAL {
-				return NewWALBTree(opt, btree.Config{})
-			}
-			return NewBTree(opt, btree.Config{Versions: opt.Versions})
-		}},
-		{Name: "hash", Corner: rum.ReadOptimized, New: func() *core.Instrumented {
-			return NewHash(opt, hashindex.Config{})
-		}},
-		{Name: "skiplist", Corner: rum.ReadOptimized, New: func() *core.Instrumented {
-			return NewSkiplist()
-		}},
-		{Name: "trie", Corner: rum.ReadOptimized, New: func() *core.Instrumented {
-			return NewTrie(8)
-		}},
-		// The catalog LSMs carry no Bloom filters: Figure 1 plots the plain
-		// LSM-tree; per-run filters are the Section-5 enhancement whose RUM
-		// effect Figure 3 sweeps explicitly.
-		{Name: "lsm-level", Corner: rum.WriteOptimized, New: func() *core.Instrumented {
-			if opt.WAL {
-				return NewWALLSM(opt, lsm.Config{MemtableRecords: 1024, SizeRatio: 10})
-			}
-			return NewLSM(opt, lsm.Config{MemtableRecords: 1024, SizeRatio: 10, Versions: opt.Versions})
-		}},
-		{Name: "lsm-tier", Corner: rum.WriteOptimized, New: func() *core.Instrumented {
-			if opt.WAL {
-				return NewWALLSM(opt, lsm.Config{MemtableRecords: 1024, SizeRatio: 10, Tiering: true})
-			}
-			return NewLSM(opt, lsm.Config{MemtableRecords: 1024, SizeRatio: 10, Tiering: true, Versions: opt.Versions})
-		}},
-		{Name: "zonemap", Corner: rum.SpaceOptimized, New: func() *core.Instrumented {
-			return NewZoneMap(256)
-		}},
-		{Name: "bitmap", Corner: rum.SpaceOptimized, New: func() *core.Instrumented {
-			return NewBitmap(bitmap.Config{Cardinality: 16, MergeThreshold: 64})
-		}},
-		{Name: "sorted-column", Corner: rum.SpaceOptimized, New: func() *core.Instrumented {
-			return NewSortedColumn()
-		}},
-		{Name: "unsorted-column", Corner: rum.SpaceOptimized, New: func() *core.Instrumented {
-			return NewUnsortedColumn()
-		}},
-		{Name: "cracking", Corner: rum.Balanced, New: func() *core.Instrumented {
-			return NewCracking(1 << 16)
-		}},
+		logged(btreeRow,
+			func(p *storage.BufferPool) (core.AccessMethod, error) { return wal.NewBTree(p, bt, wcfg) },
+			func(p *storage.BufferPool) (core.AccessMethod, error) { return wal.RecoverBTree(p, bt, wcfg) }),
+		// No persisted directory: no recovery path.
+		row("hash", rum.ReadOptimized, func(p *storage.BufferPool) (core.AccessMethod, error) {
+			return hashindex.New(p, hashindex.Config{})
+		}),
+		inMemory("skiplist", rum.ReadOptimized, func() (core.AccessMethod, error) { return skiplist.New(1, 0.5, nil), nil }),
+		inMemory("trie", rum.ReadOptimized, func() (core.AccessMethod, error) { return trie.New(8, nil) }),
+		lsmRow("lsm-level", false),
+		lsmRow("lsm-tier", true),
+		inMemory("zonemap", rum.SpaceOptimized, func() (core.AccessMethod, error) { return zonemap.New(256, nil), nil }),
+		inMemory("bitmap", rum.SpaceOptimized, func() (core.AccessMethod, error) {
+			return bitmap.New(bitmap.Config{Cardinality: 16, MergeThreshold: 64}, nil), nil
+		}),
+		inMemory("sorted-column", rum.SpaceOptimized, func() (core.AccessMethod, error) { return column.NewSorted(nil), nil }),
+		inMemory("unsorted-column", rum.SpaceOptimized, func() (core.AccessMethod, error) { return column.NewUnsorted(nil), nil }),
+		inMemory("cracking", rum.Balanced, func() (core.AccessMethod, error) { return cracking.New(1<<16, nil), nil }),
 	}
 }
 
@@ -275,20 +245,15 @@ func Lookup(opt Options, name string) (Spec, error) {
 }
 
 // Flavors returns the shape set for the morphing engine (Morphing): a
-// read-optimized B+-tree and a write-optimized LSM, each built from the
-// configuration the analytic model prices it as. (No zone map any more: on no
+// read-optimized B+-tree (the catalog's row) and a write-optimized LSM, each
+// priced as the analytic model prices it. (No zone map any more: on no
 // substrate Options can build does model or profiler seat it below the LSM.)
 func Flavors(opt Options) []Flavor {
 	bt, _ := model.Lookup("btree")
+	row, _ := Lookup(opt, "btree")
 	ls := model.Config{Method: "lsm-level", SizeRatio: 8, BloomBits: 10, Buffer: 1024}
 	return []Flavor{
-		{Name: "btree", Config: bt, New: func(meter *rum.Meter) core.AccessMethod {
-			t, err := btree.New(NewPool(opt, meter), btree.Config{})
-			if err != nil {
-				panic(err)
-			}
-			return t
-		}},
+		{Name: "btree", Config: bt, New: row.open},
 		{Name: "lsm", Config: ls, New: func(meter *rum.Meter) core.AccessMethod {
 			return lsm.New(NewPool(opt, meter), lsm.Config{
 				MemtableRecords: int(ls.Buffer), SizeRatio: int(ls.SizeRatio), BloomBitsPerKey: ls.BloomBits,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
@@ -144,7 +145,7 @@ func TestCatalogNamesUnique(t *testing.T) {
 			t.Fatalf("duplicate catalog name %q", s.Name)
 		}
 		seen[s.Name] = true
-		if s.New == nil {
+		if s.Open == nil {
 			t.Fatalf("%s: nil constructor", s.Name)
 		}
 	}
@@ -191,5 +192,55 @@ func TestFlavorScoresSteerCorrectly(t *testing.T) {
 	}
 	if cost["btree"](workload.ReadHeavy) >= cost["lsm"](workload.ReadHeavy) {
 		t.Fatal("read-heavy should favor btree")
+	}
+}
+
+// TestCatalogCrashContracts holds every catalog row to the contract it
+// declares, under the Options that change a row's recovery story: plain,
+// behind the write-ahead log at per-op and group commit (with the catalog's
+// own checkpoint interval), and with snapshot versions. A row with a Reopen
+// must recover on some seed and never violate its floor; a row without one
+// may only declare Lossy. -short trims the seeds for the racecheck build,
+// whose frame assertions make each trial a few hundred times slower.
+func TestCatalogCrashContracts(t *testing.T) {
+	seeds := uint64(20)
+	if testing.Short() {
+		seeds = 4
+	}
+	base := Options{PageSize: 512, PoolPages: 16}
+	walAt := func(batch int) Options { o := base; o.WAL, o.CommitBatch = true, batch; return o }
+	versions := base
+	versions.Versions = 2
+	for _, c := range []struct {
+		name string
+		opt  Options
+	}{{"plain", base}, {"wal/b=1", walAt(1)}, {"wal/b=8", walAt(8)}, {"versions=2", versions}} {
+		for _, spec := range Catalog(c.opt) {
+			t.Run(c.name+"/"+spec.Name, func(t *testing.T) {
+				if spec.Reopen == nil {
+					if spec.Durability != faults.Lossy {
+						t.Fatalf("no recovery path, yet declares %s", spec.Durability)
+					}
+					return
+				}
+				recovered := 0
+				for seed := uint64(1); seed <= seeds; seed++ {
+					res := faults.CheckCrash(faults.CheckConfig{Seed: seed, Ops: 1500}, spec.Subject)
+					switch {
+					case !res.Verdict.Acceptable():
+						t.Fatalf("seed %d (%s): %s", seed, spec.Durability, res)
+					case res.Verdict != faults.Recovered:
+						continue
+					}
+					recovered++
+					if c.opt.WAL && c.opt.CommitBatch == 1 && (res.Committed != res.Acked || res.Survived != res.Keys) {
+						t.Fatalf("seed %d: per-op commits must keep every acknowledged op: %s", seed, res)
+					}
+				}
+				if recovered == 0 {
+					t.Fatal("no seed recovered — recovery path never validated")
+				}
+			})
+		}
 	}
 }

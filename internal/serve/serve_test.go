@@ -13,8 +13,17 @@ import (
 	"repro/internal/obs"
 )
 
+// catalogRow returns the catalog row name builds under opt.
+func catalogRow(opt methods.Options, name string) methods.Spec {
+	spec, err := methods.Lookup(opt, name)
+	if err != nil {
+		panic(err)
+	}
+	return spec
+}
+
 // buildSkiplist is the cheapest catalog structure for correctness tests.
-func buildSkiplist(int) *core.Instrumented { return methods.NewSkiplist() }
+func buildSkiplist(int) *core.Instrumented { return catalogRow(methods.Options{}, "skiplist").New() }
 
 func mustNew(t *testing.T, cfg Config) *Server {
 	t.Helper()
@@ -118,7 +127,7 @@ func TestWALGroupCommit(t *testing.T) {
 	// auto-commit trigger.
 	opt := methods.Options{PageSize: 512, PoolPages: 8, WAL: true, CommitBatch: 1 << 20}
 	s := mustNew(t, Config{Shards: 2, Build: func(int) *core.Instrumented {
-		return methods.NewWALBTree(opt, btree.Config{})
+		return catalogRow(opt, "btree").New()
 	}})
 	const n = 500
 	reqs := make([]Request, 0, n)
@@ -454,7 +463,7 @@ func TestShardPanicDoesNotDeadlock(t *testing.T) {
 		if i == 1 {
 			panic("shard 1 refuses to build")
 		}
-		return methods.NewSkiplist()
+		return buildSkiplist(i)
 	}})
 	// Enough keys that both shards are hit.
 	reqs := make([]Request, 64)

@@ -110,7 +110,7 @@ func TestSnapshotDeadShard(t *testing.T) {
 		if i == 1 {
 			panic("shard 1 refuses to build")
 		}
-		return methods.NewSkiplist()
+		return buildSkiplist(i)
 	}})
 	// Route traffic so shard death is flushed through the mailbox.
 	reqs := make([]Request, 64)
