@@ -72,8 +72,10 @@ benchmarks:
 ## batches served off snapshots (DoBypass: no hop, one GetBatch per shard,
 ## 0 allocs/op), the btree snapshot's point read alone and in groups (ns per
 ## key both, 0 allocs/op), the live tree's Get loop beside its GetBatch at
-## b = 1, 2, 4, 8, 16 and 32 keys a call (BenchmarkTreeGetBatch: a resident
-## 131 072-key tree, ns per key, 0 allocs/op), the buffer pool's resident hit
+## b = 1, 2, 3, 4, 8, 16 and 32 keys a call (BenchmarkTreeGetBatch: a resident
+## 131 072-key tree, ns per key, 0 allocs/op) and, out of cache on the MQSSD
+## (262 144 keys through 256 frames, uniform keys), at b = 2, 4 and 16 with
+## the read waves' cost/op and reads/op beside the loop's, the buffer pool's resident hit
 ## and evicting miss (0 allocs/op both), the lsm L1→L2 spill, and the log's
 ## group commit (0 allocs/op) and full checkpoint interval. BenchmarkSnapshotGet was
 ## re-baselined when it joined this list (PR 24): it reads scattered keys

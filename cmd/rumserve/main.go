@@ -57,6 +57,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/methods"
 	"repro/internal/model"
@@ -345,16 +346,32 @@ func (d *daemon) stop() (bench.ServeResult, error) {
 	}, err
 }
 
-// loggedMethods names the catalog rows with a write-ahead-logged variant: the
-// ones that keep faults.DurableToCommit under methods.Options{WAL: true}.
-func loggedMethods() []string {
+// Options under -wal and -mvcc: the catalog rows each flag builds.
+var (
+	walOptions  = methods.Options{WAL: true}
+	mvccOptions = methods.Options{Versions: mvccRetention}
+)
+
+// logged reports whether a row keeps faults.DurableToCommit: under
+// walOptions, whether it has a write-ahead-logged variant.
+func logged(s methods.Spec) bool { return s.Durability == faults.DurableToCommit }
+
+// snapshots reports whether a row opens as a core.SnapshotReader: under
+// mvccOptions, whether its reads can be served off published snapshots.
+func snapshots(s methods.Spec) bool {
+	_, ok := s.New().Unwrap().(core.SnapshotReader)
+	return ok
+}
+
+// catalogNames names the catalog rows under opt that have the property.
+func catalogNames(opt methods.Options, has func(methods.Spec) bool) string {
 	var names []string
-	for _, s := range methods.Catalog(methods.Options{WAL: true}) {
-		if s.Durability == faults.DurableToCommit {
+	for _, s := range methods.Catalog(opt) {
+		if has(s) {
 			names = append(names, s.Name)
 		}
 	}
-	return names
+	return strings.Join(names, ", ")
 }
 
 // run is the whole program behind main: parse flags, start the daemon, serve
@@ -379,9 +396,9 @@ func run(args []string, stdout, stderr io.Writer, testSignal <-chan struct{}) in
 	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:8080", "HTTP listen address (use :0 for an ephemeral port)")
 	fs.DurationVar(&cfg.window, "window", 10*time.Second, "rolling window for the _window gauges")
 	fs.DurationVar(&cfg.scrape, "scrape", time.Second, "interval between shard snapshots")
-	fs.BoolVar(&cfg.mvcc, "mvcc", false, "serve pure-read batches from MVCC snapshots, bypassing the shard mailbox (btree and lsm methods)")
+	fs.BoolVar(&cfg.mvcc, "mvcc", false, "serve pure-read batches from MVCC snapshots, bypassing the shard mailbox ("+catalogNames(mvccOptions, snapshots)+")")
 	fs.IntVar(&cfg.staleness, "staleness", 1, "with -mvcc: writes between snapshot publishes (1 = read-your-writes)")
-	fs.BoolVar(&cfg.wal, "wal", false, "write-ahead log every mutation ("+strings.Join(loggedMethods(), ", ")+"); upgrades durability to commit, /metrics gains rum_wal_*")
+	fs.BoolVar(&cfg.wal, "wal", false, "write-ahead log every mutation ("+catalogNames(walOptions, logged)+"); upgrades durability to commit, /metrics gains rum_wal_*")
 	fs.IntVar(&cfg.commitBatch, "commit-batch", 64, "with -wal: records per group commit; shards also commit at the end of every mailbox batch")
 	fs.BoolVar(&cfg.workload, "workload", false, "fingerprint the op stream per shard; /metrics gains rum_workload_*, /debug/workload reports the advisor")
 	fs.IntVar(&cfg.workloadWindow, "workload-window", 4096, "with -workload: ops per fingerprint window")
@@ -440,9 +457,15 @@ func run(args []string, stdout, stderr io.Writer, testSignal <-chan struct{}) in
 	}
 	// -wal promises durable-to-commit; a row with no logged variant would
 	// serve its own weaker contract under that banner.
-	if spec, err := methods.Lookup(methods.Options{WAL: true}, cfg.method); cfg.wal && err == nil && spec.Durability != faults.DurableToCommit {
+	if spec, err := methods.Lookup(walOptions, cfg.method); cfg.wal && err == nil && !logged(spec) {
 		return badFlag("-wal: %s has no write-ahead-logged variant, so it would serve %s; logged methods: %s",
-			cfg.method, spec.Durability, strings.Join(loggedMethods(), ", "))
+			cfg.method, spec.Durability, catalogNames(walOptions, logged))
+	}
+	// -mvcc promises snapshot reads; a row without them would serve every
+	// read through the mailbox under that banner.
+	if spec, err := methods.Lookup(mvccOptions, cfg.method); cfg.mvcc && err == nil && !snapshots(spec) {
+		return badFlag("-mvcc: %s has no snapshot reads, so every read would go through the mailbox; snapshot methods: %s",
+			cfg.method, catalogNames(mvccOptions, snapshots))
 	}
 
 	ln, err := net.Listen("tcp", cfg.addr)

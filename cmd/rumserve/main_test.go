@@ -274,6 +274,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"bad workload window", []string{"-workload", "-workload-window", "0"}, 2},
 		{"bitmap cannot verify", []string{"-method", "bitmap"}, 2},
 		{"wal on a method with no log", []string{"-wal", "-method", "hash"}, 2},
+		{"mvcc on a method with no snapshots", []string{"-mvcc", "-method", "hash"}, 2},
 		{"unknown method", []string{"-method", "no-such-method", "-addr", "127.0.0.1:0"}, 1},
 	}
 	for _, tc := range cases {
@@ -299,6 +300,12 @@ func TestRunFlagErrors(t *testing.T) {
 	errb.Reset()
 	if run([]string{"-wal", "-method", "hash"}, &bytes.Buffer{}, &errb, nil); !strings.Contains(errb.String(), "no write-ahead-logged variant") {
 		t.Errorf("-wal -method hash rejected without its reason:\n%s", errb.String())
+	}
+	// hash publishes no snapshots, so -mvcc would serve every read through
+	// the mailbox.
+	errb.Reset()
+	if run([]string{"-mvcc", "-method", "hash"}, &bytes.Buffer{}, &errb, nil); !strings.Contains(errb.String(), "no snapshot reads") {
+		t.Errorf("-mvcc -method hash rejected without its reason:\n%s", errb.String())
 	}
 }
 

@@ -66,11 +66,13 @@ type Tree struct {
 }
 
 // batchScratch is one GetBatch group's plan: path[l][i] is key i's page on
-// level l (the root's is 0), read by the plan for l < planned[i].
+// level l (the root's is 0), read by the plan for l < planned[i]; wave holds
+// a level's pages that were not resident.
 type batchScratch struct {
 	group
 	path    [][groupWidth]storage.PageID
 	planned [groupWidth]int
+	wave    [groupWidth]storage.PageID
 }
 
 // New creates an empty tree on pool. The pool's device meter receives all
@@ -190,22 +192,29 @@ func (t *Tree) get(pid storage.PageID, k core.Key) (core.Value, bool) {
 	return 0, false
 }
 
-// GetBatch is len(keys) Gets (core.BatchGetter): the same values and exactly
-// the pool calls those Gets make, in the same order, so pool stats, hook
-// events, LRU order, victims, write-back groups and the meter are the loop's.
-// Keys go groupWidth at a time. A group first descends in lock-step over
-// BufferPool.Peek, which touches nothing (group.step), taking each value
-// from its leaf; a key whose next page is not resident stops there. Then,
-// key by key, it replays Get's Fetch and Release of every page it read and
-// runs Get itself from where a key stopped. No frame stays pinned across
-// keys (DESIGN §9). Allocation-free once the scratch covers the height.
+// GetBatch is len(keys) Gets (core.BatchGetter): the same values. On a pool
+// that does not batch I/O it also makes exactly the pool calls those Gets
+// make, in the same order, so pool stats, hook events, LRU order, victims,
+// write-back groups and the meter are the loop's. Keys go groupWidth at a
+// time. A group first descends in lock-step over BufferPool.Peek, which
+// touches nothing (group.step), taking each value from its leaf; a key whose
+// next page is not resident stops there. On a batching pool the pages a
+// level lacks are read first, as one Readahead wave, and the level peeked
+// again. Then, key by key, it replays Get's Fetch and Release of every page
+// it read and runs Get itself from where a key stopped. No frame stays
+// pinned across keys (DESIGN §9). Allocation-free once the scratch covers
+// the height.
 func (t *Tree) GetBatch(keys []core.Key, vals []core.Value, oks []bool) {
 	if len(t.batch.path) <= t.height {
 		t.batch.path = make([][groupWidth]storage.PageID, t.height+1)
 	}
+	least := minGroup
+	if t.pool.IOBatch() > 1 {
+		least = 2 // a wave of two pages saves a whole read
+	}
 	for len(keys) > 0 {
 		n := min(len(keys), groupWidth)
-		if n < minGroup {
+		if n < least {
 			for i, k := range keys {
 				vals[i], oks[i] = t.Get(k)
 			}
@@ -227,13 +236,8 @@ func (t *Tree) getGroup(keys []core.Key, vals []core.Value, oks []bool) {
 		b.path[0][i], b.planned[i] = t.root, 0
 	}
 	for l := 0; l < t.height; l++ {
-		for i := range keys {
-			b.nodes[i] = emptyNode
-			if b.planned[i] == l {
-				if img := t.pool.Peek(b.path[l][i]); img != nil {
-					b.nodes[i], b.planned[i] = node{img}, l+1
-				}
-			}
+		if wave := t.peekLevel(len(keys), l); len(wave) > 0 && t.pool.Readahead(wave) > 0 {
+			t.peekLevel(len(keys), l) // the wave may have evicted a page the first pass saw
 		}
 		b.step(keys, l == t.height-1, &b.path[l+1])
 	}
@@ -256,6 +260,27 @@ func (t *Tree) getGroup(keys []core.Key, vals []core.Value, oks []bool) {
 			vals[i], oks[i] = t.get(b.path[l][i], k)
 		}
 	}
+}
+
+// peekLevel loads level l's resident pages into the group's nodes for the
+// first n keys whose plan reached l, and returns the ids of those that are
+// not resident, repeats included (Readahead reads a page once).
+func (t *Tree) peekLevel(n, l int) []storage.PageID {
+	b := &t.batch
+	wave := b.wave[:0]
+	for i := 0; i < n; i++ {
+		b.nodes[i] = emptyNode
+		if b.planned[i] < l {
+			continue
+		}
+		if img := t.pool.Peek(b.path[l][i]); img != nil {
+			b.nodes[i], b.planned[i] = node{img}, l+1
+		} else {
+			b.planned[i] = l
+			wave = append(wave, b.path[l][i])
+		}
+	}
+	return wave
 }
 
 // splitResult carries a completed child split up the recursion.

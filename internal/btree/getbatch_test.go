@@ -395,9 +395,11 @@ func (p *twinPair) mutate(t testing.TB, op byte, k core.Key, v core.Value) {
 }
 
 // read serves keys as one GetBatch on one twin and as a loop of Gets on the
-// other, requires the same values and oks (0 on a miss, whatever the buffers
-// held), and then the same pool stats, meters and event sequences. It returns
-// the values and oks.
+// other and requires the same values and oks (0 on a miss, whatever the
+// buffers held). On a pool that does not batch I/O it then requires the same
+// pool stats, meters and event sequences; on a batching one, where the group
+// path reads a level's missing pages as one wave, its miss ledger. It
+// returns the values and oks.
 func (p *twinPair) read(t testing.TB, keys []core.Key) ([]core.Value, []bool) {
 	t.Helper()
 	vals, oks := make([]core.Value, len(keys)), make([]bool, len(keys))
@@ -412,6 +414,14 @@ func (p *twinPair) read(t testing.TB, keys []core.Key) ([]core.Value, []bool) {
 		}
 	}
 	a, b := p.batched.tr, p.loop.tr
+	if pool := a.Pool(); pool.IOBatch() > 1 {
+		// Every page read from the device, prefetched by a wave or demanded
+		// by a Fetch, is one miss.
+		if ms, reads := pool.Stats().Misses, pool.Device().Stats().PageReads; ms != reads {
+			t.Fatalf("%d keys: GetBatch's pool counts %d misses for %d device reads", len(keys), ms, reads)
+		}
+		return vals, oks
+	}
 	if a.Pool().Stats() != b.Pool().Stats() {
 		t.Fatalf("%d keys: GetBatch left pool stats %+v, the Gets %+v", len(keys), a.Pool().Stats(), b.Pool().Stats())
 	}
@@ -432,16 +442,26 @@ func (p *twinPair) read(t testing.TB, keys []core.Key) ([]core.Value, []bool) {
 	return vals, oks
 }
 
-// TestTreeGetBatchMatchesGets holds the live group path to its definition,
-// event for event: on twin trees, one GetBatch and the loop of Gets must
-// return the same values and leave the same pool stats, device meter and
-// sequence of pool and device events (kind and page, in order). The pools run
-// from 4 frames, fewer than one group's leaves, to a resident pool; inserts,
-// updates, deletes and (with Versions) publishes run between the batches, so
-// the reads meet dirty frames. 512-byte pages give height 3 on the SSD
-// (per-page I/O), 4096-byte ones height 2 on the MQSSD, whose write-back
-// gathers dirty unpinned frames from the whole LRU list — a frame held pinned
-// across keys would change those groups even where it changes no victim.
+// deviceLedgers returns the batched and the loop twin's device stats.
+func (p *twinPair) deviceLedgers() (storage.DeviceStats, storage.DeviceStats) {
+	return p.batched.tr.Pool().Device().Stats(), p.loop.tr.Pool().Device().Stats()
+}
+
+// TestTreeGetBatchMatchesGets holds the live group path to its definition:
+// on twin trees, one GetBatch and the loop of Gets must return the same
+// values. The pools run from 4 frames, fewer than one group's leaves, to a
+// resident pool; inserts, updates, deletes and (with Versions) publishes run
+// between the batches, so the reads meet dirty frames. 512-byte pages give
+// height 3 on the SSD (per-page I/O), where the two paths must also leave the
+// same pool stats, device meter and sequence of pool and device events (kind
+// and page, in order). 4096-byte pages give height 2 on the MQSSD, where the
+// group path reads each level's missing pages as one Readahead wave: there
+// the batched twin's misses must equal its device reads after every batch,
+// its device ledger must equal the loop's after every batch from 64 frames
+// up, and its cumulative cost must end no higher than the loop's — below 64
+// frames, where the tree does not fit, lower. There a wave's evictions can
+// push out a page the replay reads again, so the batched twin may read a few
+// pages more for fewer cost units (DESIGN §9).
 func TestTreeGetBatchMatchesGets(t *testing.T) {
 	for _, pageSize := range []int{512, 4096} {
 		medium, n := storage.SSD, 8000
@@ -492,8 +512,20 @@ func TestTreeGetBatchMatchesGets(t *testing.T) {
 							}
 						}
 						p.read(t, keys)
+						if da, dl := p.deviceLedgers(); medium == storage.MQSSD && poolPages >= 64 &&
+							(da.PageReads != dl.PageReads || da.PageWrites != dl.PageWrites || da.CostUnits != dl.CostUnits) {
+							t.Fatalf("%d keys: GetBatch's device read %d, wrote %d, cost %d; the Gets' %d, %d, %d",
+								len(keys), da.PageReads, da.PageWrites, da.CostUnits, dl.PageReads, dl.PageWrites, dl.CostUnits)
+						}
 					}
 					p.read(t, nil)
+					if da, dl := p.deviceLedgers(); medium == storage.MQSSD {
+						t.Logf("device reads %d against the Gets' %d, cost units %d against %d, pool hits %d against %d", da.PageReads, dl.PageReads,
+							da.CostUnits, dl.CostUnits, p.batched.tr.Pool().Stats().Hits, p.loop.tr.Pool().Stats().Hits)
+						if da.CostUnits > dl.CostUnits || poolPages < 64 && da.CostUnits == dl.CostUnits {
+							t.Fatalf("GetBatch cost %d cost units, the Gets %d: on an evicting pool the waves must save some", da.CostUnits, dl.CostUnits)
+						}
+					}
 					st, pages := p.batched.tr.Stats(), p.batched.tr.Pool().Device().LivePages()
 					if poolPages < pages && p.batched.tr.Pool().Stats().Evictions == 0 {
 						t.Fatalf("a %d-frame pool under %d pages (%d leaves) never evicted", poolPages, pages, st.LeafPages)
@@ -507,8 +539,9 @@ func TestTreeGetBatchMatchesGets(t *testing.T) {
 // FuzzTreeGetBatch runs an op stream on twin trees beside a map oracle; op
 // kind 3 reads a batch whose keys a second byte stream picks, one twin
 // through GetBatch and the other through Gets, which must agree with each
-// other event for event (twinPair.read) and with the oracle. The first pick
-// byte sizes the pool, 4 to 67 frames, and turns on Versions.
+// other (twinPair.read: event for event on the SSD, by the miss ledger on the
+// MQSSD) and with the oracle. The first pick byte sizes the pool, 4 to 67
+// frames, turns on Versions and picks the medium.
 func FuzzTreeGetBatch(f *testing.F) {
 	f.Add([]byte{}, []byte{0, 1, 0, 0})
 	f.Add([]byte{0, 0, 5, 0, 0, 9, 3, 0, 0, 2, 0, 5, 3, 0, 0}, []byte{20, 3, 0, 5, 0, 9, 0, 7})
@@ -522,6 +555,8 @@ func FuzzTreeGetBatch(f *testing.F) {
 	}
 	f.Add(long, []byte{20, 34, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34})
 	f.Add(long, []byte{64 + 60, 63, 200, 13, 1, 255, 77, 140, 33, 2, 9, 99})
+	f.Add(long, []byte{128 + 20, 34, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34})
+	f.Add(long, []byte{128 + 64 + 4, 63, 200, 13, 1, 255, 77, 140, 33, 2, 9, 99, 2, 5, 5, 1})
 	f.Fuzz(func(t *testing.T, ops, picks []byte) {
 		if len(picks) == 0 {
 			return
@@ -530,11 +565,15 @@ func FuzzTreeGetBatch(f *testing.F) {
 		if picks[0]&64 != 0 {
 			cfg.Versions = 2
 		}
+		medium := storage.SSD
+		if picks[0]&128 != 0 {
+			medium = storage.MQSSD
+		}
 		poolPages := 4 + int(picks[0])%64
 		picks = picks[1:]
 		p := &twinPair{
-			batched: newTwin(t, storage.SSD, 512, poolPages, cfg),
-			loop:    newTwin(t, storage.SSD, 512, poolPages, cfg),
+			batched: newTwin(t, medium, 512, poolPages, cfg),
+			loop:    newTwin(t, medium, 512, poolPages, cfg),
 		}
 		live := map[core.Key]core.Value{}
 		readBatch := func() {
@@ -595,20 +634,13 @@ func FuzzTreeGetBatch(f *testing.F) {
 // BenchmarkTreeGetBatch reads a resident 131 072-key live tree (4 KiB pages,
 // height 3), the keys scattered as benchKey scatters them: the loop of Gets,
 // then GetBatch at b keys a call. Reported per key; 0 allocs/op throughout.
+// The mqssd cases read uniformly drawn keys from a tree of 262 144 keys
+// (1 028 leaves) through a 256-frame pool on the multi-queue SSD, where a
+// group's missing pages go to the device as one wave: they also report the
+// device's cost units and page reads per key.
 func BenchmarkTreeGetBatch(b *testing.B) {
 	const n = 131072
-	dev := storage.NewDevice(4096, storage.RAM, nil)
-	tr, err := New(storage.NewBufferPool(dev, 4096), Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	recs := make([]core.Record, n)
-	for i := range recs {
-		recs[i] = core.Record{Key: core.Key(i), Value: core.Value(i)}
-	}
-	if err := tr.BulkLoad(recs); err != nil {
-		b.Fatal(err)
-	}
+	tr := bulkTree(b, storage.RAM, n, 4096)
 	key := func(i int) core.Key { return core.Key(i) * 0x9E3779B97F4A7C15 >> 32 % n }
 	b.Run("loop", func(b *testing.B) {
 		b.ReportAllocs()
@@ -633,4 +665,66 @@ func BenchmarkTreeGetBatch(b *testing.B) {
 			}
 		})
 	}
+	b.Run("mqssd", func(b *testing.B) {
+		// The scattered keys sweep the leaves nearly in a cycle, which no
+		// LRU pool smaller than the tree ever hits; these draw uniformly.
+		const big = 2 * n
+		tr := bulkTree(b, storage.MQSSD, big, 256)
+		dev := tr.Pool().Device()
+		drawn := make([]core.Key, 1<<16)
+		rng := rand.New(rand.NewSource(1))
+		for i := range drawn {
+			drawn[i] = core.Key(rng.Intn(big))
+		}
+		key := func(i int) core.Key { return drawn[i&(len(drawn)-1)] }
+		report := func(b *testing.B, before storage.DeviceStats) {
+			after := dev.Stats()
+			b.ReportMetric(float64(after.CostUnits-before.CostUnits)/float64(b.N), "cost/op")
+			b.ReportMetric(float64(after.PageReads-before.PageReads)/float64(b.N), "reads/op")
+		}
+		b.Run("loop", func(b *testing.B) {
+			before := dev.Stats()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := tr.Get(key(i)); !ok {
+					b.Fatal("lost key")
+				}
+			}
+			report(b, before)
+		})
+		for _, batch := range []int{2, 4, 16} {
+			b.Run(fmt.Sprintf("b=%d", batch), func(b *testing.B) {
+				keys, vals, oks := make([]core.Key, batch), make([]core.Value, batch), make([]bool, batch)
+				before := dev.Stats()
+				b.ReportAllocs()
+				for i := 0; i < b.N; i += batch {
+					for j := range keys {
+						keys[j] = key(i + j)
+					}
+					tr.GetBatch(keys, vals, oks)
+					if !oks[batch-1] {
+						b.Fatal("lost key")
+					}
+				}
+				report(b, before)
+			})
+		}
+	})
+}
+
+// bulkTree bulk-loads keys 0 … n-1 into a tree of 4 KiB pages on a pool of
+// the given frames over medium.
+func bulkTree(b *testing.B, medium storage.Medium, n, frames int) *Tree {
+	tr, err := New(storage.NewBufferPool(storage.NewDevice(4096, medium, nil), frames), Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs := make([]core.Record, n)
+	for i := range recs {
+		recs[i] = core.Record{Key: core.Key(i), Value: core.Value(i)}
+	}
+	if err := tr.BulkLoad(recs); err != nil {
+		b.Fatal(err)
+	}
+	return tr
 }

@@ -124,8 +124,12 @@ type BulkLoader interface {
 
 // BatchGetter is implemented by structures that serve a run of point reads
 // at once. GetBatch is len(keys) Gets: vals[i], oks[i] are what Get(keys[i])
-// returns (vals[i] is 0 on a miss), and the meter, cache and device see what
-// those Gets do to them, in the same order.
+// returns (vals[i] is 0 on a miss). On a pool that does not batch I/O the
+// meter, cache and device also see what those Gets do to them, in the same
+// order. On a batching pool (storage.BufferPool.IOBatch above 1) the values
+// are the same, but the pages one level of the lookups misses arrive as one
+// Readahead wave: each still counts one miss and one device read, while
+// the LRU order, hit count and cost units may differ from the loop's.
 type BatchGetter interface {
 	GetBatch(keys []Key, vals []Value, oks []bool)
 }

@@ -73,8 +73,9 @@ func (w *Instrumented) Get(k Key) (Value, bool) {
 	return w.inner.Get(k)
 }
 
-// GetBatch is len(keys) Gets, meter included. A BatchGetter gets the keys in
-// one call, unless an observer is attached: that wants one span per read.
+// GetBatch is len(keys) Gets, logical meter included. A BatchGetter gets the
+// keys in one call, unless an observer is attached: that wants one span per
+// read.
 func (w *Instrumented) GetBatch(keys []Key, vals []Value, oks []bool) {
 	bg, ok := w.inner.(BatchGetter)
 	if !ok || w.obs != nil {

@@ -567,3 +567,37 @@ func TestPoolReadahead(t *testing.T) {
 		t.Fatal("flat-media readahead touched the device")
 	}
 }
+
+// TestPoolReadaheadRepeatedIDs: a request that names a page more than once
+// reads it once. Device reads, installs and misses move together whether the
+// repeat is adjacent or far apart, and beside pages already cached.
+func TestPoolReadaheadRepeatedIDs(t *testing.T) {
+	d := NewDevice(64, MQSSD, nil)
+	p := NewBufferPool(d, 40)
+	ids := allocN(t, d, 12, rum.Base)
+	f, err := p.Fetch(ids[11])
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Release(f)
+	for _, tc := range []struct {
+		req  []PageID
+		want int
+	}{
+		{[]PageID{ids[0], ids[0], ids[1]}, 2},
+		{[]PageID{ids[2], ids[3], ids[2], ids[11], ids[3], ids[2]}, 2},
+		{[]PageID{ids[4], ids[5], ids[6], ids[7], ids[8], ids[9], ids[10], ids[4], ids[10], ids[11], ids[9]}, 7},
+		{[]PageID{ids[0], ids[1], ids[0]}, 0}, // all cached by now
+	} {
+		reads, misses := d.Stats().PageReads, p.Stats().Misses
+		installed := p.Readahead(tc.req)
+		dr, dm := d.Stats().PageReads-reads, p.Stats().Misses-misses
+		if installed != tc.want || uint64(installed) != dr || dm != dr {
+			t.Fatalf("Readahead(%v): %d installed (want %d), %d misses, %d device reads; all must agree",
+				tc.req, installed, tc.want, dm, dr)
+		}
+	}
+	if st := d.Stats(); st.PageReads != 12 || p.Len() != 12 {
+		t.Fatalf("12 distinct pages took %d device reads into %d frames", st.PageReads, p.Len())
+	}
+}

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/rum"
 )
@@ -734,7 +735,8 @@ func (p *BufferPool) oldestDirty() *Frame {
 
 // Readahead batch-reads the given pages into the pool ahead of demand,
 // installing them unpinned and clean, and returns how many were installed.
-// Pages already cached or no longer live are skipped; the prefetch is
+// Pages already cached or no longer live are skipped, and a page the request
+// names twice is read once; the prefetch is
 // clamped to half the pool — a prefetch must never wipe the demand working
 // set — and submitted in IOBatch-sized batches. Each
 // installed page counts a miss (it cost a device read; the later Fetch that
@@ -753,7 +755,7 @@ func (p *BufferPool) Readahead(ids []PageID) int {
 	}
 	want := p.raIDs[:0]
 	for _, id := range ids {
-		if p.lookup(id) != nil {
+		if p.lookup(id) != nil || slices.Contains(want, id) {
 			continue
 		}
 		if p.dev.check(id) != nil {
@@ -781,9 +783,6 @@ func (p *BufferPool) Readahead(ids []PageID) int {
 			return installed
 		}
 		for i, id := range chunk {
-			if p.lookup(id) != nil {
-				continue // duplicate id within the request
-			}
 			var f *Frame
 			if p.resident >= p.capacity {
 				if f = p.evictOne(); f == nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/rum"
@@ -257,7 +258,7 @@ func (m *modelPool) readahead(ids []PageID) int {
 	}
 	var want []PageID
 	for _, id := range ids {
-		if _, ok := m.frames[id]; ok || m.dev.check(id) != nil {
+		if _, ok := m.frames[id]; ok || slices.Contains(want, id) || m.dev.check(id) != nil {
 			continue
 		}
 		if want = append(want, id); len(want) == max(m.capacity/2, 1) {
@@ -273,9 +274,6 @@ func (m *modelPool) readahead(ids []PageID) int {
 			panic(err)
 		}
 		for i, id := range chunk {
-			if _, ok := m.frames[id]; ok {
-				continue
-			}
 			if len(m.frames) >= m.capacity && !m.evictOne() {
 				return installed
 			}
@@ -438,10 +436,13 @@ func drivePoolAgainstModel(t *testing.T, script []byte) poolDiff {
 			if (err == nil) != (merr == nil) {
 				t.Fatalf("step %d: FreePage(%d): pool err %v, model err %v", step, id, err, merr)
 			}
-		case op == 13: // Readahead of a run of known ids
+		case op == 13: // Readahead of a run of known ids, now and then one named twice
 			var run []PageID
 			for i := 0; i < 1+int(arg)%9 && len(ids) > 0; i++ {
 				run = append(run, ids[(int(arg)+i)%len(ids)])
+			}
+			if arg&0x80 != 0 && len(run) > 0 {
+				run = append(run, run[int(arg)%len(run)])
 			}
 			if got, want := p.Readahead(run), m.readahead(run); got != want {
 				t.Fatalf("step %d: Readahead(%v) installed %d, model %d", step, run, got, want)
