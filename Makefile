@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race racecheck benchmarks bench fuzz golden experiments-golden loc
+.PHONY: check build fmt vet test race racecheck benchmarks examples bench fuzz golden experiments-golden loc
 
 ## check: the full gate — build, gofmt, vet, race-enabled tests, the
-## assertion build, and the nested benchmarks/ module.
-check: build fmt vet race racecheck benchmarks
+## assertion build, the nested benchmarks/ module, and the examples run.
+check: build fmt vet race racecheck benchmarks examples
 
 build:
 	$(GO) build ./...
@@ -63,6 +63,15 @@ benchmarks:
 	$(GO) -C benchmarks vet ./...
 	$(GO) -C benchmarks test ./...
 
+## examples: run every examples/* program to completion, stdout discarded;
+## a non-zero exit (a log.Fatal, a panic) fails the target. `build` only
+## compiles them. About three seconds.
+examples:
+	@for ex in examples/*/; do \
+		echo "== ./$$ex"; \
+		$(GO) run ./$$ex >/dev/null || exit 1; \
+	done
+
 ## bench: the hot-path comparisons quoted in PR descriptions — the obs tap
 ## (nil-hook must stay allocation-free and within noise of untraced), the
 ## serving taps (Do quiet vs traced vs fingerprinted: ROADMAP item 1's
@@ -105,11 +114,14 @@ fuzz:
 	done
 
 ## golden: regenerate golden files (exporters, CLI usage, rumserve scrape
-## skeletons) after an intended format change.
+## skeletons, the rumviz triangle and the rumwizard -verify rows) after an
+## intended format change.
 golden:
 	$(GO) test ./internal/obs -run Golden -update
 	$(GO) test ./cmd/rumbench -run Golden -update
 	$(GO) test ./cmd/rumserve -run Golden -update
+	$(GO) test ./cmd/rumviz -run Golden -update
+	$(GO) test ./cmd/rumwizard -run Golden -update
 
 ## experiments-golden: the committed experiments_output.txt must be exactly
 ## what `rumbench -exp all` prints today (stdout is deterministic; timings go

@@ -108,6 +108,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	// badFlag reports an out-of-range flag value: the message and the usage
+	// on stderr, nothing on stdout, exit 2.
+	badFlag := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "rumbench: "+format+"\n", args...)
+		fs.Usage()
+		return 2
+	}
+	for _, f := range []struct {
+		name     string
+		v, floor int
+	}{{"n", *n, 0}, {"ops", *ops, 0}, {"parallel", *parallel, 0}, {"sample", *sample, 0},
+		{"m", *m, 1}, {"shards", *shards, 1}, {"clients", *clients, 1}, {"batch", *batch, 1}} {
+		if f.v < f.floor {
+			return badFlag("-%s must be ≥ %d (got %d)", f.name, f.floor, f.v)
+		}
+	}
 	plan, err := faults.ParsePlan(*faultSpec)
 	if err != nil {
 		fmt.Fprintf(stderr, "rumbench: -faults: %v\n", err)

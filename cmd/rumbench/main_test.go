@@ -128,13 +128,23 @@ func TestUsageGolden(t *testing.T) {
 	}
 }
 
-// TestRunUsageErrors checks argument validation exits 2 without running.
+// TestRunUsageErrors checks argument validation exits 2 without running:
+// unknown experiments, stray arguments, and out-of-range sizes and widths
+// (the documented zeros of -n, -ops, -parallel and -sample stay valid).
 func TestRunUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-exp", "nonsense"},
 		{"-exp", ""},
 		{"stray"},
 		{"-badflag"},
+		{"-exp", "fig1", "-n", "-5"},
+		{"-ops", "-1"},
+		{"-parallel", "-1"},
+		{"-sample", "-1"},
+		{"-m", "-3"},
+		{"-shards", "0"},
+		{"-clients", "0"},
+		{"-batch", "0"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {

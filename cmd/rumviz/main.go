@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/methods"
 	"repro/internal/obs"
 	"repro/internal/rum"
@@ -63,14 +62,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	// badFlag reports an out-of-range flag value: the message and the usage
+	// on stderr, nothing on stdout, exit 2.
+	badFlag := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "rumviz: "+format+"\n", args...)
+		fs.Usage()
+		return 2
+	}
 
-	var tracer *obs.Observer
-	if *trajectory {
-		every := *sample
-		if every <= 0 {
-			every = *ops / 60
+	for _, f := range []struct {
+		name     string
+		v, floor int
+	}{{"n", *n, 1}, {"ops", *ops, 1}, {"sample", *sample, 0}, {"parallel", *parallel, 0}} {
+		if f.v < f.floor {
+			return badFlag("-%s must be ≥ %d (got %d)", f.name, f.floor, f.v)
 		}
-		tracer = obs.New(obs.Config{SampleEvery: every})
 	}
 
 	// Resolve the method list up front (against throwaway options — each
@@ -96,54 +102,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "rumviz: %v\n", err)
 		return 2
 	}
-	runner := bench.NewRunner(*parallel)
-	points := make([]rum.Point, len(names))
-	children := make([]*obs.Observer, len(names))
-	errs := runner.Map(len(names), func(i int) {
-		opt := methods.Options{PoolPages: 8}
-		var child *obs.Observer
-		if tracer != nil {
-			child = tracer.Child()
-			children[i] = child
-			opt.Hook = child
+	cfg := bench.Config{Seed: 1, N: *n, Ops: *ops, Storage: methods.Options{PoolPages: 8}, Runner: bench.NewRunner(*parallel)}
+	if *trajectory {
+		every := *sample
+		if every == 0 {
+			every = *ops / 60
 		}
-		spec, err := methods.Lookup(opt, names[i])
-		if err != nil {
-			panic(err)
-		}
-		gen := workload.New(workload.Config{Seed: 1, Mix: mix, InitialLen: *n, RangeLen: 1 << 30})
-		am := spec.New()
-		if child != nil {
-			child.Target(am, spec.Name)
-		}
-		prof, err := core.RunProfile(am, gen, *ops)
-		if err != nil {
-			panic(err)
-		}
-		if child != nil {
-			child.Finish()
-		}
-		points[i] = prof.Point
-	})
-
-	failed := false
-	var pts []bench.NamedPoint
-	for i, name := range names {
-		if e := errs[i]; e != nil {
-			fmt.Fprintf(stderr, "rumviz: %s: %v\n", name, e.Value)
-			failed = true
-			continue
-		}
-		if children[i] != nil {
-			tracer.Absorb(children[i])
-		}
-		pts = append(pts, bench.NamedPoint{Label: name, Point: points[i]})
+		// Set only here: a nil *obs.Observer in the Hook interface is not a
+		// nil hook.
+		cfg.Obs = obs.New(obs.Config{SampleEvery: every})
+		cfg.Storage.Hook = cfg.Obs
 	}
-	if failed {
+	profiles, err := bench.ProfileCatalog(cfg, "rumviz", names, mix)
+	if err != nil {
+		for _, c := range err.(*bench.SuiteError).Cells {
+			fmt.Fprintf(stderr, "rumviz: %s: %v\n", c.Label, c.Value)
+		}
 		return 1
 	}
+	pts := make([]bench.NamedPoint, len(profiles))
+	points := make([]rum.Point, len(profiles))
+	for i, p := range profiles {
+		pts[i] = bench.NamedPoint{Label: p.Name, Point: p.Point}
+		points[i] = p.Point
+	}
 	if !*absolute {
-		ws := rum.RelativeWeights(points) // every point profiled: a failure returned above
+		ws := rum.RelativeWeights(points)
 		for i := range pts {
 			pts[i].W = &ws[i]
 		}
@@ -151,9 +135,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "RUM triangle: N=%d, ops=%d, mix get=%.2f range=%.2f insert=%.2f update=%.2f delete=%.2f\n\n",
 		*n, *ops, *get, *rng, *insert, *update, *del)
 	fmt.Fprintln(stdout, bench.RenderTriangle(pts, *width))
-	if tracer != nil {
+	if cfg.Obs != nil {
 		fmt.Fprintln(stdout, "RUM trajectory (one sparkline column per sampling window):")
-		fmt.Fprint(stdout, obs.RenderTrajectory(tracer.Samples(), 60))
+		fmt.Fprint(stdout, obs.RenderTrajectory(cfg.Obs.Samples(), 60))
 	}
 	return 0
 }

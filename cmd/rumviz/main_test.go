@@ -2,9 +2,43 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
+
+// TestTriangleGolden pins the rendered triangle and trajectory sparklines
+// byte for byte: rumviz draws Figure 1's protocol under the user's mix, so a
+// change to how catalog rows are profiled must not move a character here.
+// Regenerate with `go test ./cmd/rumviz -run Golden -update` (part of
+// `make golden`).
+func TestTriangleGolden(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-methods", "btree,hash,lsm-level,skiplist", "-n", "2048", "-ops", "1200", "-trajectory"}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("run(%v) = %d; stderr:\n%s", args, code, stderr.String())
+	}
+	path := filepath.Join("testdata", "triangle.golden.txt")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./cmd/rumviz -run Golden -update` to create)", err)
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Fatalf("output drifted from golden file\ngot:\n%s\nwant:\n%s", stdout.Bytes(), want)
+	}
+}
 
 // TestTrajectoryParallelDeterminism: the triangle and the trajectory
 // sparklines are byte-identical whatever the profile worker count, as the
@@ -27,12 +61,18 @@ func TestTrajectoryParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: an invalid mix or an unknown method name is a usage
-// error, exit 2, before anything is profiled or printed.
+// TestUsageErrors: an invalid mix, an unknown method name or an
+// out-of-range size or width is a usage error, exit 2, before anything is
+// profiled or printed.
 func TestUsageErrors(t *testing.T) {
 	cases := map[string][]string{
-		"invalid mix":    {"-get", "0.9", "-insert", "0.9"},
-		"unknown method": {"-methods", "btree,no-such-method"},
+		"invalid mix":       {"-get", "0.9", "-insert", "0.9"},
+		"unknown method":    {"-methods", "btree,no-such-method"},
+		"negative n":        {"-n", "-5"},
+		"zero n":            {"-n", "0"},
+		"zero ops":          {"-ops", "0"},
+		"negative sample":   {"-trajectory", "-sample", "-1"},
+		"negative parallel": {"-parallel", "-1"},
 	}
 	for name, args := range cases {
 		var stdout, stderr bytes.Buffer

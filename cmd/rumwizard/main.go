@@ -21,6 +21,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/methods"
 	"repro/internal/workload"
@@ -31,7 +32,7 @@ func main() {
 }
 
 // run is the whole program behind main, factored for tests. Returns 0 on
-// success, 1 if -verify could not profile any pick, 2 on usage errors.
+// success, 1 if -verify failed to profile a pick, 2 on usage errors.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rumwizard", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -56,9 +57,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	// badFlag reports an out-of-range flag value: the message and the usage
+	// on stderr, nothing on stdout, exit 2.
+	badFlag := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "rumwizard: "+format+"\n", args...)
+		fs.Usage()
+		return 2
+	}
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "rumwizard: unexpected arguments: %v\n", fs.Args())
 		return 2
+	}
+
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"size", *size}, {"ops", *ops}} {
+		if f.v < 1 {
+			return badFlag("-%s must be ≥ 1 (got %d)", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"wr", *read}, {"wu", *write}, {"wm", *space}} {
+		if !(f.v >= 0) { // NaN fails too
+			return badFlag("-%s must be a non-negative weight (got %g)", f.name, f.v)
+		}
 	}
 
 	mix := workload.Mix{Get: *get, Scan: *rng, Insert: *insert, Update: *update, Delete: *del}
@@ -82,33 +107,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !*verify {
 		return 0
 	}
-	fmt.Fprintln(stdout, "\nMeasured validation of the top picks (standard configurations):")
-	shown := map[string]bool{}
+	var picks []string
+	seen := map[string]bool{}
 	for _, r := range recs {
-		name := r.Config.Method
-		if len(shown) == 3 {
-			break
+		if name := r.Config.Method; len(picks) < 3 && !seen[name] {
+			seen[name] = true
+			picks = append(picks, name)
 		}
-		if shown[name] {
-			continue
-		}
-		spec, err := methods.Lookup(opt, name)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			continue
-		}
-		gen := workload.New(workload.Config{Seed: 1, Mix: req.Mix, InitialLen: *size, RangeLen: 1 << 30})
-		prof, err := core.RunProfile(spec.New(), gen, *ops)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			continue
-		}
-		fmt.Fprintf(stdout, "  %-16s measured %s\n", name, prof.Point)
-		shown[name] = true
 	}
-	if len(shown) == 0 {
-		fmt.Fprintln(stderr, "rumwizard: -verify profiled no methods")
+	fmt.Fprintln(stdout, "\nMeasured validation of the top picks (standard configurations):")
+	profiles, err := bench.ProfileCatalog(bench.Config{Seed: 1, N: *size, Ops: *ops, Storage: opt}, "rumwizard", picks, mix)
+	if err != nil {
+		for _, c := range err.(*bench.SuiteError).Cells {
+			fmt.Fprintf(stderr, "rumwizard: %s: %v\n", c.Label, c.Value)
+		}
 		return 1
+	}
+	for _, p := range profiles {
+		fmt.Fprintf(stdout, "  %-16s measured %s\n", p.Name, p.Point)
 	}
 	return 0
 }

@@ -2,9 +2,14 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestRankingSmoke: a read-heavy memtight ask must produce a ranking that
 // names at least one method and explains the scores.
@@ -24,8 +29,8 @@ func TestRankingSmoke(t *testing.T) {
 	}
 }
 
-// TestMixValidation: malformed fractions are usage errors (exit 2) caught
-// before any ranking prints.
+// TestMixValidation: malformed fractions, sizes and priority weights are
+// usage errors (exit 2) caught before any ranking prints.
 func TestMixValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -36,6 +41,11 @@ func TestMixValidation(t *testing.T) {
 		{"sum above one", []string{"-get", "0.9", "-insert", "0.9"}},
 		{"NaN fraction", []string{"-get", "NaN", "-insert", "0.5"}},
 		{"stray argument", []string{"stray"}},
+		{"negative size", []string{"-verify", "-size", "-1"}},
+		{"zero ops", []string{"-verify", "-ops", "0"}},
+		{"negative read weight", []string{"-wr", "-1"}},
+		{"NaN write weight", []string{"-wu", "NaN"}},
+		{"negative space weight", []string{"-wm", "-0.5"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,5 +85,35 @@ func TestVerifyTiny(t *testing.T) {
 	}
 	if !strings.Contains(out, "measured") {
 		t.Errorf("no measured points printed:\n%s", out)
+	}
+}
+
+// TestVerifyGolden pins TestVerifyTiny's ranking and measured points byte
+// for byte: the -verify rows are Figure 1's protocol run on the ranking's
+// picks, so a change to how catalog rows are profiled must not move them.
+// Regenerate with `go test ./cmd/rumwizard -run Golden -update` (part of
+// `make golden`).
+func TestVerifyGolden(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-get", "0.6", "-insert", "0.3", "-update", "0.1", "-delete", "0",
+		"-size", "512", "-ops", "200", "-verify"}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("run(%v) = %d; stderr:\n%s", args, code, stderr.String())
+	}
+	path := filepath.Join("testdata", "verify.golden.txt")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./cmd/rumwizard -run Golden -update` to create)", err)
+	}
+	if !bytes.Equal(stdout.Bytes(), want) {
+		t.Fatalf("output drifted from golden file\ngot:\n%s\nwant:\n%s", stdout.Bytes(), want)
 	}
 }

@@ -15,8 +15,6 @@ import (
 	"repro/internal/bitmap"
 	"repro/internal/column"
 	"repro/internal/core"
-	"repro/internal/imprints"
-	"repro/internal/rum"
 	"repro/internal/zonemap"
 )
 
@@ -92,30 +90,6 @@ func main() {
 	fmt.Printf("  full scan:    %d matches, %s read\n", heapMatches, fmtBytes(float64(heapBytes)))
 	fmt.Printf("  pruning factor: %.1fx less data read\n", float64(heapBytes)/float64(bmBytes))
 
-	// Measure predicate over an *unsorted* measure column: zone maps cannot
-	// prune (every partition spans the whole value domain), column imprints
-	// can (Sidirourgos & Kersten, cited in §4).
-	fmt.Printf("\nMeasure predicate (revenue in a 0.5%% band) over %d unsorted values:\n", rows)
-	imp := imprints.New(nil)
-	impRecs := make([]core.Record, rows)
-	vrng := rand.New(rand.NewSource(99))
-	for i := range impRecs {
-		impRecs[i] = core.Record{Key: uint64(i), Value: uint64(vrng.Intn(1 << 30))}
-	}
-	if err := imp.BulkLoad(impRecs); err != nil {
-		log.Fatal(err)
-	}
-	before = imp.Meter().Snapshot()
-	hits := imp.ScanValues(0, 1<<22, func(core.Key, core.Value) bool { return true })
-	impBytes := imp.Meter().Diff(before).PhysicalRead()
-	before = imp.Meter().Snapshot()
-	imp.FullScan(0, 1<<22, func(core.Key, core.Value) bool { return true })
-	fullBytes := imp.Meter().Diff(before).PhysicalRead()
-	fmt.Printf("  imprints:  %d matches, %s read, index %.1f bits/row\n",
-		hits, fmtBytes(float64(impBytes)), float64(imp.Size().AuxBytes*8)/float64(rows))
-	fmt.Printf("  full scan: %s read — pruning factor %.1fx on data no zone map can prune\n",
-		fmtBytes(float64(fullBytes)), float64(fullBytes)/float64(impBytes))
-
 	fmt.Println(`
 Reading the result:
   - The zone map answers range queries reading only the qualifying
@@ -126,7 +100,6 @@ Reading the result:
   - The price is on the other RUM axes: in-place updates to compressed
     bitmaps need delta absorption and merging, and zone maps give up
     point-query speed — space-optimized, per the conjecture, not free.`)
-	_ = rum.Point{}
 }
 
 func fmtBytes(b float64) string {

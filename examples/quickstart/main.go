@@ -59,20 +59,17 @@ func main() {
 		prof.Ops.Gets, prof.Ops.Hits, prof.Ops.Ranges, prof.Ops.RangeRows,
 		prof.Ops.Inserts, prof.Ops.Updates, prof.Ops.Deletes)
 
-	// 4. Compare a few structures in the RUM triangle.
+	// 4. Compare a few structures in the RUM triangle: Figure 1's protocol,
+	//    one profile per catalog row under the same traffic.
+	profiles, err := bench.ProfileCatalog(bench.Config{Seed: 1, N: 1 << 14, Ops: 8000, Storage: opt},
+		"quickstart", []string{"btree", "hash", "lsm-tier", "zonemap"}, workload.Balanced)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var pts []bench.NamedPoint
 	var raw []rum.Point
-	for _, name := range []string{"btree", "hash", "lsm-tier", "zonemap"} {
-		s, err := methods.Lookup(opt, name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		g := workload.New(workload.Config{Seed: 1, Mix: workload.Balanced, InitialLen: 1 << 14, RangeLen: 1 << 30})
-		p, err := core.RunProfile(s.New(), g, 8000)
-		if err != nil {
-			log.Fatal(err)
-		}
-		pts = append(pts, bench.NamedPoint{Label: name, Point: p.Point})
+	for _, p := range profiles {
+		pts = append(pts, bench.NamedPoint{Label: p.Name, Point: p.Point})
 		raw = append(raw, p.Point)
 	}
 	ws := rum.RelativeWeights(raw)

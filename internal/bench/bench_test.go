@@ -126,6 +126,28 @@ func TestFig1(t *testing.T) {
 	}
 }
 
+// TestProfileCatalog: profiles come back in names order under their row
+// names, and a run with bad rows returns one *SuiteError naming each of them
+// after the good rows have run.
+func TestProfileCatalog(t *testing.T) {
+	cfg := Config{Seed: 1, N: 512, Ops: 200, Runner: NewRunner(4)}
+	profs, err := ProfileCatalog(cfg, "calib", []string{"hash", "btree"}, Fig1Mix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(profs) != 2 || profs[0].Name != "hash" || profs[1].Name != "btree" {
+		t.Fatalf("profiles %+v, want hash then btree", profs)
+	}
+	_, err = ProfileCatalog(cfg, "calib", []string{"btree", "no-such", "hash", "also-missing"}, Fig1Mix)
+	se, ok := err.(*SuiteError)
+	if !ok {
+		t.Fatalf("err = %T %v, want *SuiteError", err, err)
+	}
+	if se.Exp != "calib" || len(se.Cells) != 2 || se.Cells[0].Label != "no-such" || se.Cells[1].Label != "also-missing" {
+		t.Fatalf("SuiteError = %v", se)
+	}
+}
+
 func TestFig2(t *testing.T) {
 	res := RunFig2(tiny)
 	if len(res.Points) < 4 {

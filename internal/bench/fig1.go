@@ -71,6 +71,43 @@ var Fig1Orderings = []struct{ Dim, A, B string }{
 	{"M", "lsm-level", "lsm-tier"},
 }
 
+// ProfileCatalog is Figure 1's measurement protocol for any traffic: one run
+// cell per named catalog row, each built on the cell's own Options (and so on
+// its own storage hook), traced under the row name when cfg.Obs is set,
+// preloaded with cfg.N records and profiled over cfg.Ops operations of mix,
+// ranges 2^30 wide over the sparse 40-bit key domain. It fills no defaults:
+// cfg is used as given. The profiles come back in names order; if any row
+// failed, the error is a *SuiteError naming every failed row, returned once
+// all cells have run.
+func ProfileCatalog(cfg Config, exp string, names []string, mix workload.Mix) ([]core.Profile, error) {
+	profiles := make([]core.Profile, len(names))
+	cells := make([]Cell, len(names))
+	for i, name := range names {
+		cells[i] = Cell{
+			Label: name,
+			Run: func(ccfg Config) {
+				spec, err := methods.Lookup(ccfg.Storage, name)
+				if err != nil {
+					panic(err)
+				}
+				gen := workload.New(workload.Config{Seed: ccfg.Seed, Mix: mix, InitialLen: ccfg.N, RangeLen: 1 << 30})
+				am := spec.New()
+				ccfg.observe(am, name)
+				prof, err := core.RunProfile(am, gen, ccfg.Ops)
+				if err != nil {
+					panic(err)
+				}
+				prof.Name = name
+				profiles[i] = prof
+			},
+		}
+	}
+	if err := cfg.tryCells(exp, cells); err != nil {
+		return nil, err
+	}
+	return profiles, nil
+}
+
 // RunFig1 profiles every access method of the catalog under the same mixed
 // workload and maps each into the RUM triangle, reproducing the placement of
 // Figure 1 from measurements instead of expert judgment. Placement is
@@ -81,42 +118,17 @@ func RunFig1(cfg Config) Fig1Result {
 	cfg.Defaults()
 	cfg.smallPool()
 	res := Fig1Result{N: cfg.N, Ops: cfg.Ops, Expected: map[string]string{}}
+	var names []string
 	var expected []rum.Corner
-	// One run cell per catalog structure. The spec is re-looked-up inside the
-	// cell so the structure is built against the cell's own Options (and its
-	// isolated storage hook), not the enumeration-time ones.
-	catalog := methods.Catalog(cfg.Storage)
-	profiles := make([]core.Profile, len(catalog))
-	cells := make([]Cell, len(catalog))
-	for i, spec := range catalog {
-		i, name := i, spec.Name
-		res.Expected[name] = spec.Corner.String()
+	for _, spec := range methods.Catalog(cfg.Storage) {
+		names = append(names, spec.Name)
+		res.Expected[spec.Name] = spec.Corner.String()
 		expected = append(expected, spec.Corner)
-		cells[i] = Cell{
-			Label: name,
-			Run: func(ccfg Config) {
-				cspec, err := methods.Lookup(ccfg.Storage, name)
-				if err != nil {
-					panic(fmt.Sprintf("fig1: %s: %v", name, err))
-				}
-				gen := workload.New(workload.Config{
-					Seed:       ccfg.Seed,
-					Mix:        Fig1Mix,
-					InitialLen: ccfg.N,
-					RangeLen:   1 << 30, // wide spans over the sparse 40-bit key domain
-				})
-				am := cspec.New()
-				ccfg.observe(am, name)
-				prof, err := core.RunProfile(am, gen, ccfg.Ops)
-				if err != nil {
-					panic(fmt.Sprintf("fig1: %s: %v", name, err))
-				}
-				prof.Name = name
-				profiles[i] = prof
-			},
-		}
 	}
-	cfg.runCells("fig1", cells)
+	profiles, err := ProfileCatalog(cfg, "fig1", names, Fig1Mix)
+	if err != nil {
+		panic(err)
+	}
 	res.Profiles = profiles
 	pts := make([]rum.Point, len(res.Profiles))
 	for i, p := range res.Profiles {

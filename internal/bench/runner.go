@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/rum"
 )
 
 // Runner schedules independent run cells — one (experiment, method, config)
@@ -29,10 +28,6 @@ type Runner struct {
 
 	cells  atomic.Uint64
 	failed atomic.Uint64
-	// grand accumulates the traced meters of every observed cell. Cells
-	// complete on worker goroutines, so this is the AtomicMeter drain pattern:
-	// per-cell plain Meters merged concurrently into one shared AtomicMeter.
-	grand rum.AtomicMeter
 }
 
 // NewRunner creates a pool of the given width; workers <= 0 selects
@@ -56,10 +51,6 @@ func (r *Runner) Workers() int {
 type RunnerStats struct {
 	Cells  uint64 // cells executed (including failed ones)
 	Failed uint64 // cells that panicked
-	// Traced is the sum of every observed cell's traced meter — the suite's
-	// grand total of attributed physical and logical traffic. Zero when the
-	// suite ran without an observer.
-	Traced rum.Meter
 }
 
 // Stats returns a snapshot of the runner's counters.
@@ -67,7 +58,7 @@ func (r *Runner) Stats() RunnerStats {
 	if r == nil {
 		return RunnerStats{}
 	}
-	return RunnerStats{Cells: r.cells.Load(), Failed: r.failed.Load(), Traced: r.grand.Snapshot()}
+	return RunnerStats{Cells: r.cells.Load(), Failed: r.failed.Load()}
 }
 
 // CellError reports one run cell that panicked. The experiment it belongs to
@@ -141,14 +132,6 @@ func (r *Runner) Map(n int, fn func(i int)) []*CellError {
 	return errs
 }
 
-// MergeTraced drains one cell's measured meter into the suite-wide
-// AtomicMeter. Safe to call concurrently from worker goroutines.
-func (r *Runner) MergeTraced(m rum.Meter) {
-	if r != nil {
-		r.grand.Merge(m)
-	}
-}
-
 // Cell is one independent unit of experiment work: an isolated build-and-
 // measure closure identified by a label for failure reporting.
 type Cell struct {
@@ -156,16 +139,24 @@ type Cell struct {
 	Run   func(cfg Config)
 }
 
-// runCells executes an experiment's cells on the configured Runner. Each cell
+// runCells executes an experiment's cells on the configured Runner and
+// panics with tryCells' *SuiteError if any cell failed.
+func (c Config) runCells(exp string, cells []Cell) {
+	if err := c.tryCells(exp, cells); err != nil {
+		panic(err)
+	}
+}
+
+// tryCells executes an experiment's cells on the configured Runner. Each cell
 // receives a private Config copy: when the experiment is observed, the copy
 // carries a fresh child Observer (also wired as the storage hook) so the
 // cell's structures trace into isolated state. After every cell has finished,
 // child observers are finished and absorbed into the experiment's observer in
 // enumeration order — the step that makes exported traces independent of
-// worker count. If any cell panicked, runCells panics with a *SuiteError
-// naming every failed cell (after all cells have run and clean cells have
-// been merged).
-func (c Config) runCells(exp string, cells []Cell) {
+// worker count. If any cell panicked, tryCells returns a *SuiteError naming
+// every failed cell (after all cells have run and clean cells have been
+// merged).
+func (c Config) tryCells(exp string, cells []Cell) *SuiteError {
 	children := make([]*obs.Observer, len(cells))
 	errs := c.Runner.Map(len(cells), func(i int) {
 		ccfg := c
@@ -178,7 +169,6 @@ func (c Config) runCells(exp string, cells []Cell) {
 		cells[i].Run(ccfg)
 		if child := children[i]; child != nil {
 			child.Finish()
-			c.Runner.MergeTraced(child.TracedMeter())
 		}
 	})
 	var failed []*CellError
@@ -193,8 +183,9 @@ func (c Config) runCells(exp string, cells []Cell) {
 		}
 	}
 	if len(failed) > 0 {
-		panic(&SuiteError{Exp: exp, Cells: failed})
+		return &SuiteError{Exp: exp, Cells: failed}
 	}
+	return nil
 }
 
 // recordKey memoizes makeRecords: the quick and full suites ask for the same

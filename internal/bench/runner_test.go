@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/rum"
 )
 
 // TestRunnerMapBounded checks that Map never runs more than the pool width
@@ -129,20 +127,6 @@ func TestRunCellsSuiteError(t *testing.T) {
 		{Label: "also-ok", Run: func(Config) { after.Store(true) }},
 	})
 	t.Fatal("runCells did not panic")
-}
-
-// TestRunnerMergeTraced checks the concurrent drain into the grand meter.
-func TestRunnerMergeTraced(t *testing.T) {
-	r := NewRunner(4)
-	r.Map(8, func(i int) {
-		var m rum.Meter
-		m.CountRead(rum.Base, 100)
-		r.MergeTraced(m)
-	})
-	if got := r.Stats().Traced.BaseRead; got != 800 {
-		t.Fatalf("grand BaseRead = %d, want 800", got)
-	}
-	(*Runner)(nil).MergeTraced(rum.Meter{}) // must not crash
 }
 
 // TestMakeRecordsCached checks the memoized dataset cache: same (seed, n)
