@@ -85,7 +85,11 @@ examples:
 ## 131 072-key tree, ns per key, 0 allocs/op) and, out of cache on the MQSSD
 ## (262 144 keys through 256 frames, uniform keys), at b = 2, 4 and 16 with
 ## the read waves' cost/op and reads/op beside the loop's, the buffer pool's resident hit
-## and evicting miss (0 allocs/op both), the lsm L1→L2 spill, and the log's
+## and evicting miss (0 allocs/op both), the lsm L1→L2 spill, the live LSM's
+## Get loop beside its GetBatch at b = 4, 16 and 64 (BenchmarkLSMGetBatch: a
+## filterless 262 144-key tree through 256 frames on the MQSSD, uniform keys,
+## each run's missing pages one wave: cost/op, reads/op and prefetched pages
+## evicted unread per op, 0 allocs/op), and the log's
 ## group commit (0 allocs/op) and full checkpoint interval. BenchmarkSnapshotGet was
 ## re-baselined when it joined this list (PR 24): it reads scattered keys
 ## (≈ 285 ns per key) where it used to walk them in order (≈ 76 ns, one hot
@@ -99,6 +103,7 @@ bench:
 	$(GO) test ./internal/btree -bench '^Benchmark(SnapshotGet(Batch)?|TreeGetBatch)$$' -benchmem -benchtime=2s -run '^$$'
 	$(GO) test ./internal/storage -bench 'BenchmarkFetch(Hit|Miss)' -benchtime=2s -run '^$$'
 	$(GO) test ./internal/lsm -bench BenchmarkCompactionSpill -benchtime=2s -run '^$$'
+	$(GO) test ./internal/lsm -bench '^BenchmarkLSMGetBatch$$' -benchmem -benchtime=2s -run '^$$'
 	$(GO) test ./internal/wal -bench 'BenchmarkC(ommit|heckpoint)$$' -benchtime=2s -run '^$$'
 	$(GO) test ./internal/bench -bench '^Benchmark(StreamNext|InitRecords)$$' -benchmem -benchtime=2s -run '^$$'
 

@@ -69,11 +69,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	if fs.NArg() > 0 {
+		return badFlag("unexpected arguments: %v", fs.Args())
+	}
 
+	// The triangle is drawn at least 21 characters wide (bench.RenderTriangle).
 	for _, f := range []struct {
 		name     string
 		v, floor int
-	}{{"n", *n, 1}, {"ops", *ops, 1}, {"sample", *sample, 0}, {"parallel", *parallel, 0}} {
+	}{{"n", *n, 1}, {"ops", *ops, 1}, {"width", *width, 21}, {"sample", *sample, 0}, {"parallel", *parallel, 0}} {
 		if f.v < f.floor {
 			return badFlag("-%s must be ≥ %d (got %d)", f.name, f.floor, f.v)
 		}

@@ -61,9 +61,9 @@ func TestTrajectoryParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: an invalid mix, an unknown method name or an
-// out-of-range size or width is a usage error, exit 2, before anything is
-// profiled or printed.
+// TestUsageErrors: an invalid mix, an unknown method name, an out-of-range
+// size or width, or a stray argument is a usage error, exit 2, before
+// anything is profiled or printed; the narrowest width still draws.
 func TestUsageErrors(t *testing.T) {
 	cases := map[string][]string{
 		"invalid mix":       {"-get", "0.9", "-insert", "0.9"},
@@ -73,6 +73,10 @@ func TestUsageErrors(t *testing.T) {
 		"zero ops":          {"-ops", "0"},
 		"negative sample":   {"-trajectory", "-sample", "-1"},
 		"negative parallel": {"-parallel", "-1"},
+		"stray argument":    {"-n", "256", "-ops", "100", "btree"},
+		"zero width":        {"-width", "0"},
+		"negative width":    {"-width", "-5"},
+		"width 20":          {"-width", "20"},
 	}
 	for name, args := range cases {
 		var stdout, stderr bytes.Buffer
@@ -82,5 +86,17 @@ func TestUsageErrors(t *testing.T) {
 		if stdout.Len() != 0 || stderr.Len() == 0 {
 			t.Errorf("%s: want only a diagnostic on stderr; stdout:\n%s", name, stdout.String())
 		}
+	}
+	// The narrowest accepted width draws a triangle that wide.
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-methods", "btree", "-n", "256", "-ops", "100", "-width", "21"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-width 21: exit %d; stderr:\n%s", code, stderr.String())
+	}
+	base := false
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		base = base || len(line) == 21 && strings.Count(line, "_") > 15
+	}
+	if !base {
+		t.Fatalf("-width 21 drew no 21-character base:\n%s", stdout.String())
 	}
 }

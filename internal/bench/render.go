@@ -100,7 +100,8 @@ func RenderTriangle(points []NamedPoint, width int) string {
 		b.Write(row)
 		b.WriteByte('\n')
 	}
-	b.WriteString("Write Optimized" + strings.Repeat(" ", width-30) + "Space Optimized\n\n")
+	// Below 31 columns the two corner labels overhang the base, a space apart.
+	b.WriteString("Write Optimized" + strings.Repeat(" ", max(1, width-30)) + "Space Optimized\n\n")
 	seen := map[byte]bool{}
 	for i, p := range points {
 		if p.Marker != 0 {

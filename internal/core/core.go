@@ -123,15 +123,25 @@ type BulkLoader interface {
 }
 
 // BatchGetter is implemented by structures that serve a run of point reads
-// at once. GetBatch is len(keys) Gets: vals[i], oks[i] are what Get(keys[i])
-// returns (vals[i] is 0 on a miss). On a pool that does not batch I/O the
-// meter, cache and device also see what those Gets do to them, in the same
-// order. On a batching pool (storage.BufferPool.IOBatch above 1) the values
-// are the same, but the pages one level of the lookups misses arrive as one
-// Readahead wave: each still counts one miss and one device read, while
-// the LRU order, hit count and cost units may differ from the loop's.
+// at once: the B+-tree and the LSM-tree. GetBatch is len(keys) Gets: vals[i],
+// oks[i] are what Get(keys[i]) returns (vals[i] is 0 on a miss). On a pool
+// that does not batch I/O the meter, cache and device also see what those
+// Gets do to them, in the same order. On a batching pool
+// (storage.BufferPool.IOBatch above 1) the values and the meter are the same,
+// but the pages one step of the lookups misses — a B+-tree level, an LSM run —
+// arrive as one Readahead wave: each still counts one miss and one device
+// read, while the LRU order, hit count and cost units may differ from the
+// loop's.
 type BatchGetter interface {
 	GetBatch(keys []Key, vals []Value, oks []bool)
+}
+
+// Prefetcher is implemented by structures that can look up, in one batch, the
+// keys a coming run of operations will touch (wal.Logged, whose mutations
+// each probe the structure under the log). Prefetch is a hint: it changes no
+// result of any later call, only when and how the device reads happen.
+type Prefetcher interface {
+	Prefetch(keys []Key)
 }
 
 // Flusher is implemented by structures that buffer writes (e.g. through a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -175,6 +176,40 @@ func TestInstrumentGetBatchIsGets(t *testing.T) {
 		if spans[i] != "begin "+OpNameGet || spans[i+1] != "end "+OpNameGet {
 			t.Fatalf("spans %d, %d are %q, %q; want one get span per key", i, i+1, spans[i], spans[i+1])
 		}
+	}
+}
+
+// prefetchFake is fakeAM with a Prefetch that records the keys it is given.
+type prefetchFake struct {
+	*fakeAM
+	hinted [][]Key
+}
+
+func (f *prefetchFake) Prefetch(keys []Key) {
+	f.hinted = append(f.hinted, append([]Key(nil), keys...))
+}
+
+// TestInstrumentPrefetch: Instrumented.Prefetch hands a Prefetcher the keys
+// and charges nothing; it drops the hint for a structure without Prefetch
+// and while an observer is attached, like GetBatch.
+func TestInstrumentPrefetch(t *testing.T) {
+	keys := []Key{3, 1, 3}
+	pf := &prefetchFake{fakeAM: newFake()}
+	w := Instrument(pf)
+	w.Prefetch(keys)
+	if len(pf.hinted) != 1 || !slices.Equal(pf.hinted[0], keys) {
+		t.Fatalf("a Prefetcher was hinted %v, want one hint of %v", pf.hinted, keys)
+	}
+	if got := *w.Meter(); got != (rum.Meter{}) {
+		t.Fatalf("a prefetch charged %+v through the wrapper", got)
+	}
+	Instrument(newFake()).Prefetch(keys) // no Prefetcher: nothing to do
+
+	var spans spanLog
+	w.SetObserver(&spans)
+	w.Prefetch(keys)
+	if len(pf.hinted) != 1 || len(spans) != 0 {
+		t.Fatalf("an observed wrapper forwarded %d hints (want 1, the unobserved one) and opened %v", len(pf.hinted), spans)
 	}
 }
 

@@ -88,6 +88,15 @@ func (w *Instrumented) GetBatch(keys []Key, vals []Value, oks []bool) {
 	bg.GetBatch(keys, vals, oks)
 }
 
+// Prefetch forwards the hint to a Prefetcher, unless an observer is attached:
+// that wants each read inside its operation's span. It accounts nothing: the
+// operations that follow account themselves.
+func (w *Instrumented) Prefetch(keys []Key) {
+	if pf, ok := w.inner.(Prefetcher); ok && w.obs == nil {
+		pf.Prefetch(keys)
+	}
+}
+
 // Insert accounts one logical record write.
 func (w *Instrumented) Insert(k Key, v Value) error {
 	if w.obs != nil {

@@ -122,6 +122,16 @@ type Tree struct {
 	// MVCC state (nil when cfg.Versions == 0; see mvcc.go): epoch, published
 	// versions, compacted-away pages awaiting reclamation.
 	vs *storage.VersionSet[state]
+
+	batch batchScratch // GetBatch's, so that a call allocates nothing
+}
+
+// batchScratch is GetBatch's state within one run: open holds the indexes of
+// the keys no run has settled yet; wait those whose page in the run is not
+// resident, and wave their pages, in the same order.
+type batchScratch struct {
+	open, wait []int
+	wave       []storage.PageID
 }
 
 // New creates an empty tree on pool. It panics on Manifest + Versions (see
@@ -282,6 +292,77 @@ func (t *Tree) Get(k core.Key) (core.Value, bool) {
 	return 0, false
 }
 
+// GetBatch is len(keys) Gets (core.BatchGetter): the same values and the
+// same meter charges. On a pool that does not batch I/O (flat media, IOBatch
+// 1, a fault injector armed) it is that loop. On a batching pool it checks
+// the memtable for every key, then walks the runs newest first, as Get does,
+// with the keys no newer run has settled. In each run every such key locates
+// its page once, as Get would (fences, filter: the same charges); a key
+// whose page is resident is fetched and searched at once, and the pages of
+// the rest go to the pool as one Readahead wave before they are fetched and
+// searched. Resident pages first: their Fetches make them the most recently
+// used, so the wave's evictions pass them by (DESIGN §9).
+func (t *Tree) GetBatch(keys []core.Key, vals []core.Value, oks []bool) {
+	dev := t.pool.Device()
+	if len(keys) < 2 || t.pool.IOBatch() <= 1 || dev.Faulty() || dev.Crashed() {
+		for i, k := range keys {
+			vals[i], oks[i] = t.Get(k)
+		}
+		return
+	}
+	b := &t.batch
+	b.open = b.open[:0]
+	for i, k := range keys {
+		vals[i], oks[i] = 0, false
+		if v, ok := t.mem.Get(k); ok {
+			if v != Tombstone {
+				vals[i], oks[i] = v, true
+			}
+			continue
+		}
+		b.open = append(b.open, i)
+	}
+	for _, lv := range t.levels {
+		for i := len(lv) - 1; i >= 0 && len(b.open) > 0; i-- { // newest run last
+			t.searchRunBatch(lv[i], keys, vals, oks)
+		}
+	}
+}
+
+// searchRunBatch is GetBatch's step over one run: it settles the open keys
+// the run holds a version of and leaves the others open.
+func (t *Tree) searchRunBatch(r *run, keys []core.Key, vals []core.Value, oks []bool) {
+	b := &t.batch
+	// open is filtered in place: it never grows past the keys already read.
+	open, wait, wave := b.open[:0], b.wait[:0], b.wave[:0]
+	settle := func(i int, pid storage.PageID) {
+		switch v, status := t.searchRunPage(pid, keys[i]); status {
+		case foundValue:
+			vals[i], oks[i] = v, true
+		case notFound:
+			open = append(open, i)
+		}
+	}
+	for _, i := range b.open {
+		pi, ok := r.locate(keys[i], t.meter)
+		switch {
+		case !ok:
+			open = append(open, i)
+		case t.pool.Peek(r.pages[pi]) != nil:
+			settle(i, r.pages[pi])
+		default:
+			wait, wave = append(wait, i), append(wave, r.pages[pi])
+		}
+	}
+	if len(wave) > 0 {
+		t.pool.Readahead(wave)
+	}
+	for j, i := range wait {
+		settle(i, wave[j])
+	}
+	b.open, b.wait, b.wave = open, wait, wave
+}
+
 type searchStatus int
 
 const (
@@ -347,7 +428,13 @@ func (t *Tree) searchRun(r *run, k core.Key) (core.Value, searchStatus) {
 	if !ok {
 		return 0, notFound
 	}
-	f, err := t.pool.Fetch(r.pages[pi])
+	return t.searchRunPage(r.pages[pi], k)
+}
+
+// searchRunPage fetches run page pid and searches it for k; a page that cannot
+// be read holds nothing, and the search goes on in the next run.
+func (t *Tree) searchRunPage(pid storage.PageID, k core.Key) (core.Value, searchStatus) {
+	f, err := t.pool.Fetch(pid)
 	if err != nil {
 		return 0, notFound
 	}

@@ -271,8 +271,12 @@ type shard struct {
 	slow *obs.SlowLog
 	wrec *obs.WorkloadRecorder
 	// commit is the structure's group-commit hook (nil for structures that
-	// are not write-ahead logged), asserted once after Build.
-	commit Committer
+	// are not write-ahead logged), asserted once after Build; prefetch says
+	// whether the structure takes a message's keys as a core.Prefetcher hint,
+	// gathered into msgKeys.
+	commit   Committer
+	prefetch bool
+	msgKeys  []core.Key
 	// pollSkip is the number of coming idle periods that park without polling,
 	// set when a yield outlasted pollWindow (see poll); mbox counts what the
 	// mailbox wait strategy did and what it cost.
@@ -411,6 +415,7 @@ func (s *Server) runShard(sh *shard) {
 	}
 	am := s.cfg.Build(sh.id)
 	sh.commit, _ = am.Unwrap().(Committer)
+	_, sh.prefetch = am.Unwrap().(core.Prefetcher)
 	if s.cfg.Snapshots {
 		// The first publish (of the freshly built, possibly empty structure)
 		// also probes snapshot support: a structure without it flips the
@@ -574,7 +579,10 @@ func (sh *shard) apply(am *core.Instrumented, msg message) {
 
 // applyOps is apply's kindOps loop: each run of consecutive gets is one
 // GetBatch (getRun), any other op a run of its own through Exec, and a traced
-// shard observes each run (observeRun). It returns the message's write count.
+// shard observes each run (observeRun). A Prefetcher first gets every key of
+// the message as one hint, inside the first run, so that a traced run's
+// device work still adds up to the shard's. It returns the message's write
+// count.
 func (sh *shard) applyOps(am *core.Instrumented, msg *message) (writes int) {
 	var start time.Duration
 	if sh.rec != nil {
@@ -592,6 +600,9 @@ func (sh *shard) applyOps(am *core.Instrumented, msg *message) (writes int) {
 			sh.rec.BeginOpWork()
 			read, written = m.BaseRead+m.AuxRead, m.BaseWritten+m.AuxWritten
 		}
+		if sh.prefetch && len(idxs) == len(msg.idxs) {
+			sh.prefetchKeys(am, msg)
+		}
 		if get {
 			sh.getRun(am, msg, idxs[:n])
 		} else {
@@ -604,6 +615,16 @@ func (sh *shard) applyOps(am *core.Instrumented, msg *message) (writes int) {
 		idxs = idxs[n:]
 	}
 	return writes
+}
+
+// prefetchKeys hands the message's keys to the structure's Prefetch.
+func (sh *shard) prefetchKeys(am *core.Instrumented, msg *message) {
+	keys := sh.msgKeys[:0]
+	for _, i := range msg.idxs {
+		keys = append(keys, msg.reqs[i].Key)
+	}
+	sh.msgKeys = keys
+	am.Prefetch(keys)
 }
 
 // getRun sends a run of gets to GetBatch through the shard's run buffers.

@@ -601,3 +601,68 @@ func TestPoolReadaheadRepeatedIDs(t *testing.T) {
 		t.Fatalf("12 distinct pages took %d device reads into %d frames", st.PageReads, p.Len())
 	}
 }
+
+// TestPoolPrefetchAccounting: a page Readahead installed counts one
+// PrefetchHit at its first Fetch (a Hit as well) and none after, and one
+// PrefetchUnused if it leaves the pool — evicted, freed or dropped — before
+// any Fetch. Demand-read pages count in neither.
+func TestPoolPrefetchAccounting(t *testing.T) {
+	d := NewDevice(64, MQSSD, nil)
+	p := NewBufferPool(d, 8)
+	ids := allocN(t, d, 12, rum.Base)
+	fetch := func(id PageID) {
+		t.Helper()
+		f, err := p.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Release(f)
+	}
+	want := func(hits, unused uint64) {
+		t.Helper()
+		if st := p.Stats(); st.PrefetchHits != hits || st.PrefetchUnused != unused {
+			t.Fatalf("prefetch hits %d, unused %d; want %d, %d (%+v)", st.PrefetchHits, st.PrefetchUnused, hits, unused, st)
+		}
+	}
+	if got := p.Readahead(ids[:4]); got != 4 {
+		t.Fatalf("readahead installed %d, want 4", got)
+	}
+	want(0, 0)
+	fetch(ids[0])
+	fetch(ids[0]) // the second Fetch is an ordinary hit
+	fetch(ids[1])
+	want(2, 0)
+	if st := p.Stats(); st.Hits != 3 || st.Misses != 4 {
+		t.Fatalf("prefetch hits must count as hits: %+v", st)
+	}
+	// Demand misses fill the pool: ids[2] and ids[3], never fetched, are the
+	// least recently used and go first; ids[0] and ids[1] were fetched.
+	for _, id := range ids[4:10] {
+		fetch(id)
+	}
+	want(2, 2)
+	if p.Peek(ids[2]) != nil || p.Peek(ids[3]) != nil {
+		t.Fatal("the unfetched prefetched pages should have been the victims")
+	}
+	// Freed before any Fetch.
+	if got := p.Readahead(ids[10:11]); got != 1 {
+		t.Fatalf("readahead installed %d, want 1", got)
+	}
+	if err := p.FreePage(ids[10]); err != nil {
+		t.Fatal(err)
+	}
+	want(2, 3)
+	// Dropped before any Fetch.
+	if got := p.Readahead(ids[11:12]); got != 1 {
+		t.Fatalf("readahead installed %d, want 1", got)
+	}
+	p.DropAll()
+	want(2, 4)
+	// A demand-read page dropped or evicted counts in neither.
+	fetch(ids[0])
+	p.DropAll()
+	want(2, 4)
+	if st := p.Stats(); st.PrefetchHits+st.PrefetchUnused > st.Misses {
+		t.Fatalf("more prefetch outcomes than misses: %+v", st)
+	}
+}

@@ -36,6 +36,12 @@ type PoolStats struct {
 	// became the device's image (Device.Replace). WriteBacks - Handovers is
 	// the write-backs that copied (fault-armed device, pinned frame).
 	Handovers uint64
+	// PrefetchHits counts first Fetches of pages Readahead installed: the
+	// reads a prefetch saved. Each is counted in Hits too.
+	PrefetchHits uint64
+	// PrefetchUnused counts pages Readahead installed that were evicted,
+	// dropped or freed before any Fetch: device reads a prefetch wasted.
+	PrefetchUnused uint64
 }
 
 // HitRatio returns hits / (hits+misses), or 0 for an untouched pool.
@@ -75,6 +81,9 @@ type Frame struct {
 	// one is after a copying write-back only.
 	owned bool
 	dirty bool
+	// prefetched: Readahead installed the page and no Fetch has asked for it
+	// yet (PoolStats.PrefetchHits, PrefetchUnused).
+	prefetched bool
 	// 64 bytes: a frame is one cache line, as it was before it learned who
 	// owns its bytes (the resident hit relinks three of them).
 }
@@ -298,6 +307,10 @@ func (p *BufferPool) Fetch(id PageID) (*Frame, error) {
 	p.owner.assert("BufferPool")
 	if f := p.lookup(id); f != nil {
 		p.stats.Hits++
+		if f.prefetched {
+			f.prefetched = false
+			p.stats.PrefetchHits++
+		}
 		f.pins++
 		if p.lru.next != f {
 			p.unlink(f)
@@ -457,6 +470,15 @@ func (p *BufferPool) handedOver(f *Frame, prev []byte) {
 	p.stats.Handovers++
 }
 
+// unprefetch is a frame leaving the pool: a page Readahead installed that no
+// Fetch asked for was read for nothing.
+func (p *BufferPool) unprefetch(f *Frame) {
+	if f.prefetched {
+		f.prefetched = false
+		p.stats.PrefetchUnused++
+	}
+}
+
 // strip takes a frame that has left the page table out of circulation: its
 // buffer, if it owns one, becomes spare.
 func (p *BufferPool) strip(f *Frame) {
@@ -516,6 +538,7 @@ func (p *BufferPool) evictOne() *Frame {
 		p.checkClean(f)
 		p.unlink(f)
 		p.drop(f.id)
+		p.unprefetch(f)
 		p.stats.Evictions++
 		if p.hook != nil {
 			p.hook.StorageEvent(EvEvict, f.id, p.dev.Class(f.id), 0)
@@ -654,6 +677,7 @@ func (p *BufferPool) FreePage(id PageID) error {
 		}
 		p.unlink(f)
 		p.drop(id)
+		p.unprefetch(f)
 		p.strip(f)
 		p.setClean(f)
 		f.next, p.idle = p.idle, f
@@ -741,7 +765,8 @@ func (p *BufferPool) oldestDirty() *Frame {
 // set — and submitted in IOBatch-sized batches. Each
 // installed page counts a miss (it cost a device read; the later Fetch that
 // finds it is an honest hit), so the miss ledger still reconciles with
-// device reads. On flat media, or with a fault injector armed, Readahead is
+// device reads. That first Fetch also counts a PrefetchHit; a page that
+// leaves the pool before one counts PrefetchUnused. On flat media, or with a fault injector armed, Readahead is
 // a no-op — prefetching only pays when the device can serve the batch in
 // parallel, and fault streams must see demand-order reads.
 func (p *BufferPool) Readahead(ids []PageID) int {
@@ -793,6 +818,7 @@ func (p *BufferPool) Readahead(ids []PageID) int {
 			}
 			f.data = lend(pages[i])
 			p.adopt(f, id, 0)
+			f.prefetched = true
 			p.stats.Misses++
 			if p.hook != nil {
 				p.hook.StorageEvent(EvMiss, id, p.dev.Class(id), 0)
@@ -817,6 +843,7 @@ func (p *BufferPool) DropAll() {
 		}
 		p.unlink(f)
 		p.drop(f.id)
+		p.unprefetch(f)
 		p.strip(f)
 	}
 	p.spare, p.idle = nil, nil

@@ -40,6 +40,8 @@ type modelFrame struct {
 	// until the first markDirty, and again after a write-back that found the
 	// frame unpinned (a hand-over); a pinned frame's write-back copies.
 	private bool
+	// prefetched: readahead installed the page and no fetch has asked for it.
+	prefetched bool
 }
 
 func (m *modelPool) markDirty(f *modelFrame) {
@@ -72,6 +74,15 @@ func (m *modelPool) remove(f *modelFrame) {
 	delete(m.frames, f.id)
 }
 
+// leave is a frame evicted, dropped or freed: one readahead installed for
+// nothing, if no fetch asked for it.
+func (m *modelPool) leave(f *modelFrame) {
+	m.remove(f)
+	if f.prefetched {
+		m.stats.PrefetchUnused++
+	}
+}
+
 func (m *modelPool) add(id PageID, pins int) *modelFrame {
 	f := &modelFrame{id: id, data: make([]byte, m.dev.PageSize()), pins: pins}
 	m.order = append([]*modelFrame{f}, m.order...)
@@ -92,6 +103,10 @@ func (m *modelPool) dirtyCount() int {
 func (m *modelPool) fetch(id PageID) (*modelFrame, error) {
 	if f, ok := m.frames[id]; ok {
 		m.stats.Hits++
+		if f.prefetched {
+			f.prefetched = false
+			m.stats.PrefetchHits++
+		}
 		f.pins++
 		m.remove(f)
 		m.order = append([]*modelFrame{f}, m.order...)
@@ -131,7 +146,7 @@ func (m *modelPool) evictOne() bool {
 		if f.pins > 0 || (f.dirty && !m.flushVictim(f)) {
 			continue
 		}
-		m.remove(f)
+		m.leave(f)
 		m.stats.Evictions++
 		m.emit(EvEvict, f.id)
 		return true
@@ -209,7 +224,7 @@ func (m *modelPool) freePage(id PageID) error {
 		if f.pins > 0 {
 			return errors.New("pinned")
 		}
-		m.remove(f)
+		m.leave(f)
 	}
 	return m.dev.Free(id)
 }
@@ -243,7 +258,7 @@ func (m *modelPool) dropAll() {
 	m.flushAll()
 	for _, f := range append([]*modelFrame(nil), m.order...) {
 		if f.pins == 0 && !f.dirty {
-			m.remove(f)
+			m.leave(f)
 		}
 	}
 }
@@ -277,7 +292,9 @@ func (m *modelPool) readahead(ids []PageID) int {
 			if len(m.frames) >= m.capacity && !m.evictOne() {
 				return installed
 			}
-			copy(m.add(id, 0).data, pages[i])
+			f := m.add(id, 0)
+			copy(f.data, pages[i])
+			f.prefetched = true
 			m.stats.Misses++
 			m.emit(EvMiss, id)
 			installed++

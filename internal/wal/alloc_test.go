@@ -133,6 +133,65 @@ func TestCheckpointAllocsBounded(t *testing.T) {
 	}
 }
 
+// TestLoggedPrefetchAllocs: in the steady state a message's Prefetch — the
+// overlay and memo checks, the structure's GetBatch, the memo refill — and
+// the probes that read the memo back allocate nothing, over either structure.
+// The messages rotate through a key set larger than one message, so each
+// Prefetch replaces a memo full of other keys.
+func TestLoggedPrefetchAllocs(t *testing.T) {
+	for _, structure := range []string{"btree", "lsm"} {
+		pool := storage.NewBufferPool(storage.NewDevice(4096, storage.MQSSD, nil), 16)
+		var (
+			l   *Logged
+			err error
+		)
+		if structure == "btree" {
+			l, err = NewBTree(pool, btree.Config{}, Config{CommitBatch: 32})
+		} else {
+			l, err = NewLSM(pool, lsm.Config{MemtableRecords: 1024}, Config{CommitBatch: 32})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		const live = 20000
+		for k := 0; k < live; k++ {
+			if err := l.Insert(core.Key(k), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		var keys [8][48]core.Key
+		for m := range keys {
+			for i := range keys[m] {
+				keys[m][i] = core.Key((m*4801 + i*409) % (live + 500)) // a few past the end
+			}
+		}
+		msg := 0
+		message := func() {
+			ks := keys[msg%len(keys)][:]
+			msg++
+			l.Prefetch(ks)
+			for _, k := range ks {
+				if _, ok := l.Get(k); ok != (k < live) {
+					t.Fatalf("%s: key %d found %v", structure, k, ok)
+				}
+			}
+		}
+		for i := 0; i < 2*len(keys); i++ {
+			message()
+		}
+		before := pool.Stats().PrefetchHits
+		if allocs := testing.AllocsPerRun(200, message); allocs != 0 {
+			t.Errorf("%s: a prefetched message allocated %v times, want 0", structure, allocs)
+		}
+		if pool.Stats().PrefetchHits == before {
+			t.Fatalf("%s: the messages prefetched nothing", structure)
+		}
+	}
+}
+
 func BenchmarkCommit(b *testing.B) {
 	for _, group := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("group=%d", group), func(b *testing.B) {

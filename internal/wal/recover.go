@@ -166,6 +166,7 @@ func reopen(pool *storage.BufferPool, cfg Config, build func(keep map[storage.Pa
 		pool:      pool,
 		cfg:       cfg,
 		overlay:   make(map[core.Key]entry),
+		memo:      make(map[core.Key]answer),
 		count:     in.Len(),
 		seq:       scan.maxSeq,
 		seg:       scan.maxSeg + 1,

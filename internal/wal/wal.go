@@ -154,6 +154,12 @@ type entry struct {
 	base bool
 }
 
+// answer is what the structure said about a key: Get's two results.
+type answer struct {
+	val   core.Value
+	found bool
+}
+
 // change is one overlay entry on its way into the inner structure.
 type change struct {
 	key core.Key
@@ -184,10 +190,12 @@ func (r logRecord) put(dst []byte) {
 	}
 }
 
-// inner is the structure under the log: a full access method plus the three
-// hooks the checkpoint protocol needs.
+// inner is the structure under the log: a full access method that can look
+// keys up in batches (Prefetch), plus the three hooks the checkpoint protocol
+// needs.
 type inner interface {
 	core.AccessMethod
+	core.BatchGetter
 	// validate rejects values the structure cannot represent (the LSM
 	// tombstone) before they are acknowledged into the log.
 	validate(v core.Value) error
@@ -217,6 +225,15 @@ type Logged struct {
 	pending []logRecord
 	count   int // logical record count (estimate under the LSM, like lsm.Len)
 
+	// memo holds the structure's answers for the keys the last Prefetch
+	// looked up, which probe reads before asking the structure again. The
+	// structure changes only at a checkpoint, which clears it; memoKeys,
+	// memoVals and memoOks are the batch lookup's reusable buffers.
+	memo     map[core.Key]answer
+	memoKeys []core.Key
+	memoVals []core.Value
+	memoOks  []bool
+
 	// Reusable scratch, so the steady state allocates nothing: batch is the
 	// sorted hand-off of a checkpoint (and the overlay side of a RangeScan);
 	// frames are the log page images a commit encodes into — Device.Write and
@@ -245,6 +262,7 @@ func open(pool *storage.BufferPool, in inner, cfg Config) (*Logged, error) {
 		pool:    pool,
 		cfg:     cfg,
 		overlay: make(map[core.Key]entry),
+		memo:    make(map[core.Key]answer),
 		count:   in.Len(),
 	}
 	if err := l.Checkpoint(); err != nil {
@@ -294,16 +312,56 @@ func (l *Logged) Size() rum.SizeInfo {
 	return s
 }
 
-// probe resolves k through the overlay, then the structure. base is the bit
-// an overlay entry for k must carry: the one the key's entry already has, or
-// — on first touch since the last checkpoint — what the structure just
-// answered.
+// probe resolves k through the overlay, then the memo, then the structure.
+// base is the bit an overlay entry for k must carry: the one the key's entry
+// already has, or — on first touch since the last checkpoint — what the
+// structure answered.
 func (l *Logged) probe(k core.Key) (v core.Value, found, base bool) {
 	if e, ok := l.overlay[k]; ok {
 		return e.val, !e.tomb, e.base
 	}
+	if a, ok := l.memo[k]; ok {
+		return a.val, a.found, a.found
+	}
 	v, found = l.in.Get(k)
 	return v, found, found
+}
+
+// Prefetch (core.Prefetcher) asks the structure, in one GetBatch, what the
+// coming operations on keys will probe it for: each key once, and none the
+// overlay already holds. The answers replace the memo, which probe reads
+// before the structure. The results of every later call are what they would
+// have been without the hint; each lookup is one a probe would have made,
+// only earlier and together with the others, and a key read twice before
+// its first write is looked up once. On a pool that does not
+// batch I/O (flat media, IOBatch 1, a fault injector armed) it does nothing:
+// there a batch would read what the probes read, one page at a time.
+func (l *Logged) Prefetch(keys []core.Key) {
+	dev := l.pool.Device()
+	if l.pool.IOBatch() <= 1 || dev.Faulty() || dev.Crashed() {
+		return
+	}
+	clear(l.memo)
+	ks := l.memoKeys[:0]
+	for _, k := range keys {
+		if _, ok := l.overlay[k]; ok {
+			continue
+		}
+		if _, ok := l.memo[k]; ok {
+			continue
+		}
+		l.memo[k] = answer{} // seen; the answer follows
+		ks = append(ks, k)
+	}
+	if len(ks) > len(l.memoVals) {
+		l.memoVals, l.memoOks = make([]core.Value, cap(ks)), make([]bool, cap(ks))
+	}
+	vals, oks := l.memoVals[:len(ks)], l.memoOks[:len(ks)]
+	l.in.GetBatch(ks, vals, oks)
+	for i, k := range ks {
+		l.memo[k] = answer{vals[i], oks[i]}
+	}
+	l.memoKeys = ks
 }
 
 // Get returns the value for k and whether it was found.
@@ -493,6 +551,9 @@ func (l *Logged) Checkpoint() error {
 		return l.poisonedErr()
 	}
 	start := time.Now()
+	// The structure is about to absorb the overlay: the answers it gave
+	// before are not its answers after.
+	clear(l.memo)
 	if err := l.Commit(); err != nil {
 		return err
 	}
