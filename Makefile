@@ -84,7 +84,10 @@ examples:
 ## b = 1, 2, 3, 4, 8, 16 and 32 keys a call (BenchmarkTreeGetBatch: a resident
 ## 131 072-key tree, ns per key, 0 allocs/op) and, out of cache on the MQSSD
 ## (262 144 keys through 256 frames, uniform keys), at b = 2, 4 and 16 with
-## the read waves' cost/op and reads/op beside the loop's, the buffer pool's resident hit
+## the read waves' cost/op and reads/op beside the loop's, and 32-op read50
+## messages (half writes) served as a shard serves them, with and without the
+## tree's Prefetch of each message's keys (mqssd/prefetch-read50: cost/op,
+## reads/op and prefetched pages evicted unread per op), the buffer pool's resident hit
 ## and evicting miss (0 allocs/op both), the lsm L1→L2 spill, the live LSM's
 ## Get loop beside its GetBatch at b = 4, 16 and 64 (BenchmarkLSMGetBatch: a
 ## filterless 262 144-key tree through 256 frames on the MQSSD, uniform keys,

@@ -11,6 +11,7 @@ package btree
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/rum"
@@ -196,18 +197,13 @@ func (t *Tree) get(pid storage.PageID, k core.Key) (core.Value, bool) {
 // that does not batch I/O it also makes exactly the pool calls those Gets
 // make, in the same order, so pool stats, hook events, LRU order, victims,
 // write-back groups and the meter are the loop's. Keys go groupWidth at a
-// time. A group first descends in lock-step over BufferPool.Peek, which
-// touches nothing (group.step), taking each value from its leaf; a key whose
-// next page is not resident stops there. On a batching pool the pages a
-// level lacks are read first, as one Readahead wave, and the level peeked
-// again. Then, key by key, it replays Get's Fetch and Release of every page
-// it read and runs Get itself from where a key stopped. No frame stays
-// pinned across keys (DESIGN §9). Allocation-free once the scratch covers
-// the height.
+// time. A group first runs the plan (planGroup), taking each value from its
+// leaf; a key whose next page is not resident stops there. Then, key by
+// key, it replays Get's Fetch and Release of every page the plan read and
+// runs Get itself from where a key stopped. No frame stays pinned across
+// keys (DESIGN §9). Allocation-free once the scratch covers the height.
 func (t *Tree) GetBatch(keys []core.Key, vals []core.Value, oks []bool) {
-	if len(t.batch.path) <= t.height {
-		t.batch.path = make([][groupWidth]storage.PageID, t.height+1)
-	}
+	t.growPlan()
 	least := minGroup
 	if t.pool.IOBatch() > 1 {
 		least = 2 // a wave of two pages saves a whole read
@@ -232,15 +228,7 @@ const minGroup = 3
 
 func (t *Tree) getGroup(keys []core.Key, vals []core.Value, oks []bool) {
 	b := &t.batch
-	for i := range keys {
-		b.path[0][i], b.planned[i] = t.root, 0
-	}
-	for l := 0; l < t.height; l++ {
-		if wave := t.peekLevel(len(keys), l); len(wave) > 0 && t.pool.Readahead(wave) > 0 {
-			t.peekLevel(len(keys), l) // the wave may have evicted a page the first pass saw
-		}
-		b.step(keys, l == t.height-1, &b.path[l+1])
-	}
+	t.planGroup(keys, true, math.MaxInt) // no budget: Readahead clamps each wave to half the pool
 	// A peeked image is good only until the first Fetch: every value first.
 	for i, k := range keys {
 		vals[i], oks[i] = b.found(i, k)
@@ -260,6 +248,77 @@ func (t *Tree) getGroup(keys []core.Key, vals []core.Value, oks []bool) {
 			vals[i], oks[i] = t.get(b.path[l][i], k)
 		}
 	}
+}
+
+// Prefetch (core.Prefetcher) reads ahead the pages Gets of keys would read,
+// groupWidth keys at a time, by GetBatch's plan without the leaf search:
+// each level's missing pages go to the pool as one Readahead wave. It
+// installs only clean, unpinned pages, so every later call returns what it
+// would have returned without the hint; a mutation of a prefetched key
+// finds its leaf resident instead of paying a read of its own. The waves of
+// one call read at most prefetchBudget pages; the keys past that are left
+// to their own reads. Where the pool does not batch I/O
+// (storage.BufferPool.BatchIO) or the budget is below two pages (a wave of
+// one saves nothing) it makes no pool call at all. Allocation-free once the
+// scratch covers the height.
+func (t *Tree) Prefetch(keys []core.Key) {
+	budget := t.prefetchBudget()
+	if !t.pool.BatchIO() || budget < 2 {
+		return
+	}
+	t.growPlan()
+	for len(keys) > 0 && budget > 0 {
+		n := min(len(keys), groupWidth)
+		budget -= t.planGroup(keys[:n], false, budget)
+		keys = keys[n:]
+	}
+}
+
+// prefetchBudget is how many pages one Prefetch may read: half the pool, as
+// Readahead reads into at most half of it at once, less a frame per level
+// for the descents that follow. Operations that touch more pages before
+// they reach their own evict what was read for them before they use it; on
+// pools of a few frames that leaves nothing (DESIGN §9).
+func (t *Tree) prefetchBudget() int { return t.pool.Capacity()/2 - t.height }
+
+// growPlan sizes the group plan's path for the tree's height.
+func (t *Tree) growPlan() {
+	if len(t.batch.path) <= t.height {
+		t.batch.path = make([][groupWidth]storage.PageID, t.height+1)
+	}
+}
+
+// planGroup descends for keys (at most groupWidth) in lock-step over
+// BufferPool.Peek, which touches nothing: level by level it loads each key's
+// page where it is resident, hands the level's missing pages to the pool as
+// one Readahead wave (a no-op where the pool does not batch I/O), peeks the
+// level again, since the wave may have evicted a page the first pass saw,
+// and routes every key to its child (group.step). The path and planned of
+// t.batch record how far each key got. With search the leaf level is
+// searched too, for group.found; without, the plan ends at the leaf wave.
+// The waves read at most budget pages in all; planGroup returns how many
+// they read.
+func (t *Tree) planGroup(keys []core.Key, search bool, budget int) (read int) {
+	b := &t.batch
+	for i := range keys {
+		b.path[0][i], b.planned[i] = t.root, 0
+	}
+	for l := 0; l < t.height; l++ {
+		wave, leaf := t.peekLevel(len(keys), l), l == t.height-1
+		installed := 0
+		if wave = wave[:min(len(wave), budget-read)]; len(wave) > 0 {
+			installed = t.pool.Readahead(wave)
+			read += installed
+		}
+		if leaf && !search {
+			break
+		}
+		if installed > 0 {
+			t.peekLevel(len(keys), l)
+		}
+		b.step(keys, leaf, &b.path[l+1])
+	}
+	return read
 }
 
 // peekLevel loads level l's resident pages into the group's nodes for the

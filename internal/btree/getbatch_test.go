@@ -637,7 +637,12 @@ func FuzzTreeGetBatch(f *testing.F) {
 // The mqssd cases read uniformly drawn keys from a tree of 262 144 keys
 // (1 028 leaves) through a 256-frame pool on the multi-queue SSD, where a
 // group's missing pages go to the device as one wave: they also report the
-// device's cost units and page reads per key.
+// device's cost units and page reads per key. The mqssd/prefetch-read50
+// cases serve 32-op messages of half gets, half writes (inserts, updates,
+// deletes) to a freshly loaded tree of as many keys, as a shard does: each
+// run of gets is one GetBatch, each write a call of its own, and with the
+// hint on, the message's keys go to Prefetch first. Reported per op beside
+// ns and allocs: cost units, page reads and prefetched pages evicted unread.
 func BenchmarkTreeGetBatch(b *testing.B) {
 	const n = 131072
 	tr := bulkTree(b, storage.RAM, n, 4096)
@@ -709,7 +714,85 @@ func BenchmarkTreeGetBatch(b *testing.B) {
 				report(b, before)
 			})
 		}
+		for _, hint := range []string{"off", "on"} {
+			b.Run("prefetch-read50/"+hint, func(b *testing.B) {
+				benchMessages(b, big, hint == "on")
+			})
+		}
 	})
+}
+
+// benchMessages serves b.N ops as 32-op read50 messages to a tree of 2n
+// slots on the multi-queue SSD through 256 frames, whose even keys are
+// stored: a get or an update reads a stored or a missing key alike, an
+// insert adds an odd key and a delete removes an even one.
+func benchMessages(b *testing.B, n int, prefetch bool) {
+	const msgOps = 32
+	tr, err := New(storage.NewBufferPool(storage.NewDevice(4096, storage.MQSSD, nil), 256), Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs := make([]core.Record, n)
+	for i := range recs {
+		recs[i] = core.Record{Key: core.Key(2 * i), Value: core.Value(i)}
+	}
+	if err := tr.BulkLoad(recs); err != nil {
+		b.Fatal(err)
+	}
+	// op 0 is a get; 1, 2 and 3 an insert, an update and a delete, drawn
+	// in read50's shares (0.50, 0.20, 0.15, 0.15).
+	rng := rand.New(rand.NewSource(1))
+	keys, kinds := make([]core.Key, 1<<16), make([]byte, 1<<16)
+	for i := range keys {
+		keys[i] = core.Key(rng.Intn(2 * n))
+		switch r := rng.Intn(20); {
+		case r < 10:
+		case r < 14:
+			kinds[i], keys[i] = 1, keys[i]|1
+		case r < 17:
+			kinds[i] = 2
+		default:
+			kinds[i], keys[i] = 3, keys[i]&^1
+		}
+	}
+	vals, oks := make([]core.Value, msgOps), make([]bool, msgOps)
+	pool, dev := tr.Pool(), tr.Pool().Device()
+	dev.ResetStats()
+	unused := pool.Stats().PrefetchUnused
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += msgOps {
+		at := i & (len(keys) - 1)
+		msg, kind := keys[at:at+msgOps], kinds[at:at+msgOps]
+		if prefetch {
+			tr.Prefetch(msg)
+		}
+		for j := 0; j < msgOps; {
+			if kind[j] == 0 {
+				end := j + 1
+				for end < msgOps && kind[end] == 0 {
+					end++
+				}
+				tr.GetBatch(msg[j:end], vals[:end-j], oks[:end-j])
+				j = end
+				continue
+			}
+			switch kind[j] {
+			case 1:
+				_ = tr.Insert(msg[j], core.Value(i)) // ErrKeyExists on a repeat
+			case 2:
+				tr.Update(msg[j], core.Value(i))
+			default:
+				tr.Delete(msg[j])
+			}
+			j++
+		}
+	}
+	b.StopTimer()
+	st := dev.Stats()
+	b.ReportMetric(float64(st.CostUnits)/float64(b.N), "cost/op")
+	b.ReportMetric(float64(st.PageReads)/float64(b.N), "reads/op")
+	b.ReportMetric(float64(pool.Stats().PrefetchUnused-unused)/float64(b.N), "unused/op")
 }
 
 // bulkTree bulk-loads keys 0 … n-1 into a tree of 4 KiB pages on a pool of

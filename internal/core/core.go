@@ -137,8 +137,9 @@ type BatchGetter interface {
 }
 
 // Prefetcher is implemented by structures that can look up, in one batch, the
-// keys a coming run of operations will touch (wal.Logged, whose mutations
-// each probe the structure under the log). Prefetch is a hint: it changes no
+// keys a coming run of operations will touch: wal.Logged, whose mutations
+// each probe the structure under the log, and the B+-tree, which reads ahead
+// the pages each key's descent will fetch. Prefetch is a hint: it changes no
 // result of any later call, only when and how the device reads happen.
 type Prefetcher interface {
 	Prefetch(keys []Key)

@@ -135,7 +135,9 @@ func (p *lsmPair) read(t testing.TB, keys []core.Key) ([]core.Value, []bool) {
 // batch. On a 4096-byte MQSSD, where each run's missing pages arrive as one
 // Readahead wave, the batched twin's misses must equal its device reads after
 // every batch, its meter must differ from the loop's by device reads alone,
-// and its cost at the end of the row must be no higher than the loop's.
+// and at the end of the row its cost must be no higher than the loop's and
+// its device reads at most 10 % above them: a wave's evictions can push out
+// a page a later run reads again (DESIGN §9 records the worst row).
 func TestLSMGetBatchMatchesGets(t *testing.T) {
 	shapes := []struct {
 		name string
@@ -196,10 +198,14 @@ func TestLSMGetBatchMatchesGets(t *testing.T) {
 					p.read(t, nil)
 					if medium == storage.MQSSD {
 						da, dl := p.batched.devStats(), p.loop.devStats()
-						t.Logf("device reads %d against the Gets' %d, cost units %d against %d, prefetched unused %d",
-							da.PageReads, dl.PageReads, da.CostUnits, dl.CostUnits, p.batched.tr.Pool().Stats().PrefetchUnused)
+						t.Logf("device reads %d against the Gets' %d (%.3fx), cost units %d against %d, prefetched unused %d",
+							da.PageReads, dl.PageReads, float64(da.PageReads)/float64(max(dl.PageReads, 1)),
+							da.CostUnits, dl.CostUnits, p.batched.tr.Pool().Stats().PrefetchUnused)
 						if da.CostUnits > dl.CostUnits {
 							t.Fatalf("GetBatch cost %d cost units, the Gets %d", da.CostUnits, dl.CostUnits)
+						}
+						if 10*da.PageReads > 11*dl.PageReads {
+							t.Fatalf("GetBatch read %d pages, more than 1.10x the Gets' %d", da.PageReads, dl.PageReads)
 						}
 					}
 				})

@@ -303,8 +303,7 @@ func (t *Tree) Get(k core.Key) (core.Value, bool) {
 // searched. Resident pages first: their Fetches make them the most recently
 // used, so the wave's evictions pass them by (DESIGN §9).
 func (t *Tree) GetBatch(keys []core.Key, vals []core.Value, oks []bool) {
-	dev := t.pool.Device()
-	if len(keys) < 2 || t.pool.IOBatch() <= 1 || dev.Faulty() || dev.Crashed() {
+	if len(keys) < 2 || !t.pool.BatchIO() {
 		for i, k := range keys {
 			vals[i], oks[i] = t.Get(k)
 		}

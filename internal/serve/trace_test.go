@@ -442,91 +442,112 @@ func TestTraceRecorderWiring(t *testing.T) {
 	}
 }
 
-// TestTracedPrefetchInFirstRun: a shard over a write-ahead-logged LSM on the
-// multi-queue SSD hints each message's keys with one Prefetch, inside the
-// message's first run. The batch lookup's reads are then charged to that
-// run, so the read bytes of the runs' traces — one trace per op, all ops
-// traced — still add up to the shard meter's. A prefetch outside the runs
-// would leave its reads in the meter and in no trace.
+// TestTracedPrefetchInFirstRun: a shard on the multi-queue SSD, over a
+// write-ahead-logged LSM and over a plain B+-tree, hints each message's keys
+// with one Prefetch, inside the message's first run. The prefetch's reads
+// are then charged to that run, so the read bytes of the runs' traces — one
+// trace per op, all ops traced — still add up to the shard meter's. A
+// prefetch outside the runs would leave its reads in the meter and in no
+// trace.
 func TestTracedPrefetchInFirstRun(t *testing.T) {
-	var pool *storage.BufferPool
-	s := mustNew(t, Config{
-		Shards:   1,
-		MaxBatch: 32,
-		Trace:    &TraceConfig{SlowK: 1 << 12},
-		Build: func(int) *core.Instrumented {
-			pool = methods.NewPool(methods.Options{Medium: storage.MQSSD, PoolPages: 16}, nil)
+	structures := []struct {
+		name  string
+		build func(*storage.BufferPool) core.AccessMethod
+	}{
+		{"wal-lsm", func(pool *storage.BufferPool) core.AccessMethod {
 			l, err := wal.NewLSM(pool, lsm.Config{MemtableRecords: 256}, wal.Config{CommitBatch: 32, CheckpointEvery: 512})
 			if err != nil {
 				panic(err)
 			}
-			return core.Instrument(l)
-		},
-	})
-	const n = 8192
-	recs := make([]core.Record, n)
-	for i := range recs {
-		recs[i] = core.Record{Key: core.Key(2 * i), Value: core.Value(i)}
-	}
-	if err := s.Preload(recs); err != nil {
-		t.Fatalf("Preload: %v", err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	before, err := s.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	hits := pool.Stats().PrefetchHits
-	// Gets of stored keys, inserts of fresh odd ones and an update now and
-	// then: each 32-op message is several runs, and most keys miss the pool.
-	reqs, res := make([]Request, 256), make([]Result, 256)
-	for round := 0; round < 8; round++ {
-		for i := range reqs {
-			k := core.Key(2 * ((i*1031 + round*7919) % n))
-			switch {
-			case i%8 == 3:
-				reqs[i] = Request{Op: OpInsert, Key: k + 1, Value: 1}
-			case i%16 == 7:
-				reqs[i] = Request{Op: OpUpdate, Key: k, Value: 2}
-			default:
-				reqs[i] = Request{Op: OpGet, Key: k}
+			return l
+		}},
+		{"btree", func(pool *storage.BufferPool) core.AccessMethod {
+			tr, err := btree.New(pool, btree.Config{})
+			if err != nil {
+				panic(err)
 			}
-		}
-		if err := s.Do(reqs, res); err != nil {
-			t.Fatalf("Do: %v", err)
-		}
-		for i, r := range res {
-			if !r.OK {
-				t.Fatalf("round %d: %v of key %d failed", round, reqs[i].Op, reqs[i].Key)
+			return tr
+		}},
+	}
+	for _, st := range structures {
+		t.Run(st.name, func(t *testing.T) {
+			var pool *storage.BufferPool
+			s := mustNew(t, Config{
+				Shards:   1,
+				MaxBatch: 32,
+				Trace:    &TraceConfig{SlowK: 1 << 12},
+				Build: func(int) *core.Instrumented {
+					pool = methods.NewPool(methods.Options{Medium: storage.MQSSD, PoolPages: 16}, nil)
+					return core.Instrument(st.build(pool))
+				},
+			})
+			const n = 8192
+			recs := make([]core.Record, n)
+			for i := range recs {
+				recs[i] = core.Record{Key: core.Key(2 * i), Value: core.Value(i)}
 			}
-		}
-	}
-	traces := s.SlowTraces()
-	if len(traces) != 8*len(reqs) {
-		t.Fatalf("flight recorder holds %d traces, want all %d", len(traces), 8*len(reqs))
-	}
-	reports, err := s.Stop()
-	if err != nil {
-		t.Fatalf("Stop: %v", err)
-	}
-	if pool.Stats().PrefetchHits == hits {
-		t.Fatal("no prefetched page was ever fetched: the shard did not prefetch")
-	}
-	slices.SortStableFunc(traces, func(a, b obs.SlowTrace) int { return a.At.Compare(b.At) })
-	var read uint64
-	for len(traces) > 0 {
-		n := traces[0].Run
-		if n < 1 || n > len(traces) {
-			t.Fatalf("a run of %d with %d traces left", n, len(traces))
-		}
-		read += traces[0].ReadBytes
-		traces = traces[n:]
-	}
-	m0, m1 := before[0].Meter, reports[0].Meter
-	if want := m1.BaseRead + m1.AuxRead - m0.BaseRead - m0.AuxRead; read != want {
-		t.Fatalf("the runs' traces read %d bytes, the shard meter %d", read, want)
+			if err := s.Preload(recs); err != nil {
+				t.Fatalf("Preload: %v", err)
+			}
+			if err := s.Flush(); err != nil {
+				t.Fatalf("Flush: %v", err)
+			}
+			before, err := s.Snapshot()
+			if err != nil {
+				t.Fatalf("Snapshot: %v", err)
+			}
+			hits := pool.Stats().PrefetchHits
+			// Gets of stored keys, inserts of fresh odd ones and an update
+			// now and then: each 32-op message is several runs, and most keys
+			// miss the pool.
+			reqs, res := make([]Request, 256), make([]Result, 256)
+			for round := 0; round < 8; round++ {
+				for i := range reqs {
+					k := core.Key(2 * ((i*1031 + round*7919) % n))
+					switch {
+					case i%8 == 3:
+						reqs[i] = Request{Op: OpInsert, Key: k + 1, Value: 1}
+					case i%16 == 7:
+						reqs[i] = Request{Op: OpUpdate, Key: k, Value: 2}
+					default:
+						reqs[i] = Request{Op: OpGet, Key: k}
+					}
+				}
+				if err := s.Do(reqs, res); err != nil {
+					t.Fatalf("Do: %v", err)
+				}
+				for i, r := range res {
+					if !r.OK {
+						t.Fatalf("round %d: %v of key %d failed", round, reqs[i].Op, reqs[i].Key)
+					}
+				}
+			}
+			traces := s.SlowTraces()
+			if len(traces) != 8*len(reqs) {
+				t.Fatalf("flight recorder holds %d traces, want all %d", len(traces), 8*len(reqs))
+			}
+			reports, err := s.Stop()
+			if err != nil {
+				t.Fatalf("Stop: %v", err)
+			}
+			if pool.Stats().PrefetchHits == hits {
+				t.Fatal("no prefetched page was ever fetched: the shard did not prefetch")
+			}
+			slices.SortStableFunc(traces, func(a, b obs.SlowTrace) int { return a.At.Compare(b.At) })
+			var read uint64
+			for len(traces) > 0 {
+				n := traces[0].Run
+				if n < 1 || n > len(traces) {
+					t.Fatalf("a run of %d with %d traces left", n, len(traces))
+				}
+				read += traces[0].ReadBytes
+				traces = traces[n:]
+			}
+			m0, m1 := before[0].Meter, reports[0].Meter
+			if want := m1.BaseRead + m1.AuxRead - m0.BaseRead - m0.AuxRead; read != want {
+				t.Fatalf("the runs' traces read %d bytes, the shard meter %d", read, want)
+			}
+		})
 	}
 }
 

@@ -255,11 +255,12 @@ func (p *BufferPool) SetIOBatch(n int) {
 // IOBatch returns the current batch-submission width.
 func (p *BufferPool) IOBatch() int { return p.ioBatch }
 
-// batchIO reports whether the pool currently submits batched I/O: a batch
-// width above 1 and a clean device. With an injector armed the pool stays on
-// the per-frame path, preserving per-fault semantics and the copying flush
-// (a torn batch must not corrupt frames it may retry from).
-func (p *BufferPool) batchIO() bool {
+// BatchIO reports whether the pool submits batched I/O now: a batch width
+// above 1 and a clean device. With an injector armed the pool stays on the
+// per-frame path, preserving per-fault semantics and the copying flush (a
+// torn batch must not corrupt frames it may retry from). Structures ask it
+// before planning a read wave: where it is false, Readahead does nothing.
+func (p *BufferPool) BatchIO() bool {
 	return p.ioBatch > 1 && !p.dev.Faulty() && !p.dev.Crashed()
 }
 
@@ -637,7 +638,7 @@ func (p *BufferPool) flushGroup(group []*Frame) {
 // freed while cached have nothing to persist and are marked clean instead
 // of joining the group.
 func (p *BufferPool) flushVictim(victim *Frame) bool {
-	if !p.batchIO() {
+	if !p.BatchIO() {
 		return p.flushFrame(victim)
 	}
 	group := append(p.group[:0], victim)
@@ -713,7 +714,7 @@ func (p *BufferPool) FreeExcept(keep func(PageID) bool) error {
 func (p *BufferPool) FlushAll() {
 	p.owner.assert("BufferPool")
 	oldest := p.oldestDirty()
-	if !p.batchIO() {
+	if !p.BatchIO() {
 		for f := oldest; f != &p.lru; f = f.prev {
 			if f.dirty {
 				p.flushFrame(f)
@@ -771,7 +772,7 @@ func (p *BufferPool) oldestDirty() *Frame {
 // parallel, and fault streams must see demand-order reads.
 func (p *BufferPool) Readahead(ids []PageID) int {
 	p.owner.assert("BufferPool")
-	if !p.batchIO() {
+	if !p.BatchIO() {
 		return 0
 	}
 	limit := p.capacity / 2

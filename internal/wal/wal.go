@@ -154,12 +154,6 @@ type entry struct {
 	base bool
 }
 
-// answer is what the structure said about a key: Get's two results.
-type answer struct {
-	val   core.Value
-	found bool
-}
-
 // change is one overlay entry on its way into the inner structure.
 type change struct {
 	key core.Key
@@ -225,11 +219,12 @@ type Logged struct {
 	pending []logRecord
 	count   int // logical record count (estimate under the LSM, like lsm.Len)
 
-	// memo holds the structure's answers for the keys the last Prefetch
-	// looked up, which probe reads before asking the structure again. The
-	// structure changes only at a checkpoint, which clears it; memoKeys,
-	// memoVals and memoOks are the batch lookup's reusable buffers.
-	memo     map[core.Key]answer
+	// memo maps each key the last Prefetch looked up to its slot in
+	// memoKeys, memoVals and memoOks, the batch lookup's reusable buffers,
+	// which hold the structure's answers: probe reads them before asking the
+	// structure again. The structure changes only at a checkpoint, which
+	// clears the memo.
+	memo     map[core.Key]int
 	memoKeys []core.Key
 	memoVals []core.Value
 	memoOks  []bool
@@ -262,7 +257,7 @@ func open(pool *storage.BufferPool, in inner, cfg Config) (*Logged, error) {
 		pool:    pool,
 		cfg:     cfg,
 		overlay: make(map[core.Key]entry),
-		memo:    make(map[core.Key]answer),
+		memo:    make(map[core.Key]int),
 		count:   in.Len(),
 	}
 	if err := l.Checkpoint(); err != nil {
@@ -320,8 +315,8 @@ func (l *Logged) probe(k core.Key) (v core.Value, found, base bool) {
 	if e, ok := l.overlay[k]; ok {
 		return e.val, !e.tomb, e.base
 	}
-	if a, ok := l.memo[k]; ok {
-		return a.val, a.found, a.found
+	if i, ok := l.memo[k]; ok {
+		return l.memoVals[i], l.memoOks[i], l.memoOks[i]
 	}
 	v, found = l.in.Get(k)
 	return v, found, found
@@ -333,12 +328,11 @@ func (l *Logged) probe(k core.Key) (v core.Value, found, base bool) {
 // before the structure. The results of every later call are what they would
 // have been without the hint; each lookup is one a probe would have made,
 // only earlier and together with the others, and a key read twice before
-// its first write is looked up once. On a pool that does not
-// batch I/O (flat media, IOBatch 1, a fault injector armed) it does nothing:
-// there a batch would read what the probes read, one page at a time.
+// its first write is looked up once. On a pool that does not batch I/O
+// (storage.BufferPool.BatchIO) it does nothing: there a batch would read
+// what the probes read, one page at a time.
 func (l *Logged) Prefetch(keys []core.Key) {
-	dev := l.pool.Device()
-	if l.pool.IOBatch() <= 1 || dev.Faulty() || dev.Crashed() {
+	if !l.pool.BatchIO() {
 		return
 	}
 	clear(l.memo)
@@ -350,17 +344,13 @@ func (l *Logged) Prefetch(keys []core.Key) {
 		if _, ok := l.memo[k]; ok {
 			continue
 		}
-		l.memo[k] = answer{} // seen; the answer follows
+		l.memo[k] = len(ks) // the answer lands in this slot
 		ks = append(ks, k)
 	}
 	if len(ks) > len(l.memoVals) {
 		l.memoVals, l.memoOks = make([]core.Value, cap(ks)), make([]bool, cap(ks))
 	}
-	vals, oks := l.memoVals[:len(ks)], l.memoOks[:len(ks)]
-	l.in.GetBatch(ks, vals, oks)
-	for i, k := range ks {
-		l.memo[k] = answer{vals[i], oks[i]}
-	}
+	l.in.GetBatch(ks, l.memoVals[:len(ks)], l.memoOks[:len(ks)])
 	l.memoKeys = ks
 }
 
