@@ -92,7 +92,9 @@ examples:
 ## Get loop beside its GetBatch at b = 4, 16 and 64 (BenchmarkLSMGetBatch: a
 ## filterless 262 144-key tree through 256 frames on the MQSSD, uniform keys,
 ## each run's missing pages one wave: cost/op, reads/op and prefetched pages
-## evicted unread per op, 0 allocs/op), and the log's
+## evicted unread per op, 0 allocs/op; its resident cases read the same tree
+## through a pool that holds every page, the loop beside b = 16, where only
+## the page search differs: per key, or sixteen in lock-step), and the log's
 ## group commit (0 allocs/op) and full checkpoint interval. BenchmarkSnapshotGet was
 ## re-baselined when it joined this list (PR 24): it reads scattered keys
 ## (≈ 285 ns per key) where it used to walk them in order (≈ 76 ns, one hot

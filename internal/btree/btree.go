@@ -71,9 +71,9 @@ type Tree struct {
 // a level's pages that were not resident.
 type batchScratch struct {
 	group
-	path    [][groupWidth]storage.PageID
-	planned [groupWidth]int
-	wave    [groupWidth]storage.PageID
+	path    [][core.GroupWidth]storage.PageID
+	planned [core.GroupWidth]int
+	wave    [core.GroupWidth]storage.PageID
 }
 
 // New creates an empty tree on pool. The pool's device meter receives all
@@ -196,9 +196,9 @@ func (t *Tree) get(pid storage.PageID, k core.Key) (core.Value, bool) {
 // GetBatch is len(keys) Gets (core.BatchGetter): the same values. On a pool
 // that does not batch I/O it also makes exactly the pool calls those Gets
 // make, in the same order, so pool stats, hook events, LRU order, victims,
-// write-back groups and the meter are the loop's. Keys go groupWidth at a
-// time. A group first runs the plan (planGroup), taking each value from its
-// leaf; a key whose next page is not resident stops there. Then, key by
+// write-back groups and the meter are the loop's. Keys go core.GroupWidth
+// at a time. A group first runs the plan (planGroup), taking each value from
+// its leaf; a key whose next page is not resident stops there. Then, key by
 // key, it replays Get's Fetch and Release of every page the plan read and
 // runs Get itself from where a key stopped. No frame stays pinned across
 // keys (DESIGN §9). Allocation-free once the scratch covers the height.
@@ -209,7 +209,7 @@ func (t *Tree) GetBatch(keys []core.Key, vals []core.Value, oks []bool) {
 		least = 2 // a wave of two pages saves a whole read
 	}
 	for len(keys) > 0 {
-		n := min(len(keys), groupWidth)
+		n := min(len(keys), core.GroupWidth)
 		if n < least {
 			for i, k := range keys {
 				vals[i], oks[i] = t.Get(k)
@@ -251,8 +251,8 @@ func (t *Tree) getGroup(keys []core.Key, vals []core.Value, oks []bool) {
 }
 
 // Prefetch (core.Prefetcher) reads ahead the pages Gets of keys would read,
-// groupWidth keys at a time, by GetBatch's plan without the leaf search:
-// each level's missing pages go to the pool as one Readahead wave. It
+// core.GroupWidth keys at a time, by GetBatch's plan without the leaf
+// search: each level's missing pages go to the pool as one Readahead wave. It
 // installs only clean, unpinned pages, so every later call returns what it
 // would have returned without the hint; a mutation of a prefetched key
 // finds its leaf resident instead of paying a read of its own. The waves of
@@ -268,7 +268,7 @@ func (t *Tree) Prefetch(keys []core.Key) {
 	}
 	t.growPlan()
 	for len(keys) > 0 && budget > 0 {
-		n := min(len(keys), groupWidth)
+		n := min(len(keys), core.GroupWidth)
 		budget -= t.planGroup(keys[:n], false, budget)
 		keys = keys[n:]
 	}
@@ -284,11 +284,11 @@ func (t *Tree) prefetchBudget() int { return t.pool.Capacity()/2 - t.height }
 // growPlan sizes the group plan's path for the tree's height.
 func (t *Tree) growPlan() {
 	if len(t.batch.path) <= t.height {
-		t.batch.path = make([][groupWidth]storage.PageID, t.height+1)
+		t.batch.path = make([][core.GroupWidth]storage.PageID, t.height+1)
 	}
 }
 
-// planGroup descends for keys (at most groupWidth) in lock-step over
+// planGroup descends for keys (at most core.GroupWidth) in lock-step over
 // BufferPool.Peek, which touches nothing: level by level it loads each key's
 // page where it is resident, hands the level's missing pages to the pool as
 // one Readahead wave (a no-op where the pool does not batch I/O), peeks the
@@ -321,19 +321,19 @@ func (t *Tree) planGroup(keys []core.Key, search bool, budget int) (read int) {
 	return read
 }
 
-// peekLevel loads level l's resident pages into the group's nodes for the
+// peekLevel loads level l's resident pages into the group's pages for the
 // first n keys whose plan reached l, and returns the ids of those that are
 // not resident, repeats included (Readahead reads a page once).
 func (t *Tree) peekLevel(n, l int) []storage.PageID {
 	b := &t.batch
 	wave := b.wave[:0]
 	for i := 0; i < n; i++ {
-		b.nodes[i] = emptyNode
+		b.pages[i] = emptyNode
 		if b.planned[i] < l {
 			continue
 		}
 		if img := t.pool.Peek(b.path[l][i]); img != nil {
-			b.nodes[i], b.planned[i] = node{img}, l+1
+			b.pages[i], b.planned[i] = img, l+1
 		} else {
 			b.planned[i] = l
 			wave = append(wave, b.path[l][i])

@@ -12,10 +12,11 @@ import (
 	"repro/internal/storage"
 )
 
-// TestSearchGroupMatchesSingleKey holds the group kernel to the single-key
-// kernels over every node count a 512-byte page allows: for leaves against
-// leafSearch, for internal nodes against intSearch and, through child,
-// against route. Each group mixes nodes of different counts, so its searches
+// TestSearchGroupMatchesSingleKey holds the shared lock-step kernel,
+// core.SearchGroup, as group.step drives it over node images, to the
+// single-key kernels over every node count a 512-byte page allows: for
+// leaves against leafSearch, for internal nodes against intSearch and,
+// through the child step writes, against route. Each group mixes nodes of different counts, so its searches
 // finish on different steps, and probes every stored key, both neighbours of
 // it and the two ends of the key space.
 func TestSearchGroupMatchesSingleKey(t *testing.T) {
@@ -61,28 +62,28 @@ func TestSearchGroupMatchesSingleKey(t *testing.T) {
 			}
 		}
 		rand.New(rand.NewSource(5)).Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
-		for _, width := range []int{1, 2, 15, groupWidth} {
+		for _, width := range []int{1, 2, 15, core.GroupWidth} {
 			for at := 0; at < len(pairs); at += width {
-				group := pairs[at:min(at+width, len(pairs))]
+				pairs := pairs[at:min(at+width, len(pairs))]
 				var (
-					gn   [groupWidth]node
-					pos  [groupWidth]int
+					g    group
+					next [core.GroupWidth]storage.PageID
 					keys []core.Key
 				)
-				for i, p := range group {
-					gn[i], keys = p.n, append(keys, p.k)
+				for i, p := range pairs {
+					g.pages[i], keys = p.n.data, append(keys, p.k)
 				}
-				searchGroup(&gn, keys, &pos, leaf)
-				for i, p := range group {
+				g.step(keys, leaf, &next)
+				for i, p := range pairs {
 					want := p.n.intSearch(p.k)
 					if leaf {
 						want = p.n.leafSearch(p.k)
-					} else if got, route := p.n.child(pos[i]), p.n.route(p.k); got != route {
-						t.Fatalf("internal node of %d: key %d routes to %d through the group, %d alone", p.n.count(), p.k, got, route)
+					} else if route := p.n.route(p.k); next[i] != route {
+						t.Fatalf("internal node of %d: key %d routes to %d through the group, %d alone", p.n.count(), p.k, next[i], route)
 					}
-					if pos[i] != want {
+					if g.pos[i] != want {
 						t.Fatalf("leaf=%v node of %d, key %d, width %d: group position %d, single-key %d",
-							leaf, p.n.count(), p.k, width, pos[i], want)
+							leaf, p.n.count(), p.k, width, g.pos[i], want)
 					}
 				}
 			}
@@ -115,8 +116,8 @@ func checkGetBatch(t *testing.T, snap core.Snapshot, keys []core.Key) {
 	}
 }
 
-// groupSizes straddle groupWidth: a lone key, one short of a group, exactly
-// one, one over, and several groups.
+// groupSizes straddle core.GroupWidth: a lone key, one short of a group,
+// exactly one, one over, and several groups.
 var groupSizes = []int{1, 15, 16, 17, 64}
 
 // TestSnapshotGetBatchMatchesGet is the contract of core.Snapshot.GetBatch on

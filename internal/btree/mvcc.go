@@ -311,27 +311,28 @@ func (s *Snapshot) Get(k core.Key, m *rum.Meter) (core.Value, bool) {
 
 // GetBatch is len(keys) Gets (core.Snapshot): vals[i], oks[i] and the totals
 // charged to m are exactly what Get(keys[i], m) in a loop would leave. The
-// keys descend groupWidth at a time, level by level — a B+-tree is balanced,
-// so a group's keys all reach their leaves on the same step — and within a
-// level searchGroup advances the group's searches together. Reordering the
-// page reads is free here and only here: a snapshot's pages are immutable, no
-// pool or hook sees the reads, and the meter is a sum. Allocation-free.
+// keys descend core.GroupWidth at a time, level by level — a B+-tree is
+// balanced, so a group's keys all reach their leaves on the same step — and
+// within a level core.SearchGroup advances the group's searches together.
+// Reordering the page reads is free here and only here: a snapshot's pages
+// are immutable, no pool or hook sees the reads, and the meter is a sum.
+// Allocation-free.
 func (s *Snapshot) GetBatch(keys []core.Key, vals []core.Value, oks []bool, m *rum.Meter) {
 	var (
 		g    group
-		pids [groupWidth]storage.PageID
+		pids [core.GroupWidth]storage.PageID
 	)
 	for len(keys) > 0 {
-		w := min(len(keys), groupWidth)
+		w := min(len(keys), core.GroupWidth)
 		ks := keys[:w]
 		for i := range ks {
 			pids[i] = s.State.root
 		}
 		for {
 			for i := range ks {
-				g.nodes[i] = s.page(pids[i], m)
+				g.pages[i] = s.page(pids[i], m).data
 			}
-			leaf := g.nodes[0].isLeaf()
+			leaf := g.node(0).isLeaf()
 			g.step(ks, leaf, &pids)
 			if leaf {
 				break

@@ -2,7 +2,6 @@ package btree
 
 import (
 	"encoding/binary"
-	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/storage"
@@ -142,87 +141,40 @@ func (n node) intSearch(k core.Key) int {
 	return lo
 }
 
-// groupWidth is how many independent searches searchGroup advances in
-// lock-step. Widths 8, 16 and 32 read the same within noise (100–109, 102–114
-// and 104–109 ns per key through Snapshot.GetBatch on a 131 072-key tree;
-// width 4: 111–126, width 1: 215–238, the per-key loop 208–215) — sixteen
-// outstanding loads already cover what a core keeps in flight — so it is a
-// constant, not an option.
-const groupWidth = 16
-
-// searchGroup is leafSearch (nodes are leaves) or intSearch (internal nodes)
-// for up to groupWidth independent (node, key) pairs at once: pos[i] is the
-// position nodes[i].leafSearch(keys[i]) / nodes[i].intSearch(keys[i]) would
-// return. Each halving step of a base/length binary search is taken for every
-// pair before the next step, so the pairs' key loads — one dependent cache
-// miss per step in the single-key kernels — are outstanding together.
-func searchGroup(nodes *[groupWidth]node, keys []core.Key, pos *[groupWidth]int, leaf bool) {
-	// Entry i advances past the probe when probe < k + incl: probe < k is
-	// leafSearch's rule, probe <= k intSearch's. Taken as the borrow of a
-	// subtraction so that the step is arithmetic, not a branch that is wrong
-	// half the time and drains the other pairs' loads with it.
-	stride, incl := uint(intEntrySize), uint64(1)
-	if leaf {
-		stride, incl = leafEntrySize, 0
-	}
-	// The answer of pair i lies in [lo[i], lo[i]+length[i]]. Local copies
-	// bounded by w keep the step loop free of spills and lane-index checks.
-	w := min(len(keys), groupWidth)
-	var (
-		ks         [groupWidth]core.Key
-		lo, length [groupWidth]uint
-	)
-	steps := 0
-	for i := 0; i < w; i++ {
-		ks[i], length[i] = keys[i], uint(nodes[i].count())
-		steps = max(steps, bits.Len(length[i]))
-	}
-	for ; steps > 0; steps-- {
-		for i := 0; i < w; i++ {
-			n := length[i]
-			if n == 0 {
-				continue // a node with fewer entries than the widest finishes early
-			}
-			// Probe the last entry of the lower half (the only entry when
-			// n == 1): past it, the answer is in the upper half.
-			half := (n + 1) / 2
-			// The full slice expression spares the load any capacity arithmetic.
-			off := headerSize + (lo[i]+half-1)*stride
-			probe := binary.LittleEndian.Uint64(nodes[i].data[off : off+8 : off+8])
-			_, past := bits.Sub64(probe, ks[i], incl)
-			lo[i] += half & -uint(past)
-			length[i] = n - half
-		}
-	}
-	for i := 0; i < w; i++ {
-		pos[i] = int(lo[i])
-	}
-}
-
 // group is the lock-step descent kernel of Snapshot.GetBatch and
-// Tree.GetBatch: the caller loads one level's pages into nodes.
+// Tree.GetBatch: the caller loads one level's node images into pages.
 type group struct {
-	nodes [groupWidth]node
-	pos   [groupWidth]int
+	pages [core.GroupWidth][]byte
+	pos   [core.GroupWidth]int
 }
 
 // emptyNode has no entries: a key given it sits the level out and misses.
-var emptyNode = node{make([]byte, headerSize)}
+var emptyNode = make([]byte, headerSize)
 
-// step searches the loaded level and, on an internal one, writes to next[i]
-// the child keys[i] routes to.
-func (g *group) step(keys []core.Key, leaf bool, next *[groupWidth]storage.PageID) {
-	searchGroup(&g.nodes, keys, &g.pos, leaf)
-	if !leaf {
-		for i := range keys {
-			next[i] = g.nodes[i].child(g.pos[i])
-		}
+func (g *group) node(i int) node { return node{g.pages[i]} }
+
+// step searches the loaded level with core.SearchGroup — leafSearch's rule
+// on leaves, intSearch's on internal nodes — and, on an internal level,
+// writes to next[i] the child keys[i] routes to. The nodes' counts are read
+// in a pass of their own, so that their cache misses overlap one another;
+// read in the loop that loads the pages, each one stalls that loop.
+func (g *group) step(keys []core.Key, leaf bool, next *[core.GroupWidth]storage.PageID) {
+	for i := range keys {
+		g.pos[i] = g.node(i).count()
+	}
+	if leaf {
+		core.SearchGroup(&g.pages, keys, &g.pos, headerSize, leafEntrySize, false)
+		return
+	}
+	core.SearchGroup(&g.pages, keys, &g.pos, headerSize, intEntrySize, true)
+	for i := range keys {
+		next[i] = g.node(i).child(g.pos[i])
 	}
 }
 
 // found is key k's outcome after a leaf step, where k is the i-th key.
 func (g *group) found(i int, k core.Key) (core.Value, bool) {
-	n, p := g.nodes[i], g.pos[i]
+	n, p := node{g.pages[i]}, g.pos[i] // not g.node(i): that puts found past the inlining budget
 	if p < n.count() && n.leafKey(p) == k {
 		return n.leafValue(p), true
 	}

@@ -12,6 +12,68 @@ import (
 	"repro/internal/storage"
 )
 
+// TestSearchGroupMatchesSearchPage holds the shared lock-step kernel,
+// core.SearchGroup, as searchProbes drives it over run pages (an 8-byte
+// header whose first four bytes count the records, 16-byte records from byte
+// 8), to searchPage over every record count a 512-byte page allows. Every
+// third record is a tombstone. Each group mixes pages of different counts,
+// so its searches finish on different steps, and lanes without an image;
+// it probes every stored key, both neighbours of it and the two ends of the
+// key space.
+func TestSearchGroupMatchesSearchPage(t *testing.T) {
+	const pageSize = 512
+	capacity := (pageSize - pageHeader) / core.RecordSize
+	// pages[c] holds c records with keys 10, 20, …
+	pages := make([][]byte, capacity+1)
+	for c := range pages {
+		data := make([]byte, pageSize)
+		binary.LittleEndian.PutUint32(data[0:4], uint32(c))
+		for j := 0; j < c; j++ {
+			v := core.Value(j)
+			if j%3 == 2 {
+				v = Tombstone
+			}
+			core.EncodeRecord(data[pageHeader+j*core.RecordSize:], core.Record{Key: uint64(j+1) * 10, Value: v})
+		}
+		pages[c] = data
+	}
+	var (
+		keys []core.Key
+		ps   []probe
+	)
+	for c, data := range append(pages, nil) { // nil: a page the plan has no image of
+		probes := []core.Key{0, 1, math.MaxUint64 - 1, math.MaxUint64}
+		for j := 0; j < c; j++ {
+			k := uint64(j+1) * 10
+			probes = append(probes, k-1, k, k+1)
+		}
+		for _, k := range probes {
+			ps = append(ps, probe{i: len(keys), img: data})
+			keys = append(keys, k)
+		}
+	}
+	rand.New(rand.NewSource(5)).Shuffle(len(ps), func(i, j int) { ps[i], ps[j] = ps[j], ps[i] })
+	for _, width := range []int{1, 2, 15, core.GroupWidth, len(ps)} {
+		for at := 0; at < len(ps); at += width {
+			group := ps[at:min(at+width, len(ps))]
+			searchProbes(group, keys)
+			for _, p := range group {
+				v, st := core.Value(0), notFound
+				if p.img != nil {
+					v, st = searchPage(p.img, keys[p.i])
+				}
+				if p.v != v || p.st != st {
+					n := 0
+					if p.img != nil {
+						n = pageCount(p.img)
+					}
+					t.Fatalf("page of %d, key %d, width %d: group %d,%d; searchPage %d,%d", n, keys[p.i], width, p.v, p.st, v, st)
+				}
+			}
+		}
+	}
+}
+
 // storageEvent is one pool or device event, as much of it as a twin compares.
 type storageEvent struct {
 	ev storage.Event
@@ -302,55 +364,77 @@ func FuzzLSMGetBatch(f *testing.F) {
 // 256-frame pool on the multi-queue SSD: the loop of Gets, then GetBatch at
 // b keys a call, where each run's missing pages go to the device as one
 // wave. Reported per key beside ns: the device's cost units and page reads,
-// and the prefetched pages evicted unread.
+// and the prefetched pages evicted unread. The resident cases read the same
+// tree through a pool that holds every page, the loop beside b = 16: no
+// wave is ever sent, so only the page search differs.
 func BenchmarkLSMGetBatch(b *testing.B) {
 	const n = 1 << 18
-	dev := storage.NewDevice(4096, storage.MQSSD, nil)
-	pool := storage.NewBufferPool(dev, 256)
-	tr := New(pool, Config{MemtableRecords: 1024, SizeRatio: 10})
 	rng := rand.New(rand.NewSource(1))
-	for _, i := range rng.Perm(n) {
-		if err := tr.Insert(core.Key(i), core.Value(i)); err != nil {
-			b.Fatal(err)
+	order := rng.Perm(n)
+	build := func(frames int) *Tree {
+		tr := New(storage.NewBufferPool(storage.NewDevice(4096, storage.MQSSD, nil), frames), Config{MemtableRecords: 1024, SizeRatio: 10})
+		for _, i := range order {
+			if err := tr.Insert(core.Key(i), core.Value(i)); err != nil {
+				b.Fatal(err)
+			}
 		}
+		tr.Flush()
+		return tr
 	}
-	tr.Flush()
 	drawn := make([]core.Key, 1<<16)
 	for i := range drawn {
 		drawn[i] = core.Key(rng.Intn(n))
 	}
 	key := func(i int) core.Key { return drawn[i&(len(drawn)-1)] }
-	report := func(b *testing.B, before storage.DeviceStats, unused uint64) {
-		after := dev.Stats()
-		b.ReportMetric(float64(after.CostUnits-before.CostUnits)/float64(b.N), "cost/op")
-		b.ReportMetric(float64(after.PageReads-before.PageReads)/float64(b.N), "reads/op")
-		b.ReportMetric(float64(pool.Stats().PrefetchUnused-unused)/float64(b.N), "unused/op")
-	}
-	b.Run("loop", func(b *testing.B) {
-		before, unused := dev.Stats(), pool.Stats().PrefetchUnused
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, ok := tr.Get(key(i)); !ok {
-				b.Fatal("lost key")
-			}
+	cases := func(b *testing.B, tr *Tree, batches []int) {
+		pool := tr.Pool()
+		dev := pool.Device()
+		report := func(b *testing.B, before storage.DeviceStats, unused uint64) {
+			after := dev.Stats()
+			b.ReportMetric(float64(after.CostUnits-before.CostUnits)/float64(b.N), "cost/op")
+			b.ReportMetric(float64(after.PageReads-before.PageReads)/float64(b.N), "reads/op")
+			b.ReportMetric(float64(pool.Stats().PrefetchUnused-unused)/float64(b.N), "unused/op")
 		}
-		report(b, before, unused)
-	})
-	for _, batch := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("b=%d", batch), func(b *testing.B) {
-			keys, vals, oks := make([]core.Key, batch), make([]core.Value, batch), make([]bool, batch)
+		b.Run("loop", func(b *testing.B) {
 			before, unused := dev.Stats(), pool.Stats().PrefetchUnused
 			b.ReportAllocs()
-			for i := 0; i < b.N; i += batch {
-				for j := range keys {
-					keys[j] = key(i + j)
-				}
-				tr.GetBatch(keys, vals, oks)
-				if !oks[batch-1] {
+			for i := 0; i < b.N; i++ {
+				if _, ok := tr.Get(key(i)); !ok {
 					b.Fatal("lost key")
 				}
 			}
 			report(b, before, unused)
 		})
+		for _, batch := range batches {
+			b.Run(fmt.Sprintf("b=%d", batch), func(b *testing.B) {
+				keys, vals, oks := make([]core.Key, batch), make([]core.Value, batch), make([]bool, batch)
+				before, unused := dev.Stats(), pool.Stats().PrefetchUnused
+				b.ReportAllocs()
+				for i := 0; i < b.N; i += batch {
+					for j := range keys {
+						keys[j] = key(i + j)
+					}
+					tr.GetBatch(keys, vals, oks)
+					if !oks[batch-1] {
+						b.Fatal("lost key")
+					}
+				}
+				report(b, before, unused)
+			})
+		}
 	}
+	cases(b, build(256), []int{4, 16, 64})
+	b.Run("resident", func(b *testing.B) {
+		tr := build(1 << 12)
+		pages := 0
+		for _, lv := range tr.levels {
+			for _, r := range lv {
+				pages += len(r.pages)
+			}
+		}
+		if tr.Pool().Len() < pages {
+			b.Fatalf("%d of the tree's %d pages resident", tr.Pool().Len(), pages)
+		}
+		cases(b, tr, []int{16})
+	})
 }

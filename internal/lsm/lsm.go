@@ -127,11 +127,24 @@ type Tree struct {
 }
 
 // batchScratch is GetBatch's state within one run: open holds the indexes of
-// the keys no run has settled yet; wait those whose page in the run is not
-// resident, and wave their pages, in the same order.
+// the keys no run has settled yet; hits the probes of those whose page in the
+// run is resident, waits the probes of the others, and wave the waits' pages,
+// in the same order.
 type batchScratch struct {
-	open, wait []int
-	wave       []storage.PageID
+	open        []int
+	hits, waits []probe
+	wave        []storage.PageID
+}
+
+// probe is one key's search of its page in a run: the key's index, the page,
+// the image Peek lent (nil if the page was not resident) and what the
+// lock-step search found there.
+type probe struct {
+	i   int
+	pid storage.PageID
+	img []byte
+	v   core.Value
+	st  searchStatus
 }
 
 // New creates an empty tree on pool. It panics on Manifest + Versions (see
@@ -296,12 +309,16 @@ func (t *Tree) Get(k core.Key) (core.Value, bool) {
 // same meter charges. On a pool that does not batch I/O (flat media, IOBatch
 // 1, a fault injector armed) it is that loop. On a batching pool it checks
 // the memtable for every key, then walks the runs newest first, as Get does,
-// with the keys no newer run has settled. In each run every such key locates
-// its page once, as Get would (fences, filter: the same charges); a key
-// whose page is resident is fetched and searched at once, and the pages of
-// the rest go to the pool as one Readahead wave before they are fetched and
-// searched. Resident pages first: their Fetches make them the most recently
-// used, so the wave's evictions pass them by (DESIGN §9).
+// with the keys no newer run has settled. In each run it plans, then
+// replays. The plan locates every such key's page once, as Get would
+// (fences, filter: the same charges), and searches the resident pages'
+// images, peeked, in lock-step (core.SearchGroup). The replay makes Get's
+// Fetch and Release of each resident page in key order and settles the key
+// from the plan; then the pages of the rest go to the pool as one Readahead
+// wave, whose images are peeked and searched in lock-step before their
+// Fetches and Releases are replayed in turn. Resident pages first: their
+// Fetches make them the most recently used, so the wave's evictions pass
+// them by (DESIGN §9).
 func (t *Tree) GetBatch(keys []core.Key, vals []core.Value, oks []bool) {
 	if len(keys) < 2 || !t.pool.BatchIO() {
 		for i, k := range keys {
@@ -329,37 +346,106 @@ func (t *Tree) GetBatch(keys []core.Key, vals []core.Value, oks []bool) {
 }
 
 // searchRunBatch is GetBatch's step over one run: it settles the open keys
-// the run holds a version of and leaves the others open.
+// the run holds a version of and leaves the others open, in their order.
 func (t *Tree) searchRunBatch(r *run, keys []core.Key, vals []core.Value, oks []bool) {
 	b := &t.batch
-	// open is filtered in place: it never grows past the keys already read.
-	open, wait, wave := b.open[:0], b.wait[:0], b.wave[:0]
-	settle := func(i int, pid storage.PageID) {
-		switch v, status := t.searchRunPage(pid, keys[i]); status {
-		case foundValue:
-			vals[i], oks[i] = v, true
-		case notFound:
-			open = append(open, i)
-		}
-	}
+	// The plan calls the pool for nothing but Peek, so every image it lends
+	// is still good when searchProbes reads it. open is filtered in place: it
+	// never grows past the keys already read. A resident key stays in it
+	// until the replay settles it.
+	open, hits, waits, wave := b.open[:0], b.hits[:0], b.waits[:0], b.wave[:0]
 	for _, i := range b.open {
 		pi, ok := r.locate(keys[i], t.meter)
-		switch {
-		case !ok:
+		if !ok {
 			open = append(open, i)
-		case t.pool.Peek(r.pages[pi]) != nil:
-			settle(i, r.pages[pi])
-		default:
-			wait, wave = append(wait, i), append(wave, r.pages[pi])
+			continue
+		}
+		pid := r.pages[pi]
+		if img := t.pool.Peek(pid); img != nil {
+			open = append(open, i)
+			hits = append(hits, probe{i: i, pid: pid, img: img})
+		} else {
+			waits = append(waits, probe{i: i, pid: pid})
+			wave = append(wave, pid)
 		}
 	}
+	searchProbes(hits, keys)
+	// The replay walks open in order; hits, in the same order, mark which of
+	// its keys were resident.
+	n, h := 0, 0
+	for _, i := range open {
+		if h < len(hits) && hits[h].i == i {
+			h++
+			if t.settle(&hits[h-1], keys, vals, oks) {
+				continue
+			}
+		}
+		open[n], n = i, n+1
+	}
+	open = open[:n]
 	if len(wave) > 0 {
+		// Readahead reads at most half the pool: a page it left out keeps a
+		// nil image and is read by its own Fetch in the replay.
 		t.pool.Readahead(wave)
+		for j := range waits {
+			waits[j].img = t.pool.Peek(waits[j].pid)
+		}
+		searchProbes(waits, keys)
+		for j := range waits {
+			if !t.settle(&waits[j], keys, vals, oks) {
+				open = append(open, waits[j].i)
+			}
+		}
 	}
-	for j, i := range wait {
-		settle(i, wave[j])
+	b.open, b.hits, b.waits, b.wave = open, hits, waits, wave
+}
+
+// searchProbes searches each probe's image for its key, core.GroupWidth
+// probes at a time in lock-step; a probe without an image finds nothing.
+func searchProbes(ps []probe, keys []core.Key) {
+	if len(ps) == 0 {
+		return // before the lanes' arrays, which cost their clearing
 	}
-	b.open, b.wait, b.wave = open, wait, wave
+	var (
+		imgs     [core.GroupWidth][]byte
+		ks       [core.GroupWidth]core.Key
+		pos, cnt [core.GroupWidth]int
+	)
+	for len(ps) > 0 {
+		w := min(len(ps), core.GroupWidth)
+		for j := range ps[:w] {
+			imgs[j], ks[j], cnt[j] = ps[j].img, keys[ps[j].i], 0
+			if imgs[j] != nil {
+				cnt[j] = pageCount(imgs[j])
+			}
+			pos[j] = cnt[j]
+		}
+		core.SearchGroup(&imgs, ks[:w], &pos, pageHeader, core.RecordSize, false)
+		for j := range ps[:w] {
+			ps[j].v, ps[j].st = match(imgs[j], cnt[j], pos[j], ks[j])
+		}
+		ps = ps[w:]
+	}
+}
+
+// settle makes the pool calls Get makes for p's key in the run — the Fetch
+// and Release of its page — and settles the key from the plan's search,
+// reporting whether the run held a version of it. A page the plan has no
+// image of is fetched and searched as Get does; a failed Fetch leaves the
+// key open, as it does Get.
+func (t *Tree) settle(p *probe, keys []core.Key, vals []core.Value, oks []bool) bool {
+	v, st := p.v, p.st
+	if p.img == nil {
+		v, st = t.searchRunPage(p.pid, keys[p.i])
+	} else if f, err := t.pool.Fetch(p.pid); err != nil {
+		st = notFound
+	} else {
+		t.pool.Release(f)
+	}
+	if st == foundValue {
+		vals[p.i], oks[p.i] = v, true
+	}
+	return st != notFound
 }
 
 type searchStatus int
@@ -397,9 +483,12 @@ func (r *run) locate(k core.Key, m *rum.Meter) (int, bool) {
 	return pi, true
 }
 
+// pageCount is the number of records on the run page in data.
+func pageCount(data []byte) int { return int(binary.LittleEndian.Uint32(data[0:4])) }
+
 // searchPage binary-searches one run page for k.
 func searchPage(data []byte, k core.Key) (core.Value, searchStatus) {
-	n := int(binary.LittleEndian.Uint32(data[0:4]))
+	n := pageCount(data)
 	lo, hi := 0, n
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -409,6 +498,12 @@ func searchPage(data []byte, k core.Key) (core.Value, searchStatus) {
 			hi = mid
 		}
 	}
+	return match(data, n, lo, k)
+}
+
+// match is what a run page of n records says of k, given lo, the position of
+// its first record whose key is >= k.
+func match(data []byte, n, lo int, k core.Key) (core.Value, searchStatus) {
 	if lo < n {
 		off := pageHeader + lo*core.RecordSize
 		if binary.LittleEndian.Uint64(data[off:]) == k {
@@ -514,7 +609,7 @@ func (t *Tree) readRun(r *run) ([]core.Record, error) {
 			return nil, err
 		}
 		data := f.Data()
-		n := int(binary.LittleEndian.Uint32(data[0:4]))
+		n := pageCount(data)
 		for j := 0; j < n; j++ {
 			recs = append(recs, core.DecodeRecord(data[pageHeader+j*core.RecordSize:]))
 		}
@@ -782,7 +877,7 @@ func (r *run) overlapPages(lo, hi core.Key, m *rum.Meter) []storage.PageID {
 // appendInRange decodes the run page in data and appends its records with
 // keys in [lo, hi] to dst.
 func appendInRange(dst []core.Record, data []byte, lo, hi core.Key) []core.Record {
-	n := int(binary.LittleEndian.Uint32(data[0:4]))
+	n := pageCount(data)
 	for j := 0; j < n; j++ {
 		rec := core.DecodeRecord(data[pageHeader+j*core.RecordSize:])
 		if rec.Key >= lo && rec.Key <= hi {

@@ -347,7 +347,7 @@ func (t *Tree) rebuildRun(r *run) error {
 			return fmt.Errorf("lsm: recovery read of run page %d: %w", pid, err)
 		}
 		data := f.Data()
-		n := int(binary.LittleEndian.Uint32(data[0:4]))
+		n := pageCount(data)
 		if n <= 0 || n > t.perPage() {
 			t.pool.Release(f)
 			return fmt.Errorf("lsm: run page %d has impossible record count %d", pid, n)
