@@ -31,7 +31,8 @@ race:
 ## single-owner binding, PageView generation stamps, a private copy behind
 ## every clean frame compared with the device's image at release, MarkDirty
 ## and eviction (a write that did not go through MarkDirty first panics),
-## evicted frames poisoned instead of recycled, lsm merge sources and
+## Data() on a frame after its last Release panics, evicted frames poisoned
+## instead of recycled, lsm merge sources and
 ## sorted-ingest batches checked ascending, a merge that drops tombstones
 ## checked to leave no run behind at or below its target — and run against
 ## them the storage, lsm and planner tests, the wal tests, whose checkpoints

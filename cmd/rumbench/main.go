@@ -183,7 +183,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *trace != "" || *timeseries != "" || *metrics != "" {
 		observer = obs.New(obs.Config{SampleEvery: *sample})
 		cfg.Obs = observer
-		cfg.Storage.Hook = observer
 	}
 
 	// Experiments return (stdout, stderr) text: stdout is the deterministic
@@ -255,7 +254,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			child := observer.Child()
 			results[i].child = child
 			ecfg.Obs = child
-			ecfg.Storage.Hook = child
 		}
 		start := time.Now()
 		defer func() {

@@ -112,10 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if every == 0 {
 			every = *ops / 60
 		}
-		// Set only here: a nil *obs.Observer in the Hook interface is not a
-		// nil hook.
 		cfg.Obs = obs.New(obs.Config{SampleEvery: every})
-		cfg.Storage.Hook = cfg.Obs
 	}
 	profiles, err := bench.ProfileCatalog(cfg, "rumviz", names, mix)
 	if err != nil {

@@ -45,13 +45,11 @@ type Config struct {
 
 // Tree is the approximate index. Not safe for concurrent use.
 type Tree struct {
-	zones []*zone
-	cfg   Config
-	count int
-	meter *rum.Meter
-	// falsePositives counts zone scans the filter failed to prevent.
-	falsePositives uint64
-	filterSkips    uint64
+	zones       []*zone
+	cfg         Config
+	count       int
+	meter       *rum.Meter
+	filterSkips uint64
 }
 
 // New creates an empty tree. A nil meter gets a private one.
@@ -76,15 +74,8 @@ func (t *Tree) Name() string {
 // Len returns the number of records.
 func (t *Tree) Len() int { return t.count }
 
-// Zones returns the number of partitions.
-func (t *Tree) Zones() int { return len(t.zones) }
-
-// FilterSkips returns how many zone scans the filters avoided; FalseHits
-// how many they failed to avoid (experiments/tests).
+// FilterSkips returns how many zone scans the filters avoided.
 func (t *Tree) FilterSkips() uint64 { return t.filterSkips }
-
-// FalseHits returns zone scans triggered by filter false positives.
-func (t *Tree) FalseHits() uint64 { return t.falsePositives }
 
 // Meter returns the RUM accounting.
 func (t *Tree) Meter() *rum.Meter { return t.meter }
@@ -142,7 +133,7 @@ func (t *Tree) scanZone(z *zone, k core.Key) int {
 	return -1
 }
 
-// mayContain asks the zone's filter, tracking skip/false-hit statistics.
+// mayContain asks the zone's filter, counting the scans it skips.
 func (t *Tree) mayContain(z *zone, k core.Key) bool {
 	if z.filter.MayContain(k) {
 		return true
@@ -167,7 +158,6 @@ func (t *Tree) Get(k core.Key) (core.Value, bool) {
 	}
 	j := t.scanZone(z, k)
 	if j < 0 {
-		t.falsePositives++
 		return 0, false
 	}
 	return z.recs[j].Value, true
@@ -192,7 +182,6 @@ func (t *Tree) Insert(k core.Key, v core.Value) error {
 		if t.scanZone(z, k) >= 0 {
 			return core.ErrKeyExists
 		}
-		t.falsePositives++
 	}
 	z.recs = append(z.recs, core.Record{Key: k, Value: v})
 	z.filter.Add(k)
@@ -246,7 +235,6 @@ func (t *Tree) Update(k core.Key, v core.Value) bool {
 	}
 	j := t.scanZone(z, k)
 	if j < 0 {
-		t.falsePositives++
 		return false
 	}
 	z.recs[j].Value = v
@@ -267,7 +255,6 @@ func (t *Tree) Delete(k core.Key) bool {
 	}
 	j := t.scanZone(z, k)
 	if j < 0 {
-		t.falsePositives++
 		return false
 	}
 	last := len(z.recs) - 1

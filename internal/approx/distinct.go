@@ -97,9 +97,6 @@ func (d *Distinct) Clear() {
 	}
 }
 
-// SizeBytes returns the estimator's footprint.
-func (d *Distinct) SizeBytes() int { return len(d.regs) }
-
 // Estimate returns the approximate number of distinct keys added. It uses
 // the standard HyperLogLog raw estimator with the small-range (linear
 // counting) correction, which is the regime window-sized working sets

@@ -80,10 +80,10 @@ func TestDistinctClear(t *testing.T) {
 }
 
 func TestDistinctPrecisionClamp(t *testing.T) {
-	if got := NewDistinct(1).SizeBytes(); got != 1<<4 {
+	if got := len(NewDistinct(1).regs); got != 1<<4 {
 		t.Fatalf("p=1 clamps to 16 registers, got %d", got)
 	}
-	if got := NewDistinct(99).SizeBytes(); got != 1<<16 {
+	if got := len(NewDistinct(99).regs); got != 1<<16 {
 		t.Fatalf("p=99 clamps to 65536 registers, got %d", got)
 	}
 	defer func() {

@@ -32,11 +32,11 @@ type Config struct {
 	// Storage configures the simulated substrate for page-based methods.
 	Storage methods.Options
 	// Obs, when non-nil, traces every structure an experiment profiles:
-	// spans, histograms, and the RUM time series. Set Storage.Hook to the
-	// same observer to attribute page events too (cmd/rumbench does both).
-	// Experiments never hand this observer to their run cells directly:
-	// each cell traces into an isolated child observer, and the children
-	// are absorbed back in cell order once the experiment's cells are done.
+	// spans, histograms, and the RUM time series. Experiments never hand
+	// this observer to their run cells directly: each cell traces into an
+	// isolated child observer, also wired as the cell's Storage.Hook so page
+	// events are attributed too, and the children are absorbed back in cell
+	// order once the experiment's cells are done.
 	Obs *obs.Observer
 	// Runner executes the experiment's run cells. nil (or a 1-worker
 	// runner) runs every cell inline in enumeration order — the fully

@@ -311,7 +311,7 @@ func TestChaos(t *testing.T) {
 		if row.Degraded.R <= 0 || row.Degraded.U <= 0 {
 			t.Fatalf("%s: degenerate degraded point %+v", row.Method, row.Degraded)
 		}
-		if !row.Crash.Verdict.Acceptable() {
+		if row.Crash.Verdict == faults.Violated {
 			t.Fatalf("%s: crash trial violated its %s contract: %s",
 				row.Method, row.Durability, row.Crash)
 		}

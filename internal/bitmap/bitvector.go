@@ -104,9 +104,6 @@ func (c *Compressed) appendFill(one bool, groups uint64) {
 // Len returns the logical length in bits.
 func (c *Compressed) Len() uint64 { return c.nbits }
 
-// Ones returns the number of set bits.
-func (c *Compressed) Ones() uint64 { return c.ones }
-
 // SizeBytes returns the compressed footprint.
 func (c *Compressed) SizeBytes() uint64 { return uint64(len(c.words)) * 8 }
 

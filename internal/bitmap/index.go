@@ -80,9 +80,6 @@ func (x *Index) Name() string { return fmt.Sprintf("bitmap(card=%d)", x.cardinal
 // Len returns the number of live rows.
 func (x *Index) Len() int { return x.count }
 
-// Cardinality returns the attribute domain size.
-func (x *Index) Cardinality() int { return x.cardinality }
-
 // Meter returns the RUM accounting.
 func (x *Index) Meter() *rum.Meter { return x.meter }
 
@@ -308,13 +305,4 @@ func (x *Index) BulkLoad(recs []core.Record) error {
 	}
 	x.count = len(recs)
 	return nil
-}
-
-// PendingUpdates returns the total delta entries not yet merged (testing).
-func (x *Index) PendingUpdates() int {
-	n := 0
-	for _, d := range x.deltas {
-		n += len(d)
-	}
-	return n
 }

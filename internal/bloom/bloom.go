@@ -26,7 +26,6 @@ type Filter struct {
 	bits  []uint64
 	m     uint64 // number of bits
 	k     int    // probes per key
-	n     int    // keys added
 	meter *rum.Meter
 }
 
@@ -90,19 +89,14 @@ func (f *Filter) Add(key uint64) {
 		h += step
 	}
 	f.meter.CountWrite(rum.Aux, f.k*wordBytes)
-	f.n++
 }
 
-// MayContain reports whether key may be present: false means definitely
-// absent. One word read is charged per probe (short-circuiting on the first
-// zero bit).
-func (f *Filter) MayContain(key uint64) bool { return f.MayContainMetered(key, f.meter) }
-
-// MayContainMetered is MayContain charging probe traffic to m instead of
-// the filter's own meter. Once the filter is fully built it reads only
-// immutable state, so concurrent snapshot readers — which must not touch
-// the structure's shared accounting — may call it from any goroutine, each
-// with its own meter.
+// MayContainMetered reports whether key may be present: false means
+// definitely absent. One word read is charged to m per probe
+// (short-circuiting on the first zero bit). Once the filter is fully built
+// it reads only immutable state, so concurrent snapshot readers — which
+// must not touch the structure's shared accounting — may call it from any
+// goroutine, each with its own meter.
 func (f *Filter) MayContainMetered(key uint64, m *rum.Meter) bool {
 	h, step := probes(key)
 	for i := 0; i < f.k; i++ {
@@ -116,26 +110,8 @@ func (f *Filter) MayContainMetered(key uint64, m *rum.Meter) bool {
 	return true
 }
 
-// K returns the probe count.
-func (f *Filter) K() int { return f.k }
-
-// Bits returns the filter size in bits.
-func (f *Filter) Bits() uint64 { return f.m }
-
-// Count returns the number of keys added.
-func (f *Filter) Count() int { return f.n }
-
 // SizeBytes returns the filter's storage footprint.
 func (f *Filter) SizeBytes() uint64 { return uint64(len(f.bits)) * wordBytes }
 
 // Meter returns the RUM accounting.
 func (f *Filter) Meter() *rum.Meter { return f.meter }
-
-// FalsePositiveRate returns the expected FP rate for the current load:
-// (1 - e^(-kn/m))^k.
-func (f *Filter) FalsePositiveRate() float64 {
-	if f.n == 0 {
-		return 0
-	}
-	return math.Pow(1-math.Exp(-float64(f.k)*float64(f.n)/float64(f.m)), float64(f.k))
-}

@@ -63,9 +63,6 @@ func NewQuotient(q uint, p uint, meter *rum.Meter) (*Quotient, error) {
 	return &Quotient{q: q, r: p - q, slots: make([]qslot, 1<<q), meter: meter}, nil
 }
 
-// Count returns the number of stored fingerprints.
-func (f *Quotient) Count() int { return f.n }
-
 // SizeBytes returns the filter's accounted footprint.
 func (f *Quotient) SizeBytes() uint64 { return uint64(len(f.slots)) * uint64(f.slotBytes()) }
 
@@ -74,9 +71,6 @@ func (f *Quotient) Meter() *rum.Meter { return f.meter }
 
 // LoadFactor returns stored fingerprints per slot.
 func (f *Quotient) LoadFactor() float64 { return float64(f.n) / float64(len(f.slots)) }
-
-// FingerprintBits returns the total fingerprint width p = q + r.
-func (f *Quotient) FingerprintBits() uint { return f.q + f.r }
 
 func (f *Quotient) mask() uint64 { return uint64(len(f.slots) - 1) }
 

@@ -29,12 +29,12 @@ func TestQuotientBasic(t *testing.T) {
 	if !f.MayContain(42) {
 		t.Fatal("added key missing")
 	}
-	if f.Count() != 1 {
-		t.Fatalf("count %d", f.Count())
+	if f.n != 1 {
+		t.Fatalf("count %d", f.n)
 	}
 	f.Add(42) // idempotent at fingerprint level
-	if f.Count() != 1 {
-		t.Fatalf("duplicate add changed count: %d", f.Count())
+	if f.n != 1 {
+		t.Fatalf("duplicate add changed count: %d", f.n)
 	}
 	if !f.Remove(42) {
 		t.Fatal("remove failed")
@@ -107,8 +107,8 @@ func TestQuotientDifferential(t *testing.T) {
 			}
 			delete(model, fp)
 		}
-		if f.Count() != len(model) {
-			t.Fatalf("op %d: count %d want %d", i, f.Count(), len(model))
+		if f.n != len(model) {
+			t.Fatalf("op %d: count %d want %d", i, f.n, len(model))
 		}
 	}
 	// Final exhaustive agreement.

@@ -205,7 +205,7 @@ func (t *Tree) get(pid storage.PageID, k core.Key) (core.Value, bool) {
 func (t *Tree) GetBatch(keys []core.Key, vals []core.Value, oks []bool) {
 	t.growPlan()
 	least := minGroup
-	if t.pool.IOBatch() > 1 {
+	if t.pool.BatchIO() {
 		least = 2 // a wave of two pages saves a whole read
 	}
 	for len(keys) > 0 {

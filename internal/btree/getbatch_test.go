@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/rum"
 	"repro/internal/storage"
 )
@@ -415,7 +416,7 @@ func (p *twinPair) read(t testing.TB, keys []core.Key) ([]core.Value, []bool) {
 		}
 	}
 	a, b := p.batched.tr, p.loop.tr
-	if pool := a.Pool(); pool.IOBatch() > 1 {
+	if pool := a.Pool(); pool.BatchIO() {
 		// Every page read from the device, prefetched by a wave or demanded
 		// by a Fetch, is one miss.
 		if ms, reads := pool.Stats().Misses, pool.Device().Stats().PageReads; ms != reads {
@@ -462,21 +463,39 @@ func (p *twinPair) deviceLedgers() (storage.DeviceStats, storage.DeviceStats) {
 // up, and its cumulative cost must end no higher than the loop's — below 64
 // frames, where the tree does not fit, lower. There a wave's evictions can
 // push out a page the replay reads again, so the batched twin may read a few
-// pages more for fewer cost units (DESIGN §9).
+// pages more for fewer cost units (DESIGN §9). The same MQSSD tree with a
+// fault injector armed (one that never fires) does not batch I/O
+// (BufferPool.BatchIO), so it is held to the SSD's exact contract.
 func TestTreeGetBatchMatchesGets(t *testing.T) {
-	for _, pageSize := range []int{512, 4096} {
-		medium, n := storage.SSD, 8000
+	for _, c := range []struct {
+		pageSize int
+		medium   storage.Medium
+		armed    bool
+	}{
+		{512, storage.SSD, false},
+		{4096, storage.MQSSD, false},
+		{4096, storage.MQSSD, true},
+	} {
+		pageSize, medium, n := c.pageSize, c.medium, 8000
 		if pageSize == 4096 {
-			medium, n = storage.MQSSD, 6000
+			n = 6000
 		}
+		waves := medium == storage.MQSSD && !c.armed
 		for _, poolPages := range []int{4, 8, 24, 64, 256, 1 << 12} {
 			for _, versions := range []int{0, 2} {
 				cfg := Config{Versions: versions}
 				name := fmt.Sprintf("page=%d/pool=%d/versions=%d", pageSize, poolPages, versions)
+				if c.armed {
+					name = "armed/" + name
+				}
 				t.Run(name, func(t *testing.T) {
 					p := &twinPair{
 						batched: newTwin(t, medium, pageSize, poolPages, cfg),
 						loop:    newTwin(t, medium, pageSize, poolPages, cfg),
+					}
+					if c.armed {
+						p.batched.tr.Pool().Device().SetInjector(faults.New(faults.Plan{}))
+						p.loop.tr.Pool().Device().SetInjector(faults.New(faults.Plan{}))
 					}
 					rng := rand.New(rand.NewSource(int64(pageSize + poolPages + versions)))
 					// Keys are multiples of 3 in random order: half-full
@@ -513,14 +532,14 @@ func TestTreeGetBatchMatchesGets(t *testing.T) {
 							}
 						}
 						p.read(t, keys)
-						if da, dl := p.deviceLedgers(); medium == storage.MQSSD && poolPages >= 64 &&
+						if da, dl := p.deviceLedgers(); waves && poolPages >= 64 &&
 							(da.PageReads != dl.PageReads || da.PageWrites != dl.PageWrites || da.CostUnits != dl.CostUnits) {
 							t.Fatalf("%d keys: GetBatch's device read %d, wrote %d, cost %d; the Gets' %d, %d, %d",
 								len(keys), da.PageReads, da.PageWrites, da.CostUnits, dl.PageReads, dl.PageWrites, dl.CostUnits)
 						}
 					}
 					p.read(t, nil)
-					if da, dl := p.deviceLedgers(); medium == storage.MQSSD {
+					if da, dl := p.deviceLedgers(); waves {
 						t.Logf("device reads %d against the Gets' %d, cost units %d against %d, pool hits %d against %d", da.PageReads, dl.PageReads,
 							da.CostUnits, dl.CostUnits, p.batched.tr.Pool().Stats().Hits, p.loop.tr.Pool().Stats().Hits)
 						if da.CostUnits > dl.CostUnits || poolPages < 64 && da.CostUnits == dl.CostUnits {
@@ -758,8 +777,7 @@ func benchMessages(b *testing.B, n int, prefetch bool) {
 	}
 	vals, oks := make([]core.Value, msgOps), make([]bool, msgOps)
 	pool, dev := tr.Pool(), tr.Pool().Device()
-	dev.ResetStats()
-	unused := pool.Stats().PrefetchUnused
+	base, unused := dev.Stats(), pool.Stats().PrefetchUnused
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += msgOps {
@@ -791,8 +809,8 @@ func benchMessages(b *testing.B, n int, prefetch bool) {
 	}
 	b.StopTimer()
 	st := dev.Stats()
-	b.ReportMetric(float64(st.CostUnits)/float64(b.N), "cost/op")
-	b.ReportMetric(float64(st.PageReads)/float64(b.N), "reads/op")
+	b.ReportMetric(float64(st.CostUnits-base.CostUnits)/float64(b.N), "cost/op")
+	b.ReportMetric(float64(st.PageReads-base.PageReads)/float64(b.N), "reads/op")
 	b.ReportMetric(float64(pool.Stats().PrefetchUnused-unused)/float64(b.N), "unused/op")
 }
 

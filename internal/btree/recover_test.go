@@ -299,27 +299,26 @@ func TestRecoverHonoursVersions(t *testing.T) {
 // with two retained versions.
 func FuzzRecover(f *testing.F) {
 	type image struct {
-		dev *storage.Device
-		cfg Config
-	}
-	var images []image
-	for _, c := range []struct {
 		keys, height int
 		cfg          Config
-	}{
+	}
+	images := []image{
 		{keys: 10, height: 1},
 		{keys: 100, height: 2},
 		{keys: 500, height: 3},
 		{keys: 300, cfg: Config{Versions: 2}},
-	} {
+	}
+	// build writes a seed image afresh: each input damages its own copy, on
+	// its own goroutine, and a device has one owner.
+	build := func(tb testing.TB, c image) *storage.Device {
 		dev := storage.NewDevice(256, storage.SSD, nil)
 		tr, err := New(storage.NewBufferPool(dev, 16), c.cfg)
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
 		for k := uint64(0); k < uint64(c.keys); k++ {
 			if err := tr.Insert(k, k*7); err != nil {
-				f.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 		if c.cfg.Versions > 0 {
@@ -327,7 +326,7 @@ func FuzzRecover(f *testing.F) {
 			// as TestRecoverHonoursVersions leaves it.
 			for round := 0; round < 3; round++ {
 				if err := tr.Publish(); err != nil {
-					f.Fatal(err)
+					tb.Fatal(err)
 				}
 				for k := uint64(round); k < uint64(c.keys); k += 7 {
 					tr.Update(k, k*7)
@@ -335,14 +334,17 @@ func FuzzRecover(f *testing.F) {
 			}
 			for i := 0; i < 2; i++ {
 				if err := tr.Publish(); err != nil {
-					f.Fatal(err)
+					tb.Fatal(err)
 				}
 			}
 		} else if tr.Height() != c.height {
-			f.Fatalf("%d keys make height %d, want %d", c.keys, tr.Height(), c.height)
+			tb.Fatalf("%d keys make height %d, want %d", c.keys, tr.Height(), c.height)
 		}
 		tr.Flush()
-		images = append(images, image{dev, c.cfg})
+		return dev
+	}
+	for _, c := range images {
+		build(f, c)
 	}
 	for i := range images {
 		f.Add(uint8(i), uint16(0), uint16(0), []byte{}, false)             // intact
@@ -354,7 +356,7 @@ func FuzzRecover(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, which uint8, victim, off uint16, patch []byte, free bool) {
 		img := images[int(which)%len(images)]
-		dev := img.dev.Clone(nil)
+		dev := build(t, img)
 		live := dev.LivePageIDs()
 		id := live[int(victim)%len(live)]
 		if free {

@@ -134,14 +134,6 @@ func (s *Sorted) BulkLoad(recs []core.Record) error {
 	return nil
 }
 
-// At returns the record at row position i without bounds checking overhead,
-// charging one record read. It is the positional access used by layered
-// indexes (zone maps, cracking).
-func (s *Sorted) At(i int) core.Record {
-	s.meter.CountRead(rum.Base, rum.LineCost(core.RecordSize))
-	return s.recs[i]
-}
-
 // Unsorted is a heap-ordered column: inserts append, every search scans.
 type Unsorted struct {
 	recs  []core.Record
@@ -258,10 +250,4 @@ func (u *Unsorted) BulkLoad(recs []core.Record) error {
 	}
 	u.meter.CountWrite(rum.Base, len(recs)*core.RecordSize)
 	return nil
-}
-
-// At returns the record at row position i, charging one record read.
-func (u *Unsorted) At(i int) core.Record {
-	u.meter.CountRead(rum.Base, rum.LineCost(core.RecordSize))
-	return u.recs[i]
 }

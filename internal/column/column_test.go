@@ -232,24 +232,6 @@ func TestMOIsExactlyOne(t *testing.T) {
 	}
 }
 
-func TestAt(t *testing.T) {
-	recs := []core.Record{{Key: 1, Value: 10}, {Key: 2, Value: 20}}
-	s := NewSorted(nil)
-	if err := s.BulkLoad(recs); err != nil {
-		t.Fatal(err)
-	}
-	if r := s.At(1); r.Key != 2 || r.Value != 20 {
-		t.Fatalf("At: %+v", r)
-	}
-	u := NewUnsorted(nil)
-	if err := u.BulkLoad(recs); err != nil {
-		t.Fatal(err)
-	}
-	if r := u.At(0); r.Key != 1 {
-		t.Fatalf("At: %+v", r)
-	}
-}
-
 func TestScanEarlyStop(t *testing.T) {
 	for _, c := range both() {
 		for k := uint64(0); k < 50; k++ {

@@ -134,9 +134,6 @@ var (
 	// ErrKeyExists is returned by Insert when the key is already present in a
 	// structure that enforces key uniqueness.
 	ErrKeyExists = errors.New("core: key already exists")
-	// ErrOutOfRange is returned by structures with a bounded key domain
-	// (e.g. the Prop-1 direct-address array) for keys they cannot store.
-	ErrOutOfRange = errors.New("core: key out of supported range")
 	// ErrNoSnapshots is returned by Publish when the underlying structure
 	// does not implement SnapshotReader.
 	ErrNoSnapshots = errors.New("core: access method does not support snapshots")

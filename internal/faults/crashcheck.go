@@ -104,10 +104,6 @@ func (v Verdict) String() string {
 
 var verdictNames = [...]string{"no-crash", "recovered", "failed-loudly", "no-recovery", "VIOLATED"}
 
-// Acceptable reports whether the verdict satisfies "recovers or fails
-// loudly" — everything except Violated.
-func (v Verdict) Acceptable() bool { return v != Violated }
-
 // Subject describes one access method under crash test: how to build it on
 // a fresh storage stack and how to recover it from a surviving image.
 type Subject struct {

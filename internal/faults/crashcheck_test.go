@@ -121,7 +121,7 @@ func checkContracts(t *testing.T, rows []crashRow) {
 					cfg := faults.CheckConfig{Seed: uint64(seed), Ops: ops}
 					res := faults.CheckCrash(cfg, row.sub)
 					switch {
-					case !res.Verdict.Acceptable():
+					case res.Verdict == faults.Violated:
 						t.Fatalf("seed %d: %s\n%s", seed, res, repro(row.sub, cfg, res))
 					case res.Verdict == faults.NoCrash:
 						t.Fatalf("seed %d: crash never fired — calibration should guarantee it", seed)
@@ -194,7 +194,7 @@ func TestCrashCheckCommittedWatermark(t *testing.T) {
 		recovered := 0
 		for seed := uint64(1); seed <= 10; seed++ {
 			res := faults.CheckCrash(faults.CheckConfig{Seed: seed}, row.sub)
-			if !res.Verdict.Acceptable() {
+			if res.Verdict == faults.Violated {
 				t.Fatalf("%s seed %d: %s", row.sub.Name, seed, res)
 			}
 			if res.Verdict != faults.Recovered {
@@ -221,7 +221,7 @@ func FuzzCrashTrial(f *testing.F) {
 	f.Fuzz(func(t *testing.T, row uint8, seed uint64, ops uint16, crash uint64) {
 		sub := rows[int(row)%len(rows)].sub
 		cfg := faults.CheckConfig{Seed: seed, Ops: 1 + int(ops)%2000, CrashAtWrite: crash % (1 << 13)}
-		if res := faults.CheckCrash(cfg, sub); !res.Verdict.Acceptable() {
+		if res := faults.CheckCrash(cfg, sub); res.Verdict == faults.Violated {
 			t.Fatalf("%s\n%s", res, repro(sub, cfg, res))
 		}
 	})
@@ -271,7 +271,7 @@ func TestCrashCheckNoRecoveryPath(t *testing.T) {
 	if res.Verdict != faults.NoRecovery {
 		t.Fatalf("verdict: %s", res)
 	}
-	if !res.Verdict.Acceptable() {
+	if res.Verdict == faults.Violated {
 		t.Fatal("no-recovery must be acceptable")
 	}
 }

@@ -202,12 +202,6 @@ type Stats struct {
 	Crashes         uint64 // crash points fired (0 or 1 per injector)
 }
 
-// Total returns the number of injected faults of every kind.
-func (s Stats) Total() uint64 {
-	return s.TransientReads + s.TransientWrites + s.PermanentReads +
-		s.PermanentWrites + s.Crashes
-}
-
 // Injector plays a Plan back against one device, implementing
 // storage.FaultInjector. Like the Device it is armed on, an Injector is
 // single-owner: one injector per device per run cell, never shared.
@@ -233,9 +227,6 @@ func New(plan Plan) *Injector {
 		bad:  make(map[storage.PageID]struct{}),
 	}
 }
-
-// Plan returns the plan the injector was built from.
-func (in *Injector) Plan() Plan { return in.plan }
 
 // Stats returns a copy of the injected-fault counters.
 func (in *Injector) Stats() Stats { return in.stats }

@@ -124,9 +124,6 @@ func (x *Index) Name() string { return fmt.Sprintf("hash(buckets=%d)", len(x.dir
 // Len returns the number of records.
 func (x *Index) Len() int { return x.count }
 
-// Buckets returns the current directory size.
-func (x *Index) Buckets() int { return len(x.dir) }
-
 // Pool returns the buffer pool the index runs on.
 func (x *Index) Pool() *storage.BufferPool { return x.pool }
 

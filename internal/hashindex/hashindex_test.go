@@ -59,8 +59,8 @@ func TestGrowthPreservesData(t *testing.T) {
 			t.Fatalf("insert %d: %v", k, err)
 		}
 	}
-	if x.Buckets() <= 2 {
-		t.Fatalf("directory never grew: %d", x.Buckets())
+	if len(x.dir) <= 2 {
+		t.Fatalf("directory never grew: %d", len(x.dir))
 	}
 	for k := uint64(0); k < n; k++ {
 		v, ok := x.Get(k)

@@ -83,9 +83,6 @@ func New(pageSize int, levels []Level) (*Hierarchy, error) {
 // Levels returns the stacked levels, top first.
 func (h *Hierarchy) Levels() []*Level { return h.levels }
 
-// PageSize returns the unit of transfer.
-func (h *Hierarchy) PageSize() int { return h.pageSize }
-
 // Populate installs n pages of base data at the bottom level.
 func (h *Hierarchy) Populate(n int) {
 	bottom := h.levels[len(h.levels)-1]

@@ -581,17 +581,17 @@ func (t *Tree) buildRun(recs []core.Record) (*run, error) {
 	return r, nil
 }
 
-// readRun reads every record of a run in order, charging page reads. On a
-// multi-queue device the run is streamed through the pool's readahead
+// readRun reads every record of a run in order, charging page reads. While
+// the pool batches I/O (BatchIO) the run is streamed through its readahead
 // window: each IOBatch-sized chunk of run pages is prefetched as one deep
 // batch submission, so sequential run scans (compaction inputs, range
-// merges) pay the amortized batch cost instead of depth-1 reads. On flat
-// media Readahead is a no-op and the loop below is exactly the old path.
+// merges) pay the amortized batch cost instead of depth-1 reads. Otherwise
+// the loop below is exactly the per-page path.
 func (t *Tree) readRun(r *run) ([]core.Record, error) {
 	recs := make([]core.Record, 0, r.count)
-	ra, next := t.pool.IOBatch(), 0
+	batch, ra, next := t.pool.BatchIO(), t.pool.IOBatch(), 0
 	for i, pid := range r.pages {
-		if ra > 1 && i == next {
+		if batch && i == next {
 			end := i + ra
 			if end > len(r.pages) {
 				end = len(r.pages)

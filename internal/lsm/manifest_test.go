@@ -275,10 +275,11 @@ func FuzzDecodeManifest(f *testing.F) {
 	dev, payload := checkpointedPayload(f, decodeCfg)
 	f.Add(payload)
 	f.Add(payload[:len(payload)-3])
-	f.Add(New(storage.NewBufferPool(dev.Clone(nil), 8), decodeCfg).encodeManifest())
+	f.Add(New(storage.NewBufferPool(dev, 8), decodeCfg).encodeManifest())
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		// A clone per input: each runs on its own goroutine, and a device has one owner.
-		tr := New(storage.NewBufferPool(dev.Clone(nil), 8), decodeCfg)
+		// An image per input: each runs on its own goroutine, and a device has one owner.
+		dev, _ := checkpointedPayload(t, decodeCfg)
+		tr := New(storage.NewBufferPool(dev, 8), decodeCfg)
 		if err := tr.decodeManifest(payload, map[storage.PageID]bool{}); err != nil {
 			return
 		}

@@ -227,7 +227,7 @@ func TestCatalogCrashContracts(t *testing.T) {
 				for seed := uint64(1); seed <= seeds; seed++ {
 					res := faults.CheckCrash(faults.CheckConfig{Seed: seed, Ops: 1500}, spec.Subject)
 					switch {
-					case !res.Verdict.Acceptable():
+					case res.Verdict == faults.Violated:
 						t.Fatalf("seed %d (%s): %s", seed, spec.Durability, res)
 					case res.Verdict != faults.Recovered:
 						continue

@@ -19,7 +19,6 @@ type Histogram struct {
 	pow2   bool      // bounds are exactly 1, 2, 4, … 2^(len-1)
 	n      uint64
 	sum    float64
-	max    float64
 }
 
 // PowerOfTwoBounds returns the bucket bounds 1, 2, 4, … 2^(n-1).
@@ -66,9 +65,6 @@ func (h *Histogram) record(v float64) int {
 	if !math.IsInf(v, 1) {
 		h.sum += v
 	}
-	if v > h.max {
-		h.max = v
-	}
 	b := h.BucketIndex(v)
 	h.counts[b]++
 	return b
@@ -87,9 +83,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 	h.n += o.n
 	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
 }
 
 // Clone returns an independent copy of h. The rolling-window plane clones
@@ -102,7 +95,6 @@ func (h *Histogram) Clone() *Histogram {
 		counts: make([]uint64, len(h.counts)),
 		n:      h.n,
 		sum:    h.sum,
-		max:    h.max,
 	}
 	copy(c.counts, h.counts)
 	return c
@@ -112,14 +104,13 @@ func (h *Histogram) Clone() *Histogram {
 // windowed histogram.
 func (h *Histogram) reset() {
 	clear(h.counts)
-	h.n, h.sum, h.max = 0, 0, 0
+	h.n, h.sum = 0, 0
 }
 
 // Diff returns the observations recorded in h since the earlier snapshot
 // prev: per-bucket count deltas, count and sum deltas. prev must be a
 // snapshot of the same histogram's past (same layout, counts no greater
-// than h's); mismatched layouts panic like Merge. Max is not differenced —
-// it carries h's cumulative max, an upper bound for the window.
+// than h's); mismatched layouts panic like Merge.
 func (h *Histogram) Diff(prev *Histogram) *Histogram {
 	if len(prev.bounds) != len(h.bounds) {
 		panic("obs: diff of histograms with different bucket layouts")
@@ -130,7 +121,6 @@ func (h *Histogram) Diff(prev *Histogram) *Histogram {
 		counts: make([]uint64, len(h.counts)),
 		n:      h.n - prev.n,
 		sum:    h.sum - prev.sum,
-		max:    h.max,
 	}
 	for i := range d.counts {
 		d.counts[i] = h.counts[i] - prev.counts[i]
@@ -143,17 +133,6 @@ func (h *Histogram) Count() uint64 { return h.n }
 
 // Sum returns the sum of all finite recorded observations.
 func (h *Histogram) Sum() float64 { return h.sum }
-
-// Max returns the largest recorded observation (0 when empty).
-func (h *Histogram) Max() float64 { return h.max }
-
-// Mean returns the mean of finite observations (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
-}
 
 // Quantile returns the upper bound of the bucket holding the q-quantile
 // observation (0 <= q <= 1). Observations beyond the last bound report +Inf;

@@ -415,21 +415,6 @@ func (o *Observer) Dropped() uint64 { return o.dropped }
 // Totals returns all page events observed across the run.
 func (o *Observer) Totals() PageCounts { return o.total }
 
-// Untraced returns page events that arrived while no span was open — traffic
-// the tracing could not attribute to a logical operation.
-func (o *Observer) Untraced() PageCounts { return o.untraced }
-
-// TracedMeter returns the sum of all span meter deltas; for a run whose
-// meter traffic all happened inside spans it equals the structure's final
-// meter.
-func (o *Observer) TracedMeter() rum.Meter { return o.traced }
-
-// OpCounts returns the operation counters keyed by (method, op).
-func (o *Observer) OpCounts() map[OpKey]uint64 { return o.ops }
-
-// Hist returns the histograms for one (method, op) pair, or nil.
-func (o *Observer) Hist(key OpKey) *OpHist { return o.hists[key] }
-
 // HistKeys returns every (method, op) pair with recorded histograms, sorted
 // for deterministic export.
 func (o *Observer) HistKeys() []OpKey {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -47,7 +48,11 @@ func TestSpanConservation(t *testing.T) {
 	o, am := runTraced(t, obs.Config{SampleEvery: 64}, 300, 600)
 
 	final := am.Meter().Snapshot()
-	if traced := o.TracedMeter(); traced != final {
+	var traced rum.Meter
+	for _, sp := range o.Spans() {
+		traced.Add(sp.Meter)
+	}
+	if traced != final {
 		t.Fatalf("span deltas do not sum to meter totals:\n traced %+v\n final  %+v", traced, final)
 	}
 
@@ -105,10 +110,6 @@ func TestSpanConservation(t *testing.T) {
 	}
 
 	// Every physical event must have been attributed to some span.
-	un := o.Untraced()
-	if un.Reads() != 0 || un.Writes() != 0 {
-		t.Fatalf("untraced page events: %+v", un)
-	}
 	tot := o.Totals()
 	if pages.Reads() != tot.Reads() || pages.Writes() != tot.Writes() || pages.Cost != tot.Cost {
 		t.Fatalf("span page sums %+v diverge from totals %+v", pages, tot)
@@ -141,7 +142,7 @@ func TestObserverNesting(t *testing.T) {
 	if sp.Meter.LogicalWritten != 10*core.RecordSize || sp.Meter.BaseWritten != 10*core.RecordSize {
 		t.Fatalf("outer span meter: %+v", sp.Meter)
 	}
-	if o.TracedMeter() != am.Meter().Snapshot() {
+	if sp.Meter != am.Meter().Snapshot() {
 		t.Fatal("nested bulkload broke conservation")
 	}
 }
@@ -158,11 +159,12 @@ func TestUntracedAttribution(t *testing.T) {
 	}
 	pool.Release(f)
 	pool.FlushAll()
-	if got := o.Untraced().Writes(); got != 1 {
-		t.Fatalf("untraced writes: %d", got)
-	}
 	if len(o.Spans()) != 0 {
 		t.Fatal("spanless traffic created spans")
+	}
+	// With no span, every observed event is untraced.
+	if got := o.Totals().Writes(); got != 1 {
+		t.Fatalf("untraced writes: %d", got)
 	}
 }
 
@@ -182,15 +184,19 @@ func TestMaxSpansCap(t *testing.T) {
 	if o.Dropped() != 7 {
 		t.Fatalf("dropped: %d", o.Dropped())
 	}
-	if o.TracedMeter() != am.Meter().Snapshot() {
-		t.Fatal("dropped spans must still feed the traced totals")
+	var buf bytes.Buffer
+	if err := o.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
 	}
-	key := obs.OpKey{Method: "mem", Op: core.OpNameInsert}
-	if h := o.Hist(key); h == nil || h.Pages.Count() != 12 {
-		t.Fatal("dropped spans must still feed histograms")
-	}
-	if o.OpCounts()[key] != 12 {
-		t.Fatalf("op counts: %v", o.OpCounts())
+	for _, want := range []string{
+		fmt.Sprintf(`rum_traced_bytes_total{kind="physical",dir="write",class="base"} %d`, am.Meter().BaseWritten),
+		fmt.Sprintf(`rum_traced_bytes_total{kind="logical",dir="write"} %d`, am.Meter().LogicalWritten),
+		`rum_op_pages_count{method="mem",op="insert"} 12`,
+		`rum_ops_total{method="mem",op="insert"} 12`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("dropped spans must still feed the traced totals, histograms and op counts: no %q in\n%s", want, buf.String())
+		}
 	}
 }
 
@@ -241,11 +247,8 @@ func TestHistogramQuantiles(t *testing.T) {
 	if q := h.Quantile(0); q != 1 {
 		t.Fatalf("p0: %g", q)
 	}
-	if h.Max() != 100 {
-		t.Fatalf("max: %g", h.Max())
-	}
-	if h.Mean() != 50.5 {
-		t.Fatalf("mean: %g", h.Mean())
+	if h.Sum() != 5050 {
+		t.Fatalf("sum: %g", h.Sum())
 	}
 	// Overflow beyond the last bound reports +Inf.
 	h.Record(1e9)
@@ -267,7 +270,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 	// An empty histogram is quiet.
 	e := obs.NewHistogram(obs.PowerOfTwoBounds(4))
-	if e.Quantile(0.5) != 0 || e.Mean() != 0 || e.Max() != 0 {
+	if e.Quantile(0.5) != 0 || e.Sum() != 0 || e.Count() != 0 {
 		t.Fatal("empty histogram")
 	}
 }
@@ -398,8 +401,8 @@ func TestFaultEventAttribution(t *testing.T) {
 		t.Fatalf("totals: %+v", tot)
 	}
 	// No span open: the events are untraced, and they are not page traffic.
-	if un := o.Untraced(); un.Faults != 2 || un.Touched() != 0 {
-		t.Fatalf("untraced: %+v", un)
+	if len(o.Spans()) != 0 || tot.Touched() != 0 {
+		t.Fatalf("spans %d, totals %+v", len(o.Spans()), tot)
 	}
 	// The metrics exposition carries the fault block.
 	var buf bytes.Buffer

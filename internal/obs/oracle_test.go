@@ -41,9 +41,6 @@ func (b bisectHistogram) record(v float64) {
 	if !math.IsInf(v, 1) {
 		h.sum += v
 	}
-	if v > h.max {
-		h.max = v
-	}
 	h.counts[bisectBucket(h.bounds, v)]++
 }
 

@@ -92,9 +92,6 @@ func NewSlowLog(k int, ttl time.Duration) *SlowLog {
 	return l
 }
 
-// Cap returns the ring capacity K.
-func (l *SlowLog) Cap() int { return len(l.slots) }
-
 // Admits is the admission gate, on integers alone: whether a trace with this
 // total latency, completed at this instant (Unix nanoseconds), could be
 // retained — a slot is empty, it is slower than the slowest-K floor, or (with

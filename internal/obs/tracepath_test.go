@@ -52,7 +52,7 @@ func TestHistogramBucketMatchesBisection(t *testing.T) {
 			ref.recordDuration(d)
 		}
 		// Sums of NaN-free floats added in one order are bit-equal, so the
-		// whole histogram is: counts, n, sum, max.
+		// whole histogram is: counts, n, sum.
 		if !reflect.DeepEqual(h, ref.h) {
 			t.Fatalf("%s: histogram diverged from the bisecting reference\n got  %+v\n want %+v", name, h, ref.h)
 		}

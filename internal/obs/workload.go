@@ -344,9 +344,6 @@ func NewWorkloadRecorder(windowOps, keep int) *WorkloadRecorder {
 	}
 }
 
-// WindowOps returns the rotation cadence.
-func (r *WorkloadRecorder) WindowOps() uint64 { return r.windowOps }
-
 // Last returns the newest completed window's summary; its Window is 0 before
 // the first rotation. Unlike Snapshot it copies no sketch, so an owner that
 // acts on rotations can poll it after every operation.

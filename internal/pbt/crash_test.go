@@ -29,7 +29,7 @@ func TestCrashContractDeclaredLossy(t *testing.T) {
 		if res.Verdict != faults.NoRecovery && res.Verdict != faults.NoCrash {
 			t.Fatalf("seed %d: %s", seed, res)
 		}
-		if !res.Verdict.Acceptable() {
+		if res.Verdict == faults.Violated {
 			t.Fatalf("seed %d: unacceptable verdict %s", seed, res)
 		}
 	}

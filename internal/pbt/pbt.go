@@ -39,12 +39,6 @@ func (c *Config) defaults() {
 	}
 }
 
-// Stats counts structural events.
-type Stats struct {
-	Seals  uint64
-	Merges uint64
-}
-
 // Tree is a partitioned B-tree. All partitions share one buffer pool.
 // Not safe for concurrent use.
 type Tree struct {
@@ -53,7 +47,6 @@ type Tree struct {
 	main   *btree.Tree   // merged bulk, oldest data (may be nil)
 	sealed []*btree.Tree // immutable-by-convention, oldest first
 	active *btree.Tree
-	stats  Stats
 }
 
 // New creates an empty partitioned B-tree on pool.
@@ -82,18 +75,6 @@ func (t *Tree) Len() int {
 	}
 	return n
 }
-
-// Partitions returns the current partition count (active + sealed + main).
-func (t *Tree) Partitions() int {
-	n := 1 + len(t.sealed)
-	if t.main != nil {
-		n++
-	}
-	return n
-}
-
-// Stats returns structural counters.
-func (t *Tree) Stats() Stats { return t.stats }
 
 // Pool returns the shared buffer pool.
 func (t *Tree) Pool() *storage.BufferPool { return t.pool }
@@ -173,7 +154,6 @@ func (t *Tree) seal() {
 		return
 	}
 	t.active = fresh
-	t.stats.Seals++
 	if len(t.sealed) >= t.cfg.MergeFanIn {
 		t.merge()
 	}
@@ -207,7 +187,6 @@ func (t *Tree) merge() {
 	}
 	t.sealed = nil
 	t.main = merged
-	t.stats.Merges++
 }
 
 // Update modifies the record in place in whichever partition holds it.

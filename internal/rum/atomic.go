@@ -2,16 +2,14 @@ package rum
 
 import "sync/atomic"
 
-// AtomicMeter is the goroutine-safe counterpart of Meter for parallel
-// workloads: every counter is an atomic, so concurrent operations may meter
-// into one AtomicMeter without locks or data races.
+// AtomicMeter is the goroutine-safe counterpart of Meter: every counter is
+// an atomic, so concurrent goroutines may drain into one AtomicMeter without
+// locks or data races.
 //
-// The single-threaded hot path of the repository stays on the plain Meter —
-// atomics cost a serialized RMW per count and defeat the compiler's ability
-// to coalesce adjacent counter updates. The intended pattern for parallel
-// runs is per-goroutine plain Meters drained into a shared AtomicMeter with
-// Merge, or direct atomic counting when per-shard meters are impractical.
-// The zero value is ready to use.
+// Counting itself stays on plain Meters — atomics cost a serialized RMW per
+// count and defeat the compiler's ability to coalesce adjacent counter
+// updates — so each goroutine counts into its own Meter and merges it here
+// with Merge. The zero value is ready to use.
 type AtomicMeter struct {
 	baseRead       atomic.Uint64
 	auxRead        atomic.Uint64
@@ -21,38 +19,6 @@ type AtomicMeter struct {
 	logicalWritten atomic.Uint64
 	readOps        atomic.Uint64
 	writeOps       atomic.Uint64
-}
-
-// CountRead records n physical bytes read from data of class c.
-func (m *AtomicMeter) CountRead(c Class, n int) {
-	if c == Base {
-		m.baseRead.Add(uint64(n))
-	} else {
-		m.auxRead.Add(uint64(n))
-	}
-}
-
-// CountWrite records n physical bytes written to data of class c.
-func (m *AtomicMeter) CountWrite(c Class, n int) {
-	if c == Base {
-		m.baseWritten.Add(uint64(n))
-	} else {
-		m.auxWritten.Add(uint64(n))
-	}
-}
-
-// CountLogicalRead records n bytes of logically retrieved data and one read
-// operation.
-func (m *AtomicMeter) CountLogicalRead(n int) {
-	m.logicalRead.Add(uint64(n))
-	m.readOps.Add(1)
-}
-
-// CountLogicalWrite records n bytes of a logical update and one write
-// operation.
-func (m *AtomicMeter) CountLogicalWrite(n int) {
-	m.logicalWritten.Add(uint64(n))
-	m.writeOps.Add(1)
 }
 
 // Merge accumulates a plain Meter's counts — the drain step of the
@@ -82,16 +48,4 @@ func (m *AtomicMeter) Snapshot() Meter {
 		ReadOps:        m.readOps.Load(),
 		WriteOps:       m.writeOps.Load(),
 	}
-}
-
-// Reset zeroes all counters (not atomically with respect to each other).
-func (m *AtomicMeter) Reset() {
-	m.baseRead.Store(0)
-	m.auxRead.Store(0)
-	m.baseWritten.Store(0)
-	m.auxWritten.Store(0)
-	m.logicalRead.Store(0)
-	m.logicalWritten.Store(0)
-	m.readOps.Store(0)
-	m.writeOps.Store(0)
 }

@@ -350,9 +350,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Shards returns the configured shard count.
-func (s *Server) Shards() int { return len(s.shards) }
-
 // shardOf routes a key to its home shard with a finalizer-style mix so
 // sequential and scattered key patterns both spread evenly. The mapping
 // depends only on (key, shard count) — never on scheduling — so request

@@ -21,7 +21,6 @@ type CountMin struct {
 	rows  [][]uint64
 	w     uint64
 	d     int
-	total uint64
 	meter *rum.Meter
 }
 
@@ -66,7 +65,6 @@ func (c *CountMin) Add(key uint64, delta uint64) {
 	for i := 0; i < c.d; i++ {
 		c.rows[i][c.hash(key, i)] += delta
 	}
-	c.total += delta
 	c.meter.CountWrite(rum.Aux, c.d*counterSize)
 }
 
@@ -83,30 +81,8 @@ func (c *CountMin) Estimate(key uint64) uint64 {
 	return min
 }
 
-// Merge folds o into c counter-wise. Both sketches must share the same
-// (depth, width) shape — they then share the same hash family, so the merged
-// sketch estimates the union stream exactly as if every Add had landed on c.
-// Merging is commutative and associative.
-func (c *CountMin) Merge(o *CountMin) error {
-	if o == nil {
-		return nil
-	}
-	if c.d != o.d || c.w != o.w {
-		return fmt.Errorf("sketch: merge shape mismatch: %s vs %s", c.Name(), o.Name())
-	}
-	for i := 0; i < c.d; i++ {
-		row, orow := c.rows[i], o.rows[i]
-		for j := range row {
-			row[j] += orow[j]
-		}
-	}
-	c.total += o.total
-	c.meter.CountWrite(rum.Aux, c.d*int(c.w)*counterSize)
-	return nil
-}
-
-// Clear zeroes every counter and the total, keeping the shape (and therefore
-// the hash family) intact — the rotation primitive for windowed use.
+// Clear zeroes every counter, keeping the shape (and therefore the hash
+// family) intact — the rotation primitive for windowed use.
 func (c *CountMin) Clear() {
 	for i := range c.rows {
 		row := c.rows[i]
@@ -114,20 +90,10 @@ func (c *CountMin) Clear() {
 			row[j] = 0
 		}
 	}
-	c.total = 0
 }
-
-// Total returns the sum of all added deltas.
-func (c *CountMin) Total() uint64 { return c.total }
 
 // Depth returns the number of rows d.
 func (c *CountMin) Depth() int { return c.d }
-
-// Width returns the counters per row w.
-func (c *CountMin) Width() uint64 { return c.w }
-
-// SizeBytes returns the sketch's storage footprint.
-func (c *CountMin) SizeBytes() uint64 { return uint64(c.d) * c.w * counterSize }
 
 // Meter returns the RUM accounting.
 func (c *CountMin) Meter() *rum.Meter { return c.meter }

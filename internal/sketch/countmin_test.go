@@ -38,9 +38,6 @@ func TestErrorBound(t *testing.T) {
 		c.Add(k, 1)
 		truth[k]++
 	}
-	if c.Total() != total {
-		t.Fatalf("total %d", c.Total())
-	}
 	// The CM guarantee: est <= true + eps*total with prob 1-delta. Check the
 	// overwhelming majority comply (the bound is per-query probabilistic).
 	bad := 0
@@ -72,18 +69,15 @@ func TestUnseenKeysMostlyZero(t *testing.T) {
 
 func TestShapeFromParameters(t *testing.T) {
 	c := New(0.01, 0.001, nil)
-	if c.Width() < 250 {
-		t.Fatalf("width %d too small for eps=0.01", c.Width())
+	if c.w < 250 {
+		t.Fatalf("width %d too small for eps=0.01", c.w)
 	}
 	if c.Depth() < 6 {
 		t.Fatalf("depth %d too small for delta=0.001", c.Depth())
 	}
-	if c.SizeBytes() != uint64(c.Depth())*c.Width()*8 {
-		t.Fatal("size formula")
-	}
 	// Defaults applied for nonsense parameters.
 	d := New(-1, 2, nil)
-	if d.Width() == 0 || d.Depth() == 0 {
+	if d.w == 0 || d.Depth() == 0 {
 		t.Fatal("defaults")
 	}
 }
@@ -105,8 +99,8 @@ func TestSublinearSpace(t *testing.T) {
 		c.Add(k, 1)
 	}
 	exact := uint64(1<<20) * 16
-	if c.SizeBytes() > exact/10 {
-		t.Fatalf("sketch %d bytes not sublinear vs %d", c.SizeBytes(), exact)
+	if size := uint64(c.d) * c.w * counterSize; size > exact/10 {
+		t.Fatalf("sketch %d bytes not sublinear vs %d", size, exact)
 	}
 }
 

@@ -12,12 +12,10 @@ import (
 // answers "how often was this key seen", TopK answers "which keys dominate".
 //
 // Determinism contract. Items ranks by (count desc, key asc), so the output
-// is a pure function of the retained counter table. Absorb only sums counts
-// (no compaction), so folding per-shard trackers is commutative and
-// associative: any absorb order yields the same merged table, and therefore
-// the same ranking. Compaction happens only on Add, only when the table
-// exceeds its slack bound, and keeps the top retain entries under the same
-// (count desc, key asc) order — deterministic given the table contents.
+// is a pure function of the retained counter table. Compaction happens only
+// when an Add carries the table past its slack bound, and keeps the top
+// retain entries under the same (count desc, key asc) order — deterministic
+// given the table contents.
 //
 // Accuracy. Dropping a light entry forgets its count; if the key returns it
 // restarts from zero. Heavy hitters under skew re-arrive constantly, so
@@ -26,12 +24,12 @@ import (
 // simplicity and determinism over tight error bounds.
 //
 // Layout. The table is two dense parallel arrays in no particular order —
-// at most slack+1 entries on the Add path, more only after Absorb — found
-// through a small open-addressed index, so Add is a multiply, a probe and an
-// increment. A skewed stream over a large key space overflows the table
-// every few dozen operations, so compaction does not sort: it selects the
-// cut (the retain-th largest count), keeps every entry above it, and fills
-// the remainder with the smallest keys among the entries exactly at it.
+// at most slack+1 entries — found through a small open-addressed index sized
+// once for that bound, so Add is a multiply, a probe and an increment. A
+// skewed stream over a large key space overflows the table every few dozen
+// operations, so compaction does not sort: it selects the cut (the
+// retain-th largest count), keeps every entry above it, and fills the
+// remainder with the smallest keys among the entries exactly at it.
 type TopK struct {
 	k      int
 	retain int // table size kept after a compaction
@@ -68,29 +66,18 @@ func NewTopK(k int) *TopK {
 	t.keys = make([]uint64, 0, t.slack+1)
 	t.counts = make([]uint64, 0, t.slack+1)
 	t.sel = make([]uint64, 0, t.slack+1)
-	t.resizeIndex(t.slack + 1)
+	// The smallest power-of-two slot count that leaves the index at most half
+	// full with slack+1 entries.
+	log := uint(bits.Len(uint(2*(t.slack+1) - 1)))
+	t.index, t.shift = make([]uint32, 1<<log), 64-log
 	return t
 }
-
-// K returns the configured rank depth.
-func (t *TopK) K() int { return t.k }
 
 // Add charges delta to key, compacting the table if it overflowed.
 func (t *TopK) Add(key uint64, delta uint64) {
 	t.charge(key, delta)
 	if len(t.keys) > t.slack {
 		t.compact()
-	}
-}
-
-// Absorb folds o's counters into t without compacting, so absorb order
-// cannot affect the merged table. Compaction resumes on the next Add.
-func (t *TopK) Absorb(o *TopK) {
-	if o == nil {
-		return
-	}
-	for i, key := range o.keys {
-		t.charge(key, o.counts[i])
 	}
 }
 
@@ -127,17 +114,6 @@ func (t *TopK) charge(key, delta uint64) {
 	t.keys = append(t.keys, key)
 	t.counts = append(t.counts, delta)
 	t.index[s] = uint32(len(t.keys))
-	if 2*len(t.keys) > len(t.index) {
-		t.resizeIndex(2 * len(t.keys))
-	}
-}
-
-// resizeIndex gives the index the smallest power-of-two slot count that
-// leaves it at most half full with n entries, and rebuilds it.
-func (t *TopK) resizeIndex(n int) {
-	log := uint(bits.Len(uint(2*n - 1)))
-	t.index, t.shift = make([]uint32, 1<<log), 64-log
-	t.reindex()
 }
 
 // reindex rebuilds the index from the table.

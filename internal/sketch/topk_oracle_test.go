@@ -32,12 +32,6 @@ func (t *topkOracle) Add(key, delta uint64) {
 	}
 }
 
-func (t *topkOracle) Absorb(o *topkOracle) {
-	for k, c := range o.counts {
-		t.counts[k] += c
-	}
-}
-
 func (t *topkOracle) Clear() { clear(t.counts) }
 
 func (t *topkOracle) rank() []KeyCount {
@@ -141,36 +135,6 @@ func TestTopKMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestTopKAbsorbThenAddMatchesOracle covers the one way a table outgrows its
-// slack bound: Absorb sums without compacting (growing table and index), and
-// the next Add compacts the oversized table down to retain in one step.
-func TestTopKAbsorbThenAddMatchesOracle(t *testing.T) {
-	for k := 1; k <= 9; k++ {
-		rng := rand.New(rand.NewSource(int64(k)))
-		tk, or := NewTopK(k), newTopKOracle(k)
-		for part := 0; part < 5; part++ {
-			ptk, por := NewTopK(k), newTopKOracle(k)
-			for i := 0; i < 400; i++ {
-				key := uint64(rng.Intn(64*k)) + uint64(part*16*k) // parts overlap
-				ptk.Add(key, 1)
-				por.Add(key, 1)
-			}
-			tk.Absorb(ptk)
-			or.Absorb(por)
-			requireSameTable(t, tk, or, "after Absorb")
-		}
-		if tk.Len() <= 8*k {
-			t.Fatalf("k=%d: absorbed table holds %d entries, not past the slack bound", k, tk.Len())
-		}
-		tk.Add(7, 2)
-		or.Add(7, 2)
-		requireSameTable(t, tk, or, "first Add after Absorb")
-		if tk.Len() != 4*k {
-			t.Fatalf("k=%d: compaction left %d entries, want %d", k, tk.Len(), 4*k)
-		}
-	}
-}
-
 // TestSelectNth checks the selection kernel against a sort, duplicates and
 // already-ordered inputs included.
 func TestSelectNth(t *testing.T) {
@@ -198,8 +162,7 @@ func TestSelectNth(t *testing.T) {
 
 // FuzzTopKMatchesOracle replays an arbitrary byte string as a stream of
 // (key, delta) pairs — one byte each, so keys collide, counts tie and the
-// table compacts constantly — with a Clear or an Absorb wherever the input
-// asks for one. The seed corpus runs under plain `go test`.
+// table compacts constantly — with a Clear wherever the input asks for one. The seed corpus runs under plain `go test`.
 func FuzzTopKMatchesOracle(f *testing.F) {
 	f.Add(uint8(1), []byte("abcdefghijklmnopqrstuvwxyz"))
 	f.Add(uint8(2), []byte{0, 0, 0, 0, 1, 1, 2, 1, 3, 1, 4, 1, 5, 1, 6, 1, 7, 1, 8, 1, 9, 1, 10, 1, 11, 1, 12, 1, 13, 1, 14, 1, 15, 1, 16, 1})
@@ -216,25 +179,10 @@ func FuzzTopKMatchesOracle(f *testing.F) {
 		tk, or := NewTopK(depth), newTopKOracle(depth)
 		for i := 0; i+1 < len(stream); i += 2 {
 			key, delta := uint64(stream[i]), uint64(stream[i+1]%4)
-			switch {
-			case key == 255 && delta == 0:
+			if key == 255 && delta == 0 {
 				tk.Clear()
 				or.Clear()
-			case key == 254 && delta == 3:
-				// Fold in a peer that shares the low keys and brings 6k of its own:
-				// a few of these carry the table past its slack bound uncompacted.
-				ptk, por := NewTopK(depth), newTopKOracle(depth)
-				for j := 0; j < 7*depth; j++ {
-					pk := uint64(j)
-					if j >= depth {
-						pk += 1000 + uint64(i)
-					}
-					ptk.Add(pk, 2)
-					por.Add(pk, 2)
-				}
-				tk.Absorb(ptk)
-				or.Absorb(por)
-			default:
+			} else {
 				tk.Add(key, delta)
 				or.Add(key, delta)
 			}

@@ -6,63 +6,16 @@ import (
 	"testing"
 )
 
-func TestCountMinMerge(t *testing.T) {
-	a := New(0.01, 0.01, nil)
-	b := New(0.01, 0.01, nil)
-	whole := New(0.01, 0.01, nil)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 20000; i++ {
-		k := uint64(rng.Intn(500))
-		whole.Add(k, 1)
-		if i%2 == 0 {
-			a.Add(k, 1)
-		} else {
-			b.Add(k, 1)
-		}
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Total() != whole.Total() {
-		t.Fatalf("merged total %d, want %d", a.Total(), whole.Total())
-	}
-	// Same shape + same hash family: the merged sketch is counter-identical
-	// to one that saw the whole stream.
-	for k := uint64(0); k < 500; k++ {
-		if got, want := a.Estimate(k), whole.Estimate(k); got != want {
-			t.Fatalf("key %d: merged estimate %d, whole-stream estimate %d", k, got, want)
-		}
-	}
-}
-
-func TestCountMinMergeShapeMismatch(t *testing.T) {
-	a := New(0.01, 0.01, nil)
-	b := New(0.001, 0.01, nil)
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merging mismatched shapes did not error")
-	}
-	if err := a.Merge(nil); err != nil {
-		t.Fatalf("merging nil: %v", err)
-	}
-}
-
 func TestCountMinClear(t *testing.T) {
 	c := New(0.01, 0.01, nil)
 	for i := 0; i < 1000; i++ {
 		c.Add(uint64(i%10), 1)
 	}
 	c.Clear()
-	if c.Total() != 0 {
-		t.Fatalf("total %d after Clear", c.Total())
-	}
 	for k := uint64(0); k < 10; k++ {
 		if c.Estimate(k) != 0 {
 			t.Fatalf("key %d estimates %d after Clear", k, c.Estimate(k))
 		}
-	}
-	// The shape survives, so a cleared sketch still merges with its peers.
-	if err := c.Merge(New(0.01, 0.01, nil)); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -101,39 +54,6 @@ func TestTopKTieBreakByKey(t *testing.T) {
 	want := []KeyCount{{Key: 3, Count: 5}, {Key: 7, Count: 5}, {Key: 9, Count: 5}}
 	if got := tk.Items(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
-	}
-}
-
-// TestTopKAbsorbOrderIndependent is the determinism contract: folding shard
-// trackers in any order yields identical rankings.
-func TestTopKAbsorbOrderIndependent(t *testing.T) {
-	mk := func() []*TopK {
-		parts := make([]*TopK, 4)
-		for i := range parts {
-			parts[i] = NewTopK(8)
-			rng := rand.New(rand.NewSource(int64(100 + i)))
-			for j := 0; j < 5000; j++ {
-				// Skewed: low keys heavy, long uniform tail.
-				k := uint64(rng.Intn(16))
-				if rng.Intn(4) == 0 {
-					k = uint64(1000 + rng.Intn(5000))
-				}
-				parts[i].Add(k, 1)
-			}
-		}
-		return parts
-	}
-	forward, backward := mk(), mk()
-	aFwd := NewTopK(8)
-	for _, p := range forward {
-		aFwd.Absorb(p)
-	}
-	aBwd := NewTopK(8)
-	for i := len(backward) - 1; i >= 0; i-- {
-		aBwd.Absorb(backward[i])
-	}
-	if !reflect.DeepEqual(aFwd.Items(), aBwd.Items()) {
-		t.Fatalf("absorb order changed ranking:\n fwd %v\n bwd %v", aFwd.Items(), aBwd.Items())
 	}
 }
 

@@ -26,8 +26,8 @@ type PoolStats struct {
 	FlushFailures uint64
 	// FetchFailures counts Fetch calls whose device read failed (after any
 	// retries). A failed fetch installs no frame and counts neither a hit
-	// nor a miss, so HitRatio stays a statement about served requests and
-	// Misses reconciles exactly with successful device reads.
+	// nor a miss, so Hits and Misses stay a statement about served requests
+	// and Misses reconciles exactly with successful device reads.
 	FetchFailures uint64
 	// Unshares counts clean frames given a private copy of their page by
 	// their first MarkDirty: the one page copy a write costs.
@@ -42,15 +42,6 @@ type PoolStats struct {
 	// PrefetchUnused counts pages Readahead installed that were evicted,
 	// dropped or freed before any Fetch: device reads a prefetch wasted.
 	PrefetchUnused uint64
-}
-
-// HitRatio returns hits / (hits+misses), or 0 for an untouched pool.
-func (s PoolStats) HitRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
 }
 
 // Frame is a pinned page held in the buffer pool. Callers must Release every
@@ -93,8 +84,12 @@ func (f *Frame) ID() PageID { return f.id }
 
 // Data returns the frame's page image. It is read-only until the frame has
 // been marked dirty, and MarkDirty may replace it: a writer calls MarkDirty
-// first and writes the slice Data returns afterwards.
-func (f *Frame) Data() []byte { return f.data }
+// first and writes the slice Data returns afterwards. The frame must be
+// pinned; builds with -tags racecheck panic on a call after its last Release.
+func (f *Frame) Data() []byte {
+	checkPinned(f)
+	return f.data
+}
 
 // MarkDirty makes the frame writable and records that its contents will
 // diverge from the device and must be written back on eviction or flush. On
@@ -235,9 +230,6 @@ func (p *BufferPool) SetRetryBudget(n int) {
 	p.retries = n
 }
 
-// RetryBudget returns the current retry budget.
-func (p *BufferPool) RetryBudget() int { return p.retries }
-
 // SetIOBatch sets the pool's batch-submission width: how many dirty frames
 // one vectored write-back (FlushAll, eviction groups) gathers into a single
 // Device.WriteBatch, and how many pages one Readahead submission carries.
@@ -324,8 +316,8 @@ func (p *BufferPool) Fetch(id PageID) (*Frame, error) {
 	}
 	// The miss is counted only once the repairing device read has
 	// succeeded: a failed read installs nothing and counts a FetchFailure,
-	// not a miss, so HitRatio and the miss ledger stay reconciled with the
-	// device's successful reads.
+	// not a miss, so the miss ledger stays reconciled with the device's
+	// successful reads.
 	var src []byte
 	err := p.withRetry(id, func() (err error) {
 		src, err = p.dev.Read(id)

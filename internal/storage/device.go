@@ -129,7 +129,6 @@ type Device struct {
 	owner     owner
 	gen       pagegen
 	pageSize  int
-	medium    Medium
 	pages     [][]byte
 	class     []rum.Class
 	live      []bool
@@ -159,7 +158,6 @@ func NewDevice(pageSize int, medium Medium, meter *rum.Meter) *Device {
 	}
 	return &Device{
 		pageSize: pageSize,
-		medium:   medium,
 		meter:    meter,
 		model:    medium.Model(),
 	}
@@ -231,9 +229,6 @@ func (d *Device) fail(err error, op string, id PageID, torn int, cost uint64) er
 // PageSize returns the device page size in bytes.
 func (d *Device) PageSize() int { return d.pageSize }
 
-// Medium returns the simulated storage technology.
-func (d *Device) Medium() Medium { return d.medium }
-
 // CostModel returns the pricing model the device charges traffic under.
 func (d *Device) CostModel() CostModel { return d.model }
 
@@ -242,16 +237,6 @@ func (d *Device) Meter() *rum.Meter { return d.meter }
 
 // Stats returns a copy of the device traffic counters.
 func (d *Device) Stats() DeviceStats { return d.stats }
-
-// ResetStats zeroes the traffic counters (allocation counts are kept, since
-// they describe current occupancy rather than traffic).
-func (d *Device) ResetStats() {
-	d.stats.PageReads = 0
-	d.stats.PageWrites = 0
-	d.stats.CostUnits = 0
-	d.stats.Batches = 0
-	d.stats.BatchedPages = 0
-}
 
 // LivePages returns the number of currently allocated pages.
 func (d *Device) LivePages() int {
@@ -268,23 +253,6 @@ func (d *Device) LivePageIDs() []PageID {
 		}
 	}
 	return ids
-}
-
-// LiveBytes returns SizeInfo for the currently allocated pages, split by the
-// rum.Class they were allocated under.
-func (d *Device) LiveBytes() rum.SizeInfo {
-	var s rum.SizeInfo
-	for id, alive := range d.live {
-		if !alive {
-			continue
-		}
-		if d.class[id] == rum.Base {
-			s.BaseBytes += uint64(d.pageSize)
-		} else {
-			s.AuxBytes += uint64(d.pageSize)
-		}
-	}
-	return s
 }
 
 // Alloc allocates a zeroed page of the given data class and returns its id.
@@ -570,34 +538,6 @@ func (d *Device) writeBatch(ids []PageID, data [][]byte, swap bool) (int, error)
 		d.batchHook.StorageBatch(true, n, d.model.Depth(n), cost)
 	}
 	return n, nil
-}
-
-// Clone returns a deep copy of the device — page images, classes, free list,
-// cost model, and stats — reporting its traffic to meter (nil selects a
-// private one).
-// Cloning is how concurrent run cells start from an identical preloaded
-// image without sharing mutable state: preload a template once, then each
-// cell clones it and owns the copy. The clone has no injector, crash latch,
-// or hook, and under -tags racecheck it is unowned until first touched.
-func (d *Device) Clone(meter *rum.Meter) *Device {
-	if meter == nil {
-		meter = &rum.Meter{}
-	}
-	nd := &Device{
-		pageSize: d.pageSize,
-		medium:   d.medium,
-		meter:    meter,
-		model:    d.model,
-		stats:    d.stats,
-		pages:    make([][]byte, len(d.pages)),
-		class:    append([]rum.Class(nil), d.class...),
-		live:     append([]bool(nil), d.live...),
-		freeList: append([]PageID(nil), d.freeList...),
-	}
-	for i, pg := range d.pages {
-		nd.pages[i] = append([]byte(nil), pg...)
-	}
-	return nd
 }
 
 // Class returns the data class a page was allocated under.

@@ -7,6 +7,10 @@ package storage
 // with -tags racecheck) for the checked variants of everything in this file.
 func lend(image []byte) []byte { return image }
 
+// checkPinned is the release build of the use-after-release check on Data:
+// a no-op, so Data stays a plain, inlinable accessor.
+func checkPinned(*Frame) {}
+
 // checkClean is the release build of the clean-frame comparison: a no-op.
 func (p *BufferPool) checkClean(*Frame) {}
 

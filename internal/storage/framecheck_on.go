@@ -16,6 +16,18 @@ const poisonByte = 0xDB
 // checkClean finds it.
 func lend(image []byte) []byte { return bytes.Clone(image) }
 
+// checkPinned panics when Data is asked of a frame nobody has pinned: the
+// caller kept a *Frame past its last Release. A release build hands back
+// whatever the frame holds by then — the same page, or, once an eviction has
+// recycled the struct, another page's bytes — so the read half of the frame
+// check fails here, on first use, not only once an eviction has poisoned the
+// bytes.
+func checkPinned(f *Frame) {
+	if f.pins <= 0 {
+		panic(fmt.Sprintf("storage: Data of page %d read from an unpinned frame (used after Release)", f.id))
+	}
+}
+
 // checkClean panics when a clean frame's bytes are not the device's: somebody
 // wrote Data() without marking the frame dirty first (or kept a slice from
 // before MarkDirty and wrote that). A release build would have changed the

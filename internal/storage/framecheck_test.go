@@ -34,12 +34,32 @@ func TestRecycledFrameIsPoisoned(t *testing.T) {
 		t.Fatal("racecheck build recycled the victim's frame")
 	}
 	poison := bytes.Repeat([]byte{poisonByte}, 64)
-	if !bytes.Equal(kept, poison) || !bytes.Equal(stale.Data(), poison) {
+	if !bytes.Equal(kept, poison) || !bytes.Equal(stale.data, poison) {
 		t.Fatalf("evicted frame not poisoned: kept %x", kept)
 	}
 	if !bytes.Equal(f.Data(), make([]byte, 64)) {
 		t.Fatalf("installed page shows %x, want its own zero bytes", f.Data())
 	}
+}
+
+// TestDataAfterReleasePanics verifies the racecheck build fails a read of
+// Data() through a frame its caller has released, on first use: the page is
+// still cached and its bytes are intact, so nothing but the pin count can
+// tell the stale read from a good one.
+func TestDataAfterReleasePanics(t *testing.T) {
+	d := NewDevice(64, RAM, nil)
+	p := NewBufferPool(d, 4)
+	f, err := p.Fetch(d.Alloc(rum.Base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Release(f)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Data() after Release did not panic")
+		}
+	}()
+	f.Data()
 }
 
 // TestAdoptOverCachedFramePanics verifies the racecheck build refuses to

@@ -76,27 +76,6 @@ func TestDeviceReplace(t *testing.T) {
 	}
 }
 
-// TestResetStatsZeroesBatchCounters: all five traffic counters restart, so a
-// batched share taken after a reset cannot exceed 1; allocation counts stay.
-func TestResetStatsZeroesBatchCounters(t *testing.T) {
-	d := NewDevice(64, MQSSD, nil)
-	ids := allocN(t, d, 4, rum.Base)
-	data := [][]byte{page64(1), page64(2), page64(3), page64(4)}
-	if err := d.WriteBatch(ids, data); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.ReadBatch(ids); err != nil {
-		t.Fatal(err)
-	}
-	if st := d.Stats(); st.Batches != 2 || st.BatchedPages != 8 {
-		t.Fatalf("two 4-page batches counted as %+v", st)
-	}
-	d.ResetStats()
-	if st, want := d.Stats(), (DeviceStats{PagesAllocated: 4}); st != want {
-		t.Fatalf("after ResetStats: %+v, want %+v", st, want)
-	}
-}
-
 // TestPinnedFrameStaysWritableAcrossFlushAll: a write-back hands a frame's
 // buffer to the device only while nobody holds the frame. A holder that
 // marked its frame dirty keeps writing through the same slice across a
@@ -163,8 +142,8 @@ func TestFaultyDeviceCopiesWriteBacks(t *testing.T) {
 		t.Fatalf("armed flush: %+v, %d dirty", st, p.DirtyCount())
 	}
 	for i, f := range frames {
-		if !f.owned || !bytes.Equal(f.Data(), page64(byte(i+1))) {
-			t.Fatalf("frame %d: owned %v, shows %x", i, f.owned, f.Data())
+		if !f.owned || !bytes.Equal(f.data, page64(byte(i+1))) {
+			t.Fatalf("frame %d: owned %v, shows %x", i, f.owned, f.data)
 		}
 	}
 	d.SetInjector(nil)

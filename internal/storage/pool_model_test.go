@@ -554,11 +554,11 @@ func checkImages(t *testing.T, step int, p *BufferPool, m *modelPool) {
 		if mf == nil || f.dirty != mf.dirty || f.owned != mf.private || int(f.pins) != mf.pins {
 			t.Fatalf("step %d: frame %d is %+v, model %+v", step, id, f, mf)
 		}
-		if !bytes.Equal(f.Data(), mf.data) {
-			t.Fatalf("step %d: frame %d shows %x, model %x", step, id, f.Data(), mf.data)
+		if !bytes.Equal(f.data, mf.data) {
+			t.Fatalf("step %d: frame %d shows %x, model %x", step, id, f.data, mf.data)
 		}
-		if !f.dirty && dp.check(f.id) == nil && !bytes.Equal(f.Data(), dp.pages[id]) {
-			t.Fatalf("step %d: clean frame %d shows %x, device holds %x", step, id, f.Data(), dp.pages[id])
+		if !f.dirty && dp.check(f.id) == nil && !bytes.Equal(f.data, dp.pages[id]) {
+			t.Fatalf("step %d: clean frame %d shows %x, device holds %x", step, id, f.data, dp.pages[id])
 		}
 		if f.owned {
 			owned++

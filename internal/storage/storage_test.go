@@ -57,10 +57,6 @@ func TestDeviceClassAccounting(t *testing.T) {
 	if meter.BaseRead != 64 || meter.AuxRead != 64 {
 		t.Fatalf("class split: base=%d aux=%d", meter.BaseRead, meter.AuxRead)
 	}
-	live := d.LiveBytes()
-	if live.BaseBytes != 64 || live.AuxBytes != 64 {
-		t.Fatalf("live bytes: %+v", live)
-	}
 	if d.Class(base) != rum.Base || d.Class(aux) != rum.Aux {
 		t.Fatal("class lookup")
 	}
@@ -303,17 +299,6 @@ func TestBufferPoolDropAll(t *testing.T) {
 	}
 	if d.Stats().PageWrites != 4 {
 		t.Fatalf("DropAll flushed %d pages", d.Stats().PageWrites)
-	}
-}
-
-func TestHitRatio(t *testing.T) {
-	var s PoolStats
-	if s.HitRatio() != 0 {
-		t.Fatal("empty ratio")
-	}
-	s.Hits, s.Misses = 3, 1
-	if s.HitRatio() != 0.75 {
-		t.Fatalf("ratio %v", s.HitRatio())
 	}
 }
 

@@ -38,10 +38,9 @@ import "repro/internal/rum"
 // call site so that per-reader accounting can be merged exactly into the
 // owning ledger once the read is done.
 type PageView struct {
-	pages    [][]byte
-	class    []rum.Class
-	pageSize int
-	stamp    viewstamp
+	pages [][]byte
+	class []rum.Class
+	stamp viewstamp
 }
 
 // View captures a read-only view of the current device image. Writer-side
@@ -50,15 +49,11 @@ type PageView struct {
 func (d *Device) View() *PageView {
 	d.owner.assert("Device")
 	return &PageView{
-		pages:    d.pages,
-		class:    d.class,
-		pageSize: d.pageSize,
-		stamp:    d.gen.capture(len(d.pages)),
+		pages: d.pages,
+		class: d.class,
+		stamp: d.gen.capture(len(d.pages)),
 	}
 }
-
-// PageSize returns the device page size in bytes.
-func (v *PageView) PageSize() int { return v.pageSize }
 
 // Page returns the image of a page captured by the view. The returned slice
 // aliases device memory that the copy-on-write and deferred-reclamation

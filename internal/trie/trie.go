@@ -81,9 +81,6 @@ func (t *Trie) Name() string { return fmt.Sprintf("trie(stride=%d)", t.stride) }
 // Len returns the number of records.
 func (t *Trie) Len() int { return t.count }
 
-// Nodes returns the number of allocated nodes.
-func (t *Trie) Nodes() int { return t.nodes }
-
 // Meter returns the RUM accounting.
 func (t *Trie) Meter() *rum.Meter { return t.meter }
 

@@ -172,13 +172,13 @@ func TestHighKeysScan(t *testing.T) {
 
 func TestDeletePrunesNodes(t *testing.T) {
 	tr := newTrie(t, 8)
-	base := tr.Nodes()
+	base := tr.nodes
 	for k := uint64(0); k < 100; k++ {
 		if err := tr.Insert(k<<40, k); err != nil { // scattered: private paths
 			t.Fatal(err)
 		}
 	}
-	grown := tr.Nodes()
+	grown := tr.nodes
 	if grown <= base {
 		t.Fatal("no nodes allocated")
 	}
@@ -187,8 +187,8 @@ func TestDeletePrunesNodes(t *testing.T) {
 			t.Fatal("delete")
 		}
 	}
-	if tr.Nodes() != base {
-		t.Fatalf("nodes not pruned: %d -> %d (base %d)", grown, tr.Nodes(), base)
+	if tr.nodes != base {
+		t.Fatalf("nodes not pruned: %d -> %d (base %d)", grown, tr.nodes, base)
 	}
 }
 

@@ -293,10 +293,6 @@ func (l *Logged) Stats() Stats {
 // DurableToCommit contract is checked against).
 func (l *Logged) Committed() uint64 { return l.committed }
 
-// Poisoned returns the latched error after a failed commit or checkpoint,
-// or nil while the log is healthy.
-func (l *Logged) Poisoned() error { return l.corrupt }
-
 // Size adds the log's footprint to the structure's: live log pages, plus
 // the volatile overlay and pending buffer, count as auxiliary bytes — the
 // memory-overhead side of the durability tax.

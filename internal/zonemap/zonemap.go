@@ -55,9 +55,6 @@ func (m *Map) Name() string { return fmt.Sprintf("zonemap(P=%d)", m.partition) }
 // Len returns the number of records.
 func (m *Map) Len() int { return m.count }
 
-// Zones returns the number of partitions.
-func (m *Map) Zones() int { return len(m.zones) }
-
 // Meter returns the RUM accounting.
 func (m *Map) Meter() *rum.Meter { return m.meter }
 

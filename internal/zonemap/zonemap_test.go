@@ -202,15 +202,15 @@ func TestSplitMaintainsLookup(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if m.Zones() < tc.minZones {
-			t.Fatalf("partition %d: expected at least %d zones, got %d", tc.partition, tc.minZones, m.Zones())
+		if len(m.zones) < tc.minZones {
+			t.Fatalf("partition %d: expected at least %d zones, got %d", tc.partition, tc.minZones, len(m.zones))
 		}
 		for k := uint64(0); k < uint64(tc.keys); k++ {
 			if v, ok := m.Get(k); !ok || v != k+1 {
 				t.Fatalf("partition %d: Get(%d) after splits", tc.partition, k)
 			}
 		}
-		zones[tc.partition] = m.Zones()
+		zones[tc.partition] = len(m.zones)
 	}
 	// The same 300 records make fewer zones under coarser partitions.
 	if zones[64] >= zones[8] {
@@ -227,8 +227,8 @@ func TestBulkLoadPacksExactly(t *testing.T) {
 	if err := m.BulkLoad(recs); err != nil {
 		t.Fatal(err)
 	}
-	if m.Zones() != 10 {
-		t.Fatalf("zones %d", m.Zones())
+	if len(m.zones) != 10 {
+		t.Fatalf("zones %d", len(m.zones))
 	}
 	if m.Size().SpaceAmplification() > 1.02 {
 		t.Fatalf("MO %v", m.Size().SpaceAmplification())
