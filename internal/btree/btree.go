@@ -64,6 +64,25 @@ type Tree struct {
 	vs *storage.VersionSet[state]
 
 	batch batchScratch // GetBatch's, so that a call allocates nothing
+
+	// stamp counts page allocations and frees (newPage, freePage). Every
+	// change to a key's route allocates or frees: a split, a new root, a
+	// copy-on-write, BulkLoad, Drop; a lazy delete moves none. So a route
+	// computed under an unchanged stamp and height still holds.
+	stamp  uint64
+	routes routeMemo // the last Prefetch's routes
+}
+
+// routeMemo is what the last Prefetch's plan found: the j-th kept key's
+// page on each level, root first, at paths[j*height:(j+1)*height], kept
+// under the stamp and height it was computed at. A serving shard runs a
+// message's operations in the order it hinted their keys, so lookups
+// advance a cursor (next) instead of hashing.
+type routeMemo struct {
+	keys         []core.Key
+	paths        []storage.PageID
+	stamp        uint64
+	height, next int
 }
 
 // batchScratch is one GetBatch group's plan: path[l][i] is key i's page on
@@ -159,9 +178,11 @@ func (t *Tree) Size() rum.SizeInfo {
 // Flush writes all buffered dirty pages to the device.
 func (t *Tree) Flush() { t.pool.FlushAll() }
 
-// descendToLeaf walks from page pid to the leaf covering k.
-func (t *Tree) descendToLeaf(pid storage.PageID, k core.Key) (*storage.Frame, error) {
-	for {
+// descendToLeaf walks from page pid to the leaf covering k, along path
+// (path[0] is pid) where k has a memoized one (memoPath), by node.route where
+// path is nil.
+func (t *Tree) descendToLeaf(pid storage.PageID, k core.Key, path []storage.PageID) (*storage.Frame, error) {
+	for l := 1; ; l++ {
 		f, err := t.pool.Fetch(pid)
 		if err != nil {
 			return nil, err
@@ -170,17 +191,45 @@ func (t *Tree) descendToLeaf(pid storage.PageID, k core.Key) (*storage.Frame, er
 		if n.isLeaf() {
 			return f, nil
 		}
-		pid = n.route(k)
+		pid = childOf(n, k, path, l)
 		t.pool.Release(f)
 	}
 }
 
-// Get returns the value stored under k.
-func (t *Tree) Get(k core.Key) (core.Value, bool) { return t.get(t.root, k) }
+// childOf is the child of n that k routes to: path[l] where k's route is
+// memoized, node.route where path is nil.
+func childOf(n node, k core.Key, path []storage.PageID, l int) storage.PageID {
+	if path == nil {
+		return n.route(k)
+	}
+	checkRoute(n, k, path[l])
+	return path[l]
+}
 
-// get is Get from page pid down.
-func (t *Tree) get(pid storage.PageID, k core.Key) (core.Value, bool) {
-	f, err := t.descendToLeaf(pid, k)
+// memoPath returns k's route as the last Prefetch planned it, root first,
+// or nil where that Prefetch kept none or a page has been allocated or freed
+// since. The lookup scans forward from the cursor for k and moves the
+// cursor past the entry it returns.
+func (t *Tree) memoPath(k core.Key) []storage.PageID {
+	r := &t.routes
+	if r.stamp != t.stamp || r.height != t.height {
+		return nil
+	}
+	for j := r.next; j < len(r.keys); j++ {
+		if r.keys[j] == k {
+			r.next = j + 1
+			return r.paths[j*r.height : (j+1)*r.height]
+		}
+	}
+	return nil
+}
+
+// Get returns the value stored under k.
+func (t *Tree) Get(k core.Key) (core.Value, bool) { return t.get(t.root, k, t.memoPath(k)) }
+
+// get is Get from page pid down, along path where it is not nil.
+func (t *Tree) get(pid storage.PageID, k core.Key, path []storage.PageID) (core.Value, bool) {
+	f, err := t.descendToLeaf(pid, k, path)
 	if err != nil {
 		return 0, false
 	}
@@ -201,7 +250,11 @@ func (t *Tree) get(pid storage.PageID, k core.Key) (core.Value, bool) {
 // its leaf; a key whose next page is not resident stops there. Then, key by
 // key, it replays Get's Fetch and Release of every page the plan read and
 // runs Get itself from where a key stopped. No frame stays pinned across
-// keys (DESIGN §9). Allocation-free once the scratch covers the height.
+// keys (DESIGN §9). Where the last Prefetch kept the route of every key of
+// a group and no page has been allocated or freed since, the plan takes the
+// children from those routes instead of searching the internal levels; it
+// peeks, reads and re-peeks as before, so the pool calls are the same.
+// Allocation-free once the scratch covers the height.
 func (t *Tree) GetBatch(keys []core.Key, vals []core.Value, oks []bool) {
 	t.growPlan()
 	least := minGroup
@@ -245,7 +298,7 @@ func (t *Tree) getGroup(keys []core.Key, vals []core.Value, oks []bool) {
 		if l < b.planned[i] {
 			vals[i], oks[i] = 0, false // a failed Fetch fails Get too
 		} else if l < t.height {
-			vals[i], oks[i] = t.get(b.path[l][i], k)
+			vals[i], oks[i] = t.get(b.path[l][i], k, nil)
 		}
 	}
 }
@@ -259,18 +312,40 @@ func (t *Tree) getGroup(keys []core.Key, vals []core.Value, oks []bool) {
 // one call read at most prefetchBudget pages; the keys past that are left
 // to their own reads. Where the pool does not batch I/O
 // (storage.BufferPool.BatchIO) or the budget is below two pages (a wave of
-// one saves nothing) it makes no pool call at all. Allocation-free once the
-// scratch covers the height.
+// one saves nothing) it makes no pool call at all. It keeps the route of
+// every key its plan took to the leaf level (routeMemo): until a page is
+// allocated or freed, the Gets, GetBatches and writes of those keys that
+// follow, in the order they were hinted, take their children from it
+// instead of searching the internal nodes, and make the same pool calls.
+// Allocation-free once the scratch covers the height.
 func (t *Tree) Prefetch(keys []core.Key) {
 	budget := t.prefetchBudget()
 	if !t.pool.BatchIO() || budget < 2 {
 		return
 	}
 	t.growPlan()
+	r := &t.routes
+	r.keys, r.paths, r.stamp, r.height, r.next = r.keys[:0], r.paths[:0], t.stamp, t.height, 0
 	for len(keys) > 0 && budget > 0 {
 		n := min(len(keys), core.GroupWidth)
 		budget -= t.planGroup(keys[:n], false, budget)
+		t.keepRoutes(keys[:n])
 		keys = keys[n:]
+	}
+}
+
+// keepRoutes memoizes the path of every key of the group just planned whose
+// plan reached the leaf level; past that level a lane's path is not a route.
+func (t *Tree) keepRoutes(keys []core.Key) {
+	b, r := &t.batch, &t.routes
+	for i, k := range keys {
+		if b.planned[i] < t.height-1 {
+			continue
+		}
+		r.keys = append(r.keys, k)
+		for l := range t.height {
+			r.paths = append(r.paths, b.path[l][i])
+		}
 	}
 }
 
@@ -296,13 +371,16 @@ func (t *Tree) growPlan() {
 // and routes every key to its child (group.step). The path and planned of
 // t.batch record how far each key got. With search the leaf level is
 // searched too, for group.found; without, the plan ends at the leaf wave.
-// The waves read at most budget pages in all; planGroup returns how many
-// they read.
+// A search whose every key has a memoized route (routeGroup) takes the
+// internal levels' children from it and skips their steps; the peeks, which
+// decide planned, and the waves stay. The waves read at most budget pages
+// in all; planGroup returns how many they read.
 func (t *Tree) planGroup(keys []core.Key, search bool, budget int) (read int) {
 	b := &t.batch
 	for i := range keys {
 		b.path[0][i], b.planned[i] = t.root, 0
 	}
+	routed := search && t.routeGroup(keys)
 	for l := 0; l < t.height; l++ {
 		wave, leaf := t.peekLevel(len(keys), l), l == t.height-1
 		installed := 0
@@ -316,9 +394,29 @@ func (t *Tree) planGroup(keys []core.Key, search bool, budget int) (read int) {
 		if installed > 0 {
 			t.peekLevel(len(keys), l)
 		}
+		if routed && !leaf {
+			checkGroupRoutes(b, keys, l)
+			continue
+		}
 		b.step(keys, leaf, &b.path[l+1])
 	}
 	return read
+}
+
+// routeGroup writes the memoized route of every key of the group into the
+// plan's path and reports whether each key had one.
+func (t *Tree) routeGroup(keys []core.Key) bool {
+	b := &t.batch
+	for i, k := range keys {
+		path := t.memoPath(k)
+		if path == nil {
+			return false
+		}
+		for l := 1; l < len(path); l++ {
+			b.path[l][i] = path[l]
+		}
+	}
+	return true
 }
 
 // peekLevel loads level l's resident pages into the group's pages for the
@@ -351,7 +449,7 @@ type splitResult struct {
 
 // Insert adds a record, splitting nodes as needed.
 func (t *Tree) Insert(k core.Key, v core.Value) error {
-	nroot, res, err := t.insert(t.root, k, v)
+	nroot, res, err := t.insert(t.root, k, v, t.memoPath(k), 0)
 	if err != nil {
 		return err
 	}
@@ -377,11 +475,12 @@ func (t *Tree) Insert(k core.Key, v core.Value) error {
 	return nil
 }
 
-// insert adds (k, v) to the subtree rooted at pid. It returns the subtree's
-// possibly-new root page: under MVCC, mutating a page shared with a
-// published version copies it (writable), so the caller must re-point its
-// child entry when the returned id differs from pid.
-func (t *Tree) insert(pid storage.PageID, k core.Key, v core.Value) (storage.PageID, splitResult, error) {
+// insert adds (k, v) to the subtree rooted at pid, the level-l page. It
+// descends along path where k's route is memoized (see descendToLeaf). It
+// returns the subtree's possibly-new root page: under MVCC, mutating a page
+// shared with a published version copies it (writable), so the caller must
+// re-point its child entry when the returned id differs from pid.
+func (t *Tree) insert(pid storage.PageID, k core.Key, v core.Value, path []storage.PageID, l int) (storage.PageID, splitResult, error) {
 	f, err := t.pool.Fetch(pid)
 	if err != nil {
 		return pid, splitResult{}, err
@@ -410,10 +509,10 @@ func (t *Tree) insert(pid storage.PageID, k core.Key, v core.Value) (storage.Pag
 		return npid, res, err
 	}
 
-	child := n.route(k)
+	child := childOf(n, k, path, l+1)
 	t.pool.Release(f)
 
-	nchild, res, err := t.insert(child, k, v)
+	nchild, res, err := t.insert(child, k, v, path, l+1)
 	if err != nil {
 		return pid, splitResult{}, err
 	}
@@ -596,7 +695,7 @@ func (t *Tree) RangeScan(lo, hi core.Key, emit func(core.Key, core.Value) bool) 
 		n, _ := t.scanSubtree(t.root, lo, hi, emit)
 		return n
 	}
-	f, err := t.descendToLeaf(t.root, lo)
+	f, err := t.descendToLeaf(t.root, lo, nil)
 	if err != nil {
 		return 0
 	}

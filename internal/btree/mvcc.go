@@ -47,12 +47,14 @@ func (t *Tree) initMVCC() {
 func (t *Tree) state() state { return state{root: t.root, height: t.height, count: t.count} }
 
 // newPage allocates a page through the pool and records its birth, so that
-// writable can tell private pages from published ones.
+// writable can tell private pages from published ones. It and freePage bump
+// Tree.stamp, which invalidates the routes Prefetch kept.
 func (t *Tree) newPage(c rum.Class) (*storage.Frame, error) {
 	f, err := t.pool.NewPage(c)
 	if err != nil {
 		return nil, err
 	}
+	t.stamp++
 	t.vs.Born(f.ID())
 	return f, nil
 }
@@ -61,6 +63,7 @@ func (t *Tree) newPage(c rum.Class) (*storage.Frame, error) {
 // page outside MVCC) was never published and is freed at once; anything
 // older may be reachable from a published version and is retired instead.
 func (t *Tree) freePage(pid storage.PageID) error {
+	t.stamp++
 	if t.vs.Private(pid) {
 		return t.pool.FreePage(pid)
 	}
@@ -98,8 +101,10 @@ func (t *Tree) writable(f *storage.Frame) (*storage.Frame, error) {
 // descendToLeafW walks from the root to the leaf covering k, making every
 // node on the path writable and re-pointing parents as copies happen. It is
 // the mutation-path descent for Update and Delete; outside MVCC it behaves
-// exactly like descendToLeaf.
+// exactly like descendToLeaf. It takes k's memoized route where there is one:
+// a copy made on the way down routes k as its original did.
 func (t *Tree) descendToLeafW(k core.Key) (*storage.Frame, error) {
+	path := t.memoPath(k)
 	f, err := t.pool.Fetch(t.root)
 	if err != nil {
 		return nil, err
@@ -108,12 +113,12 @@ func (t *Tree) descendToLeafW(k core.Key) (*storage.Frame, error) {
 		return nil, err
 	}
 	t.root = f.ID()
-	for {
+	for l := 1; ; l++ {
 		n := node{f.Data()}
 		if n.isLeaf() {
 			return f, nil
 		}
-		child := n.route(k)
+		child := childOf(n, k, path, l)
 		cf, err := t.pool.Fetch(child)
 		if err != nil {
 			t.pool.Release(f)

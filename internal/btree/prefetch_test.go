@@ -26,19 +26,32 @@ type outcome struct {
 	ok  bool
 }
 
+// hint is what serveMessage does with a message's keys before its operations.
+type hint int
+
+const (
+	noHint   hint = iota
+	prefetch      // hand them to Prefetch as one hint
+	forget        // hand them to Prefetch, then drop the routes it kept
+)
+
 // serveMessage applies msg to tw as a serving shard applies a message of
-// operations: with prefetch, every key first goes to Prefetch as one hint;
-// then each run of consecutive gets is one GetBatch and each write a call
-// of its own, all through the core.Instrument wrapper. It returns the
-// operations' outcomes.
-func serveMessage(tw *twin, msg []msgOp, prefetch bool) []outcome {
+// operations: with a hint, every key first goes to Prefetch; then each run
+// of consecutive gets is one GetBatch and each write a call of its own, all
+// through the core.Instrument wrapper. It returns the operations' outcomes.
+// forget bumps the tree's stamp after the Prefetch, so the operations route
+// by searching the internal nodes as they would without the memo.
+func serveMessage(tw *twin, msg []msgOp, h hint) []outcome {
 	out := make([]outcome, len(msg))
-	if prefetch {
+	if h != noHint {
 		keys := make([]core.Key, len(msg))
 		for i, op := range msg {
 			keys[i] = op.key
 		}
 		tw.w.Prefetch(keys)
+		if h == forget {
+			tw.tr.stamp++
+		}
 	}
 	for i := 0; i < len(msg); {
 		if msg[i].kind == 0 {
@@ -92,71 +105,101 @@ func scanDigest(tr *Tree) (digest uint64, n int) {
 	return digest, n
 }
 
-// prefetchPair drives two identically built twins with the same messages:
-// hinted prefetches each message's keys first, plain never does. checked is
-// how much of the two event logs has already been compared; msgReads and
-// msgCost sum the device reads and cost units the messages themselves
-// caused on each twin, the full scans between them left out.
+// prefetchPair drives three identically built twins with the same messages:
+// hinted prefetches each message's keys first, plain never does, and
+// forgetful prefetches them and then drops the routes Prefetch kept.
+// checked is how much of the plain and of the forgetful twin's event log
+// has already been compared with the hinted twin's; msgReads and msgCost
+// sum the device reads and cost units the messages themselves caused on the
+// hinted and the plain twin, the full scans between them left out.
 type prefetchPair struct {
-	hinted, plain     *twin
-	checked           int
-	msgReads, msgCost [2]uint64
+	hinted, plain, forgetful *twin
+	checked                  [2]int
+	msgReads, msgCost        [2]uint64
 }
 
-// serve applies msg to both twins and requires the same outcome from every
-// operation, the same Len and, with scan, the same full scan afterwards. Where Prefetch
-// reads ahead (prefetches) it requires the hinted twin's misses to equal its
-// device reads. Anywhere else, where Prefetch makes no pool call at all, it
-// requires the same pool stats, meter and sequence of pool and device
-// events (kind and page, in order) on both twins.
+func newPrefetchPair(t testing.TB, medium storage.Medium, pageSize, poolPages int, cfg Config) *prefetchPair {
+	return &prefetchPair{
+		hinted:    newTwin(t, medium, pageSize, poolPages, cfg),
+		plain:     newTwin(t, medium, pageSize, poolPages, cfg),
+		forgetful: newTwin(t, medium, pageSize, poolPages, cfg),
+	}
+}
+
+func (p *prefetchPair) twins() []*twin { return []*twin{p.hinted, p.plain, p.forgetful} }
+
+// serve applies msg to the twins and requires the same outcome from every
+// operation, the same Len and, with scan, the same full scan afterwards. The
+// forgetful twin must also have left the hinted twin's pool stats, meter and
+// sequence of pool and device events (kind and page, in order): the routes
+// Prefetch keeps save searches, not pool calls. Where Prefetch reads ahead
+// (prefetches) it requires the hinted twin's misses to equal its device
+// reads. Anywhere else, where Prefetch makes no pool call at all, the plain
+// twin must have left the hinted twin's ledger too.
 func (p *prefetchPair) serve(t *testing.T, msg []msgOp, scan bool) {
 	t.Helper()
-	var got [2][]outcome
-	for i, tw := range []*twin{p.hinted, p.plain} {
+	var got [3][]outcome
+	for i, tw := range p.twins() {
 		before := tw.tr.Pool().Device().Stats()
-		got[i] = serveMessage(tw, msg, i == 0)
+		got[i] = serveMessage(tw, msg, [...]hint{prefetch, noHint, forget}[i])
 		after := tw.tr.Pool().Device().Stats()
-		p.msgReads[i] += after.PageReads - before.PageReads
-		p.msgCost[i] += after.CostUnits - before.CostUnits
-	}
-	for i := range msg {
-		if got[0][i] != got[1][i] {
-			t.Fatalf("op %d (kind %d) on key %d: %+v with the prefetch, %+v without", i, msg[i].kind, msg[i].key, got[0][i], got[1][i])
+		if i < 2 {
+			p.msgReads[i] += after.PageReads - before.PageReads
+			p.msgCost[i] += after.CostUnits - before.CostUnits
 		}
 	}
-	a, b := p.hinted.tr, p.plain.tr
-	if a.Len() != b.Len() {
-		t.Fatalf("Len %d with the prefetch, %d without", a.Len(), b.Len())
+	for i := range msg {
+		if got[0][i] != got[1][i] || got[0][i] != got[2][i] {
+			t.Fatalf("op %d (kind %d) on key %d: %+v with the prefetch, %+v without, %+v with its routes dropped",
+				i, msg[i].kind, msg[i].key, got[0][i], got[1][i], got[2][i])
+		}
+	}
+	a := p.hinted.tr
+	for _, tw := range p.twins()[1:] {
+		if b := tw.tr; a.Len() != b.Len() {
+			t.Fatalf("Len %d with the prefetch, %d on a twin", a.Len(), b.Len())
+		}
 	}
 	if scan {
 		da, na := scanDigest(a)
-		db, nb := scanDigest(b)
-		if na != nb || na != a.Len() || da != db {
-			t.Fatalf("full scans: %d records (digest %x) with the prefetch, %d (%x) without; Len %d", na, da, nb, db, a.Len())
+		for _, tw := range p.twins()[1:] {
+			if db, nb := scanDigest(tw.tr); na != nb || na != a.Len() || da != db {
+				t.Fatalf("full scans: %d records (digest %x) with the prefetch, %d (%x) on a twin; Len %d", na, da, nb, db, a.Len())
+			}
 		}
 	}
+	p.checked[1] = sameLedger(t, p.hinted, p.forgetful, "with its routes dropped", p.checked[1])
 	if pool := a.Pool(); prefetches(a) {
 		if ms, reads := pool.Stats().Misses, pool.Device().Stats().PageReads; ms != reads {
 			t.Fatalf("the prefetching pool counts %d misses for %d device reads", ms, reads)
 		}
 		return
 	}
+	p.checked[0] = sameLedger(t, p.hinted, p.plain, "without", p.checked[0])
+}
+
+// sameLedger requires other to have left the pool stats, meter and sequence
+// of pool and device events tw left, comparing the events from checked on,
+// and returns how many it has compared. name says how other was served.
+func sameLedger(t testing.TB, tw, other *twin, name string, checked int) int {
+	t.Helper()
+	a, b := tw.tr, other.tr
 	if a.Pool().Stats() != b.Pool().Stats() {
-		t.Fatalf("pool stats %+v with the prefetch, %+v without", a.Pool().Stats(), b.Pool().Stats())
+		t.Fatalf("pool stats %+v with the prefetch, %+v %s", a.Pool().Stats(), b.Pool().Stats(), name)
 	}
 	if *a.Meter() != *b.Meter() {
-		t.Fatalf("meter %+v with the prefetch, %+v without", *a.Meter(), *b.Meter())
+		t.Fatalf("meter %+v with the prefetch, %+v %s", *a.Meter(), *b.Meter(), name)
 	}
-	la, lb := p.hinted.log, p.plain.log
+	la, lb := tw.log, other.log
 	if len(la) != len(lb) {
-		t.Fatalf("%d storage events with the prefetch, %d without", len(la), len(lb))
+		t.Fatalf("%d storage events with the prefetch, %d %s", len(la), len(lb), name)
 	}
-	for i := p.checked; i < len(la); i++ {
+	for i := checked; i < len(la); i++ {
 		if la[i] != lb[i] {
-			t.Fatalf("storage event %d is %v on page %d with the prefetch, %v on page %d without", i, la[i].ev, la[i].id, lb[i].ev, lb[i].id)
+			t.Fatalf("storage event %d is %v on page %d with the prefetch, %v on page %d %s", i, la[i].ev, la[i].id, lb[i].ev, lb[i].id, name)
 		}
 	}
-	p.checked = len(la)
+	return len(la)
 }
 
 // prefetches reports whether tr.Prefetch reads ahead: a pool that batches
@@ -165,10 +208,14 @@ func prefetches(tr *Tree) bool { return tr.Pool().BatchIO() && tr.prefetchBudget
 
 // TestTreePrefetchMatchesPlain holds Tree.Prefetch to being a hint: twin
 // trees serve the same messages of mixed gets, inserts, updates and deletes,
-// keys repeating inside a message and inserts splitting leaves, and one twin
-// hands each message's keys to Prefetch first. Every operation's outcome,
-// the Len and a full scan must be the same after every message (every tenth
-// and the last under -short). Where Prefetch reads ahead — the multi-queue
+// keys repeating inside a message and inserts splitting leaves. One twin
+// hands each message's keys to Prefetch first, one never does, and a third,
+// forgetful, prefetches and then drops the routes Prefetch kept. Every
+// operation's outcome, the Len and a full scan must be the same on all
+// three after every message (every tenth and the last under -short), and on
+// every row the forgetful twin's pool stats, meter and event sequence must
+// be the hinted twin's: taking a child from a kept route instead of
+// searching the node changes no pool call. Where Prefetch reads ahead — the multi-queue
 // SSD from 24 frames up on 4096-byte pages, from 12 on 512-byte ones — the
 // hinted twin's misses must equal its device reads, and its messages must
 // cost strictly fewer units at the end of the row and read at most 10 %
@@ -176,8 +223,7 @@ func prefetches(tr *Tree) bool { return tr.Pool().BatchIO() && tr.prefetchBudget
 // read ahead for a later operation of the same message (DESIGN §9). At 4
 // and 8 frames, where the budget leaves no wave, on the flat SSD, in RAM and
 // on the multi-queue SSD with a fault injector armed, Prefetch must make no
-// pool call: the pool stats, the meter and the event sequence must be the
-// plain twin's.
+// pool call: the plain twin's ledger must be the hinted twin's too.
 func TestTreePrefetchMatchesPlain(t *testing.T) {
 	type row struct {
 		medium            storage.Medium
@@ -208,17 +254,14 @@ func TestTreePrefetchMatchesPlain(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			cfg := Config{MaxLeaf: r.maxLeaf, Versions: r.versions}
-			p := &prefetchPair{
-				hinted: newTwin(t, r.medium, r.pageSize, r.poolPages, cfg),
-				plain:  newTwin(t, r.medium, r.pageSize, r.poolPages, cfg),
-			}
+			p := newPrefetchPair(t, r.medium, r.pageSize, r.poolPages, cfg)
 			// Keys are multiples of 3, in full leaves: there are absent keys
 			// between any two, and an insert splits its leaf.
 			recs := make([]core.Record, r.n)
 			for i := range recs {
 				recs[i] = core.Record{Key: core.Key(3*i + 3), Value: core.Value(i)}
 			}
-			for _, tw := range []*twin{p.hinted, p.plain} {
+			for _, tw := range p.twins() {
 				if err := tw.tr.BulkLoad(recs); err != nil {
 					t.Fatal(err)
 				}
@@ -257,8 +300,10 @@ func TestTreePrefetchMatchesPlain(t *testing.T) {
 				// -short (the racecheck build's run) scans after every tenth.
 				p.serve(t, msg, !testing.Short() || m%10 == 9 || m == r.messages-1)
 				if r.versions > 0 && m%5 == 4 {
-					if p.hinted.tr.Publish() != nil || p.plain.tr.Publish() != nil {
-						t.Fatal("publish failed")
+					for _, tw := range p.twins() {
+						if tw.tr.Publish() != nil {
+							t.Fatal("publish failed")
+						}
 					}
 				}
 			}
@@ -286,9 +331,11 @@ func TestTreePrefetchMatchesPlain(t *testing.T) {
 
 // FuzzTreePrefetch runs an op stream, cut into messages, on twin trees
 // beside a map oracle: before each message one twin hands the message's
-// keys to Prefetch, the other does not. Every operation must return what the
-// oracle says on both twins, and after the last message both twins' full
-// scans and Len must be the oracle's. Each op is three bytes: a kind (0
+// keys to Prefetch, one does not, and a third prefetches and then drops the
+// routes Prefetch kept. Every operation must return what the oracle says on
+// every twin, the third twin's ledger (pool stats, meter, event sequence)
+// must be the first's after every message, and after the last message
+// every twin's full scan and Len must be the oracle's. Each op is three bytes: a kind (0
 // insert, 1 update, 2 delete, 3 get, 4 ends the message) and a key. The
 // first config byte sizes the pool, 4 to 67 frames, turns on Versions (bit
 // 6) and picks the multi-queue SSD (bit 7).
@@ -319,14 +366,11 @@ func FuzzTreePrefetch(f *testing.F) {
 			medium = storage.MQSSD
 		}
 		poolPages := 4 + int(config)%64
-		p := &prefetchPair{
-			hinted: newTwin(t, medium, 512, poolPages, cfg),
-			plain:  newTwin(t, medium, 512, poolPages, cfg),
-		}
+		p := newPrefetchPair(t, medium, 512, poolPages, cfg)
 		live := map[core.Key]core.Value{}
 		var msg []msgOp
 		flush := func() {
-			got := [2][]outcome{serveMessage(p.hinted, msg, true), serveMessage(p.plain, msg, false)}
+			got := [3][]outcome{serveMessage(p.hinted, msg, prefetch), serveMessage(p.plain, msg, noHint), serveMessage(p.forgetful, msg, forget)}
 			for i, op := range msg {
 				want := outcome{}
 				v, ok := live[op.key]
@@ -345,11 +389,12 @@ func FuzzTreePrefetch(f *testing.F) {
 					want.ok = ok
 					delete(live, op.key)
 				}
-				if got[0][i] != want || got[1][i] != want {
-					t.Fatalf("op %d (kind %d) on key %d: %+v with the prefetch, %+v without; the oracle %+v",
-						i, op.kind, op.key, got[0][i], got[1][i], want)
+				if got[0][i] != want || got[1][i] != want || got[2][i] != want {
+					t.Fatalf("op %d (kind %d) on key %d: %+v with the prefetch, %+v without, %+v with its routes dropped; the oracle %+v",
+						i, op.kind, op.key, got[0][i], got[1][i], got[2][i], want)
 				}
 			}
+			p.checked[1] = sameLedger(t, p.hinted, p.forgetful, "with its routes dropped", p.checked[1])
 			msg = msg[:0]
 		}
 		for step := 0; len(ops) >= 3; step, ops = step+1, ops[3:] {
@@ -364,13 +409,15 @@ func FuzzTreePrefetch(f *testing.F) {
 			}
 			if cfg.Versions > 0 && step%97 == 96 {
 				flush()
-				if p.hinted.tr.Publish() != nil || p.plain.tr.Publish() != nil {
-					t.Fatal("publish failed")
+				for _, tw := range p.twins() {
+					if tw.tr.Publish() != nil {
+						t.Fatal("publish failed")
+					}
 				}
 			}
 		}
 		flush()
-		for _, tw := range []*twin{p.hinted, p.plain} {
+		for _, tw := range p.twins() {
 			recs := scanAll(tw.tr)
 			if len(recs) != len(live) || tw.tr.Len() != len(live) {
 				t.Fatalf("full scan %d records, Len %d; the oracle holds %d", len(recs), tw.tr.Len(), len(live))
@@ -382,4 +429,78 @@ func FuzzTreePrefetch(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestPrefetchRoutesDroppedOnSplit holds the route memo to its stamp rule
+// inside one message, on 512-byte pages (31-record leaves, 41-separator
+// internal nodes) bulk-loaded full on the multi-queue SSD. A first message
+// of gets, updates and a delete allocates nothing: every operation must
+// take its route from the memo, so the cursor ends past the last key under
+// the stamp Prefetch kept. In the second, an early insert splits a leaf
+// that later keys of the same message routed to before it (the split row)
+// or grows a new root (the root row, where the height changes too): the
+// memo must be dropped at the insert, and the later operations must still
+// return what the plain and forgetful twins return, with the same full scan.
+func TestPrefetchRoutesDroppedOnSplit(t *testing.T) {
+	// Leaf j holds keys 3i+3 for i in [31j, 31j+31).
+	key := func(i int) core.Key { return core.Key(3*i + 3) }
+	for _, r := range []struct {
+		name          string
+		n, height     int // keys bulk-loaded, and the height they give
+		grown         int // the height after the insert
+		first, second []msgOp
+		insertAt      int // the insert's position in the second message
+	}{
+		{
+			// 97 leaves under three internal nodes.
+			name: "split", n: 3000, height: 3, grown: 3,
+			first: []msgOp{{0, key(5), 0}, {0, key(700), 0}, {0, key(2900), 0}, {2, key(40), 1}, {0, key(1500), 0}, {3, key(2000), 0}},
+			// Leaf 10 (i 310–340) splits at i 326: keys past it move right.
+			second:   []msgOp{{0, key(100), 0}, {1, key(320) + 1, 2}, {0, key(335), 0}, {2, key(338), 3}, {0, key(336), 0}, {3, key(339), 0}},
+			insertAt: 1,
+		},
+		{
+			// 42 leaves under one full root: any split grows a new root.
+			name: "root", n: 42 * 31, height: 2, grown: 3,
+			first:    []msgOp{{0, key(5), 0}, {0, key(700), 0}, {0, key(1200), 0}, {2, key(40), 1}, {3, key(900), 0}},
+			second:   []msgOp{{1, key(320) + 1, 2}, {0, key(335), 0}, {2, key(338), 3}, {0, key(1), 0}, {0, key(1300), 0}},
+			insertAt: 0,
+		},
+	} {
+		t.Run(r.name, func(t *testing.T) {
+			p := newPrefetchPair(t, storage.MQSSD, 512, 64, Config{})
+			recs := make([]core.Record, r.n)
+			for i := range recs {
+				recs[i] = core.Record{Key: key(i), Value: core.Value(i)}
+			}
+			for _, tw := range p.twins() {
+				if err := tw.tr.BulkLoad(recs); err != nil {
+					t.Fatal(err)
+				}
+				tw.tr.Flush()
+			}
+			tr := p.hinted.tr
+			if tr.Height() != r.height || !prefetches(tr) {
+				t.Fatalf("height %d, prefetching %v; the row wants %d and a prefetching pool", tr.Height(), prefetches(tr), r.height)
+			}
+			p.serve(t, r.first, true)
+			if m := &tr.routes; m.next != len(r.first) || m.stamp != tr.stamp || m.height != tr.height {
+				t.Fatalf("after a message that allocates nothing the memo's cursor is at %d of %d, its stamp %d (the tree's %d)",
+					m.next, len(r.first), m.stamp, tr.stamp)
+			}
+			splits := tr.Stats().LeafSplits
+			p.serve(t, r.second, true)
+			if tr.Stats().LeafSplits != splits+1 || tr.Height() != r.grown {
+				t.Fatalf("%d leaf splits and height %d after the insert; the row wants one split and height %d",
+					tr.Stats().LeafSplits-splits, tr.Height(), r.grown)
+			}
+			if m := &tr.routes; m.next != r.insertAt+1 || m.stamp == tr.stamp {
+				t.Fatalf("the memo's cursor is at %d, its stamp %d (the tree's %d): it must be dropped at the insert, op %d",
+					m.next, m.stamp, tr.stamp, r.insertAt)
+			}
+			if got, _ := tr.Get(key(335)); got != 335 {
+				t.Fatalf("key %d reads %d after the split, wants 335", key(335), got)
+			}
+		})
+	}
 }

@@ -207,7 +207,9 @@ type BatchGetter interface {
 // keys a coming run of operations will touch: wal.Logged, whose mutations
 // each probe the structure under the log, and the B+-tree, which reads ahead
 // the pages each key's descent will fetch. Prefetch is a hint: it changes no
-// result of any later call, only when and how the device reads happen.
+// result of any later call, only when and how the device reads happen. A
+// structure may keep what the hint computed, such as each key's route, for
+// the operations that follow, for as long as its shape is unchanged.
 type Prefetcher interface {
 	Prefetch(keys []Key)
 }

@@ -752,16 +752,16 @@ func (p *BufferPool) oldestDirty() *Frame {
 
 // Readahead batch-reads the given pages into the pool ahead of demand,
 // installing them unpinned and clean, and returns how many were installed.
-// Pages already cached or no longer live are skipped, and a page the request
-// names twice is read once; the prefetch is
-// clamped to half the pool — a prefetch must never wipe the demand working
-// set — and submitted in IOBatch-sized batches. Each
-// installed page counts a miss (it cost a device read; the later Fetch that
-// finds it is an honest hit), so the miss ledger still reconciles with
-// device reads. That first Fetch also counts a PrefetchHit; a page that
-// leaves the pool before one counts PrefetchUnused. On flat media, or with a fault injector armed, Readahead is
-// a no-op — prefetching only pays when the device can serve the batch in
-// parallel, and fault streams must see demand-order reads.
+// Pages already cached or no longer live are skipped, and a page the
+// request names twice is read once. The prefetch is clamped to half the
+// pool, since a prefetch must never wipe the demand working set, and is
+// submitted in IOBatch-sized batches. Each installed page counts a miss (it
+// cost a device read; the later Fetch that finds it is an honest hit), so
+// the miss ledger still reconciles with device reads. That first Fetch also
+// counts a PrefetchHit; a page that leaves the pool before one counts
+// PrefetchUnused. Where BatchIO is false, Readahead is a no-op: prefetching
+// only pays when the device can serve the batch in parallel, and fault
+// streams must see demand-order reads.
 func (p *BufferPool) Readahead(ids []PageID) int {
 	p.owner.assert("BufferPool")
 	if !p.BatchIO() {
