@@ -396,24 +396,42 @@ func (p *twinPair) mutate(t testing.TB, op byte, k core.Key, v core.Value) {
 	}
 }
 
+// fired counts the faults the injector armed on tw's device has delivered,
+// 0 if none is armed.
+func fired(tw *twin) uint64 {
+	in, _ := tw.tr.Pool().Device().Injector().(*faults.Injector)
+	if in == nil {
+		return 0
+	}
+	s := in.Stats()
+	return s.TransientReads + s.TransientWrites + s.PermanentReads + s.PermanentWrites + s.Crashes
+}
+
 // read serves keys as one GetBatch on one twin and as a loop of Gets on the
 // other and requires the same values and oks (0 on a miss, whatever the
-// buffers held). On a pool that does not batch I/O it then requires the same
-// pool stats, meters and event sequences; on a batching one, where the group
-// path reads a level's missing pages as one wave, its miss ledger. It
-// returns the values and oks.
+// buffers held). Under an injector the twins' device calls differ, so they
+// meet different faults: a key found on one twin only is allowed where the
+// other's injector fired during the call that missed it, and a key found
+// on both must carry the same value. On a pool that does not batch I/O it
+// then requires the same pool stats, meters and event sequences; on a
+// batching one, where the group path reads a level's missing pages as one
+// wave, its miss ledger. It returns the values and oks.
 func (p *twinPair) read(t testing.TB, keys []core.Key) ([]core.Value, []bool) {
 	t.Helper()
 	vals, oks := make([]core.Value, len(keys)), make([]bool, len(keys))
 	for i := range vals {
 		vals[i], oks[i] = 0xdead, i%2 == 0 // a reused buffer's leftovers
 	}
+	before := fired(p.batched)
 	p.batched.w.GetBatch(keys, vals, oks)
+	batchFired := fired(p.batched) > before
 	for i, k := range keys {
+		before := fired(p.loop)
 		v, ok := p.loop.w.Get(k)
-		if vals[i] != v || oks[i] != ok {
-			t.Fatalf("key %d (slot %d of %d): GetBatch %d,%v; Get %d,%v", k, i, len(keys), vals[i], oks[i], v, ok)
+		if vals[i] == v && oks[i] == ok || oks[i] && !ok && fired(p.loop) > before || !oks[i] && ok && batchFired {
+			continue
 		}
+		t.Fatalf("key %d (slot %d of %d): GetBatch %d,%v; Get %d,%v", k, i, len(keys), vals[i], oks[i], v, ok)
 	}
 	a, b := p.batched.tr, p.loop.tr
 	if pool := a.Pool(); pool.BatchIO() {
@@ -463,9 +481,13 @@ func (p *twinPair) deviceLedgers() (storage.DeviceStats, storage.DeviceStats) {
 // up, and its cumulative cost must end no higher than the loop's — below 64
 // frames, where the tree does not fit, lower. There a wave's evictions can
 // push out a page the replay reads again, so the batched twin may read a few
-// pages more for fewer cost units (DESIGN §9). The same MQSSD tree with a
-// fault injector armed (one that never fires) does not batch I/O
-// (BufferPool.BatchIO), so it is held to the SSD's exact contract.
+// pages more for fewer cost units (DESIGN §9). The armed rows run the same
+// MQSSD tree under an injector that fires: transient read faults (2 %)
+// under a retry budget of 8, and one permanent write fault. The waves and
+// write-back groups stay batched and stop at a failed page; the twins meet
+// different faults, so they are held to twinPair.read's fault rule and the
+// miss ledger, not to each other's device ledger. Where the pool evicts, the
+// injector must have fired and the batched twin's device charged batches.
 func TestTreeGetBatchMatchesGets(t *testing.T) {
 	for _, c := range []struct {
 		pageSize int
@@ -480,7 +502,7 @@ func TestTreeGetBatchMatchesGets(t *testing.T) {
 		if pageSize == 4096 {
 			n = 6000
 		}
-		waves := medium == storage.MQSSD && !c.armed
+		waves := medium == storage.MQSSD && !c.armed // the twins' device ledgers compare
 		for _, poolPages := range []int{4, 8, 24, 64, 256, 1 << 12} {
 			for _, versions := range []int{0, 2} {
 				cfg := Config{Versions: versions}
@@ -494,8 +516,11 @@ func TestTreeGetBatchMatchesGets(t *testing.T) {
 						loop:    newTwin(t, medium, pageSize, poolPages, cfg),
 					}
 					if c.armed {
-						p.batched.tr.Pool().Device().SetInjector(faults.New(faults.Plan{}))
-						p.loop.tr.Pool().Device().SetInjector(faults.New(faults.Plan{}))
+						for _, tw := range []*twin{p.batched, p.loop} {
+							plan := faults.Plan{Seed: uint64(poolPages), PRead: 0.02, WriteFailAt: []uint64{40}}
+							tw.tr.Pool().Device().SetInjector(faults.New(plan))
+							tw.tr.Pool().SetRetryBudget(8)
+						}
 					}
 					rng := rand.New(rand.NewSource(int64(pageSize + poolPages + versions)))
 					// Keys are multiples of 3 in random order: half-full
@@ -549,6 +574,12 @@ func TestTreeGetBatchMatchesGets(t *testing.T) {
 					st, pages := p.batched.tr.Stats(), p.batched.tr.Pool().Device().LivePages()
 					if poolPages < pages && p.batched.tr.Pool().Stats().Evictions == 0 {
 						t.Fatalf("a %d-frame pool under %d pages (%d leaves) never evicted", poolPages, pages, st.LeafPages)
+					}
+					if da, _ := p.deviceLedgers(); c.armed {
+						t.Logf("faults %+v, %d batches", p.batched.tr.Pool().Device().Injector().(*faults.Injector).Stats(), da.Batches)
+						if poolPages < pages && (fired(p.batched) == 0 || da.Batches == 0) {
+							t.Fatalf("an evicting armed row must fire faults (%d) on batched I/O (%d batches)", fired(p.batched), da.Batches)
+						}
 					}
 				})
 			}
@@ -745,24 +776,21 @@ func BenchmarkTreeGetBatch(b *testing.B) {
 // benchMessages serves b.N ops as 32-op read50 messages to a tree of 2n
 // slots on the multi-queue SSD through 256 frames, whose even keys are
 // stored: a get or an update reads a stored or a missing key alike, an
-// insert adds an odd key and a delete removes an even one.
+// insert adds an odd key and a delete removes an even one. The messages are
+// a fixed cycle of 65 536 ops, and every cycle is served to a tree loaded
+// afresh with the timer stopped; the last cycle is finished untimed. The
+// ledger thus covers whole cycles from the same state, so cost/op, reads/op
+// and unused/op are one cycle's figures at any b.N.
 func benchMessages(b *testing.B, n int, prefetch bool) {
-	const msgOps = 32
-	tr, err := New(storage.NewBufferPool(storage.NewDevice(4096, storage.MQSSD, nil), 256), Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
+	const msgOps, cycle = 32, 1 << 16
 	recs := make([]core.Record, n)
 	for i := range recs {
 		recs[i] = core.Record{Key: core.Key(2 * i), Value: core.Value(i)}
 	}
-	if err := tr.BulkLoad(recs); err != nil {
-		b.Fatal(err)
-	}
 	// op 0 is a get; 1, 2 and 3 an insert, an update and a delete, drawn
 	// in read50's shares (0.50, 0.20, 0.15, 0.15).
 	rng := rand.New(rand.NewSource(1))
-	keys, kinds := make([]core.Key, 1<<16), make([]byte, 1<<16)
+	keys, kinds := make([]core.Key, cycle), make([]byte, cycle)
 	for i := range keys {
 		keys[i] = core.Key(rng.Intn(2 * n))
 		switch r := rng.Intn(20); {
@@ -776,12 +804,31 @@ func benchMessages(b *testing.B, n int, prefetch bool) {
 		}
 	}
 	vals, oks := make([]core.Value, msgOps), make([]bool, msgOps)
-	pool, dev := tr.Pool(), tr.Pool().Device()
-	base, unused := dev.Stats(), pool.Stats().PrefetchUnused
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += msgOps {
-		at := i & (len(keys) - 1)
+	var (
+		tr                  *Tree
+		base                storage.DeviceStats
+		baseUnused          uint64
+		cost, reads, unused uint64
+	)
+	// settle adds the served tree's ledger to the totals.
+	settle := func() {
+		st := tr.Pool().Device().Stats()
+		cost += st.CostUnits - base.CostUnits
+		reads += st.PageReads - base.PageReads
+		unused += tr.Pool().Stats().PrefetchUnused - baseUnused
+	}
+	load := func() {
+		var err error
+		if tr, err = New(storage.NewBufferPool(storage.NewDevice(4096, storage.MQSSD, nil), 256), Config{}); err != nil {
+			b.Fatal(err)
+		}
+		if err := tr.BulkLoad(recs); err != nil {
+			b.Fatal(err)
+		}
+		base, baseUnused = tr.Pool().Device().Stats(), tr.Pool().Stats().PrefetchUnused
+	}
+	serve := func(i int) {
+		at := i % cycle
 		msg, kind := keys[at:at+msgOps], kinds[at:at+msgOps]
 		if prefetch {
 			tr.Prefetch(msg)
@@ -807,11 +854,27 @@ func benchMessages(b *testing.B, n int, prefetch bool) {
 			j++
 		}
 	}
+	load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	i := 0
+	for ; i < b.N; i += msgOps {
+		if i > 0 && i%cycle == 0 {
+			b.StopTimer()
+			settle()
+			load()
+			b.StartTimer()
+		}
+		serve(i)
+	}
 	b.StopTimer()
-	st := dev.Stats()
-	b.ReportMetric(float64(st.CostUnits-base.CostUnits)/float64(b.N), "cost/op")
-	b.ReportMetric(float64(st.PageReads-base.PageReads)/float64(b.N), "reads/op")
-	b.ReportMetric(float64(pool.Stats().PrefetchUnused-unused)/float64(b.N), "unused/op")
+	for ; i%cycle != 0; i += msgOps {
+		serve(i)
+	}
+	settle()
+	b.ReportMetric(float64(cost)/float64(i), "cost/op")
+	b.ReportMetric(float64(reads)/float64(i), "reads/op")
+	b.ReportMetric(float64(unused)/float64(i), "unused/op")
 }
 
 // bulkTree bulk-loads keys 0 … n-1 into a tree of 4 KiB pages on a pool of

@@ -220,10 +220,15 @@ func prefetches(tr *Tree) bool { return tr.Pool().BatchIO() && tr.prefetchBudget
 // hinted twin's misses must equal its device reads, and its messages must
 // cost strictly fewer units at the end of the row and read at most 10 %
 // more pages than the plain twin's: a wave's evictions can push out a page
-// read ahead for a later operation of the same message (DESIGN §9). At 4
-// and 8 frames, where the budget leaves no wave, on the flat SSD, in RAM and
-// on the multi-queue SSD with a fault injector armed, Prefetch must make no
-// pool call: the plain twin's ledger must be the hinted twin's too.
+// read ahead for a later operation of the same message (DESIGN §9). The
+// faults rows run the 512-byte multi-queue rows under an injector that
+// fires — transient read faults (2 %) under a retry budget of 8 and one
+// permanent write fault — and are held to the same: a wave stops at a failed
+// page, which its own Fetch reads later, so the outcomes do not change. On
+// them the injector must fire and, where Prefetch reads ahead, the hinted
+// twin's device must charge batches. At 4 and 8 frames, where the budget
+// leaves no wave, on the flat SSD and in RAM, Prefetch must make no pool
+// call: the plain twin's ledger must be the hinted twin's too.
 func TestTreePrefetchMatchesPlain(t *testing.T) {
 	type row struct {
 		medium            storage.Medium
@@ -267,12 +272,14 @@ func TestTreePrefetchMatchesPlain(t *testing.T) {
 				}
 				tw.tr.Flush()
 				if r.faulty {
-					// Transient faults only, retried by the pool: the twins
-					// see the same fault stream while they make the same calls.
-					tw.tr.Pool().Device().SetInjector(faults.New(faults.Plan{Seed: 7, PRead: 0.02, PWrite: 0.02}))
+					// The twins see the same fault stream while they make the
+					// same calls: the forgetful twin's ledger stays the
+					// hinted one's.
+					tw.tr.Pool().Device().SetInjector(faults.New(faults.Plan{Seed: 7, PRead: 0.02, WriteFailAt: []uint64{30}}))
 					tw.tr.Pool().SetRetryBudget(8)
 				}
 			}
+			loadBatches := p.hinted.tr.Pool().Device().Stats().Batches // before any fault
 			if p.hinted.tr.Height() != 3 {
 				t.Fatalf("height %d, the row wants 3", p.hinted.tr.Height())
 			}
@@ -310,8 +317,16 @@ func TestTreePrefetchMatchesPlain(t *testing.T) {
 			if p.hinted.tr.Stats().LeafSplits == 0 {
 				t.Fatal("no leaf split: the row must split leaves under the prefetch")
 			}
+			if r.faulty {
+				in := p.hinted.tr.Pool().Device().Injector().(*faults.Injector)
+				st, batches := in.Stats(), p.hinted.tr.Pool().Device().Stats().Batches-loadBatches
+				t.Logf("faults %+v, %d batches under them", st, batches)
+				if st.TransientReads == 0 || st.PermanentWrites == 0 || prefetches(p.hinted.tr) && batches == 0 {
+					t.Fatalf("the injector must fire reads and the permanent write, on batched I/O where Prefetch reads ahead")
+				}
+			}
 			if !prefetches(p.hinted.tr) {
-				if r.medium == storage.MQSSD && !r.faulty && r.poolPages >= 24 {
+				if r.medium == storage.MQSSD && r.poolPages >= 24 {
 					t.Fatalf("a %d-frame pool on the multi-queue SSD never read ahead", r.poolPages)
 				}
 				return

@@ -215,13 +215,13 @@ type trial struct {
 	crashed bool
 }
 
-// drive opens sub on a fresh stack whose device crashes at write crashAt (0:
-// never) and makes ops seeded op attempts, checkpointing every
-// checkFlushEvery, until the crash. The calibration dry run and the crash run
-// are both this loop, so they draw the same ops. A non-empty violation is a
-// contract breach seen on the way.
-func drive(sub Subject, seed uint64, ops int, crashAt uint64) (t *trial, violation string) {
-	t = &trial{dev: storage.NewDevice(checkPageSize, storage.SSD, nil)}
+// drive opens sub on a fresh stack over a device of the given medium that
+// crashes at write crashAt (0: never) and makes ops seeded op attempts,
+// checkpointing every checkFlushEvery, until the crash. The calibration dry
+// run and the crash run are both this loop, so they draw the same ops. A
+// non-empty violation is a contract breach seen on the way.
+func drive(sub Subject, medium storage.Medium, seed uint64, ops int, crashAt uint64) (t *trial, violation string) {
+	t = &trial{dev: storage.NewDevice(checkPageSize, medium, nil)}
 	if crashAt > 0 {
 		t.dev.SetInjector(New(Plan{Seed: seed, CrashAtWrite: crashAt}))
 	}
@@ -310,8 +310,18 @@ func drive(sub Subject, seed uint64, ops int, crashAt uint64) (t *trial, violati
 //
 // The fault plan is crash-only (no transient or permanent faults), so every
 // operation before the crash point behaves normally — the property isolates
-// crash atomicity from fault tolerance, which the unit tests cover.
+// crash atomicity from fault tolerance, which the unit tests cover. The
+// device is the flat SSD.
 func CheckCrash(cfg CheckConfig, sub Subject) CheckResult {
+	return checkCrash(cfg, sub, storage.SSD)
+}
+
+// checkCrash is CheckCrash on a device of the given medium. On the
+// multi-queue SSD the pool's write-back groups, the log's group commits and
+// the structures' read waves go to the device as batches, and the crash
+// write may fall inside one: the pages before it are written, it and the
+// pages after it are not.
+func checkCrash(cfg CheckConfig, sub Subject, medium storage.Medium) CheckResult {
 	if cfg.Ops == 0 {
 		cfg.Ops = 400
 	}
@@ -320,7 +330,7 @@ func CheckCrash(cfg CheckConfig, sub Subject) CheckResult {
 		// Calibrate on a fault-free dry run, so the drawn crash point is
 		// one the workload reaches.
 		w := uint64(2)
-		if dry, _ := drive(sub, cfg.Seed, cfg.Ops, 0); dry.m != nil {
+		if dry, _ := drive(sub, medium, cfg.Seed, cfg.Ops, 0); dry.m != nil {
 			core.Flush(dry.m)
 			w = max(w, dry.dev.Stats().PageWrites)
 		}
@@ -328,7 +338,7 @@ func CheckCrash(cfg CheckConfig, sub Subject) CheckResult {
 		crashAt = 1 + crashRng.Uint64N(w) // in [1, w]: guaranteed to fire
 	}
 
-	t, violation := drive(sub, cfg.Seed, cfg.Ops, crashAt)
+	t, violation := drive(sub, medium, cfg.Seed, cfg.Ops, crashAt)
 	if violation != "" {
 		return CheckResult{Verdict: Violated, Detail: violation}
 	}

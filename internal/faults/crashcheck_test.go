@@ -82,7 +82,7 @@ func crashRows() []crashRow {
 // crash pinned at the failing write — the checkpoint cadence is fixed, so a
 // shorter trial is a prefix of the longer one — and returns one line that
 // reproduces it.
-func repro(sub faults.Subject, cfg faults.CheckConfig, res faults.CheckResult) string {
+func repro(sub faults.Subject, medium storage.Medium, cfg faults.CheckConfig, res faults.CheckResult) string {
 	cfg.CrashAtWrite = res.CrashWrite
 	if cfg.CrashAtWrite == 0 {
 		cfg.CrashAtWrite = 1 << 62 // violated before any crash: never crash
@@ -91,14 +91,15 @@ func repro(sub faults.Subject, cfg faults.CheckConfig, res faults.CheckResult) s
 	for hi-lo > 1 {
 		c := cfg
 		c.Ops = (lo + hi) / 2
-		if faults.CheckCrash(c, sub).Verdict == faults.Violated {
+		if faults.CheckCrashOn(medium, c, sub).Verdict == faults.Violated {
 			hi = c.Ops
 		} else {
 			lo = c.Ops
 		}
 	}
 	cfg.Ops = hi
-	return fmt.Sprintf("repro: %s Seed=%d Ops=%d CrashAtWrite=%d: %s", sub.Name, cfg.Seed, cfg.Ops, cfg.CrashAtWrite, faults.CheckCrash(cfg, sub))
+	return fmt.Sprintf("repro: %s on %v Seed=%d Ops=%d CrashAtWrite=%d: %s",
+		sub.Name, medium, cfg.Seed, cfg.Ops, cfg.CrashAtWrite, faults.CheckCrashOn(medium, cfg, sub))
 }
 
 // checkContracts holds rows of the contract table to their declared
@@ -106,7 +107,10 @@ func repro(sub faults.Subject, cfg faults.CheckConfig, res faults.CheckResult) s
 // crash fires on every seed, every row with a recovery path recovers at
 // least once, and a row that commits every op loses nothing it acknowledged.
 // The 1500-op budget is what reaches the tiered LSM's deeper merges, where a
-// dropped tombstone would resurrect a deleted key.
+// dropped tombstone would resurrect a deleted key. A row with a recovery
+// path runs on the multi-queue SSD too (subtests named mqssd/…), where
+// write-back groups, group commits and read waves are batches the crash can
+// land inside.
 func checkContracts(t *testing.T, rows []crashRow) {
 	t.Helper()
 	seeds := 100
@@ -114,32 +118,44 @@ func checkContracts(t *testing.T, rows []crashRow) {
 		seeds = 8
 	}
 	for _, row := range rows {
-		for _, ops := range []int{400, 1500} {
-			t.Run(fmt.Sprintf("%s/ops=%d", row.sub.Name, ops), func(t *testing.T) {
-				recovered := 0
-				for seed := 1; seed <= seeds; seed++ {
-					cfg := faults.CheckConfig{Seed: uint64(seed), Ops: ops}
-					res := faults.CheckCrash(cfg, row.sub)
-					switch {
-					case res.Verdict == faults.Violated:
-						t.Fatalf("seed %d: %s\n%s", seed, res, repro(row.sub, cfg, res))
-					case res.Verdict == faults.NoCrash:
-						t.Fatalf("seed %d: crash never fired — calibration should guarantee it", seed)
-					case row.sub.Reopen == nil && res.Verdict != faults.NoRecovery:
-						t.Fatalf("seed %d: no recovery path, yet %s", seed, res)
-					case res.Verdict != faults.Recovered:
-						continue
-					}
-					recovered++
-					if row.perOpCommit && (res.Committed != res.Acked || res.Survived != res.Keys) {
-						t.Fatalf("seed %d: per-op commits must keep every acknowledged op: %s", seed, res)
-					}
+		for _, medium := range []storage.Medium{storage.SSD, storage.MQSSD} {
+			if medium == storage.MQSSD && row.sub.Reopen == nil {
+				continue
+			}
+			for _, ops := range []int{400, 1500} {
+				name := fmt.Sprintf("%s/ops=%d", row.sub.Name, ops)
+				if medium != storage.SSD {
+					name = fmt.Sprintf("%v/%s", medium, name)
 				}
-				if row.sub.Reopen != nil && recovered == 0 {
-					t.Fatalf("no seed of %d recovered — recovery path never validated", seeds)
-				}
-			})
+				t.Run(name, func(t *testing.T) { checkRow(t, row, medium, ops, seeds) })
+			}
 		}
+	}
+}
+
+// checkRow holds one row on one medium at one op budget across seeds.
+func checkRow(t *testing.T, row crashRow, medium storage.Medium, ops, seeds int) {
+	recovered := 0
+	for seed := 1; seed <= seeds; seed++ {
+		cfg := faults.CheckConfig{Seed: uint64(seed), Ops: ops}
+		res := faults.CheckCrashOn(medium, cfg, row.sub)
+		switch {
+		case res.Verdict == faults.Violated:
+			t.Fatalf("seed %d: %s\n%s", seed, res, repro(row.sub, medium, cfg, res))
+		case res.Verdict == faults.NoCrash:
+			t.Fatalf("seed %d: crash never fired — calibration should guarantee it", seed)
+		case row.sub.Reopen == nil && res.Verdict != faults.NoRecovery:
+			t.Fatalf("seed %d: no recovery path, yet %s", seed, res)
+		case res.Verdict != faults.Recovered:
+			continue
+		}
+		recovered++
+		if row.perOpCommit && (res.Committed != res.Acked || res.Survived != res.Keys) {
+			t.Fatalf("seed %d: per-op commits must keep every acknowledged op: %s", seed, res)
+		}
+	}
+	if row.sub.Reopen != nil && recovered == 0 {
+		t.Fatalf("no seed of %d recovered — recovery path never validated", seeds)
 	}
 }
 
@@ -212,17 +228,24 @@ func TestCrashCheckCommittedWatermark(t *testing.T) {
 }
 
 // FuzzCrashTrial: any table row, seed, op budget (up to 2000) and crash
-// write yields an acceptable verdict.
+// write yields an acceptable verdict. The row byte's top bit puts the trial
+// on the multi-queue SSD instead of the SSD.
 func FuzzCrashTrial(f *testing.F) {
 	f.Add(uint8(0), uint64(1), uint16(400), uint64(0))
 	f.Add(uint8(5), uint64(7), uint16(1500), uint64(0))
 	f.Add(uint8(10), uint64(3), uint16(1500), uint64(900))
+	f.Add(uint8(128+7), uint64(5), uint16(1500), uint64(0))
+	f.Add(uint8(128+9), uint64(2), uint16(1500), uint64(700))
 	rows := crashRows()
 	f.Fuzz(func(t *testing.T, row uint8, seed uint64, ops uint16, crash uint64) {
-		sub := rows[int(row)%len(rows)].sub
+		medium := storage.SSD
+		if row&128 != 0 {
+			medium = storage.MQSSD
+		}
+		sub := rows[int(row&127)%len(rows)].sub
 		cfg := faults.CheckConfig{Seed: seed, Ops: 1 + int(ops)%2000, CrashAtWrite: crash % (1 << 13)}
-		if res := faults.CheckCrash(cfg, sub); res.Verdict == faults.Violated {
-			t.Fatalf("%s\n%s", res, repro(sub, cfg, res))
+		if res := faults.CheckCrashOn(medium, cfg, sub); res.Verdict == faults.Violated {
+			t.Fatalf("%s\n%s", res, repro(sub, medium, cfg, res))
 		}
 	})
 }

@@ -306,8 +306,8 @@ func (t *Tree) Get(k core.Key) (core.Value, bool) {
 }
 
 // GetBatch is len(keys) Gets (core.BatchGetter): the same values and the
-// same meter charges. On a pool that does not batch I/O (flat media, IOBatch
-// 1, a fault injector armed) it is that loop. On a batching pool it checks
+// same meter charges. On a pool that does not batch I/O (IOBatch 1, the
+// flat media's default) it is that loop. On a batching pool it checks
 // the memtable for every key, then walks the runs newest first, as Get does,
 // with the keys no newer run has settled. In each run it plans, then
 // replays. The plan locates every such key's page once, as Get would

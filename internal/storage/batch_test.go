@@ -3,6 +3,8 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/rum"
@@ -130,76 +132,245 @@ func TestDeviceBatchCharging(t *testing.T) {
 	}
 }
 
-// TestBatchSequentialEquivalence checks the fallback contract: on flat media,
-// and on any media with an injector armed, batch calls are exactly equivalent
-// to per-page calls — same stats, same cost, no batch accounting.
+// TestBatchSequentialEquivalence checks the flat-media contract: there batch
+// calls are exactly equivalent to per-page calls — same stats, same cost, no
+// batch accounting.
 func TestBatchSequentialEquivalence(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		medium Medium
-		arm    bool
-	}{
-		{"flat-ssd", SSD, false},
-		{"mqssd-injector", MQSSD, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			batched := NewDevice(64, tc.medium, nil)
-			plain := NewDevice(64, tc.medium, nil)
-			if tc.arm {
-				batched.SetInjector(&scriptInjector{})
-				plain.SetInjector(&scriptInjector{})
-			}
-			ids := allocN(t, batched, 6, rum.Base)
-			allocN(t, plain, 6, rum.Base)
-			data := make([][]byte, len(ids))
-			for i := range data {
-				data[i] = bytes.Repeat([]byte{byte(i)}, 64)
-			}
-			if err := batched.WriteBatch(ids, data); err != nil {
+	t.Run("flat-ssd", func(t *testing.T) {
+		batched := NewDevice(64, SSD, nil)
+		plain := NewDevice(64, SSD, nil)
+		ids := allocN(t, batched, 6, rum.Base)
+		allocN(t, plain, 6, rum.Base)
+		data := make([][]byte, len(ids))
+		for i := range data {
+			data[i] = bytes.Repeat([]byte{byte(i)}, 64)
+		}
+		if err := batched.WriteBatch(ids, data); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := batched.ReadBatch(ids); err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range ids {
+			if err := plain.Write(id, data[i]); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := batched.ReadBatch(ids); err != nil {
+		}
+		for _, id := range ids {
+			if _, err := plain.Read(id); err != nil {
 				t.Fatal(err)
 			}
-			for i, id := range ids {
-				if err := plain.Write(id, data[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, id := range ids {
-				if _, err := plain.Read(id); err != nil {
-					t.Fatal(err)
-				}
-			}
-			bs, ps := batched.Stats(), plain.Stats()
-			if bs != ps {
-				t.Fatalf("batched stats %+v diverge from sequential %+v", bs, ps)
-			}
-			if bs.Batches != 0 || bs.BatchedPages != 0 {
-				t.Fatalf("sequential fallback counted batches: %+v", bs)
-			}
-		})
-	}
+		}
+		bs, ps := batched.Stats(), plain.Stats()
+		if bs != ps {
+			t.Fatalf("batched stats %+v diverge from sequential %+v", bs, ps)
+		}
+		if bs.Batches != 0 || bs.BatchedPages != 0 {
+			t.Fatalf("flat batches counted batches: %+v", bs)
+		}
+	})
 }
 
-// TestBatchValidation: a bad page or short image fails the whole batch
-// before any traffic is counted or any page image changes.
+// TestBatchValidation: a batch whose images do not match its pages in number
+// fails before any traffic; a bad page or a short image stops the batch
+// there, like a fault — the pages before it are moved and charged as a
+// submission of their own, the ones from it on are not.
 func TestBatchValidation(t *testing.T) {
 	d := NewDevice(64, MQSSD, nil)
 	ids := allocN(t, d, 3, rum.Base)
-	good := [][]byte{make([]byte, 64), make([]byte, 64), make([]byte, 64)}
+	good := [][]byte{page64(1), page64(2), page64(3)}
 	if err := d.WriteBatch(ids, good[:2]); err == nil {
 		t.Fatal("mismatched batch accepted")
+	}
+	if st := d.Stats(); st != (DeviceStats{PagesAllocated: 3}) {
+		t.Fatalf("mismatched batch counted traffic: %+v", st)
 	}
 	bad := [][]byte{good[0], make([]byte, 10), good[2]}
 	if err := d.WriteBatch(ids, bad); err == nil {
 		t.Fatal("short image accepted")
 	}
-	if _, err := d.ReadBatch([]PageID{ids[0], 99, ids[2]}); !errors.Is(err, ErrBadPage) {
-		t.Fatalf("bad page in batch: %v", err)
+	if !bytes.Equal(d.pages[ids[0]], page64(1)) || !bytes.Equal(d.pages[ids[2]], make([]byte, 64)) {
+		t.Fatal("a batch stopped at its short image wrote past it, or not up to it")
 	}
-	if st := d.Stats(); st.PageReads != 0 || st.PageWrites != 0 || st.CostUnits != 0 {
-		t.Fatalf("failed batch counted traffic: %+v", st)
+	pages, err := d.ReadBatch([]PageID{ids[0], 99, ids[2]})
+	if !errors.Is(err, ErrBadPage) || len(pages) != 1 {
+		t.Fatalf("bad page in batch: %d pages, %v", len(pages), err)
+	}
+	m := d.CostModel()
+	if st := d.Stats(); st.PageReads != 1 || st.PageWrites != 1 || st.CostUnits != m.ReadCost+m.WriteCost || st.Batches != 0 {
+		t.Fatalf("stopped batches charged %+v, want one page each way", st)
+	}
+}
+
+// prefixRig is a device of n pages, page i holding 0x10+i, with its events
+// and batch events recorded.
+type prefixRig struct {
+	d   *Device
+	rec *batchRecorder
+	ids []PageID
+}
+
+func newPrefixRig(t *testing.T, medium Medium, n int) *prefixRig {
+	t.Helper()
+	r := &prefixRig{d: NewDevice(64, medium, nil), rec: &batchRecorder{}}
+	r.ids = allocN(t, r.d, n, rum.Base)
+	for i, id := range r.ids {
+		copy(r.d.pages[id], page64(byte(0x10+i)))
+	}
+	r.d.SetHook(r.rec)
+	return r
+}
+
+// sameLedger requires two rigs to have the same stats, meter, events (kind,
+// page, class and cost, in order), batch events and page images.
+func (r *prefixRig) sameLedger(t *testing.T, o *prefixRig) {
+	t.Helper()
+	if r.d.Stats() != o.d.Stats() {
+		t.Fatalf("stats %+v, the per-page calls' %+v", r.d.Stats(), o.d.Stats())
+	}
+	if *r.d.Meter() != *o.d.Meter() {
+		t.Fatalf("meter %+v, the per-page calls' %+v", *r.d.Meter(), *o.d.Meter())
+	}
+	if !slices.Equal(r.rec.events, o.rec.events) || !slices.Equal(r.rec.batches, o.rec.batches) {
+		t.Fatalf("events %+v %+v, the per-page calls' %+v %+v", r.rec.events, r.rec.batches, o.rec.events, o.rec.batches)
+	}
+	for i, id := range r.ids {
+		if !bytes.Equal(r.d.pages[id], o.d.pages[id]) {
+			t.Fatalf("page %d holds %x, the per-page calls left %x", i, r.d.pages[id], o.d.pages[id])
+		}
+	}
+}
+
+// TestBatchFaultPrefix pins the prefix-of-submission rule of the device's
+// kernels: a read or write batch of n pages whose page k fails — plainly, or
+// torn on a write — returns k, charges its first k pages as a submission of
+// k (BatchCost(k), one batch event when k > 1 on the multi-queue SSD), emits
+// their events and then page k's fault event in submission order, tears page
+// k's prefix alone and leaves the pages after it untouched. Its twin makes
+// the same pages' calls without the failed batch — per-page calls on the
+// SSD, a batch of the k reached pages and a single call for page k on the
+// MQSSD — and must end with the same stats, meter, events and images.
+func TestBatchFaultPrefix(t *testing.T) {
+	const n = 6
+	for _, medium := range []Medium{SSD, MQSSD} {
+		for _, k := range []int{0, 1, 3, n - 1} {
+			for _, torn := range []int{0, 24} {
+				t.Run(fmt.Sprintf("%v/k=%d/torn=%d", medium, k, torn), func(t *testing.T) {
+					batched, twin := newPrefixRig(t, medium, n), newPrefixRig(t, medium, n)
+					fault := func() *scriptInjector {
+						return &scriptInjector{
+							failRead:  map[uint64]error{uint64(k + 1): transient()},
+							failWrite: map[uint64]error{uint64(k + 1): permanent()},
+							tornAt:    map[uint64]int{uint64(k + 1): torn},
+						}
+					}
+					batched.d.SetInjector(fault())
+					twin.d.SetInjector(fault())
+					images := func() [][]byte {
+						imgs := make([][]byte, n)
+						for i := range imgs {
+							imgs[i] = page64(byte(0xA0 + i))
+						}
+						return imgs
+					}
+
+					// Reads first, over the images the rigs were built with.
+					out := make([][]byte, n)
+					got, err := batched.d.readBatchInto(batched.ids, out)
+					if got != k || !errors.Is(err, ErrTransient) {
+						t.Fatalf("read batch reached %d pages, %v; want %d and the fault", got, err, k)
+					}
+					for i := range out[:k] {
+						if !bytes.Equal(out[i], page64(byte(0x10+i))) {
+							t.Fatalf("read batch page %d shows %x", i, out[i])
+						}
+					}
+					if medium == SSD {
+						for _, id := range twin.ids[:k] {
+							if _, err := twin.d.Read(id); err != nil {
+								t.Fatal(err)
+							}
+						}
+					} else if _, err := twin.d.ReadBatch(twin.ids[:k]); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := twin.d.Read(twin.ids[k]); !errors.Is(err, ErrTransient) {
+						t.Fatalf("twin's read of page %d: %v", k, err)
+					}
+					batched.sameLedger(t, twin)
+
+					// Then the write batch.
+					imgs := images()
+					got, err = batched.d.ReplaceBatch(batched.ids, imgs)
+					if got != k || !errors.Is(err, ErrInjected) {
+						t.Fatalf("write batch reached %d pages, %v; want %d and the fault", got, err, k)
+					}
+					if !bytes.Equal(imgs[k], page64(byte(0xA0+k))) {
+						t.Fatal("the failed page's image changed hands")
+					}
+					twinImgs := images()
+					if medium == SSD {
+						for i, id := range twin.ids[:k] {
+							if err := twin.d.Write(id, twinImgs[i]); err != nil {
+								t.Fatal(err)
+							}
+						}
+					} else if err := twin.d.WriteBatch(twin.ids[:k], twinImgs[:k]); err != nil {
+						t.Fatal(err)
+					}
+					if err := twin.d.Write(twin.ids[k], twinImgs[k]); !errors.Is(err, ErrInjected) {
+						t.Fatalf("twin's write of page %d: %v", k, err)
+					}
+					batched.sameLedger(t, twin)
+
+					// The ledger itself: k pages each way, charged as one
+					// submission of k, then page k's fault.
+					m, st := batched.d.CostModel(), batched.d.Stats()
+					batches := 0
+					if medium == MQSSD && k > 1 {
+						batches = 2
+					}
+					if st.PageReads != uint64(k) || st.PageWrites != uint64(k) ||
+						st.CostUnits != m.BatchCost(k, false)+m.BatchCost(k, true) || st.Batches != uint64(batches) {
+						t.Fatalf("stats %+v after two batches that failed at page %d", st, k)
+					}
+					if len(batched.rec.batches) != batches {
+						t.Fatalf("batch events %+v", batched.rec.batches)
+					}
+					var want []Event // k pages, then page k's fault, each way
+					for _, ev := range []Event{EvRead, EvWrite} {
+						for range k {
+							want = append(want, ev)
+						}
+						fault := EvFault
+						if ev == EvWrite && torn > 0 {
+							fault = EvTorn
+						}
+						want = append(want, fault)
+					}
+					if len(batched.rec.events) != len(want) {
+						t.Fatalf("%d events, want %d", len(batched.rec.events), len(want))
+					}
+					for i, e := range batched.rec.events {
+						if e.Ev != want[i] || e.ID != batched.ids[i%(k+1)] {
+							t.Fatalf("event %d is %v on page %d; want %v in submission order", i, e.Ev, e.ID, want)
+						}
+					}
+					for i, id := range batched.ids {
+						page, want := batched.d.pages[id], page64(byte(0x10+i))
+						switch {
+						case i < k:
+							want = page64(byte(0xA0 + i))
+						case i == k:
+							copy(want[:torn], page64(byte(0xA0+i)))
+						}
+						if !bytes.Equal(page, want) {
+							t.Fatalf("page %d holds %x, want %x", i, page, want)
+						}
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -434,9 +605,10 @@ func TestPoolOverflowsAllPinnedBatched(t *testing.T) {
 	}
 }
 
-// TestPoolBatchSkipsUnflushableVictim: with an injector armed the pool
-// abandons batching entirely (batch submissions must not blur per-fault
-// semantics), and the existing skip-unflushable-victim behaviour holds.
+// TestPoolBatchSkipsUnflushableVictim: an eviction group whose victim's
+// page is bad fails at its first page. That attempt is the victim's flush
+// (a permanent fault is not retried), so it stays cached and dirty; the
+// frame after it is written on its own, and eviction moves on to it.
 func TestPoolBatchSkipsUnflushableVictim(t *testing.T) {
 	d := NewDevice(64, MQSSD, nil)
 	p := NewBufferPool(d, 2)
@@ -453,8 +625,7 @@ func TestPoolBatchSkipsUnflushableVictim(t *testing.T) {
 	p.Release(fb)
 
 	// A's flush fails on every attempt; B's succeeds.
-	si := &scriptInjector{failWrite: map[uint64]error{}}
-	si.failWrite[1] = permanent() // first write attempt (A, the LRU victim)
+	si := &scriptInjector{badWrite: map[PageID]error{idA: permanent()}}
 	d.SetInjector(si)
 	c := d.Alloc(rum.Base)
 	fc, err := p.Fetch(c)
@@ -466,11 +637,12 @@ func TestPoolBatchSkipsUnflushableVictim(t *testing.T) {
 	if st.Evictions != 1 || st.FlushFailures != 1 {
 		t.Fatalf("faulted eviction ledger: %+v", st)
 	}
-	if p.lookup(idA) == nil {
-		t.Fatal("unflushable frame was dropped")
+	if p.lookup(idA) == nil || !p.lookup(idA).dirty {
+		t.Fatal("unflushable frame was dropped or marked clean")
 	}
-	if d.Stats().Batches != 0 {
-		t.Fatal("batch submitted with injector armed")
+	// The group [A, B] stops at A, then B alone: two attempts, one write.
+	if si.writes != 2 || d.Stats().PageWrites != 1 {
+		t.Fatalf("%d write attempts, %d writes; want the group's, then B's", si.writes, d.Stats().PageWrites)
 	}
 }
 

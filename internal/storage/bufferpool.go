@@ -34,7 +34,8 @@ type PoolStats struct {
 	Unshares uint64
 	// Handovers counts write-backs that moved no bytes: the frame's buffer
 	// became the device's image (Device.Replace). WriteBacks - Handovers is
-	// the write-backs that copied (fault-armed device, pinned frame).
+	// the write-backs that copied (a per-frame flush on a fault-armed
+	// device, a pinned frame).
 	Handovers uint64
 	// PrefetchHits counts first Fetches of pages Readahead installed: the
 	// reads a prefetch saved. Each is counted in Hits too.
@@ -247,13 +248,13 @@ func (p *BufferPool) SetIOBatch(n int) {
 // IOBatch returns the current batch-submission width.
 func (p *BufferPool) IOBatch() int { return p.ioBatch }
 
-// BatchIO reports whether the pool submits batched I/O now: a batch width
-// above 1 and a clean device. With an injector armed the pool stays on the
-// per-frame path, preserving per-fault semantics and the copying flush (a
-// torn batch must not corrupt frames it may retry from). Structures ask it
-// before planning a read wave: where it is false, Readahead does nothing.
+// BatchIO reports whether the pool submits batched I/O: a batch width above
+// 1. It does not ask about faults: the device stops a batch at its first
+// failed page, so a batch fails as its pages written or read one by one
+// would, and the pool's fallbacks take the rest page by page. Structures ask
+// it before planning a read wave: where it is false, Readahead does nothing.
 func (p *BufferPool) BatchIO() bool {
-	return p.ioBatch > 1 && !p.dev.Faulty() && !p.dev.Crashed()
+	return p.ioBatch > 1
 }
 
 // DirtyCount returns the number of cached frames whose contents diverge from
@@ -319,10 +320,11 @@ func (p *BufferPool) Fetch(id PageID) (*Frame, error) {
 	// not a miss, so the miss ledger stays reconciled with the device's
 	// successful reads.
 	var src []byte
-	err := p.withRetry(id, func() (err error) {
+	read := func() (err error) {
 		src, err = p.dev.Read(id)
 		return err
-	})
+	}
+	err := p.withRetry(id, read(), read)
 	if err != nil {
 		p.stats.FetchFailures++
 		return nil, err
@@ -348,11 +350,11 @@ func (p *BufferPool) Peek(id PageID) []byte {
 	return nil
 }
 
-// withRetry runs one device transfer of page id, re-attempting it up to the
-// retry budget while it fails with a transient injected fault; permanent
-// faults, crashes and structural errors (ErrFreed, ErrBadPage) fail at once.
-func (p *BufferPool) withRetry(id PageID, transfer func() error) error {
-	err := transfer()
+// withRetry takes err, what a first device transfer of page id returned,
+// and re-attempts the transfer up to the retry budget while it fails with a
+// transient injected fault; permanent faults, crashes and structural errors
+// (ErrFreed, ErrBadPage) fail at once.
+func (p *BufferPool) withRetry(id PageID, err error, transfer func() error) error {
 	for attempt := 0; err != nil && errors.Is(err, ErrTransient) && attempt < p.retries; attempt++ {
 		p.stats.Retries++
 		if p.hook != nil {
@@ -542,17 +544,24 @@ func (p *BufferPool) evictOne() *Frame {
 }
 
 // flushFrame writes a dirty frame back to the device, reporting success.
-// A frame whose page was freed while cached (ErrFreed, ErrBadPage) has
-// nothing left to persist: its contents are dropped and the flush counts as
-// success. Any other failure — injected faults surviving the retry budget,
-// a crashed device — leaves the frame dirty and counts a FlushFailure.
-func (p *BufferPool) flushFrame(f *Frame) bool {
+// failed is the error of the frame's write in a batch that stopped at it, nil
+// if no attempt has been made: that attempt is the first of the frame's
+// retry budget. A frame whose page was freed while cached (ErrFreed,
+// ErrBadPage) has nothing left to persist: its contents are dropped and the
+// flush counts as success. Any other failure — injected faults surviving the
+// retry budget, a crashed device — leaves the frame dirty and counts a
+// FlushFailure.
+func (p *BufferPool) flushFrame(f *Frame, failed error) bool {
 	var err error
 	if p.dev.Faulty() || f.pins > 0 {
 		// Copying path: the frame keeps its buffer. After a failed or torn
 		// write it is what the retry writes from, and a pinned frame's holder
 		// may still be writing through the slice Data gave it.
-		err = p.withRetry(f.id, func() error { return p.dev.Write(f.id, f.data) })
+		write := func() error { return p.dev.Write(f.id, f.data) }
+		if err = failed; err == nil {
+			err = write()
+		}
+		err = p.withRetry(f.id, err, write)
 	} else {
 		var prev []byte
 		if prev, err = p.dev.Replace(f.id, f.data); err == nil {
@@ -581,16 +590,18 @@ func (p *BufferPool) wroteBack(f *Frame) {
 
 // flushGroup writes a group of dirty frames back as one batch submission,
 // handing their buffers over; a pinned frame keeps its buffer and the device
-// gets a copy. Callers have already excluded freed pages and a faulty device;
-// a group of one degrades to the ordinary per-frame flush. Should the batch
-// fail anyway (a crash latched mid-run), the frames it did not reach fall
-// back to per-frame flushes so the failure ledger (FlushFailures, dirty
-// retention) is the unbatched one. The group, the callers' scratch, is
+// gets a copy. Callers have already excluded freed pages; a group of one
+// degrades to the ordinary per-frame flush. Should a page of the batch fail
+// (an injected fault, a crash), the device has written the frames before it
+// and no other: the failed frame was not swapped, so it still owns the image
+// a retry writes from, and it and the frames after it fall back to
+// per-frame flushes, with their retry budget and failure ledger
+// (FlushFailures, dirty retention). The group, the callers' scratch, is
 // cleared on the way out.
 func (p *BufferPool) flushGroup(group []*Frame) {
 	defer clear(group)
 	if len(group) == 1 {
-		p.flushFrame(group[0])
+		p.flushFrame(group[0], nil)
 		return
 	}
 	ids, images := p.wbIDs[:0], p.wbData[:0]
@@ -602,17 +613,20 @@ func (p *BufferPool) flushGroup(group []*Frame) {
 		}
 		ids, images = append(ids, f.id), append(images, image)
 	}
-	n, _ := p.dev.ReplaceBatch(ids, images) // images[:n] are now the previous images
+	n, err := p.dev.ReplaceBatch(ids, images) // images[:n] are now the previous images
 	for i, f := range group {
 		if f.pins > 0 {
 			p.giveBuf(images[i]) // the previous image, or the copy the batch did not reach
 		} else if i < n {
 			p.handedOver(f, images[i])
 		}
-		if i < n {
+		switch {
+		case i < n:
 			p.wroteBack(f)
-		} else {
-			p.flushFrame(f)
+		case i == n:
+			p.flushFrame(f, err)
+		default:
+			p.flushFrame(f, nil)
 		}
 	}
 	clear(images)
@@ -631,7 +645,7 @@ func (p *BufferPool) flushGroup(group []*Frame) {
 // of joining the group.
 func (p *BufferPool) flushVictim(victim *Frame) bool {
 	if !p.BatchIO() {
-		return p.flushFrame(victim)
+		return p.flushFrame(victim, nil)
 	}
 	group := append(p.group[:0], victim)
 	for f := p.lru.prev; f != &p.lru && len(group) < p.ioBatch; f = f.prev {
@@ -709,7 +723,7 @@ func (p *BufferPool) FlushAll() {
 	if !p.BatchIO() {
 		for f := oldest; f != &p.lru; f = f.prev {
 			if f.dirty {
-				p.flushFrame(f)
+				p.flushFrame(f, nil)
 			}
 		}
 		return
@@ -760,8 +774,10 @@ func (p *BufferPool) oldestDirty() *Frame {
 // the miss ledger still reconciles with device reads. That first Fetch also
 // counts a PrefetchHit; a page that leaves the pool before one counts
 // PrefetchUnused. Where BatchIO is false, Readahead is a no-op: prefetching
-// only pays when the device can serve the batch in parallel, and fault
-// streams must see demand-order reads.
+// only pays when the device can serve the batch in parallel. A batch that
+// fails part-way (an injected fault, a crash) installs the pages before the
+// failed one and ends the prefetch; the failed page is left to the Fetch
+// that wants it, which meets the fault under its retry budget.
 func (p *BufferPool) Readahead(ids []PageID) int {
 	p.owner.assert("BufferPool")
 	if !p.BatchIO() {
@@ -797,10 +813,8 @@ func (p *BufferPool) Readahead(ids []PageID) int {
 			p.raPages = make([][]byte, p.ioBatch)
 		}
 		pages := p.raPages[:len(chunk)]
-		if err := p.dev.readBatchInto(chunk, pages); err != nil {
-			return installed
-		}
-		for i, id := range chunk {
+		n, err := p.dev.readBatchInto(chunk, pages)
+		for i, id := range chunk[:n] {
 			var f *Frame
 			if p.resident >= p.capacity {
 				if f = p.evictOne(); f == nil {
@@ -817,6 +831,9 @@ func (p *BufferPool) Readahead(ids []PageID) int {
 				p.hook.StorageEvent(EvMiss, id, p.dev.Class(id), 0)
 			}
 			installed++
+		}
+		if err != nil {
+			return installed
 		}
 	}
 	return installed

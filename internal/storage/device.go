@@ -311,35 +311,17 @@ func (d *Device) check(id PageID) error {
 // intend to keep it across a Write to the same page (which changes it in
 // place) or a Replace (after which it is no longer the page's image).
 func (d *Device) Read(id PageID) ([]byte, error) {
-	d.owner.assert("Device")
-	if d.crashed {
-		return nil, fmt.Errorf("%w: read of page %d", ErrCrash, id)
-	}
-	if err := d.check(id); err != nil {
-		return nil, err
-	}
-	if d.injector != nil {
-		if err := d.injector.ReadFault(id); err != nil {
-			return nil, d.fail(err, "read", id, 0, d.model.ReadCost)
-		}
-	}
-	d.stats.PageReads++
-	d.stats.CostUnits += d.model.ReadCost
-	d.meter.CountRead(d.class[id], d.pageSize)
-	if d.hook != nil {
-		d.hook.StorageEvent(EvRead, id, d.class[id], d.model.ReadCost)
-	}
-	return d.pages[id], nil
+	ids, out := [1]PageID{id}, [1][]byte{}
+	_, err := d.readBatchInto(ids[:], out[:])
+	return out[0], err // nil where the read failed
 }
 
 // Write replaces the contents of a page, counting one page write. data must
 // be exactly one page long; the device copies it, so the caller keeps data.
 func (d *Device) Write(id PageID, data []byte) error {
-	if err := d.write(id, data); err != nil {
-		return err
-	}
-	copy(d.pages[id], data)
-	return nil
+	ids, images := [1]PageID{id}, [1][]byte{data}
+	_, err := d.writeBatch(ids[:], images[:], false)
+	return err
 }
 
 // Replace is Write without the copy: image itself becomes the page's image
@@ -349,127 +331,135 @@ func (d *Device) Write(id PageID, data []byte) error {
 // frames it owns this way. On failure nothing changes hands (a torn write
 // tears the previous image, as Write's does).
 func (d *Device) Replace(id PageID, image []byte) (prev []byte, err error) {
-	if err := d.write(id, image); err != nil {
+	ids, images := [1]PageID{id}, [1][]byte{image}
+	if _, err := d.writeBatch(ids[:], images[:], true); err != nil {
 		return nil, err
 	}
-	prev, d.pages[id] = d.pages[id], image
-	return prev, nil
+	return images[0], nil
 }
 
-// write is everything of a page write but the image changing: the checks, the
-// injector (a torn write persists its prefix here) and the charge.
-func (d *Device) write(id PageID, data []byte) error {
-	d.owner.assert("Device")
-	if d.crashed {
-		return fmt.Errorf("%w: write of page %d", ErrCrash, id)
-	}
-	if err := d.check(id); err != nil {
-		return err
-	}
-	if len(data) != d.pageSize {
-		return fmt.Errorf("storage: write of %d bytes to page of %d", len(data), d.pageSize)
-	}
-	if d.injector != nil {
-		if torn, err := d.injector.WriteFault(id, d.pageSize); err != nil {
-			if torn > 0 {
-				// Torn write: a prefix of the page image reached the
-				// medium before the failure. The head did move, so the
-				// event carries the write cost, but the failed write
-				// still counts no stats or meter traffic.
-				if torn > d.pageSize {
-					torn = d.pageSize
-				}
-				copy(d.pages[id][:torn], data[:torn])
-				return d.fail(err, "write", id, torn, d.model.WriteCost)
-			}
-			return d.fail(err, "write", id, 0, d.model.WriteCost)
-		}
-	}
-	d.stats.PageWrites++
-	d.stats.CostUnits += d.model.WriteCost
-	d.meter.CountWrite(d.class[id], d.pageSize)
-	if d.hook != nil {
-		d.hook.StorageEvent(EvWrite, id, d.class[id], d.model.WriteCost)
+// batchable reports whether n pages submitted together are charged as one
+// batch: amortized at the achieved depth, with a batch event. It depends on
+// the width and the medium only. Faults do not enter into it: the kernels
+// stop a submission at its first failed page whatever its charge, so a batch
+// fails as the same pages written one by one would.
+func (d *Device) batchable(n int) bool {
+	return n > 1 && d.model.Channels > 1
+}
+
+// reach is the step every page of a submission takes before it may move: the
+// crash latch, then the page's validity. It builds no error itself, so the
+// kernels inline it.
+func (d *Device) reach(op string, id PageID) error {
+	if d.crashed || int(id) >= len(d.live) || !d.live[id] {
+		return d.unreachable(op, id)
 	}
 	return nil
 }
 
-// batchable reports whether a batch of n pages takes the amortized
-// charging path. It requires real channel parallelism and a clean device:
-// with an injector armed (or the device crashed) batches degrade to the
-// sequential per-page path, so fault consultation order, per-fault
-// semantics, and the resulting ledgers are identical to unbatched callers.
-func (d *Device) batchable(n int) bool {
-	return n > 1 && d.model.Channels > 1 && d.injector == nil && !d.crashed
+// unreachable is reach's error: the crash latch's, or check's.
+func (d *Device) unreachable(op string, id PageID) error {
+	if d.crashed {
+		return fmt.Errorf("%w: %s of page %d", ErrCrash, op, id)
+	}
+	return d.check(id)
 }
 
-// ReadBatch reads every page in ids as one batch submission. On a
-// multi-queue medium the whole batch is charged CostModel.BatchCost — the
-// service time amortized across the achieved queue depth — instead of n
-// sequential reads; per-page EvRead events carry cost shares that sum
-// exactly to the batch cost, followed by one BatchHook event carrying the
-// achieved depth. On flat media, or whenever an injector is armed, it is
-// exactly equivalent to calling Read per page. The returned slices alias
-// device memory, like Read. Invalid pages fail the whole batch before any
-// traffic is counted.
+// charge counts the pages a submission reached, in submission order: the
+// stats, the meter and one event per page, whose costs sum to the charge.
+// Where the pages are batchable the charge is the batch's amortized cost and
+// a batch event follows; otherwise it is the per-page cost each, exactly the
+// pages' sequential charge.
+func (d *Device) charge(ids []PageID, write bool) {
+	n := len(ids)
+	if n == 0 {
+		return
+	}
+	ev, share := EvRead, d.model.PageCost(write)
+	if write {
+		d.stats.PageWrites += uint64(n)
+		ev = EvWrite
+	} else {
+		d.stats.PageReads += uint64(n)
+	}
+	cost, extra := share*uint64(n), 0
+	batch := d.batchable(n)
+	if batch {
+		cost = d.model.BatchCost(n, write)
+		share, extra = cost/uint64(n), int(cost%uint64(n))
+		d.stats.Batches++
+		d.stats.BatchedPages += uint64(n)
+	}
+	d.stats.CostUnits += cost
+	for i, id := range ids {
+		c := d.class[id]
+		if write {
+			d.meter.CountWrite(c, d.pageSize)
+		} else {
+			d.meter.CountRead(c, d.pageSize)
+		}
+		if d.hook != nil {
+			s := share
+			if i < extra {
+				s++
+			}
+			d.hook.StorageEvent(ev, id, c, s)
+		}
+	}
+	if batch && d.batchHook != nil {
+		d.batchHook.StorageBatch(write, n, d.model.Depth(n), cost)
+	}
+}
+
+// ReadBatch reads every page in ids as one submission and returns their
+// images, which alias device memory like Read's. On a multi-queue medium the
+// pages are charged CostModel.BatchCost — the service time amortized across
+// the achieved queue depth — instead of n sequential reads: per-page EvRead
+// events carry cost shares that sum exactly to the batch cost, and one
+// BatchHook event carrying the achieved depth follows them. On flat media it
+// is exactly equivalent to calling Read per page. The pages are read in
+// order up to the first that fails (a freed or invalid page, an injected
+// fault, the crash latch): the returned images are those the submission
+// reached, charged as if the batch had been those pages alone.
 func (d *Device) ReadBatch(ids []PageID) ([][]byte, error) {
 	out := make([][]byte, len(ids))
-	if err := d.readBatchInto(ids, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	n, err := d.readBatchInto(ids, out)
+	return out[:n], err
 }
 
-// readBatchInto is ReadBatch writing the page images into out, which must be
-// as long as ids; the buffer pool's readahead passes its own scratch.
-func (d *Device) readBatchInto(ids []PageID, out [][]byte) error {
+// readBatchInto is the one read kernel: ReadBatch writing the page images
+// into out, which must be as long as ids, and returning how many pages it
+// reached. The buffer pool's readahead passes its own scratch.
+func (d *Device) readBatchInto(ids []PageID, out [][]byte) (n int, err error) {
 	d.owner.assert("Device")
-	if !d.batchable(len(ids)) {
-		for i, id := range ids {
-			pg, err := d.Read(id)
-			if err != nil {
-				return err
+	var fault error
+	for ; n < len(ids); n++ {
+		id := ids[n]
+		if err = d.reach("read", id); err != nil {
+			break
+		}
+		if d.injector != nil {
+			if fault = d.injector.ReadFault(id); fault != nil {
+				break
 			}
-			out[i] = pg
 		}
-		return nil
+		out[n] = d.pages[id]
 	}
-	for _, id := range ids {
-		if err := d.check(id); err != nil {
-			return err
-		}
+	d.charge(ids[:n], false)
+	if fault != nil {
+		return n, d.fail(fault, "read", ids[n], 0, d.model.ReadCost)
 	}
-	n := len(ids)
-	cost := d.model.BatchCost(n, false)
-	d.stats.PageReads += uint64(n)
-	d.stats.CostUnits += cost
-	d.stats.Batches++
-	d.stats.BatchedPages += uint64(n)
-	share, extra := cost/uint64(n), int(cost%uint64(n))
-	for i, id := range ids {
-		d.meter.CountRead(d.class[id], d.pageSize)
-		if d.hook != nil {
-			c := share
-			if i < extra {
-				c++
-			}
-			d.hook.StorageEvent(EvRead, id, d.class[id], c)
-		}
-		out[i] = d.pages[id]
-	}
-	if d.batchHook != nil {
-		d.batchHook.StorageBatch(false, n, d.model.Depth(n), cost)
-	}
-	return nil
+	return n, err
 }
 
-// WriteBatch writes data[i] to ids[i] as one batch submission, with the same
-// charging rule as ReadBatch: amortized at the achieved depth on multi-queue
-// media, exactly equivalent to per-page Write calls on flat media or with an
-// injector armed. Every data slice must be exactly one page; the device
-// copies them, so one buffer may be written to many pages. Invalid pages
-// or lengths fail the whole batch before any traffic is counted or any page
-// image changes.
+// WriteBatch writes data[i] to ids[i] as one submission, with ReadBatch's
+// charging rule: amortized at the achieved depth on multi-queue media,
+// exactly equivalent to per-page Write calls on flat media. Every data slice
+// must be exactly one page; the device copies them, so one buffer may be
+// written to many pages. The pages are written in order up to the first that
+// fails: those before it are written and charged as a batch of their own, a
+// torn write tears that page alone, and the pages after it are untouched
+// (ReplaceBatch reports how many were reached).
 func (d *Device) WriteBatch(ids []PageID, data [][]byte) error {
 	_, err := d.writeBatch(ids, data, false)
 	return err
@@ -477,67 +467,57 @@ func (d *Device) WriteBatch(ids []PageID, data [][]byte) error {
 
 // ReplaceBatch is WriteBatch without the copies, as Replace is to Write: each
 // images[i] becomes the image of ids[i], and images[i] is overwritten with
-// the page's previous image. It returns how many pages changed hands — all
-// of them, unless the per-page path (flat medium, injector armed) failed
-// part-way, in which case it is the leading n.
+// the page's previous image. It returns how many pages changed hands: all of
+// them, or the leading n before the page that failed, whose image stays the
+// caller's.
 func (d *Device) ReplaceBatch(ids []PageID, images [][]byte) (n int, err error) {
 	return d.writeBatch(ids, images, true)
 }
 
-// writeBatch is the one batch write: it validates and charges the submission
-// and then, per page, either copies data[i] in or swaps it with the page's
-// image. It returns the number of pages written.
-func (d *Device) writeBatch(ids []PageID, data [][]byte, swap bool) (int, error) {
+// writeBatch is the one write kernel. Page by page it checks the target and
+// the length, consults the injector (a torn write persists its prefix here)
+// and then either copies data[i] in or swaps it with the page's image. It
+// charges the pages it wrote and returns their number.
+func (d *Device) writeBatch(ids []PageID, data [][]byte, swap bool) (n int, err error) {
 	d.owner.assert("Device")
 	if len(ids) != len(data) {
 		return 0, fmt.Errorf("storage: batch write of %d pages with %d images", len(ids), len(data))
 	}
-	store := func(i int) {
+	var fault error
+	torn := 0
+	for ; n < len(ids); n++ {
+		id := ids[n]
+		if err = d.reach("write", id); err != nil {
+			break
+		}
+		if len(data[n]) != d.pageSize {
+			err = fmt.Errorf("storage: write of %d bytes to page of %d", len(data[n]), d.pageSize)
+			break
+		}
+		if d.injector != nil {
+			if torn, fault = d.injector.WriteFault(id, d.pageSize); fault != nil {
+				// Torn write: a prefix of the page image reached the medium
+				// before the failure.
+				torn = min(torn, d.pageSize)
+				if torn > 0 {
+					copy(d.pages[id][:torn], data[n][:torn])
+				}
+				break
+			}
+		}
 		if swap {
-			data[i], d.pages[ids[i]] = d.pages[ids[i]], data[i]
+			data[n], d.pages[id] = d.pages[id], data[n]
 		} else {
-			copy(d.pages[ids[i]], data[i])
+			copy(d.pages[id], data[n])
 		}
 	}
-	if !d.batchable(len(ids)) {
-		for i, id := range ids {
-			if err := d.write(id, data[i]); err != nil {
-				return i, err
-			}
-			store(i)
-		}
-		return len(ids), nil
+	d.charge(ids[:n], true)
+	if fault != nil {
+		// The head did move, so the fault's event carries the write cost,
+		// but the failed write counts no stats or meter traffic.
+		return n, d.fail(fault, "write", ids[n], torn, d.model.WriteCost)
 	}
-	for i, id := range ids {
-		if err := d.check(id); err != nil {
-			return 0, err
-		}
-		if len(data[i]) != d.pageSize {
-			return 0, fmt.Errorf("storage: write of %d bytes to page of %d", len(data[i]), d.pageSize)
-		}
-	}
-	n := len(ids)
-	cost := d.model.BatchCost(n, true)
-	d.stats.PageWrites += uint64(n)
-	d.stats.CostUnits += cost
-	d.stats.Batches++
-	d.stats.BatchedPages += uint64(n)
-	share, extra := cost/uint64(n), int(cost%uint64(n))
-	for i, id := range ids {
-		d.meter.CountWrite(d.class[id], d.pageSize)
-		if d.hook != nil {
-			c := share
-			if i < extra {
-				c++
-			}
-			d.hook.StorageEvent(EvWrite, id, d.class[id], c)
-		}
-		store(i)
-	}
-	if d.batchHook != nil {
-		d.batchHook.StorageBatch(true, n, d.model.Depth(n), cost)
-	}
-	return n, nil
+	return n, err
 }
 
 // Class returns the data class a page was allocated under.

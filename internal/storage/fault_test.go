@@ -12,11 +12,13 @@ import (
 // scriptInjector is a test FaultInjector failing exact 1-based operation
 // indices. The canonical seed-driven implementation lives in internal/faults
 // (which imports this package, so in-package tests script faults locally).
+// badWrite fails every write attempt on its pages, a grown media defect.
 type scriptInjector struct {
 	reads, writes uint64
 	failRead      map[uint64]error
 	failWrite     map[uint64]error
 	tornAt        map[uint64]int
+	badWrite      map[PageID]error
 }
 
 func (s *scriptInjector) ReadFault(PageID) error {
@@ -24,8 +26,11 @@ func (s *scriptInjector) ReadFault(PageID) error {
 	return s.failRead[s.reads]
 }
 
-func (s *scriptInjector) WriteFault(PageID, int) (int, error) {
+func (s *scriptInjector) WriteFault(id PageID, _ int) (int, error) {
 	s.writes++
+	if err := s.badWrite[id]; err != nil {
+		return s.tornAt[s.writes], err
+	}
 	return s.tornAt[s.writes], s.failWrite[s.writes]
 }
 

@@ -123,12 +123,14 @@ func TestPinnedFrameStaysWritableAcrossFlushAll(t *testing.T) {
 	}
 }
 
-// TestFaultyDeviceCopiesWriteBacks: with an injector armed every write-back
-// is the copying Write, so the frame still owns what a retry writes from.
+// TestFaultyDeviceCopiesWriteBacks: with an injector armed a batched
+// write-back hands over the frames it reached, and the frame whose write
+// failed — here torn, permanently — still owns its image: the device never
+// swapped it, so a retry writes the whole image from it. The frame after it
+// falls back to the per-frame flush, which copies.
 func TestFaultyDeviceCopiesWriteBacks(t *testing.T) {
 	d := NewDevice(64, MQSSD, nil)
 	p := NewBufferPool(d, 4)
-	d.SetInjector(&scriptInjector{failWrite: map[uint64]error{1: permanent()}})
 	var frames []*Frame
 	for i := 0; i < 3; i++ {
 		f, _ := p.NewPage(rum.Base)
@@ -136,20 +138,32 @@ func TestFaultyDeviceCopiesWriteBacks(t *testing.T) {
 		p.Release(f)
 		frames = append(frames, f)
 	}
-	p.FlushAll() // the first write fails
+	bad := frames[1].ID()
+	d.SetInjector(&scriptInjector{badWrite: map[PageID]error{bad: permanent()}, tornAt: map[uint64]int{2: 8}})
+	p.FlushAll() // the group [0, 1, 2] stops at frame 1, torn
 	st := p.Stats()
-	if st.WriteBacks != 2 || st.Handovers != 0 || st.FlushFailures != 1 || p.DirtyCount() != 1 {
+	if st.WriteBacks != 2 || st.Handovers != 1 || st.FlushFailures != 1 || p.DirtyCount() != 1 {
 		t.Fatalf("armed flush: %+v, %d dirty", st, p.DirtyCount())
 	}
+	if frames[0].owned || !frames[1].owned || !frames[1].dirty || !frames[2].owned {
+		t.Fatalf("owned %v %v %v: want the handed-over frame borrowing, the failed and the copied owning",
+			frames[0].owned, frames[1].owned, frames[2].owned)
+	}
 	for i, f := range frames {
-		if !f.owned || !bytes.Equal(f.data, page64(byte(i+1))) {
-			t.Fatalf("frame %d: owned %v, shows %x", i, f.owned, f.data)
+		if !bytes.Equal(f.data, page64(byte(i+1))) {
+			t.Fatalf("frame %d shows %x", i, f.data)
 		}
+	}
+	if torn := d.pages[bad]; !bytes.Equal(torn[:8], page64(2)[:8]) || !bytes.Equal(torn[8:], make([]byte, 56)) {
+		t.Fatalf("the failed page holds %x, want the torn prefix alone", torn)
 	}
 	d.SetInjector(nil)
 	p.FlushAll()
-	if st := p.Stats(); st.WriteBacks != 3 || st.Handovers != 1 || p.DirtyCount() != 0 {
+	if st := p.Stats(); st.WriteBacks != 3 || st.Handovers != 2 || p.DirtyCount() != 0 {
 		t.Fatalf("disarmed flush: %+v", st)
+	}
+	if !bytes.Equal(d.pages[bad], page64(2)) {
+		t.Fatalf("the retried page holds %x", d.pages[bad])
 	}
 }
 

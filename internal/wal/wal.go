@@ -14,9 +14,9 @@
 //     A group commit (Commit, or automatically every CommitBatch records)
 //     encodes them into CRC32-framed log pages and writes those pages to
 //     the device — the records are durable from that point on. The page
-//     images are built in frames the log owns and reuses (the device copies
-//     on write, and a frame's tail is zeroed past its payload), so a
-//     steady-state commit allocates nothing.
+//     images are built in frames the log owns and reuses (an append swaps
+//     each frame for the fresh page's buffer, and a frame's tail is zeroed
+//     past its payload), so a steady-state commit allocates nothing.
 //   - overlay: every mutation since the last checkpoint, applied to an
 //     in-memory map that shadows the inner structure on reads. The inner
 //     structure itself is NOT touched between checkpoints, so the page
@@ -231,8 +231,9 @@ type Logged struct {
 
 	// Reusable scratch, so the steady state allocates nothing: batch is the
 	// sorted hand-off of a checkpoint (and the overlay side of a RangeScan);
-	// frames are the log page images a commit encodes into — Device.Write and
-	// WriteBatch copy, so a frame is free again as soon as the append returns.
+	// frames are the log page images a commit encodes into — an append hands
+	// each to the device and takes the page's previous buffer back in its
+	// place, so a frame is free again as soon as the append returns.
 	batch  []change
 	frames [][]byte
 
@@ -568,20 +569,20 @@ func (l *Logged) Checkpoint() error {
 	binary.LittleEndian.PutUint16(rec[1:3], uint16(len(blob)))
 	copy(rec[3:], blob)
 	closePayload(page, 3+len(blob))
-	id, err := l.appendFrame(page)
-	if err != nil {
+	if err := l.appendFrames(1); err != nil {
 		l.poison(err)
 		return err
 	}
 	l.stats.Syncs++
 	// Recycle: every log page of earlier segments is superseded by the
 	// checkpoint record. Through the pool, so cached frames are evicted too.
-	for _, p := range l.livePages {
+	last := len(l.livePages) - 1
+	for _, p := range l.livePages[:last] {
 		if l.pool.FreePage(p) == nil {
 			l.stats.PagesRecycled++
 		}
 	}
-	l.livePages = append(l.livePages[:0], id)
+	l.livePages = append(l.livePages[:0], l.livePages[last])
 	clear(l.overlay)
 	l.stats.Checkpoints++
 	l.stats.CheckpointRecords += uint64(len(batch))
@@ -627,54 +628,45 @@ func (l *Logged) stamp(page []byte) {
 	binary.LittleEndian.PutUint32(page[4:8], crc32.ChecksumIEEE(page[8:framedBytes(page)]))
 }
 
-// appendFrames appends the first n frames as a run of log pages. On a clean
-// multi-queue device the run goes through Device.WriteBatch — sequence
-// numbers, page allocations, framing, stats, and livePages order are
-// identical to the sequential path; only the charging (amortized at depth)
-// and the submission shape change. On flat media, or with a fault injector
-// armed, it degrades to per-page appendFrame calls so fault consultation
-// order and torn-page semantics are exactly the pre-batching ones.
+// appendFrames appends the first n frames as a run of log pages: each is
+// stamped, given a freshly allocated page and handed to the device as that
+// page's image (Device.ReplaceBatch), the page's previous buffer becoming the
+// frame. A multi-queue device takes the run as one submission, charged at
+// depth; a flat one takes it a page at a time, so a failed write allocates
+// and stamps nothing past it, as it always has. A failed submission keeps
+// the pages it reached — the device writes a batch's prefix, as it would
+// have written those pages one by one — and the log is poisoned by the
+// caller. Sequence numbers are consumed even for pages that failed —
+// sequence order is append order, holes included.
 func (l *Logged) appendFrames(n int) error {
 	dev := l.pool.Device()
-	if n == 1 || dev.CostModel().Channels <= 1 || dev.Faulty() || dev.Crashed() {
-		for _, page := range l.frames[:n] {
-			id, err := l.appendFrame(page)
-			if err != nil {
-				return err
-			}
-			l.livePages = append(l.livePages, id)
+	width := n
+	if dev.CostModel().Channels <= 1 {
+		width = 1
+	}
+	for frames := l.frames[:n]; len(frames) > 0; {
+		run := frames[:min(width, len(frames))]
+		frames = frames[len(run):]
+		first, bytes := len(l.livePages), uint64(0)
+		for _, page := range run {
+			l.stamp(page)
+			bytes += framedBytes(page)
+			l.livePages = append(l.livePages, dev.Alloc(rum.Aux))
 		}
-		return nil
-	}
-	first := len(l.livePages)
-	for _, page := range l.frames[:n] {
-		l.stamp(page)
-		l.livePages = append(l.livePages, dev.Alloc(rum.Aux))
-	}
-	if err := dev.WriteBatch(l.livePages[first:], l.frames[:n]); err != nil {
-		l.livePages = l.livePages[:first]
-		return err
-	}
-	for _, page := range l.frames[:n] {
-		l.stats.LogPagesWritten++
-		l.stats.LogBytesWritten += framedBytes(page)
+		// run[:k] now hold the pages' previous buffers; run[k:] are still
+		// the frames the device did not take.
+		k, err := dev.ReplaceBatch(l.livePages[first:], run)
+		for _, page := range run[k:] {
+			bytes -= framedBytes(page)
+		}
+		l.livePages = l.livePages[:first+k]
+		l.stats.LogPagesWritten += uint64(k)
+		l.stats.LogBytesWritten += bytes
+		if err != nil {
+			return err
+		}
 	}
 	return nil
-}
-
-// appendFrame stamps a closed frame and writes it to a fresh log page. The
-// sequence number is consumed even on failure — sequence order is append
-// order, holes included.
-func (l *Logged) appendFrame(page []byte) (storage.PageID, error) {
-	dev := l.pool.Device()
-	l.stamp(page)
-	id := dev.Alloc(rum.Aux)
-	if err := dev.Write(id, page); err != nil {
-		return id, err
-	}
-	l.stats.LogPagesWritten++
-	l.stats.LogBytesWritten += framedBytes(page)
-	return id, nil
 }
 
 func (l *Logged) poison(err error) {
