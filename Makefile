@@ -89,7 +89,9 @@ examples:
 ## messages (half writes) served as a shard serves them, with and without the
 ## tree's Prefetch of each message's keys (mqssd/prefetch-read50: cost/op,
 ## reads/op and prefetched pages evicted unread per op), the buffer pool's resident hit
-## and evicting miss (0 allocs/op both), the lsm L1→L2 spill, the live LSM's
+## and evicting miss (0 allocs/op both; the miss clean, with a dirty victim,
+## and dirty-evict/armed: a dirty victim under a fault injector that never
+## fires, within noise of dirty-evict), the lsm L1→L2 spill, the live LSM's
 ## Get loop beside its GetBatch at b = 4, 16 and 64 (BenchmarkLSMGetBatch: a
 ## filterless 262 144-key tree through 256 frames on the MQSSD, uniform keys,
 ## each run's missing pages one wave: cost/op, reads/op and prefetched pages

@@ -179,8 +179,8 @@ func (t *Tree) Size() rum.SizeInfo {
 func (t *Tree) Flush() { t.pool.FlushAll() }
 
 // descendToLeaf walks from page pid to the leaf covering k, along path
-// (path[0] is pid) where k has a memoized one (memoPath), by node.route where
-// path is nil.
+// (path[0] is pid) where k has a memoized one (memoPath), by searching each
+// node where path is nil.
 func (t *Tree) descendToLeaf(pid storage.PageID, k core.Key, path []storage.PageID) (*storage.Frame, error) {
 	for l := 1; ; l++ {
 		f, err := t.pool.Fetch(pid)
@@ -197,10 +197,10 @@ func (t *Tree) descendToLeaf(pid storage.PageID, k core.Key, path []storage.Page
 }
 
 // childOf is the child of n that k routes to: path[l] where k's route is
-// memoized, node.route where path is nil.
+// memoized, the slot intSearch finds where path is nil.
 func childOf(n node, k core.Key, path []storage.PageID, l int) storage.PageID {
 	if path == nil {
-		return n.route(k)
+		return n.child(n.intSearch(k))
 	}
 	checkRoute(n, k, path[l])
 	return path[l]

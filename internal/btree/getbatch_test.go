@@ -17,9 +17,10 @@ import (
 // core.SearchGroup, as group.step drives it over node images, to the
 // single-key kernels over every node count a 512-byte page allows: for
 // leaves against leafSearch, for internal nodes against intSearch and,
-// through the child step writes, against route. Each group mixes nodes of different counts, so its searches
-// finish on different steps, and probes every stored key, both neighbours of
-// it and the two ends of the key space.
+// through the child step writes, against the child in intSearch's slot. Each
+// group mixes nodes of different counts, so its searches finish on different
+// steps, and probes every stored key, both neighbours of it and the two ends
+// of the key space.
 func TestSearchGroupMatchesSingleKey(t *testing.T) {
 	const pageSize = 512
 	for _, leaf := range []bool{true, false} {
@@ -79,7 +80,7 @@ func TestSearchGroupMatchesSingleKey(t *testing.T) {
 					want := p.n.intSearch(p.k)
 					if leaf {
 						want = p.n.leafSearch(p.k)
-					} else if route := p.n.route(p.k); next[i] != route {
+					} else if route := p.n.child(want); next[i] != route {
 						t.Fatalf("internal node of %d: key %d routes to %d through the group, %d alone", p.n.count(), p.k, next[i], route)
 					}
 					if g.pos[i] != want {
@@ -488,7 +489,13 @@ func (p *twinPair) deviceLedgers() (storage.DeviceStats, storage.DeviceStats) {
 // different faults, so they are held to twinPair.read's fault rule and the
 // miss ledger, not to each other's device ledger. Where the pool evicts, the
 // injector must have fired and the batched twin's device charged batches.
+// A frame on the bad page is attempted once by eviction, which then passes
+// over it, and once by every publish's FlushAll while it stays dirty; with
+// Versions the freed page's id is handed out again, and stays bad. That
+// bounds the attempts at maxBadPageWrites; a pool that retried the page on
+// every eviction would attempt it thousands of times on the small pools.
 func TestTreeGetBatchMatchesGets(t *testing.T) {
+	const maxBadPageWrites = 20 // 12 publishes a row, and reused ids
 	for _, c := range []struct {
 		pageSize int
 		medium   storage.Medium
@@ -576,9 +583,13 @@ func TestTreeGetBatchMatchesGets(t *testing.T) {
 						t.Fatalf("a %d-frame pool under %d pages (%d leaves) never evicted", poolPages, pages, st.LeafPages)
 					}
 					if da, _ := p.deviceLedgers(); c.armed {
-						t.Logf("faults %+v, %d batches", p.batched.tr.Pool().Device().Injector().(*faults.Injector).Stats(), da.Batches)
+						st := p.batched.tr.Pool().Device().Injector().(*faults.Injector).Stats()
+						t.Logf("faults %+v, %d batches", st, da.Batches)
 						if poolPages < pages && (fired(p.batched) == 0 || da.Batches == 0) {
 							t.Fatalf("an evicting armed row must fire faults (%d) on batched I/O (%d batches)", fired(p.batched), da.Batches)
+						}
+						if st.PermanentWrites > maxBadPageWrites {
+							t.Fatalf("the bad page was attempted %d times, more than %d: eviction must pass over it", st.PermanentWrites, maxBadPageWrites)
 						}
 					}
 				})

@@ -310,7 +310,7 @@ func (s *Snapshot) Get(k core.Key, m *rum.Meter) (core.Value, bool) {
 			}
 			return 0, false
 		}
-		pid = n.route(k)
+		pid = n.child(n.intSearch(k))
 	}
 }
 

@@ -108,26 +108,10 @@ func (n node) setIntEntry(i int, k core.Key, child storage.PageID) {
 	binary.LittleEndian.PutUint32(n.data[off+8:], uint32(child))
 }
 
-// route returns the child that covers k: the entry with the largest separator
-// <= k, or the leftmost child when k precedes every separator.
-func (n node) route(k core.Key) storage.PageID {
-	lo, hi := 0, n.count()
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if n.intKey(mid) <= k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return n.link() // leftmost child
-	}
-	return n.intChild(lo - 1)
-}
-
 // intSearch returns the position of the first entry with key > k, i.e. the
-// insertion position for a new separator k.
+// insertion position for a new separator k. It is also the child slot that
+// covers k: n.child(n.intSearch(k)) is the entry with the largest separator
+// <= k, or the leftmost child when k precedes every separator.
 func (n node) intSearch(k core.Key) int {
 	lo, hi := 0, n.count()
 	for lo < hi {

@@ -324,6 +324,13 @@ func TestTreePrefetchMatchesPlain(t *testing.T) {
 				if st.TransientReads == 0 || st.PermanentWrites == 0 || prefetches(p.hinted.tr) && batches == 0 {
 					t.Fatalf("the injector must fire reads and the permanent write, on batched I/O where Prefetch reads ahead")
 				}
+				// Eviction attempts the bad page once and then passes over it;
+				// these rows publish nothing, so no FlushAll retries it. A pool
+				// that retried it on every eviction would attempt it thousands
+				// of times.
+				if st.PermanentWrites > 2 {
+					t.Fatalf("the bad page was attempted %d times: eviction must pass over it", st.PermanentWrites)
+				}
 			}
 			if !prefetches(p.hinted.tr) {
 				if r.medium == storage.MQSSD && r.poolPages >= 24 {

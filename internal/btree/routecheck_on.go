@@ -12,7 +12,7 @@ import (
 // checkRoute panics unless child, the memoized route's next page for k, is
 // the one n routes k to: a route memo the stamp failed to invalidate.
 func checkRoute(n node, k core.Key, child storage.PageID) {
-	if got := n.route(k); got != child {
+	if got := n.child(n.intSearch(k)); got != child {
 		panic(fmt.Sprintf("btree: memoized route sends key %d to page %d, the node to page %d", k, child, got))
 	}
 }

@@ -310,6 +310,14 @@ func TestLSMGetBatchMatchesGets(t *testing.T) {
 					if st := in.Stats(); st.TransientReads == 0 || st.PermanentWrites == 0 || p.batched.devStats().Batches == 0 {
 						t.Fatal("the injector must fire reads and the permanent write, on a device that charged batches")
 					}
+					// Eviction attempts a frame on the bad page once and then
+					// passes over it. Compaction frees run pages and hands their
+					// ids out again, and the bad id stays bad, so each page
+					// written there costs one attempt. A pool that retried it
+					// on every eviction would attempt it hundreds of times.
+					if st := in.Stats(); st.PermanentWrites > 20 {
+						t.Fatalf("the bad page was attempted %d times: eviction must pass over it", st.PermanentWrites)
+					}
 					return // the twins' ledgers diverge with their faults
 				}
 				if medium == storage.MQSSD {

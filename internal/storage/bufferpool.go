@@ -22,7 +22,8 @@ type PoolStats struct {
 	// budget was exhausted.
 	RetryFailures uint64
 	// FlushFailures counts dirty-frame write-backs that failed; the frame
-	// stays cached and dirty so no acknowledged data is silently dropped.
+	// stays cached and dirty so no acknowledged data is silently dropped, and
+	// eviction passes over it until nothing else can be evicted (evictOne).
 	FlushFailures uint64
 	// FetchFailures counts Fetch calls whose device read failed (after any
 	// retries). A failed fetch installs no frame and counts neither a hit
@@ -34,8 +35,8 @@ type PoolStats struct {
 	Unshares uint64
 	// Handovers counts write-backs that moved no bytes: the frame's buffer
 	// became the device's image (Device.Replace). WriteBacks - Handovers is
-	// the write-backs that copied (a per-frame flush on a fault-armed
-	// device, a pinned frame).
+	// the write-backs of pinned frames, which copied: their holders may still
+	// be writing through the slice Data gave them.
 	Handovers uint64
 	// PrefetchHits counts first Fetches of pages Readahead installed: the
 	// reads a prefetch saved. Each is counted in Hits too.
@@ -76,6 +77,9 @@ type Frame struct {
 	// prefetched: Readahead installed the page and no Fetch has asked for it
 	// yet (PoolStats.PrefetchHits, PrefetchUnused).
 	prefetched bool
+	// stuck: the frame's last write-back failed, so it is dirty; eviction
+	// takes it only as a last resort (evictOne). setClean clears it.
+	stuck bool
 	// 64 bytes: a frame is one cache line, as it was before it learned who
 	// owns its bytes (the resident hit relinks three of them).
 }
@@ -272,7 +276,7 @@ func (p *BufferPool) setDirty(f *Frame) {
 
 func (p *BufferPool) setClean(f *Frame) {
 	if f.dirty {
-		f.dirty = false
+		f.dirty, f.stuck = false, false
 		p.dirty--
 	}
 }
@@ -513,60 +517,65 @@ func (p *BufferPool) growTable(id PageID) {
 }
 
 // evictOne removes the least recently used unpinned frame, flushing it if
-// dirty. Frames whose write-back fails (an injected device fault) are kept
-// cached and dirty rather than dropped — losing an acknowledged write to an
-// eviction would be silent corruption — so the search moves on to the next
-// victim. It returns the victim's struct, detached from the pool and without
-// a page image, for the caller to install its page in, or nil if every frame
-// is pinned or unflushable.
-// Under a batch width above 1 a dirty victim's write-back is amortized (see
-// flushVictim); victim choice (strict LRU order among unpinned frames) is
-// unchanged.
+// dirty (flushVictim, which may write other cold dirty frames in the same
+// submission). Frames whose write-back fails (an injected device fault) are
+// kept cached and dirty rather than dropped — losing an acknowledged write to
+// an eviction would be silent corruption — and marked stuck: the search moves
+// on to the next victim, and later searches pass over them, so a page that
+// cannot be written costs no device call per eviction and splits no group.
+// Only when no other frame can be evicted does a second pass, in the same LRU
+// order, try the stuck frames. It returns the victim's struct, detached from
+// the pool and without a page image, for the caller to install its page in,
+// or nil if every frame is pinned or unflushable.
 func (p *BufferPool) evictOne() *Frame {
-	for f := p.lru.prev; f != &p.lru; f = f.prev {
-		if f.pins > 0 {
-			continue
+	for _, lastResort := range [...]bool{false, true} {
+		for f := p.lru.prev; f != &p.lru; f = f.prev {
+			if f.pins > 0 || f.stuck != lastResort {
+				continue
+			}
+			if f.dirty && !p.flushVictim(f) {
+				continue
+			}
+			p.checkClean(f)
+			p.unlink(f)
+			p.drop(f.id)
+			p.unprefetch(f)
+			p.stats.Evictions++
+			if p.hook != nil {
+				p.hook.StorageEvent(EvEvict, f.id, p.dev.Class(f.id), 0)
+			}
+			return p.handOff(f)
 		}
-		if f.dirty && !p.flushVictim(f) {
-			continue
-		}
-		p.checkClean(f)
-		p.unlink(f)
-		p.drop(f.id)
-		p.unprefetch(f)
-		p.stats.Evictions++
-		if p.hook != nil {
-			p.hook.StorageEvent(EvEvict, f.id, p.dev.Class(f.id), 0)
-		}
-		return p.handOff(f)
 	}
 	return nil
 }
 
-// flushFrame writes a dirty frame back to the device, reporting success.
-// failed is the error of the frame's write in a batch that stopped at it, nil
-// if no attempt has been made: that attempt is the first of the frame's
-// retry budget. A frame whose page was freed while cached (ErrFreed,
-// ErrBadPage) has nothing left to persist: its contents are dropped and the
-// flush counts as success. Any other failure — injected faults surviving the
-// retry budget, a crashed device — leaves the frame dirty and counts a
-// FlushFailure.
+// flushFrame writes a dirty frame back to the device, reporting success. An
+// unpinned frame hands its buffer over (Device.Replace) and borrows it back;
+// a pinned one copies, since its holder may still be writing through the
+// slice Data gave it. A failed or torn write swaps nothing, so either way the
+// frame still owns the image its retry writes from. failed is the error of
+// the frame's write in a batch that stopped at it, nil if no attempt has been
+// made: that attempt is the first of the frame's retry budget. A frame whose
+// page was freed while cached (ErrFreed, ErrBadPage) has nothing left to
+// persist: its contents are dropped and the flush counts as success. Any
+// other failure — injected faults surviving the retry budget, a crashed
+// device — leaves the frame dirty, marks it stuck and counts a FlushFailure.
 func (p *BufferPool) flushFrame(f *Frame, failed error) bool {
-	var err error
-	if p.dev.Faulty() || f.pins > 0 {
-		// Copying path: the frame keeps its buffer. After a failed or torn
-		// write it is what the retry writes from, and a pinned frame's holder
-		// may still be writing through the slice Data gave it.
-		write := func() error { return p.dev.Write(f.id, f.data) }
-		if err = failed; err == nil {
-			err = write()
+	var prev []byte
+	write := func() (err error) {
+		if f.pins > 0 {
+			return p.dev.Write(f.id, f.data)
 		}
-		err = p.withRetry(f.id, err, write)
-	} else {
-		var prev []byte
-		if prev, err = p.dev.Replace(f.id, f.data); err == nil {
-			p.handedOver(f, prev)
-		}
+		prev, err = p.dev.Replace(f.id, f.data)
+		return err
+	}
+	err := failed
+	if err == nil {
+		err = write()
+	}
+	if err = p.withRetry(f.id, err, write); err == nil && f.pins == 0 {
+		p.handedOver(f, prev)
 	}
 	if errors.Is(err, ErrFreed) || errors.Is(err, ErrBadPage) {
 		p.setClean(f)
@@ -574,6 +583,7 @@ func (p *BufferPool) flushFrame(f *Frame, failed error) bool {
 	}
 	if err != nil {
 		p.stats.FlushFailures++
+		f.stuck = true
 		return false
 	}
 	p.wroteBack(f)
@@ -590,18 +600,18 @@ func (p *BufferPool) wroteBack(f *Frame) {
 
 // flushGroup writes a group of dirty frames back as one batch submission,
 // handing their buffers over; a pinned frame keeps its buffer and the device
-// gets a copy. Callers have already excluded freed pages; a group of one
-// degrades to the ordinary per-frame flush. Should a page of the batch fail
-// (an injected fault, a crash), the device has written the frames before it
-// and no other: the failed frame was not swapped, so it still owns the image
-// a retry writes from, and it and the frames after it fall back to
+// gets a copy. Callers have already excluded freed pages; a group of one —
+// every group at IOBatch 1 — is the per-frame flush. Should a page of the
+// batch fail (an injected fault, a crash), the device has written the frames
+// before it and no other: the failed frame was not swapped, so it still owns
+// the image a retry writes from, and it and the frames after it fall back to
 // per-frame flushes, with their retry budget and failure ledger
-// (FlushFailures, dirty retention). The group, the callers' scratch, is
-// cleared on the way out.
+// (FlushFailures, dirty retention, the stuck mark). The group, the callers'
+// scratch, is cleared on the way out.
 func (p *BufferPool) flushGroup(group []*Frame) {
-	defer clear(group)
 	if len(group) == 1 {
 		p.flushFrame(group[0], nil)
+		group[0] = nil
 		return
 	}
 	ids, images := p.wbIDs[:0], p.wbData[:0]
@@ -630,26 +640,25 @@ func (p *BufferPool) flushGroup(group []*Frame) {
 		}
 	}
 	clear(images)
+	clear(group)
 	p.wbIDs, p.wbData = ids, images
 }
 
 // flushVictim writes back a dirty eviction victim, reporting whether the
-// frame came out clean. Under batched I/O the victim's unavoidable
-// write-back is amortized: up to IOBatch-1 other cold dirty unpinned frames
-// join the same submission, so eviction pressure under a write burst drains
-// at queue depth instead of one page per eviction. The group forms only
-// around a victim that must be written anyway — the pool never flushes more
-// eagerly than per-frame eviction would, so dirty frames that would have
-// been freed before eviction still cost nothing. Frames whose page was
-// freed while cached have nothing to persist and are marked clean instead
-// of joining the group.
+// frame came out clean. The victim's unavoidable write-back is amortized: up
+// to IOBatch-1 other cold dirty unpinned frames join the same submission, so
+// eviction pressure under a write burst drains at queue depth instead of one
+// page per eviction (at IOBatch 1 the group is the victim alone). The group
+// forms only around a victim that must be written anyway — the pool never
+// flushes more eagerly than per-frame eviction would, so dirty frames that
+// would have been freed before eviction still cost nothing. Stuck frames do
+// not join: their failed page would stop the batch. Frames whose page was
+// freed while cached have nothing to persist and are marked clean instead of
+// joining the group.
 func (p *BufferPool) flushVictim(victim *Frame) bool {
-	if !p.BatchIO() {
-		return p.flushFrame(victim, nil)
-	}
 	group := append(p.group[:0], victim)
 	for f := p.lru.prev; f != &p.lru && len(group) < p.ioBatch; f = f.prev {
-		if f == victim || f.pins > 0 || !f.dirty {
+		if f == victim || f.pins > 0 || !f.dirty || f.stuck {
 			continue
 		}
 		if p.dev.check(f.id) != nil {
@@ -707,29 +716,22 @@ func (p *BufferPool) FreeExcept(keep func(PageID) bool) error {
 	return nil
 }
 
-// FlushAll writes back every dirty frame, leaving them cached and clean.
-// Frames whose write-back fails stay dirty (PoolStats.FlushFailures counts
-// them; DirtyCount reports how many remain). Frames are visited in LRU
-// order, not map order, so an armed fault injector sees the same write
-// sequence on every run — part of the determinism contract with the
-// parallel bench runner. Under a batch width above 1 the dirty frames are
-// gathered (still in LRU order) into IOBatch-sized Device.ReplaceBatch
-// submissions, so a full-pool flush drains at queue depth. The cost is
-// O(dirty span), not O(resident): dirtying a frame touches it, so the dirty
-// frames sit near the recent end, and the walk starts at the oldest of them.
+// FlushAll writes back every dirty frame, stuck ones included, leaving them
+// cached and clean. Frames whose write-back fails stay dirty and stuck
+// (PoolStats.FlushFailures counts them; DirtyCount reports how many remain);
+// a stuck frame that FlushAll writes is an ordinary victim again. Frames are
+// visited in LRU order, not map order, so an armed fault injector sees the
+// same write sequence on every run — part of the determinism contract with
+// the parallel bench runner. The dirty frames are gathered (still in LRU
+// order) into IOBatch-sized Device.ReplaceBatch submissions, so a full-pool
+// flush drains at queue depth; at IOBatch 1 each frame is flushed alone. The
+// cost is O(dirty span), not O(resident): dirtying a frame touches it, so the
+// dirty frames sit near the recent end, and the walk starts at the oldest of
+// them.
 func (p *BufferPool) FlushAll() {
 	p.owner.assert("BufferPool")
-	oldest := p.oldestDirty()
-	if !p.BatchIO() {
-		for f := oldest; f != &p.lru; f = f.prev {
-			if f.dirty {
-				p.flushFrame(f, nil)
-			}
-		}
-		return
-	}
 	group := p.group[:0]
-	for f := oldest; f != &p.lru; f = f.prev {
+	for f := p.oldestDirty(); f != &p.lru; f = f.prev {
 		if !f.dirty {
 			continue
 		}

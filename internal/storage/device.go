@@ -170,12 +170,6 @@ func (d *Device) SetInjector(inj FaultInjector) { d.injector = inj }
 // Injector returns the currently armed fault injector, or nil.
 func (d *Device) Injector() FaultInjector { return d.injector }
 
-// Faulty reports whether a fault injector is armed. The buffer pool uses it
-// to pick the copying Write path for flushes (a failed write must leave the
-// frame owning the buffer it will retry from) instead of handing the buffer
-// over with Replace.
-func (d *Device) Faulty() bool { return d.injector != nil }
-
 // Crashed reports whether the device is latched in the crashed state.
 func (d *Device) Crashed() bool { return d.crashed }
 

@@ -292,6 +292,77 @@ func TestEvictionSkipsUnflushableFrame(t *testing.T) {
 	_ = idB
 }
 
+// TestStuckFrameIsLastResort: a dirty frame whose page cannot be written is
+// attempted once by eviction and then passed over, as a victim and as a
+// member of another victim's group, so the batched write-back groups keep
+// forming around it. FlushAll still attempts it, and so does eviction once
+// nothing else can be evicted. When the page can be written again FlushAll
+// writes it, and the frame is an ordinary victim.
+func TestStuckFrameIsLastResort(t *testing.T) {
+	d := NewDevice(64, MQSSD, nil)
+	p := NewBufferPool(d, 4)
+	newPages := func(n int) (ids []PageID) {
+		for i := 0; i < n; i++ {
+			f, err := p.NewPage(rum.Base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fill(f, byte(i+1))
+			ids = append(ids, f.ID())
+			p.Release(f)
+		}
+		return ids
+	}
+	bad := newPages(1)[0]
+	si := &scriptInjector{badWrite: map[PageID]error{bad: permanent()}}
+	d.SetInjector(si)
+	failed := func() uint64 { return si.writes - d.Stats().PageWrites }
+
+	newPages(4) // the fourth evicts: the group [bad, 1, 2, 3] stops at bad
+	if f := p.lookup(bad); failed() != 1 || f == nil || !f.dirty || !f.stuck {
+		t.Fatalf("%d failed attempts, frame %+v: want one, leaving the frame cached, dirty and stuck", failed(), f)
+	}
+	before := d.Stats()
+	newPages(30)
+	ds := d.Stats()
+	if failed() != 1 || p.Stats().FlushFailures != 1 || p.lookup(bad) == nil {
+		t.Fatalf("eviction attempted the bad page %d times (%+v), want once", failed(), p.Stats())
+	}
+	if ds.Batches == before.Batches || ds.BatchedPages-before.BatchedPages != ds.PageWrites-before.PageWrites {
+		t.Fatalf("write-backs beside the stuck frame: %+v after %+v, want every page in a batch", ds, before)
+	}
+
+	p.FlushAll()
+	if failed() != 2 || p.DirtyCount() != 1 || !p.lookup(bad).stuck {
+		t.Fatalf("FlushAll: %d failed attempts, %d dirty; want the bad page attempted and left dirty", failed(), p.DirtyCount())
+	}
+	// Every other frame pinned: the stuck one is the last resort, and fails.
+	var pinned []*Frame
+	for f := p.lru.next; f != &p.lru; f = f.next {
+		if f.id != bad {
+			f.pins++
+			pinned = append(pinned, f)
+		}
+	}
+	newPages(1)
+	if failed() != 3 || p.Stats().Overflows != 1 {
+		t.Fatalf("%d failed attempts, %+v: want the stuck frame tried, then an overflow", failed(), p.Stats())
+	}
+	for _, f := range pinned {
+		p.Release(f)
+	}
+
+	d.SetInjector(nil)
+	p.FlushAll()
+	if f := p.lookup(bad); p.DirtyCount() != 0 || f.dirty || f.stuck || !bytes.Equal(d.pages[bad], page64(1)) {
+		t.Fatalf("disarmed FlushAll left %d dirty, frame stuck %v, page %x", p.DirtyCount(), f.stuck, d.pages[bad])
+	}
+	newPages(1)
+	if p.lookup(bad) != nil {
+		t.Fatal("the written frame, least recently used, was not the next victim")
+	}
+}
+
 // TestPoolCrashDropsEverything: Crash empties the pool without any device
 // write, modelling the loss of volatile state.
 func TestPoolCrashDropsEverything(t *testing.T) {

@@ -11,12 +11,16 @@ import (
 // missPool returns a 64-frame pool over 256 pages of a multi-queue device,
 // already cycled once so every further Fetch in page order is a miss that
 // evicts; with dirty set every victim also needs a (grouped) write-back.
+// With armed set the device carries a fault injector that never fires.
 // next fetches the following page.
-func missPool(tb testing.TB, dirty bool) (p *BufferPool, next func()) {
+func missPool(tb testing.TB, dirty, armed bool) (p *BufferPool, next func()) {
 	d := NewDevice(4096, MQSSD, nil)
 	ids := make([]PageID, 256)
 	for i := range ids {
 		ids[i] = d.Alloc(rum.Base)
+	}
+	if armed {
+		d.SetInjector(&scriptInjector{})
 	}
 	p = NewBufferPool(d, 64)
 	i := 0
@@ -41,17 +45,19 @@ func missPool(tb testing.TB, dirty bool) (p *BufferPool, next func()) {
 // allocations: the victim's frame is handed to the install, and write-back
 // groups and readahead batches live in pool-owned scratch. (The racecheck
 // build allocates by design — stack captures and poisoned hand-offs — so
-// this file is left out of it.)
+// this file is left out of it.) An armed injector that never fires changes
+// nothing: the write-backs still hand their buffers over.
 func TestMissPathDoesNotAllocate(t *testing.T) {
-	for _, dirty := range []bool{false, true} {
-		p, next := missPool(t, dirty)
+	for _, c := range []struct{ dirty, armed bool }{{false, false}, {true, false}, {true, true}} {
+		dirty := c.dirty
+		p, next := missPool(t, dirty, c.armed)
 		before := p.Stats()
 		if allocs := testing.AllocsPerRun(512, next); allocs != 0 {
-			t.Errorf("dirty=%v: a Fetch miss allocated %v times, want 0", dirty, allocs)
+			t.Errorf("%+v: a Fetch miss allocated %v times, want 0", c, allocs)
 		}
 		st := p.Stats()
 		if st.Hits != before.Hits || st.Evictions-before.Evictions != 513 {
-			t.Fatalf("dirty=%v: the measured fetches were not all evicting misses: %+v → %+v", dirty, before, st)
+			t.Fatalf("%+v: the measured fetches were not all evicting misses: %+v → %+v", c, before, st)
 		}
 		if dirty && st.WriteBacks-before.WriteBacks < 513 {
 			t.Fatalf("the dirty victims were not written back: %+v → %+v", before, st)
@@ -59,14 +65,14 @@ func TestMissPathDoesNotAllocate(t *testing.T) {
 		// Every write was one private copy and every write-back moved no
 		// bytes; the copies' buffers were the ones the write-backs freed.
 		if dirty && (st.Unshares-before.Unshares != 513 || st.Handovers != st.WriteBacks || p.taken != st.Unshares) {
-			t.Fatalf("miss → dirty → evict: %+v → %+v, %d buffers taken", before, st, p.taken)
+			t.Fatalf("%+v: miss → dirty → evict: %+v → %+v, %d buffers taken", c, before, st, p.taken)
 		}
 		if !dirty && (st.Unshares != 0 || p.taken != 0 || p.owned+len(p.spare) != 0) {
 			t.Fatalf("a clean cycle holds private buffers: %+v, %d taken", st, p.taken)
 		}
 	}
 
-	p, _ := missPool(t, true)
+	p, _ := missPool(t, true, false)
 	ids, at := p.Device().LivePageIDs(), 0
 	window := func() {
 		if n := p.Readahead(ids[at : at+8]); n != 8 {
@@ -158,14 +164,16 @@ func TestCleanFrameBorrowsDeviceImage(t *testing.T) {
 }
 
 // BenchmarkFetchMiss measures one evicting Fetch miss on the multi-queue
-// device, clean and with a dirty victim to write back.
+// device, clean and with a dirty victim to write back — the latter also with
+// a fault injector armed that never fires, which takes the same write-back
+// path.
 func BenchmarkFetchMiss(b *testing.B) {
 	for _, c := range []struct {
-		name  string
-		dirty bool
-	}{{"clean", false}, {"dirty-evict", true}} {
+		name         string
+		dirty, armed bool
+	}{{"clean", false, false}, {"dirty-evict", true, false}, {"dirty-evict/armed", true, true}} {
 		b.Run(c.name, func(b *testing.B) {
-			_, next := missPool(b, c.dirty)
+			_, next := missPool(b, c.dirty, c.armed)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

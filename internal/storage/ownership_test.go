@@ -123,12 +123,13 @@ func TestPinnedFrameStaysWritableAcrossFlushAll(t *testing.T) {
 	}
 }
 
-// TestFaultyDeviceCopiesWriteBacks: with an injector armed a batched
+// TestArmedDeviceHandsWriteBacksOver: with an injector armed a batched
 // write-back hands over the frames it reached, and the frame whose write
 // failed — here torn, permanently — still owns its image: the device never
 // swapped it, so a retry writes the whole image from it. The frame after it
-// falls back to the per-frame flush, which copies.
-func TestFaultyDeviceCopiesWriteBacks(t *testing.T) {
+// falls back to the per-frame flush, which hands its buffer over too and
+// borrows it back.
+func TestArmedDeviceHandsWriteBacksOver(t *testing.T) {
 	d := NewDevice(64, MQSSD, nil)
 	p := NewBufferPool(d, 4)
 	var frames []*Frame
@@ -142,11 +143,11 @@ func TestFaultyDeviceCopiesWriteBacks(t *testing.T) {
 	d.SetInjector(&scriptInjector{badWrite: map[PageID]error{bad: permanent()}, tornAt: map[uint64]int{2: 8}})
 	p.FlushAll() // the group [0, 1, 2] stops at frame 1, torn
 	st := p.Stats()
-	if st.WriteBacks != 2 || st.Handovers != 1 || st.FlushFailures != 1 || p.DirtyCount() != 1 {
+	if st.WriteBacks != 2 || st.Handovers != 2 || st.FlushFailures != 1 || p.DirtyCount() != 1 {
 		t.Fatalf("armed flush: %+v, %d dirty", st, p.DirtyCount())
 	}
-	if frames[0].owned || !frames[1].owned || !frames[1].dirty || !frames[2].owned {
-		t.Fatalf("owned %v %v %v: want the handed-over frame borrowing, the failed and the copied owning",
+	if frames[0].owned || !frames[1].owned || !frames[1].dirty || frames[2].owned {
+		t.Fatalf("owned %v %v %v: want the handed-over frames borrowing, the failed one owning",
 			frames[0].owned, frames[1].owned, frames[2].owned)
 	}
 	for i, f := range frames {
@@ -159,7 +160,7 @@ func TestFaultyDeviceCopiesWriteBacks(t *testing.T) {
 	}
 	d.SetInjector(nil)
 	p.FlushAll()
-	if st := p.Stats(); st.WriteBacks != 3 || st.Handovers != 2 || p.DirtyCount() != 0 {
+	if st := p.Stats(); st.WriteBacks != 3 || st.Handovers != 3 || p.DirtyCount() != 0 {
 		t.Fatalf("disarmed flush: %+v", st)
 	}
 	if !bytes.Equal(d.pages[bad], page64(2)) {
