@@ -2,8 +2,9 @@ GO ?= go
 
 .PHONY: check build fmt vet test race racecheck benchmarks examples bench fuzz golden experiments-golden loc
 
-## check: the full gate — build, gofmt, vet, race-enabled tests, the
-## assertion build, the nested benchmarks/ module, and the examples run.
+## check: the full gate — build, gofmt, vet (the default and the assertion
+## build), race-enabled tests, the assertion build's tests, the nested
+## benchmarks/ module, and the examples run.
 check: build fmt vet race racecheck benchmarks examples
 
 build:
@@ -13,8 +14,11 @@ build:
 fmt:
 	@test -z "$$(gofmt -l .)" || { echo "gofmt -l . is not empty:"; gofmt -l .; exit 1; }
 
+## vet: the default build, then the racecheck one, so the assertion files
+## (*_on.go: owner, frame, route, sort and view checks) are vetted as well.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags racecheck ./...
 
 test:
 	$(GO) test ./...

@@ -235,18 +235,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Each experiment runs against a child observer and buffers its rendered
 	// output; the main goroutine prints results and absorbs children strictly
-	// in enumeration order, so worker count never shows in the artifacts. A
-	// panic (including the *bench.SuiteError a partially failed experiment
-	// raises after finishing its surviving cells) is reported deterministically
-	// on stdout, the stack on stderr, and the remaining experiments still run.
-	type expResult struct {
-		out     string
-		errout  string // non-deterministic report, printed to stderr in order
-		errText string
-		stack   []byte
-		dur     time.Duration
-		child   *obs.Observer
-	}
+	// in enumeration order, so worker count never shows in the artifacts.
 	results := make([]expResult, len(jobs))
 	runExp := func(i int) {
 		ecfg := cfg
@@ -255,33 +244,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			results[i].child = child
 			ecfg.Obs = child
 		}
-		start := time.Now()
-		defer func() {
-			results[i].dur = time.Since(start)
-			if v := recover(); v != nil {
-				results[i].errText = fmt.Sprintf("FAILED: %v", v)
-				results[i].stack = debug.Stack()
-			}
-		}()
-		results[i].out, results[i].errout = jobs[i].fn(ecfg)
+		results[i].run(func() (string, string) { return jobs[i].fn(ecfg) })
 	}
 
 	failures := 0
 	report := func(i int) {
 		r := &results[i]
-		fmt.Fprintf(stdout, "==== %s ====\n", jobs[i].name)
-		if r.errText != "" {
+		if r.print(stdout, stderr, jobs[i].name) {
 			failures++
-			fmt.Fprintln(stdout, r.errText)
-			fmt.Fprintf(stderr, "rumbench: %s failed:\n%s", jobs[i].name, r.stack)
-		} else {
-			fmt.Fprintln(stdout, r.out)
 		}
-		fmt.Fprintln(stdout)
-		if r.errout != "" {
-			fmt.Fprint(stderr, r.errout)
-		}
-		fmt.Fprintf(stderr, "(%s in %v)\n", jobs[i].name, r.dur.Round(time.Millisecond))
 		if r.child != nil {
 			r.child.Finish()
 			observer.Absorb(r.child)
@@ -352,6 +323,61 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// expResult is one experiment's outcome. A panic (including the
+// *bench.SuiteError a partially failed experiment raises after finishing its
+// surviving cells) is reported deterministically on stdout, the stacks on
+// stderr, and the remaining experiments still run.
+type expResult struct {
+	out     string
+	errout  string // non-deterministic report, printed to stderr in order
+	errText string
+	stack   []byte
+	dur     time.Duration
+	child   *obs.Observer
+}
+
+// run runs one experiment into r, timing it and recovering a panic.
+func (r *expResult) run(fn func() (string, string)) {
+	start := time.Now()
+	defer func() {
+		r.dur = time.Since(start)
+		v := recover()
+		if v == nil {
+			return
+		}
+		r.errText = fmt.Sprintf("FAILED: %v", v)
+		err, ok := v.(*bench.SuiteError)
+		if !ok {
+			r.stack = debug.Stack()
+			return
+		}
+		// The runner raises a suite error after its cells finish, so this
+		// stack shows the runner: print each cell's, taken where it failed.
+		for _, c := range err.Cells {
+			r.stack = fmt.Appendf(r.stack, "cell %s: %v\n%s", c.Label, c.Value, c.Stack)
+		}
+	}()
+	r.out, r.errout = fn()
+}
+
+// print writes r under its experiment's name — the deterministic text on
+// stdout, stacks and timing on stderr — and reports whether it failed.
+func (r *expResult) print(stdout, stderr io.Writer, name string) (failed bool) {
+	fmt.Fprintf(stdout, "==== %s ====\n", name)
+	if r.errText != "" {
+		fmt.Fprintln(stdout, r.errText)
+		fmt.Fprintf(stderr, "rumbench: %s failed:\n%s", name, r.stack)
+	} else {
+		fmt.Fprintln(stdout, r.out)
+	}
+	fmt.Fprintln(stdout)
+	if r.errout != "" {
+		fmt.Fprint(stderr, r.errout)
+	}
+	fmt.Fprintf(stderr, "(%s in %v)\n", name, r.dur.Round(time.Millisecond))
+	return r.errText != ""
 }
 
 // sized fills in the sizes an experiment runs at when -n and -ops (or -quick)

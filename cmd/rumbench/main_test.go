@@ -5,7 +5,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/bench"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -153,5 +156,30 @@ func TestRunUsageErrors(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("run(%v) wrote to stdout: %q", args, stdout.String())
 		}
+	}
+}
+
+// failingCell is a run cell that fails: its frame marks the cell's own stack.
+func failingCell() { panic("known cell failure") }
+
+// TestFailedCellStackOnStderr: an experiment whose cell panicked reports the
+// cell's own stack, the one bench.Runner.Map captured where the cell failed,
+// on stderr, and nothing of it on stdout.
+func TestFailedCellStackOnStderr(t *testing.T) {
+	cell := bench.NewRunner(1).Map(1, func(int) { failingCell() })[0]
+	cell.Exp, cell.Label = "exp", "cell"
+	var r expResult
+	r.run(func() (string, string) {
+		panic(&bench.SuiteError{Exp: "exp", Cells: []*bench.CellError{cell}})
+	})
+	var stdout, stderr bytes.Buffer
+	if !r.print(&stdout, &stderr, "exp") {
+		t.Fatal("a failed experiment printed as a clean one")
+	}
+	if !strings.Contains(stderr.String(), ".failingCell(") {
+		t.Fatalf("stderr lacks the cell's stack:\n%s", stderr.String())
+	}
+	if want := "==== exp ====\nFAILED: exp: 1 cell(s) failed:\n  cell exp/cell: known cell failure\n\n"; stdout.String() != want {
+		t.Fatalf("stdout:\n%q\nwant\n%q", stdout.String(), want)
 	}
 }

@@ -116,9 +116,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	profiles, err := bench.ProfileCatalog(cfg, "rumviz", names, mix)
 	if err != nil {
-		for _, c := range err.(*bench.SuiteError).Cells {
-			fmt.Fprintf(stderr, "rumviz: %s: %v\n", c.Label, c.Value)
-		}
+		reportCells(stderr, err.(*bench.SuiteError))
 		return 1
 	}
 	pts := make([]bench.NamedPoint, len(profiles))
@@ -141,4 +139,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprint(stdout, obs.RenderTrajectory(cfg.Obs.Samples(), 60))
 	}
 	return 0
+}
+
+// reportCells prints each failed cell on stderr: its label, its value and the
+// stack captured where it panicked.
+func reportCells(stderr io.Writer, err *bench.SuiteError) {
+	for _, c := range err.Cells {
+		fmt.Fprintf(stderr, "rumviz: %s: %v\n%s", c.Label, c.Value, c.Stack)
+	}
 }

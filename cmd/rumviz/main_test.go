@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -98,5 +100,22 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if !base {
 		t.Fatalf("-width 21 drew no 21-character base:\n%s", stdout.String())
+	}
+}
+
+// failingCell is a profile cell that fails: its frame marks the cell's own
+// stack.
+func failingCell() { panic("known cell failure") }
+
+// TestFailedCellStackOnStderr: a method whose profile cell panicked is
+// reported on stderr with the cell's own stack, the one bench.Runner.Map
+// captured where the cell failed.
+func TestFailedCellStackOnStderr(t *testing.T) {
+	cell := bench.NewRunner(1).Map(1, func(int) { failingCell() })[0]
+	cell.Exp, cell.Label = "rumviz", "btree"
+	var stderr bytes.Buffer
+	reportCells(&stderr, &bench.SuiteError{Exp: "rumviz", Cells: []*bench.CellError{cell}})
+	if got := stderr.String(); !strings.HasPrefix(got, "rumviz: btree: known cell failure\n") || !strings.Contains(got, ".failingCell(") {
+		t.Fatalf("stderr lacks the cell's stack:\n%s", got)
 	}
 }

@@ -119,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	profiles, err := bench.ProfileCatalog(bench.Config{Seed: 1, N: *size, Ops: *ops, Storage: opt}, "rumwizard", picks, mix)
 	if err != nil {
 		for _, c := range err.(*bench.SuiteError).Cells {
-			fmt.Fprintf(stderr, "rumwizard: %s: %v\n", c.Label, c.Value)
+			fmt.Fprintf(stderr, "rumwizard: %s: %v\n%s", c.Label, c.Value, c.Stack)
 		}
 		return 1
 	}

@@ -349,6 +349,9 @@ func (l *eventLog) StorageEvent(ev storage.Event, id storage.PageID, _ rum.Class
 	*l = append(*l, storageEvent{ev, id})
 }
 
+// StorageBatch logs nothing: a batch's page events are in the log already.
+func (l *eventLog) StorageBatch(bool, int, int, uint64) {}
+
 // twin is a tree on its own device and pool, behind core.Instrument, with
 // every pool and device event logged.
 type twin struct {
@@ -363,7 +366,6 @@ func newTwin(t testing.TB, medium storage.Medium, pageSize, poolPages int, cfg C
 	dev := storage.NewDevice(pageSize, medium, nil)
 	pool := storage.NewBufferPool(dev, poolPages)
 	dev.SetHook(&tw.log)
-	pool.SetHook(&tw.log)
 	tr, err := New(pool, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -490,12 +492,14 @@ func (p *twinPair) deviceLedgers() (storage.DeviceStats, storage.DeviceStats) {
 // miss ledger, not to each other's device ledger. Where the pool evicts, the
 // injector must have fired and the batched twin's device charged batches.
 // A frame on the bad page is attempted once by eviction, which then passes
-// over it, and once by every publish's FlushAll while it stays dirty; with
-// Versions the freed page's id is handed out again, and stays bad. That
-// bounds the attempts at maxBadPageWrites; a pool that retried the page on
-// every eviction would attempt it thousands of times on the small pools.
+// over it, and once by every publish's FlushAll while it stays dirty. Once
+// freed, the page is never handed out again: the device retires a page a
+// write failed on permanently. That bounds the attempts at maxBadPageWrites;
+// a pool that retried the page on every eviction would attempt it thousands
+// of times on the small pools, and a device that recycled the bad id would
+// put new pages on it (11–16 attempts under Versions).
 func TestTreeGetBatchMatchesGets(t *testing.T) {
-	const maxBadPageWrites = 20 // 12 publishes a row, and reused ids
+	const maxBadPageWrites = 4 // the publishes before the page is freed
 	for _, c := range []struct {
 		pageSize int
 		medium   storage.Medium

@@ -87,6 +87,9 @@ func (l *eventLog) StorageEvent(ev storage.Event, id storage.PageID, _ rum.Class
 	*l = append(*l, storageEvent{ev, id})
 }
 
+// StorageBatch logs nothing: a batch's page events are in the log already.
+func (l *eventLog) StorageBatch(bool, int, int, uint64) {}
+
 // lsmTwin is a tree on its own device and pool with every pool and device
 // event logged.
 type lsmTwin struct {
@@ -99,7 +102,6 @@ func newLSMTwin(medium storage.Medium, pageSize, poolPages int, cfg Config) *lsm
 	dev := storage.NewDevice(pageSize, medium, nil)
 	pool := storage.NewBufferPool(dev, poolPages)
 	dev.SetHook(&tw.log)
-	pool.SetHook(&tw.log)
 	tw.tr = New(pool, cfg)
 	return tw
 }
@@ -312,10 +314,11 @@ func TestLSMGetBatchMatchesGets(t *testing.T) {
 					}
 					// Eviction attempts a frame on the bad page once and then
 					// passes over it. Compaction frees run pages and hands their
-					// ids out again, and the bad id stays bad, so each page
-					// written there costs one attempt. A pool that retried it
-					// on every eviction would attempt it hundreds of times.
-					if st := in.Stats(); st.PermanentWrites > 20 {
+					// ids out again, but never the bad one: the device retires
+					// it, so no later run page lands there. A pool that retried
+					// it on every eviction would attempt it hundreds of times,
+					// and a device that recycled it up to 13.
+					if st := in.Stats(); st.PermanentWrites > 1 {
 						t.Fatalf("the bad page was attempted %d times: eviction must pass over it", st.PermanentWrites)
 					}
 					return // the twins' ledgers diverge with their faults

@@ -581,28 +581,23 @@ func (t *Tree) buildRun(recs []core.Record) (*run, error) {
 	return r, nil
 }
 
-// readRun reads every record of a run in order, charging page reads. While
-// the pool batches I/O (BatchIO) the run is streamed through its readahead
-// window: each IOBatch-sized chunk of run pages is prefetched as one deep
-// batch submission, so sequential run scans (compaction inputs, range
-// merges) pay the amortized batch cost instead of depth-1 reads. Otherwise
-// the loop below is exactly the per-page path.
+// readRun reads every record of a run in order, charging page reads. The run
+// streams through the pool's readahead window: each IOBatch-sized chunk of
+// run pages is offered to Readahead, so on a batching pool sequential run
+// scans (compaction inputs, range merges) pay the amortized batch cost of
+// one deep submission instead of depth-1 reads. A pool that does not batch
+// reads nothing ahead, and the loop below is exactly the per-page path.
 func (t *Tree) readRun(r *run) ([]core.Record, error) {
 	recs := make([]core.Record, 0, r.count)
-	batch, ra, next := t.pool.BatchIO(), t.pool.IOBatch(), 0
+	ra, next := t.pool.IOBatch(), 0
 	for i, pid := range r.pages {
-		if batch && i == next {
-			end := i + ra
-			if end > len(r.pages) {
-				end = len(r.pages)
-			}
+		if i == next {
+			end := min(i+ra, len(r.pages))
 			// Advance the window by what the pool actually covered (it clamps
-			// a prefetch to half its capacity); already-cached pages are
-			// skipped by Readahead, so a short answer just re-arms sooner.
-			next = i + t.pool.Readahead(r.pages[i:end])
-			if next <= i {
-				next = i + 1
-			}
+			// a prefetch to half its capacity, and reads nothing ahead unless
+			// it batches); already-cached pages are skipped by Readahead, so
+			// a short answer just re-arms sooner.
+			next = max(i+t.pool.Readahead(r.pages[i:end]), i+1)
 		}
 		f, err := t.pool.Fetch(pid)
 		if err != nil {

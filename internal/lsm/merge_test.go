@@ -343,6 +343,8 @@ func (r *readOrder) StorageEvent(ev storage.Event, id storage.PageID, _ rum.Clas
 	}
 }
 
+func (r *readOrder) StorageBatch(bool, int, int, uint64) {}
+
 // BenchmarkCompactionSpill measures the step that dominates a write-heavy
 // leveled tree's stalls: an over-capacity L1 run (T=4, 16 memtables' worth
 // plus one record) merges into an L2 run three times its size, interleaved

@@ -87,10 +87,7 @@ func NewPool(opt Options, meter *rum.Meter) *storage.BufferPool {
 	opt.defaults()
 	dev := storage.NewDevice(opt.PageSize, opt.Medium, meter)
 	pool := storage.NewBufferPool(dev, opt.PoolPages)
-	if opt.Hook != nil {
-		dev.SetHook(opt.Hook)
-		pool.SetHook(opt.Hook)
-	}
+	dev.SetHook(opt.Hook) // the pool reports through it too
 	if opt.Faults.Active() {
 		dev.SetInjector(faults.New(opt.Faults))
 	}

@@ -70,7 +70,7 @@ type PageCounts struct {
 	// Cost reconciles exactly with DeviceStats.CostUnits, which counts
 	// successful traffic only.
 	FaultCost uint64
-	// Batches counts amortized batch submissions (storage.BatchHook events);
+	// Batches counts amortized batch submissions (storage.Hook.StorageBatch);
 	// BatchedPages is the pages they carried. The per-page events of a batch
 	// are already in the read/write counters and Cost — these two only
 	// describe how the traffic was submitted.
@@ -162,7 +162,7 @@ func (c *PageCounts) add(ev storage.Event, class rum.Class, cost uint64) {
 }
 
 // addBatch counts one amortized batch submission; its per-page events
-// arrive through add first (the BatchHook contract).
+// arrive through add first (storage.Hook's batch contract).
 func (c *PageCounts) addBatch(pages int) {
 	c.Batches++
 	c.BatchedPages += uint64(pages)
@@ -247,9 +247,10 @@ type OpHist struct {
 
 // Observer collects spans, histograms, and time-series samples for one run.
 // It observes one target structure at a time (Target re-points it) but may
-// be attached as a storage.Hook to any number of devices and pools, e.g. by
-// threading it through methods.Options.Hook. Observer is not safe for
-// concurrent use, matching the rest of the simulation substrate.
+// be attached as the storage.Hook of any number of devices (each device's
+// pools report through it), e.g. by threading it through
+// methods.Options.Hook. Observer is not safe for concurrent use, matching
+// the rest of the simulation substrate.
 type Observer struct {
 	cfg Config
 
@@ -370,10 +371,10 @@ func (o *Observer) StorageEvent(ev storage.Event, _ storage.PageID, class rum.Cl
 	}
 }
 
-// StorageBatch implements storage.BatchHook: one amortized batch submission,
+// StorageBatch implements storage.Hook: one amortized batch submission,
 // attributed like any page event. The batch's per-page events arrived first
-// (the BatchHook contract), so totals already hold its traffic and cost —
-// this records only the submission shape (count and pages carried).
+// (storage.Hook's batch contract), so totals already hold its traffic and
+// cost — this records only the submission shape (count and pages carried).
 func (o *Observer) StorageBatch(_ bool, pages, _ int, _ uint64) {
 	o.total.addBatch(pages)
 	if o.depth > 0 {

@@ -43,14 +43,14 @@ const exemplarTTL = time.Minute
 // compatible with the rolling-window plane), a batch-size histogram (ops
 // per mailbox message), and one exemplar per service bucket.
 //
-// PhaseRecorder is also the shard's storage-event ledger: a
-// storage.BatchHook that, threaded into the shard's storage stack
-// (methods.Options.Hook), lands every device, pool, and fault-path event in
-// one cumulative PageCounts — the Observer's counter switch — published with
-// every Snapshot. The pages/faults/retries charged between BeginOpWork and
-// OpWork are the operation in flight's, as differences against three
-// baseline words; unwired, the ledger stays zero and traces carry
-// meter-derived byte counts only.
+// PhaseRecorder is also the shard's storage-event ledger: the one
+// storage.Hook of the shard's storage stack (methods.Options.Hook, set on
+// the device, which the pool reports through), it lands every device, pool,
+// and fault-path event in one cumulative PageCounts — the Observer's counter
+// switch — published with every Snapshot. The pages/faults/retries charged
+// between BeginOpWork and OpWork are the operation in flight's, as
+// differences against three baseline words; unwired, the ledger stays zero
+// and traces carry meter-derived byte counts only.
 type PhaseRecorder struct {
 	queue   *Histogram
 	service *Histogram
@@ -82,7 +82,7 @@ func (r *PhaseRecorder) StorageEvent(ev storage.Event, _ storage.PageID, class r
 	r.pages.add(ev, class, cost)
 }
 
-// StorageBatch implements storage.BatchHook: one amortized submission whose
+// StorageBatch implements storage.Hook: one amortized submission whose
 // per-page events already arrived through StorageEvent.
 func (r *PhaseRecorder) StorageBatch(_ bool, pages, _ int, _ uint64) { r.pages.addBatch(pages) }
 

@@ -38,7 +38,6 @@ func TestObserverReconcilesWithStorageLedgers(t *testing.T) {
 	dev := storage.NewDevice(64, storage.MQSSD, nil)
 	pool := storage.NewBufferPool(dev, 8)
 	dev.SetHook(o)
-	pool.SetHook(o)
 
 	// Clean phase: allocations, batched write-back, readahead, demand hits
 	// and misses, evictions.

@@ -10,23 +10,6 @@ import (
 	"repro/internal/rum"
 )
 
-// batchRecorder is a recorder that also captures batch submissions.
-type batchRecorder struct {
-	recorder
-	batches []recordedBatch
-}
-
-type recordedBatch struct {
-	Write bool
-	Pages int
-	Depth int
-	Cost  uint64
-}
-
-func (r *batchRecorder) StorageBatch(write bool, pages, depth int, cost uint64) {
-	r.batches = append(r.batches, recordedBatch{write, pages, depth, cost})
-}
-
 func allocN(t *testing.T, d *Device, n int, c rum.Class) []PageID {
 	t.Helper()
 	ids := make([]PageID, n)
@@ -77,7 +60,7 @@ func TestBatchCostModel(t *testing.T) {
 // the ledger: batch cost at achieved depth, per-page event cost shares that
 // sum exactly to it, and the batch counters.
 func TestDeviceBatchCharging(t *testing.T) {
-	rec := &batchRecorder{}
+	rec := &recorder{}
 	d := NewDevice(64, MQSSD, nil)
 	d.SetHook(rec)
 	ids := allocN(t, d, 12, rum.Base)
@@ -206,13 +189,13 @@ func TestBatchValidation(t *testing.T) {
 // and batch events recorded.
 type prefixRig struct {
 	d   *Device
-	rec *batchRecorder
+	rec *recorder
 	ids []PageID
 }
 
 func newPrefixRig(t *testing.T, medium Medium, n int) *prefixRig {
 	t.Helper()
-	r := &prefixRig{d: NewDevice(64, medium, nil), rec: &batchRecorder{}}
+	r := &prefixRig{d: NewDevice(64, medium, nil), rec: &recorder{}}
 	r.ids = allocN(t, r.d, n, rum.Base)
 	for i, id := range r.ids {
 		copy(r.d.pages[id], page64(byte(0x10+i)))
@@ -381,7 +364,7 @@ func TestFetchFailureNotCountedAsMiss(t *testing.T) {
 	rec := &recorder{}
 	d := NewDevice(64, RAM, nil)
 	p := NewBufferPool(d, 4)
-	p.SetHook(rec)
+	d.SetHook(rec) // the pool's events come through the device's hook
 	a := d.Alloc(rum.Base)
 	d.SetInjector(&scriptInjector{failRead: map[uint64]error{1: permanent()}})
 	if _, err := p.Fetch(a); !errors.Is(err, ErrInjected) {
@@ -475,11 +458,10 @@ func TestFailureEventCosts(t *testing.T) {
 // frames in IOBatch-sized submissions, in LRU order, with the same
 // write-back ledger as the per-page path.
 func TestPoolBatchedFlushAll(t *testing.T) {
-	rec := &batchRecorder{}
+	rec := &recorder{}
 	d := NewDevice(64, MQSSD, nil)
 	p := NewBufferPool(d, 16)
 	d.SetHook(rec)
-	p.SetHook(rec)
 	if p.IOBatch() != 8 {
 		t.Fatalf("default IOBatch on MQSSD: %d", p.IOBatch())
 	}
@@ -649,7 +631,7 @@ func TestPoolBatchSkipsUnflushableVictim(t *testing.T) {
 // TestPoolReadahead: prefetched pages install unpinned and clean, count
 // misses matching their device reads, and turn the demand fetches into hits.
 func TestPoolReadahead(t *testing.T) {
-	rec := &batchRecorder{}
+	rec := &recorder{}
 	d := NewDevice(64, MQSSD, nil)
 	p := NewBufferPool(d, 24)
 	ids := allocN(t, d, 12, rum.Base)
@@ -660,7 +642,6 @@ func TestPoolReadahead(t *testing.T) {
 	}
 	base := d.Stats()
 	d.SetHook(rec)
-	p.SetHook(rec)
 
 	if got := p.Readahead(ids); got != 12 {
 		t.Fatalf("readahead installed %d, want 12", got)

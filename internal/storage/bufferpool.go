@@ -112,6 +112,10 @@ func (f *Frame) MarkDirty() {
 // parameter of Table 1: a structure whose working set fits in the pool pays
 // no device traffic after warm-up, one that does not pays per page.
 //
+// The pool has no hook of its own: its events (hits, misses, evictions,
+// write-backs, retries) go to the device's (Device.SetHook), between the
+// device events they cause, so one hook sees the stack's whole sequence.
+//
 // A BufferPool is single-owner, like the Device beneath it: not safe for
 // concurrent use, and never to be shared between run cells — each cell builds
 // its own pool over its own device. Builds with -tags racecheck bind the pool
@@ -134,7 +138,6 @@ type BufferPool struct {
 	// setClean, the only writers of that bit, keep it.
 	dirty   int
 	stats   PoolStats
-	hook    Hook
 	retries int // extra attempts per device op after a transient fault
 	ioBatch int // pages per batch submission (1 = per-page I/O)
 
@@ -171,14 +174,10 @@ func NewBufferPool(dev *Device, capacity int) *BufferPool {
 	if capacity < 1 {
 		panic("storage: buffer pool capacity must be >= 1")
 	}
-	ioBatch := dev.CostModel().Channels
-	if ioBatch < 1 {
-		ioBatch = 1
-	}
 	p := &BufferPool{
 		dev:      dev,
 		capacity: capacity,
-		ioBatch:  ioBatch,
+		ioBatch:  max(dev.CostModel().Channels, 1),
 	}
 	p.lru.prev, p.lru.next = &p.lru, &p.lru
 	return p
@@ -216,10 +215,6 @@ func (p *BufferPool) unlink(f *Frame) {
 // Device returns the underlying device.
 func (p *BufferPool) Device() *Device { return p.dev }
 
-// SetHook attaches (or, with nil, detaches) an observer for pool events.
-// Device-level traffic is hooked separately via Device.SetHook.
-func (p *BufferPool) SetHook(h Hook) { p.hook = h }
-
 // Capacity returns the pool capacity in pages.
 func (p *BufferPool) Capacity() int { return p.capacity }
 
@@ -228,12 +223,7 @@ func (p *BufferPool) Capacity() int { return p.capacity }
 // Zero (the default) disables retries; permanent faults and crashes are
 // never retried. Each retry emits an EvRetry pool event and counts in
 // PoolStats.Retries.
-func (p *BufferPool) SetRetryBudget(n int) {
-	if n < 0 {
-		n = 0
-	}
-	p.retries = n
-}
+func (p *BufferPool) SetRetryBudget(n int) { p.retries = max(n, 0) }
 
 // SetIOBatch sets the pool's batch-submission width: how many dirty frames
 // one vectored write-back (FlushAll, eviction groups) gathers into a single
@@ -242,12 +232,7 @@ func (p *BufferPool) SetRetryBudget(n int) {
 // exact pre-batching behaviour). Widths beyond the device's channel
 // parallelism are allowed — the device prices the excess as extra waves, so
 // sweeping past the channel limit shows saturation.
-func (p *BufferPool) SetIOBatch(n int) {
-	if n < 1 {
-		n = 1
-	}
-	p.ioBatch = n
-}
+func (p *BufferPool) SetIOBatch(n int) { p.ioBatch = max(n, 1) }
 
 // IOBatch returns the current batch-submission width.
 func (p *BufferPool) IOBatch() int { return p.ioBatch }
@@ -314,8 +299,8 @@ func (p *BufferPool) Fetch(id PageID) (*Frame, error) {
 			p.unlink(f)
 			p.pushFront(f)
 		}
-		if p.hook != nil {
-			p.hook.StorageEvent(EvHit, id, p.dev.Class(id), 0)
+		if h := p.dev.hook; h != nil {
+			h.StorageEvent(EvHit, id, p.dev.Class(id), 0)
 		}
 		return f, nil
 	}
@@ -334,8 +319,8 @@ func (p *BufferPool) Fetch(id PageID) (*Frame, error) {
 		return nil, err
 	}
 	p.stats.Misses++
-	if p.hook != nil {
-		p.hook.StorageEvent(EvMiss, id, p.dev.Class(id), 0)
+	if h := p.dev.hook; h != nil {
+		h.StorageEvent(EvMiss, id, p.dev.Class(id), 0)
 	}
 	f := p.install(id)
 	f.data = lend(src)
@@ -361,8 +346,8 @@ func (p *BufferPool) Peek(id PageID) []byte {
 func (p *BufferPool) withRetry(id PageID, err error, transfer func() error) error {
 	for attempt := 0; err != nil && errors.Is(err, ErrTransient) && attempt < p.retries; attempt++ {
 		p.stats.Retries++
-		if p.hook != nil {
-			p.hook.StorageEvent(EvRetry, id, p.dev.Class(id), 0)
+		if h := p.dev.hook; h != nil {
+			h.StorageEvent(EvRetry, id, p.dev.Class(id), 0)
 		}
 		err = transfer()
 	}
@@ -541,8 +526,8 @@ func (p *BufferPool) evictOne() *Frame {
 			p.drop(f.id)
 			p.unprefetch(f)
 			p.stats.Evictions++
-			if p.hook != nil {
-				p.hook.StorageEvent(EvEvict, f.id, p.dev.Class(f.id), 0)
+			if h := p.dev.hook; h != nil {
+				h.StorageEvent(EvEvict, f.id, p.dev.Class(f.id), 0)
 			}
 			return p.handOff(f)
 		}
@@ -593,8 +578,8 @@ func (p *BufferPool) flushFrame(f *Frame, failed error) bool {
 func (p *BufferPool) wroteBack(f *Frame) {
 	p.setClean(f)
 	p.stats.WriteBacks++
-	if p.hook != nil {
-		p.hook.StorageEvent(EvWriteBack, f.id, p.dev.Class(f.id), 0)
+	if h := p.dev.hook; h != nil {
+		h.StorageEvent(EvWriteBack, f.id, p.dev.Class(f.id), 0)
 	}
 }
 
@@ -776,19 +761,17 @@ func (p *BufferPool) oldestDirty() *Frame {
 // the miss ledger still reconciles with device reads. That first Fetch also
 // counts a PrefetchHit; a page that leaves the pool before one counts
 // PrefetchUnused. Where BatchIO is false, Readahead is a no-op: prefetching
-// only pays when the device can serve the batch in parallel. A batch that
-// fails part-way (an injected fault, a crash) installs the pages before the
-// failed one and ends the prefetch; the failed page is left to the Fetch
-// that wants it, which meets the fault under its retry budget.
+// only pays when the device can serve the batch in parallel, and a caller
+// streaming pages through it need not ask. A batch that fails part-way (an
+// injected fault, a crash) installs the pages before the failed one and ends
+// the prefetch; the failed page is left to the Fetch that wants it, which
+// meets the fault under its retry budget.
 func (p *BufferPool) Readahead(ids []PageID) int {
 	p.owner.assert("BufferPool")
 	if !p.BatchIO() {
 		return 0
 	}
-	limit := p.capacity / 2
-	if limit < 1 {
-		limit = 1
-	}
+	limit := max(p.capacity/2, 1)
 	want := p.raIDs[:0]
 	for _, id := range ids {
 		if p.lookup(id) != nil || slices.Contains(want, id) {
@@ -806,10 +789,7 @@ func (p *BufferPool) Readahead(ids []PageID) int {
 	defer func() { clear(p.raPages) }() // device images: not the pool's to keep
 	installed := 0
 	for len(want) > 0 {
-		chunk := want
-		if len(chunk) > p.ioBatch {
-			chunk = chunk[:p.ioBatch]
-		}
+		chunk := want[:min(len(want), p.ioBatch)]
 		want = want[len(chunk):]
 		if cap(p.raPages) < len(chunk) {
 			p.raPages = make([][]byte, p.ioBatch)
@@ -829,8 +809,8 @@ func (p *BufferPool) Readahead(ids []PageID) int {
 			p.adopt(f, id, 0)
 			f.prefetched = true
 			p.stats.Misses++
-			if p.hook != nil {
-				p.hook.StorageEvent(EvMiss, id, p.dev.Class(id), 0)
+			if h := p.dev.hook; h != nil {
+				h.StorageEvent(EvMiss, id, p.dev.Class(id), 0)
 			}
 			installed++
 		}

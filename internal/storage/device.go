@@ -126,20 +126,22 @@ type FaultInjector interface {
 // that MVCC structures hand to snapshot readers, guarded in racecheck builds
 // by per-page generation stamps instead of the goroutine binding.
 type Device struct {
-	owner     owner
-	gen       pagegen
-	pageSize  int
-	pages     [][]byte
-	class     []rum.Class
-	live      []bool
-	freeList  []PageID
-	stats     DeviceStats
-	meter     *rum.Meter
-	model     CostModel
-	injector  FaultInjector
-	crashed   bool
-	hook      Hook
-	batchHook BatchHook // hook's BatchHook side, cached at SetHook; nil if none
+	owner    owner
+	gen      pagegen
+	pageSize int
+	pages    [][]byte
+	class    []rum.Class
+	live     []bool
+	freeList []PageID
+	// retired marks the pages a write failed on permanently (a fault neither
+	// transient nor a crash): Free keeps them off freeList.
+	retired  map[PageID]bool
+	stats    DeviceStats
+	meter    *rum.Meter
+	model    CostModel
+	injector FaultInjector
+	crashed  bool
+	hook     Hook
 }
 
 // NewDevice creates a device with the given page size and medium, feeding its
@@ -158,6 +160,7 @@ func NewDevice(pageSize int, medium Medium, meter *rum.Meter) *Device {
 	}
 	return &Device{
 		pageSize: pageSize,
+		retired:  make(map[PageID]bool),
 		meter:    meter,
 		model:    medium.Model(),
 	}
@@ -179,13 +182,10 @@ func (d *Device) Crashed() bool { return d.crashed }
 // clean post-crash device also call SetInjector(nil)).
 func (d *Device) Reopen() { d.crashed = false }
 
-// SetHook attaches (or, with nil, detaches) an observer for page events.
-// Hooks that also implement BatchHook additionally receive one batch event
-// per amortized ReadBatch/WriteBatch submission.
-func (d *Device) SetHook(h Hook) {
-	d.hook = h
-	d.batchHook, _ = h.(BatchHook)
-}
+// SetHook attaches (or, with nil, detaches) the storage stack's observer:
+// it receives the device's page and batch events and the events of every
+// BufferPool over the device.
+func (d *Device) SetHook(h Hook) { d.hook = h }
 
 // fail is the single exit for every injected failure: it classifies err,
 // latches the crash state when err wraps ErrCrash, emits the matching hook
@@ -269,7 +269,8 @@ func (d *Device) Alloc(c rum.Class) PageID {
 	return id
 }
 
-// Free releases a page back to the device. After a crash Free fails with
+// Free releases a page back to the device; a retired page, one a write failed
+// on permanently, is never handed out again. After a crash Free fails with
 // ErrCrash: the surviving image is evidence for recovery, and a structure
 // must not be able to release pages it no longer remembers owning. (Alloc
 // stays available post-crash — recovery legitimately allocates, and any
@@ -284,7 +285,9 @@ func (d *Device) Free(id PageID) error {
 		return err
 	}
 	d.live[id] = false
-	d.freeList = append(d.freeList, id)
+	if !d.retired[id] {
+		d.freeList = append(d.freeList, id)
+	}
 	d.stats.PagesFreed++
 	d.gen.bump(id)
 	return nil
@@ -400,8 +403,8 @@ func (d *Device) charge(ids []PageID, write bool) {
 			d.hook.StorageEvent(ev, id, c, s)
 		}
 	}
-	if batch && d.batchHook != nil {
-		d.batchHook.StorageBatch(write, n, d.model.Depth(n), cost)
+	if batch && d.hook != nil {
+		d.hook.StorageBatch(write, n, d.model.Depth(n), cost)
 	}
 }
 
@@ -410,11 +413,11 @@ func (d *Device) charge(ids []PageID, write bool) {
 // pages are charged CostModel.BatchCost — the service time amortized across
 // the achieved queue depth — instead of n sequential reads: per-page EvRead
 // events carry cost shares that sum exactly to the batch cost, and one
-// BatchHook event carrying the achieved depth follows them. On flat media it
-// is exactly equivalent to calling Read per page. The pages are read in
-// order up to the first that fails (a freed or invalid page, an injected
-// fault, the crash latch): the returned images are those the submission
-// reached, charged as if the batch had been those pages alone.
+// StorageBatch hook call carrying the achieved depth follows them. On flat
+// media it is exactly equivalent to calling Read per page. The pages are
+// read in order up to the first that fails (a freed or invalid page, an
+// injected fault, the crash latch): the returned images are those the
+// submission reached, charged as if the batch had been those pages alone.
 func (d *Device) ReadBatch(ids []PageID) ([][]byte, error) {
 	out := make([][]byte, len(ids))
 	n, err := d.readBatchInto(ids, out)
@@ -471,7 +474,8 @@ func (d *Device) ReplaceBatch(ids []PageID, images [][]byte) (n int, err error) 
 // writeBatch is the one write kernel. Page by page it checks the target and
 // the length, consults the injector (a torn write persists its prefix here)
 // and then either copies data[i] in or swaps it with the page's image. It
-// charges the pages it wrote and returns their number.
+// charges the pages it wrote and returns their number; a page whose write
+// failed permanently is retired (Free).
 func (d *Device) writeBatch(ids []PageID, data [][]byte, swap bool) (n int, err error) {
 	d.owner.assert("Device")
 	if len(ids) != len(data) {
@@ -507,6 +511,9 @@ func (d *Device) writeBatch(ids []PageID, data [][]byte, swap bool) (n int, err 
 	}
 	d.charge(ids[:n], true)
 	if fault != nil {
+		if !errors.Is(fault, ErrTransient) && !errors.Is(fault, ErrCrash) {
+			d.retired[ids[n]] = true
+		}
 		// The head did move, so the fault's event carries the write cost,
 		// but the failed write counts no stats or meter traffic.
 		return n, d.fail(fault, "write", ids[n], torn, d.model.WriteCost)

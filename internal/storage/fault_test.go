@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/rum"
@@ -73,6 +74,46 @@ func TestFaultInjectionWrite(t *testing.T) {
 	// The failed write must not have counted as traffic.
 	if st := d.Stats(); st.PageWrites != 0 || st.CostUnits != 0 {
 		t.Fatalf("failed write counted: %+v", st)
+	}
+}
+
+// TestFreeRetiresPermanentlyFailedPage: a page a write failed on
+// permanently (faults.Plan.WriteFailAt's kind of fault, scripted here at the
+// first write) is retired. Free counts it freed and not live but keeps it off
+// the free list, so the next Alloc returns another id. A page a transient or
+// crash fault hit is sound, and Alloc hands it out again.
+func TestFreeRetiresPermanentlyFailedPage(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		fault   error
+		retired bool
+	}{
+		{"permanent", permanent(), true},
+		{"transient", transient(), false},
+		{"crash", crashErr(), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := NewDevice(64, SSD, nil)
+			keep, id := d.Alloc(rum.Base), d.Alloc(rum.Base)
+			d.SetInjector(&scriptInjector{failWrite: map[uint64]error{1: c.fault}})
+			if err := d.Write(id, make([]byte, 64)); !errors.Is(err, ErrInjected) && !errors.Is(err, ErrCrash) {
+				t.Fatalf("write: %v", err)
+			}
+			d.Reopen()
+			if err := d.Free(id); err != nil {
+				t.Fatal(err)
+			}
+			if st := d.Stats(); st.PagesFreed != 1 || d.LivePages() != 1 || !slices.Equal(d.LivePageIDs(), []PageID{keep}) {
+				t.Fatalf("freed page still counted: %+v, live %v", st, d.LivePageIDs())
+			}
+			next := d.Alloc(rum.Base)
+			if reused := next == id; reused == c.retired {
+				t.Fatalf("Alloc after freeing page %d returned %d: retired %v", id, next, c.retired)
+			}
+			if err := d.Write(next, make([]byte, 64)); err != nil {
+				t.Fatalf("write to the page Alloc returned: %v", err)
+			}
+		})
 	}
 }
 

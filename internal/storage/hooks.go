@@ -2,10 +2,10 @@ package storage
 
 import "repro/internal/rum"
 
-// Event identifies one kind of physical storage event, emitted by a Device
-// or BufferPool to an attached Hook. Together the events let an observer
-// attribute every physical page touch — and its medium-weighted cost — to
-// the logical operation that caused it.
+// Event identifies one kind of physical storage event, emitted by a Device,
+// or by the BufferPool over it, to the device's Hook. Together the events
+// let an observer attribute every physical page touch — and its
+// medium-weighted cost — to the logical operation that caused it.
 type Event uint8
 
 const (
@@ -70,30 +70,24 @@ func (e Event) String() string {
 	}
 }
 
-// Hook observes physical storage events. Implementations must be cheap and
-// must not call back into the emitting Device or BufferPool. A nil hook is
-// the default and costs a single pointer comparison per event site, keeping
-// the untraced path allocation-free.
+// Hook observes physical storage events. A storage stack has one, set on its
+// Device (SetHook); the BufferPool over the device reports through it too, so
+// pool and device events arrive as one sequence. Implementations must be
+// cheap and must not call back into the emitting Device or BufferPool. A nil
+// hook is the default and costs a single pointer comparison per event site,
+// keeping the untraced path allocation-free.
 //
-// cost is the medium-weighted access cost of the event in abstract time
-// units (0 for pool-level events such as hits, whose whole point is that
-// they are free).
+// StorageEvent's cost is the medium-weighted access cost of the event in
+// abstract time units (0 for pool-level events such as hits, whose whole
+// point is that they are free).
+//
+// StorageBatch follows each submission the device charges as a batch, with
+// its page count, achieved queue depth (CostModel.Depth) and total cost. The
+// batch's per-page EvRead/EvWrite events come first, in submission order,
+// with cost shares summing exactly to the batch cost: an observer may treat
+// StorageBatch as the batch's commit point, and totals reconcile whether or
+// not it tracks batches at all.
 type Hook interface {
 	StorageEvent(ev Event, id PageID, class rum.Class, cost uint64)
-}
-
-// BatchHook is the optional batch-submission side of a Hook. A hook that
-// implements it additionally receives one StorageBatch call per amortized
-// ReadBatch/WriteBatch submission, carrying the batch's page count, achieved
-// queue depth (CostModel.Depth), and total medium-weighted cost.
-//
-// The happens-before contract per batch: the per-page EvRead/EvWrite events
-// of the batch are emitted first, in submission order, with cost shares
-// summing exactly to the batch cost; the StorageBatch call follows last.
-// Observers may therefore treat StorageBatch as the batch commit point —
-// when it arrives, every page event of that batch has already arrived —
-// and totals reconcile whether or not they track batches at all.
-type BatchHook interface {
-	Hook
 	StorageBatch(write bool, pages, depth int, cost uint64)
 }

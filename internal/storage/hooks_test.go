@@ -2,6 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/rum"
@@ -15,13 +18,26 @@ type recordedEvent struct {
 	Cost  uint64
 }
 
-// recorder is a test Hook capturing every event in order.
+// recordedBatch is one captured batch submission.
+type recordedBatch struct {
+	Write bool
+	Pages int
+	Depth int
+	Cost  uint64
+}
+
+// recorder is a test Hook capturing every event and batch in order.
 type recorder struct {
-	events []recordedEvent
+	events  []recordedEvent
+	batches []recordedBatch
 }
 
 func (r *recorder) StorageEvent(ev Event, id PageID, class rum.Class, cost uint64) {
 	r.events = append(r.events, recordedEvent{ev, id, class, cost})
+}
+
+func (r *recorder) StorageBatch(write bool, pages, depth int, cost uint64) {
+	r.batches = append(r.batches, recordedBatch{write, pages, depth, cost})
 }
 
 func (r *recorder) count(ev Event) int {
@@ -100,7 +116,7 @@ func TestPoolHookEvents(t *testing.T) {
 	rec := &recorder{}
 	d := NewDevice(64, RAM, nil)
 	p := NewBufferPool(d, 1)
-	p.SetHook(rec)
+	d.SetHook(rec) // the pool's events come through the device's hook
 	a := d.Alloc(rum.Base)
 	b := d.Alloc(rum.Aux)
 
@@ -228,5 +244,74 @@ func TestPoolStatsOverflowsAllPinned(t *testing.T) {
 	}
 	if p.Stats().Evictions == 0 {
 		t.Fatal("expected an eviction once pins were released")
+	}
+}
+
+// sequence is a test Hook logging page events and batches as one list.
+type sequence []string
+
+func (s *sequence) StorageEvent(ev Event, id PageID, _ rum.Class, cost uint64) {
+	*s = append(*s, fmt.Sprintf("%v %d cost=%d", ev, id, cost))
+}
+
+func (s *sequence) StorageBatch(write bool, pages, depth int, cost uint64) {
+	*s = append(*s, fmt.Sprintf("batch write=%v pages=%d depth=%d cost=%d", write, pages, depth, cost))
+}
+
+// TestOneHookSeesPoolAndDevice drives a 4-frame MQSSD pool through a miss, a
+// hit, a readahead, a fetch that retries a transient read fault and whose
+// install evicts a dirty victim in a batched write-back, and a prefetch hit.
+// Every event reaches the device's hook as one sequence: the order a pool
+// hook and a device hook, both set to one recorder, used to receive them.
+func TestOneHookSeesPoolAndDevice(t *testing.T) {
+	var got sequence
+	d := NewDevice(64, MQSSD, nil)
+	p := NewBufferPool(d, 4)
+	d.SetHook(&got)
+	ids := allocN(t, d, 5, rum.Base)
+	a, b, c, e := ids[0], ids[1], ids[2], ids[4]
+
+	dirty := func(id PageID) {
+		f, err := p.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.MarkDirty()
+		f.Data()[0] = byte(id + 1)
+		p.Release(f)
+	}
+	dirty(a) // miss
+	dirty(a) // hit
+	dirty(b) // miss
+	if n := p.Readahead(ids[2:4]); n != 2 {
+		t.Fatalf("readahead installed %d pages, want 2", n)
+	}
+	p.SetRetryBudget(1)
+	d.SetInjector(&scriptInjector{failRead: map[uint64]error{1: transient()}})
+	f, err := p.Fetch(e) // fault, retry, miss; evicts a, with b in its group
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Release(f)
+	if f, err = p.Fetch(c); err != nil { // a prefetch hit
+		t.Fatal(err)
+	}
+	p.Release(f)
+
+	want := []string{
+		"read 0 cost=4", "miss 0 cost=0",
+		"hit 0 cost=0",
+		"read 1 cost=4", "miss 1 cost=0",
+		"read 2 cost=2", "read 3 cost=2", "batch write=false pages=2 depth=2 cost=4", "miss 2 cost=0", "miss 3 cost=0",
+		"fault 4 cost=4", "retry 4 cost=0", "read 4 cost=4", "miss 4 cost=0",
+		"write 0 cost=10", "write 1 cost=10", "batch write=true pages=2 depth=2 cost=20",
+		"writeback 0 cost=0", "writeback 1 cost=0", "eviction 0 cost=0",
+		"hit 2 cost=0",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("one hook saw\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if st := p.Stats(); st.Hits != 2 || st.Misses != 5 || st.Retries != 1 || st.WriteBacks != 2 || st.Evictions != 1 || st.PrefetchHits != 1 {
+		t.Fatalf("pool ledger behind the sequence: %+v", st)
 	}
 }

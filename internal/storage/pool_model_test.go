@@ -330,12 +330,11 @@ func drivePoolAgainstModel(t *testing.T, script []byte) poolDiff {
 	capacity := 1 + int(script[1])%12
 	script = script[2:]
 
-	var gotEv, wantEv batchRecorder
+	var gotEv, wantEv recorder
 	dp, dm := NewDevice(64, medium, nil), NewDevice(64, medium, nil)
 	dp.SetHook(&gotEv)
 	dm.SetHook(&wantEv)
 	p, m := NewBufferPool(dp, capacity), newModelPool(dm, capacity)
-	p.SetHook(&gotEv)
 	m.hook = &wantEv
 
 	type pin struct {

@@ -629,44 +629,34 @@ func (l *Logged) stamp(page []byte) {
 }
 
 // appendFrames appends the first n frames as a run of log pages: each is
-// stamped, given a freshly allocated page and handed to the device as that
-// page's image (Device.ReplaceBatch), the page's previous buffer becoming the
-// frame. A multi-queue device takes the run as one submission, charged at
-// depth; a flat one takes it a page at a time, so a failed write allocates
-// and stamps nothing past it, as it always has. A failed submission keeps
-// the pages it reached — the device writes a batch's prefix, as it would
-// have written those pages one by one — and the log is poisoned by the
-// caller. Sequence numbers are consumed even for pages that failed —
-// sequence order is append order, holes included.
+// stamped and given a freshly allocated page, and the run goes to the device
+// as one submission (Device.ReplaceBatch), each frame becoming its page's
+// image and the page's previous buffer becoming the frame. The device alone
+// prices it: at depth on a multi-queue medium, page by page on a flat one. A
+// failed submission keeps the pages it reached — the device writes a
+// batch's prefix, as it would have written those pages one by one — and the
+// log is poisoned by the caller. The pages allocated past the failed one
+// hold no log image, so recovery frees them as orphans. Sequence numbers are
+// consumed even for pages that failed — sequence order is append order,
+// holes included.
 func (l *Logged) appendFrames(n int) error {
 	dev := l.pool.Device()
-	width := n
-	if dev.CostModel().Channels <= 1 {
-		width = 1
+	run, first, bytes := l.frames[:n], len(l.livePages), uint64(0)
+	for _, page := range run {
+		l.stamp(page)
+		bytes += framedBytes(page)
+		l.livePages = append(l.livePages, dev.Alloc(rum.Aux))
 	}
-	for frames := l.frames[:n]; len(frames) > 0; {
-		run := frames[:min(width, len(frames))]
-		frames = frames[len(run):]
-		first, bytes := len(l.livePages), uint64(0)
-		for _, page := range run {
-			l.stamp(page)
-			bytes += framedBytes(page)
-			l.livePages = append(l.livePages, dev.Alloc(rum.Aux))
-		}
-		// run[:k] now hold the pages' previous buffers; run[k:] are still
-		// the frames the device did not take.
-		k, err := dev.ReplaceBatch(l.livePages[first:], run)
-		for _, page := range run[k:] {
-			bytes -= framedBytes(page)
-		}
-		l.livePages = l.livePages[:first+k]
-		l.stats.LogPagesWritten += uint64(k)
-		l.stats.LogBytesWritten += bytes
-		if err != nil {
-			return err
-		}
+	// run[:k] now hold the pages' previous buffers; run[k:] are still the
+	// frames the device did not take.
+	k, err := dev.ReplaceBatch(l.livePages[first:], run)
+	for _, page := range run[k:] {
+		bytes -= framedBytes(page)
 	}
-	return nil
+	l.livePages = l.livePages[:first+k]
+	l.stats.LogPagesWritten += uint64(k)
+	l.stats.LogBytesWritten += bytes
+	return err
 }
 
 func (l *Logged) poison(err error) {

@@ -3,6 +3,7 @@ package wal_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/btree"
@@ -336,6 +337,108 @@ func TestTornTailTruncated(t *testing.T) {
 					return false
 				})
 			})
+		}
+	}
+}
+
+// TestAppendFaultMidGroup lands a fault on the second of a group commit's
+// three log pages, on the flat SSD and on the multi-queue SSD: a permanent
+// write fault, and a crash point. Either medium takes the group as one
+// submission, so the log allocates all three pages, the device writes the
+// first and nothing past the fault, and the commit fails. Recovery brings
+// back every record committed before the group and at most a prefix of the
+// group, and sweeps the pages the log allocated at and past the failure:
+// none of them is still live.
+func TestAppendFaultMidGroup(t *testing.T) {
+	for _, b := range builders() {
+		for _, medium := range []storage.Medium{storage.SSD, storage.MQSSD} {
+			for _, fault := range []struct {
+				name string
+				plan faults.Plan
+				err  error
+			}{
+				{"permanent", faults.Plan{WriteFailAt: []uint64{2}}, storage.ErrInjected},
+				{"crash", faults.Plan{CrashAtWrite: 2}, storage.ErrCrash},
+			} {
+				t.Run(fmt.Sprintf("%s/%v/%s", b.name, medium, fault.name), func(t *testing.T) {
+					dev := storage.NewDevice(512, medium, nil)
+					pool := storage.NewBufferPool(dev, 16)
+					l, err := b.open(pool, wal.Config{CommitBatch: 1000})
+					if err != nil {
+						t.Fatal(err)
+					}
+					put := func(from, to core.Key) {
+						for k := from; k <= to; k++ {
+							if err := l.Insert(k, k*3); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+					put(1, 40)
+					if err := l.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+					put(41, 50) // a committed tail past the checkpoint
+					if err := l.Commit(); err != nil {
+						t.Fatal(err)
+					}
+					// Log pages go to the device directly and no frame is
+					// dirty, so the group's pages are the device's next writes.
+					before := map[storage.PageID]bool{}
+					for _, id := range dev.LivePageIDs() {
+						before[id] = true
+					}
+					dev.SetInjector(faults.New(fault.plan))
+					put(101, 160) // 60 records: three 512-byte log pages
+					if err := l.Commit(); !errors.Is(err, fault.err) {
+						t.Fatalf("commit over the failing page: %v, want %v", err, fault.err)
+					}
+					pool.Crash()
+					dev.Reopen()
+					dev.SetInjector(nil)
+					var group, written []storage.PageID
+					for _, id := range dev.LivePageIDs() {
+						if before[id] {
+							continue
+						}
+						group = append(group, id)
+						if data, err := dev.Read(id); err != nil {
+							t.Fatal(err)
+						} else if slices.ContainsFunc(data, func(c byte) bool { return c != 0 }) {
+							written = append(written, id)
+						}
+					}
+					if len(group) != 3 || len(written) != 1 {
+						t.Fatalf("the group allocated pages %v and wrote %v: want 3 allocated, 1 written", group, written)
+					}
+
+					l2, err := b.recover(storage.NewBufferPool(dev, 16), wal.Config{})
+					if err != nil {
+						t.Fatalf("recover: %v", err)
+					}
+					for k := core.Key(1); k <= 50; k++ {
+						if got, ok := l2.Get(k); !ok || got != k*3 {
+							t.Fatalf("committed key %d = %d,%v after recovery, want %d", k, got, ok, k*3)
+						}
+					}
+					prefix := 0
+					for k := core.Key(101); k <= 160; k++ {
+						if _, ok := l2.Get(k); !ok {
+							break
+						}
+						prefix++
+					}
+					if l2.Len() != 50+prefix || prefix == 60 {
+						t.Fatalf("recovered Len %d: the group's first %d records and the 50 committed", l2.Len(), prefix)
+					}
+					live := dev.LivePageIDs()
+					for _, id := range group {
+						if id != written[0] && slices.Contains(live, id) {
+							t.Fatalf("page %d, allocated at or past the failure, is live after recovery", id)
+						}
+					}
+				})
+			}
 		}
 	}
 }
