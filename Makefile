@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race racecheck benchmarks examples bench fuzz golden experiments-golden loc
+.PHONY: check build fmt vet test race racecheck benchmarks examples bench fuzz golden experiments-golden loc prodcover
 
 ## check: the full gate — build, gofmt, vet (the default and the assertion
 ## build), race-enabled tests, the assertion build's tests, the nested
@@ -155,3 +155,34 @@ experiments-golden:
 loc:
 	@printf 'internal+cmd %s\n' "$$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf 'examples     %s\n' "$$(find examples -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+
+## prodcover: what the programs' own traffic reaches — the list a simplicity
+## PR reads before it names code for deletion. Builds cmd/*, examples/* and
+## benchmarks/rumperf with coverage counters over every repro package
+## (-coverpkg=repro/...; with repro/internal/... alone no counter files are
+## written), runs `rumbench -exp all` (with its three exports, so the
+## observability layer's own paths count), rumviz, every example, `rumwizard
+## -verify` and `rumperf -seconds 1` on all five workloads into one temporary
+## GOCOVERDIR, and prints every internal/ function at 0.0%. rumserve is built
+## but not run: it is a daemon, and rumperf drives the same serving stack.
+## The repro/benchmarks lines are dropped before `go tool cover -func`, which
+## cannot resolve that module from here. Not part of `check`; about a minute.
+prodcover:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir -p "$$tmp/bin" "$$tmp/cov"; \
+	for p in cmd/* examples/*; do \
+		$(GO) build -cover -coverpkg=repro/... -o "$$tmp/bin/$$(basename $$p)" ./$$p; \
+	done; \
+	$(GO) -C benchmarks build -cover -coverpkg=repro/... -o "$$tmp/bin/rumperf" ./rumperf; \
+	export GOCOVERDIR="$$tmp/cov"; \
+	echo "== rumbench -exp all, traced"; "$$tmp/bin/rumbench" -exp all \
+		-trace "$$tmp/trace.jsonl" -timeseries "$$tmp/ts.csv" -metrics "$$tmp/metrics.txt" >/dev/null 2>&1; \
+	echo "== rumviz"; "$$tmp/bin/rumviz" >/dev/null; \
+	for ex in examples/*; do echo "== $$ex"; "$$tmp/bin/$$(basename $$ex)" >/dev/null; done; \
+	echo "== rumwizard -verify"; "$$tmp/bin/rumwizard" -insert 0.7 -get 0.3 -range 0 -update 0 -delete 0 -verify >/dev/null; \
+	echo "== rumperf -seconds 1"; (cd "$$tmp" && "$$tmp/bin/rumperf" -seconds 1 >/dev/null); \
+	unset GOCOVERDIR; \
+	$(GO) tool covdata textfmt -i="$$tmp/cov" -o "$$tmp/all.txt"; \
+	grep -v '^repro/benchmarks/' "$$tmp/all.txt" >"$$tmp/repro.txt"; \
+	echo "== internal/ functions no binary reaches"; \
+	$(GO) tool cover -func="$$tmp/repro.txt" | awk '$$1 ~ /^repro\/internal\// && $$NF == "0.0%"'

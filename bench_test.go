@@ -49,8 +49,20 @@ func BenchmarkFig1(b *testing.B) {
 func BenchmarkFig2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := bench.RunFig2(benchCfg)
-		if !r.Monotone {
-			b.Fatal("fig2 not monotone")
+		for _, s := range r.Sweeps {
+			first, last := s.Points[0], s.Points[len(s.Points)-1]
+			switch {
+			case !s.Monotone:
+				b.Fatalf("fig2 %s not monotone", s.Method)
+			case last.MO <= first.MO:
+				b.Fatalf("fig2 %s: MO did not grow", s.Method)
+			case last.RO >= first.RO:
+				b.Fatalf("fig2 %s: disk reads did not fall", s.Method)
+			case s.Method == "btree" && last.UO >= first.UO:
+				b.Fatalf("fig2 btree: write-backs did not fall")
+			case last.UO > first.UO:
+				b.Fatalf("fig2 %s: write-backs rose", s.Method)
+			}
 		}
 	}
 }

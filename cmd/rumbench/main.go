@@ -41,9 +41,11 @@
 // the traffic. Its stdout is byte-deterministic at any -parallel width.
 //
 // The -trace/-timeseries/-metrics flags attach an observability layer
-// (internal/obs) to every traced experiment (table1, fig1, fig3,
-// conjecture): per-operation JSONL spans, a CSV RUM time series, and a
-// Prometheus-style metrics exposition.
+// (internal/obs) to every traced experiment (table1, fig1, fig2, fig3,
+// conjecture, chaos, serve, mvcc, walsweep, qdsweep): per-operation JSONL
+// spans, a CSV RUM time series, and a Prometheus-style metrics exposition.
+// The serve and mvcc experiments trace their sequential replay, not the
+// live serving run.
 //
 // The -parallel flag sizes the run-cell worker pool (0 = GOMAXPROCS,
 // 1 = fully sequential). Every run cell owns an isolated storage stack and

@@ -1,11 +1,14 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/rum"
+	"repro/internal/storage"
 )
 
 // tiny is the fast configuration used by the experiment tests; the real
@@ -148,26 +151,82 @@ func TestProfileCatalog(t *testing.T) {
 	}
 }
 
+// TestFig2: on each structure a bigger pool costs more space at level n−1
+// and leaves fewer device reads at level n. Only the B+-tree's write-backs
+// must fall: it updates pages in place, so a bigger pool absorbs repeated
+// updates to a hot page, while the LSM's device writes are its memtable
+// flushes, which no pool size changes (at this size they are equal at every
+// point).
 func TestFig2(t *testing.T) {
 	res := RunFig2(tiny)
-	if len(res.Points) < 4 {
-		t.Fatalf("%d points", len(res.Points))
+	if len(res.Sweeps) != 2 {
+		t.Fatalf("%d sweeps, want btree and lsm-level", len(res.Sweeps))
 	}
-	if !res.Monotone {
-		t.Fatalf("figure-2 interaction not monotone: %+v", res.Points)
+	for _, s := range res.Sweeps {
+		if len(s.Points) < 4 {
+			t.Fatalf("%s: %d points", s.Method, len(s.Points))
+		}
+		if !s.Monotone {
+			t.Fatalf("%s: figure-2 interaction not monotone: %+v", s.Method, s.Points)
+		}
+		first, last := s.Points[0], s.Points[len(s.Points)-1]
+		if last.MO <= first.MO {
+			t.Fatalf("%s: MO did not grow along the sweep", s.Method)
+		}
+		if last.RO >= first.RO {
+			t.Fatalf("%s: disk reads did not fall along the sweep", s.Method)
+		}
+		switch s.Method {
+		case "btree":
+			if last.UO >= first.UO {
+				t.Fatalf("btree: write-backs did not fall along the sweep: %v -> %v", first.UO, last.UO)
+			}
+		default:
+			if last.UO > first.UO {
+				t.Fatalf("%s: write-backs rose along the sweep: %v -> %v", s.Method, first.UO, last.UO)
+			}
+		}
 	}
-	first, last := res.Points[0], res.Points[len(res.Points)-1]
-	if last.UpperMO <= first.UpperMO {
-		t.Fatal("MO did not grow along the sweep")
+	if out := res.Render(); strings.Count(out, "Monotone") != 2 {
+		t.Fatalf("render:\n%s", out)
 	}
-	if last.LowerReads >= first.LowerReads {
-		t.Fatal("disk reads did not fall along the sweep")
+}
+
+// TestFig2ReachesStorageHook: fig2's cells build their stacks with the
+// run's observer as the storage hook, so an observed run measures the same
+// points, and the observer's merged ledger is exactly the sum of the cells'
+// device ledgers.
+func TestFig2ReachesStorageHook(t *testing.T) {
+	quiet := RunFig2(tiny)
+	o := obs.New(obs.Config{})
+	cfg := tiny
+	cfg.Obs = o
+	traced := RunFig2(cfg)
+	if !reflect.DeepEqual(quiet, traced) {
+		t.Fatalf("observing changed the points:\n%+v\n%+v", quiet, traced)
 	}
-	if last.LowerWrite >= first.LowerWrite {
-		t.Fatal("disk writes did not fall along the sweep")
+	var dev storage.DeviceStats
+	for _, s := range traced.Sweeps {
+		for _, p := range s.Points {
+			dev.PageReads += p.dev.PageReads
+			dev.PageWrites += p.dev.PageWrites
+			dev.CostUnits += p.dev.CostUnits
+			dev.Batches += p.dev.Batches
+			dev.BatchedPages += p.dev.BatchedPages
+		}
 	}
-	if !strings.Contains(res.Render(), "Monotone") {
-		t.Fatal("render")
+	if dev.PageReads == 0 || dev.PageWrites == 0 {
+		t.Fatalf("the cells moved no pages: %+v", dev)
+	}
+	tot := o.Totals()
+	if tot.Reads() != dev.PageReads || tot.Writes() != dev.PageWrites {
+		t.Fatalf("observed traffic r=%d w=%d != devices r=%d w=%d", tot.Reads(), tot.Writes(), dev.PageReads, dev.PageWrites)
+	}
+	if tot.Cost != dev.CostUnits {
+		t.Fatalf("observed cost %d != device cost units %d", tot.Cost, dev.CostUnits)
+	}
+	if tot.Batches != dev.Batches || tot.BatchedPages != dev.BatchedPages {
+		t.Fatalf("observed batches %d/%d != devices %d/%d", tot.Batches, tot.BatchedPages, dev.Batches, dev.BatchedPages)
 	}
 }
 
