@@ -142,11 +142,20 @@ golden:
 
 ## experiments-golden: the committed experiments_output.txt must be exactly
 ## what `rumbench -exp all` prints today (stdout is deterministic; timings go
-## to stderr). Regenerate with
+## to stderr). On a mismatch it prints the diff, then the `==== name ====`
+## sections whose lines changed, and fails. Regenerate with
 ## `go run ./cmd/rumbench -exp all >experiments_output.txt` after an intended
 ## change — prior sections should stay byte-identical.
 experiments-golden:
-	$(GO) run ./cmd/rumbench -exp all 2>/dev/null | diff experiments_output.txt -
+	@out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	$(GO) run ./cmd/rumbench -exp all 2>/dev/null >"$$out" || exit 1; \
+	diff experiments_output.txt "$$out" && exit 0; \
+	echo "sections that moved:"; \
+	awk 'FNR == 1 { f++ } /^==== .* ====$$/ { s = $$0; if (!(s in seen)) { seen[s] = 1; order[++n] = s } } \
+		{ text[f, s] = text[f, s] $$0 "\n" } \
+		END { for (i = 1; i <= n; i++) if (text[1, order[i]] != text[2, order[i]]) print "  " order[i] }' \
+		experiments_output.txt "$$out"; \
+	exit 1
 
 ## loc: the two line counts a simplicity PR quotes, parent and change, in its
 ## CHANGES.md line — non-test Go under internal/ + cmd/, and under examples/.

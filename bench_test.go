@@ -84,6 +84,9 @@ func BenchmarkConjecture(b *testing.B) {
 		if r.Dominant {
 			b.Fatal("dominant configuration")
 		}
+		if !r.Binding {
+			b.Fatal("capping two overheads did not floor the third")
+		}
 	}
 }
 

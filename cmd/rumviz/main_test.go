@@ -16,29 +16,37 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // TestTriangleGolden pins the rendered triangle and trajectory sparklines
 // byte for byte: rumviz draws Figure 1's protocol under the user's mix, so a
 // change to how catalog rows are profiled must not move a character here.
-// Regenerate with `go test ./cmd/rumviz -run Golden -update` (part of
-// `make golden`).
+// The -absolute case pins the triangle placed by each point's own
+// amplifications rather than by its rank in the cohort. Regenerate with
+// `go test ./cmd/rumviz -run Golden -update` (part of `make golden`).
 func TestTriangleGolden(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	args := []string{"-methods", "btree,hash,lsm-level,skiplist", "-n", "2048", "-ops", "1200", "-trajectory"}
-	if code := run(args, &stdout, &stderr); code != 0 {
-		t.Fatalf("run(%v) = %d; stderr:\n%s", args, code, stderr.String())
-	}
-	path := filepath.Join("testdata", "triangle.golden.txt")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		file string
+		args []string
+	}{
+		{"triangle.golden.txt", []string{"-methods", "btree,hash,lsm-level,skiplist", "-n", "2048", "-ops", "1200", "-trajectory"}},
+		{"triangle-absolute.golden.txt", []string{"-methods", "btree,hash,lsm-level,skiplist", "-n", "2048", "-ops", "1200", "-absolute"}},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(c.args, &stdout, &stderr); code != 0 {
+			t.Fatalf("run(%v) = %d; stderr:\n%s", c.args, code, stderr.String())
 		}
-		if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
+		path := filepath.Join("testdata", c.file)
+		if *update {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run `go test ./cmd/rumviz -run Golden -update` to create)", err)
-	}
-	if !bytes.Equal(stdout.Bytes(), want) {
-		t.Fatalf("output drifted from golden file\ngot:\n%s\nwant:\n%s", stdout.Bytes(), want)
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run `go test ./cmd/rumviz -run Golden -update` to create)", err)
+		}
+		if !bytes.Equal(stdout.Bytes(), want) {
+			t.Fatalf("%s: output drifted from golden file\ngot:\n%s\nwant:\n%s", c.file, stdout.Bytes(), want)
+		}
 	}
 }
 

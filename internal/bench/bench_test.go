@@ -262,19 +262,48 @@ func TestConjecture(t *testing.T) {
 	if res.Frontier < 3 {
 		t.Fatalf("Pareto frontier %d too small", res.Frontier)
 	}
-	for _, tbl := range res.Tables {
-		if !tbl.Monotone {
-			t.Fatalf("cap table %s×%s→%s not monotone", tbl.DimA, tbl.DimB, tbl.DimC)
+	if !res.Binding {
+		for _, tbl := range res.Tables {
+			t.Logf("%s,%s → %s: floor %.3fx", tbl.DimA, tbl.DimB, tbl.DimC, tbl.Floor)
 		}
-		// The floor under the tightest caps must be at least the
-		// unconstrained best (equality allowed, usually strictly worse).
-		tight := tbl.Cells[0][0].Best
-		if tight < tbl.GlobalBest-1e-9 {
-			t.Fatalf("tight caps improved %s: %v < %v", tbl.DimC, tight, tbl.GlobalBest)
-		}
+		t.Fatalf("capping two overheads did not floor the third by %.2fx", bindingMargin)
 	}
-	if !strings.Contains(res.Render(), "RUM Conjecture") {
+	if !strings.Contains(res.Render(), "Binding: true") {
 		t.Fatal("render")
+	}
+}
+
+// TestConjecturePlantedCounterexample adds to the measured grid one point
+// that meets the tightest R and U caps at the grid's best M without
+// dominating the grid: a design below the trade-off curve. The verdict must
+// fail on it, while Dominant, which only sees a point that beats every
+// other, stays false.
+func TestConjecturePlantedCounterexample(t *testing.T) {
+	grid := RunConjecture(Config{Seed: 1, N: 2048, Ops: 1200})
+	if !grid.Binding {
+		t.Fatal("the measured grid does not bind: nothing to plant against")
+	}
+	// At the old q25 caps: inserting a value equal to a quantile never moves
+	// that quantile below it, so the point stays inside the recomputed caps.
+	capR, capU := grid.Tables[0].CapsA[0], grid.Tables[0].CapsB[0]
+	planted := ConfigPoint{Config: "planted", Point: rum.Point{R: capR, U: capU, M: grid.Tables[0].GlobalBest}}
+	beaten := false
+	for _, p := range grid.Points {
+		beaten = beaten || p.Point.R < capR || p.Point.U < capU
+	}
+	if !beaten {
+		t.Fatal("no measured point beats the planted one on R or U")
+	}
+
+	res := evaluateConjecture(append(append([]ConfigPoint(nil), grid.Points...), planted))
+	if tbl := res.Tables[0]; planted.Point.R > tbl.CapsA[0] || planted.Point.U > tbl.CapsB[0] {
+		t.Fatalf("planted point %+v outside the recomputed tightest caps R %v, U %v", planted.Point, tbl.CapsA[0], tbl.CapsB[0])
+	}
+	if res.Dominant {
+		t.Fatal("the planted point dominates the grid: it tests Dominant, not the floor")
+	}
+	if res.Binding {
+		t.Fatalf("verdict holds with a planted counterexample: R,U → M floor %.3fx", res.Tables[0].Floor)
 	}
 }
 

@@ -44,9 +44,12 @@ type Fig2Point struct {
 
 // Fig2Sweep is one structure's sweep of pool sizes.
 type Fig2Sweep struct {
-	Method   string
-	Points   []Fig2Point
-	Monotone bool // RO(n) non-increasing and MO(n−1) non-decreasing along the sweep
+	Method string
+	Points []Fig2Point
+	// Monotone: RO(n) never rises along the sweep. MO(n−1) rises with the
+	// frames by definition (frames × page ÷ the structure's N × 16 base
+	// bytes), so only RO(n) is checked.
+	Monotone bool
 }
 
 // Fig2Result is the measured Figure 2: growing the space overhead at one
@@ -85,7 +88,7 @@ func RunFig2(cfg Config) Fig2Result {
 		s := &res.Sweeps[i]
 		s.Monotone = true
 		for j := 1; j < len(s.Points); j++ {
-			if s.Points[j].RO > s.Points[j-1].RO+1e-9 || s.Points[j].MO < s.Points[j-1].MO {
+			if s.Points[j].RO > s.Points[j-1].RO+1e-9 {
 				s.Monotone = false
 			}
 		}

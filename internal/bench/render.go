@@ -24,7 +24,7 @@ func (p NamedPoint) xy() (float64, float64) {
 	if p.W != nil {
 		return p.W.XY()
 	}
-	return p.Point.TriangleXY()
+	return p.Point.Barycentric().XY()
 }
 
 // RenderTriangle draws the RUM triangle of Figures 1 and 3 in ASCII:

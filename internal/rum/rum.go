@@ -264,30 +264,20 @@ func cost(amp float64) float64 {
 }
 
 // Barycentric projects the point onto the RUM triangle of Figures 1 and 3.
-// The returned weights (wr, wu, wm) are each in [0,1] and sum to 1; a larger
-// weight means the structure is more optimized for (i.e. closer to) that
-// corner. The projection is the normalized inverse log-cost in each
+// The returned weights (read, write, space) are each in [0,1] and sum to 1; a
+// larger weight means the structure is more optimized for (i.e. closer to)
+// that corner. The projection is the normalized inverse log-cost in each
 // dimension, so a structure with RO=1 and huge UO, MO sits at the Read corner.
-func (p Point) Barycentric() (wr, wu, wm float64) {
+func (p Point) Barycentric() Weights {
 	// 1/(1+cost) maps optimal (cost 0) to 1 and saturated cost to ~0.
 	or := 1 / (1 + cost(p.R))
 	ou := 1 / (1 + cost(p.U))
 	om := 1 / (1 + cost(p.M))
 	sum := or + ou + om
 	if sum == 0 {
-		return 1.0 / 3, 1.0 / 3, 1.0 / 3
+		return Weights{1.0 / 3, 1.0 / 3, 1.0 / 3}
 	}
-	return or / sum, ou / sum, om / sum
-}
-
-// TriangleXY maps the point into 2-D coordinates of the RUM triangle as drawn
-// in the paper: Read-optimized at the top (0.5, 1), Write-optimized at the
-// bottom left (0, 0), Space-optimized at the bottom right (1, 0).
-func (p Point) TriangleXY() (x, y float64) {
-	wr, wu, wm := p.Barycentric()
-	x = wr*0.5 + wu*0 + wm*1
-	y = wr * 1
-	return x, y
+	return Weights{or / sum, ou / sum, om / sum}
 }
 
 // Corner identifies the RUM corner a point is closest to.
@@ -321,17 +311,4 @@ func (c Corner) String() string {
 // Classify reports which corner of the RUM triangle the point belongs to.
 // A point is Balanced when no barycentric weight exceeds the others by more
 // than the tolerance 0.10.
-func (p Point) Classify() Corner {
-	wr, wu, wm := p.Barycentric()
-	const tol = 0.10
-	switch {
-	case wr > wu+tol && wr > wm+tol:
-		return ReadOptimized
-	case wu > wr+tol && wu > wm+tol:
-		return WriteOptimized
-	case wm > wr+tol && wm > wu+tol:
-		return SpaceOptimized
-	default:
-		return Balanced
-	}
-}
+func (p Point) Classify() Corner { return p.Barycentric().Classify(0.10) }

@@ -143,9 +143,9 @@ func TestPointClassify(t *testing.T) {
 func TestBarycentricSumsToOne(t *testing.T) {
 	f := func(r, u, m uint16) bool {
 		p := Point{R: 1 + float64(r), U: 1 + float64(u), M: 1 + float64(m)}
-		wr, wu, wm := p.Barycentric()
-		sum := wr + wu + wm
-		return math.Abs(sum-1) < 1e-9 && wr >= 0 && wu >= 0 && wm >= 0
+		w := p.Barycentric()
+		sum := w[0] + w[1] + w[2]
+		return math.Abs(sum-1) < 1e-9 && w[0] >= 0 && w[1] >= 0 && w[2] >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -154,11 +154,11 @@ func TestBarycentricSumsToOne(t *testing.T) {
 
 func TestBarycentricInfinity(t *testing.T) {
 	p := Point{R: 1, U: math.Inf(1), M: math.Inf(1)}
-	wr, wu, wm := p.Barycentric()
-	if wr <= wu || wr <= wm {
-		t.Fatalf("read-perfect point not read-dominant: %v %v %v", wr, wu, wm)
+	w := p.Barycentric()
+	if w[0] <= w[1] || w[0] <= w[2] {
+		t.Fatalf("read-perfect point not read-dominant: %v", w)
 	}
-	x, y := p.TriangleXY()
+	x, y := w.XY()
 	if y < 0.9 {
 		t.Fatalf("read-perfect point should be near the apex: x=%v y=%v", x, y)
 	}

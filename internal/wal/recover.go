@@ -18,8 +18,10 @@ import (
 // The CRC-valid pages, ordered by sequence number, are the log; the newest
 // checkpoint record among them is the anchor. Pages older than the anchor
 // are stale segments an interrupted recycle left behind; pages newer are the
-// committed tail to replay. Everything invalid or stale is handed to the
-// structure's recovery as garbage to free.
+// committed tail to replay, up to the first gap in their sequence numbers: a
+// log page that did not survive ends the log, so what is replayed is always a
+// prefix of what was appended. Everything invalid, stale or past the gap is
+// handed to the structure's recovery as garbage to free.
 
 // scanResult is the decoded state of the on-device log.
 type scanResult struct {
@@ -27,7 +29,7 @@ type scanResult struct {
 	keepList []storage.PageID        // same, in sequence order (anchor first)
 	records  []logRecord             // data records after the anchor, in order
 	blob     []byte                  // anchor checkpoint blob
-	maxSeq   uint64                  // newest valid sequence number seen
+	lastSeq  uint64                  // sequence number of the last kept page
 	maxSeg   uint64                  // newest valid segment number seen
 }
 
@@ -56,9 +58,6 @@ func scanLog(dev *storage.Device) (*scanResult, error) {
 	res := &scanResult{keep: make(map[storage.PageID]bool)}
 	anchor := -1
 	for i, p := range pages {
-		if p.seq > res.maxSeq {
-			res.maxSeq = p.seq
-		}
 		if p.seg > res.maxSeg {
 			res.maxSeg = p.seg
 		}
@@ -80,8 +79,12 @@ func scanLog(dev *storage.Device) (*scanResult, error) {
 	res.blob = ap.payload[3 : 3+n]
 	res.keep[ap.id] = true
 	res.keepList = append(res.keepList, ap.id)
+	res.lastSeq = ap.seq
 
 	for _, p := range pages[anchor+1:] {
+		if p.seq != res.lastSeq+1 {
+			break
+		}
 		recs, err := decodeRecords(p.payload)
 		if err != nil {
 			return nil, fmt.Errorf("wal: page %d: %w", p.id, err)
@@ -89,6 +92,7 @@ func scanLog(dev *storage.Device) (*scanResult, error) {
 		res.records = append(res.records, recs...)
 		res.keep[p.id] = true
 		res.keepList = append(res.keepList, p.id)
+		res.lastSeq = p.seq
 	}
 	return res, nil
 }
@@ -150,7 +154,8 @@ func decodeRecords(payload []byte) ([]logRecord, error) {
 
 // reopen is the shared recovery driver: scan the log, rebuild the structure
 // at the anchor (keeping the log's pages out of its orphan GC), replay the
-// committed tail into the overlay, and resume appending in a fresh segment.
+// committed tail into the overlay, and resume appending in a fresh segment,
+// numbering on from the last kept page so the next recovery meets no gap.
 func reopen(pool *storage.BufferPool, cfg Config, build func(keep map[storage.PageID]bool, blob []byte) (inner, error)) (*Logged, error) {
 	cfg.defaults()
 	scan, err := scanLog(pool.Device())
@@ -168,7 +173,7 @@ func reopen(pool *storage.BufferPool, cfg Config, build func(keep map[storage.Pa
 		overlay:   make(map[core.Key]entry),
 		memo:      make(map[core.Key]int),
 		count:     in.Len(),
-		seq:       scan.maxSeq,
+		seq:       scan.lastSeq,
 		seg:       scan.maxSeg + 1,
 		livePages: scan.keepList,
 		committed: uint64(len(scan.records)),

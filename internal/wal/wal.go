@@ -57,7 +57,8 @@
 // whose records were never reported committed. Recovery (recover.go) sorts
 // the CRC-valid pages by sequence number, adopts the newest checkpoint
 // record as the anchor, rebuilds the inner structure at that anchor, and
-// replays every later record into the overlay.
+// replays into the overlay the records of the pages that follow it without
+// a gap in their sequence numbers.
 //
 // # Failure discipline
 //

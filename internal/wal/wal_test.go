@@ -1,6 +1,8 @@
 package wal_test
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -436,6 +438,101 @@ func TestAppendFaultMidGroup(t *testing.T) {
 						if id != written[0] && slices.Contains(live, id) {
 							t.Fatalf("page %d, allocated at or past the failure, is live after recovery", id)
 						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestRecoveryKeepsLogPrefix loses one page of a committed three-page group
+// commit in turn — the first, the second, the third in sequence order — on
+// both logs and both media. A lost page ends the log: recovery brings back
+// the 50 records committed before the group and exactly the group's records
+// on the pages before the lost one, never a record past it. The recovered
+// log then commits once more and recovers again, so the sequence numbers it
+// resumed from leave no gap of their own.
+func TestRecoveryKeepsLogPrefix(t *testing.T) {
+	for _, b := range builders() {
+		for _, medium := range []storage.Medium{storage.SSD, storage.MQSSD} {
+			for lost := 0; lost < 3; lost++ {
+				t.Run(fmt.Sprintf("%s/%v/page=%d", b.name, medium, lost+1), func(t *testing.T) {
+					dev := storage.NewDevice(512, medium, nil)
+					pool := storage.NewBufferPool(dev, 16)
+					l, err := b.open(pool, wal.Config{CommitBatch: 1000})
+					if err != nil {
+						t.Fatal(err)
+					}
+					put := func(l *wal.Logged, from, to core.Key) {
+						for k := from; k <= to; k++ {
+							if err := l.Insert(k, k*3); err != nil {
+								t.Fatal(err)
+							}
+						}
+						if err := l.Commit(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					put(l, 1, 40)
+					if err := l.Checkpoint(); err != nil {
+						t.Fatal(err)
+					}
+					put(l, 41, 50)
+					before := map[storage.PageID]bool{}
+					for _, id := range dev.LivePageIDs() {
+						before[id] = true
+					}
+					put(l, 101, 160) // 60 records: log pages of 28, 28 and 4
+					var group []storage.PageID
+					seq := map[storage.PageID]uint64{}
+					for _, id := range dev.LivePageIDs() {
+						if !before[id] {
+							data, err := dev.Read(id)
+							if err != nil {
+								t.Fatal(err)
+							}
+							group, seq[id] = append(group, id), binary.LittleEndian.Uint64(data[8:16])
+						}
+					}
+					if len(group) != 3 {
+						t.Fatalf("the group wrote %d log pages, want 3", len(group))
+					}
+					slices.SortFunc(group, func(a, b storage.PageID) int { return cmp.Compare(seq[a], seq[b]) })
+					if err := dev.Write(group[lost], make([]byte, 512)); err != nil {
+						t.Fatal(err)
+					}
+					pool.Crash()
+
+					reopen := func() (*wal.Logged, *storage.BufferPool) {
+						pool := storage.NewBufferPool(dev, 16)
+						l2, err := b.recover(pool, wal.Config{})
+						if err != nil {
+							t.Fatalf("recover: %v", err)
+						}
+						for k := core.Key(1); k <= 50; k++ {
+							if got, ok := l2.Get(k); !ok || got != k*3 {
+								t.Fatalf("committed key %d = %d,%v after recovery, want %d", k, got, ok, k*3)
+							}
+						}
+						return l2, pool
+					}
+					l2, pool2 := reopen()
+					prefix := 0
+					for k := core.Key(101); k <= 160; k++ {
+						if _, ok := l2.Get(k); !ok {
+							break
+						}
+						prefix++
+					}
+					if want := 28 * lost; prefix != want || l2.Len() != 50+prefix {
+						t.Fatalf("recovered Len %d with the group's first %d records, want the 50 committed and the first %d", l2.Len(), prefix, want)
+					}
+
+					put(l2, 200, 200)
+					pool2.Crash()
+					l3, _ := reopen()
+					if got, ok := l3.Get(200); !ok || got != 600 || l3.Len() != 51+prefix {
+						t.Fatalf("second recovery: Get(200) = %d,%v, Len %d: want 600 and %d", got, ok, l3.Len(), 51+prefix)
 					}
 				})
 			}
