@@ -102,7 +102,9 @@ examples:
 ## evicted unread per op, 0 allocs/op; its resident cases read the same tree
 ## through a pool that holds every page, the loop beside b = 16, where only
 ## the page search differs: per key, or sixteen in lock-step), and the log's
-## group commit (0 allocs/op) and full checkpoint interval. BenchmarkSnapshotGet was
+## group commit (0 allocs/op) and full checkpoint interval (B/op and
+## allocs/op beside ns/op: the overlay's radix sort and the one buffer per
+## compaction merge). BenchmarkSnapshotGet was
 ## re-baselined when it joined this list (PR 24): it reads scattered keys
 ## (≈ 285 ns per key) where it used to walk them in order (≈ 76 ns, one hot
 ## leaf, every branch predicted); figures recorded before are not comparable.
@@ -116,7 +118,7 @@ bench:
 	$(GO) test ./internal/storage -bench 'BenchmarkFetch(Hit|Miss)' -benchtime=2s -run '^$$'
 	$(GO) test ./internal/lsm -bench BenchmarkCompactionSpill -benchtime=2s -run '^$$'
 	$(GO) test ./internal/lsm -bench '^BenchmarkLSMGetBatch$$' -benchmem -benchtime=2s -run '^$$'
-	$(GO) test ./internal/wal -bench 'BenchmarkC(ommit|heckpoint)$$' -benchtime=2s -run '^$$'
+	$(GO) test ./internal/wal -bench 'BenchmarkC(ommit|heckpoint)$$' -benchmem -benchtime=2s -run '^$$'
 	$(GO) test ./internal/bench -bench '^Benchmark(StreamNext|InitRecords)$$' -benchmem -benchtime=2s -run '^$$'
 
 ## fuzz: every native fuzz target in the module, five seconds each (about

@@ -581,14 +581,14 @@ func (t *Tree) buildRun(recs []core.Record) (*run, error) {
 	return r, nil
 }
 
-// readRun reads every record of a run in order, charging page reads. The run
-// streams through the pool's readahead window: each IOBatch-sized chunk of
-// run pages is offered to Readahead, so on a batching pool sequential run
-// scans (compaction inputs, range merges) pay the amortized batch cost of
-// one deep submission instead of depth-1 reads. A pool that does not batch
-// reads nothing ahead, and the loop below is exactly the per-page path.
-func (t *Tree) readRun(r *run) ([]core.Record, error) {
-	recs := make([]core.Record, 0, r.count)
+// readRun appends every record of a run to recs in order, charging page
+// reads. The run streams through the pool's readahead window: each
+// IOBatch-sized chunk of run pages is offered to Readahead, so on a batching
+// pool sequential run scans (compaction inputs, range merges) pay the
+// amortized batch cost of one deep submission instead of depth-1 reads. A
+// pool that does not batch reads nothing ahead, and the loop below is
+// exactly the per-page path.
+func (t *Tree) readRun(recs []core.Record, r *run) ([]core.Record, error) {
 	ra, next := t.pool.IOBatch(), 0
 	for i, pid := range r.pages {
 		if i == next {
@@ -636,46 +636,74 @@ func (t *Tree) freeRun(r *run) {
 
 // mergeSorted is the tree's one merge kernel: a k-way merge of sources
 // ordered oldest to newest, each strictly ascending by key (asserted under
-// -tags racecheck). On equal keys the newest source wins and the shadowed
-// versions are dropped; when dropTombs is true (a step the planner cleared
-// for it, or a scan's answer) tombstones are discarded too. Every merge here
-// has at most T+1 sources, so the smallest head is found by a linear scan
-// rather than a heap.
-func mergeSorted(sources [][]core.Record, dropTombs bool) []core.Record {
+// -tags racecheck), appended to dst[:0] — a fresh buffer when dst cannot hold
+// every source record, so a scan passes nil. On equal keys the newest source
+// wins and the shadowed versions are dropped; when dropTombs is true (a step
+// the planner cleared for it, or a scan's answer) tombstones are discarded
+// too. Every merge here has at most T+1 sources, so the smallest head is
+// found by a linear scan rather than a heap, and the winner's records below
+// every other source's head go out in one stretch before the next scan.
+//
+// A compaction merges in place: sources[0] is the tail of dst's backing
+// array, cap(dst) records long, and the merge writes forward from its head.
+// Each record is read before its slot can be written: after w writes at
+// least w records have been consumed, the other sources hold at most
+// cap(dst) - len(sources[0]) of them, so the write index never passes
+// sources[0]'s next unread record.
+func mergeSorted(dst []core.Record, sources [][]core.Record, dropTombs bool) []core.Record {
 	assertAscending(sources)
 	total := 0
 	for _, src := range sources {
 		total += len(src)
 	}
-	out := make([]core.Record, 0, total)
+	out := dst[:0]
+	if cap(out) < total {
+		out = make([]core.Record, 0, total)
+	}
 	heads := make([]int, len(sources))
 	for {
 		// One pass finds the smallest head key and, among the sources that
 		// carry it, the newest: an older head that ties is shadowed, so it is
 		// stepped over on the spot (its key stays at the newer source's head).
-		best := -1
+		// It also finds bound, the smallest head key of every other source.
+		best, bound := -1, ^core.Key(0)
 		var bestKey core.Key
 		for i, src := range sources {
 			if heads[i] == len(src) {
 				continue
 			}
 			switch k := src[heads[i]].Key; {
-			case best < 0 || k < bestKey:
+			case best < 0:
+				best, bestKey = i, k
+			case k < bestKey:
+				bound = min(bound, bestKey)
 				best, bestKey = i, k
 			case k == bestKey:
-				heads[best]++
+				if heads[best]++; heads[best] < len(sources[best]) {
+					bound = min(bound, sources[best][heads[best]].Key)
+				}
 				best = i
+			default:
+				bound = min(bound, k)
 			}
 		}
 		if best < 0 {
 			return out
 		}
-		rec := sources[best][heads[best]]
-		heads[best]++
-		if dropTombs && rec.Value == Tombstone {
-			continue
+		// The winner's records below bound precede every other source's
+		// head, so they go out in one stretch without another scan.
+		src, h := sources[best], heads[best]
+		for {
+			rec := src[h]
+			h++
+			if !dropTombs || rec.Value != Tombstone {
+				out = append(out, rec)
+			}
+			if h == len(src) || src[h].Key >= bound {
+				break
+			}
 		}
-		out = append(out, rec)
+		heads[best] = h
 	}
 }
 
@@ -787,15 +815,31 @@ func (t *Tree) apply(st plan.Step) {
 	if st.DropTombstones {
 		assertNoBystander(t.levels[st.Into:], victims)
 	}
-	sources := make([][]core.Record, 0, len(victims))
+	// One buffer sized to every victim holds the merge: the oldest victim —
+	// on an absorbing step the target level's run, the largest — is decoded
+	// into its tail, the newer ones into a buffer of their own, and the merge
+	// writes forward from the head (mergeSorted's in-place case). Both are
+	// dropped once the run is built: none outlives the merge.
+	total := 0
 	for _, r := range victims {
-		recs, err := t.readRun(r)
-		if err != nil {
+		total += r.count
+	}
+	merged := make([]core.Record, total)
+	gap := total - victims[0].count
+	oldest, err := t.readRun(merged[gap:gap:total], victims[0])
+	if err != nil {
+		return
+	}
+	newer := make([]core.Record, 0, gap)
+	sources := append(make([][]core.Record, 0, len(victims)), oldest)
+	for _, r := range victims[1:] {
+		from := len(newer)
+		if newer, err = t.readRun(newer, r); err != nil {
 			return
 		}
-		sources = append(sources, recs)
+		sources = append(sources, newer[from:])
 	}
-	out, err := t.buildRun(mergeSorted(sources, st.DropTombstones))
+	out, err := t.buildRun(mergeSorted(merged, sources, st.DropTombstones))
 	if err != nil {
 		return
 	}
@@ -839,7 +883,7 @@ func (t *Tree) RangeScan(lo, hi core.Key, emit func(core.Key, core.Value) bool) 
 // until emit declines, returning how many it was offered.
 func emitMerged(sources [][]core.Record, emit func(core.Key, core.Value) bool) int {
 	emitted := 0
-	for _, rec := range mergeSorted(sources, true) {
+	for _, rec := range mergeSorted(nil, sources, true) {
 		emitted++
 		if !emit(rec.Key, rec.Value) {
 			break

@@ -60,37 +60,62 @@ func randomSources(rng *rand.Rand, k int) [][]core.Record {
 	return sources
 }
 
+// mergeInPlace merges sources in the layout Tree.apply uses: source 0 copied
+// to the tail of one buffer sized to every source's records, the merge
+// written from that buffer's head. It fails t unless the merge wrote into the
+// buffer.
+func mergeInPlace(t *testing.T, sources [][]core.Record, dropTombs bool) []core.Record {
+	t.Helper()
+	total := 0
+	for _, src := range sources {
+		total += len(src)
+	}
+	buf := make([]core.Record, total)
+	gap := total - len(sources[0])
+	copy(buf[gap:], sources[0])
+	laid := append([][]core.Record{buf[gap:]}, sources[1:]...)
+	got := mergeSorted(buf, laid, dropTombs)
+	if len(got) > 0 && &got[0] != &buf[0] {
+		t.Fatalf("merge left the buffer for a fresh one (total %d)", total)
+	}
+	return got
+}
+
 func TestMergeSortedMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {
 		sources := randomSources(rng, 1+rng.Intn(12))
 		for _, dropTombs := range []bool{false, true} {
-			got, want := mergeSorted(sources, dropTombs), mergeOracle(sources, dropTombs)
+			got, want := mergeSorted(nil, sources, dropTombs), mergeOracle(sources, dropTombs)
 			if !slices.Equal(got, want) {
 				t.Fatalf("trial %d k=%d dropTombs=%v: merge differs from oracle\n got %v\nwant %v",
 					trial, len(sources), dropTombs, got, want)
+			}
+			if inPlace := mergeInPlace(t, sources, dropTombs); !slices.Equal(inPlace, want) {
+				t.Fatalf("trial %d k=%d dropTombs=%v: in-place merge differs from oracle\n got %v\nwant %v",
+					trial, len(sources), dropTombs, inPlace, want)
 			}
 		}
 	}
 }
 
 func TestMergeSortedEdges(t *testing.T) {
-	if got := mergeSorted(nil, false); len(got) != 0 {
+	if got := mergeSorted(nil, nil, false); len(got) != 0 {
 		t.Fatalf("no sources merged to %v", got)
 	}
-	if got := mergeSorted([][]core.Record{nil, {}, nil}, true); len(got) != 0 {
+	if got := mergeSorted(nil, [][]core.Record{nil, {}, nil}, true); len(got) != 0 {
 		t.Fatalf("empty sources merged to %v", got)
 	}
 	// The same key in every source: the newest (last) wins, and a newest
 	// tombstone shadows every older live version.
 	sources := [][]core.Record{{{Key: 7, Value: 1}}, {{Key: 7, Value: 2}}, {{Key: 7, Value: Tombstone}}}
-	if got := mergeSorted(sources[:2], true); !slices.Equal(got, []core.Record{{Key: 7, Value: 2}}) {
+	if got := mergeSorted(nil, sources[:2], true); !slices.Equal(got, []core.Record{{Key: 7, Value: 2}}) {
 		t.Fatalf("newest did not win: %v", got)
 	}
-	if got := mergeSorted(sources, true); len(got) != 0 {
+	if got := mergeSorted(nil, sources, true); len(got) != 0 {
 		t.Fatalf("tombstone did not shadow older versions: %v", got)
 	}
-	if got := mergeSorted(sources, false); !slices.Equal(got, []core.Record{{Key: 7, Value: Tombstone}}) {
+	if got := mergeSorted(nil, sources, false); !slices.Equal(got, []core.Record{{Key: 7, Value: Tombstone}}) {
 		t.Fatalf("tombstone not kept above the bottom: %v", got)
 	}
 }
@@ -98,11 +123,16 @@ func TestMergeSortedEdges(t *testing.T) {
 // FuzzMergeSorted decodes the input into up to 12 sources (byte 0: source
 // count; then per record a source selector, a key byte and a value byte, 0xFF
 // meaning tombstone), sorts and dedups each, and checks the merge against the
-// oracle under both tombstone policies.
+// oracle under both tombstone policies, into a fresh destination and in
+// place, in the layout a compaction uses.
 func FuzzMergeSorted(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 1, 1, 1, 2, 2, 1, 0xFF})
 	f.Add([]byte{1})
 	f.Add([]byte{12, 0, 0, 0, 11, 0, 0xFF, 5, 9, 9})
+	// Three sources, the newest shadowing every key of the oldest: each of
+	// the oldest's records is stepped over as the newer copy is written, so
+	// the write index comes closest to the oldest source's read head.
+	f.Add([]byte{3, 0, 10, 1, 0, 20, 1, 0, 30, 1, 1, 15, 2, 1, 25, 0xFF, 2, 10, 3, 2, 20, 0xFF, 2, 30, 3})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) == 0 {
 			return
@@ -127,8 +157,12 @@ func FuzzMergeSorted(f *testing.F) {
 			core.SortRecords(sources[i])
 		}
 		for _, dropTombs := range []bool{false, true} {
-			if got, want := mergeSorted(sources, dropTombs), mergeOracle(sources, dropTombs); !slices.Equal(got, want) {
+			want := mergeOracle(sources, dropTombs)
+			if got := mergeSorted(nil, sources, dropTombs); !slices.Equal(got, want) {
 				t.Fatalf("dropTombs=%v: got %v want %v (sources %v)", dropTombs, got, want, sources)
+			}
+			if got := mergeInPlace(t, sources, dropTombs); !slices.Equal(got, want) {
+				t.Fatalf("dropTombs=%v: in place got %v want %v (sources %v)", dropTombs, got, want, sources)
 			}
 		}
 	})
@@ -199,7 +233,7 @@ func scanOracle(t *testing.T, tr *Tree, levels [][]*run, mem []core.Record, lo, 
 	var sources [][]core.Record
 	for i := len(levels) - 1; i >= 0; i-- {
 		for _, r := range levels[i] {
-			recs, err := tr.readRun(r)
+			recs, err := tr.readRun(nil, r)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,10 +25,10 @@ func TestMergeSortedRejectsUnsortedSource(t *testing.T) {
 					t.Errorf("%s source did not panic under -tags racecheck", name)
 				}
 			}()
-			mergeSorted([][]core.Record{sorted, bad}, false)
+			mergeSorted(nil, [][]core.Record{sorted, bad}, false)
 		}()
 	}
-	mergeSorted([][]core.Record{sorted, nil, sorted}, true) // valid input stays silent
+	mergeSorted(nil, [][]core.Record{sorted, nil, sorted}, true) // valid input stays silent
 }
 
 // TestIngestSortedRejectsUnsortedBatch: the sorted entry point holds its

@@ -72,7 +72,6 @@
 package wal
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -231,11 +230,13 @@ type Logged struct {
 	memoOks  []bool
 
 	// Reusable scratch, so the steady state allocates nothing: batch is the
-	// sorted hand-off of a checkpoint (and the overlay side of a RangeScan);
-	// frames are the log page images a commit encodes into — an append hands
-	// each to the device and takes the page's previous buffer back in its
-	// place, so a frame is free again as soon as the append returns.
+	// sorted hand-off of a checkpoint (and the overlay side of a RangeScan),
+	// spare the other half of its radix sort; frames are the log page images
+	// a commit encodes into — an append hands each to the device and takes
+	// the page's previous buffer back in its place, so a frame is free again
+	// as soon as the append returns.
 	batch  []change
+	spare  []change
 	frames [][]byte
 
 	seq       uint64 // last page sequence number issued
@@ -413,16 +414,44 @@ func (l *Logged) Delete(k core.Key) bool {
 // sortedOverlay fills the batch buffer with the overlay entries whose keys
 // lie in [lo, hi], ascending. The result aliases l.batch and lives until the
 // next call.
+//
+// The order comes from an LSD radix sort on the key, one byte per pass from
+// the lowest, that skips every byte all the keys share and ping-pongs
+// between l.batch and l.spare. Each pass is stable, so ties would keep the
+// map's random order: the sort relies on overlay keys being distinct, which
+// a map's keys are.
 func (l *Logged) sortedOverlay(lo, hi core.Key) []change {
-	batch := l.batch[:0]
+	src := l.batch[:0]
 	for k, e := range l.overlay {
 		if k >= lo && k <= hi {
-			batch = append(batch, change{key: k, entry: e})
+			src = append(src, change{key: k, entry: e})
 		}
 	}
-	slices.SortFunc(batch, func(a, b change) int { return cmp.Compare(a.key, b.key) })
-	l.batch = batch
-	return batch
+	dst := slices.Grow(l.spare[:0], len(src))[:len(src)]
+	var counts [8][256]int
+	for _, c := range src {
+		for b := range counts {
+			counts[b][byte(c.key>>(8*b))]++
+		}
+	}
+	for b := range counts {
+		at := &counts[b]
+		if len(src) == 0 || at[byte(src[0].key>>(8*b))] == len(src) {
+			continue // every key has this byte
+		}
+		next := 0
+		for d, n := range at {
+			at[d], next = next, next+n
+		}
+		for _, c := range src {
+			d := byte(c.key >> (8 * b))
+			dst[at[d]] = c
+			at[d]++
+		}
+		src, dst = dst, src
+	}
+	l.batch, l.spare = src, dst
+	return src
 }
 
 // RangeScan merges the overlay into the structure's ordered scan: overlay
