@@ -92,7 +92,10 @@ examples:
 ## the read waves' cost/op and reads/op beside the loop's, and 32-op read50
 ## messages (half writes) served as a shard serves them, with and without the
 ## tree's Prefetch of each message's keys (mqssd/prefetch-read50: cost/op,
-## reads/op and prefetched pages evicted unread per op), the buffer pool's resident hit
+## reads/op and prefetched pages evicted unread per op), the write side of a
+## snapshot-serving shard (BenchmarkCowUpdate: a publish, then 64 uniform
+## updates on a resident 100 000-key Versions: 4 tree, ns/op and B/op beside
+## the copy-on-write copies per op), the buffer pool's resident hit
 ## and evicting miss (0 allocs/op both; the miss clean, with a dirty victim,
 ## and dirty-evict/armed: a dirty victim under a fault injector that never
 ## fires, within noise of dirty-evict), the lsm L1→L2 spill, the live LSM's
@@ -114,7 +117,7 @@ examples:
 bench:
 	$(GO) test ./internal/obs -bench BenchmarkInstrumentedGet -benchtime=2s -run '^$$'
 	$(GO) test ./internal/serve -bench '^BenchmarkDo(Traced|Fingerprinted|ClosedLoop(Traced)?|Bypass)?$$' -benchmem -benchtime=2s -run '^$$'
-	$(GO) test ./internal/btree -bench '^Benchmark(SnapshotGet(Batch)?|TreeGetBatch)$$' -benchmem -benchtime=2s -run '^$$'
+	$(GO) test ./internal/btree -bench '^Benchmark(SnapshotGet(Batch)?|TreeGetBatch|CowUpdate)$$' -benchmem -benchtime=2s -run '^$$'
 	$(GO) test ./internal/storage -bench 'BenchmarkFetch(Hit|Miss)' -benchtime=2s -run '^$$'
 	$(GO) test ./internal/lsm -bench BenchmarkCompactionSpill -benchtime=2s -run '^$$'
 	$(GO) test ./internal/lsm -bench '^BenchmarkLSMGetBatch$$' -benchmem -benchtime=2s -run '^$$'

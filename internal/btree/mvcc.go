@@ -50,7 +50,11 @@ func (t *Tree) state() state { return state{root: t.root, height: t.height, coun
 // writable can tell private pages from published ones. It and freePage bump
 // Tree.stamp, which invalidates the routes Prefetch kept.
 func (t *Tree) newPage(c rum.Class) (*storage.Frame, error) {
-	f, err := t.pool.NewPage(c)
+	return t.born(t.pool.NewPage(c))
+}
+
+// born records the birth of a page the pool has just allocated.
+func (t *Tree) born(f *storage.Frame, err error) (*storage.Frame, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +89,7 @@ func (t *Tree) writable(f *storage.Frame) (*storage.Frame, error) {
 	if !(node{f.Data()}).isLeaf() {
 		class = rum.Aux
 	}
-	nf, err := t.newPage(class)
+	nf, err := t.born(t.pool.NewPageForOverwrite(class)) // the copy below writes every byte
 	if err != nil {
 		t.pool.Release(f)
 		return nil, err

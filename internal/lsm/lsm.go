@@ -558,16 +558,19 @@ func (t *Tree) buildRun(recs []core.Record) (*run, error) {
 		if end > len(recs) {
 			end = len(recs)
 		}
-		f, err := t.pool.NewPage(rum.Base)
+		// The page is written whole: the header, the records, and zeros
+		// after the last record.
+		f, err := t.pool.NewPageForOverwrite(rum.Base)
 		if err != nil {
 			return nil, err
 		}
 		f.MarkDirty()
 		data := f.Data()
-		binary.LittleEndian.PutUint32(data[0:4], uint32(end-start))
+		binary.LittleEndian.PutUint64(data[0:pageHeader], uint64(end-start))
 		for j, rec := range recs[start:end] {
 			core.EncodeRecord(data[pageHeader+j*core.RecordSize:], rec)
 		}
+		clear(data[pageHeader+(end-start)*core.RecordSize:])
 		r.pages = append(r.pages, f.ID())
 		r.fences = append(r.fences, recs[start].Key)
 		t.pool.Release(f)

@@ -58,10 +58,10 @@ type PoolStats struct {
 // private copy, and only from then on may Data() — read again, after
 // MarkDirty — be written. A write-back hands that buffer to the device as
 // the page's new image and the frame borrows it back, clean again. Frames
-// from NewPage are born owning their buffer. Builds with -tags racecheck
-// give every frame a private copy, panic when a clean frame's bytes differ
-// from the device's, and poison an evicted frame's bytes instead of recycling
-// the struct (see framecheck_on.go).
+// from NewPage and NewPageForOverwrite are born owning their buffer. Builds
+// with -tags racecheck give every frame a private copy, panic when a clean
+// frame's bytes differ from the device's, and poison an evicted frame's bytes
+// instead of recycling the struct (see framecheck_on.go).
 type Frame struct {
 	data []byte
 	pool *BufferPool
@@ -361,16 +361,35 @@ func (p *BufferPool) withRetry(id PageID, err error, transfer func() error) erro
 // it pinned, dirty and owning its buffer, without any device read (a blind
 // write).
 func (p *BufferPool) NewPage(c rum.Class) (*Frame, error) {
+	f, fresh := p.newPage(c)
+	if !fresh {
+		clear(f.data)
+	}
+	return f, nil
+}
+
+// NewPageForOverwrite is NewPage for a caller that writes every byte of the
+// page before releasing it: the same pinned, dirty, owned frame on the same
+// pool and device calls, but its buffer is not cleared and holds unspecified
+// bytes (builds with -tags racecheck fill it with poisonByte, so a byte left
+// unwritten shows). A copy-on-write copy and a run page built whole take
+// their frames here; a caller that writes part of a page wants NewPage.
+func (p *BufferPool) NewPageForOverwrite(c rum.Class) (*Frame, error) {
+	f, _ := p.newPage(c)
+	poison(f.data)
+	return f, nil
+}
+
+// newPage is NewPage up to the clear: it reports whether the frame's buffer
+// was freshly allocated, and so is zeros already.
+func (p *BufferPool) newPage(c rum.Class) (f *Frame, fresh bool) {
 	p.owner.assert("BufferPool")
 	id := p.dev.Alloc(c)
-	f := p.install(id)
+	f = p.install(id)
 	buf, fresh := p.takeBuf()
-	if !fresh {
-		clear(buf)
-	}
 	p.own(f, buf)
 	p.setDirty(f)
-	return f, nil
+	return f, fresh
 }
 
 // install makes room if needed and registers a pinned, clean frame for id.
@@ -657,7 +676,8 @@ func (p *BufferPool) flushVictim(victim *Frame) bool {
 	return !victim.dirty
 }
 
-// Release unpins a frame previously returned by Fetch or NewPage.
+// Release unpins a frame previously returned by Fetch, NewPage or
+// NewPageForOverwrite.
 func (p *BufferPool) Release(f *Frame) {
 	p.owner.assert("BufferPool")
 	if f.pins <= 0 {

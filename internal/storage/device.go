@@ -132,7 +132,12 @@ type Device struct {
 	pages    [][]byte
 	class    []rum.Class
 	live     []bool
-	freeList []PageID
+	// unwritten marks the live pages Alloc recycled that no write has reached
+	// yet: their buffers still hold a freed page's bytes. The read kernel
+	// clears such a page before lending it, a write clears the mark, so an
+	// allocated page reads as zeros without Alloc clearing it.
+	unwritten []bool
+	freeList  []PageID
 	// retired marks the pages a write failed on permanently (a fault neither
 	// transient nor a crash): Free keeps them off freeList.
 	retired  map[PageID]bool
@@ -249,14 +254,17 @@ func (d *Device) LivePageIDs() []PageID {
 	return ids
 }
 
-// Alloc allocates a zeroed page of the given data class and returns its id.
+// Alloc allocates a page of the given data class and returns its id. The page
+// reads as zeros until it is first written. A recycled id is not cleared here:
+// it is marked unwritten, and the zeros materialize at its first read, so a
+// page whose first transfer is a full write never pays for them.
 func (d *Device) Alloc(c rum.Class) PageID {
 	d.owner.assert("Device")
 	d.stats.PagesAllocated++
 	if n := len(d.freeList); n > 0 {
 		id := d.freeList[n-1]
 		d.freeList = d.freeList[:n-1]
-		clear(d.pages[id])
+		d.unwritten[id] = true
 		d.class[id] = c
 		d.live[id] = true
 		return id
@@ -265,6 +273,7 @@ func (d *Device) Alloc(c rum.Class) PageID {
 	d.pages = append(d.pages, make([]byte, d.pageSize))
 	d.class = append(d.class, c)
 	d.live = append(d.live, true)
+	d.unwritten = append(d.unwritten, false)
 	d.gen.grow(len(d.pages))
 	return id
 }
@@ -274,7 +283,7 @@ func (d *Device) Alloc(c rum.Class) PageID {
 // ErrCrash: the surviving image is evidence for recovery, and a structure
 // must not be able to release pages it no longer remembers owning. (Alloc
 // stays available post-crash — recovery legitimately allocates, and any
-// orphaned zeroed pages it abandons are garbage-collected by the reopened
+// orphaned pages it abandons are garbage-collected by the reopened
 // structure.)
 func (d *Device) Free(id PageID) error {
 	d.owner.assert("Device")
@@ -322,11 +331,13 @@ func (d *Device) Write(id PageID, data []byte) error {
 }
 
 // Replace is Write without the copy: image itself becomes the page's image
-// and the previous image is returned, the caller's to reuse. From then on
-// image belongs to the device — the caller may keep reading it (it is what
-// Read returns) but must not write it. The buffer pool writes back the dirty
-// frames it owns this way. On failure nothing changes hands (a torn write
-// tears the previous image, as Write's does).
+// and the previous buffer is returned, the caller's to reuse. Its contents
+// are unspecified: the previous image, or, for a page allocated and never
+// written, whatever a freed page left there. From then on image belongs to
+// the device — the caller may keep reading it (it is what Read returns) but
+// must not write it. The buffer pool writes back the dirty frames it owns
+// this way. On failure nothing changes hands (a torn write tears the previous
+// image, as Write's does).
 func (d *Device) Replace(id PageID, image []byte) (prev []byte, err error) {
 	ids, images := [1]PageID{id}, [1][]byte{image}
 	if _, err := d.writeBatch(ids[:], images[:], true); err != nil {
@@ -408,6 +419,15 @@ func (d *Device) charge(ids []PageID, write bool) {
 	}
 }
 
+// zeroUnwritten gives a page Alloc recycled the zeros it reads as, the first
+// time something must see its bytes: a read, or a torn write's prefix.
+func (d *Device) zeroUnwritten(id PageID) {
+	if d.unwritten[id] {
+		clear(d.pages[id])
+		d.unwritten[id] = false
+	}
+}
+
 // ReadBatch reads every page in ids as one submission and returns their
 // images, which alias device memory like Read's. On a multi-queue medium the
 // pages are charged CostModel.BatchCost — the service time amortized across
@@ -440,6 +460,7 @@ func (d *Device) readBatchInto(ids []PageID, out [][]byte) (n int, err error) {
 				break
 			}
 		}
+		d.zeroUnwritten(id)
 		out[n] = d.pages[id]
 	}
 	d.charge(ids[:n], false)
@@ -464,16 +485,17 @@ func (d *Device) WriteBatch(ids []PageID, data [][]byte) error {
 
 // ReplaceBatch is WriteBatch without the copies, as Replace is to Write: each
 // images[i] becomes the image of ids[i], and images[i] is overwritten with
-// the page's previous image. It returns how many pages changed hands: all of
-// them, or the leading n before the page that failed, whose image stays the
-// caller's.
+// the page's previous buffer, whose contents are unspecified as Replace's
+// are. It returns how many pages changed hands: all of them, or the leading n
+// before the page that failed, whose image stays the caller's.
 func (d *Device) ReplaceBatch(ids []PageID, images [][]byte) (n int, err error) {
 	return d.writeBatch(ids, images, true)
 }
 
 // writeBatch is the one write kernel. Page by page it checks the target and
-// the length, consults the injector (a torn write persists its prefix here)
-// and then either copies data[i] in or swaps it with the page's image. It
+// the length, consults the injector (a torn write persists its prefix here,
+// over zeros if the page was never written) and then either copies data[i]
+// in or swaps it with the page's image; either way the page is written. It
 // charges the pages it wrote and returns their number; a page whose write
 // failed permanently is retired (Free).
 func (d *Device) writeBatch(ids []PageID, data [][]byte, swap bool) (n int, err error) {
@@ -498,11 +520,13 @@ func (d *Device) writeBatch(ids []PageID, data [][]byte, swap bool) (n int, err 
 				// before the failure.
 				torn = min(torn, d.pageSize)
 				if torn > 0 {
+					d.zeroUnwritten(id)
 					copy(d.pages[id][:torn], data[n][:torn])
 				}
 				break
 			}
 		}
+		d.unwritten[id] = false
 		if swap {
 			data[n], d.pages[id] = d.pages[id], data[n]
 		} else {

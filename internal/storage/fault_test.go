@@ -169,6 +169,61 @@ func TestTornWrite(t *testing.T) {
 	}
 }
 
+// TestTornWriteOnUnwrittenPage: a torn write on a recycled page no write has
+// reached lands its prefix on zeros, not on the freed page's bytes.
+func TestTornWriteOnUnwrittenPage(t *testing.T) {
+	d := NewDevice(64, SSD, nil)
+	id := recycled(t, d)
+	d.SetInjector(&scriptInjector{
+		failWrite: map[uint64]error{1: transient()},
+		tornAt:    map[uint64]int{1: 16},
+	})
+	fresh := bytes.Repeat([]byte{0xBB}, 64)
+	if err := d.Write(id, fresh); !errors.Is(err, ErrTransient) {
+		t.Fatalf("torn write error: %v", err)
+	}
+	d.SetInjector(nil)
+	data, err := d.Read(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data[:16], fresh[:16]) || !bytes.Equal(data[16:], make([]byte, 48)) {
+		t.Fatalf("torn recycled page: %x", data)
+	}
+}
+
+// TestUnwrittenPageSurvivesCrash: a recycled page that was allocated but never
+// written — its only image a dirty frame the crash dropped — reads as zeros
+// after Reopen, where recovery scanning the live pages would look at it.
+func TestUnwrittenPageSurvivesCrash(t *testing.T) {
+	d := NewDevice(64, RAM, nil)
+	id := recycled(t, d)
+	if err := d.Free(id); err != nil {
+		t.Fatal(err)
+	}
+	p := NewBufferPool(d, 4)
+	f, err := p.NewPageForOverwrite(rum.Base)
+	if err != nil || f.ID() != id {
+		t.Fatalf("NewPageForOverwrite: page %d, %v; want the recycled %d", f.ID(), err, id)
+	}
+	f.MarkDirty()
+	copy(f.Data(), bytes.Repeat([]byte{0xCC}, 64))
+	other := d.Alloc(rum.Base)
+	d.SetInjector(&scriptInjector{failWrite: map[uint64]error{1: crashErr()}})
+	if err := d.Write(other, make([]byte, 64)); !errors.Is(err, ErrCrash) {
+		t.Fatalf("crash write: %v", err)
+	}
+	p.Crash()
+	d.SetInjector(nil)
+	d.Reopen()
+	if !slices.Contains(d.LivePageIDs(), id) {
+		t.Fatalf("page %d is not live after the crash", id)
+	}
+	if data, err := d.Read(id); err != nil || !bytes.Equal(data, make([]byte, 64)) {
+		t.Fatalf("unwritten page after Reopen: %x, %v", data, err)
+	}
+}
+
 // TestCrashLatch: a crash fault latches the device — reads, writes, and
 // frees all fail with ErrCrash until Reopen; Alloc stays available.
 func TestCrashLatch(t *testing.T) {

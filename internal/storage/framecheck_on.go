@@ -7,8 +7,19 @@ import (
 	"fmt"
 )
 
-// poisonByte fills an evicted frame's buffer in racecheck builds.
+// poisonByte fills an evicted frame's buffer, and the buffer of a frame from
+// NewPageForOverwrite, in racecheck builds.
 const poisonByte = 0xDB
+
+// poison fills buf with poisonByte. NewPageForOverwrite calls it on the
+// buffer it hands out, whatever the buffer held, so a caller that leaves a
+// byte unwritten puts 0xDB on the device instead of a recycled page's stale
+// byte — or, in a fresh buffer, a zero that would hide the omission.
+func poison(buf []byte) {
+	for i := range buf {
+		buf[i] = poisonByte
+	}
+}
 
 // lend is the checked variant of a frame borrowing the device's image: the
 // frame shows a private copy, so that a write through Data() that did not go
@@ -51,9 +62,7 @@ func (p *BufferPool) checkClean(f *Frame) {
 // reader sees 0xDB in every byte — page headers decode to absurd counts —
 // and fails loudly instead.
 func (p *BufferPool) handOff(victim *Frame) *Frame {
-	for i := range victim.data {
-		victim.data[i] = poisonByte
-	}
+	poison(victim.data)
 	if victim.owned {
 		victim.owned = false
 		p.owned--

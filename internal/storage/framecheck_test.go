@@ -42,6 +42,46 @@ func TestRecycledFrameIsPoisoned(t *testing.T) {
 	}
 }
 
+// TestOverwritePageIsPoisoned verifies the racecheck build hands a
+// NewPageForOverwrite caller a buffer of poisonByte in every byte — a fresh
+// buffer, which would otherwise be zeros, and a spare one a freed page left
+// its bytes in alike — so a byte the caller forgets to write reaches the
+// device as 0xDB, where a pinned image or a decoder notices it.
+func TestOverwritePageIsPoisoned(t *testing.T) {
+	d := NewDevice(64, RAM, nil)
+	p := NewBufferPool(d, 4)
+	poison := bytes.Repeat([]byte{poisonByte}, 64)
+	f, err := p.NewPageForOverwrite(rum.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(f.Data(), poison) {
+		t.Fatalf("fresh overwrite frame shows %x, want all %#x", f.Data(), poisonByte)
+	}
+	f.MarkDirty()
+	copy(f.Data(), bytes.Repeat([]byte{0x11}, 64))
+	id := f.ID()
+	p.Release(f)
+	if err := p.FreePage(id); err != nil { // its buffer goes to the spare list
+		t.Fatal(err)
+	}
+	if f, err = p.NewPageForOverwrite(rum.Base); err != nil {
+		t.Fatal(err)
+	}
+	defer p.Release(f)
+	if f.ID() != id || !bytes.Equal(f.Data(), poison) {
+		t.Fatalf("recycled overwrite frame of page %d shows %x, want page %d all %#x", f.ID(), f.Data(), id, poisonByte)
+	}
+	z, err := p.NewPage(rum.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Release(z)
+	if !bytes.Equal(z.Data(), make([]byte, 64)) {
+		t.Fatalf("NewPage beside it shows %x, want zeros", z.Data())
+	}
+}
+
 // TestDataAfterReleasePanics verifies the racecheck build fails a read of
 // Data() through a frame its caller has released, on first use: the page is
 // still cached and its bytes are intact, so nothing but the pin count can

@@ -41,6 +41,69 @@ func TestDeviceAllocReadWrite(t *testing.T) {
 	if st.PageReads != 2 || st.PageWrites != 1 || st.PagesAllocated != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
+
+	// A recycled page Alloc did not clear reads as zeros through every read
+	// path: Read, ReadBatch and a Readahead-installed frame.
+	zeros := make([]byte, 128)
+	d = NewDevice(128, MQSSD, nil)
+	if page, err := d.Read(recycled(t, d)); err != nil || !bytes.Equal(page, zeros) {
+		t.Fatalf("Read of a recycled page: %x, %v", page, err)
+	}
+	written := d.Alloc(rum.Base)
+	if err := d.Write(written, data); err != nil {
+		t.Fatal(err)
+	}
+	if pages, err := d.ReadBatch([]PageID{written, recycled(t, d)}); err != nil ||
+		!bytes.Equal(pages[0], data) || !bytes.Equal(pages[1], zeros) {
+		t.Fatalf("ReadBatch over a recycled page: %x, %v", pages, err)
+	}
+	p := NewBufferPool(d, 4)
+	id = recycled(t, d)
+	if n := p.Readahead([]PageID{id}); n != 1 {
+		t.Fatalf("Readahead installed %d pages", n)
+	}
+	if got := p.Peek(id); !bytes.Equal(got, zeros) {
+		t.Fatalf("Readahead-installed recycled page shows %x", got)
+	}
+
+	// Replace on a recycled page: the new image reads back, whatever the
+	// buffer it returns holds; ReplaceBatch likewise.
+	id = recycled(t, d)
+	if _, err := d.Replace(id, bytes.Clone(data)); err != nil {
+		t.Fatal(err)
+	}
+	if page, err := d.Read(id); err != nil || !bytes.Equal(page, data) {
+		t.Fatalf("Read after Replace of a recycled page: %x, %v", page, err)
+	}
+	ids := []PageID{recycled(t, d), recycled(t, d)}
+	if n, err := d.ReplaceBatch(ids, [][]byte{bytes.Clone(data), bytes.Clone(data)}); n != 2 || err != nil {
+		t.Fatalf("ReplaceBatch of recycled pages: %d, %v", n, err)
+	}
+	if pages, err := d.ReadBatch(ids); err != nil || !bytes.Equal(pages[0], data) || !bytes.Equal(pages[1], data) {
+		t.Fatalf("ReadBatch after ReplaceBatch of recycled pages: %x, %v", pages, err)
+	}
+}
+
+// recycled returns a live page of d that no write has reached since Alloc
+// handed its id out again: the page was filled with 0xEE, freed and
+// allocated anew, and its buffer still holds the freed page's bytes, so a
+// read that did not clear it would show them.
+func recycled(t *testing.T, d *Device) PageID {
+	t.Helper()
+	id := d.Alloc(rum.Base)
+	if err := d.Write(id, bytes.Repeat([]byte{0xEE}, d.PageSize())); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Free(id); err != nil {
+		t.Fatal(err)
+	}
+	if again := d.Alloc(rum.Aux); again != id {
+		t.Fatalf("Alloc after Free returned %d, want the freed %d", again, id)
+	}
+	if !d.unwritten[id] || d.pages[id][0] != 0xEE {
+		t.Fatalf("recycled page %d is not the uncleared, unwritten case (%x)", id, d.pages[id])
+	}
+	return id
 }
 
 func TestDeviceClassAccounting(t *testing.T) {

@@ -23,8 +23,10 @@ import "repro/internal/rum"
 //     written back and a reachable page is never dirtied, so the writer
 //     stores no header, and recycles no image, that a reader can load.
 //  3. Deferred reclamation: pages superseded by copy-on-write are not freed
-//     (and hence never reused by Alloc, which clears the buffer in place)
-//     until no live view can reach them.
+//     (and hence never reused by Alloc, whose page the first read clears in
+//     place, or the first write overwrites) until no live view can reach
+//     them. A page Alloc has handed out and no write has reached is never
+//     reachable from a view (invariant 1), so a reader never sees one.
 //
 // The view captures the device's page-table slice header, not a copy: Go
 // slice growth leaves the old backing array intact, so pages allocated after
